@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -129,18 +130,11 @@ def _associate_updates(traj: Trajectory, old_file, new_file, tol: float, fmt: st
     ride along unchanged; a keyframe in exactly one of the files is an
     error (the pair is meaningless without both sides).
     """
-    old_poses = _read_trajectory_file(old_file, fmt)
-    new_poses = _read_trajectory_file(new_file, fmt)
+    stamps = [kf.id.stamp for kf in traj.keyframes]
+    olds = associate(stamps, _read_trajectory_file(old_file, fmt), tol, allow_missing=True)
+    news = associate(stamps, _read_trajectory_file(new_file, fmt), tol, allow_missing=True)
     updates = []
-    for i, kf in enumerate(traj.keyframes):
-        try:
-            _, old = associate(kf.id.stamp, old_poses, tol)
-        except AssociationError:
-            old = None
-        try:
-            _, new = associate(kf.id.stamp, new_poses, tol)
-        except AssociationError:
-            new = None
+    for i, (kf, old, new) in enumerate(zip(traj.keyframes, olds, news)):
         if (old is None) != (new is None):
             missing = "--kf-new" if new is None else "--kf-old"
             raise CliError(
@@ -149,7 +143,7 @@ def _associate_updates(traj: Trajectory, old_file, new_file, tol: float, fmt: st
         if old is None:
             updates.append(KeyframeUpdate(i, kf.world_pose, kf.world_pose))
         else:
-            updates.append(KeyframeUpdate(i, old, new))
+            updates.append(KeyframeUpdate(i, old[1], new[1]))
     return updates
 
 
@@ -353,6 +347,18 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
     return argv
 
 
+def _check_flags(args) -> None:
+    """Range-check numeric flags (argparse checks only their type, and
+    config-file values bypass even that)."""
+    tol = args.assoc_tol
+    if not isinstance(tol, (int, float)) or not (math.isfinite(tol) and tol >= 0):
+        raise CliError(f"--assoc-tol must be a finite number >= 0, got {tol!r}")
+    for flag in ("threads", "repetitions"):
+        value = getattr(args, flag, 1)
+        if not isinstance(value, int) or value < 1:
+            raise CliError(f"--{flag} must be an integer >= 1, got {value!r}")
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     level = os.environ.get("POSECORRECT_LOG", "WARNING").upper()
@@ -362,6 +368,7 @@ def main(argv=None) -> int:
     try:
         argv = _apply_config_file(parser, argv)
         args = parser.parse_args(argv)
+        _check_flags(args)
         return args.func(args)
     except (
         CliError,

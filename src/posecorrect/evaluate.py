@@ -245,10 +245,9 @@ def frame_errors(
 ) -> list[FrameError]:
     """Per-frame translation (cm) and rotation (deg) errors against the
     nearest-timestamp ground-truth association."""
-    gt_sorted = sorted(gt, key=lambda item: item[0].stamp)
+    matches = associate([fid.stamp for fid, _ in est], gt, tol)
     out = []
-    for fid, pose in est:
-        _, ref = associate(fid.stamp, gt_sorted, tol)
+    for (fid, pose), (_, ref) in zip(est, matches):
         t_err = float(np.linalg.norm(pose.translation - ref.translation)) * 100.0
         r_err = rotation_angle_deg(pose.rotation, ref.rotation)
         out.append(FrameError(fid, t_err, r_err))

@@ -13,6 +13,8 @@ write-then-read is exact.
 from __future__ import annotations
 
 import logging
+import math
+from typing import Optional
 
 import numpy as np
 
@@ -36,6 +38,11 @@ def _fields(text: str) -> list[str]:
     return text.split()
 
 
+def _require_finite(vals, path, line: int) -> None:
+    if not all(math.isfinite(v) for v in vals):
+        raise TrajectoryParseError(path, line, "non-finite field (nan or inf)")
+
+
 def format_tum_line(stamp: float, pose: Pose) -> str:
     t = pose.translation
     w, x, y, z = pose.rotation.quat
@@ -52,6 +59,7 @@ def parse_tum_fields(fields: list[str], path, line: int) -> tuple[float, Pose]:
         vals = [float(f) for f in fields]
     except ValueError as exc:
         raise TrajectoryParseError(path, line, f"non-numeric field: {exc}") from None
+    _require_finite(vals, path, line)
     stamp, tx, ty, tz, qx, qy, qz, qw = vals
     norm = float(np.linalg.norm([qw, qx, qy, qz]))
     if abs(norm - 1.0) > QUAT_NORM_TOL:
@@ -116,9 +124,11 @@ def read_kitti(path, frame_rate: float = 10.0) -> list[tuple[FrameId, Pose]]:
                     path, lineno, f"expected 12 fields, got {len(fields)}"
                 )
             try:
-                vals = np.array([float(f) for f in fields]).reshape(3, 4)
+                floats = [float(f) for f in fields]
             except ValueError as exc:
                 raise TrajectoryParseError(path, lineno, f"non-numeric field: {exc}") from None
+            _require_finite(floats, path, lineno)
+            vals = np.array(floats).reshape(3, 4)
             rot = _orthonormalize(vals[:, :3], path, lineno)
             out.append(
                 (FrameId(index / frame_rate, index), Pose(Rotation.from_matrix(rot), vals[:, 3]))
@@ -137,12 +147,15 @@ def write_kitti(path, poses) -> None:
 def read_keyframe_index(path, frames) -> list[int]:
     """Resolve a keyframe-index file against a frame list.
 
-    Each line is either an integer frame index or a timestamp (associated
-    within the default tolerance).  Unresolvable entries raise with the
-    file and line number.
+    Each line is either an integer frame index or a finite timestamp; all
+    timestamps are associated in one call within the default tolerance.
+    Unresolvable entries, and entries that resolve to a frame an earlier
+    line already selected, raise with the file and line number.
     """
-    positions = []
     by_index = {fid.index: k for k, (fid, _) in enumerate(frames)}
+    entries: list[tuple[int, Optional[int]]] = []  # (line, position)
+    stamps: list[float] = []
+    stamp_slots: list[int] = []  # entries still waiting for their stamp's match
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             text = raw.strip()
@@ -157,17 +170,37 @@ def read_keyframe_index(path, frames) -> list[int]:
                     raise TrajectoryParseError(
                         path, lineno, f"frame index {idx} not present in trajectory"
                     )
-                positions.append(by_index[idx])
+                entries.append((lineno, by_index[idx]))
                 continue
             try:
                 stamp = float(text)
             except ValueError:
+                stamp = math.nan
+            if not math.isfinite(stamp):
                 raise TrajectoryParseError(
                     path, lineno, f"expected frame index or timestamp, got {text!r}"
-                ) from None
-            try:
-                fid, _ = associate(stamp, frames)
-            except AssociationError as exc:
-                raise TrajectoryParseError(path, lineno, str(exc)) from None
-            positions.append(by_index[fid.index])
+                )
+            stamp_slots.append(len(entries))
+            entries.append((lineno, None))
+            stamps.append(stamp)
+    if stamps:
+        try:
+            matches = associate(stamps, frames)
+        except AssociationError as exc:
+            line = entries[stamp_slots[exc.query]][0]
+            raise TrajectoryParseError(path, line, str(exc)) from None
+        for slot, (fid, _) in zip(stamp_slots, matches):
+            entries[slot] = (entries[slot][0], by_index[fid.index])
+    positions = []
+    selected_at: dict[int, int] = {}
+    for lineno, pos in entries:
+        if pos in selected_at:
+            raise TrajectoryParseError(
+                path,
+                lineno,
+                f"selects frame index {frames[pos][0].index} again "
+                f"(first selected at line {selected_at[pos]})",
+            )
+        selected_at[pos] = lineno
+        positions.append(pos)
     return positions

@@ -12,13 +12,23 @@ import bisect
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .liegeom import Pose
 
 DEFAULT_ASSOC_TOL = 0.01  # seconds; nearest-timestamp association window
 
 
 class AssociationError(ValueError):
-    """A frame could not be matched to a keyframe or ground-truth pose."""
+    """A frame could not be matched to a keyframe or ground-truth pose.
+
+    ``query`` is the position of the unmatched stamp among the stamps
+    passed to :func:`associate`, or ``None`` for other failures.
+    """
+
+    def __init__(self, message: str, query: Optional[int] = None):
+        super().__init__(message)
+        self.query = query
 
 
 @dataclass(frozen=True, order=True)
@@ -170,24 +180,53 @@ def world_poses(traj: Trajectory) -> list[tuple[FrameId, Pose]]:
 
 
 def associate(
-    stamp: float,
+    stamps: Sequence[float],
     reference: Sequence[tuple[FrameId, Pose]],
     tol: float = DEFAULT_ASSOC_TOL,
-) -> tuple[FrameId, Pose]:
-    """Nearest-timestamp lookup within ``tol`` seconds, or AssociationError."""
-    stamps = [fid.stamp for fid, _ in reference]
-    j = bisect.bisect_left(stamps, stamp)
-    best = None
-    for k in (j - 1, j):
-        if 0 <= k < len(reference):
-            d = abs(stamps[k] - stamp)
-            if best is None or d < best[0]:
-                best = (d, reference[k])
-    if best is None or best[0] > tol:
+    *,
+    allow_missing: bool = False,
+) -> list[Optional[tuple[FrameId, Pose]]]:
+    """Nearest-timestamp match in ``reference`` for every query stamp.
+
+    ``reference`` need not be sorted: it is stable-sorted by stamp here and
+    all queries are resolved by one ``np.searchsorted`` pass.  For a query
+    ``t`` the candidates are the last reference stamp below ``t`` and the
+    first one at or above it; the nearer wins, and on equal distance the
+    earlier stamp wins.  Among duplicate reference stamps, the last one
+    below ``t`` or the first one at or above ``t`` is the candidate.  A
+    match at a distance of exactly ``tol`` seconds is accepted.
+
+    A query with no match raises :class:`AssociationError` naming its
+    stamp, with ``query`` set to its position in ``stamps``; with
+    ``allow_missing`` it yields ``None`` instead.
+    """
+    ref_stamps = np.fromiter(
+        (fid.stamp for fid, _ in reference), dtype=float, count=len(reference)
+    )
+    order = np.argsort(ref_stamps, kind="stable")
+    sorted_stamps = ref_stamps[order]
+    queries = np.asarray(stamps, dtype=float).reshape(-1)
+    n = len(sorted_stamps)
+    if n == 0:
+        picks = np.zeros(len(queries), dtype=int)
+        missing = np.ones(len(queries), dtype=bool)
+    else:
+        j = np.searchsorted(sorted_stamps, queries, side="left")
+        below = np.maximum(j - 1, 0)
+        above = np.minimum(j, n - 1)
+        d_below = np.where(j > 0, np.abs(sorted_stamps[below] - queries), np.inf)
+        d_above = np.where(j < n, np.abs(sorted_stamps[above] - queries), np.inf)
+        nearer_above = d_above < d_below
+        picks = order[np.where(nearer_above, above, below)]
+        missing = np.where(nearer_above, d_above, d_below) > tol
+    if not allow_missing and missing.any():
+        k = int(np.argmax(missing))
         raise AssociationError(
-            f"no pose within {tol} s of timestamp {stamp:.6f}"
+            f"no pose within {tol} s of timestamp {float(queries[k]):.6f}", query=k
         )
-    return best[1]
+    return [
+        None if miss else reference[p] for p, miss in zip(picks.tolist(), missing.tolist())
+    ]
 
 
 def snap_to_gt(
@@ -197,12 +236,11 @@ def snap_to_gt(
 ) -> list[KeyframeUpdate]:
     """One update per keyframe: old = estimated world pose, new = associated
     ground-truth pose.  Missing associations raise, never drop silently."""
-    gt_sorted = sorted(gt, key=lambda item: item[0].stamp)
-    updates = []
-    for i, kf in enumerate(traj.keyframes):
-        _, pose = associate(kf.id.stamp, gt_sorted, tol)
-        updates.append(KeyframeUpdate(index=i, old_pose=kf.world_pose, new_pose=pose))
-    return updates
+    matches = associate([kf.id.stamp for kf in traj.keyframes], gt, tol)
+    return [
+        KeyframeUpdate(index=i, old_pose=kf.world_pose, new_pose=pose)
+        for i, (kf, (_, pose)) in enumerate(zip(traj.keyframes, matches))
+    ]
 
 
 def identity_updates(traj: Trajectory) -> list[KeyframeUpdate]:

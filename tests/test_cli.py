@@ -253,3 +253,56 @@ class TestConsoleEntry:
             "--methods", "no-correction", "--out", str(out),
         ])
         assert code == 0
+
+
+class TestInputValidation:
+    """Out-of-range flags and bad input files exit 2 and name the flag or
+    the file and line."""
+
+    def evaluate(self, sim_dir, tmp_path, *extra, traj=None, kf_index=None):
+        return main([
+            "evaluate", "--traj", str(traj or sim_dir / "est.tum"),
+            "--gt", str(sim_dir / "gt.tum"),
+            "--kf-index", str(kf_index or sim_dir / "kf_index.txt"),
+            "--out", str(tmp_path / "x"), *extra,
+        ])
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_assoc_tol_out_of_range(self, sim_dir, tmp_path, capsys, value):
+        assert self.evaluate(sim_dir, tmp_path, "--assoc-tol", value) == 2
+        assert "--assoc-tol" in capsys.readouterr().err
+
+    def test_assoc_tol_from_config_checked_too(self, sim_dir, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"assoc-tol": -0.5}))
+        assert self.evaluate(sim_dir, tmp_path, "--config", str(cfg_path)) == 2
+        assert "--assoc-tol" in capsys.readouterr().err
+
+    def test_threads_zero_rejected(self, sim_dir, tmp_path, capsys):
+        assert self.evaluate(sim_dir, tmp_path, "--threads", "0") == 2
+        assert "--threads" in capsys.readouterr().err
+
+    def test_bench_repetitions_zero_rejected(self, tmp_path, capsys):
+        out = tmp_path / "bench0"
+        assert main(["bench", "--repetitions", "0", "--out", str(out)]) == 2
+        assert "--repetitions" in capsys.readouterr().err
+        assert not (out / "timing.csv").exists()
+
+    def test_non_finite_estimate_names_file_and_line(self, sim_dir, tmp_path, capsys):
+        lines = (sim_dir / "est.tum").read_text().splitlines()
+        fields = lines[3].split()
+        fields[1] = "nan"
+        lines[3] = " ".join(fields)
+        est = tmp_path / "est_nan.tum"
+        est.write_text("\n".join(lines) + "\n")
+        assert self.evaluate(sim_dir, tmp_path, traj=est) == 2
+        assert "est_nan.tum:4" in capsys.readouterr().err
+
+    def test_repeated_keyframe_names_file_and_line(self, sim_dir, tmp_path, capsys):
+        kf_index = tmp_path / "kf_dup.txt"
+        text = (sim_dir / "kf_index.txt").read_text()
+        first = next(line for line in text.splitlines() if not line.startswith("#"))
+        kf_index.write_text(text + first + "\n")
+        line = len(text.splitlines()) + 1
+        assert self.evaluate(sim_dir, tmp_path, kf_index=kf_index) == 2
+        assert f"kf_dup.txt:{line}" in capsys.readouterr().err

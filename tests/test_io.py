@@ -90,6 +90,14 @@ class TestTum:
         with pytest.raises(TrajectoryParseError, match="non-numeric"):
             read_tum(path)
 
+    @pytest.mark.parametrize("line", ["nan 0 0 0 0 0 0 1", "0.1 0 nan 0 0 0 0 1", "0.1 0 0 inf 0 0 0 1"])
+    def test_non_finite_field_rejected_with_line(self, tmp_path, line):
+        path = tmp_path / "nan.tum"
+        path.write_text(f"0.0 0 0 0 0 0 0 1\n{line}\n")
+        with pytest.raises(TrajectoryParseError, match="non-finite") as err:
+            read_tum(path)
+        assert err.value.line == 2
+
 
 class TestKitti:
     def test_identity_row(self, tmp_path):
@@ -106,6 +114,13 @@ class TestKitti:
         m = poses[2][1].rotation.matrix
         assert np.max(np.abs(m.T @ m - np.eye(3))) < 1e-12
         assert abs(np.linalg.det(m) - 1.0) < 1e-12
+
+    def test_non_finite_field_rejected_with_line(self, tmp_path):
+        path = tmp_path / "nan.kitti"
+        path.write_text("1 0 0 0 0 1 0 0 0 0 1 0\n1 0 0 nan 0 1 0 0 0 0 1 0\n")
+        with pytest.raises(TrajectoryParseError, match="non-finite") as err:
+            read_kitti(path)
+        assert err.value.line == 2
 
     def test_timestamps_from_frame_rate(self):
         poses = read_kitti(DATA / "valid.kitti", frame_rate=20.0)
@@ -170,3 +185,29 @@ class TestKeyframeIndex:
         with pytest.raises(TrajectoryParseError) as err:
             read_keyframe_index(path, frames)
         assert err.value.line == 2
+
+    def test_unmatched_timestamp_names_its_line(self, tmp_path):
+        frames = random_poses(7, n=5)
+        path = tmp_path / "kf.txt"
+        path.write_text(f"0\n{frames[2][0].stamp}\n99.5\n")
+        with pytest.raises(TrajectoryParseError, match="99.5") as err:
+            read_keyframe_index(path, frames)
+        assert err.value.line == 3
+
+    @pytest.mark.parametrize("text", ["nan", "inf"])
+    def test_non_finite_timestamp_rejected(self, tmp_path, text):
+        frames = random_poses(8, n=5)
+        path = tmp_path / "kf.txt"
+        path.write_text(f"0\n{text}\n")
+        with pytest.raises(TrajectoryParseError) as err:
+            read_keyframe_index(path, frames)
+        assert err.value.line == 2
+
+    def test_repeated_frame_rejected_with_both_lines(self, tmp_path):
+        frames = random_poses(9, n=10)
+        path = tmp_path / "kf.txt"
+        # Line 4 names by timestamp the frame line 2 selected by index.
+        path.write_text(f"# keyframes\n4\n0\n{frames[4][0].stamp}\n")
+        with pytest.raises(TrajectoryParseError, match="line 2") as err:
+            read_keyframe_index(path, frames)
+        assert err.value.line == 4

@@ -1,7 +1,12 @@
-"""Trajectory model: segmentation, world reconstruction, GT snapping."""
+"""Trajectory model: segmentation, world reconstruction, association, GT
+snapping."""
+
+import bisect
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posecorrect.liegeom import Pose, Rotation, rotation_angle_deg, so3_exp
 from posecorrect.synth import SceneSpec, generate_scene
@@ -11,6 +16,7 @@ from posecorrect.trajectory import (
     Keyframe,
     RelativeFrame,
     Trajectory,
+    associate,
     from_world_poses,
     identity_updates,
     segmentize,
@@ -236,3 +242,78 @@ class TestSnapToGt:
             np.testing.assert_allclose(
                 rebuilt[fid].translation, pose.translation, atol=1e-9
             )
+
+
+def scalar_associate(stamp, reference, tol):
+    """Reference oracle: the per-query bisect lookup over a stable-sorted
+    reference, as the package resolved stamps before the batched search."""
+    reference = sorted(reference, key=lambda item: item[0].stamp)
+    stamps = [fid.stamp for fid, _ in reference]
+    j = bisect.bisect_left(stamps, stamp)
+    best = None
+    for k in (j - 1, j):
+        if 0 <= k < len(reference):
+            d = abs(stamps[k] - stamp)
+            if best is None or d < best[0]:
+                best = (d, reference[k])
+    if best is None or best[0] > tol:
+        return None
+    return best[1]
+
+
+# Stamps on a 1/8 s grid make duplicates, exact midpoints and distances of
+# exactly ``tol`` common, and keep every difference exact in binary.
+GRID = st.integers(min_value=0, max_value=40).map(lambda k: k / 8)
+
+
+@st.composite
+def association_cases(draw):
+    ref_stamps = draw(st.lists(GRID, min_size=0, max_size=25))
+    reference = [(FrameId(t, i), Pose.identity()) for i, t in enumerate(ref_stamps)]
+    reference = draw(st.permutations(reference))  # unsorted input
+    tol = draw(st.sampled_from([0.0, 1 / 16, 1 / 8, 3 / 16, 1.0]))
+    probes = [-1.0, 6.0]  # before the first and after the last stamp
+    for t in ref_stamps:
+        probes += [t, t - tol, t + tol, t + 1 / 16]  # exact, at tol, midpoint
+    queries = draw(
+        st.lists(st.sampled_from(probes) | GRID | st.floats(-2.0, 7.0), max_size=30)
+    )
+    return queries, reference, tol
+
+
+class TestAssociate:
+    @settings(max_examples=300, deadline=None)
+    @given(association_cases())
+    def test_matches_scalar_oracle(self, case):
+        queries, reference, tol = case
+        want = [scalar_associate(q, reference, tol) for q in queries]
+        got = associate(queries, reference, tol, allow_missing=True)
+        assert [m and m[0] for m in got] == [m and m[0] for m in want]
+        first_miss = next((k for k, m in enumerate(want) if m is None), None)
+        if first_miss is None:
+            assert associate(queries, reference, tol) == got
+        else:
+            with pytest.raises(AssociationError) as err:
+                associate(queries, reference, tol)
+            assert err.value.query == first_miss
+            assert f"{queries[first_miss]:.6f}" in str(err.value)
+
+    def test_tie_goes_to_the_earlier_stamp(self):
+        reference = [(FrameId(1.0, 1), Pose.identity()), (FrameId(0.0, 0), Pose.identity())]
+        [(fid, _)] = associate([0.5], reference, tol=0.5)
+        assert fid.index == 0
+
+    def test_duplicate_stamps_pick_last_below_and_first_at_or_above(self):
+        reference = [(FrameId(t, i), Pose.identity()) for i, t in enumerate([0.0, 0.0, 1.0, 1.0])]
+        below, exact = associate([0.25, 1.0], reference, tol=0.5)
+        assert (below[0].index, exact[0].index) == (1, 2)
+
+    def test_distance_equal_to_tol_is_accepted(self):
+        reference = [(FrameId(1.0, 0), Pose.identity())]
+        assert associate([1.25, 0.75], reference, tol=0.25)[0][0].index == 0
+        assert associate([1.5], reference, tol=0.25, allow_missing=True) == [None]
+
+    def test_empty_reference_misses_every_query(self):
+        assert associate([0.0, 1.0], [], allow_missing=True) == [None, None]
+        with pytest.raises(AssociationError, match="0.000000"):
+            associate([0.0], [])
