@@ -56,12 +56,17 @@ def vectorize(
     ts: TransSpace,
     rs: RotSpace,
     diagnostics: InterpDiagnostics | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vector views of a pose: (translation vector, rotation vector)."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Vector views of a pose: (translation vector, rotation vector, so(3)
+    log of the rotation).  The log is computed once, when ``SE3_V`` or
+    ``SO3`` needs it, and is ``None`` otherwise."""
+    omega = None
+    if ts is TransSpace.SE3_V or rs is RotSpace.SO3:
+        omega = liegeom.so3_log(pose.rotation)
     if ts is TransSpace.XYZ:
         tvec = np.array(pose.translation)
     else:
-        tvec = np.array(liegeom.se3_log(pose).v)
+        tvec = liegeom.so3_left_jacobian_inv(omega) @ pose.translation
     if rs is RotSpace.EULER:
         rvec = liegeom.euler_zyx_from(pose.rotation)
         if diagnostics is not None and liegeom.gimbal_proximity(pose.rotation):
@@ -69,8 +74,8 @@ def vectorize(
     elif rs is RotSpace.QUAT:
         rvec = np.array(pose.rotation.quat)
     else:
-        rvec = liegeom.so3_log(pose.rotation)
-    return tvec, rvec
+        rvec = omega
+    return tvec, rvec, omega
 
 
 def _rotation_from_vec(
@@ -150,18 +155,16 @@ def interp_correct_segment(
     diag = InterpDiagnostics()
     t_ab_old = upd_a.old_pose.inverse() * upd_b.old_pose
     t_ab_new = upd_a.new_pose.inverse() * upd_b.new_pose
-    tv_old, rv_old = vectorize(t_ab_old, ts, rs, diag)
-    tv_new, rv_new = vectorize(t_ab_new, ts, rs, diag)
+    tv_old, rv_old, om_old = vectorize(t_ab_old, ts, rs, diag)
+    tv_new, rv_new, om_new = vectorize(t_ab_new, ts, rs, diag)
     dt = tv_new - tv_old
     dr = rv_new - rv_old
     if ts is TransSpace.SE3_V:
-        om_old = liegeom.so3_log(t_ab_old.rotation)
-        om_new = liegeom.so3_log(t_ab_new.rotation)
         dom = om_new - om_old
 
     corrected = []
     for rel in seg.rels:
-        tv, rv = vectorize(rel.rel_pose, ts, rs, diag)
+        tv, rv, om = vectorize(rel.rel_pose, ts, rs, diag)
         tv_star = tv + dt * _guarded_factor(tv, tv_old, raw_division, diag)
         rv_star = rv + dr * _guarded_factor(rv, rv_old, raw_division, diag)
         rot = _rotation_from_vec(rv_star, rs, diag)
@@ -171,7 +174,6 @@ def interp_correct_segment(
             # v maps back through the left Jacobian of the interpolated
             # rotation part of the same tangent, keeping the translation
             # result independent of the rotation-space choice.
-            om = liegeom.so3_log(rel.rel_pose.rotation)
             om_star = om + dom * _guarded_factor(om, om_old, raw_division, diag)
             trans = liegeom.so3_left_jacobian(om_star) @ tv_star
         corrected.append(Pose(rot, trans))

@@ -10,10 +10,17 @@ Subcommands:
   ground-truth / keyframe-index files (optionally a displaced estimate).
 * ``bench``    - time per-segment corrections per method.
 
-Flag values override config-file values which override defaults; the
-effective configuration is echoed into the output directory.  The env var
-``POSECORRECT_LOG`` selects the log level.  Exit codes: 0 success, 2 for
-any input/validation failure, 1 for unexpected errors.
+Each subcommand takes only the flags it reads.  All take ``--out`` and
+``--config``; ``correct``, ``evaluate`` and ``bench`` take the method flags
+``--methods``, ``--trans-space``, ``--rot-space``, ``--scale-squared`` and
+``--raw-division``; ``correct`` and ``evaluate`` also take ``--assoc-tol``,
+``--threads`` and ``--format``; only ``simulate`` takes ``--seed``.
+
+Flag values override config-file values which override defaults.  Config
+values are checked like flag values; keys the subcommand does not take are
+ignored.  The effective configuration is echoed into the output directory.
+The env var ``POSECORRECT_LOG`` selects the log level.  Exit codes: 0
+success, 2 for any input/validation failure, 1 for unexpected errors.
 """
 from __future__ import annotations
 
@@ -32,12 +39,11 @@ from . import synth
 from .baseline import RotSpace, TransSpace
 from .trajectory import (
     AssociationError,
-    Keyframe,
     KeyframeUpdate,
-    RelativeFrame,
     Trajectory,
     associate,
     from_world_poses,
+    rebase,
 )
 
 log = logging.getLogger("posecorrect.cli")
@@ -115,8 +121,6 @@ def _out_dir(args) -> Path:
 
 def _build_trajectory(args) -> Trajectory:
     frames = _read_trajectory_file(args.traj, args.format)
-    if args.kf_index is None:
-        raise CliError("--kf-index is required")
     if not Path(args.kf_index).exists():
         raise CliError(f"keyframe index file does not exist: {args.kf_index}")
     positions = trajio.read_keyframe_index(args.kf_index, frames)
@@ -151,25 +155,13 @@ def cmd_correct(args) -> int:
     methods = _parse_methods(args.methods)
     if len(methods) != 1:
         raise CliError("correct takes exactly one method (e.g. --methods proposed)")
-    if args.kf_old is None or args.kf_new is None:
-        raise CliError("correct needs --kf-old and --kf-new")
     out = _out_dir(args)
     traj = _build_trajectory(args)
     updates = _associate_updates(traj, args.kf_old, args.kf_new, args.assoc_tol, args.format)
 
     # Relative poses must be anchored to the *old* keyframe poses; rebase
     # when the update files disagree with the trajectory's own keyframes.
-    rebased_keyframes = [
-        Keyframe(kf.id, upd.old_pose) for kf, upd in zip(traj.keyframes, updates)
-    ]
-    rebased_rels = []
-    for seg in traj.segments:
-        base_old = updates[seg.index].old_pose.inverse()
-        world_base = traj.keyframes[seg.index].world_pose
-        for rel in seg.rels:
-            world = world_base * rel.rel_pose
-            rebased_rels.append(RelativeFrame(rel.id, rel.parent, base_old * world))
-    traj = Trajectory(tuple(rebased_keyframes), tuple(rebased_rels))
+    traj = rebase(traj, [upd.old_pose for upd in updates])
 
     cfg = _method_config(methods[0], args)
     world, diagnostics = ev.correct_trajectory(traj, updates, cfg, threads=args.threads)
@@ -182,8 +174,6 @@ def cmd_correct(args) -> int:
 
 def cmd_evaluate(args) -> int:
     methods = _parse_methods(args.methods)
-    if args.gt is None:
-        raise CliError("evaluate needs --gt")
     out = _out_dir(args)
     traj = _build_trajectory(args)
     gt = _read_trajectory_file(args.gt, args.format)
@@ -203,7 +193,6 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    out = _out_dir(args)
     spec = synth.SceneSpec(
         shape=args.shape,
         n_keyframes=args.n_keyframes,
@@ -213,6 +202,7 @@ def cmd_simulate(args) -> int:
         seed=args.seed,
     )
     scene = synth.generate_scene(spec)
+    out = _out_dir(args)
     synth.save_scene(scene, out / "scene.txt")
     frames = scene.gt_world_poses()
     trajio.write_tum(out / "gt.tum", frames)
@@ -254,83 +244,81 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--methods", default="proposed",
-                   help="comma-separated method names, or 'all'")
-    p.add_argument("--trans-space", default="xyz", choices=[s.value for s in TransSpace],
-                   help="translation space for rotation-baseline methods")
-    p.add_argument("--rot-space", default="quat", choices=[s.value for s in RotSpace],
-                   help="rotation space for translation-baseline methods")
-    p.add_argument("--scale-squared", action="store_true",
-                   help="use the squared-norm baseline ratio")
-    p.add_argument("--raw-division", action="store_true",
-                   help="disable the interpolation singularity guard")
-    p.add_argument("--assoc-tol", type=float, default=0.01,
-                   help="timestamp association tolerance, seconds")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1,
-                   help="per-segment parallelism (1 = deterministic reference)")
-    p.add_argument("--format", default="auto", choices=["auto", "tum", "kitti"],
-                   help="trajectory file format (auto-detected by field count)")
-    p.add_argument("--config", default=None,
-                   help="JSON config file; flags override its values")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="posecorrect",
         description="Correct relative-frame poses after keyframe updates.",
     )
-    parser.subcommand_parsers = []  # populated below; used by the config loader
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("correct", help="correct a trajectory after a keyframe update")
-    parser.subcommand_parsers.append(p)
-    p.add_argument("--traj", required=True, help="full trajectory (world poses)")
-    p.add_argument("--kf-index", required=True, help="keyframe index/timestamp file")
-    p.add_argument("--kf-old", required=True, help="keyframe poses before the update")
-    p.add_argument("--kf-new", required=True, help="keyframe poses after the update")
-    _add_common(p)
-    p.set_defaults(func=cmd_correct)
+    correct = sub.add_parser("correct", help="correct a trajectory after a keyframe update")
+    correct.add_argument("--traj", required=True, help="full trajectory (world poses)")
+    correct.add_argument("--kf-index", required=True, help="keyframe index/timestamp file")
+    correct.add_argument("--kf-old", required=True, help="keyframe poses before the update")
+    correct.add_argument("--kf-new", required=True, help="keyframe poses after the update")
+    correct.set_defaults(func=cmd_correct)
 
-    p = sub.add_parser("evaluate", help="run the GT-snap evaluation protocol")
-    parser.subcommand_parsers.append(p)
-    p.add_argument("--traj", required=True, help="estimated trajectory")
-    p.add_argument("--kf-index", required=True)
-    p.add_argument("--gt", required=True, help="ground-truth trajectory")
-    _add_common(p)
-    p.set_defaults(func=cmd_evaluate)
+    evaluate = sub.add_parser("evaluate", help="run the GT-snap evaluation protocol")
+    evaluate.add_argument("--traj", required=True, help="estimated trajectory")
+    evaluate.add_argument("--kf-index", required=True)
+    evaluate.add_argument("--gt", required=True, help="ground-truth trajectory")
+    evaluate.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("simulate", help="generate a synthetic scene + files")
-    parser.subcommand_parsers.append(p)
-    p.add_argument("--shape", default="forward", choices=sorted(synth.PATHS))
-    p.add_argument("--n-keyframes", type=int, default=8)
-    p.add_argument("--rels-per-segment", type=int, default=4)
-    p.add_argument("--n-landmarks", type=int, default=150)
-    p.add_argument("--pixel-noise", type=float, default=0.0)
-    p.add_argument("--drift", type=float, default=0.0,
-                   help="displace the estimate from GT by this magnitude (0 = none)")
-    _add_common(p)
-    p.set_defaults(func=cmd_simulate)
+    simulate = sub.add_parser("simulate", help="generate a synthetic scene + files")
+    simulate.add_argument("--shape", default="forward", choices=sorted(synth.PATHS))
+    simulate.add_argument("--n-keyframes", type=int, default=8)
+    simulate.add_argument("--rels-per-segment", type=int, default=4)
+    simulate.add_argument("--n-landmarks", type=int, default=150)
+    simulate.add_argument("--pixel-noise", type=float, default=0.0)
+    simulate.add_argument("--drift", type=float, default=0.0,
+                          help="displace the estimate from GT by this magnitude (0 = none)")
+    simulate.add_argument("--seed", type=int, default=0)
+    simulate.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("bench", help="time per-segment corrections")
-    parser.subcommand_parsers.append(p)
-    p.add_argument("--repetitions", type=int, default=300)
-    _add_common(p)
-    p.set_defaults(func=cmd_bench)
+    bench = sub.add_parser("bench", help="time per-segment corrections")
+    bench.add_argument("--repetitions", type=int, default=300)
+    bench.set_defaults(func=cmd_bench)
 
+    for p in (correct, evaluate, bench):
+        p.add_argument("--methods", default="proposed",
+                       help="comma-separated method names, or 'all'")
+        p.add_argument("--trans-space", default="xyz", choices=[s.value for s in TransSpace],
+                       help="translation space for rotation-baseline methods")
+        p.add_argument("--rot-space", default="quat", choices=[s.value for s in RotSpace],
+                       help="rotation space for translation-baseline methods")
+        p.add_argument("--scale-squared", action="store_true",
+                       help="use the squared-norm baseline ratio")
+        p.add_argument("--raw-division", action="store_true",
+                       help="disable the interpolation singularity guard")
+    for p in (correct, evaluate):
+        p.add_argument("--assoc-tol", type=float, default=0.01,
+                       help="timestamp association tolerance, seconds")
+        p.add_argument("--threads", type=int, default=1,
+                       help="per-segment parallelism (1 = deterministic reference)")
+        p.add_argument("--format", default="auto", choices=["auto", "tum", "kitti"],
+                       help="trajectory file format (auto-detected by field count)")
+    for p in (correct, evaluate, simulate, bench):
+        p.add_argument("--out", default="out", help="output directory")
+        p.add_argument("--config", default=None,
+                       help="JSON config file; flags override its values")
+    parser.subcommand_parsers = sub.choices  # name -> parser, for --config
     return parser
 
 
-def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Pre-scan for --config and install its values as parser defaults."""
-    probe = argparse.ArgumentParser(add_help=False)
-    probe.add_argument("--config", default=None)
-    known, _ = probe.parse_known_args(argv)
-    if known.config is None:
-        return argv
-    path = Path(known.config)
+def _config_value(path: Path, key: str, value, action: argparse.Action):
+    """``value`` checked against the flag's type and choices, as argparse
+    checks a value given on the command line."""
+    kind = bool if action.nargs == 0 else (action.type or str)
+    if type(value) is not kind and not (kind is float and type(value) is int):
+        raise CliError(f"{path}: config key {key!r} must be a {kind.__name__}, got {value!r}")
+    if action.choices is not None and value not in action.choices:
+        raise CliError(f"{path}: config key {key!r} must be in {action.choices}, got {value!r}")
+    return kind(value)
+
+
+def _apply_config_file(subparser: argparse.ArgumentParser, path: Path) -> None:
+    """Install the JSON config file's values as the subcommand's defaults;
+    keys the subcommand does not take are ignored."""
     if not path.exists():
         raise CliError(f"config file does not exist: {path}")
     with open(path, "r", encoding="utf-8") as fh:
@@ -340,23 +328,21 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
             raise CliError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(cfg, dict):
         raise CliError(f"{path}: config must be a JSON object")
-    defaults = {key.replace("-", "_"): value for key, value in cfg.items()}
-    for subparser in parser.subcommand_parsers:
-        known = {a.dest for a in subparser._actions}
-        subparser.set_defaults(**{k: v for k, v in defaults.items() if k in known})
-    return argv
+    actions = {a.dest: a for a in subparser._actions}
+    for key, value in cfg.items():
+        action = actions.get(key.replace("-", "_"))
+        if action is not None:
+            subparser.set_defaults(**{action.dest: _config_value(path, key, value, action)})
 
 
 def _check_flags(args) -> None:
-    """Range-check numeric flags (argparse checks only their type, and
-    config-file values bypass even that)."""
-    tol = args.assoc_tol
-    if not isinstance(tol, (int, float)) or not (math.isfinite(tol) and tol >= 0):
-        raise CliError(f"--assoc-tol must be a finite number >= 0, got {tol!r}")
-    for flag in ("threads", "repetitions"):
-        value = getattr(args, flag, 1)
-        if not isinstance(value, int) or value < 1:
-            raise CliError(f"--{flag} must be an integer >= 1, got {value!r}")
+    """Range-check numeric flags (argparse and the config loader check
+    only their type)."""
+    for dest, low in (("assoc_tol", 0), ("drift", 0), ("threads", 1), ("repetitions", 1)):
+        value = getattr(args, dest, low)
+        if not (math.isfinite(value) and value >= low):
+            flag = "--" + dest.replace("_", "-")
+            raise CliError(f"{flag} must be finite and >= {low}, got {value!r}")
 
 
 def main(argv=None) -> int:
@@ -366,8 +352,10 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     try:
-        argv = _apply_config_file(parser, argv)
         args = parser.parse_args(argv)
+        if args.config is not None:
+            _apply_config_file(parser.subcommand_parsers[args.command], Path(args.config))
+            args = parser.parse_args(argv)
         _check_flags(args)
         return args.func(args)
     except (

@@ -82,56 +82,46 @@ def condition_from_kf(rel_old: Pose, s: ScaleFactor) -> ConditionSolution:
     return ConditionSolution(rel_old.rotation, s.s * rel_old.translation)
 
 
-def _gap_against(
+def fusion_gap(
     sol_a: ConditionSolution, sol_b: ConditionSolution, t_ab_new: Pose
 ) -> FusionGap:
+    """Gap between the two condition solutions of one segment.
+
+    ``sol_a`` is relative to the updated opening keyframe, ``sol_b`` to the
+    updated closing keyframe; ``t_ab_new`` is the updated closing keyframe
+    relative to the updated opening one.
+    """
     rot_a_inv = sol_a.rot.inverse()
     drot = rot_a_inv * (t_ab_new.rotation * sol_b.rot)
     delta = t_ab_new.translation + t_ab_new.rotation.apply(sol_b.trans) - sol_a.trans
     return FusionGap(drot, rot_a_inv.apply(delta))
 
 
-def fusion_gap(
-    sol_a: ConditionSolution,
-    sol_b: ConditionSolution,
-    kf_a_new: Pose,
-    kf_b_new: Pose,
-) -> FusionGap:
-    """Gap between the two condition solutions of one segment.
-
-    ``sol_a`` is relative to the updated opening keyframe, ``sol_b`` to the
-    updated closing keyframe; ``kf_*_new`` are the updated world poses.
-    """
-    return _gap_against(sol_a, sol_b, kf_a_new.inverse() * kf_b_new)
-
-
 def timestamp_fraction(seg: Segment, j: int) -> float:
-    """Position of relative frame ``j`` in the segment's time window."""
-    t = seg.rels[j].id.stamp
+    """Position of relative frame ``j`` in a full segment's time window."""
     t_a = seg.kf_a.id.stamp
-    if seg.kf_b is None:
-        return 0.0
-    return (t - t_a) / (seg.kf_b.id.stamp - t_a)
+    return (seg.rels[j].id.stamp - t_a) / (seg.kf_b.id.stamp - t_a)
+
+
+def _alpha(seg: Segment, j: int, rel_b: Pose, degenerate_baseline: bool) -> float:
+    """Interpolation factor ``alpha = d_a / (d_a + d_b)`` of relative frame
+    ``j``, whose pose relative to the closing keyframe is ``rel_b``; a
+    degenerate baseline or coincident geometry falls back to the timestamp
+    fraction."""
+    if not degenerate_baseline:
+        d_a = float(np.linalg.norm(seg.rels[j].rel_pose.translation))
+        d_b = float(np.linalg.norm(rel_b.translation))
+        total = d_a + d_b
+        if total >= DEGENERATE_BASELINE:
+            return d_a / total
+    return timestamp_fraction(seg, j)
 
 
 def interp_factor(seg: Segment, j: int) -> float:
-    """Distance-ratio interpolation factor of relative frame ``j``.
-
-    ``alpha = d_a / (d_a + d_b)`` with both distances taken from the
-    pre-update geometry; degenerate (coincident) geometry falls back to the
-    timestamp fraction.
-    """
-    rel = seg.rels[j]
-    if seg.kf_b is None:
-        return 0.0
-    d_a = float(np.linalg.norm(rel.rel_pose.translation))
+    """Distance-ratio interpolation factor of relative frame ``j`` of a full
+    segment, with both distances taken from the pre-update geometry."""
     t_ab = seg.kf_a.world_pose.inverse() * seg.kf_b.world_pose
-    rel_b = t_ab.inverse() * rel.rel_pose
-    d_b = float(np.linalg.norm(rel_b.translation))
-    total = d_a + d_b
-    if total < DEGENERATE_BASELINE:
-        return timestamp_fraction(seg, j)
-    return d_a / total
+    return _alpha(seg, j, t_ab.inverse() * seg.rels[j].rel_pose, False)
 
 
 @dataclass(frozen=True)
@@ -142,7 +132,6 @@ class CorrectionDiagnostics:
     degenerate_baseline: bool
     alpha_min: float
     alpha_max: float
-    terminal: bool = False
 
 
 def fuse(sol_a: ConditionSolution, gap: FusionGap, alpha: float) -> Pose:
@@ -164,7 +153,7 @@ def correct_segment(
     diagnostics.
     """
     if seg.terminal:
-        raise ValueError("segment is terminal; use correct_terminal_segment")
+        raise ValueError("segment is terminal: it has no closing keyframe")
     t_ab_old = upd_a.old_pose.inverse() * upd_b.old_pose
     t_ab_new = upd_a.new_pose.inverse() * upd_b.new_pose
     sf = scale_factor(t_ab_old.translation, t_ab_new.translation, scale_squared)
@@ -176,14 +165,8 @@ def correct_segment(
         rel_b_old = t_ab_old_inv * rel.rel_pose
         sol_a = condition_from_kf(rel.rel_pose, sf)
         sol_b = condition_from_kf(rel_b_old, sf)
-        gap = _gap_against(sol_a, sol_b, t_ab_new)
-        if sf.degenerate:
-            alpha = timestamp_fraction(seg, j)
-        else:
-            d_a = float(np.linalg.norm(rel.rel_pose.translation))
-            d_b = float(np.linalg.norm(rel_b_old.translation))
-            total = d_a + d_b
-            alpha = d_a / total if total >= DEGENERATE_BASELINE else timestamp_fraction(seg, j)
+        gap = fusion_gap(sol_a, sol_b, t_ab_new)
+        alpha = _alpha(seg, j, rel_b_old, sf.degenerate)
         alphas.append(alpha)
         corrected.append(fuse(sol_a, gap, alpha))
     diag = CorrectionDiagnostics(
@@ -194,19 +177,3 @@ def correct_segment(
     )
     return corrected, diag
 
-
-def correct_terminal_segment(
-    seg: Segment,
-) -> tuple[list[Pose], CorrectionDiagnostics]:
-    """Terminal partial segment: only the opening keyframe's condition is
-    available and no baseline exists, so ``s = 1`` and the relative poses
-    carry over unchanged (they ride along with the updated keyframe)."""
-    poses = [rel.rel_pose for rel in seg.rels]
-    diag = CorrectionDiagnostics(
-        s=1.0,
-        degenerate_baseline=False,
-        alpha_min=0.0 if poses else math.nan,
-        alpha_max=0.0 if poses else math.nan,
-        terminal=True,
-    )
-    return poses, diag

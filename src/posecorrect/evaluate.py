@@ -14,7 +14,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -30,10 +30,6 @@ from .trajectory import (
     associate,
     snap_to_gt,
 )
-
-METHODS = ("no-correction", "xyz", "se3-v", "euler", "quat", "so3", "proposed")
-TRANSLATION_BASELINES = ("xyz", "se3-v")
-ROTATION_BASELINES = ("euler", "quat", "so3")
 
 # Published reference results for one vehicle sequence (KITTI odometry 00,
 # ORB-SLAM2 front end) and per-correction timings (MATLAB, laptop-class
@@ -83,20 +79,13 @@ class MethodConfig:
 
     def __post_init__(self):
         if self.name not in METHODS:
-            raise ValueError(f"unknown method {self.name!r}; choose from {METHODS}")
+            raise ValueError(f"unknown method {self.name!r}; choose from {tuple(METHODS)}")
 
     def spaces(self) -> tuple[TransSpace, RotSpace]:
-        if self.name == "xyz":
-            return TransSpace.XYZ, self.rot_space
-        if self.name == "se3-v":
-            return TransSpace.SE3_V, self.rot_space
-        if self.name == "euler":
-            return self.trans_space, RotSpace.EULER
-        if self.name == "quat":
-            return self.trans_space, RotSpace.QUAT
-        if self.name == "so3":
-            return self.trans_space, RotSpace.SO3
-        raise ValueError(f"method {self.name!r} interpolates in no vector space")
+        method = METHODS[self.name]
+        if method.trans_space is None and method.rot_space is None:
+            raise ValueError(f"method {self.name!r} interpolates in no vector space")
+        return method.trans_space or self.trans_space, method.rot_space or self.rot_space
 
 
 @dataclass
@@ -131,41 +120,65 @@ class TrajectoryDiagnostics:
         return sum(1 for rec in self.segments if rec.degenerate_baseline)
 
 
+# Kernel adapters: correct a full segment and return its poses plus the
+# SegmentRecord fields they fill.  Kernels are looked up through their
+# modules at call time, so a patched module attribute takes effect.
+
+
+def _unchanged(seg: Segment, upd_a, upd_b, cfg: MethodConfig):
+    return [rel.rel_pose for rel in seg.rels], {}
+
+
+def _proposed(seg: Segment, upd_a, upd_b, cfg: MethodConfig):
+    poses, diag = correction.correct_segment(seg, upd_a, upd_b, cfg.scale_squared)
+    return poses, vars(diag)
+
+
+def _interpolated(seg: Segment, upd_a, upd_b, cfg: MethodConfig):
+    ts, rs = cfg.spaces()
+    poses, diag = baseline.interp_correct_segment(
+        seg, upd_a, upd_b, ts, rs, raw_division=cfg.raw_division
+    )
+    return poses, vars(diag)
+
+
+class Method(NamedTuple):
+    """A row of :data:`METHODS`; a ``None`` space is taken from the config."""
+
+    kernel: Callable[..., tuple[list[Pose], dict]]
+    trans_space: Optional[TransSpace] = None
+    rot_space: Optional[RotSpace] = None
+    terminal_s: float = math.nan  # the s recorded for a terminal segment
+
+
+METHODS = {
+    "no-correction": Method(_unchanged),
+    "xyz": Method(_interpolated, trans_space=TransSpace.XYZ),
+    "se3-v": Method(_interpolated, trans_space=TransSpace.SE3_V),
+    "euler": Method(_interpolated, rot_space=RotSpace.EULER),
+    "quat": Method(_interpolated, rot_space=RotSpace.QUAT),
+    "so3": Method(_interpolated, rot_space=RotSpace.SO3),
+    # Without a closing keyframe only the opening keyframe's condition
+    # remains, whose scale ratio is 1.
+    "proposed": Method(_proposed, terminal_s=1.0),
+}
+
+
 def _correct_one_segment(
     seg: Segment,
     upd_a: KeyframeUpdate,
     upd_b: Optional[KeyframeUpdate],
     cfg: MethodConfig,
 ) -> tuple[list[Pose], SegmentRecord]:
-    record = SegmentRecord(index=seg.index, terminal=seg.terminal)
-    if cfg.name == "no-correction" or seg.terminal:
-        # Terminal partial segments have no closing keyframe: the proposed
-        # method reduces to the opening-keyframe condition with s = 1 and
-        # the baselines have no interpolation target, so relative poses
-        # ride along with the updated keyframe in every method.
-        if cfg.name == "proposed" and seg.terminal:
-            poses, diag = correction.correct_terminal_segment(seg)
-            record.s = diag.s
-        else:
-            poses = [rel.rel_pose for rel in seg.rels]
-        return poses, record
-    if cfg.name == "proposed":
-        poses, diag = correction.correct_segment(
-            seg, upd_a, upd_b, scale_squared=cfg.scale_squared
-        )
-        record.s = diag.s
-        record.degenerate_baseline = diag.degenerate_baseline
-        record.alpha_min = diag.alpha_min
-        record.alpha_max = diag.alpha_max
-        return poses, record
-    ts, rs = cfg.spaces()
-    poses, idiag = baseline.interp_correct_segment(
-        seg, upd_a, upd_b, ts, rs, raw_division=cfg.raw_division
-    )
-    record.singular_hits = idiag.singular_hits
-    record.gimbal_hits = idiag.gimbal_hits
-    record.quat_renorm_hits = idiag.quat_renorm_hits
-    return poses, record
+    method = METHODS[cfg.name]
+    if seg.terminal:
+        # A terminal partial segment has no closing keyframe, so no method
+        # has an interpolation target: relative poses ride along with the
+        # updated opening keyframe.
+        poses, fields = [rel.rel_pose for rel in seg.rels], {"s": method.terminal_s}
+    else:
+        poses, fields = method.kernel(seg, upd_a, upd_b, cfg)
+    return poses, SegmentRecord(seg.index, seg.terminal, **fields)
 
 
 def correct_trajectory(

@@ -338,7 +338,7 @@ def slerp(q0: Rotation, q1: Rotation, a: float) -> Rotation:
 
     Uses shortest-arc sign correction and falls back to normalized lerp
     when the quaternion dot exceeds 0.9995.  The endpoints are returned
-    exactly.
+    exactly; a non-finite quaternion raises ``ValueError``.
     """
     if not 0.0 <= a <= 1.0:
         raise ValueError(f"interpolation factor must be in [0, 1], got {a}")
@@ -349,6 +349,8 @@ def slerp(q0: Rotation, q1: Rotation, a: float) -> Rotation:
     qa = q0.quat
     qb = q1.quat
     dot = float(qa @ qb)
+    if not math.isfinite(dot):
+        raise ValueError("slerp of a non-finite quaternion")
     if dot < 0.0:
         qb = -qb
         dot = -dot

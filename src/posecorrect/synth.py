@@ -144,6 +144,12 @@ class SceneSpec:
     keyframe_dt: float = 1.0
     camera: Camera = DEFAULT_CAMERA
 
+    def __post_init__(self):
+        for name, low in (("n_keyframes", 2), ("rels_per_segment", 0), ("pixel_noise", 0)):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= low):
+                raise GenerationError(f"{name} must be finite and >= {low}, got {value!r}")
+
 
 @dataclass(frozen=True)
 class Scene:

@@ -179,6 +179,22 @@ def world_poses(traj: Trajectory) -> list[tuple[FrameId, Pose]]:
     return out
 
 
+def rebase(traj: Trajectory, keyframe_poses: Sequence[Pose]) -> Trajectory:
+    """``traj`` with its keyframes moved to ``keyframe_poses`` (one per
+    keyframe, in order; ``ValueError`` otherwise) and every relative pose
+    re-expressed against them, so that each frame keeps its world pose."""
+    keyframes = [
+        Keyframe(kf.id, pose) for kf, pose in zip(traj.keyframes, keyframe_poses, strict=True)
+    ]
+    relatives = []
+    for seg in traj.segments:
+        base_inv = keyframe_poses[seg.index].inverse()
+        for rel in seg.rels:
+            world = seg.kf_a.world_pose * rel.rel_pose
+            relatives.append(RelativeFrame(rel.id, rel.parent, base_inv * world))
+    return Trajectory(tuple(keyframes), tuple(relatives))
+
+
 def associate(
     stamps: Sequence[float],
     reference: Sequence[tuple[FrameId, Pose]],

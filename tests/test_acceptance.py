@@ -162,7 +162,7 @@ def test_criterion_3_boundary_consistency():
         for rel_frame in seg.rels:
             sol_a = condition_from_kf(rel_frame.rel_pose, sf)
             sol_b = condition_from_kf(t_ab_old.inverse() * rel_frame.rel_pose, sf)
-            gap = fusion_gap(sol_a, sol_b, upd_a.new_pose, upd_b.new_pose)
+            gap = fusion_gap(sol_a, sol_b, t_ab_new)
             fused = fuse(sol_a, gap, 1.0)
             implied = t_ab_new.inverse() * fused
             worst = max(worst, rotation_angle_deg(implied.rotation, sol_b.rot))

@@ -38,7 +38,7 @@ def make_segment(kf_a_pose, kf_b_pose, rels):
 class TestVectorize:
     @pytest.mark.parametrize("ts,rs", ALL_SPACES)
     def test_identity_pose_gives_zero_vectors(self, ts, rs):
-        tvec, rvec = vectorize(Pose.identity(), ts, rs)
+        tvec, rvec, _ = vectorize(Pose.identity(), ts, rs)
         np.testing.assert_array_equal(tvec, np.zeros(3))
         if rs is RotSpace.QUAT:
             np.testing.assert_array_equal(rvec, [1.0, 0.0, 0.0, 0.0])
@@ -47,13 +47,13 @@ class TestVectorize:
 
     def test_pure_translation_se3v_equals_translation(self):
         p = Pose(Rotation.identity(), (1.0, -2.0, 3.0))
-        tvec, _ = vectorize(p, TransSpace.SE3_V, RotSpace.SO3)
+        tvec, _, _ = vectorize(p, TransSpace.SE3_V, RotSpace.SO3)
         np.testing.assert_allclose(tvec, [1.0, -2.0, 3.0], atol=1e-15)
 
     def test_se3v_matches_independent_twist(self):
         rng = np.random.default_rng(0)
         p = Pose(Rotation.random(rng), rng.normal(size=3))
-        tvec, rvec = vectorize(p, TransSpace.SE3_V, RotSpace.SO3)
+        tvec, rvec, _ = vectorize(p, TransSpace.SE3_V, RotSpace.SO3)
         tw = se3_log(p)
         np.testing.assert_allclose(tvec, tw.v, atol=1e-12)
         np.testing.assert_allclose(rvec, tw.omega, atol=1e-12)
@@ -61,7 +61,7 @@ class TestVectorize:
     def test_quat_vector_has_nonnegative_w(self):
         rng = np.random.default_rng(1)
         for _ in range(100):
-            _, rvec = vectorize(Pose(Rotation.random(rng), np.zeros(3)), TransSpace.XYZ, RotSpace.QUAT)
+            _, rvec, _ = vectorize(Pose(Rotation.random(rng), np.zeros(3)), TransSpace.XYZ, RotSpace.QUAT)
             assert rvec[0] >= 0.0
 
     @pytest.mark.parametrize("ts,rs", ALL_SPACES)
@@ -74,7 +74,7 @@ class TestVectorize:
             if rs is RotSpace.EULER and abs(math.cos(pitch)) < 1e-3:
                 continue
             n += 1
-            q = devectorize(*vectorize(p, ts, rs), ts, rs)
+            q = devectorize(*vectorize(p, ts, rs)[:2], ts, rs)
             assert rotation_angle_deg(p.rotation, q.rotation) < 1e-9
             np.testing.assert_allclose(p.translation, q.translation, atol=1e-9)
 
@@ -115,8 +115,8 @@ class TestInterpCorrectSegment:
         diag = InterpDiagnostics()
         t_ab_old = upd_a.old_pose.inverse() * upd_b.old_pose
         t_ab_new = upd_a.new_pose.inverse() * upd_b.new_pose
-        tv_old, rv_old = vectorize(t_ab_old, ts, rs, diag)
-        tv_new, rv_new = vectorize(t_ab_new, ts, rs, diag)
+        tv_old, rv_old, _ = vectorize(t_ab_old, ts, rs, diag)
+        tv_new, rv_new, _ = vectorize(t_ab_new, ts, rs, diag)
         np.testing.assert_array_equal(tv_new - tv_old, np.zeros_like(tv_old))
         np.testing.assert_array_equal(rv_new - rv_old, np.zeros_like(rv_old))
         out, _ = interp_correct_segment(seg, upd_a, upd_b, ts, rs)

@@ -288,6 +288,60 @@ class TestInputValidation:
         assert "--repetitions" in capsys.readouterr().err
         assert not (out / "timing.csv").exists()
 
+    @pytest.mark.parametrize(
+        "cfg, key",
+        [({"methods": 5}, "'methods'"), ({"rot-space": "bogus"}, "'rot-space'"),
+         ({"scale-squared": "no"}, "'scale-squared'")],
+    )
+    def test_config_values_checked_like_flags(self, sim_dir, tmp_path, capsys, cfg, key):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert self.evaluate(sim_dir, tmp_path, "--config", str(cfg_path)) == 2
+        assert key in capsys.readouterr().err
+
+    def test_config_keys_of_other_subcommands_ignored(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"seed": 7, "methods": 5, "rot-space": "bogus"}))
+        out = tmp_path / "sim_cfg"
+        assert main([
+            "simulate", "--shape", "line", "--n-keyframes", "3",
+            "--config", str(cfg_path), "--out", str(out),
+        ]) == 0
+        effective = json.loads((out / "config.json").read_text())
+        assert effective["seed"] == 7 and "methods" not in effective
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("evaluate", "--seed"), ("correct", "--seed"), ("simulate", "--methods"),
+         ("simulate", "--threads"), ("bench", "--assoc-tol"), ("bench", "--seed")],
+    )
+    def test_flag_a_subcommand_does_not_read_rejected(self, sim_dir, tmp_path, capsys,
+                                                      command, flag):
+        inputs = {
+            "evaluate": ["--traj", str(sim_dir / "est.tum"), "--gt", str(sim_dir / "gt.tum"),
+                         "--kf-index", str(sim_dir / "kf_index.txt")],
+            "correct": ["--traj", str(sim_dir / "est.tum"), "--kf-index",
+                        str(sim_dir / "kf_index.txt"), "--kf-old", str(sim_dir / "gt.tum"),
+                        "--kf-new", str(sim_dir / "gt.tum")],
+        }.get(command, [])
+        with pytest.raises(SystemExit) as exc:
+            main([command, *inputs, flag, "1", "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, name",
+        [("--n-keyframes", "1", "n_keyframes"), ("--n-keyframes", "0", "n_keyframes"),
+         ("--rels-per-segment", "-1", "rels_per_segment"), ("--drift", "nan", "--drift"),
+         ("--pixel-noise", "nan", "pixel_noise")],
+    )
+    def test_simulate_out_of_range_flags(self, tmp_path, capsys, flag, value, name):
+        out = tmp_path / "sim_bad"
+        assert main(["simulate", flag, value, "--out", str(out)]) == 2
+        assert name in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_finite_estimate_names_file_and_line(self, sim_dir, tmp_path, capsys):
         lines = (sim_dir / "est.tum").read_text().splitlines()
         fields = lines[3].split()

@@ -11,7 +11,6 @@ from posecorrect.correction import (
     ScaleFactor,
     condition_from_kf,
     correct_segment,
-    correct_terminal_segment,
     fuse,
     fusion_gap,
     interp_factor,
@@ -120,7 +119,7 @@ class TestFusionGap:
         s = ScaleFactor(1.0)
         sol_a = condition_from_kf(kf_a.inverse() * frame, s)
         sol_b = condition_from_kf(kf_b.inverse() * frame, s)
-        gap = fusion_gap(sol_a, sol_b, kf_a, kf_b)
+        gap = fusion_gap(sol_a, sol_b, kf_a.inverse() * kf_b)
         assert rotation_angle_deg(gap.drot, Rotation.identity()) < 1e-9
         assert np.linalg.norm(gap.dtrans) < 1e-12
 
@@ -133,7 +132,8 @@ class TestFusionGap:
             s = ScaleFactor(scale)
             sol_a = condition_from_kf(kf_a.inverse() * frame, s)
             sol_b = condition_from_kf(kf_b.inverse() * frame, s)
-            gap = fusion_gap(sol_a, sol_b, sim.apply_pose(kf_a), sim.apply_pose(kf_b))
+            t_ab_new = sim.apply_pose(kf_a).inverse() * sim.apply_pose(kf_b)
+            gap = fusion_gap(sol_a, sol_b, t_ab_new)
             assert rotation_angle_deg(gap.drot, Rotation.identity()) < 1e-9
             assert np.linalg.norm(gap.dtrans) < 1e-9
 
@@ -149,7 +149,7 @@ class TestFusionGap:
         sol_a = condition_from_kf(rel_a, s)
         sol_b = condition_from_kf(rel_b, s)
         kf_b_new = Pose(kf_b.rotation, kf_b.translation + np.array([0.01, 0.0, 0.0]))
-        gap = fusion_gap(sol_a, sol_b, kf_a, kf_b_new)
+        gap = fusion_gap(sol_a, sol_b, kf_a.inverse() * kf_b_new)
         assert np.linalg.norm(gap.dtrans) > 1e-4
 
         fused = fuse(sol_a, gap, 1.0)
@@ -273,19 +273,6 @@ class TestCorrectSegment:
         # Degenerate baseline: alpha falls back to the timestamp fraction.
         np.testing.assert_allclose(diag.alpha_min, 0.1, atol=1e-12)
         np.testing.assert_allclose(diag.alpha_max, 0.3, atol=1e-12)
-
-    def test_terminal_segment_passthrough(self):
-        rng = np.random.default_rng(12)
-        kf_a = Keyframe(FrameId(0.0, 0), Pose(Rotation.random(rng), rng.normal(size=3)))
-        rels = tuple(
-            RelativeFrame(FrameId(0.2 * j, j), 0, Pose(Rotation.random(rng), rng.normal(size=3)))
-            for j in range(1, 3)
-        )
-        seg = Segment(index=0, kf_a=kf_a, kf_b=None, rels=rels)
-        out, diag = correct_terminal_segment(seg)
-        assert diag.terminal and diag.s == 1.0
-        for got, rel in zip(out, rels):
-            assert got is rel.rel_pose
 
     def test_full_segment_api_rejects_terminal(self):
         kf_a = Keyframe(FrameId(0.0, 0), Pose.identity())

@@ -12,6 +12,7 @@ from posecorrect.evaluate import (
     METHODS,
     ErrorStats,
     MethodConfig,
+    _correct_one_segment,
     bench,
     correct_trajectory,
     frame_errors,
@@ -21,6 +22,8 @@ from posecorrect.evaluate import (
 from posecorrect.liegeom import Pose, Rotation, rotation_angle_deg, so3_exp
 from posecorrect.trajectory import (
     FrameId,
+    KeyframeUpdate,
+    from_world_poses,
     identity_updates,
     snap_to_gt,
     world_poses,
@@ -107,6 +110,39 @@ class TestDriver:
                 assert fa == fb
                 assert np.linalg.norm(pa.translation - pb.translation) < 1e-12
                 assert rotation_angle_deg(pa.rotation, pb.rotation) < 1e-10
+
+    def test_terminal_segment_passthrough(self):
+        # Frames after the last keyframe ride along with its updated pose in
+        # every method; only the proposed method records s = 1.
+        rng = np.random.default_rng(12)
+        frames = [
+            (FrameId(0.2 * j, j), Pose(Rotation.random(rng), rng.normal(size=3)))
+            for j in range(6)
+        ]
+        traj = from_world_poses(frames, [0, 3])
+        terminal = traj.segments[-1]
+        assert terminal.terminal and len(terminal.rels) == 2
+        updates = [
+            KeyframeUpdate(i, kf.world_pose, Pose(Rotation.random(rng), rng.normal(size=3)))
+            for i, kf in enumerate(traj.keyframes)
+        ]
+        for name in METHODS:
+            cfg = MethodConfig(name)
+            world, diagnostics = correct_trajectory(traj, updates, cfg)
+            record = diagnostics.segments[-1]
+            assert record.terminal is True
+            if name == "proposed":
+                assert record.s == 1.0
+            else:
+                assert math.isnan(record.s), name
+            got = dict(world)
+            for rel in terminal.rels:
+                want = updates[-1].new_pose * rel.rel_pose
+                np.testing.assert_array_equal(got[rel.id].translation, want.translation)
+                np.testing.assert_array_equal(got[rel.id].rotation.quat, want.rotation.quat)
+            poses, _ = _correct_one_segment(terminal, updates[-1], None, cfg)
+            for pose, rel in zip(poses, terminal.rels, strict=True):
+                assert pose is rel.rel_pose
 
     def test_threads_match_sequential_bitwise(self):
         traj, gt = fixtures.noisy_fixture(1)

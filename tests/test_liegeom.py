@@ -304,6 +304,13 @@ class TestSlerp:
         with pytest.raises(ValueError):
             slerp(random_rotation(0), random_rotation(1), 1.5)
 
+    @pytest.mark.parametrize("wxyz", [(math.nan, 0.0, 0.0, 0.0), (1.0, math.inf, 0.0, 0.0)])
+    def test_non_finite_quaternion_rejected(self, wxyz):
+        with pytest.raises(ValueError, match="non-finite"):
+            slerp(Rotation.identity(), Rotation(wxyz), 0.5)
+        with pytest.raises(ValueError, match="non-finite"):
+            slerp(Rotation(wxyz), Rotation.identity(), 0.5)
+
 
 def _trace_angle_deg(r1: Rotation, r2: Rotation) -> float:
     m = r1.matrix.T @ r2.matrix

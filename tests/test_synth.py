@@ -128,6 +128,15 @@ class TestGeneration:
         with pytest.raises(GenerationError):
             generate_scene(SceneSpec(shape="forward", seed=5, n_landmarks=0))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n_keyframes", 1), ("n_keyframes", 0), ("rels_per_segment", -1),
+         ("pixel_noise", math.nan), ("pixel_noise", -0.5)],
+    )
+    def test_out_of_range_spec_rejected(self, field, value):
+        with pytest.raises(GenerationError, match=field):
+            SceneSpec(**{field: value})
+
     def test_unknown_shape_raises(self):
         with pytest.raises(GenerationError, match="unknown path shape"):
             generate_scene(SceneSpec(shape="spiral"))

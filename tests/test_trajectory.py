@@ -19,6 +19,7 @@ from posecorrect.trajectory import (
     associate,
     from_world_poses,
     identity_updates,
+    rebase,
     segmentize,
     snap_to_gt,
     world_poses,
@@ -173,6 +174,36 @@ class TestFromWorldPoses:
     def test_out_of_range_position_rejected(self):
         with pytest.raises(AssociationError, match="out of range"):
             from_world_poses([(FrameId(0.0, 0), Pose.identity())], [4])
+
+
+class TestRebase:
+    def test_keyframes_move_and_world_poses_stay(self):
+        rng = np.random.default_rng(6)
+        frames = [
+            (FrameId(i * 0.25, i), Pose(Rotation.random(rng), rng.normal(size=3)))
+            for i in range(10)
+        ]
+        traj = from_world_poses(frames, [0, 4, 8])  # frame 9 is terminal
+        poses = [Pose(Rotation.random(rng), rng.normal(size=3)) for _ in traj.keyframes]
+        rebased = rebase(traj, poses)
+        assert [k.world_pose for k in rebased.keyframes] == poses
+        assert [k.id for k in rebased.keyframes] == [k.id for k in traj.keyframes]
+        assert [(r.id, r.parent) for r in rebased.relatives] == [
+            (r.id, r.parent) for r in traj.relatives
+        ]
+        before = dict(world_poses(traj))
+        for fid, got in world_poses(rebased):
+            if fid in {k.id for k in traj.keyframes}:
+                continue
+            want = before[fid]
+            assert np.linalg.norm(got.translation - want.translation) < 1e-9
+            assert rotation_angle_deg(got.rotation, want.rotation) < 1e-9
+
+    def test_pose_count_mismatch_rejected(self):
+        traj = Trajectory((kf(0, 0.0), kf(2, 1.0)), (rel(1, 0.5, 0),))
+        for poses in ([Pose.identity()], [Pose.identity()] * 3):
+            with pytest.raises(ValueError):
+                rebase(traj, poses)
 
 
 class TestSnapToGt:
