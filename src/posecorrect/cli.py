@@ -13,8 +13,8 @@ Subcommands:
 Each subcommand takes only the flags it reads.  All take ``--out`` and
 ``--config``; ``correct``, ``evaluate`` and ``bench`` take the method flags
 ``--methods``, ``--trans-space``, ``--rot-space``, ``--scale-squared`` and
-``--raw-division``; ``correct`` and ``evaluate`` also take ``--assoc-tol``,
-``--threads`` and ``--format``; only ``simulate`` takes ``--seed``.
+``--raw-division``; ``correct`` and ``evaluate`` also take ``--assoc-tol``
+and ``--format``; only ``simulate`` takes ``--seed``.
 
 Flag values override config-file values which override defaults.  Config
 values are checked like flag values; keys the subcommand does not take are
@@ -164,7 +164,7 @@ def cmd_correct(args) -> int:
     traj = rebase(traj, [upd.old_pose for upd in updates])
 
     cfg = _method_config(methods[0], args)
-    world, diagnostics = ev.correct_trajectory(traj, updates, cfg, threads=args.threads)
+    world, diagnostics = ev.correct_trajectory(traj, updates, cfg)
     trajio.write_tum(out / "corrected.tum", world)
     ev.write_diagnostics_csv(out / "diagnostics.csv", diagnostics)
     _echo_config(args, out)
@@ -181,9 +181,7 @@ def cmd_evaluate(args) -> int:
     rows = []
     for name in methods:
         cfg = _method_config(name, args)
-        report, errors = ev.run_protocol(
-            traj, gt, cfg, tol=args.assoc_tol, threads=args.threads
-        )
+        report, errors = ev.run_protocol(traj, gt, cfg, tol=args.assoc_tol)
         rows.append((sequence, report))
         ev.write_frame_errors_csv(out / f"frame_errors_{name}.csv", errors)
     ev.write_report_csv(out / "report.csv", rows)
@@ -293,8 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (correct, evaluate):
         p.add_argument("--assoc-tol", type=float, default=0.01,
                        help="timestamp association tolerance, seconds")
-        p.add_argument("--threads", type=int, default=1,
-                       help="per-segment parallelism (1 = deterministic reference)")
         p.add_argument("--format", default="auto", choices=["auto", "tum", "kitti"],
                        help="trajectory file format (auto-detected by field count)")
     for p in (correct, evaluate, simulate, bench):
@@ -338,7 +334,7 @@ def _apply_config_file(subparser: argparse.ArgumentParser, path: Path) -> None:
 def _check_flags(args) -> None:
     """Range-check numeric flags (argparse and the config loader check
     only their type)."""
-    for dest, low in (("assoc_tol", 0), ("drift", 0), ("threads", 1), ("repetitions", 1)):
+    for dest, low in (("assoc_tol", 0), ("drift", 0), ("repetitions", 1)):
         value = getattr(args, dest, low)
         if not (math.isfinite(value) and value >= low):
             flag = "--" + dest.replace("_", "-")

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -28,6 +27,7 @@ from .trajectory import (
     Segment,
     Trajectory,
     associate,
+    compose_world_poses,
     snap_to_gt,
 )
 
@@ -185,41 +185,26 @@ def correct_trajectory(
     traj: Trajectory,
     updates: Sequence[KeyframeUpdate],
     cfg: MethodConfig,
-    threads: int = 1,
 ) -> tuple[list[tuple[FrameId, Pose]], TrajectoryDiagnostics]:
-    """Apply a correction method to every segment and rebuild world poses.
+    """Apply a correction method to every segment, in segment order, and
+    rebuild world poses on the updated keyframes.
 
     ``updates`` must carry one entry per keyframe, in keyframe order.
-    Segment corrections are independent; with ``threads > 1`` they run in a
-    thread pool, and results are assembled in segment order so the output
-    is identical to the sequential one.
     """
     if len(updates) != len(traj.keyframes):
         raise ValueError(
             f"need one update per keyframe ({len(traj.keyframes)}), got {len(updates)}"
         )
-
-    def work(seg: Segment):
-        upd_a = updates[seg.index]
-        upd_b = updates[seg.index + 1] if not seg.terminal else None
-        return _correct_one_segment(seg, upd_a, upd_b, cfg)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, traj.segments))
-    else:
-        results = [work(seg) for seg in traj.segments]
-
-    out: list[tuple[FrameId, Pose]] = []
-    diagnostics = TrajectoryDiagnostics()
-    for i, kf in enumerate(traj.keyframes):
-        out.append((kf.id, updates[i].new_pose))
-    for seg, (poses, record) in zip(traj.segments, results):
-        diagnostics.segments.append(record)
-        base = updates[seg.index].new_pose
-        out.extend((rel.id, base * pose) for rel, pose in zip(seg.rels, poses))
-    out.sort(key=lambda item: (item[0].stamp, item[0].index))
-    return out, diagnostics
+    results = [
+        _correct_one_segment(
+            seg, updates[seg.index], None if seg.terminal else updates[seg.index + 1], cfg
+        )
+        for seg in traj.segments
+    ]
+    world = compose_world_poses(
+        traj, [upd.new_pose for upd in updates], (poses for poses, _ in results)
+    )
+    return world, TrajectoryDiagnostics([record for _, record in results])
 
 
 # -- error metrics --------------------------------------------------------------
@@ -275,7 +260,6 @@ class MethodReport:
     singular_hits: int
     gimbal_hits: int
     degenerate_segments: int
-    timing_ms: Optional[ErrorStats] = None
 
 
 def run_protocol(
@@ -283,11 +267,10 @@ def run_protocol(
     gt: Sequence[tuple[FrameId, Pose]],
     cfg: MethodConfig,
     tol: float = DEFAULT_ASSOC_TOL,
-    threads: int = 1,
 ) -> tuple[MethodReport, list[FrameError]]:
     """Snap keyframes to ground truth, correct, and score relative frames."""
     updates = snap_to_gt(traj, gt, tol)
-    world, diagnostics = correct_trajectory(traj, updates, cfg, threads=threads)
+    world, diagnostics = correct_trajectory(traj, updates, cfg)
     rel_ids = {rel.id for rel in traj.relatives}
     est_rel = [(fid, pose) for fid, pose in world if fid in rel_ids]
     errors = frame_errors(est_rel, gt, tol)
@@ -341,14 +324,13 @@ REPORT_COLUMNS = (
 
 
 def write_report_csv(path, rows: Sequence[tuple[str, MethodReport]]) -> None:
-    """One row per (sequence, method).  The timing column is filled only
-    when the report carries timing (bench runs); evaluation output stays
-    byte-deterministic."""
+    """One row per (sequence, method).  The ``time_ms_median`` cell is left
+    empty so evaluation output stays byte-deterministic; ``bench`` writes
+    timings to its own ``timing.csv``."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(REPORT_COLUMNS)
         for sequence, rep in rows:
-            timing = repr(rep.timing_ms.median) if rep.timing_ms is not None else ""
             writer.writerow(
                 [
                     sequence,
@@ -360,7 +342,7 @@ def write_report_csv(path, rows: Sequence[tuple[str, MethodReport]]) -> None:
                     repr(rep.rotation.std),
                     repr(rep.rotation.median),
                     rep.singular_hits,
-                    timing,
+                    "",
                 ]
             )
 

@@ -34,10 +34,6 @@ class TrajectoryParseError(ValueError):
         super().__init__(f"{path}:{line}: {message}")
 
 
-def _fields(text: str) -> list[str]:
-    return text.split()
-
-
 def _require_finite(vals, path, line: int) -> None:
     if not all(math.isfinite(v) for v in vals):
         raise TrajectoryParseError(path, line, "non-finite field (nan or inf)")
@@ -78,7 +74,7 @@ def read_tum(path) -> list[tuple[FrameId, Pose]]:
             text = raw.strip()
             if not text or text.startswith("#"):
                 continue
-            records.append(parse_tum_fields(_fields(text), path, lineno))
+            records.append(parse_tum_fields(text.split(), path, lineno))
     if any(b[0] < a[0] for a, b in zip(records, records[1:])):
         log.warning("%s: timestamps not monotone; applying stable sort", path)
         records.sort(key=lambda item: item[0])
@@ -118,7 +114,7 @@ def read_kitti(path, frame_rate: float = 10.0) -> list[tuple[FrameId, Pose]]:
             text = raw.strip()
             if not text or text.startswith("#"):
                 continue
-            fields = _fields(text)
+            fields = text.split()
             if len(fields) != 12:
                 raise TrajectoryParseError(
                     path, lineno, f"expected 12 fields, got {len(fields)}"

@@ -75,10 +75,6 @@ class Rotation:
         return cls((1.0, 0.0, 0.0, 0.0))
 
     @classmethod
-    def from_quat_wxyz(cls, wxyz) -> "Rotation":
-        return cls(wxyz)
-
-    @classmethod
     def from_matrix(cls, m) -> "Rotation":
         """Largest-component (Shepperd) matrix-to-quaternion conversion."""
         m = np.asarray(m, dtype=float)

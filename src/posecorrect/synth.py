@@ -145,7 +145,9 @@ class SceneSpec:
     camera: Camera = DEFAULT_CAMERA
 
     def __post_init__(self):
-        for name, low in (("n_keyframes", 2), ("rels_per_segment", 0), ("pixel_noise", 0)):
+        for name, low in (
+            ("n_keyframes", 2), ("rels_per_segment", 0), ("n_landmarks", 1), ("pixel_noise", 0)
+        ):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= low):
                 raise GenerationError(f"{name} must be finite and >= {low}, got {value!r}")
@@ -350,17 +352,13 @@ def generate_scene(spec: SceneSpec) -> Scene:
     landmarks = _sample_landmarks(camera, frames, spec.n_landmarks, rng, start_id=0)
 
     for _ in range(60):
-        table = _visibility(camera, frames, landmarks) if landmarks else np.zeros(
-            (len(frames), 0), dtype=bool
-        )
+        table = _visibility(camera, frames, landmarks)
         shared = [
             int(np.count_nonzero(table[k] & table[k + 1]))
             for k in range(len(frames) - 1)
         ]
-        if landmarks and min(shared) >= MIN_SHARED_LANDMARKS:
+        if min(shared) >= MIN_SHARED_LANDMARKS:
             break
-        if not landmarks:
-            raise GenerationError("no landmarks are visible from any frame")
         weakest = int(np.argmin(shared))
         landmarks.extend(
             _sample_landmarks(

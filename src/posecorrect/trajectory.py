@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -168,15 +168,32 @@ def from_world_poses(
     return Trajectory(tuple(keyframes), tuple(relatives))
 
 
+def compose_world_poses(
+    traj: Trajectory,
+    keyframe_poses: Sequence[Pose],
+    segment_poses: Iterable[Iterable[Pose]],
+) -> list[tuple[FrameId, Pose]]:
+    """World pose of every frame of ``traj``: keyframe ``i`` at
+    ``keyframe_poses[i]``, and each relative frame at ``base * rel``, where
+    ``base`` is the pose of the keyframe that opens its segment and ``rel``
+    its relative pose in ``segment_poses`` (one iterable per segment, in
+    segment order).  Ordered by timestamp."""
+    out = [(kf.id, pose) for kf, pose in zip(traj.keyframes, keyframe_poses)]
+    for seg, poses in zip(traj.segments, segment_poses):
+        base = keyframe_poses[seg.index]
+        out.extend((rel.id, base * pose) for rel, pose in zip(seg.rels, poses))
+    out.sort(key=lambda item: (item[0].stamp, item[0].index))
+    return out
+
+
 def world_poses(traj: Trajectory) -> list[tuple[FrameId, Pose]]:
     """World pose of every frame: keyframes pass through, relative frames
     compose ``kf.world_pose * rel_pose``.  Ordered by timestamp."""
-    out = [(kf.id, kf.world_pose) for kf in traj.keyframes]
-    for seg in traj.segments:
-        base = seg.kf_a.world_pose
-        out.extend((rel.id, base * rel.rel_pose) for rel in seg.rels)
-    out.sort(key=lambda item: (item[0].stamp, item[0].index))
-    return out
+    return compose_world_poses(
+        traj,
+        [kf.world_pose for kf in traj.keyframes],
+        ((rel.rel_pose for rel in seg.rels) for seg in traj.segments),
+    )
 
 
 def rebase(traj: Trajectory, keyframe_poses: Sequence[Pose]) -> Trajectory:

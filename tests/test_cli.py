@@ -2,6 +2,7 @@
 precedence and determinism."""
 
 import json
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ from posecorrect.cli import main
 from posecorrect.liegeom import rotation_angle_deg
 
 DATA = Path(__file__).parent / "data"
+README = Path(__file__).parent.parent / "README.md"
 
 
 @pytest.fixture(scope="module")
@@ -145,15 +147,15 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert "malformed.tum:3" in err
 
-    def test_threads_byte_identical(self, sim_dir, tmp_path):
+    def test_repeat_runs_byte_identical(self, sim_dir, tmp_path):
         outs = []
-        for threads in ("1", "4"):
-            out = tmp_path / f"thr{threads}"
+        for run in ("a", "b"):
+            out = tmp_path / f"run_{run}"
             assert main([
                 "evaluate", "--traj", str(sim_dir / "est.tum"),
                 "--gt", str(sim_dir / "gt.tum"),
                 "--kf-index", str(sim_dir / "kf_index.txt"),
-                "--methods", "all", "--threads", threads, "--out", str(out),
+                "--methods", "all", "--out", str(out),
             ]) == 0
             outs.append(out)
         names = [p.name for p in outs[0].iterdir() if p.name != "config.json"]
@@ -202,7 +204,7 @@ class TestConfigPrecedence:
             "--out", str(out),
         ]) == 0
         effective = json.loads((out / "config.json").read_text())
-        assert effective["threads"] == 1
+        assert "threads" not in effective
         assert effective["trans_space"] == "xyz"
 
     def test_bad_config_json_exit_two(self, sim_dir, tmp_path, capsys):
@@ -255,6 +257,24 @@ class TestConsoleEntry:
         assert code == 0
 
 
+def readme_quick_start_commands():
+    """Arguments of each ``posecorrect ...`` command in the README's quick
+    start block, with backslash continuations joined."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Quick start", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("posecorrect ")]
+
+
+class TestReadme:
+    def test_quick_start_runs(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        commands = readme_quick_start_commands()
+        assert commands
+        for argv in commands:
+            assert main(argv) == 0, argv
+
+
 class TestInputValidation:
     """Out-of-range flags and bad input files exit 2 and name the flag or
     the file and line."""
@@ -277,10 +297,6 @@ class TestInputValidation:
         cfg_path.write_text(json.dumps({"assoc-tol": -0.5}))
         assert self.evaluate(sim_dir, tmp_path, "--config", str(cfg_path)) == 2
         assert "--assoc-tol" in capsys.readouterr().err
-
-    def test_threads_zero_rejected(self, sim_dir, tmp_path, capsys):
-        assert self.evaluate(sim_dir, tmp_path, "--threads", "0") == 2
-        assert "--threads" in capsys.readouterr().err
 
     def test_bench_repetitions_zero_rejected(self, tmp_path, capsys):
         out = tmp_path / "bench0"
@@ -313,7 +329,8 @@ class TestInputValidation:
     @pytest.mark.parametrize(
         "command, flag",
         [("evaluate", "--seed"), ("correct", "--seed"), ("simulate", "--methods"),
-         ("simulate", "--threads"), ("bench", "--assoc-tol"), ("bench", "--seed")],
+         ("simulate", "--threads"), ("bench", "--assoc-tol"), ("bench", "--seed"),
+         ("evaluate", "--threads"), ("correct", "--threads")],
     )
     def test_flag_a_subcommand_does_not_read_rejected(self, sim_dir, tmp_path, capsys,
                                                       command, flag):
@@ -334,7 +351,8 @@ class TestInputValidation:
         "flag, value, name",
         [("--n-keyframes", "1", "n_keyframes"), ("--n-keyframes", "0", "n_keyframes"),
          ("--rels-per-segment", "-1", "rels_per_segment"), ("--drift", "nan", "--drift"),
-         ("--pixel-noise", "nan", "pixel_noise")],
+         ("--pixel-noise", "nan", "pixel_noise"), ("--n-landmarks", "-5", "n_landmarks"),
+         ("--n-landmarks", "0", "n_landmarks")],
     )
     def test_simulate_out_of_range_flags(self, tmp_path, capsys, flag, value, name):
         out = tmp_path / "sim_bad"

@@ -25,7 +25,6 @@ from posecorrect.trajectory import (
     KeyframeUpdate,
     from_world_poses,
     identity_updates,
-    snap_to_gt,
     world_poses,
 )
 
@@ -143,18 +142,6 @@ class TestDriver:
             poses, _ = _correct_one_segment(terminal, updates[-1], None, cfg)
             for pose, rel in zip(poses, terminal.rels, strict=True):
                 assert pose is rel.rel_pose
-
-    def test_threads_match_sequential_bitwise(self):
-        traj, gt = fixtures.noisy_fixture(1)
-        updates = snap_to_gt(traj, gt)
-        for name in ("proposed", "se3-v"):
-            cfg = MethodConfig(name)
-            seq, _ = correct_trajectory(traj, updates, cfg, threads=1)
-            par, _ = correct_trajectory(traj, updates, cfg, threads=4)
-            for (fa, pa), (fb, pb) in zip(seq, par):
-                assert fa == fb
-                np.testing.assert_array_equal(pa.translation, pb.translation)
-                np.testing.assert_array_equal(pa.rotation.quat, pb.rotation.quat)
 
     def test_update_count_mismatch_rejected(self):
         traj, _ = fixtures.noisy_fixture(2)

@@ -131,7 +131,8 @@ class TestGeneration:
     @pytest.mark.parametrize(
         "field, value",
         [("n_keyframes", 1), ("n_keyframes", 0), ("rels_per_segment", -1),
-         ("pixel_noise", math.nan), ("pixel_noise", -0.5)],
+         ("pixel_noise", math.nan), ("pixel_noise", -0.5), ("n_landmarks", 0),
+         ("n_landmarks", -5)],
     )
     def test_out_of_range_spec_rejected(self, field, value):
         with pytest.raises(GenerationError, match=field):
