@@ -18,14 +18,13 @@ the unguarded IEEE behavior (inf/NaN) for failure-mode studies.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from . import liegeom
 from .liegeom import Pose, Rotation
-from .trajectory import KeyframeUpdate, Segment
+from .trajectory import KeyframeUpdate, Segment, SegmentRecord
 
 SINGULARITY_EPS = 1e-12
 QUAT_RENORM_TOL = 1e-6
@@ -42,20 +41,11 @@ class RotSpace(Enum):
     SO3 = "so3"
 
 
-@dataclass
-class InterpDiagnostics:
-    """Per-segment counters for the numerically sensitive events."""
-
-    singular_hits: int = 0      # components with |x_ab| < SINGULARITY_EPS
-    gimbal_hits: int = 0        # Euler vectorizations near pitch = +-pi/2
-    quat_renorm_hits: int = 0   # renormalization moved the quaternion > 1e-6
-
-
 def vectorize(
     pose: Pose,
     ts: TransSpace,
     rs: RotSpace,
-    diagnostics: InterpDiagnostics | None = None,
+    diagnostics: SegmentRecord | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Vector views of a pose: (translation vector, rotation vector, so(3)
     log of the rotation).  The log is computed once, when ``SE3_V`` or
@@ -81,7 +71,7 @@ def vectorize(
 def _rotation_from_vec(
     rvec: np.ndarray,
     rs: RotSpace,
-    diagnostics: InterpDiagnostics | None = None,
+    diagnostics: SegmentRecord | None = None,
 ) -> Rotation:
     if rs is RotSpace.EULER:
         return liegeom.euler_zyx_to(rvec)
@@ -103,7 +93,7 @@ def devectorize(
     rvec: np.ndarray,
     ts: TransSpace,
     rs: RotSpace,
-    diagnostics: InterpDiagnostics | None = None,
+    diagnostics: SegmentRecord | None = None,
 ) -> Pose:
     """Inverse of :func:`vectorize`; quaternions are renormalized.
 
@@ -123,7 +113,7 @@ def _guarded_factor(
     numerator: np.ndarray,
     denominator: np.ndarray,
     raw_division: bool,
-    diagnostics: InterpDiagnostics,
+    diagnostics: SegmentRecord,
 ) -> np.ndarray:
     """Per-component ``numerator / denominator`` with the singularity guard."""
     small = np.abs(denominator) < SINGULARITY_EPS
@@ -144,15 +134,15 @@ def interp_correct_segment(
     ts: TransSpace,
     rs: RotSpace,
     raw_division: bool = False,
-) -> tuple[list[Pose], InterpDiagnostics]:
+) -> tuple[list[Pose], SegmentRecord]:
     """Correct every relative frame of a full segment in vector space.
 
     Returns poses relative to the updated opening keyframe, plus the
-    diagnostics record of singular/gimbal/renormalization events.
+    segment's record with its singular/gimbal/renormalization counts.
     """
     if seg.terminal:
         raise ValueError("interpolation needs a closing keyframe; segment is terminal")
-    diag = InterpDiagnostics()
+    diag = SegmentRecord(seg.index)
     t_ab_old = upd_a.old_pose.inverse() * upd_b.old_pose
     t_ab_new = upd_a.new_pose.inverse() * upd_b.new_pose
     tv_old, rv_old, om_old = vectorize(t_ab_old, ts, rs, diag)

@@ -89,9 +89,11 @@ def _parse_methods(text: str) -> list[str]:
         raise CliError("no methods requested")
     if names == ["all"]:
         return list(ev.METHODS)
-    for name in names:
+    for k, name in enumerate(names):
         if name not in ev.METHODS:
             raise CliError(f"unknown method {name!r}; choose from {', '.join(ev.METHODS)}")
+        if name in names[:k]:
+            raise CliError(f"--methods names {name!r} more than once")
     return names
 
 

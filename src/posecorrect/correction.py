@@ -16,6 +16,10 @@ by linear interpolation from zero to ``dt`` mapped through the blended
 rotation.  ``alpha = 0`` returns the opening keyframe's solution exactly;
 ``alpha = 1`` closes the far keyframe's constraint.
 
+The single-keyframe solutions and the gap are plain ``(rotation,
+translation)`` pairs of a :class:`Rotation` and a 3-vector; only the fused
+result is built as a :class:`Pose`.
+
 No divisions by per-axis components occur anywhere, which is what makes
 this correction immune to the axis-aligned singularities of element-wise
 vector-space interpolation.
@@ -23,47 +27,19 @@ vector-space interpolation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .liegeom import Pose, Rotation, slerp
-from .trajectory import KeyframeUpdate, Segment
+from .trajectory import KeyframeUpdate, Segment, SegmentRecord
 
 DEGENERATE_BASELINE = 1e-9  # meters; below this the scale ratio is unusable
 
 
-@dataclass(frozen=True)
-class ScaleFactor:
-    """Baseline ratio ``s`` (depth-ratio proxy); ``degenerate`` marks a
-    near-zero pre-update baseline where ``s`` falls back to 1."""
-
-    s: float
-    degenerate: bool = False
-
-
-@dataclass(frozen=True)
-class ConditionSolution:
-    """Corrected relative pose implied by a single keyframe's constraint."""
-
-    rot: Rotation
-    trans: np.ndarray
-
-    def as_pose(self) -> Pose:
-        return Pose(self.rot, self.trans)
-
-
-@dataclass(frozen=True)
-class FusionGap:
-    """Disagreement between the two condition solutions, expressed in the
-    opening-keyframe solution's frame."""
-
-    drot: Rotation
-    dtrans: np.ndarray
-
-
-def scale_factor(t_ab_old, t_ab_new, squared: bool = False) -> ScaleFactor:
-    """Ratio of the new to the old inter-keyframe translation norm.
+def scale_factor(t_ab_old, t_ab_new, squared: bool = False) -> tuple[float, bool]:
+    """Ratio ``s`` of the new to the old inter-keyframe translation norm
+    (the depth-ratio proxy), plus a flag marking a near-zero baseline,
+    where ``s`` falls back to 1.
 
     ``squared=True`` uses the squared-norm ratio instead (kept for
     comparison; the unsquared ratio is the one that is exact under
@@ -72,29 +48,37 @@ def scale_factor(t_ab_old, t_ab_new, squared: bool = False) -> ScaleFactor:
     n_old = float(np.linalg.norm(t_ab_old))
     n_new = float(np.linalg.norm(t_ab_new))
     if n_old < DEGENERATE_BASELINE or n_new < DEGENERATE_BASELINE:
-        return ScaleFactor(1.0, degenerate=True)
+        return 1.0, True
     s = n_new / n_old
-    return ScaleFactor(s * s if squared else s)
+    return (s * s if squared else s), False
 
 
-def condition_from_kf(rel_old: Pose, s: ScaleFactor) -> ConditionSolution:
-    """Single-keyframe solution: rotation kept, translation scaled by s."""
-    return ConditionSolution(rel_old.rotation, s.s * rel_old.translation)
+def condition_from_kf(rel_old: Pose, s: float) -> tuple[Rotation, np.ndarray]:
+    """Single-keyframe solution as a ``(rotation, translation)`` pair: the
+    relative pose implied by one keyframe's constraint, rotation kept and
+    translation scaled by ``s``."""
+    return rel_old.rotation, s * rel_old.translation
 
 
 def fusion_gap(
-    sol_a: ConditionSolution, sol_b: ConditionSolution, t_ab_new: Pose
-) -> FusionGap:
-    """Gap between the two condition solutions of one segment.
+    sol_a: tuple[Rotation, np.ndarray],
+    sol_b: tuple[Rotation, np.ndarray],
+    t_ab_new: Pose,
+) -> tuple[Rotation, np.ndarray]:
+    """Gap ``(drot, dtrans)`` between the two condition solutions of one
+    segment, expressed in the opening-keyframe solution's frame.
 
     ``sol_a`` is relative to the updated opening keyframe, ``sol_b`` to the
-    updated closing keyframe; ``t_ab_new`` is the updated closing keyframe
+    updated closing keyframe, both ``(rotation, translation)`` pairs from
+    :func:`condition_from_kf`; ``t_ab_new`` is the updated closing keyframe
     relative to the updated opening one.
     """
-    rot_a_inv = sol_a.rot.inverse()
-    drot = rot_a_inv * (t_ab_new.rotation * sol_b.rot)
-    delta = t_ab_new.translation + t_ab_new.rotation.apply(sol_b.trans) - sol_a.trans
-    return FusionGap(drot, rot_a_inv.apply(delta))
+    rot_a, trans_a = sol_a
+    rot_b, trans_b = sol_b
+    rot_a_inv = rot_a.inverse()
+    drot = rot_a_inv * (t_ab_new.rotation * rot_b)
+    delta = t_ab_new.translation + t_ab_new.rotation.apply(trans_b) - trans_a
+    return drot, rot_a_inv.apply(delta)
 
 
 def timestamp_fraction(seg: Segment, j: int) -> float:
@@ -124,20 +108,15 @@ def interp_factor(seg: Segment, j: int) -> float:
     return _alpha(seg, j, t_ab.inverse() * seg.rels[j].rel_pose, False)
 
 
-@dataclass(frozen=True)
-class CorrectionDiagnostics:
-    """Per-segment record of the proposed correction."""
-
-    s: float
-    degenerate_baseline: bool
-    alpha_min: float
-    alpha_max: float
-
-
-def fuse(sol_a: ConditionSolution, gap: FusionGap, alpha: float) -> Pose:
-    """Blend the opening-keyframe solution toward the gap by ``alpha``."""
-    rot = sol_a.rot * slerp(Rotation.identity(), gap.drot, alpha)
-    trans = sol_a.trans + alpha * rot.apply(gap.dtrans)
+def fuse(
+    sol_a: tuple[Rotation, np.ndarray], gap: tuple[Rotation, np.ndarray], alpha: float
+) -> Pose:
+    """Blend the opening-keyframe solution ``(rotation, translation)``
+    toward the gap ``(drot, dtrans)`` by ``alpha``."""
+    rot_a, trans_a = sol_a
+    drot, dtrans = gap
+    rot = rot_a * slerp(Rotation.identity(), drot, alpha)
+    trans = trans_a + alpha * rot.apply(dtrans)
     return Pose(rot, trans)
 
 
@@ -146,34 +125,34 @@ def correct_segment(
     upd_a: KeyframeUpdate,
     upd_b: KeyframeUpdate,
     scale_squared: bool = False,
-) -> tuple[list[Pose], CorrectionDiagnostics]:
+) -> tuple[list[Pose], SegmentRecord]:
     """Correct every relative frame of a full segment.
 
-    Returns poses relative to the updated opening keyframe plus per-segment
-    diagnostics.
+    Returns poses relative to the updated opening keyframe plus the
+    segment's record: ``s``, the degenerate-baseline flag and the range of
+    ``alpha``.
     """
     if seg.terminal:
         raise ValueError("segment is terminal: it has no closing keyframe")
     t_ab_old = upd_a.old_pose.inverse() * upd_b.old_pose
     t_ab_new = upd_a.new_pose.inverse() * upd_b.new_pose
-    sf = scale_factor(t_ab_old.translation, t_ab_new.translation, scale_squared)
+    s, degenerate = scale_factor(t_ab_old.translation, t_ab_new.translation, scale_squared)
     t_ab_old_inv = t_ab_old.inverse()
 
     corrected = []
     alphas = []
     for j, rel in enumerate(seg.rels):
         rel_b_old = t_ab_old_inv * rel.rel_pose
-        sol_a = condition_from_kf(rel.rel_pose, sf)
-        sol_b = condition_from_kf(rel_b_old, sf)
+        sol_a = condition_from_kf(rel.rel_pose, s)
+        sol_b = condition_from_kf(rel_b_old, s)
         gap = fusion_gap(sol_a, sol_b, t_ab_new)
-        alpha = _alpha(seg, j, rel_b_old, sf.degenerate)
+        alpha = _alpha(seg, j, rel_b_old, degenerate)
         alphas.append(alpha)
         corrected.append(fuse(sol_a, gap, alpha))
-    diag = CorrectionDiagnostics(
-        s=sf.s,
-        degenerate_baseline=sf.degenerate,
+    return corrected, SegmentRecord(
+        seg.index,
+        s=s,
+        degenerate_baseline=degenerate,
         alpha_min=min(alphas, default=math.nan),
         alpha_max=max(alphas, default=math.nan),
     )
-    return corrected, diag
-

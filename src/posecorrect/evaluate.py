@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -25,6 +25,7 @@ from .trajectory import (
     FrameId,
     KeyframeUpdate,
     Segment,
+    SegmentRecord,
     Trajectory,
     associate,
     compose_world_poses,
@@ -89,21 +90,6 @@ class MethodConfig:
 
 
 @dataclass
-class SegmentRecord:
-    """Diagnostics of one corrected segment."""
-
-    index: int
-    terminal: bool
-    s: float = math.nan
-    degenerate_baseline: bool = False
-    alpha_min: float = math.nan
-    alpha_max: float = math.nan
-    singular_hits: int = 0
-    gimbal_hits: int = 0
-    quat_renorm_hits: int = 0
-
-
-@dataclass
 class TrajectoryDiagnostics:
     segments: list[SegmentRecord] = field(default_factory=list)
 
@@ -120,32 +106,30 @@ class TrajectoryDiagnostics:
         return sum(1 for rec in self.segments if rec.degenerate_baseline)
 
 
-# Kernel adapters: correct a full segment and return its poses plus the
-# SegmentRecord fields they fill.  Kernels are looked up through their
-# modules at call time, so a patched module attribute takes effect.
+# Kernel adapters: correct a full segment and return its poses plus its
+# SegmentRecord.  Kernels are looked up through their modules at call time,
+# so a patched module attribute takes effect.
 
 
 def _unchanged(seg: Segment, upd_a, upd_b, cfg: MethodConfig):
-    return [rel.rel_pose for rel in seg.rels], {}
+    return [rel.rel_pose for rel in seg.rels], SegmentRecord(seg.index)
 
 
 def _proposed(seg: Segment, upd_a, upd_b, cfg: MethodConfig):
-    poses, diag = correction.correct_segment(seg, upd_a, upd_b, cfg.scale_squared)
-    return poses, vars(diag)
+    return correction.correct_segment(seg, upd_a, upd_b, cfg.scale_squared)
 
 
 def _interpolated(seg: Segment, upd_a, upd_b, cfg: MethodConfig):
     ts, rs = cfg.spaces()
-    poses, diag = baseline.interp_correct_segment(
+    return baseline.interp_correct_segment(
         seg, upd_a, upd_b, ts, rs, raw_division=cfg.raw_division
     )
-    return poses, vars(diag)
 
 
 class Method(NamedTuple):
     """A row of :data:`METHODS`; a ``None`` space is taken from the config."""
 
-    kernel: Callable[..., tuple[list[Pose], dict]]
+    kernel: Callable[..., tuple[list[Pose], SegmentRecord]]
     trans_space: Optional[TransSpace] = None
     rot_space: Optional[RotSpace] = None
     terminal_s: float = math.nan  # the s recorded for a terminal segment
@@ -175,10 +159,9 @@ def _correct_one_segment(
         # A terminal partial segment has no closing keyframe, so no method
         # has an interpolation target: relative poses ride along with the
         # updated opening keyframe.
-        poses, fields = [rel.rel_pose for rel in seg.rels], {"s": method.terminal_s}
-    else:
-        poses, fields = method.kernel(seg, upd_a, upd_b, cfg)
-    return poses, SegmentRecord(seg.index, seg.terminal, **fields)
+        record = SegmentRecord(seg.index, terminal=True, s=method.terminal_s)
+        return [rel.rel_pose for rel in seg.rels], record
+    return method.kernel(seg, upd_a, upd_b, cfg)
 
 
 def correct_trajectory(
@@ -357,33 +340,24 @@ def write_frame_errors_csv(path, errors: Sequence[FrameError]) -> None:
             )
 
 
+DIAGNOSTICS_COLUMNS = tuple(f.name for f in fields(SegmentRecord))
+
+
+def _diagnostics_cell(value):
+    """A bool as 0/1, a float by ``repr`` (``nan`` included), an int as is."""
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float):
+        return repr(value)
+    return value
+
+
 def write_diagnostics_csv(path, diagnostics: TrajectoryDiagnostics) -> None:
+    """One row per segment, one column per :class:`SegmentRecord` field."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            (
-                "segment",
-                "terminal",
-                "s",
-                "degenerate_baseline",
-                "alpha_min",
-                "alpha_max",
-                "singular_hits",
-                "gimbal_hits",
-                "quat_renorm_hits",
-            )
-        )
+        writer.writerow(DIAGNOSTICS_COLUMNS)
         for rec in diagnostics.segments:
             writer.writerow(
-                [
-                    rec.index,
-                    int(rec.terminal),
-                    repr(rec.s),
-                    int(rec.degenerate_baseline),
-                    repr(rec.alpha_min),
-                    repr(rec.alpha_max),
-                    rec.singular_hits,
-                    rec.gimbal_hits,
-                    rec.quat_renorm_hits,
-                ]
+                [_diagnostics_cell(getattr(rec, name)) for name in DIAGNOSTICS_COLUMNS]
             )

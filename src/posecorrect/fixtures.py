@@ -24,6 +24,7 @@ import numpy as np
 
 from .liegeom import Pose, Rotation, euler_zyx_to, so3_exp
 from .synth import (
+    KEYFRAME_DT,
     MapUpdate,
     Scene,
     SceneSpec,
@@ -41,7 +42,8 @@ from .trajectory import (
     from_world_poses,
 )
 
-KEYFRAME_DT = 1.0
+JITTER_ROT = 0.0014   # rad per axis: so(3) jitter of a relative frame
+JITTER_TRANS = 0.002  # m per axis: translation jitter of a relative frame
 
 
 def _frame_grid(n_keyframes: int, rels_per_segment: int) -> tuple[list[float], list[int]]:
@@ -119,16 +121,15 @@ def _smooth_field(rng: np.random.Generator, amplitude: float, t_total: float):
     return field
 
 
-def noisy_fixture(
-    seed: int,
-    n_keyframes: int = 11,
-    rels_per_segment: int = 9,
-    lateral_update: float = 0.012,
-    forward_update: float = 0.006,
-    rot_update: float = 0.008,
-    jitter_rot: float = 0.0014,
-    jitter_trans: float = 0.002,
-) -> tuple[Trajectory, list[tuple[FrameId, Pose]]]:
+def _jitter(rng: np.random.Generator) -> Pose:
+    """Per-frame SE(3) measurement jitter of a relative frame."""
+    return Pose(
+        so3_exp(rng.normal(0.0, JITTER_ROT, size=3)),
+        rng.normal(0.0, JITTER_TRANS, size=3),
+    )
+
+
+def noisy_fixture(seed: int) -> tuple[Trajectory, list[tuple[FrameId, Pose]]]:
     """Seeded non-similarity fixture with measurement jitter.
 
     The estimate is a forward-style run (sub-millimeter lateral structure,
@@ -142,7 +143,7 @@ def noisy_fixture(
     output noise; the constraint-based correction has no such division.
     """
     rng = np.random.default_rng(seed)
-    stamps, kf_positions = _frame_grid(n_keyframes, rels_per_segment)
+    stamps, kf_positions = _frame_grid(n_keyframes=11, rels_per_segment=9)
     t_total = stamps[-1]
     speed = 1.0
 
@@ -161,12 +162,12 @@ def noisy_fixture(
         )
         return Pose(euler_zyx_to(angles), pos)
 
-    pos_f = [
-        _smooth_field(rng, lateral_update, t_total),
-        _smooth_field(rng, lateral_update, t_total),
-        _smooth_field(rng, forward_update, t_total),
+    pos_f = [  # lateral x, lateral y, forward z
+        _smooth_field(rng, 0.012, t_total),
+        _smooth_field(rng, 0.012, t_total),
+        _smooth_field(rng, 0.006, t_total),
     ]
-    rot_f = [_smooth_field(rng, rot_update, t_total) for _ in range(3)]
+    rot_f = [_smooth_field(rng, 0.008, t_total) for _ in range(3)]
 
     def gt_pose(t: float) -> Pose:
         base = base_pose(t)
@@ -180,22 +181,13 @@ def noisy_fixture(
     for i, t in enumerate(stamps):
         est = base_pose(t)
         if i not in kf_set:
-            wobble = Pose(
-                so3_exp(rng.normal(0.0, jitter_rot, size=3)),
-                rng.normal(0.0, jitter_trans, size=3),
-            )
-            est = est * wobble
+            est = est * _jitter(rng)
         est_frames.append((FrameId(t, i), est))
     return from_world_poses(est_frames, kf_positions), gt_frames
 
 
 def displaced_estimate(
-    frames,
-    kf_positions,
-    seed: int,
-    magnitude: float = 1.0,
-    jitter_rot: float = 0.0014,
-    jitter_trans: float = 0.002,
+    frames, kf_positions, seed: int, magnitude: float = 1.0
 ) -> list[tuple[FrameId, Pose]]:
     """Displace a ground-truth frame list into a plausible estimate: smooth
     SE(3) offset fields (about a centimeter laterally at magnitude 1) plus
@@ -213,11 +205,7 @@ def displaced_estimate(
             pose.translation + np.array([f(t) for f in pos_f]),
         )
         if i not in kf_set:
-            wobble = Pose(
-                so3_exp(rng.normal(0.0, jitter_rot, size=3)),
-                rng.normal(0.0, jitter_trans, size=3),
-            )
-            est = est * wobble
+            est = est * _jitter(rng)
         out.append((fid, est))
     return out
 

@@ -46,6 +46,7 @@ MIN_DEPTH = 1e-6          # meters; at or below this a point is behind the camer
 MIN_SHARED_LANDMARKS = 8  # required common landmarks per adjacent frame pair
 DEPTH_BAND = (2.5, 25.0)  # sampling band for generated landmarks, meters
 PIXEL_MARGIN = 40.0       # sampling margin inside the image, pixels
+KEYFRAME_DT = 1.0         # seconds between consecutive keyframes
 
 
 class GenerationError(RuntimeError):
@@ -141,8 +142,6 @@ class SceneSpec:
     n_landmarks: int = 150
     pixel_noise: float = 0.0
     seed: int = 0
-    keyframe_dt: float = 1.0
-    camera: Camera = DEFAULT_CAMERA
 
     def __post_init__(self):
         for name, low in (
@@ -221,7 +220,6 @@ def _in_bounds(camera: Camera, pixels: np.ndarray, margin: float = 0.0) -> np.nd
 
 
 def _path_forward(spec: SceneSpec, rng: np.random.Generator) -> Callable[[float], Pose]:
-    t_kf = spec.keyframe_dt
     speed = 1.2
     ax = 2e-4 * (1.0 + 0.2 * rng.uniform())
     ay = 2e-4 * (1.0 + 0.2 * rng.uniform())
@@ -229,11 +227,11 @@ def _path_forward(spec: SceneSpec, rng: np.random.Generator) -> Callable[[float]
 
     def pose_at(t: float) -> Pose:
         pos = (
-            ax * math.sin(math.pi * t / t_kf + 0.5 * math.pi),
-            ay * math.sin(2.0 * math.pi * t / (t_kf * 1.003) + phase_y),
+            ax * math.sin(math.pi * t / KEYFRAME_DT + 0.5 * math.pi),
+            ay * math.sin(2.0 * math.pi * t / (KEYFRAME_DT * 1.003) + phase_y),
             speed * t,
         )
-        yaw = 2e-3 * math.sin(2.0 * math.pi * t / (3.0 * t_kf))
+        yaw = 2e-3 * math.sin(2.0 * math.pi * t / (3.0 * KEYFRAME_DT))
         return Pose(euler_zyx_to((yaw, 0.0, 0.0)), pos)
 
     return pose_at
@@ -268,10 +266,8 @@ def _path_line(spec: SceneSpec, rng: np.random.Generator) -> Callable[[float], P
 
 
 def _path_rotonly(spec: SceneSpec, rng: np.random.Generator) -> Callable[[float], Pose]:
-    t_kf = spec.keyframe_dt
-
     def pose_at(t: float) -> Pose:
-        yaw = 0.25 * math.sin(2.0 * math.pi * t / (4.0 * t_kf))
+        yaw = 0.25 * math.sin(2.0 * math.pi * t / (4.0 * KEYFRAME_DT))
         return Pose(euler_zyx_to((yaw, 0.0, 0.0)), (0.0, 0.0, 0.0))
 
     return pose_at
@@ -291,7 +287,7 @@ def path_world_poses(spec: SceneSpec) -> list[tuple[FrameId, Pose]]:
         raise GenerationError(f"unknown path shape {spec.shape!r}; choose from {sorted(PATHS)}")
     rng = np.random.default_rng(spec.seed)
     pose_at = PATHS[spec.shape](spec, rng)
-    dt = spec.keyframe_dt / (spec.rels_per_segment + 1)
+    dt = KEYFRAME_DT / (spec.rels_per_segment + 1)
     n_frames = spec.n_keyframes + (spec.n_keyframes - 1) * spec.rels_per_segment
     return [(FrameId(i * dt, i), pose_at(i * dt)) for i in range(n_frames)]
 
@@ -348,7 +344,7 @@ def generate_scene(spec: SceneSpec) -> Scene:
     """
     frames = path_world_poses(spec)
     rng = np.random.default_rng(spec.seed + 1)
-    camera = spec.camera
+    camera = DEFAULT_CAMERA
     landmarks = _sample_landmarks(camera, frames, spec.n_landmarks, rng, start_id=0)
 
     for _ in range(60):

@@ -9,8 +9,9 @@ trailing relative frames.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -66,6 +67,24 @@ class Segment:
     @property
     def terminal(self) -> bool:
         return self.kf_b is None
+
+
+@dataclass
+class SegmentRecord:
+    """Diagnostics of one corrected segment; its fields, in order, are the
+    columns of ``diagnostics.csv``.  The proposed correction fills ``s``,
+    ``degenerate_baseline`` and the ``alpha`` range, the interpolation
+    baselines the hit counters."""
+
+    segment: int
+    terminal: bool = False
+    s: float = math.nan
+    degenerate_baseline: bool = False
+    alpha_min: float = math.nan
+    alpha_max: float = math.nan
+    singular_hits: int = 0      # components with |x_ab| < SINGULARITY_EPS
+    gimbal_hits: int = 0        # Euler vectorizations near pitch = +-pi/2
+    quat_renorm_hits: int = 0   # renormalization moved the quaternion > 1e-6
 
 
 @dataclass(frozen=True)
@@ -168,20 +187,28 @@ def from_world_poses(
     return Trajectory(tuple(keyframes), tuple(relatives))
 
 
+def segment_world_poses(
+    seg: Segment, base: Pose, poses: Iterable[Pose]
+) -> Iterator[tuple[FrameId, Pose]]:
+    """World pose ``base * rel`` of each relative frame of ``seg``, where
+    ``base`` is the pose of the keyframe that opens it and ``rel`` the
+    frame's relative pose in ``poses`` (in segment order)."""
+    return ((rel.id, base * pose) for rel, pose in zip(seg.rels, poses))
+
+
 def compose_world_poses(
     traj: Trajectory,
     keyframe_poses: Sequence[Pose],
     segment_poses: Iterable[Iterable[Pose]],
 ) -> list[tuple[FrameId, Pose]]:
     """World pose of every frame of ``traj``: keyframe ``i`` at
-    ``keyframe_poses[i]``, and each relative frame at ``base * rel``, where
-    ``base`` is the pose of the keyframe that opens its segment and ``rel``
-    its relative pose in ``segment_poses`` (one iterable per segment, in
-    segment order).  Ordered by timestamp."""
+    ``keyframe_poses[i]``, and the relative frames of each segment by
+    :func:`segment_world_poses` on its opening keyframe's pose and its
+    poses in ``segment_poses`` (one iterable per segment, in segment
+    order).  Ordered by timestamp."""
     out = [(kf.id, pose) for kf, pose in zip(traj.keyframes, keyframe_poses)]
     for seg, poses in zip(traj.segments, segment_poses):
-        base = keyframe_poses[seg.index]
-        out.extend((rel.id, base * pose) for rel, pose in zip(seg.rels, poses))
+        out.extend(segment_world_poses(seg, keyframe_poses[seg.index], poses))
     out.sort(key=lambda item: (item[0].stamp, item[0].index))
     return out
 
@@ -206,9 +233,9 @@ def rebase(traj: Trajectory, keyframe_poses: Sequence[Pose]) -> Trajectory:
     relatives = []
     for seg in traj.segments:
         base_inv = keyframe_poses[seg.index].inverse()
-        for rel in seg.rels:
-            world = seg.kf_a.world_pose * rel.rel_pose
-            relatives.append(RelativeFrame(rel.id, rel.parent, base_inv * world))
+        stored = (rel.rel_pose for rel in seg.rels)
+        for fid, world in segment_world_poses(seg, seg.kf_a.world_pose, stored):
+            relatives.append(RelativeFrame(fid, seg.index, base_inv * world))
     return Trajectory(tuple(keyframes), tuple(relatives))
 
 

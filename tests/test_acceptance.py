@@ -139,12 +139,12 @@ def test_criterion_3_boundary_consistency():
     out, diag = correct_segment(seg, upd_a, upd_b)
     t_ab_old = upd_a.old_pose.inverse() * upd_b.old_pose
     t_ab_new = upd_a.new_pose.inverse() * upd_b.new_pose
-    sf = scale_factor(t_ab_old.translation, t_ab_new.translation)
-    sol = condition_from_kf(rel, sf)
+    s, _ = scale_factor(t_ab_old.translation, t_ab_new.translation)
+    rot, trans = condition_from_kf(rel, s)
     alpha0_ok = (
         diag.alpha_min == 0.0
-        and np.max(np.abs(out[0].rotation.quat - sol.rot.quat)) < 1e-15
-        and np.max(np.abs(out[0].translation - sol.trans)) < 1e-12
+        and np.max(np.abs(out[0].rotation.quat - rot.quat)) < 1e-15
+        and np.max(np.abs(out[0].translation - trans)) < 1e-12
     )
 
     # alpha = 1 on similarity fixtures: the fused pose composed through the
@@ -158,15 +158,15 @@ def test_criterion_3_boundary_consistency():
         upd_a, upd_b = updates[0], updates[1]
         t_ab_old = upd_a.old_pose.inverse() * upd_b.old_pose
         t_ab_new = upd_a.new_pose.inverse() * upd_b.new_pose
-        sf = scale_factor(t_ab_old.translation, t_ab_new.translation)
+        s, _ = scale_factor(t_ab_old.translation, t_ab_new.translation)
         for rel_frame in seg.rels:
-            sol_a = condition_from_kf(rel_frame.rel_pose, sf)
-            sol_b = condition_from_kf(t_ab_old.inverse() * rel_frame.rel_pose, sf)
+            sol_a = condition_from_kf(rel_frame.rel_pose, s)
+            rot_b, trans_b = sol_b = condition_from_kf(t_ab_old.inverse() * rel_frame.rel_pose, s)
             gap = fusion_gap(sol_a, sol_b, t_ab_new)
             fused = fuse(sol_a, gap, 1.0)
             implied = t_ab_new.inverse() * fused
-            worst = max(worst, rotation_angle_deg(implied.rotation, sol_b.rot))
-            worst = max(worst, float(np.linalg.norm(implied.translation - sol_b.trans)))
+            worst = max(worst, rotation_angle_deg(implied.rotation, rot_b))
+            worst = max(worst, float(np.linalg.norm(implied.translation - trans_b)))
     _criterion(
         3,
         "alpha = 0 returns the opening condition exactly; alpha = 1 closes the far constraint",

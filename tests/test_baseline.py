@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from posecorrect.baseline import (
-    InterpDiagnostics,
     RotSpace,
     TransSpace,
     devectorize,
@@ -21,6 +20,7 @@ from posecorrect.trajectory import (
     KeyframeUpdate,
     RelativeFrame,
     Segment,
+    SegmentRecord,
 )
 
 ALL_SPACES = [(ts, rs) for ts in TransSpace for rs in RotSpace]
@@ -79,7 +79,7 @@ class TestVectorize:
             np.testing.assert_allclose(p.translation, q.translation, atol=1e-9)
 
     def test_gimbal_flag_counted(self):
-        diag = InterpDiagnostics()
+        diag = SegmentRecord(0)
         from posecorrect.liegeom import euler_zyx_to
 
         p = Pose(euler_zyx_to((0.2, math.pi / 2, 0.0)), np.zeros(3))
@@ -112,7 +112,7 @@ class TestInterpCorrectSegment:
         # is exactly zero bit for bit, so the interpolated vectors equal
         # the input vectors; only the final devectorization rounds.
         seg, upd_a, upd_b, rels = self._identity_update_case(ts, rs)
-        diag = InterpDiagnostics()
+        diag = SegmentRecord(0)
         t_ab_old = upd_a.old_pose.inverse() * upd_b.old_pose
         t_ab_new = upd_a.new_pose.inverse() * upd_b.new_pose
         tv_old, rv_old, _ = vectorize(t_ab_old, ts, rs, diag)

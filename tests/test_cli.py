@@ -298,6 +298,19 @@ class TestInputValidation:
         assert self.evaluate(sim_dir, tmp_path, "--config", str(cfg_path)) == 2
         assert "--assoc-tol" in capsys.readouterr().err
 
+    def test_evaluate_repeated_method_rejected(self, sim_dir, tmp_path, capsys):
+        assert self.evaluate(sim_dir, tmp_path, "--methods", "proposed,proposed,xyz") == 2
+        err = capsys.readouterr().err
+        assert "--methods" in err and "'proposed'" in err
+        assert not (tmp_path / "x").exists()
+
+    def test_bench_repeated_method_rejected(self, tmp_path, capsys):
+        out = tmp_path / "bench_twice"
+        assert main(["bench", "--methods", "so3,proposed,so3", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "--methods" in err and "'so3'" in err
+        assert not out.exists()
+
     def test_bench_repetitions_zero_rejected(self, tmp_path, capsys):
         out = tmp_path / "bench0"
         assert main(["bench", "--repetitions", "0", "--out", str(out)]) == 2

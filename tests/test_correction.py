@@ -8,7 +8,6 @@ import pytest
 
 from posecorrect import fixtures
 from posecorrect.correction import (
-    ScaleFactor,
     condition_from_kf,
     correct_segment,
     fuse,
@@ -41,50 +40,50 @@ def make_segment(kf_a_pose, kf_b_pose, rels, stamps=None):
 
 class TestScaleFactor:
     def test_equal_vectors_give_one(self):
-        sf = scale_factor((1.0, 2.0, 3.0), (1.0, 2.0, 3.0))
-        assert sf.s == 1.0
-        assert not sf.degenerate
+        s, degenerate = scale_factor((1.0, 2.0, 3.0), (1.0, 2.0, 3.0))
+        assert s == 1.0
+        assert not degenerate
 
     def test_doubled_vector_gives_two(self):
-        sf = scale_factor((1.0, 0.0, 0.0), (2.0, 0.0, 0.0))
-        assert sf.s == 2.0
+        s, _ = scale_factor((1.0, 0.0, 0.0), (2.0, 0.0, 0.0))
+        assert s == 2.0
 
     def test_definitional_identity_random(self):
         rng = np.random.default_rng(0)
         for _ in range(300):
             old = rng.uniform(-5, 5, size=3)
             new = rng.uniform(-5, 5, size=3)
-            sf = scale_factor(old, new)
-            assert abs(sf.s * np.linalg.norm(old) - np.linalg.norm(new)) < 1e-12
+            s, _ = scale_factor(old, new)
+            assert abs(s * np.linalg.norm(old) - np.linalg.norm(new)) < 1e-12
 
     def test_degenerate_baseline_flagged(self):
-        sf = scale_factor((1e-10, 0.0, 0.0), (1.0, 0.0, 0.0))
-        assert sf.degenerate and sf.s == 1.0
+        s, degenerate = scale_factor((1e-10, 0.0, 0.0), (1.0, 0.0, 0.0))
+        assert degenerate and s == 1.0
 
     def test_squared_mode(self):
-        sf = scale_factor((1.0, 0.0, 0.0), (2.0, 0.0, 0.0), squared=True)
-        assert sf.s == 4.0
+        s, _ = scale_factor((1.0, 0.0, 0.0), (2.0, 0.0, 0.0), squared=True)
+        assert s == 4.0
 
     def test_always_finite_positive(self):
         rng = np.random.default_rng(1)
         for _ in range(200):
-            sf = scale_factor(rng.normal(0, 1e-9, 3), rng.normal(size=3))
-            assert math.isfinite(sf.s) and sf.s > 0
+            s, _ = scale_factor(rng.normal(0, 1e-9, 3), rng.normal(size=3))
+            assert math.isfinite(s) and s > 0
 
 
 class TestConditionSolution:
     def test_unit_scale_reproduces_rel_pose(self):
         rng = np.random.default_rng(2)
         rel = Pose(Rotation.random(rng), rng.normal(size=3))
-        sol = condition_from_kf(rel, ScaleFactor(1.0))
-        assert sol.rot is rel.rotation
-        np.testing.assert_array_equal(sol.trans, rel.translation)
+        rot, trans = condition_from_kf(rel, 1.0)
+        assert rot is rel.rotation
+        np.testing.assert_array_equal(trans, rel.translation)
 
     def test_scale_two(self):
         rel = Pose(so3_exp((0.1, 0.2, 0.3)), (1.0, 0.0, 0.0))
-        sol = condition_from_kf(rel, ScaleFactor(2.0))
-        np.testing.assert_array_equal(sol.trans, [2.0, 0.0, 0.0])
-        assert rotation_angle_deg(sol.rot, rel.rotation) == 0.0
+        rot, trans = condition_from_kf(rel, 2.0)
+        np.testing.assert_array_equal(trans, [2.0, 0.0, 0.0])
+        assert rotation_angle_deg(rot, rel.rotation) == 0.0
 
     def test_both_keyframe_conditions_agree_under_similarity(self):
         # Under a similarity update the Eq.-12-style and Eq.-13-style
@@ -97,11 +96,11 @@ class TestConditionSolution:
 
         rel_a = kf_a.inverse() * frame
         rel_b = kf_b.inverse() * frame
-        s = ScaleFactor(1.7)
+        s = 1.7
         sol_a = condition_from_kf(rel_a, s)
         sol_b = condition_from_kf(rel_b, s)
-        world_a = sim.apply_pose(kf_a) * sol_a.as_pose()
-        world_b = sim.apply_pose(kf_b) * sol_b.as_pose()
+        world_a = sim.apply_pose(kf_a) * Pose(*sol_a)
+        world_b = sim.apply_pose(kf_b) * Pose(*sol_b)
         assert rotation_angle_deg(world_a.rotation, world_b.rotation) < 1e-9
         np.testing.assert_allclose(world_a.translation, world_b.translation, atol=1e-9)
 
@@ -116,12 +115,12 @@ class TestFusionGap:
     def test_identity_update_zero_gap(self):
         rng = np.random.default_rng(4)
         kf_a, kf_b, frame = self._consistent_geometry(rng)
-        s = ScaleFactor(1.0)
+        s = 1.0
         sol_a = condition_from_kf(kf_a.inverse() * frame, s)
         sol_b = condition_from_kf(kf_b.inverse() * frame, s)
-        gap = fusion_gap(sol_a, sol_b, kf_a.inverse() * kf_b)
-        assert rotation_angle_deg(gap.drot, Rotation.identity()) < 1e-9
-        assert np.linalg.norm(gap.dtrans) < 1e-12
+        drot, dtrans = fusion_gap(sol_a, sol_b, kf_a.inverse() * kf_b)
+        assert rotation_angle_deg(drot, Rotation.identity()) < 1e-9
+        assert np.linalg.norm(dtrans) < 1e-12
 
     def test_similarity_update_zero_gap(self):
         rng = np.random.default_rng(5)
@@ -129,13 +128,13 @@ class TestFusionGap:
             kf_a, kf_b, frame = self._consistent_geometry(rng)
             scale = rng.uniform(0.5, 2.0)
             sim = SimilarityTransform(Rotation.random(rng), rng.normal(size=3), scale)
-            s = ScaleFactor(scale)
+            s = scale
             sol_a = condition_from_kf(kf_a.inverse() * frame, s)
             sol_b = condition_from_kf(kf_b.inverse() * frame, s)
             t_ab_new = sim.apply_pose(kf_a).inverse() * sim.apply_pose(kf_b)
-            gap = fusion_gap(sol_a, sol_b, t_ab_new)
-            assert rotation_angle_deg(gap.drot, Rotation.identity()) < 1e-9
-            assert np.linalg.norm(gap.dtrans) < 1e-9
+            drot, dtrans = fusion_gap(sol_a, sol_b, t_ab_new)
+            assert rotation_angle_deg(drot, Rotation.identity()) < 1e-9
+            assert np.linalg.norm(dtrans) < 1e-9
 
     def test_inconsistent_update_closes_far_constraint_at_alpha_one(self):
         # KF_b perturbed by an extra centimeter along x: the gap is nonzero
@@ -145,18 +144,18 @@ class TestFusionGap:
         kf_a, kf_b, frame = self._consistent_geometry(rng)
         rel_a = kf_a.inverse() * frame
         rel_b = kf_b.inverse() * frame
-        s = ScaleFactor(1.0)
+        s = 1.0
         sol_a = condition_from_kf(rel_a, s)
-        sol_b = condition_from_kf(rel_b, s)
+        rot_b, trans_b = sol_b = condition_from_kf(rel_b, s)
         kf_b_new = Pose(kf_b.rotation, kf_b.translation + np.array([0.01, 0.0, 0.0]))
-        gap = fusion_gap(sol_a, sol_b, kf_a.inverse() * kf_b_new)
-        assert np.linalg.norm(gap.dtrans) > 1e-4
+        drot, dtrans = gap = fusion_gap(sol_a, sol_b, kf_a.inverse() * kf_b_new)
+        assert np.linalg.norm(dtrans) > 1e-4
 
         fused = fuse(sol_a, gap, 1.0)
         world = kf_a * fused
         implied_rel_b = kf_b_new.inverse() * world
-        assert rotation_angle_deg(implied_rel_b.rotation, sol_b.rot) < 1e-9
-        np.testing.assert_allclose(implied_rel_b.translation, sol_b.trans, atol=1e-9)
+        assert rotation_angle_deg(implied_rel_b.rotation, rot_b) < 1e-9
+        np.testing.assert_allclose(implied_rel_b.translation, trans_b, atol=1e-9)
 
 
 class TestInterpFactor:
@@ -215,11 +214,11 @@ class TestCorrectSegment:
         out, diag = correct_segment(seg, upd_a, upd_b)
         t_ab_old = upd_a.old_pose.inverse() * upd_b.old_pose
         t_ab_new = upd_a.new_pose.inverse() * upd_b.new_pose
-        sf = scale_factor(t_ab_old.translation, t_ab_new.translation)
-        sol = condition_from_kf(rel, sf)
+        s, _ = scale_factor(t_ab_old.translation, t_ab_new.translation)
+        rot, trans = condition_from_kf(rel, s)
         assert diag.alpha_min == 0.0
-        np.testing.assert_allclose(out[0].rotation.quat, sol.rot.quat, atol=1e-15)
-        np.testing.assert_allclose(out[0].translation, sol.trans, atol=1e-12)
+        np.testing.assert_allclose(out[0].rotation.quat, rot.quat, atol=1e-15)
+        np.testing.assert_allclose(out[0].translation, trans, atol=1e-12)
 
     def test_similarity_update_recovers_transformed_gt(self):
         scene = generate_scene(SceneSpec(shape="mav", n_keyframes=5, seed=21))

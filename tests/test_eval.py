@@ -12,17 +12,20 @@ from posecorrect.evaluate import (
     METHODS,
     ErrorStats,
     MethodConfig,
+    TrajectoryDiagnostics,
     _correct_one_segment,
     bench,
     correct_trajectory,
     frame_errors,
     run_protocol,
+    write_diagnostics_csv,
     write_report_csv,
 )
 from posecorrect.liegeom import Pose, Rotation, rotation_angle_deg, so3_exp
 from posecorrect.trajectory import (
     FrameId,
     KeyframeUpdate,
+    SegmentRecord,
     from_world_poses,
     identity_updates,
     world_poses,
@@ -142,6 +145,28 @@ class TestDriver:
             poses, _ = _correct_one_segment(terminal, updates[-1], None, cfg)
             for pose, rel in zip(poses, terminal.rels, strict=True):
                 assert pose is rel.rel_pose
+
+    def test_records_numbered_by_segment(self):
+        # Each kernel fills in its segment's number; only the record of the
+        # terminal segment (here with two frames) is marked terminal.
+        rng = np.random.default_rng(13)
+        frames = [
+            (FrameId(0.2 * j, j), Pose(Rotation.random(rng), rng.normal(size=3)))
+            for j in range(9)
+        ]
+        traj = from_world_poses(frames, [0, 3, 6])
+        updates = [
+            KeyframeUpdate(i, kf.world_pose, Pose(Rotation.random(rng), rng.normal(size=3)))
+            for i, kf in enumerate(traj.keyframes)
+        ]
+        n = len(traj.segments)
+        assert n == 3 and len(traj.segments[-1].rels) == 2
+        for name in METHODS:
+            _, diagnostics = correct_trajectory(traj, updates, MethodConfig(name))
+            assert len(diagnostics.segments) == n
+            for i, record in enumerate(diagnostics.segments):
+                assert record.segment == i, name
+                assert record.terminal is (i == n - 1), name
 
     def test_update_count_mismatch_rejected(self):
         traj, _ = fixtures.noisy_fixture(2)
@@ -268,3 +293,28 @@ class TestReportCsv:
         )
         # Timing stays empty in evaluation reports.
         assert p1.read_text().splitlines()[1].endswith(",")
+
+
+class TestDiagnosticsCsv:
+    def test_columns_and_cells_literal(self, tmp_path):
+        # One column per SegmentRecord field, in order; bools as 0/1,
+        # floats by repr (nan included), ints as they are.
+        full = SegmentRecord(
+            segment=7,
+            s=1.0 / 3.0,
+            degenerate_baseline=True,
+            alpha_min=0.1,
+            alpha_max=0.875,
+            singular_hits=2,
+            gimbal_hits=1,
+            quat_renorm_hits=4,
+        )
+        terminal = SegmentRecord(8, terminal=True)
+        path = tmp_path / "diagnostics.csv"
+        write_diagnostics_csv(path, TrajectoryDiagnostics([full, terminal]))
+        assert path.read_bytes() == (
+            b"segment,terminal,s,degenerate_baseline,alpha_min,alpha_max,"
+            b"singular_hits,gimbal_hits,quat_renorm_hits\r\n"
+            b"7,0,0.3333333333333333,1,0.1,0.875,2,1,4\r\n"
+            b"8,1,nan,0,nan,nan,0,0,0\r\n"
+        )

@@ -171,7 +171,7 @@ class TestSimilarityUpdate:
             assert abs(d_new - 2.0 * d_old) < 1e-12
             t_ab_old = (a.old_pose.inverse() * b.old_pose).translation
             t_ab_new = (a.new_pose.inverse() * b.new_pose).translation
-            assert abs(scale_factor(t_ab_old, t_ab_new).s - 2.0) < 1e-12
+            assert abs(scale_factor(t_ab_old, t_ab_new)[0] - 2.0) < 1e-12
 
     def test_observations_invariant_under_similarity(self):
         # Recomputing pixels from updated landmarks through updated GT
