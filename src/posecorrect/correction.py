@@ -16,9 +16,16 @@ by linear interpolation from zero to ``dt`` mapped through the blended
 rotation.  ``alpha = 0`` returns the opening keyframe's solution exactly;
 ``alpha = 1`` closes the far keyframe's constraint.
 
-The single-keyframe solutions and the gap are plain ``(rotation,
-translation)`` pairs of a :class:`Rotation` and a 3-vector; only the fused
-result is built as a :class:`Pose`.
+:func:`correct_segment` is the entry point: it corrects every full
+segment of a :class:`SegmentBatch`, usually all of a trajectory's, in one
+pass over (N, 4) quaternion and (N, 3) translation arrays, with the
+per-segment quantities (the inter-keyframe poses, ``s`` and the inverse)
+computed once per segment.  :func:`correct_segment_scalar` is the same
+correction for one segment, one frame at a time, on :class:`Pose` values;
+it is the reference that the tests compare the batched kernel against bit
+for bit.  Its single-keyframe
+solutions and gap are plain ``(rotation, translation)`` pairs of a
+:class:`Rotation` and a 3-vector.
 
 No divisions by per-axis components occur anywhere, which is what makes
 this correction immune to the axis-aligned singularities of element-wise
@@ -27,11 +34,23 @@ vector-space interpolation.
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 
-from .liegeom import Pose, Rotation, slerp
-from .trajectory import KeyframeUpdate, Segment, SegmentRecord
+from .liegeom import (
+    Pose,
+    Rotation,
+    pose_arrays,
+    pose_mul,
+    quat_inverse,
+    quat_mul,
+    quat_rotate,
+    slerp,
+    slerp_from_identity,
+    vec_norm,
+)
+from .trajectory import KeyframeUpdate, Segment, SegmentBatch, SegmentRecord, rel_pose_arrays
 
 DEGENERATE_BASELINE = 1e-9  # meters; below this the scale ratio is unusable
 
@@ -101,13 +120,6 @@ def _alpha(seg: Segment, j: int, rel_b: Pose, degenerate_baseline: bool) -> floa
     return timestamp_fraction(seg, j)
 
 
-def interp_factor(seg: Segment, j: int) -> float:
-    """Distance-ratio interpolation factor of relative frame ``j`` of a full
-    segment, with both distances taken from the pre-update geometry."""
-    t_ab = seg.kf_a.world_pose.inverse() * seg.kf_b.world_pose
-    return _alpha(seg, j, t_ab.inverse() * seg.rels[j].rel_pose, False)
-
-
 def fuse(
     sol_a: tuple[Rotation, np.ndarray], gap: tuple[Rotation, np.ndarray], alpha: float
 ) -> Pose:
@@ -120,24 +132,34 @@ def fuse(
     return Pose(rot, trans)
 
 
-def correct_segment(
+def _segment_setup(
+    upd_a: KeyframeUpdate, upd_b: KeyframeUpdate, scale_squared: bool
+) -> tuple[Pose, Pose, float, bool]:
+    """Per-segment quantities of the correction: the inverse of the old pose
+    of the closing keyframe relative to the opening one, the new such pose,
+    ``s`` and the degenerate-baseline flag."""
+    t_ab_old = upd_a.old_pose.inverse() * upd_b.old_pose
+    t_ab_new = upd_a.new_pose.inverse() * upd_b.new_pose
+    s, degenerate = scale_factor(t_ab_old.translation, t_ab_new.translation, scale_squared)
+    return t_ab_old.inverse(), t_ab_new, s, degenerate
+
+
+def correct_segment_scalar(
     seg: Segment,
     upd_a: KeyframeUpdate,
     upd_b: KeyframeUpdate,
     scale_squared: bool = False,
 ) -> tuple[list[Pose], SegmentRecord]:
-    """Correct every relative frame of a full segment.
+    """Correct every relative frame of a full segment, one frame at a time.
 
     Returns poses relative to the updated opening keyframe plus the
     segment's record: ``s``, the degenerate-baseline flag and the range of
-    ``alpha``.
+    ``alpha``.  This is the reference that :func:`correct_segment` is
+    tested against bit for bit.
     """
     if seg.terminal:
         raise ValueError("segment is terminal: it has no closing keyframe")
-    t_ab_old = upd_a.old_pose.inverse() * upd_b.old_pose
-    t_ab_new = upd_a.new_pose.inverse() * upd_b.new_pose
-    s, degenerate = scale_factor(t_ab_old.translation, t_ab_new.translation, scale_squared)
-    t_ab_old_inv = t_ab_old.inverse()
+    t_ab_old_inv, t_ab_new, s, degenerate = _segment_setup(upd_a, upd_b, scale_squared)
 
     corrected = []
     alphas = []
@@ -156,3 +178,80 @@ def correct_segment(
         alpha_min=min(alphas, default=math.nan),
         alpha_max=max(alphas, default=math.nan),
     )
+
+
+def correct_segment(
+    batch: SegmentBatch,
+    updates: Sequence[KeyframeUpdate],
+    scale_squared: bool = False,
+) -> tuple[np.ndarray, np.ndarray, list[SegmentRecord]]:
+    """Correct every relative frame of the full segments of ``batch`` in
+    one pass.
+
+    ``updates[i]`` is the update of keyframe ``i``.  Returns the corrected
+    poses of ``batch.rels`` relative to each segment's updated opening
+    keyframe as (N, 4) quaternions and (N, 3) translations, plus one record
+    per segment.  Each value is bitwise equal to
+    :func:`correct_segment_scalar` on the segment: the per-segment setup is
+    that function's, and the per-frame steps are the array twins of its
+    scalar operations.
+    """
+    segments = batch.segments
+    setups = []
+    for seg in segments:
+        if seg.terminal:
+            raise ValueError("segment is terminal: it has no closing keyframe")
+        setups.append(_segment_setup(updates[seg.index], updates[seg.index + 1], scale_squared))
+    inv_poses, new_poses, scales, degenerate = zip(*setups) if setups else ((), (), (), ())
+    counts = [len(seg.rels) for seg in segments]
+
+    def per_frame(values) -> np.ndarray:
+        return np.repeat(np.asarray(values), counts, axis=0)
+
+    q, t = rel_pose_arrays(segments)
+    q_b, t_b = pose_mul(*map(per_frame, pose_arrays(inv_poses)), q, t)  # rel_b_old
+    alpha = _alphas(
+        t,
+        t_b,
+        np.array([rel.id.stamp for rel in batch.rels]),
+        per_frame([seg.kf_a.id.stamp for seg in segments]),
+        per_frame([seg.kf_b.id.stamp - seg.kf_a.id.stamp for seg in segments]),
+        per_frame(np.array(degenerate, dtype=bool)),
+    )
+
+    # condition_from_kf, fusion_gap and fuse, row by row.
+    s = per_frame(np.array(scales, dtype=float))[:, None]
+    new_q, new_t = map(per_frame, pose_arrays(new_poses))
+    trans_a = s * t
+    rot_a_inv = quat_inverse(q)
+    drot = quat_mul(rot_a_inv, quat_mul(new_q, q_b))
+    dtrans = quat_rotate(rot_a_inv, new_t + quat_rotate(new_q, s * t_b) - trans_a)
+    rot = quat_mul(q, slerp_from_identity(drot, alpha))
+    trans = trans_a + alpha[:, None] * quat_rotate(rot, dtrans)
+
+    starts = np.cumsum(counts, dtype=int) - counts
+    filled = np.array(counts, dtype=int) > 0
+    lo = np.full(len(segments), math.nan)
+    hi = np.full(len(segments), math.nan)
+    if filled.any():
+        lo[filled] = np.minimum.reduceat(alpha, starts[filled])
+        hi[filled] = np.maximum.reduceat(alpha, starts[filled])
+    records = [
+        SegmentRecord(seg.index, s=s_seg, degenerate_baseline=flag, alpha_min=a_min, alpha_max=a_max)
+        for seg, s_seg, flag, a_min, a_max in zip(
+            segments, scales, degenerate, lo.tolist(), hi.tolist()
+        )
+    ]
+    return rot, trans, records
+
+
+def _alphas(t, t_b, stamps, t_a, span, degenerate) -> np.ndarray:
+    """:func:`_alpha` of every row: ``d_a / (d_a + d_b)`` from the relative
+    translations to the opening (``t``) and closing (``t_b``) keyframe, or
+    the timestamp fraction ``(stamps - t_a) / span`` on a degenerate
+    baseline or coincident geometry."""
+    alpha = (stamps - t_a) / span
+    d_a = vec_norm(t)
+    total = d_a + vec_norm(t_b)
+    np.divide(d_a, total, out=alpha, where=~degenerate & (total >= DEGENERATE_BASELINE))
+    return alpha

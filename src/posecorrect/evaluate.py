@@ -19,49 +19,20 @@ import numpy as np
 
 from . import baseline, correction
 from .baseline import RotSpace, TransSpace
-from .liegeom import Pose, rotation_angle_deg
+from .liegeom import Pose, pose_arrays, poses_from_arrays, rotation_angle_deg
 from .trajectory import (
     DEFAULT_ASSOC_TOL,
     FrameId,
     KeyframeUpdate,
     Segment,
+    SegmentBatch,
     SegmentRecord,
     Trajectory,
     associate,
     compose_world_poses,
+    rel_pose_arrays,
     snap_to_gt,
 )
-
-# Published reference results for one vehicle sequence (KITTI odometry 00,
-# ORB-SLAM2 front end) and per-correction timings (MATLAB, laptop-class
-# CPU), kept for documentation and order-of-magnitude comparison only:
-# they depend on external SLAM runs and specific hardware and are NOT
-# reproduction targets for this package.  Entries are
-# (mean, std, median); errors are per relative frame.  Rotation values are
-# plain degrees (the source table lists them scaled by 1e-1 deg).
-REFERENCE_KITTI00_TRANSLATION_CM = {
-    "no-correction": (2.034, 1.76, 1.425),
-    "xyz": (1.919, 3.91, 0.984),
-    "se3-v": (2.949, 9.84, 1.037),
-    "proposed": (0.947, 0.79, 0.698),
-}
-REFERENCE_KITTI00_ROTATION_DEG = {
-    "no-correction": (0.0618, 0.059, 0.0445),
-    "euler": (0.0891, 0.137, 0.0472),
-    "quat": (0.0954, 0.160, 0.0473),
-    "so3": (0.0955, 0.160, 0.0473),
-    "proposed": (0.0473, 0.035, 0.0378),
-}
-REFERENCE_TIMING_MS = {
-    "xyz": (0.340, 0.86, 0.170),
-    "se3-v": (0.698, 1.74, 0.313),
-    "proposed-translation": (0.356, 0.89, 0.135),
-    "euler": (1.781, 4.66, 0.702),
-    "quat": (2.205, 5.66, 0.944),
-    "so3": (0.689, 1.69, 0.318),
-    "proposed-rotation": (3.916, 9.87, 1.441),
-}
-
 
 @dataclass(frozen=True)
 class MethodConfig:
@@ -106,30 +77,39 @@ class TrajectoryDiagnostics:
         return sum(1 for rec in self.segments if rec.degenerate_baseline)
 
 
-# Kernel adapters: correct a full segment and return its poses plus its
-# SegmentRecord.  Kernels are looked up through their modules at call time,
-# so a patched module attribute takes effect.
+# Kernel adapters: correct the full segments of a trajectory, in order, and
+# return the poses of their relative frames relative to each updated opening
+# keyframe as (N, 4) quaternion and (N, 3) translation arrays, plus one
+# SegmentRecord per segment.  ``updates[i]`` is the update of keyframe i.
+# Kernels are looked up through their modules at call time, so a patched
+# module attribute takes effect.
 
 
-def _unchanged(seg: Segment, upd_a, upd_b, cfg: MethodConfig):
-    return [rel.rel_pose for rel in seg.rels], SegmentRecord(seg.index)
+def _unchanged(segments: Sequence[Segment], updates, cfg: MethodConfig):
+    return (*rel_pose_arrays(segments), [SegmentRecord(seg.index) for seg in segments])
 
 
-def _proposed(seg: Segment, upd_a, upd_b, cfg: MethodConfig):
-    return correction.correct_segment(seg, upd_a, upd_b, cfg.scale_squared)
+def _proposed(segments: Sequence[Segment], updates, cfg: MethodConfig):
+    return correction.correct_segment(SegmentBatch(segments), updates, cfg.scale_squared)
 
 
-def _interpolated(seg: Segment, upd_a, upd_b, cfg: MethodConfig):
+def _interpolated(segments: Sequence[Segment], updates, cfg: MethodConfig):
     ts, rs = cfg.spaces()
-    return baseline.interp_correct_segment(
-        seg, upd_a, upd_b, ts, rs, raw_division=cfg.raw_division
-    )
+    results = [
+        baseline.interp_correct_segment(
+            seg, updates[seg.index], updates[seg.index + 1], ts, rs,
+            raw_division=cfg.raw_division,
+        )
+        for seg in segments
+    ]
+    q, t = pose_arrays(pose for poses, _ in results for pose in poses)
+    return q, t, [record for _, record in results]
 
 
 class Method(NamedTuple):
     """A row of :data:`METHODS`; a ``None`` space is taken from the config."""
 
-    kernel: Callable[..., tuple[list[Pose], SegmentRecord]]
+    kernel: Callable[..., tuple[np.ndarray, np.ndarray, list[SegmentRecord]]]
     trans_space: Optional[TransSpace] = None
     rot_space: Optional[RotSpace] = None
     terminal_s: float = math.nan  # the s recorded for a terminal segment
@@ -161,7 +141,8 @@ def _correct_one_segment(
         # updated opening keyframe.
         record = SegmentRecord(seg.index, terminal=True, s=method.terminal_s)
         return [rel.rel_pose for rel in seg.rels], record
-    return method.kernel(seg, upd_a, upd_b, cfg)
+    q, t, (record,) = method.kernel([seg], {seg.index: upd_a, seg.index + 1: upd_b}, cfg)
+    return poses_from_arrays(q, t), record
 
 
 def correct_trajectory(
@@ -178,16 +159,18 @@ def correct_trajectory(
         raise ValueError(
             f"need one update per keyframe ({len(traj.keyframes)}), got {len(updates)}"
         )
-    results = [
-        _correct_one_segment(
-            seg, updates[seg.index], None if seg.terminal else updates[seg.index + 1], cfg
-        )
-        for seg in traj.segments
-    ]
+    # Only the last segment, which no keyframe closes, is terminal.
+    *full, last = traj.segments
+    q, t, records = METHODS[cfg.name].kernel(full, updates, cfg)
+    last_poses, last_record = _correct_one_segment(last, updates[last.index], None, cfg)
+    last_q, last_t = pose_arrays(last_poses)
     world = compose_world_poses(
-        traj, [upd.new_pose for upd in updates], (poses for poses, _ in results)
+        traj,
+        [upd.new_pose for upd in updates],
+        np.concatenate((q, last_q)),
+        np.concatenate((t, last_t)),
     )
-    return world, TrajectoryDiagnostics([record for _, record in results])
+    return world, TrajectoryDiagnostics(records + [last_record])
 
 
 # -- error metrics --------------------------------------------------------------

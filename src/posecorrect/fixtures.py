@@ -30,6 +30,7 @@ from .synth import (
     SceneSpec,
     SimilarityTransform,
     apply_similarity_update,
+    frame_grid,
     generate_scene,
     keyframe_positions,
     path_world_poses,
@@ -46,14 +47,6 @@ JITTER_ROT = 0.0014   # rad per axis: so(3) jitter of a relative frame
 JITTER_TRANS = 0.002  # m per axis: translation jitter of a relative frame
 
 
-def _frame_grid(n_keyframes: int, rels_per_segment: int) -> tuple[list[float], list[int]]:
-    dt = KEYFRAME_DT / (rels_per_segment + 1)
-    n_frames = n_keyframes + (n_keyframes - 1) * rels_per_segment
-    stamps = [i * dt for i in range(n_frames)]
-    kf_positions = [i * (rels_per_segment + 1) for i in range(n_keyframes)]
-    return stamps, kf_positions
-
-
 # -- singularity-contrast fixture ----------------------------------------------
 
 
@@ -68,7 +61,7 @@ def singular_fixture() -> tuple[Trajectory, list[tuple[FrameId, Pose]]]:
     alternate +-1 cm laterally) and a millimeter-scale y bump.  Rotations
     are identity so the axes stay uncoupled.
     """
-    stamps, kf_positions = _frame_grid(n_keyframes=11, rels_per_segment=9)
+    stamps, kf_positions = frame_grid(n_keyframes=11, rels_per_segment=9)
     speed = 1.2
     ax_est, ax_gt = 2e-4, 1e-2
     ay_est, ay_gt = 5e-4, 1.5e-3
@@ -143,7 +136,7 @@ def noisy_fixture(seed: int) -> tuple[Trajectory, list[tuple[FrameId, Pose]]]:
     output noise; the constraint-based correction has no such division.
     """
     rng = np.random.default_rng(seed)
-    stamps, kf_positions = _frame_grid(n_keyframes=11, rels_per_segment=9)
+    stamps, kf_positions = frame_grid(n_keyframes=11, rels_per_segment=9)
     t_total = stamps[-1]
     speed = 1.0
 

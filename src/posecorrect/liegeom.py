@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -33,7 +34,11 @@ _NLERP_DOT = 0.9995   # slerp falls back to normalized lerp above this dot
 
 
 def _vec3(v) -> np.ndarray:
-    out = np.array(v, dtype=float).reshape(3)
+    # Reshape only when needed, and then copy: a reshaped view would keep a
+    # second array object alive with every pose.
+    out = np.array(v, dtype=float)
+    if out.shape != (3,):
+        out = np.array(out.reshape(3))
     out.setflags(write=False)
     return out
 
@@ -100,6 +105,15 @@ class Rotation:
     def random(cls, rng: np.random.Generator) -> "Rotation":
         """Uniformly distributed rotation (normalized Gaussian quaternion)."""
         return cls(rng.normal(size=4))
+
+    @classmethod
+    def _from_canonical(cls, q: np.ndarray) -> "Rotation":
+        """Wrap a read-only row that is already unit and canonical, such as
+        a row of :func:`quat_normalize`.  ``Rotation(q)`` would normalize it
+        again, which can change its last bits."""
+        r = object.__new__(cls)
+        object.__setattr__(r, "_q", q)
+        return r
 
     # -- views -------------------------------------------------------------
 
@@ -355,6 +369,134 @@ def slerp(q0: Rotation, q1: Rotation, a: float) -> Rotation:
     theta = math.acos(min(1.0, dot))
     s = math.sin(theta)
     return Rotation((math.sin((1.0 - a) * theta) / s) * qa + (math.sin(a * theta) / s) * qb)
+
+
+# -- array forms ------------------------------------------------------------
+#
+# Row-wise twins of the scalar operations above on (N, 4) quaternion and
+# (N, 3) vector arrays.  Each performs the scalar form's IEEE operations in
+# the same order, using numpy only for + - * / and sqrt and ``math`` for
+# the trigonometry, so every result is bitwise equal to the scalar one.
+
+
+def quat_normalize(q: np.ndarray) -> np.ndarray:
+    """Array twin of ``Rotation(q)``: scale each row to unit norm, then pick
+    the ``w >= 0`` sheet; a half-turn (``w == 0``) takes the sheet whose
+    first nonzero of x, y, z is positive."""
+    w, x, y, z = q.T
+    q = q / np.sqrt(w * w + x * x + y * y + z * z)[..., None]
+    w, x, y, z = q.T
+    flip = (w < 0.0) | (
+        (w == 0.0) & ((x < 0.0) | ((x == 0.0) & ((y < 0.0) | ((y == 0.0) & (z < 0.0)))))
+    )
+    np.negative(q, out=q, where=flip[..., None])
+    return q
+
+
+def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Array twin of ``Rotation.__mul__`` (Hamilton product, normalized)."""
+    aw, ax, ay, az = a.T
+    bw, bx, by, bz = b.T
+    return quat_normalize(np.stack((
+        aw * bw - ax * bx - ay * by - az * bz,
+        aw * bx + ax * bw + ay * bz - az * by,
+        aw * by - ax * bz + ay * bw + az * bx,
+        aw * bz + ax * by - ay * bx + az * bw,
+    ), axis=-1))
+
+
+_CONJUGATE = np.array((1.0, -1.0, -1.0, -1.0))
+
+
+def quat_inverse(q: np.ndarray) -> np.ndarray:
+    """Array twin of ``Rotation.inverse``."""
+    return quat_normalize(q * _CONJUGATE)
+
+
+def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Array twin of ``Rotation.apply`` on one 3-vector per row."""
+    w, x, y, z = q.T
+    vx, vy, vz = v.T
+    ax = y * vz - z * vy + w * vx
+    ay = z * vx - x * vz + w * vy
+    az = x * vy - y * vx + w * vz
+    return np.stack((
+        vx + 2.0 * (y * az - z * ay),
+        vy + 2.0 * (z * ax - x * az),
+        vz + 2.0 * (x * ay - y * ax),
+    ), axis=-1)
+
+
+def pose_mul(qa: np.ndarray, ta: np.ndarray, qb: np.ndarray, tb: np.ndarray):
+    """Array twin of ``Pose.__mul__``: ``(qa, ta) * (qb, tb)`` per row,
+    returned as ``(quaternions, translations)``."""
+    return quat_mul(qa, qb), quat_rotate(qa, tb) + ta
+
+
+def vec_norm(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of an (N, 3) array, bitwise equal to
+    ``np.linalg.norm`` of the row: both take the dot product that numpy's
+    matrix product takes, where ``sqrt(x*x + y*y + z*z)`` can round
+    differently."""
+    return np.sqrt(np.matmul(v[:, None, :], v[:, :, None]))[:, 0, 0]
+
+
+_IDENTITY_QUAT = np.array((1.0, 0.0, 0.0, 0.0))
+
+
+def slerp_from_identity(q: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Array twin of ``slerp(Rotation.identity(), Rotation(q[i]), a[i])``.
+
+    Rows of ``q`` are canonical (``w >= 0``), so the dot with the identity
+    is ``w`` and the shortest-arc flip never applies.  ``a == 0`` yields
+    the identity and ``a == 1`` the row itself, exactly; a non-finite row
+    at an interior ``a`` raises ``ValueError``, as does ``a`` outside
+    [0, 1].
+    """
+    inside = (a >= 0.0) & (a <= 1.0)
+    if not inside.all():
+        bad = float(a[np.argmin(inside)])
+        raise ValueError(f"interpolation factor must be in [0, 1], got {bad}")
+    out = q.copy()
+    out[a == 0.0] = _IDENTITY_QUAT
+    mid = np.flatnonzero((a > 0.0) & (a < 1.0))
+    if mid.size == 0:
+        return out
+    qm, am = q[mid], a[mid]
+    if not np.isfinite(qm).all():
+        raise ValueError("slerp of a non-finite quaternion")
+    dot = qm[:, 0]
+    blend = np.empty_like(qm)
+    near = dot > _NLERP_DOT
+    blend[near] = _IDENTITY_QUAT + am[near, None] * (qm[near] - _IDENTITY_QUAT)
+    far = ~near
+    c0, c1 = [], []
+    for d, t in zip(dot[far].tolist(), am[far].tolist()):
+        theta = math.acos(min(1.0, d))
+        s = math.sin(theta)
+        c0.append(math.sin((1.0 - t) * theta) / s)
+        c1.append(math.sin(t * theta) / s)
+    # Computed in full: c0 * 0 + c1 * x can turn a -0.0 into 0.0, and the
+    # sign of a zero reaches the half-turn canonicalization.
+    blend[far] = np.array(c0)[:, None] * _IDENTITY_QUAT + np.array(c1)[:, None] * qm[far]
+    out[mid] = quat_normalize(blend)
+    return out
+
+
+def pose_arrays(poses: Iterable[Pose]) -> tuple[np.ndarray, np.ndarray]:
+    """The (N, 4) quaternions and (N, 3) translations of ``poses``."""
+    poses = list(poses)
+    q = np.array([p.rotation.quat for p in poses]).reshape(-1, 4)
+    t = np.array([p.translation for p in poses]).reshape(-1, 3)
+    return q, t
+
+
+def poses_from_arrays(q: np.ndarray, t: np.ndarray) -> list[Pose]:
+    """One :class:`Pose` per row of canonical quaternions ``q`` (from
+    :func:`quat_normalize`, kept bit for bit) and translations ``t``."""
+    q = np.array(q)
+    q.setflags(write=False)
+    return [Pose(Rotation._from_canonical(r), v) for r, v in zip(q, t)]
 
 
 def rotation_angle_deg(r1: Rotation, r2: Rotation) -> float:

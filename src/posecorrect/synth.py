@@ -287,13 +287,22 @@ def path_world_poses(spec: SceneSpec) -> list[tuple[FrameId, Pose]]:
         raise GenerationError(f"unknown path shape {spec.shape!r}; choose from {sorted(PATHS)}")
     rng = np.random.default_rng(spec.seed)
     pose_at = PATHS[spec.shape](spec, rng)
-    dt = KEYFRAME_DT / (spec.rels_per_segment + 1)
-    n_frames = spec.n_keyframes + (spec.n_keyframes - 1) * spec.rels_per_segment
-    return [(FrameId(i * dt, i), pose_at(i * dt)) for i in range(n_frames)]
+    stamps, _ = frame_grid(spec.n_keyframes, spec.rels_per_segment)
+    return [(FrameId(t, i), pose_at(t)) for i, t in enumerate(stamps)]
 
 
 def keyframe_positions(spec: SceneSpec) -> list[int]:
-    return [i * (spec.rels_per_segment + 1) for i in range(spec.n_keyframes)]
+    return frame_grid(spec.n_keyframes, spec.rels_per_segment)[1]
+
+
+def frame_grid(n_keyframes: int, rels_per_segment: int) -> tuple[list[float], list[int]]:
+    """Stamps of every frame, keyframes included, and the positions of the
+    keyframes among them: keyframes :data:`KEYFRAME_DT` apart with
+    ``rels_per_segment`` evenly spaced frames between each pair."""
+    dt = KEYFRAME_DT / (rels_per_segment + 1)
+    n_frames = n_keyframes + (n_keyframes - 1) * rels_per_segment
+    stamps = [i * dt for i in range(n_frames)]
+    return stamps, [i * (rels_per_segment + 1) for i in range(n_keyframes)]
 
 
 # -- scene generation ----------------------------------------------------------

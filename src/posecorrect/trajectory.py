@@ -11,11 +11,11 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .liegeom import Pose
+from .liegeom import Pose, pose_arrays, pose_mul, poses_from_arrays
 
 DEFAULT_ASSOC_TOL = 0.01  # seconds; nearest-timestamp association window
 
@@ -32,26 +32,26 @@ class AssociationError(ValueError):
         self.query = query
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class FrameId:
     stamp: float
     index: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Keyframe:
     id: FrameId
     world_pose: Pose
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RelativeFrame:
     id: FrameId
     parent: int          # keyframe index i
     rel_pose: Pose       # T_{kf_i, frame}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Segment:
     """Relative frames between keyframe ``kf_a`` and ``kf_b``.
 
@@ -67,6 +67,21 @@ class Segment:
     @property
     def terminal(self) -> bool:
         return self.kf_b is None
+
+
+@dataclass(frozen=True)
+class SegmentBatch:
+    """Segments corrected in one call; ``rels`` are their relative frames,
+    in segment order, as for a single :class:`Segment`."""
+
+    segments: tuple[Segment, ...]
+    rels: tuple[RelativeFrame, ...] = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "segments", tuple(self.segments))
+        object.__setattr__(
+            self, "rels", tuple(rel for seg in self.segments for rel in seg.rels)
+        )
 
 
 @dataclass
@@ -87,7 +102,7 @@ class SegmentRecord:
     quat_renorm_hits: int = 0   # renormalization moved the quaternion > 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KeyframeUpdate:
     index: int
     old_pose: Pose
@@ -187,28 +202,38 @@ def from_world_poses(
     return Trajectory(tuple(keyframes), tuple(relatives))
 
 
-def segment_world_poses(
-    seg: Segment, base: Pose, poses: Iterable[Pose]
-) -> Iterator[tuple[FrameId, Pose]]:
-    """World pose ``base * rel`` of each relative frame of ``seg``, where
-    ``base`` is the pose of the keyframe that opens it and ``rel`` the
-    frame's relative pose in ``poses`` (in segment order)."""
-    return ((rel.id, base * pose) for rel, pose in zip(seg.rels, poses))
+def rel_pose_arrays(segments: Sequence[Segment]) -> tuple[np.ndarray, np.ndarray]:
+    """Stored relative poses of ``segments`` as arrays, in segment order."""
+    return pose_arrays(rel.rel_pose for seg in segments for rel in seg.rels)
+
+
+def _compose_on_segments(
+    segments: Sequence[Segment], bases: Sequence[Pose], q: np.ndarray, t: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``bases[seg.index] * pose`` for the pose ``(q, t)`` of every relative
+    frame of ``segments`` (rows in segment order), as arrays."""
+    counts = [len(seg.rels) for seg in segments]
+    base_q, base_t = pose_arrays(bases[seg.index] for seg in segments)
+    return pose_mul(
+        np.repeat(base_q, counts, axis=0), np.repeat(base_t, counts, axis=0), q, t
+    )
 
 
 def compose_world_poses(
     traj: Trajectory,
     keyframe_poses: Sequence[Pose],
-    segment_poses: Iterable[Iterable[Pose]],
+    rel_q: np.ndarray,
+    rel_t: np.ndarray,
 ) -> list[tuple[FrameId, Pose]]:
     """World pose of every frame of ``traj``: keyframe ``i`` at
-    ``keyframe_poses[i]``, and the relative frames of each segment by
-    :func:`segment_world_poses` on its opening keyframe's pose and its
-    poses in ``segment_poses`` (one iterable per segment, in segment
-    order).  Ordered by timestamp."""
+    ``keyframe_poses[i]``, and each relative frame at its opening
+    keyframe's pose times its relative pose, row ``k`` of the (N, 4)
+    quaternions ``rel_q`` and (N, 3) translations ``rel_t`` for the
+    ``k``-th relative frame in segment order.  Ordered by timestamp."""
+    q, t = _compose_on_segments(traj.segments, keyframe_poses, rel_q, rel_t)
     out = [(kf.id, pose) for kf, pose in zip(traj.keyframes, keyframe_poses)]
-    for seg, poses in zip(traj.segments, segment_poses):
-        out.extend(segment_world_poses(seg, keyframe_poses[seg.index], poses))
+    ids = [rel.id for seg in traj.segments for rel in seg.rels]
+    out.extend(zip(ids, poses_from_arrays(q, t)))
     out.sort(key=lambda item: (item[0].stamp, item[0].index))
     return out
 
@@ -217,9 +242,7 @@ def world_poses(traj: Trajectory) -> list[tuple[FrameId, Pose]]:
     """World pose of every frame: keyframes pass through, relative frames
     compose ``kf.world_pose * rel_pose``.  Ordered by timestamp."""
     return compose_world_poses(
-        traj,
-        [kf.world_pose for kf in traj.keyframes],
-        ((rel.rel_pose for rel in seg.rels) for seg in traj.segments),
+        traj, [kf.world_pose for kf in traj.keyframes], *rel_pose_arrays(traj.segments)
     )
 
 
@@ -230,12 +253,16 @@ def rebase(traj: Trajectory, keyframe_poses: Sequence[Pose]) -> Trajectory:
     keyframes = [
         Keyframe(kf.id, pose) for kf, pose in zip(traj.keyframes, keyframe_poses, strict=True)
     ]
-    relatives = []
-    for seg in traj.segments:
-        base_inv = keyframe_poses[seg.index].inverse()
-        stored = (rel.rel_pose for rel in seg.rels)
-        for fid, world in segment_world_poses(seg, seg.kf_a.world_pose, stored):
-            relatives.append(RelativeFrame(fid, seg.index, base_inv * world))
+    segments = traj.segments
+    world = _compose_on_segments(
+        segments, [kf.world_pose for kf in traj.keyframes], *rel_pose_arrays(segments)
+    )
+    q, t = _compose_on_segments(segments, [pose.inverse() for pose in keyframe_poses], *world)
+    rels = [rel for seg in segments for rel in seg.rels]
+    relatives = [
+        RelativeFrame(rel.id, rel.parent, pose)
+        for rel, pose in zip(rels, poses_from_arrays(q, t))
+    ]
     return Trajectory(tuple(keyframes), tuple(relatives))
 
 

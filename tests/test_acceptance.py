@@ -18,7 +18,7 @@ from posecorrect import io as trajio
 from posecorrect.cli import main as cli_main
 from posecorrect.correction import (
     condition_from_kf,
-    correct_segment,
+    correct_segment_scalar,
     fuse,
     fusion_gap,
     scale_factor,
@@ -136,7 +136,7 @@ def test_criterion_3_boundary_consistency():
     )
     upd_a = KeyframeUpdate(0, kf_a_pose, Pose(Rotation.random(rng), rng.normal(size=3)))
     upd_b = KeyframeUpdate(1, kf_b_pose, Pose(Rotation.random(rng), rng.normal(size=3)))
-    out, diag = correct_segment(seg, upd_a, upd_b)
+    out, diag = correct_segment_scalar(seg, upd_a, upd_b)
     t_ab_old = upd_a.old_pose.inverse() * upd_b.old_pose
     t_ab_new = upd_a.new_pose.inverse() * upd_b.new_pose
     s, _ = scale_factor(t_ab_old.translation, t_ab_new.translation)
@@ -337,7 +337,7 @@ def test_criterion_8_timing_order_of_magnitude():
     seg, upd_a, upd_b = fixtures.bench_segment()
     assert len(seg.rels) == 3
     stats = bench(
-        lambda fx: correct_segment(fx[0], fx[1], fx[2]),
+        lambda fx: correct_segment_scalar(fx[0], fx[1], fx[2]),
         [(seg, upd_a, upd_b)],
         repetitions=400,
         warmup=50,

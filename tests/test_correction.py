@@ -1,6 +1,8 @@
 """Constraint-based correction: scale factor, condition solutions, the
-fusion gap, interpolation factor and full-segment correction."""
+fusion gap, interpolation factor, full-segment correction, and the batched
+kernel against the per-segment one, bit for bit."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,20 +12,29 @@ from posecorrect import fixtures
 from posecorrect.correction import (
     condition_from_kf,
     correct_segment,
+    correct_segment_scalar,
     fuse,
     fusion_gap,
-    interp_factor,
     scale_factor,
     timestamp_fraction,
 )
+from posecorrect.evaluate import MethodConfig, correct_trajectory
 from posecorrect.liegeom import Pose, Rotation, rotation_angle_deg, so3_exp
-from posecorrect.synth import SceneSpec, SimilarityTransform, generate_scene
+from posecorrect.synth import (
+    SceneSpec,
+    SimilarityTransform,
+    generate_scene,
+    keyframe_positions,
+    path_world_poses,
+)
 from posecorrect.trajectory import (
     FrameId,
     Keyframe,
     KeyframeUpdate,
     RelativeFrame,
     Segment,
+    SegmentBatch,
+    from_world_poses,
     snap_to_gt,
 )
 
@@ -158,33 +169,44 @@ class TestFusionGap:
         np.testing.assert_allclose(implied_rel_b.translation, trans_b, atol=1e-9)
 
 
+def recorded_alpha(seg):
+    """The alpha that the batched kernel records for a one-frame segment
+    under an identity update."""
+    updates = [
+        KeyframeUpdate(0, seg.kf_a.world_pose, seg.kf_a.world_pose),
+        KeyframeUpdate(1, seg.kf_b.world_pose, seg.kf_b.world_pose),
+    ]
+    _, _, (record,) = correct_segment(SegmentBatch([seg]), updates)
+    assert record.alpha_min == record.alpha_max
+    return record.alpha_min
+
+
 class TestInterpFactor:
     def test_frame_at_opening_keyframe_gives_zero(self):
         kf_a = Pose.identity()
         kf_b = Pose(Rotation.identity(), (0.0, 0.0, 1.0))
         seg = make_segment(kf_a, kf_b, [Pose.identity()])
-        assert interp_factor(seg, 0) == 0.0
+        assert recorded_alpha(seg) == 0.0
 
     def test_equidistant_frame_gives_half(self):
         kf_a = Pose.identity()
         kf_b = Pose(Rotation.identity(), (0.0, 0.0, 1.0))
         seg = make_segment(kf_a, kf_b, [Pose(Rotation.identity(), (0.0, 0.0, 0.5))])
-        assert abs(interp_factor(seg, 0) - 0.5) < 1e-12
+        assert abs(recorded_alpha(seg) - 0.5) < 1e-12
 
     def test_uniform_speed_line_matches_arc_length_fraction(self):
         kf_a = Pose.identity()
         kf_b = Pose(Rotation.identity(), (0.0, 0.0, 2.0))
         fracs = [0.1, 0.25, 0.4, 0.65, 0.9]
-        rels = [Pose(Rotation.identity(), (0.0, 0.0, 2.0 * f)) for f in fracs]
-        seg = make_segment(kf_a, kf_b, rels)
-        for j, f in enumerate(fracs):
-            assert abs(interp_factor(seg, j) - f) < 1e-12
+        for f in fracs:
+            seg = make_segment(kf_a, kf_b, [Pose(Rotation.identity(), (0.0, 0.0, 2.0 * f))])
+            assert abs(recorded_alpha(seg) - f) < 1e-12
 
     def test_coincident_geometry_falls_back_to_timestamps(self):
         kf_a = Pose.identity()
         seg = make_segment(kf_a, kf_a, [Pose.identity()], stamps=[0.25])
-        assert abs(interp_factor(seg, 0) - timestamp_fraction(seg, 0)) == 0.0
-        assert abs(interp_factor(seg, 0) - 0.25) < 1e-12
+        assert abs(recorded_alpha(seg) - timestamp_fraction(seg, 0)) == 0.0
+        assert abs(recorded_alpha(seg) - 0.25) < 1e-12
 
 
 class TestCorrectSegment:
@@ -195,7 +217,7 @@ class TestCorrectSegment:
             kf_b = Pose(Rotation.random(rng), kf_a.translation + rng.normal(size=3))
             rels = [Pose(Rotation.random(rng), rng.uniform(-1, 1, 3)) for _ in range(4)]
             seg = make_segment(kf_a, kf_b, rels)
-            out, diag = correct_segment(
+            out, diag = correct_segment_scalar(
                 seg, KeyframeUpdate(0, kf_a, kf_a), KeyframeUpdate(1, kf_b, kf_b)
             )
             for got, rel in zip(out, rels):
@@ -211,7 +233,7 @@ class TestCorrectSegment:
         seg = make_segment(kf_a, kf_b, [rel])
         upd_a = KeyframeUpdate(0, kf_a, Pose(Rotation.random(rng), rng.normal(size=3)))
         upd_b = KeyframeUpdate(1, kf_b, Pose(Rotation.random(rng), rng.normal(size=3)))
-        out, diag = correct_segment(seg, upd_a, upd_b)
+        out, diag = correct_segment_scalar(seg, upd_a, upd_b)
         t_ab_old = upd_a.old_pose.inverse() * upd_b.old_pose
         t_ab_new = upd_a.new_pose.inverse() * upd_b.new_pose
         s, _ = scale_factor(t_ab_old.translation, t_ab_new.translation)
@@ -230,7 +252,7 @@ class TestCorrectSegment:
         for seg in traj.segments:
             if seg.terminal:
                 continue
-            out, _ = correct_segment(seg, updates[seg.index], updates[seg.index + 1])
+            out, _ = correct_segment_scalar(seg, updates[seg.index], updates[seg.index + 1])
             base = updates[seg.index].new_pose
             for rel, pose in zip(seg.rels, out):
                 world = base * pose
@@ -248,7 +270,7 @@ class TestCorrectSegment:
         traj = scene.trajectory
         updates = snap_to_gt(traj, target)
         seg = traj.segments[0]
-        out, _ = correct_segment(seg, updates[0], updates[1], scale_squared=True)
+        out, _ = correct_segment_scalar(seg, updates[0], updates[1], scale_squared=True)
         base = updates[0].new_pose
         target_map = dict(target)
         worst = max(
@@ -264,7 +286,7 @@ class TestCorrectSegment:
         seg = make_segment(kf_pose, kf_pose, rels)
         upd_a = KeyframeUpdate(0, kf_pose, Pose(Rotation.random(rng), kf_pose.translation))
         upd_b = KeyframeUpdate(1, kf_pose, upd_a.new_pose)
-        out, diag = correct_segment(seg, upd_a, upd_b)
+        out, diag = correct_segment_scalar(seg, upd_a, upd_b)
         assert diag.degenerate_baseline
         for pose in out:
             assert np.all(np.isfinite(pose.translation))
@@ -278,7 +300,7 @@ class TestCorrectSegment:
         seg = Segment(index=0, kf_a=kf_a, kf_b=None, rels=())
         upd = KeyframeUpdate(0, Pose.identity(), Pose.identity())
         with pytest.raises(ValueError, match="terminal"):
-            correct_segment(seg, upd, upd)
+            correct_segment_scalar(seg, upd, upd)
 
     def test_latency_same_order_as_reference(self):
         # Reference medians are ~0.1-1.5 ms per correction on laptop-class
@@ -286,10 +308,125 @@ class TestCorrectSegment:
         import time
 
         seg, upd_a, upd_b = fixtures.bench_segment()
-        correct_segment(seg, upd_a, upd_b)  # warm
+        correct_segment_scalar(seg, upd_a, upd_b)  # warm
         times = []
         for _ in range(50):
             t0 = time.perf_counter()
-            correct_segment(seg, upd_a, upd_b)
+            correct_segment_scalar(seg, upd_a, upd_b)
             times.append(time.perf_counter() - t0)
         assert np.median(times) < 10e-3
+
+
+# -- the batched kernel against the scalar reference, bit for bit ----------------
+
+
+def same_bits(a, b) -> bool:
+    """Equal bit patterns, so -0.0 differs from 0.0 and NaN equals NaN."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def record_bits(record) -> str:
+    return repr(dataclasses.astuple(record))
+
+
+def assert_batch_equals_scalar(traj, updates):
+    """``correct_segment`` on the full segments, and the world poses and
+    records of ``correct_trajectory``, bitwise against ``correct_segment_scalar``
+    per segment composed with ``Pose.__mul__``; the terminal segment's
+    frames ride along with its opening keyframe."""
+    *full, last = traj.segments
+    q, t, records = correct_segment(SegmentBatch(full), updates)
+    world, diagnostics = correct_trajectory(traj, updates, MethodConfig("proposed"))
+    world = dict(world)
+    assert [record_bits(r) for r in diagnostics.segments[:-1]] == list(map(record_bits, records))
+    k = 0
+    for seg, record in zip(full, records):
+        poses, want = correct_segment_scalar(seg, updates[seg.index], updates[seg.index + 1])
+        assert record_bits(record) == record_bits(want)
+        base = updates[seg.index].new_pose
+        for rel, pose in zip(seg.rels, poses):
+            assert same_bits(q[k], pose.rotation.quat) and same_bits(t[k], pose.translation)
+            expected = base * pose
+            assert same_bits(world[rel.id].rotation.quat, expected.rotation.quat)
+            assert same_bits(world[rel.id].translation, expected.translation)
+            k += 1
+    assert k == len(q) == len(t)
+    assert diagnostics.segments[-1].terminal
+    for rel in last.rels:
+        expected = updates[last.index].new_pose * rel.rel_pose
+        assert same_bits(world[rel.id].rotation.quat, expected.rotation.quat)
+        assert same_bits(world[rel.id].translation, expected.translation)
+
+
+def perturbed_updates(traj, seed, rot=0.05, trans=0.02):
+    """Per-keyframe SE(3) perturbations of the stored keyframe poses."""
+    rng = np.random.default_rng(seed)
+    return [
+        KeyframeUpdate(
+            i,
+            kf.world_pose,
+            Pose(so3_exp(rng.normal(0.0, rot, 3)), rng.normal(0.0, trans, 3)) * kf.world_pose,
+        )
+        for i, kf in enumerate(traj.keyframes)
+    ]
+
+
+class TestBatchedKernel:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_noisy_fixtures(self, seed):
+        traj, gt = fixtures.noisy_fixture(seed)
+        assert_batch_equals_scalar(traj, snap_to_gt(traj, gt))
+
+    def test_singular_fixture(self):
+        traj, gt = fixtures.singular_fixture()
+        assert_batch_equals_scalar(traj, snap_to_gt(traj, gt))
+
+    @pytest.mark.parametrize("case", range(3))
+    def test_similarity_cases(self, case):
+        scene, update, _ = fixtures.similarity_case(case)
+        assert_batch_equals_scalar(scene.trajectory, update.keyframe_updates)
+
+    def test_perturbed_mav_path_reaches_slerp_branch(self):
+        spec = SceneSpec(shape="mav", n_keyframes=40, rels_per_segment=9, seed=31)
+        traj = from_world_poses(path_world_poses(spec), keyframe_positions(spec))
+        updates = perturbed_updates(traj, seed=32)
+        # Gaps whose rotation is too large for the nlerp branch.
+        slerped = 0
+        for seg in traj.segments[:-1]:
+            upd_a, upd_b = updates[seg.index], updates[seg.index + 1]
+            t_ab_old = upd_a.old_pose.inverse() * upd_b.old_pose
+            t_ab_new = upd_a.new_pose.inverse() * upd_b.new_pose
+            s, _ = scale_factor(t_ab_old.translation, t_ab_new.translation)
+            for rel in seg.rels:
+                sol_b = condition_from_kf(t_ab_old.inverse() * rel.rel_pose, s)
+                drot, _ = fusion_gap(condition_from_kf(rel.rel_pose, s), sol_b, t_ab_new)
+                slerped += drot.quat[0] <= 0.9995
+        assert slerped > 100
+        assert_batch_equals_scalar(traj, updates)
+
+    def test_degenerate_empty_and_terminal_segments(self):
+        # Keyframes at positions 0, 3, 4 and 7 of 10 frames: segment 0 has a
+        # zero baseline (frame 3 sits where frame 0 is), segment 1 has no
+        # frames and segment 3 is terminal with two.
+        rng = np.random.default_rng(33)
+        frames = [
+            (FrameId(0.1 * j, j), Pose(Rotation.random(rng), rng.normal(size=3)))
+            for j in range(10)
+        ]
+        frames[3] = (frames[3][0], Pose(Rotation.random(rng), frames[0][1].translation))
+        traj = from_world_poses(frames, [0, 3, 4, 7])
+        assert [len(seg.rels) for seg in traj.segments] == [2, 0, 2, 2]
+        updates = perturbed_updates(traj, seed=34)
+        *_, records = correct_segment(SegmentBatch(traj.segments[:-1]), updates)
+        assert records[0].degenerate_baseline and records[0].s == 1.0
+        assert records[0].alpha_min == timestamp_fraction(traj.segments[0], 0)
+        assert math.isnan(records[1].alpha_min) and math.isnan(records[1].alpha_max)
+        assert_batch_equals_scalar(traj, updates)
+
+    def test_terminal_segment_rejected(self):
+        kf_a = Keyframe(FrameId(0.0, 0), Pose.identity())
+        seg = Segment(index=0, kf_a=kf_a, kf_b=None, rels=())
+        upd = KeyframeUpdate(0, Pose.identity(), Pose.identity())
+        with pytest.raises(ValueError, match="terminal"):
+            correct_segment(SegmentBatch([seg]), [upd])

@@ -21,6 +21,7 @@ from posecorrect.evaluate import (
     write_diagnostics_csv,
     write_report_csv,
 )
+from posecorrect.correction import correct_segment_scalar
 from posecorrect.liegeom import Pose, Rotation, rotation_angle_deg, so3_exp
 from posecorrect.trajectory import (
     FrameId,
@@ -28,6 +29,7 @@ from posecorrect.trajectory import (
     SegmentRecord,
     from_world_poses,
     identity_updates,
+    snap_to_gt,
     world_poses,
 )
 
@@ -146,6 +148,27 @@ class TestDriver:
             for pose, rel in zip(poses, terminal.rels, strict=True):
                 assert pose is rel.rel_pose
 
+    def test_world_poses_equal_scalar_composition_bitwise(self):
+        # One array pass composes every method's world poses; each must be
+        # the scalar product of the updated opening keyframe and the pose
+        # the scalar kernel gives, to the last bit.
+        traj, gt = fixtures.noisy_fixture(1)
+        updates = snap_to_gt(traj, gt)
+        for name in METHODS:
+            cfg = MethodConfig(name)
+            world, _ = correct_trajectory(traj, updates, cfg)
+            got = dict(world)
+            for seg in traj.segments[:-1]:
+                upd_a, upd_b = updates[seg.index], updates[seg.index + 1]
+                if name == "proposed":
+                    poses, _ = correct_segment_scalar(seg, upd_a, upd_b)
+                else:
+                    poses, _ = _correct_one_segment(seg, upd_a, upd_b, cfg)
+                for rel, pose in zip(seg.rels, poses, strict=True):
+                    want = upd_a.new_pose * pose
+                    assert got[rel.id].rotation.quat.tobytes() == want.rotation.quat.tobytes()
+                    assert got[rel.id].translation.tobytes() == want.translation.tobytes()
+
     def test_records_numbered_by_segment(self):
         # Each kernel fills in its segment's number; only the record of the
         # terminal segment (here with two frames) is marked terminal.
@@ -227,11 +250,11 @@ class TestRunProtocol:
 
 class TestBench:
     def test_small_fixture_timing_stats(self):
-        from posecorrect.correction import correct_segment
+        from posecorrect.correction import correct_segment_scalar
 
         seg, upd_a, upd_b = fixtures.bench_segment()
         stats = bench(
-            lambda fx: correct_segment(fx[0], fx[1], fx[2]),
+            lambda fx: correct_segment_scalar(fx[0], fx[1], fx[2]),
             [(seg, upd_a, upd_b)],
             repetitions=50,
             warmup=5,

@@ -15,12 +15,21 @@ from posecorrect.liegeom import (
     euler_zyx_from,
     euler_zyx_to,
     gimbal_proximity,
+    pose_arrays,
+    pose_mul,
+    poses_from_arrays,
+    quat_inverse,
+    quat_mul,
+    quat_normalize,
+    quat_rotate,
     rotation_angle_deg,
     se3_exp,
     se3_log,
     slerp,
+    slerp_from_identity,
     so3_exp,
     so3_log,
+    vec_norm,
 )
 
 
@@ -342,3 +351,106 @@ class TestRotationAngle:
         for _ in range(300):
             a, b = Rotation.random(rng), Rotation.random(rng)
             assert abs(rotation_angle_deg(a, b) - _trace_angle_deg(a, b)) < 1e-7
+
+
+# -- array forms against the scalar operations, bit for bit ----------------------
+
+
+@st.composite
+def raw_quaternions(draw):
+    """An unnormalized quaternion: random, an exact half-turn (w = +-0 with
+    negative or zero vector components), the identity, or a rotation close
+    enough to the identity for slerp's nlerp branch."""
+    kind = draw(st.sampled_from(("random", "half-turn", "identity", "near-identity")))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31 - 1)))
+    if kind == "random":
+        return rng.normal(size=4)
+    if kind == "half-turn":
+        v = rng.normal(size=3)
+        v[rng.random(3) < 0.4] = 0.0
+        v[rng.integers(3)] = -abs(rng.normal()) - 0.1
+        return np.array([draw(st.sampled_from((0.0, -0.0))), *v])
+    if kind == "identity":
+        return np.array([1.0, 0.0, 0.0, 0.0])
+    return so3_exp(rng.normal(0.0, 0.01, size=3)).quat * rng.uniform(0.5, 2.0)
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal bit patterns, so -0.0 differs from 0.0."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+batches = st.lists(raw_quaternions(), min_size=1, max_size=6)
+factors = st.one_of(st.sampled_from((0.0, 1.0)), st.floats(min_value=0.0, max_value=1.0))
+
+
+class TestArrayForms:
+    @settings(max_examples=200)
+    @given(batches)
+    def test_normalize_matches_rotation_constructor(self, rows):
+        got = quat_normalize(np.array(rows))
+        for row, raw in zip(got, rows):
+            assert same_bits(row, Rotation(tuple(raw)).quat)
+
+    @settings(max_examples=200)
+    @given(st.lists(st.tuples(raw_quaternions(), raw_quaternions()), min_size=1, max_size=6))
+    def test_product_and_inverse_match(self, pairs):
+        a = [Rotation(tuple(qa)) for qa, _ in pairs]
+        b = [Rotation(tuple(qb)) for _, qb in pairs]
+        qa = np.array([r.quat for r in a])
+        qb = np.array([r.quat for r in b])
+        for row, ra, rb in zip(quat_mul(qa, qb), a, b):
+            assert same_bits(row, (ra * rb).quat)
+        for row, ra in zip(quat_inverse(qa), a):
+            assert same_bits(row, ra.inverse().quat)
+
+    @settings(max_examples=200)
+    @given(batches, st.integers(min_value=0, max_value=2**31 - 1))
+    def test_rotate_and_pose_product_match(self, rows, seed):
+        rng = np.random.default_rng(seed)
+        a = [Pose(Rotation(tuple(q)), rng.uniform(-10.0, 10.0, 3)) for q in rows]
+        b = [Pose(Rotation.random(rng), rng.uniform(-10.0, 10.0, 3)) for _ in rows]
+        qa, ta = pose_arrays(a)
+        qb, tb = pose_arrays(b)
+        for row, pa, pb in zip(quat_rotate(qa, tb), a, b):
+            assert same_bits(row, pa.rotation.apply(pb.translation))
+        q, t = pose_mul(qa, ta, qb, tb)
+        for got, pa, pb in zip(poses_from_arrays(q, t), a, b):
+            want = pa * pb
+            assert same_bits(got.rotation.quat, want.rotation.quat)
+            assert same_bits(got.translation, want.translation)
+        for n, v in zip(vec_norm(tb), tb):
+            assert same_bits(n, np.float64(np.linalg.norm(v)))
+
+    @settings(max_examples=300)
+    @given(st.lists(st.tuples(raw_quaternions(), factors), min_size=1, max_size=6))
+    def test_slerp_from_identity_matches(self, pairs):
+        rots = [Rotation(tuple(q)) for q, _ in pairs]
+        alphas = np.array([a for _, a in pairs])
+        got = slerp_from_identity(np.array([r.quat for r in rots]), alphas)
+        for row, r, a in zip(got, rots, alphas.tolist()):
+            assert same_bits(row, slerp(Rotation.identity(), r, a).quat)
+
+    def test_slerp_branches_reached(self):
+        # The cases the property test draws cover both interior branches.
+        near = so3_exp((0.01, 0.0, 0.0)).quat
+        far = so3_exp((1.0, 0.0, 0.0)).quat
+        assert near[0] > 0.9995 > far[0]
+        got = slerp_from_identity(np.array([near, far]), np.array([0.5, 0.5]))
+        for row, q in zip(got, (near, far)):
+            assert same_bits(row, slerp(Rotation.identity(), Rotation(q), 0.5).quat)
+
+    @pytest.mark.parametrize("wxyz", [(math.nan, 0.0, 0.0, 0.0), (1.0, math.inf, 0.0, 0.0)])
+    def test_non_finite_quaternion_rejected(self, wxyz):
+        q = np.array([Rotation.identity().quat, Rotation(wxyz).quat])
+        with pytest.raises(ValueError, match="non-finite"):
+            slerp_from_identity(q, np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match="non-finite"):
+            slerp(Rotation.identity(), Rotation(wxyz), 0.5)
+        # At the endpoints no dot product is taken, in either form.
+        ends = slerp_from_identity(q, np.array([0.0, 1.0]))
+        assert same_bits(ends[1], Rotation(wxyz).quat)
+
+    def test_out_of_range_factor_rejected(self):
+        with pytest.raises(ValueError, match="interpolation factor"):
+            slerp_from_identity(np.array([random_rotation(0).quat]), np.array([1.5]))

@@ -199,6 +199,26 @@ class TestRebase:
             assert np.linalg.norm(got.translation - want.translation) < 1e-9
             assert rotation_angle_deg(got.rotation, want.rotation) < 1e-9
 
+    def test_array_composition_equals_scalar_bitwise(self):
+        # world_poses and rebase compose on arrays; each pose must be the
+        # scalar Pose product to the last bit, terminal frames included.
+        rng = np.random.default_rng(7)
+        frames = [
+            (FrameId(i * 0.25, i), Pose(Rotation.random(rng), rng.normal(size=3)))
+            for i in range(12)
+        ]
+        traj = from_world_poses(frames, [0, 4, 5, 9])  # an empty segment, a terminal one
+        poses = [Pose(Rotation.random(rng), rng.normal(size=3)) for _ in traj.keyframes]
+        world = dict(world_poses(traj))
+        rebased = {r.id: r.rel_pose for r in rebase(traj, poses).relatives}
+        for r in traj.relatives:
+            want = traj.keyframes[r.parent].world_pose * r.rel_pose
+            assert world[r.id].rotation.quat.tobytes() == want.rotation.quat.tobytes()
+            assert world[r.id].translation.tobytes() == want.translation.tobytes()
+            want = poses[r.parent].inverse() * want
+            assert rebased[r.id].rotation.quat.tobytes() == want.rotation.quat.tobytes()
+            assert rebased[r.id].translation.tobytes() == want.translation.tobytes()
+
     def test_pose_count_mismatch_rejected(self):
         traj = Trajectory((kf(0, 0.0), kf(2, 1.0)), (rel(1, 0.5, 0),))
         for poses in ([Pose.identity()], [Pose.identity()] * 3):
