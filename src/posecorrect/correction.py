@@ -34,7 +34,7 @@ vector-space interpolation.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,6 +42,7 @@ from .liegeom import (
     Pose,
     Rotation,
     pose_arrays,
+    pose_inverse,
     pose_mul,
     quat_inverse,
     quat_mul,
@@ -50,7 +51,14 @@ from .liegeom import (
     slerp_from_identity,
     vec_norm,
 )
-from .trajectory import KeyframeUpdate, Segment, SegmentBatch, SegmentRecord, rel_pose_arrays
+from .trajectory import (
+    KeyframeUpdate,
+    Segment,
+    SegmentBatch,
+    SegmentRecord,
+    rel_pose_arrays,
+    segment_reduce,
+)
 
 DEGENERATE_BASELINE = 1e-9  # meters; below this the scale ratio is unusable
 
@@ -180,6 +188,53 @@ def correct_segment_scalar(
     )
 
 
+class KeyframePairs(NamedTuple):
+    """Per-segment quantities that the batched kernels share, one row per
+    segment: the old pose of the closing keyframe relative to the opening
+    one (``t_ab_old``) and its inverse, the new such pose (``t_ab_new``)
+    as quaternion and translation arrays, and ``s`` with its
+    degenerate-baseline flag."""
+
+    old_q: np.ndarray
+    old_t: np.ndarray
+    old_inv_q: np.ndarray
+    old_inv_t: np.ndarray
+    new_q: np.ndarray
+    new_t: np.ndarray
+    s: np.ndarray
+    degenerate: np.ndarray
+
+
+def keyframe_pairs(
+    segments: Sequence[Segment],
+    updates: Sequence[KeyframeUpdate],
+    scale_squared: bool = False,
+) -> KeyframePairs:
+    """:func:`_segment_setup` of every full segment at once, on arrays and
+    bitwise equal to it; ``updates[i]`` is the update of keyframe ``i``."""
+    for seg in segments:
+        if seg.terminal:
+            raise ValueError("segment is terminal: it has no closing keyframe")
+
+    def between(attr: str):
+        q_a, t_a = pose_arrays(getattr(updates[seg.index], attr) for seg in segments)
+        q_b, t_b = pose_arrays(getattr(updates[seg.index + 1], attr) for seg in segments)
+        return pose_mul(*pose_inverse(q_a, t_a), q_b, t_b)
+
+    old_q, old_t = between("old_pose")
+    new_q, new_t = between("new_pose")
+    n_old, n_new = vec_norm(old_t), vec_norm(new_t)
+    degenerate = (n_old < DEGENERATE_BASELINE) | (n_new < DEGENERATE_BASELINE)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = n_new / n_old
+    if scale_squared:
+        s = s * s
+    s[degenerate] = 1.0
+    return KeyframePairs(
+        old_q, old_t, *pose_inverse(old_q, old_t), new_q, new_t, s, degenerate
+    )
+
+
 def correct_segment(
     batch: SegmentBatch,
     updates: Sequence[KeyframeUpdate],
@@ -193,35 +248,30 @@ def correct_segment(
     keyframe as (N, 4) quaternions and (N, 3) translations, plus one record
     per segment.  Each value is bitwise equal to
     :func:`correct_segment_scalar` on the segment: the per-segment setup is
-    that function's, and the per-frame steps are the array twins of its
-    scalar operations.
+    :func:`keyframe_pairs`, and the per-frame steps are the array twins of
+    its scalar operations.
     """
     segments = batch.segments
-    setups = []
-    for seg in segments:
-        if seg.terminal:
-            raise ValueError("segment is terminal: it has no closing keyframe")
-        setups.append(_segment_setup(updates[seg.index], updates[seg.index + 1], scale_squared))
-    inv_poses, new_poses, scales, degenerate = zip(*setups) if setups else ((), (), (), ())
+    pairs = keyframe_pairs(segments, updates, scale_squared)
     counts = [len(seg.rels) for seg in segments]
 
     def per_frame(values) -> np.ndarray:
-        return np.repeat(np.asarray(values), counts, axis=0)
+        return np.repeat(values, counts, axis=0)
 
     q, t = rel_pose_arrays(segments)
-    q_b, t_b = pose_mul(*map(per_frame, pose_arrays(inv_poses)), q, t)  # rel_b_old
+    q_b, t_b = pose_mul(per_frame(pairs.old_inv_q), per_frame(pairs.old_inv_t), q, t)  # rel_b_old
     alpha = _alphas(
         t,
         t_b,
         np.array([rel.id.stamp for rel in batch.rels]),
         per_frame([seg.kf_a.id.stamp for seg in segments]),
         per_frame([seg.kf_b.id.stamp - seg.kf_a.id.stamp for seg in segments]),
-        per_frame(np.array(degenerate, dtype=bool)),
+        per_frame(pairs.degenerate),
     )
 
     # condition_from_kf, fusion_gap and fuse, row by row.
-    s = per_frame(np.array(scales, dtype=float))[:, None]
-    new_q, new_t = map(per_frame, pose_arrays(new_poses))
+    s = per_frame(pairs.s)[:, None]
+    new_q, new_t = per_frame(pairs.new_q), per_frame(pairs.new_t)
     trans_a = s * t
     rot_a_inv = quat_inverse(q)
     drot = quat_mul(rot_a_inv, quat_mul(new_q, q_b))
@@ -229,17 +279,14 @@ def correct_segment(
     rot = quat_mul(q, slerp_from_identity(drot, alpha))
     trans = trans_a + alpha[:, None] * quat_rotate(rot, dtrans)
 
-    starts = np.cumsum(counts, dtype=int) - counts
-    filled = np.array(counts, dtype=int) > 0
-    lo = np.full(len(segments), math.nan)
-    hi = np.full(len(segments), math.nan)
-    if filled.any():
-        lo[filled] = np.minimum.reduceat(alpha, starts[filled])
-        hi[filled] = np.maximum.reduceat(alpha, starts[filled])
     records = [
         SegmentRecord(seg.index, s=s_seg, degenerate_baseline=flag, alpha_min=a_min, alpha_max=a_max)
         for seg, s_seg, flag, a_min, a_max in zip(
-            segments, scales, degenerate, lo.tolist(), hi.tolist()
+            segments,
+            pairs.s.tolist(),
+            pairs.degenerate.tolist(),
+            segment_reduce(np.minimum, alpha, counts, math.nan).tolist(),
+            segment_reduce(np.maximum, alpha, counts, math.nan).tolist(),
         )
     ]
     return rot, trans, records

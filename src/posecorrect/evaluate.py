@@ -10,6 +10,7 @@ convention with the sample (n-1) standard deviation.
 from __future__ import annotations
 
 import csv
+import logging
 import math
 import time
 from dataclasses import dataclass, field, fields
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import baseline, correction
 from .baseline import RotSpace, TransSpace
-from .liegeom import Pose, pose_arrays, poses_from_arrays, rotation_angle_deg
+from .liegeom import Pose, pose_arrays, poses_from_arrays, rotation_angles_deg, vec_norm
 from .trajectory import (
     DEFAULT_ASSOC_TOL,
     FrameId,
@@ -33,6 +34,9 @@ from .trajectory import (
     rel_pose_arrays,
     snap_to_gt,
 )
+
+log = logging.getLogger("posecorrect.evaluate")
+
 
 @dataclass(frozen=True)
 class MethodConfig:
@@ -95,15 +99,9 @@ def _proposed(segments: Sequence[Segment], updates, cfg: MethodConfig):
 
 def _interpolated(segments: Sequence[Segment], updates, cfg: MethodConfig):
     ts, rs = cfg.spaces()
-    results = [
-        baseline.interp_correct_segment(
-            seg, updates[seg.index], updates[seg.index + 1], ts, rs,
-            raw_division=cfg.raw_division,
-        )
-        for seg in segments
-    ]
-    q, t = pose_arrays(pose for poses, _ in results for pose in poses)
-    return q, t, [record for _, record in results]
+    return baseline.interp_correct_segment(
+        SegmentBatch(segments), updates, ts, rs, raw_division=cfg.raw_division
+    )
 
 
 class Method(NamedTuple):
@@ -162,6 +160,11 @@ def correct_trajectory(
     # Only the last segment, which no keyframe closes, is terminal.
     *full, last = traj.segments
     q, t, records = METHODS[cfg.name].kernel(full, updates, cfg)
+    not_finite = int(np.count_nonzero(~np.isfinite(np.hstack((q, t))).all(axis=1)))
+    if not_finite:
+        log.warning(
+            "method %s: %d of %d corrected frames are not finite", cfg.name, not_finite, len(q)
+        )
     last_poses, last_record = _correct_one_segment(last, updates[last.index], None, cfg)
     last_q, last_t = pose_arrays(last_poses)
     world = compose_world_poses(
@@ -210,12 +213,16 @@ def frame_errors(
     """Per-frame translation (cm) and rotation (deg) errors against the
     nearest-timestamp ground-truth association."""
     matches = associate([fid.stamp for fid, _ in est], gt, tol)
-    out = []
-    for (fid, pose), (_, ref) in zip(est, matches):
-        t_err = float(np.linalg.norm(pose.translation - ref.translation)) * 100.0
-        r_err = rotation_angle_deg(pose.rotation, ref.rotation)
-        out.append(FrameError(fid, t_err, r_err))
-    return out
+    q, t = pose_arrays(pose for _, pose in est)
+    ref_q, ref_t = pose_arrays(ref for _, ref in matches)
+    return [
+        FrameError(fid, t_err, r_err)
+        for (fid, _), t_err, r_err in zip(
+            est,
+            (vec_norm(t - ref_t) * 100.0).tolist(),
+            rotation_angles_deg(q, ref_q).tolist(),
+        )
+    ]
 
 
 @dataclass(frozen=True)

@@ -433,12 +433,143 @@ def pose_mul(qa: np.ndarray, ta: np.ndarray, qb: np.ndarray, tb: np.ndarray):
     return quat_mul(qa, qb), quat_rotate(qa, tb) + ta
 
 
+def pose_inverse(q: np.ndarray, t: np.ndarray):
+    """Array twin of ``Pose.inverse``, returned as ``(quaternions,
+    translations)``."""
+    q_inv = quat_inverse(q)
+    return q_inv, -quat_rotate(q_inv, t)
+
+
 def vec_norm(v: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of an (N, 3) array, bitwise equal to
+    """Euclidean norm of each row of an (N, k) array, bitwise equal to
     ``np.linalg.norm`` of the row: both take the dot product that numpy's
     matrix product takes, where ``sqrt(x*x + y*y + z*z)`` can round
     differently."""
     return np.sqrt(np.matmul(v[:, None, :], v[:, :, None]))[:, 0, 0]
+
+
+def mat_vec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``m[i] @ v[i]`` for (N, 3, 3) matrices and (N, 3) vectors; the
+    batched matrix product rounds as the scalar ``@`` does."""
+    return np.matmul(m, v[:, :, None])[:, :, 0]
+
+
+def _require_trig_domain(x: np.ndarray) -> None:
+    # math.sin and math.cos raise on an infinite argument where numpy
+    # returns NaN; the array forms raise as the scalar ones do.
+    if np.isinf(x).any():
+        raise ValueError("math domain error")
+
+
+def _skew_rows(v: np.ndarray) -> np.ndarray:
+    k = np.zeros((len(v), 3, 3))
+    k[:, 0, 1], k[:, 0, 2] = -v[:, 2], v[:, 1]
+    k[:, 1, 0], k[:, 1, 2] = v[:, 2], -v[:, 0]
+    k[:, 2, 0], k[:, 2, 1] = -v[:, 1], v[:, 0]
+    return k
+
+
+def so3_exp_rows(rotvec: np.ndarray) -> np.ndarray:
+    """Array twin of :func:`so3_exp`: canonical quaternions of (N, 3)
+    axis-angle vectors."""
+    angle = vec_norm(rotvec)
+    _require_trig_domain(angle)
+    small = angle < _SMALL_ANGLE
+    a2 = angle * angle
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = np.where(small, 0.5 - a2 / 48.0, np.sin(0.5 * angle) / angle)
+    qw = np.where(small, 1.0 - a2 / 8.0, np.cos(0.5 * angle))
+    return quat_normalize(np.column_stack((qw, k[:, None] * rotvec)))
+
+
+def so3_log_rows(q: np.ndarray) -> np.ndarray:
+    """Array twin of :func:`so3_log` on (N, 4) canonical quaternions."""
+    w, x, y, z = q.T
+    s = np.sqrt(x * x + y * y + z * z)
+    atan = np.array([math.atan2(a, b) for a, b in zip(s.tolist(), w.tolist())])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = np.where(s < _SMALL_ANGLE, 2.0 / w, 2.0 * atan / s)
+    return k[:, None] * q[:, 1:]
+
+
+def so3_left_jacobian_rows(omega: np.ndarray) -> np.ndarray:
+    """Array twin of :func:`so3_left_jacobian`: (N, 3, 3) V matrices."""
+    angle = vec_norm(omega)
+    _require_trig_domain(angle)
+    a2 = angle * angle
+    s_half = np.sin(0.5 * angle)
+    small = angle < _SMALL_V_ANGLE
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c1 = np.where(small, 0.5 - a2 / 24.0, 2.0 * s_half * s_half / a2)
+        c2 = np.where(small, 1.0 / 6.0 - a2 / 120.0, (angle - np.sin(angle)) / (a2 * angle))
+    k = _skew_rows(omega)
+    return np.eye(3) + c1[:, None, None] * k + c2[:, None, None] * np.matmul(k, k)
+
+
+def so3_left_jacobian_inv_rows(omega: np.ndarray) -> np.ndarray:
+    """Array twin of :func:`so3_left_jacobian_inv`."""
+    angle = vec_norm(omega)
+    _require_trig_domain(angle)
+    half = 0.5 * angle
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = np.where(
+            angle < _SMALL_V_ANGLE,
+            1.0 / 12.0 + angle * angle / 720.0,
+            (1.0 - half * np.cos(half) / np.sin(half)) / (angle * angle),
+        )
+    k = _skew_rows(omega)
+    return np.eye(3) - 0.5 * k + c[:, None, None] * np.matmul(k, k)
+
+
+def euler_zyx_to_rows(angles: np.ndarray) -> np.ndarray:
+    """Array twin of :func:`euler_zyx_to` on (N, 3) ``(yaw, pitch, roll)``
+    rows."""
+    _require_trig_domain(angles)
+    cy, cp, cr = np.cos(0.5 * angles).T
+    sy, sp, sr = np.sin(0.5 * angles).T
+    return quat_normalize(np.stack((
+        cy * cp * cr + sy * sp * sr,
+        cy * cp * sr - sy * sp * cr,
+        cy * sp * cr + sy * cp * sr,
+        sy * cp * cr - cy * sp * sr,
+    ), axis=-1))
+
+
+def quat_matrix(q: np.ndarray) -> np.ndarray:
+    """Array twin of ``Rotation.matrix``: (N, 3, 3) matrices."""
+    w, x, y, z = q.T
+    return np.stack((
+        1.0 - 2.0 * (y * y + z * z), 2.0 * (x * y - w * z), 2.0 * (x * z + w * y),
+        2.0 * (x * y + w * z), 1.0 - 2.0 * (x * x + z * z), 2.0 * (y * z - w * x),
+        2.0 * (x * z - w * y), 2.0 * (y * z + w * x), 1.0 - 2.0 * (x * x + y * y),
+    ), axis=-1).reshape(-1, 3, 3)
+
+
+def gimbal_proximity_rows(q: np.ndarray) -> np.ndarray:
+    """Array twin of :func:`gimbal_proximity`, one flag per row."""
+    m = quat_matrix(q)
+    return np.array(
+        [math.hypot(a, b) for a, b in zip(m[:, 2, 1].tolist(), m[:, 2, 2].tolist())]
+    ) < _GIMBAL_COS
+
+
+def euler_zyx_from_rows(q: np.ndarray) -> np.ndarray:
+    """Array twin of :func:`euler_zyx_from`: (N, 3) ``(yaw, pitch, roll)``
+    rows of (N, 4) canonical quaternions."""
+    m = quat_matrix(q)
+    entries = (
+        m[:, i, j].tolist() for i, j in ((0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2))
+    )
+    rows = []
+    for gimbal, m00, m01, m10, m11, m20, m21, m22 in zip(
+        gimbal_proximity_rows(q).tolist(), *entries
+    ):
+        pitch = math.asin(min(1.0, max(-1.0, -m20)))
+        if gimbal:
+            rows.append((math.atan2(-m01, m11), pitch, 0.0))
+        else:
+            rows.append((math.atan2(m10, m00), pitch, math.atan2(m21, m22)))
+    return np.array(rows).reshape(-1, 3)
 
 
 _IDENTITY_QUAT = np.array((1.0, 0.0, 0.0, 0.0))
@@ -510,3 +641,18 @@ def rotation_angle_deg(r1: Rotation, r2: Rotation) -> float:
     y = (aw * by - ay * bw) + (ax * bz - az * bx)
     z = (aw * bz - az * bw) + (ay * bx - ax * by)
     return math.degrees(2.0 * math.atan2(math.hypot(x, math.hypot(y, z)), abs(w)))
+
+
+def rotation_angles_deg(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
+    """Array twin of :func:`rotation_angle_deg` on rows of (N, 4)
+    canonical quaternions."""
+    aw, ax, ay, az = q1.T
+    bw, bx, by, bz = q2.T
+    w = aw * bw + ax * bx + ay * by + az * bz
+    x = (aw * bx - ax * bw) + (az * by - ay * bz)
+    y = (aw * by - ay * bw) + (ax * bz - az * bx)
+    z = (aw * bz - az * bw) + (ay * bx - ax * by)
+    return np.array([
+        math.degrees(2.0 * math.atan2(math.hypot(a, math.hypot(b, c)), abs(d)))
+        for a, b, c, d in zip(x.tolist(), y.tolist(), z.tolist(), w.tolist())
+    ])

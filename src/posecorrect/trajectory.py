@@ -8,14 +8,13 @@ trailing relative frames.
 """
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .liegeom import Pose, pose_arrays, pose_mul, poses_from_arrays
+from .liegeom import Pose, pose_arrays, pose_inverse, pose_mul, poses_from_arrays
 
 DEFAULT_ASSOC_TOL = 0.01  # seconds; nearest-timestamp association window
 
@@ -184,27 +183,42 @@ def from_world_poses(
         raise AssociationError(
             f"keyframe position out of range (n_frames={len(frames)})"
         )
-    kf_set = set(positions)
     keyframes = [Keyframe(frames[p][0], frames[p][1]) for p in positions]
-    kf_stamps = [kf.id.stamp for kf in keyframes]
-
-    relatives = []
-    for pos, (fid, world) in enumerate(frames):
-        if pos in kf_set:
-            continue
-        i = bisect.bisect_right(kf_stamps, fid.stamp) - 1
-        if i < 0:
-            raise AssociationError(
-                f"frame {fid} precedes the first keyframe; cannot anchor it"
-            )
-        rel = keyframes[i].world_pose.inverse() * world
-        relatives.append(RelativeFrame(fid, i, rel))
+    is_rel = np.ones(len(frames), dtype=bool)
+    is_rel[positions] = False
+    rel_frames = [frames[p] for p in np.flatnonzero(is_rel).tolist()]
+    kf_stamps = np.array([kf.id.stamp for kf in keyframes])
+    rel_stamps = np.array([fid.stamp for fid, _ in rel_frames])
+    parents = np.searchsorted(kf_stamps, rel_stamps, side="right") - 1
+    if (parents < 0).any():
+        fid = rel_frames[int(np.argmax(parents < 0))][0]
+        raise AssociationError(f"frame {fid} precedes the first keyframe; cannot anchor it")
+    kf_inv_q, kf_inv_t = pose_inverse(*pose_arrays(kf.world_pose for kf in keyframes))
+    q, t = pose_mul(
+        kf_inv_q[parents], kf_inv_t[parents], *pose_arrays(world for _, world in rel_frames)
+    )
+    relatives = [
+        RelativeFrame(fid, i, rel)
+        for (fid, _), i, rel in zip(rel_frames, parents.tolist(), poses_from_arrays(q, t))
+    ]
     return Trajectory(tuple(keyframes), tuple(relatives))
 
 
 def rel_pose_arrays(segments: Sequence[Segment]) -> tuple[np.ndarray, np.ndarray]:
     """Stored relative poses of ``segments`` as arrays, in segment order."""
     return pose_arrays(rel.rel_pose for seg in segments for rel in seg.rels)
+
+
+def segment_reduce(ufunc: np.ufunc, values: np.ndarray, counts, empty) -> np.ndarray:
+    """``ufunc.reduce`` over each segment's rows of ``values``, whose
+    segments hold ``counts`` consecutive rows each; ``empty`` for a segment
+    with no rows."""
+    counts = np.asarray(counts, dtype=int)
+    out = np.full(len(counts), empty, dtype=values.dtype)
+    filled = counts > 0
+    if filled.any():
+        out[filled] = ufunc.reduceat(values, (np.cumsum(counts) - counts)[filled])
+    return out
 
 
 def _compose_on_segments(

@@ -1,26 +1,40 @@
 """Element-wise vector-space interpolation: exact cases, the singular
-regime, and SO(3) safety of the devectorized output."""
+regime, SO(3) safety of the devectorized output, and the batched kernel
+against the per-segment one, bit for bit."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from posecorrect import fixtures
 from posecorrect.baseline import (
     RotSpace,
     TransSpace,
     devectorize,
     interp_correct_segment,
+    interp_correct_segment_scalar,
     vectorize,
 )
-from posecorrect.liegeom import Pose, Rotation, rotation_angle_deg, se3_log, so3_exp
+from posecorrect.liegeom import (
+    Pose,
+    Rotation,
+    euler_zyx_to,
+    rotation_angle_deg,
+    se3_log,
+    so3_exp,
+)
 from posecorrect.trajectory import (
     FrameId,
     Keyframe,
     KeyframeUpdate,
     RelativeFrame,
     Segment,
+    SegmentBatch,
     SegmentRecord,
+    from_world_poses,
+    snap_to_gt,
 )
 
 ALL_SPACES = [(ts, rs) for ts in TransSpace for rs in RotSpace]
@@ -80,8 +94,6 @@ class TestVectorize:
 
     def test_gimbal_flag_counted(self):
         diag = SegmentRecord(0)
-        from posecorrect.liegeom import euler_zyx_to
-
         p = Pose(euler_zyx_to((0.2, math.pi / 2, 0.0)), np.zeros(3))
         vectorize(p, TransSpace.XYZ, RotSpace.EULER, diag)
         assert diag.gimbal_hits == 1
@@ -101,7 +113,7 @@ class TestInterpCorrectSegment:
     @pytest.mark.parametrize("ts,rs", ALL_SPACES)
     def test_identity_updates_leave_rels_unchanged(self, ts, rs):
         seg, upd_a, upd_b, rels = self._identity_update_case(ts, rs)
-        out, diag = interp_correct_segment(seg, upd_a, upd_b, ts, rs)
+        out, diag = interp_correct_segment_scalar(seg, upd_a, upd_b, ts, rs)
         for got, rel in zip(out, rels):
             assert rotation_angle_deg(got.rotation, rel.rotation) < 1e-12
             np.testing.assert_allclose(got.translation, rel.translation, atol=1e-12)
@@ -119,7 +131,7 @@ class TestInterpCorrectSegment:
         tv_new, rv_new, _ = vectorize(t_ab_new, ts, rs, diag)
         np.testing.assert_array_equal(tv_new - tv_old, np.zeros_like(tv_old))
         np.testing.assert_array_equal(rv_new - rv_old, np.zeros_like(rv_old))
-        out, _ = interp_correct_segment(seg, upd_a, upd_b, ts, rs)
+        out, _ = interp_correct_segment_scalar(seg, upd_a, upd_b, ts, rs)
         for got, rel in zip(out, rels):
             if ts is TransSpace.XYZ:
                 np.testing.assert_array_equal(got.translation, rel.translation)
@@ -133,7 +145,7 @@ class TestInterpCorrectSegment:
         seg = make_segment(kf_a, kf_b, [rel])
         upd_a = KeyframeUpdate(0, kf_a, kf_a)
         upd_b = KeyframeUpdate(1, kf_b, Pose(Rotation.identity(), (4.0, 0.4, -0.6)))
-        out, _ = interp_correct_segment(seg, upd_a, upd_b, TransSpace.XYZ, RotSpace.QUAT)
+        out, _ = interp_correct_segment_scalar(seg, upd_a, upd_b, TransSpace.XYZ, RotSpace.QUAT)
         np.testing.assert_allclose(out[0].translation, [2.0, 0.25, 0.3], atol=1e-12)
 
     def test_pure_scale_on_1d_line_is_exact(self):
@@ -146,7 +158,7 @@ class TestInterpCorrectSegment:
         seg = make_segment(kf_a, kf_b, rels)
         upd_a = KeyframeUpdate(0, kf_a, kf_a)
         upd_b = KeyframeUpdate(1, kf_b, Pose(Rotation.identity(), (0.0, 0.0, 2.0 * scale)))
-        out, _ = interp_correct_segment(seg, upd_a, upd_b, TransSpace.XYZ, RotSpace.QUAT)
+        out, _ = interp_correct_segment_scalar(seg, upd_a, upd_b, TransSpace.XYZ, RotSpace.QUAT)
         for got, rel in zip(out, rels):
             np.testing.assert_allclose(
                 got.translation, rel.translation * scale, atol=1e-12
@@ -165,7 +177,7 @@ class TestInterpCorrectSegment:
 
     def test_singular_component_guarded_by_default(self):
         seg, upd_a, upd_b = self._singular_case()
-        out, diag = interp_correct_segment(
+        out, diag = interp_correct_segment_scalar(
             seg, upd_a, upd_b, TransSpace.XYZ, RotSpace.QUAT
         )
         assert diag.singular_hits >= 1
@@ -175,7 +187,7 @@ class TestInterpCorrectSegment:
 
     def test_singular_component_unbounded_with_raw_division(self):
         seg, upd_a, upd_b = self._singular_case()
-        out, diag = interp_correct_segment(
+        out, diag = interp_correct_segment_scalar(
             seg, upd_a, upd_b, TransSpace.XYZ, RotSpace.QUAT, raw_division=True
         )
         assert diag.singular_hits >= 1
@@ -186,7 +198,7 @@ class TestInterpCorrectSegment:
         kf_a = Pose(Rotation.random(rng), rng.normal(size=3))
         seg = make_segment(kf_a, kf_a, [Pose(so3_exp((0.1, 0, 0)), (0.05, 0, 0))])
         upd = KeyframeUpdate(0, kf_a, kf_a)
-        out, diag = interp_correct_segment(
+        out, diag = interp_correct_segment_scalar(
             seg, upd, upd, TransSpace.SE3_V, RotSpace.SO3
         )
         assert diag.singular_hits >= 1
@@ -206,7 +218,7 @@ class TestInterpCorrectSegment:
             upd_b = KeyframeUpdate(
                 1, kf_b, Pose(Rotation.random(rng), kf_b.translation + rng.normal(0, 0.1, 3))
             )
-            out, _ = interp_correct_segment(seg, upd_a, upd_b, ts, rs)
+            out, _ = interp_correct_segment_scalar(seg, upd_a, upd_b, ts, rs)
             for pose in out:
                 m = pose.rotation.matrix
                 assert abs(np.linalg.det(m) - 1.0) < 1e-9
@@ -222,7 +234,7 @@ class TestInterpCorrectSegment:
         seg = make_segment(kf_a, kf_b, [rel])
         upd_a = KeyframeUpdate(0, kf_a, Pose(so3_exp((0.5, 0.0, 0.0)), (0.0, 0.0, 0.0)))
         upd_b = KeyframeUpdate(1, kf_b, Pose(so3_exp((0.0, 1.4, 0.3)), (0.3, 0.0, 1.0)))
-        _, diag = interp_correct_segment(seg, upd_a, upd_b, TransSpace.XYZ, RotSpace.QUAT)
+        _, diag = interp_correct_segment_scalar(seg, upd_a, upd_b, TransSpace.XYZ, RotSpace.QUAT)
         assert diag.quat_renorm_hits >= 1
 
     def test_terminal_segment_rejected(self):
@@ -230,4 +242,127 @@ class TestInterpCorrectSegment:
         seg = Segment(index=0, kf_a=kf_a, kf_b=None, rels=())
         upd = KeyframeUpdate(0, Pose.identity(), Pose.identity())
         with pytest.raises(ValueError, match="terminal"):
-            interp_correct_segment(seg, upd, upd, TransSpace.XYZ, RotSpace.QUAT)
+            interp_correct_segment_scalar(seg, upd, upd, TransSpace.XYZ, RotSpace.QUAT)
+
+
+# -- the batched kernel against the scalar reference, bit for bit ----------------
+
+
+def same_values(a, b) -> bool:
+    """Equal bit patterns outside NaN, so -0.0 differs from 0.0, and NaN in
+    the same places."""
+    a, b = np.asarray(a), np.asarray(b)
+    nan = np.isnan(a)
+    return (
+        a.shape == b.shape
+        and np.array_equal(nan, np.isnan(b))
+        and a[~nan].tobytes() == b[~nan].tobytes()
+    )
+
+
+def assert_batch_equals_scalar(full, updates, ts, rs, raw_division=False):
+    """``interp_correct_segment`` on the full segments ``full`` against
+    ``interp_correct_segment_scalar`` per segment: every pose and every
+    record field."""
+    q, t, records = interp_correct_segment(
+        SegmentBatch(full), updates, ts, rs, raw_division=raw_division
+    )
+    assert len(records) == len(full)
+    k = 0
+    for seg, record in zip(full, records):
+        poses, want = interp_correct_segment_scalar(
+            seg, updates[seg.index], updates[seg.index + 1], ts, rs, raw_division=raw_division
+        )
+        assert repr(dataclasses.astuple(record)) == repr(dataclasses.astuple(want))
+        for pose in poses:
+            assert same_values(q[k], pose.rotation.quat)
+            assert same_values(t[k], pose.translation)
+            k += 1
+    assert k == len(q) == len(t)
+    return records
+
+
+def degenerate_trajectory():
+    """Keyframes at positions 0, 3, 4, 7 and 10 of 12 frames: segment 0 has
+    a zero baseline, segment 1 no frames, segment 2 a closing keyframe and
+    two frames at pitch pi/2 relative to its opening keyframe, and segment
+    4 is terminal."""
+    rng = np.random.default_rng(41)
+    frames = [
+        (FrameId(0.1 * j, j), Pose(Rotation.random(rng), rng.normal(size=3)))
+        for j in range(12)
+    ]
+    frames[3] = (frames[3][0], Pose(Rotation.random(rng), frames[0][1].translation))
+    kf = frames[4][1]
+    for j in (5, 6, 7):
+        gimbal = Pose(euler_zyx_to((0.1 * j, 0.5 * math.pi, -0.2)), rng.normal(size=3))
+        frames[j] = (frames[j][0], kf * gimbal)
+    traj = from_world_poses(frames, [0, 3, 4, 7, 10])
+    assert [len(seg.rels) for seg in traj.segments] == [2, 0, 2, 2, 1]
+    return traj
+
+
+def perturbed_updates(traj, seed, rot=0.05, trans=0.02):
+    rng = np.random.default_rng(seed)
+    return [
+        KeyframeUpdate(
+            i,
+            kf.world_pose,
+            Pose(so3_exp(rng.normal(0.0, rot, 3)), rng.normal(0.0, trans, 3)) * kf.world_pose,
+        )
+        for i, kf in enumerate(traj.keyframes)
+    ]
+
+
+class TestBatchedBaseline:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("ts,rs", ALL_SPACES)
+    def test_noisy_fixtures(self, ts, rs, seed):
+        traj, gt = fixtures.noisy_fixture(seed)
+        assert_batch_equals_scalar(traj.segments[:-1], snap_to_gt(traj, gt), ts, rs)
+
+    @pytest.mark.parametrize("raw_division", [False, True])
+    @pytest.mark.parametrize("ts,rs", ALL_SPACES)
+    def test_singular_fixture(self, ts, rs, raw_division):
+        traj, gt = fixtures.singular_fixture()
+        records = assert_batch_equals_scalar(
+            traj.segments[:-1], snap_to_gt(traj, gt), ts, rs, raw_division
+        )
+        assert sum(rec.singular_hits for rec in records) > 0
+
+    @pytest.mark.parametrize("ts,rs", ALL_SPACES)
+    def test_empty_segment_degenerate_baseline_and_gimbal(self, ts, rs):
+        traj = degenerate_trajectory()
+        records = assert_batch_equals_scalar(
+            traj.segments[:-1], perturbed_updates(traj, seed=42), ts, rs
+        )
+        assert records[0].singular_hits > 0
+        if rs is RotSpace.EULER:
+            # Segment 2's two frames, and the closing keyframe of segment
+            # 2 seen from its opening one, before and after the update.
+            assert records[2].gimbal_hits >= 2
+            assert records[1].gimbal_hits == 0
+
+    def test_cancelled_quaternion_falls_back_to_identity(self):
+        # The old inter-keyframe rotation is the identity and the new one a
+        # half-turn, so an identity relative rotation cancels to exactly
+        # zero in every component.
+        kf_b = Pose(Rotation.identity(), (0.0, 0.0, 1.0))
+        seg = make_segment(Pose.identity(), kf_b, [Pose(Rotation.identity(), (0.0, 0.0, 0.5))])
+        turned = Pose(Rotation((0.0, 1.0, 0.0, 0.0)), (0.0, 0.0, 1.0))
+        updates = [KeyframeUpdate(0, Pose.identity(), Pose.identity()), KeyframeUpdate(1, kf_b, turned)]
+        (record,) = assert_batch_equals_scalar([seg], updates, TransSpace.XYZ, RotSpace.QUAT)
+        assert record.quat_renorm_hits == 1
+        q, _, _ = interp_correct_segment(SegmentBatch([seg]), updates, TransSpace.XYZ, RotSpace.QUAT)
+        assert q.tolist() == [[1.0, 0.0, 0.0, 0.0]]
+
+    def test_empty_batch(self):
+        q, t, records = interp_correct_segment(SegmentBatch(()), [], TransSpace.SE3_V, RotSpace.SO3)
+        assert q.shape == (0, 4) and t.shape == (0, 3) and records == []
+
+    def test_terminal_segment_rejected(self):
+        kf_a = Keyframe(FrameId(0.0, 0), Pose.identity())
+        seg = Segment(index=0, kf_a=kf_a, kf_b=None, rels=())
+        upd = KeyframeUpdate(0, Pose.identity(), Pose.identity())
+        with pytest.raises(ValueError, match="terminal"):
+            interp_correct_segment(SegmentBatch([seg]), [upd], TransSpace.XYZ, RotSpace.QUAT)

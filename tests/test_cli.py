@@ -10,9 +10,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from posecorrect import evaluate as ev
+from posecorrect import fixtures
 from posecorrect import io as trajio
+from posecorrect.baseline import interp_correct_segment_scalar
 from posecorrect.cli import main
-from posecorrect.liegeom import rotation_angle_deg
+from posecorrect.correction import correct_segment_scalar
+from posecorrect.liegeom import pose_arrays, rotation_angle_deg
+from posecorrect.trajectory import world_poses
 
 DATA = Path(__file__).parent / "data"
 README = Path(__file__).parent.parent / "README.md"
@@ -27,6 +32,55 @@ def sim_dir(tmp_path_factory):
     ])
     assert code == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def singular_dir(tmp_path_factory):
+    """``fixtures.singular_fixture`` as estimate, ground-truth and keyframe
+    index files."""
+    out = tmp_path_factory.mktemp("singular")
+    traj, gt = fixtures.singular_fixture()
+    trajio.write_tum(out / "est.tum", world_poses(traj))
+    trajio.write_tum(out / "gt.tum", gt)
+    (out / "kf_index.txt").write_text("".join(f"{kf.id.index}\n" for kf in traj.keyframes))
+    return out
+
+
+def evaluate_args(scene_dir, out, *extra):
+    return [
+        "evaluate", "--traj", str(scene_dir / "est.tum"), "--gt", str(scene_dir / "gt.tum"),
+        "--kf-index", str(scene_dir / "kf_index.txt"), "--methods", "all", "--out", str(out),
+        *extra,
+    ]
+
+
+def scalar_kernel(correct_one):
+    """A ``METHODS`` kernel that corrects one segment at a time through
+    ``correct_one(seg, upd_a, upd_b, cfg)``, a scalar reference kernel."""
+
+    def kernel(segments, updates, cfg):
+        results = [
+            correct_one(seg, updates[seg.index], updates[seg.index + 1], cfg) for seg in segments
+        ]
+        q, t = pose_arrays(pose for poses, _ in results for pose in poses)
+        return q, t, [record for _, record in results]
+
+    return kernel
+
+
+def scalar_oracle_methods():
+    """``evaluate.METHODS`` with the batched kernels replaced by per-segment
+    adapters of the scalar references."""
+    swap = {
+        ev._interpolated: scalar_kernel(lambda seg, a, b, cfg: interp_correct_segment_scalar(
+            seg, a, b, *cfg.spaces(), raw_division=cfg.raw_division)),
+        ev._proposed: scalar_kernel(lambda seg, a, b, cfg: correct_segment_scalar(
+            seg, a, b, cfg.scale_squared)),
+    }
+    return {
+        name: method._replace(kernel=swap.get(method.kernel, method.kernel))
+        for name, method in ev.METHODS.items()
+    }
 
 
 def make_update_files(sim_dir, out_dir):
@@ -162,6 +216,44 @@ class TestEvaluate:
         assert "report.csv" in names
         for name in names:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+    @pytest.mark.parametrize("scene,extra", [
+        ("sim", ()),
+        ("sim", ("--trans-space", "se3-v", "--rot-space", "euler")),
+        ("sim", ("--trans-space", "se3-v", "--rot-space", "so3")),
+        ("singular", ("--raw-division",)),
+    ])
+    def test_batched_kernels_match_scalar_oracles_byte_for_byte(
+        self, sim_dir, singular_dir, tmp_path, monkeypatch, scene, extra
+    ):
+        scene_dir = sim_dir if scene == "sim" else singular_dir
+        batched, scalar = tmp_path / "batched", tmp_path / "scalar"
+        assert main(evaluate_args(scene_dir, batched, *extra)) == 0
+        oracles = scalar_oracle_methods()
+        assert sum(m.kernel is not ev.METHODS[n].kernel for n, m in oracles.items()) == 6
+        monkeypatch.setattr(ev, "METHODS", oracles)
+        assert main(evaluate_args(scene_dir, scalar, *extra)) == 0
+        names = sorted(p.name for p in batched.iterdir() if p.name != "config.json")
+        assert len(names) == 8
+        assert names == sorted(p.name for p in scalar.iterdir() if p.name != "config.json")
+        for name in names:
+            assert (batched / name).read_bytes() == (scalar / name).read_bytes(), name
+
+    def test_raw_division_warns_of_non_finite_frames(self, singular_dir, tmp_path, caplog):
+        import logging
+
+        with caplog.at_level(logging.WARNING, logger="posecorrect.evaluate"):
+            assert main(evaluate_args(singular_dir, tmp_path / "raw", "--raw-division")) == 0
+        warnings = [rec.getMessage() for rec in caplog.records if rec.levelno == logging.WARNING]
+        assert warnings == [
+            f"method {name}: 90 of 90 corrected frames are not finite"
+            for name in ("xyz", "se3-v", "euler", "quat", "so3")
+        ]
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="posecorrect.evaluate"):
+            assert main(evaluate_args(singular_dir, tmp_path / "guarded")) == 0
+        assert not caplog.records
 
 
 class TestBench:

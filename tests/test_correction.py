@@ -10,11 +10,13 @@ import pytest
 
 from posecorrect import fixtures
 from posecorrect.correction import (
+    _segment_setup,
     condition_from_kf,
     correct_segment,
     correct_segment_scalar,
     fuse,
     fusion_gap,
+    keyframe_pairs,
     scale_factor,
     timestamp_fraction,
 )
@@ -430,3 +432,31 @@ class TestBatchedKernel:
         upd = KeyframeUpdate(0, Pose.identity(), Pose.identity())
         with pytest.raises(ValueError, match="terminal"):
             correct_segment(SegmentBatch([seg]), [upd])
+
+    @pytest.mark.parametrize("scale_squared", [False, True])
+    def test_keyframe_pairs_equal_scalar_setup(self, scale_squared):
+        # The perturbed mav path, plus segments with a zero baseline, no
+        # frames, and a zero baseline after the update only.
+        spec = SceneSpec(shape="mav", n_keyframes=12, rels_per_segment=3, seed=35)
+        frames = path_world_poses(spec)
+        positions = keyframe_positions(spec)
+        rot = Rotation.random(np.random.default_rng(36))
+        frames[positions[2]] = (frames[positions[2]][0], Pose(rot, frames[positions[1]][1].translation))
+        traj = from_world_poses(frames, positions + [positions[3] + 1])
+        updates = perturbed_updates(traj, seed=37)
+        updates[6] = KeyframeUpdate(6, updates[6].old_pose, updates[5].new_pose)
+        full = traj.segments[:-1]
+        assert len(full[3].rels) == 0
+        pairs = keyframe_pairs(full, updates, scale_squared)
+        assert np.flatnonzero(pairs.degenerate).tolist() == [1, 5]
+        for k, seg in enumerate(full):
+            upd_a, upd_b = updates[seg.index], updates[seg.index + 1]
+            old_inv, new, s, degenerate = _segment_setup(upd_a, upd_b, scale_squared)
+            old = upd_a.old_pose.inverse() * upd_b.old_pose
+            for got, want in (
+                (pairs.old_q[k], old.rotation.quat), (pairs.old_t[k], old.translation),
+                (pairs.old_inv_q[k], old_inv.rotation.quat), (pairs.old_inv_t[k], old_inv.translation),
+                (pairs.new_q[k], new.rotation.quat), (pairs.new_t[k], new.translation),
+            ):
+                assert same_bits(got, want)
+            assert repr(pairs.s[k].item()) == repr(s) and pairs.degenerate[k].item() is degenerate

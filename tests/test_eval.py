@@ -86,6 +86,18 @@ class TestFrameErrors:
             assert abs(e.translation_cm - 1.0) < 1e-9
             assert e.rotation_deg < 1e-9
 
+    def test_equal_to_scalar_pose_arithmetic_bitwise(self):
+        rng = np.random.default_rng(4)
+        gt = self._random_poses(rng, n=200)
+        est = [
+            (fid, Pose(so3_exp(rng.normal(0, 0.1, 3)) * p.rotation, p.translation + rng.normal(0, 0.2, 3)))
+            for fid, p in gt
+        ]
+        est[0] = gt[0]
+        for (_, pe), (_, pg), err in zip(est, gt, frame_errors(est, gt)):
+            assert err.translation_cm == float(np.linalg.norm(pe.translation - pg.translation)) * 100.0
+            assert err.rotation_deg == rotation_angle_deg(pe.rotation, pg.rotation)
+
     def test_double_entry_against_independent_recompute(self):
         rng = np.random.default_rng(3)
         gt = self._random_poses(rng)

@@ -14,21 +14,34 @@ from posecorrect.liegeom import (
     Twist,
     euler_zyx_from,
     euler_zyx_to,
+    euler_zyx_from_rows,
+    euler_zyx_to_rows,
     gimbal_proximity,
+    gimbal_proximity_rows,
+    mat_vec,
     pose_arrays,
+    pose_inverse,
     pose_mul,
     poses_from_arrays,
     quat_inverse,
+    quat_matrix,
     quat_mul,
     quat_normalize,
     quat_rotate,
     rotation_angle_deg,
+    rotation_angles_deg,
     se3_exp,
     se3_log,
     slerp,
     slerp_from_identity,
     so3_exp,
+    so3_exp_rows,
+    so3_left_jacobian,
+    so3_left_jacobian_inv,
+    so3_left_jacobian_inv_rows,
+    so3_left_jacobian_rows,
     so3_log,
+    so3_log_rows,
     vec_norm,
 )
 
@@ -454,3 +467,114 @@ class TestArrayForms:
     def test_out_of_range_factor_rejected(self):
         with pytest.raises(ValueError, match="interpolation factor"):
             slerp_from_identity(np.array([random_rotation(0).quat]), np.array([1.5]))
+
+
+@st.composite
+def tangents(draw):
+    """An axis-angle vector: zero, just below or above the Taylor switch of
+    the exp/log factors (1e-8 rad) or of the V-matrix coefficients (1e-4
+    rad), or random up to beyond pi."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31 - 1)))
+    scale = draw(st.sampled_from((0.0, 1e-8, 1e-4, None)))
+    axis = rng.normal(size=3)
+    axis /= np.linalg.norm(axis)
+    if scale is None:
+        return axis * rng.uniform(0.0, 3.5)
+    return axis * scale * draw(st.sampled_from((0.5, 0.999999, 1.0, 1.000001, 2.0)))
+
+
+@st.composite
+def euler_angles(draw):
+    """(yaw, pitch, roll), with the pitch random or within 1e-9 of +-pi/2."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31 - 1)))
+    yaw, pitch, roll = rng.uniform(-math.pi, math.pi, 3)
+    if draw(st.booleans()):
+        pitch = draw(st.sampled_from((0.5, -0.5))) * math.pi + rng.uniform(-1e-9, 1e-9)
+    return np.array([yaw, pitch, roll])
+
+
+tangent_batches = st.lists(tangents(), min_size=1, max_size=6)
+
+
+class TestLieArrayForms:
+    """The exp/log, Jacobian, Euler and metric array forms against their
+    scalar forms, bit for bit."""
+
+    @settings(max_examples=200)
+    @given(batches)
+    def test_log_matrix_euler_and_gimbal_match(self, rows):
+        rots = [Rotation(tuple(q)) for q in rows]
+        q = np.array([r.quat for r in rots])
+        for r, log, m, euler, gimbal in zip(
+            rots, so3_log_rows(q), quat_matrix(q), euler_zyx_from_rows(q), gimbal_proximity_rows(q)
+        ):
+            assert same_bits(log, so3_log(r))
+            assert same_bits(m, r.matrix)
+            assert same_bits(euler, euler_zyx_from(r))
+            assert gimbal == gimbal_proximity(r)
+
+    @settings(max_examples=200)
+    @given(st.lists(euler_angles(), min_size=1, max_size=6))
+    def test_euler_round_trip_and_gimbal_match(self, angles):
+        q = euler_zyx_to_rows(np.array(angles))
+        for row, a in zip(q, angles):
+            assert same_bits(row, euler_zyx_to(a).quat)
+        rots = [Rotation._from_canonical(row) for row in q]
+        for euler, gimbal, r in zip(euler_zyx_from_rows(q), gimbal_proximity_rows(q), rots):
+            assert same_bits(euler, euler_zyx_from(r))
+            assert gimbal == gimbal_proximity(r)
+
+    def test_near_gimbal_pitch_flagged(self):
+        q = euler_zyx_to_rows(np.array([[0.3, 0.5 * math.pi, 0.1], [0.3, 0.2, 0.1]]))
+        assert gimbal_proximity_rows(q).tolist() == [True, False]
+        assert euler_zyx_from_rows(q)[0, 2] == 0.0
+
+    @settings(max_examples=300)
+    @given(tangent_batches, st.integers(min_value=0, max_value=2**31 - 1))
+    def test_exp_and_jacobians_match(self, omegas, seed):
+        omega = np.array(omegas)
+        v = np.random.default_rng(seed).uniform(-10.0, 10.0, omega.shape)
+        jac, jac_inv = so3_left_jacobian_rows(omega), so3_left_jacobian_inv_rows(omega)
+        for row, w in zip(so3_exp_rows(omega), omega):
+            assert same_bits(row, so3_exp(w).quat)
+        for j, j_inv, w, x, jx, jx_inv in zip(
+            jac, jac_inv, omega, v, mat_vec(jac, v), mat_vec(jac_inv, v)
+        ):
+            assert same_bits(j, so3_left_jacobian(w))
+            assert same_bits(j_inv, so3_left_jacobian_inv(w))
+            assert same_bits(jx, so3_left_jacobian(w) @ x)
+            assert same_bits(jx_inv, so3_left_jacobian_inv(w) @ x)
+
+    @settings(max_examples=200)
+    @given(st.lists(st.tuples(raw_quaternions(), raw_quaternions()), min_size=1, max_size=6),
+           st.integers(min_value=0, max_value=2**31 - 1))
+    def test_pose_inverse_and_angles_match(self, pairs, seed):
+        rng = np.random.default_rng(seed)
+        a = [Rotation(tuple(qa)) for qa, _ in pairs]
+        b = [Rotation(tuple(qb)) for _, qb in pairs]
+        poses = [Pose(r, rng.uniform(-10.0, 10.0, 3)) for r in a]
+        q, t = pose_inverse(*pose_arrays(poses))
+        for got_q, got_t, pose in zip(q, t, poses):
+            assert same_bits(got_q, pose.inverse().rotation.quat)
+            assert same_bits(got_t, pose.inverse().translation)
+        angles = rotation_angles_deg(np.array([r.quat for r in a]), np.array([r.quat for r in b]))
+        for got, ra, rb in zip(angles.tolist(), a, b):
+            assert got == rotation_angle_deg(ra, rb)
+
+    def test_infinite_argument_raises_and_nan_propagates(self):
+        # math.sin and math.cos raise on inf and pass NaN through; so do
+        # the array forms.
+        for fn, scalar in ((so3_exp_rows, so3_exp), (euler_zyx_to_rows, euler_zyx_to),
+                           (so3_left_jacobian_rows, so3_left_jacobian)):
+            with pytest.raises(ValueError, match="math domain error"):
+                scalar(np.array([math.inf, 0.0, 0.0]))
+            with pytest.raises(ValueError, match="math domain error"):
+                fn(np.array([[0.1, 0.2, 0.3], [math.inf, 0.0, 0.0]]))
+            assert np.isnan(fn(np.array([[math.nan, 0.0, 0.0]]))).any()
+
+    def test_empty_batches(self):
+        q, v = np.zeros((0, 4)), np.zeros((0, 3))
+        assert so3_log_rows(q).shape == euler_zyx_from_rows(q).shape == (0, 3)
+        assert so3_exp_rows(v).shape == euler_zyx_to_rows(v).shape == (0, 4)
+        assert so3_left_jacobian_rows(v).shape == (0, 3, 3)
+        assert gimbal_proximity_rows(q).shape == rotation_angles_deg(q, q).shape == (0,)

@@ -162,6 +162,26 @@ class TestFromWorldPoses:
             assert np.linalg.norm(got.translation - pose.translation) < 1e-9
             assert rotation_angle_deg(got.rotation, pose.rotation) < 1e-9
 
+    def test_relative_poses_equal_scalar_rebase_bitwise(self):
+        # Unsorted and repeated keyframe positions, a frame at a keyframe's
+        # stamp (it joins the segment that keyframe opens) and a terminal
+        # frame: each relative pose is the scalar Pose product to the bit.
+        rng = np.random.default_rng(8)
+        stamps = [0.0, 0.2, 0.4, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4]
+        frames = [
+            (FrameId(s, i), Pose(Rotation.random(rng), rng.normal(size=3)))
+            for i, s in enumerate(stamps)
+        ]
+        traj = from_world_poses(frames, [5, 0, 2, 5, 7])
+        assert [(r.id.index, r.parent) for r in traj.relatives] == [
+            (1, 0), (3, 1), (4, 1), (6, 2), (8, 3)
+        ]
+        world = dict(frames)
+        for r in traj.relatives:
+            want = traj.keyframes[r.parent].world_pose.inverse() * world[r.id]
+            assert r.rel_pose.rotation.quat.tobytes() == want.rotation.quat.tobytes()
+            assert r.rel_pose.translation.tobytes() == want.translation.tobytes()
+
     def test_frame_before_first_keyframe_rejected(self):
         frames = [(FrameId(0.0, 0), Pose.identity()), (FrameId(1.0, 1), Pose.identity())]
         with pytest.raises(AssociationError, match="precedes"):
