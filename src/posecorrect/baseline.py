@@ -42,7 +42,6 @@ from .trajectory import (
     SegmentBatch,
     SegmentRecord,
     rel_pose_arrays,
-    segment_reduce,
 )
 
 SINGULARITY_EPS = 1e-12
@@ -242,13 +241,8 @@ def interp_correct_segment(
     per segment.  Each value and count is bitwise equal to
     :func:`interp_correct_segment_scalar` on the segment.
     """
-    segments = batch.segments
+    segments, per_frame = batch.segments, batch.per_frame
     pairs = keyframe_pairs(segments, updates)
-    counts = [len(seg.rels) for seg in segments]
-
-    def per_frame(values: np.ndarray) -> np.ndarray:
-        return np.repeat(values, counts, axis=0)
-
     tv_old, rv_old, om_old, gimbal_old = _vectorize_rows(pairs.old_q, pairs.old_t, ts, rs)
     tv_new, rv_new, om_new, gimbal_new = _vectorize_rows(pairs.new_q, pairs.new_t, ts, rs)
     tv, rv, om, gimbal = _vectorize_rows(*rel_pose_arrays(segments), ts, rs)
@@ -276,13 +270,11 @@ def interp_correct_segment(
         )
         for seg, n_singular, n_gimbal, n_renorm in zip(
             segments,
-            (singular * counts).tolist(),
+            (singular * batch.counts).tolist(),
             (
-                gimbal_old.astype(int)
-                + gimbal_new
-                + segment_reduce(np.add, gimbal.astype(int), counts, 0)
+                gimbal_old.astype(int) + gimbal_new + batch.reduce(np.add, gimbal.astype(int), 0)
             ).tolist(),
-            segment_reduce(np.add, renorm.astype(int), counts, 0).tolist(),
+            batch.reduce(np.add, renorm.astype(int), 0).tolist(),
         )
     ]
     return rot, trans, records

@@ -8,7 +8,8 @@ Subcommands:
   against ground truth, writing the report and per-frame error tables.
 * ``simulate`` - generate a synthetic scene and its derived trajectory /
   ground-truth / keyframe-index files (optionally a displaced estimate).
-* ``bench``    - time per-segment corrections per method.
+* ``bench``    - time each method's ``correct_trajectory`` on a seeded
+  101-frame trajectory.
 
 Each subcommand takes only the flags it reads.  All take ``--out`` and
 ``--config``; ``correct``, ``evaluate`` and ``bench`` take the method flags
@@ -30,6 +31,7 @@ import logging
 import math
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import evaluate as ev
@@ -44,6 +46,7 @@ from .trajectory import (
     associate,
     from_world_poses,
     rebase,
+    snap_to_gt,
 )
 
 log = logging.getLogger("posecorrect.cli")
@@ -67,19 +70,15 @@ def _read_trajectory_file(path, fmt: str = "auto"):
 
 
 def _sniff_format(path: Path) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            n = len(text.split())
-            if n == 8:
-                return "tum"
-            if n == 12:
-                return "kitti"
-            raise CliError(
-                f"{path}: first data line has {n} fields; expected 8 (TUM) or 12 (KITTI)"
-            )
+    for _, text in trajio.data_lines(path):
+        n = len(text.split())
+        if n == 8:
+            return "tum"
+        if n == 12:
+            return "kitti"
+        raise CliError(
+            f"{path}: first data line has {n} fields; expected 8 (TUM) or 12 (KITTI)"
+        )
     raise CliError(f"{path}: no data lines")
 
 
@@ -153,6 +152,21 @@ def _associate_updates(traj: Trajectory, old_file, new_file, tol: float, fmt: st
     return updates
 
 
+@contextmanager
+def _raw_division_errors(cfg: ev.MethodConfig):
+    """Report the math domain error that an infinite angle raises under
+    ``--raw-division`` as an input error naming the flag and the method."""
+    try:
+        yield
+    except ValueError as exc:
+        if not cfg.raw_division or str(exc) != "math domain error":
+            raise
+        raise CliError(
+            f"method {cfg.name}: --raw-division gave an infinite angle, which no "
+            "rotation represents (math domain error); run without --raw-division"
+        ) from None
+
+
 def cmd_correct(args) -> int:
     methods = _parse_methods(args.methods)
     if len(methods) != 1:
@@ -166,7 +180,8 @@ def cmd_correct(args) -> int:
     traj = rebase(traj, [upd.old_pose for upd in updates])
 
     cfg = _method_config(methods[0], args)
-    world, diagnostics = ev.correct_trajectory(traj, updates, cfg)
+    with _raw_division_errors(cfg):
+        world, diagnostics = ev.correct_trajectory(traj, updates, cfg)
     trajio.write_tum(out / "corrected.tum", world)
     ev.write_diagnostics_csv(out / "diagnostics.csv", diagnostics)
     _echo_config(args, out)
@@ -183,7 +198,8 @@ def cmd_evaluate(args) -> int:
     rows = []
     for name in methods:
         cfg = _method_config(name, args)
-        report, errors = ev.run_protocol(traj, gt, cfg, tol=args.assoc_tol)
+        with _raw_division_errors(cfg):
+            report, errors = ev.run_protocol(traj, gt, cfg, tol=args.assoc_tol)
         rows.append((sequence, report))
         ev.write_frame_errors_csv(out / f"frame_errors_{name}.csv", errors)
     ev.write_report_csv(out / "report.csv", rows)
@@ -224,16 +240,16 @@ def cmd_simulate(args) -> int:
 def cmd_bench(args) -> int:
     methods = _parse_methods(args.methods)
     out = _out_dir(args)
-    seg, upd_a, upd_b = fixtures.bench_segment()
+    traj, gt = fixtures.noisy_fixture(0)
+    updates = snap_to_gt(traj, gt)
     rows = []
     for name in methods:
         cfg = _method_config(name, args)
-
-        def run(fixture, cfg=cfg):
-            seg, upd_a, upd_b = fixture
-            return ev._correct_one_segment(seg, upd_a, upd_b, cfg)
-
-        stats = ev.bench(run, [(seg, upd_a, upd_b)], repetitions=args.repetitions)
+        stats = ev.bench(
+            lambda upd, cfg=cfg: ev.correct_trajectory(traj, upd, cfg),
+            [updates],
+            repetitions=args.repetitions,
+        )
         rows.append((name, stats))
         log.info("%s: %s ms", name, stats.format())
     with open(out / "timing.csv", "w", encoding="utf-8") as fh:
@@ -275,7 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--seed", type=int, default=0)
     simulate.set_defaults(func=cmd_simulate)
 
-    bench = sub.add_parser("bench", help="time per-segment corrections")
+    bench = sub.add_parser(
+        "bench", help="time each method's correct_trajectory on a seeded 101-frame trajectory"
+    )
     bench.add_argument("--repetitions", type=int, default=300)
     bench.set_defaults(func=cmd_bench)
 

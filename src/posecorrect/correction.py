@@ -57,7 +57,6 @@ from .trajectory import (
     SegmentBatch,
     SegmentRecord,
     rel_pose_arrays,
-    segment_reduce,
 )
 
 DEGENERATE_BASELINE = 1e-9  # meters; below this the scale ratio is unusable
@@ -251,13 +250,8 @@ def correct_segment(
     :func:`keyframe_pairs`, and the per-frame steps are the array twins of
     its scalar operations.
     """
-    segments = batch.segments
+    segments, per_frame = batch.segments, batch.per_frame
     pairs = keyframe_pairs(segments, updates, scale_squared)
-    counts = [len(seg.rels) for seg in segments]
-
-    def per_frame(values) -> np.ndarray:
-        return np.repeat(values, counts, axis=0)
-
     q, t = rel_pose_arrays(segments)
     q_b, t_b = pose_mul(per_frame(pairs.old_inv_q), per_frame(pairs.old_inv_t), q, t)  # rel_b_old
     alpha = _alphas(
@@ -285,8 +279,8 @@ def correct_segment(
             segments,
             pairs.s.tolist(),
             pairs.degenerate.tolist(),
-            segment_reduce(np.minimum, alpha, counts, math.nan).tolist(),
-            segment_reduce(np.maximum, alpha, counts, math.nan).tolist(),
+            batch.reduce(np.minimum, alpha, math.nan).tolist(),
+            batch.reduce(np.maximum, alpha, math.nan).tolist(),
         )
     ]
     return rot, trans, records

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import baseline, correction
 from .baseline import RotSpace, TransSpace
-from .liegeom import Pose, pose_arrays, poses_from_arrays, rotation_angles_deg, vec_norm
+from .liegeom import Pose, pose_arrays, rotation_angles_deg, vec_norm
 from .trajectory import (
     DEFAULT_ASSOC_TOL,
     FrameId,
@@ -126,23 +126,6 @@ METHODS = {
 }
 
 
-def _correct_one_segment(
-    seg: Segment,
-    upd_a: KeyframeUpdate,
-    upd_b: Optional[KeyframeUpdate],
-    cfg: MethodConfig,
-) -> tuple[list[Pose], SegmentRecord]:
-    method = METHODS[cfg.name]
-    if seg.terminal:
-        # A terminal partial segment has no closing keyframe, so no method
-        # has an interpolation target: relative poses ride along with the
-        # updated opening keyframe.
-        record = SegmentRecord(seg.index, terminal=True, s=method.terminal_s)
-        return [rel.rel_pose for rel in seg.rels], record
-    q, t, (record,) = method.kernel([seg], {seg.index: upd_a, seg.index + 1: upd_b}, cfg)
-    return poses_from_arrays(q, t), record
-
-
 def correct_trajectory(
     traj: Trajectory,
     updates: Sequence[KeyframeUpdate],
@@ -157,23 +140,27 @@ def correct_trajectory(
         raise ValueError(
             f"need one update per keyframe ({len(traj.keyframes)}), got {len(updates)}"
         )
+    method = METHODS[cfg.name]
     # Only the last segment, which no keyframe closes, is terminal.
     *full, last = traj.segments
-    q, t, records = METHODS[cfg.name].kernel(full, updates, cfg)
+    q, t, records = method.kernel(full, updates, cfg)
     not_finite = int(np.count_nonzero(~np.isfinite(np.hstack((q, t))).all(axis=1)))
     if not_finite:
         log.warning(
             "method %s: %d of %d corrected frames are not finite", cfg.name, not_finite, len(q)
         )
-    last_poses, last_record = _correct_one_segment(last, updates[last.index], None, cfg)
-    last_q, last_t = pose_arrays(last_poses)
+    # No method has an interpolation target without a closing keyframe, so
+    # the terminal segment's relative poses ride along with the updated
+    # opening keyframe.
+    last_q, last_t = rel_pose_arrays([last])
     world = compose_world_poses(
         traj,
         [upd.new_pose for upd in updates],
         np.concatenate((q, last_q)),
         np.concatenate((t, last_t)),
     )
-    return world, TrajectoryDiagnostics(records + [last_record])
+    records.append(SegmentRecord(last.index, terminal=True, s=method.terminal_s))
+    return world, TrajectoryDiagnostics(records)
 
 
 # -- error metrics --------------------------------------------------------------

@@ -14,7 +14,8 @@ the evaluation protocol:
   regime, deliberately not a similarity.
 * :func:`similarity_case` - synthetic scene plus a global similarity
   update, the exactness oracle.
-* :func:`bench_segment` - a small full segment for timing runs.
+* :func:`bench_segment` - a small full segment, the fixture of acceptance
+  criterion 8 (the scalar correction's latency).
 """
 from __future__ import annotations
 
@@ -234,7 +235,8 @@ def similarity_case(
 
 
 def bench_segment() -> tuple[Segment, KeyframeUpdate, KeyframeUpdate]:
-    """A 3-relative-frame full segment with a non-trivial update."""
+    """A 3-relative-frame full segment with a non-trivial update: the
+    fixture that acceptance criterion 8 times the scalar correction on."""
     spec = SceneSpec(shape="forward", n_keyframes=2, rels_per_segment=3, seed=3)
     frames = path_world_poses(spec)
     traj = from_world_poses(frames, keyframe_positions(spec))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import logging
 import math
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -34,9 +34,31 @@ class TrajectoryParseError(ValueError):
         super().__init__(f"{path}:{line}: {message}")
 
 
-def _require_finite(vals, path, line: int) -> None:
+def data_lines(path) -> Iterator[tuple[int, str]]:
+    """``(line number, stripped text)`` of every data line of a text file:
+    lines are numbered from 1, and blank lines and ``#`` comments are
+    skipped."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            text = raw.strip()
+            if text and not text.startswith("#"):
+                yield lineno, text
+
+
+def _parse_floats(fields: list[str], path, line: int, count: int, layout: str = "") -> list[float]:
+    """``fields`` as ``count`` finite floats; ``layout`` follows the field
+    count in the error message."""
+    if len(fields) != count:
+        raise TrajectoryParseError(
+            path, line, f"expected {count} fields{layout}, got {len(fields)}"
+        )
+    try:
+        vals = [float(f) for f in fields]
+    except ValueError as exc:
+        raise TrajectoryParseError(path, line, f"non-numeric field: {exc}") from None
     if not all(math.isfinite(v) for v in vals):
         raise TrajectoryParseError(path, line, "non-finite field (nan or inf)")
+    return vals
 
 
 def format_tum_line(stamp: float, pose: Pose) -> str:
@@ -47,16 +69,7 @@ def format_tum_line(stamp: float, pose: Pose) -> str:
 
 
 def parse_tum_fields(fields: list[str], path, line: int) -> tuple[float, Pose]:
-    if len(fields) != 8:
-        raise TrajectoryParseError(
-            path, line, f"expected 8 fields (stamp t q), got {len(fields)}"
-        )
-    try:
-        vals = [float(f) for f in fields]
-    except ValueError as exc:
-        raise TrajectoryParseError(path, line, f"non-numeric field: {exc}") from None
-    _require_finite(vals, path, line)
-    stamp, tx, ty, tz, qx, qy, qz, qw = vals
+    stamp, tx, ty, tz, qx, qy, qz, qw = _parse_floats(fields, path, line, 8, " (stamp t q)")
     norm = float(np.linalg.norm([qw, qx, qy, qz]))
     if abs(norm - 1.0) > QUAT_NORM_TOL:
         raise TrajectoryParseError(
@@ -68,13 +81,7 @@ def parse_tum_fields(fields: list[str], path, line: int) -> tuple[float, Pose]:
 def read_tum(path) -> list[tuple[FrameId, Pose]]:
     """Read a TUM trajectory, ordered by timestamp (stable sort, with a
     warning, when the file is not monotone)."""
-    records: list[tuple[float, Pose]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.strip()
-            if not text or text.startswith("#"):
-                continue
-            records.append(parse_tum_fields(text.split(), path, lineno))
+    records = [parse_tum_fields(text.split(), path, lineno) for lineno, text in data_lines(path)]
     if any(b[0] < a[0] for a, b in zip(records, records[1:])):
         log.warning("%s: timestamps not monotone; applying stable sort", path)
         records.sort(key=lambda item: item[0])
@@ -108,28 +115,12 @@ def read_kitti(path, frame_rate: float = 10.0) -> list[tuple[FrameId, Pose]]:
     """Read a KITTI pose file; the frame index is the line number and
     timestamps are ``index / frame_rate``."""
     out: list[tuple[FrameId, Pose]] = []
-    index = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.strip()
-            if not text or text.startswith("#"):
-                continue
-            fields = text.split()
-            if len(fields) != 12:
-                raise TrajectoryParseError(
-                    path, lineno, f"expected 12 fields, got {len(fields)}"
-                )
-            try:
-                floats = [float(f) for f in fields]
-            except ValueError as exc:
-                raise TrajectoryParseError(path, lineno, f"non-numeric field: {exc}") from None
-            _require_finite(floats, path, lineno)
-            vals = np.array(floats).reshape(3, 4)
-            rot = _orthonormalize(vals[:, :3], path, lineno)
-            out.append(
-                (FrameId(index / frame_rate, index), Pose(Rotation.from_matrix(rot), vals[:, 3]))
-            )
-            index += 1
+    for index, (lineno, text) in enumerate(data_lines(path)):
+        vals = np.array(_parse_floats(text.split(), path, lineno, 12)).reshape(3, 4)
+        rot = _orthonormalize(vals[:, :3], path, lineno)
+        out.append(
+            (FrameId(index / frame_rate, index), Pose(Rotation.from_matrix(rot), vals[:, 3]))
+        )
     return out
 
 
@@ -152,33 +143,29 @@ def read_keyframe_index(path, frames) -> list[int]:
     entries: list[tuple[int, Optional[int]]] = []  # (line, position)
     stamps: list[float] = []
     stamp_slots: list[int] = []  # entries still waiting for their stamp's match
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.strip()
-            if not text or text.startswith("#"):
-                continue
-            try:
-                idx = int(text)
-            except ValueError:
-                idx = None
-            if idx is not None:
-                if idx not in by_index:
-                    raise TrajectoryParseError(
-                        path, lineno, f"frame index {idx} not present in trajectory"
-                    )
-                entries.append((lineno, by_index[idx]))
-                continue
-            try:
-                stamp = float(text)
-            except ValueError:
-                stamp = math.nan
-            if not math.isfinite(stamp):
+    for lineno, text in data_lines(path):
+        try:
+            idx = int(text)
+        except ValueError:
+            idx = None
+        if idx is not None:
+            if idx not in by_index:
                 raise TrajectoryParseError(
-                    path, lineno, f"expected frame index or timestamp, got {text!r}"
+                    path, lineno, f"frame index {idx} not present in trajectory"
                 )
-            stamp_slots.append(len(entries))
-            entries.append((lineno, None))
-            stamps.append(stamp)
+            entries.append((lineno, by_index[idx]))
+            continue
+        try:
+            stamp = float(text)
+        except ValueError:
+            stamp = math.nan
+        if not math.isfinite(stamp):
+            raise TrajectoryParseError(
+                path, lineno, f"expected frame index or timestamp, got {text!r}"
+            )
+        stamp_slots.append(len(entries))
+        entries.append((lineno, None))
+        stamps.append(stamp)
     if stamps:
         try:
             matches = associate(stamps, frames)

@@ -499,11 +499,13 @@ def so3_left_jacobian_rows(omega: np.ndarray) -> np.ndarray:
     a2 = angle * angle
     s_half = np.sin(0.5 * angle)
     small = angle < _SMALL_V_ANGLE
+    # A tangent made non-finite by an unguarded division gives NaN entries
+    # here, without a floating-point warning.
     with np.errstate(divide="ignore", invalid="ignore"):
         c1 = np.where(small, 0.5 - a2 / 24.0, 2.0 * s_half * s_half / a2)
         c2 = np.where(small, 1.0 / 6.0 - a2 / 120.0, (angle - np.sin(angle)) / (a2 * angle))
-    k = _skew_rows(omega)
-    return np.eye(3) + c1[:, None, None] * k + c2[:, None, None] * np.matmul(k, k)
+        k = _skew_rows(omega)
+        return np.eye(3) + c1[:, None, None] * k + c2[:, None, None] * np.matmul(k, k)
 
 
 def so3_left_jacobian_inv_rows(omega: np.ndarray) -> np.ndarray:

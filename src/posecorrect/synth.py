@@ -529,18 +529,14 @@ def save_scene(scene: Scene, path) -> None:
 def load_scene(path) -> Scene:
     sections: dict[str, list[tuple[int, str]]] = {}
     current: Optional[str] = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.strip()
-            if not text or text.startswith("#"):
-                continue
-            if text.startswith("[") and text.endswith("]"):
-                current = text[1:-1]
-                sections.setdefault(current, [])
-                continue
-            if current is None:
-                raise trajio.TrajectoryParseError(path, lineno, "content before any section")
-            sections[current].append((lineno, text))
+    for lineno, text in trajio.data_lines(path):
+        if text.startswith("[") and text.endswith("]"):
+            current = text[1:-1]
+            sections.setdefault(current, [])
+            continue
+        if current is None:
+            raise trajio.TrajectoryParseError(path, lineno, "content before any section")
+        sections[current].append((lineno, text))
 
     for name in ("camera", "poses", "keyframes", "landmarks", "observations"):
         if name not in sections:

@@ -71,16 +71,34 @@ class Segment:
 @dataclass(frozen=True)
 class SegmentBatch:
     """Segments corrected in one call; ``rels`` are their relative frames,
-    in segment order, as for a single :class:`Segment`."""
+    in segment order, as for a single :class:`Segment`, and ``counts`` the
+    number of relative frames of each segment."""
 
     segments: tuple[Segment, ...]
     rels: tuple[RelativeFrame, ...] = field(init=False)
+    counts: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "segments", tuple(self.segments))
         object.__setattr__(
             self, "rels", tuple(rel for seg in self.segments for rel in seg.rels)
         )
+        object.__setattr__(self, "counts", tuple(len(seg.rels) for seg in self.segments))
+
+    def per_frame(self, values) -> np.ndarray:
+        """Row ``i`` of ``values`` (one row per segment) repeated once for
+        each relative frame of segment ``i``."""
+        return np.repeat(values, self.counts, axis=0)
+
+    def reduce(self, ufunc: np.ufunc, values: np.ndarray, empty) -> np.ndarray:
+        """``ufunc.reduce`` over each segment's rows of ``values`` (one row
+        per relative frame); ``empty`` for a segment with no rows."""
+        counts = np.array(self.counts, dtype=int)
+        out = np.full(len(counts), empty, dtype=values.dtype)
+        filled = counts > 0
+        if filled.any():
+            out[filled] = ufunc.reduceat(values, (np.cumsum(counts) - counts)[filled])
+        return out
 
 
 @dataclass
@@ -209,28 +227,14 @@ def rel_pose_arrays(segments: Sequence[Segment]) -> tuple[np.ndarray, np.ndarray
     return pose_arrays(rel.rel_pose for seg in segments for rel in seg.rels)
 
 
-def segment_reduce(ufunc: np.ufunc, values: np.ndarray, counts, empty) -> np.ndarray:
-    """``ufunc.reduce`` over each segment's rows of ``values``, whose
-    segments hold ``counts`` consecutive rows each; ``empty`` for a segment
-    with no rows."""
-    counts = np.asarray(counts, dtype=int)
-    out = np.full(len(counts), empty, dtype=values.dtype)
-    filled = counts > 0
-    if filled.any():
-        out[filled] = ufunc.reduceat(values, (np.cumsum(counts) - counts)[filled])
-    return out
-
-
 def _compose_on_segments(
     segments: Sequence[Segment], bases: Sequence[Pose], q: np.ndarray, t: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """``bases[seg.index] * pose`` for the pose ``(q, t)`` of every relative
     frame of ``segments`` (rows in segment order), as arrays."""
-    counts = [len(seg.rels) for seg in segments]
+    batch = SegmentBatch(segments)
     base_q, base_t = pose_arrays(bases[seg.index] for seg in segments)
-    return pose_mul(
-        np.repeat(base_q, counts, axis=0), np.repeat(base_t, counts, axis=0), q, t
-    )
+    return pose_mul(batch.per_frame(base_q), batch.per_frame(base_t), q, t)
 
 
 def compose_world_poses(

@@ -1,7 +1,9 @@
 """Command-line interface: subcommand workflows, exit codes, config
 precedence and determinism."""
 
+import inspect
 import json
+import math
 import shlex
 import subprocess
 import sys
@@ -51,6 +53,35 @@ def evaluate_args(scene_dir, out, *extra):
         "evaluate", "--traj", str(scene_dir / "est.tum"), "--gt", str(scene_dir / "gt.tum"),
         "--kf-index", str(scene_dir / "kf_index.txt"), "--methods", "all", "--out", str(out),
         *extra,
+    ]
+
+
+def zero_yaw_keyframes_args(tmp_path, command):
+    """``correct`` or ``evaluate`` arguments, without ``--methods``, for
+    keyframes at t=0 and t=1 with zero yaw and a frame between them with
+    yaw 0.3, after an update that turns the second keyframe's yaw to 0.1.
+    Under ``--raw-division`` the Euler factor 0.3 / 0 makes the yaw
+    infinite."""
+
+    def tum_line(stamp, x, yaw):
+        return f"{stamp} {x} 0 0 0 0 {math.sin(yaw / 2)!r} {math.cos(yaw / 2)!r}\n"
+
+    (tmp_path / "traj.tum").write_text(
+        tum_line(0, 0, 0) + tum_line(0.5, 0.5, 0.3) + tum_line(1, 1, 0)
+    )
+    (tmp_path / "kf_index.txt").write_text("0\n2\n")
+    (tmp_path / "kf_new.tum").write_text(tum_line(0, 0, 0) + tum_line(1, 1, 0.1))
+    (tmp_path / "gt.tum").write_text(
+        tum_line(0, 0, 0) + tum_line(0.5, 0.5, 0.3) + tum_line(1, 1, 0.1)
+    )
+    inputs = {
+        "correct": ["--kf-old", str(tmp_path / "traj.tum"),
+                    "--kf-new", str(tmp_path / "kf_new.tum")],
+        "evaluate": ["--gt", str(tmp_path / "gt.tum")],
+    }[command]
+    return [
+        command, "--traj", str(tmp_path / "traj.tum"),
+        "--kf-index", str(tmp_path / "kf_index.txt"), *inputs, "--out", str(tmp_path / "out"),
     ]
 
 
@@ -240,6 +271,24 @@ class TestEvaluate:
         for name in names:
             assert (batched / name).read_bytes() == (scalar / name).read_bytes(), name
 
+    @pytest.mark.parametrize("command", ["correct", "evaluate"])
+    def test_raw_division_infinite_euler_angle_exit_two(self, tmp_path, capsys, command):
+        argv = [*zero_yaw_keyframes_args(tmp_path, command), "--methods", "euler"]
+        assert main(argv) == 0
+        assert main([*argv, "--raw-division"]) == 2
+        err = capsys.readouterr().err
+        assert "method euler" in err and "--raw-division" in err
+
+    @pytest.mark.parametrize("command", ["correct", "evaluate"])
+    def test_raw_division_nan_tangent_passes_without_float_warning(self, tmp_path, command):
+        # The se(3)-v translation maps the NaN tangent of the unguarded
+        # division through the left Jacobian; the NaN passes through
+        # without a numpy floating-point warning, which the test
+        # configuration turns into an error.
+        argv = [*zero_yaw_keyframes_args(tmp_path, command), "--methods", "so3",
+                "--trans-space", "se3-v", "--raw-division"]
+        assert main(argv) == 0
+
     def test_raw_division_warns_of_non_finite_frames(self, singular_dir, tmp_path, caplog):
         import logging
 
@@ -268,6 +317,27 @@ class TestBench:
         assert len(lines) == 3
         med = float(lines[1].split(",")[3])
         assert 0.0 < med < 100.0
+
+    def test_times_whole_trajectory_per_method(self, tmp_path, monkeypatch):
+        # Every timed and warm-up call corrects the whole seeded 101-frame
+        # trajectory through evaluate.correct_trajectory.
+        calls = []
+        correct_trajectory = ev.correct_trajectory
+
+        def counted(traj, updates, cfg):
+            calls.append((cfg.name, traj.frame_count))
+            return correct_trajectory(traj, updates, cfg)
+
+        monkeypatch.setattr(ev, "correct_trajectory", counted)
+        out = tmp_path / "bench"
+        assert main([
+            "bench", "--methods", "no-correction,so3", "--repetitions", "4",
+            "--out", str(out),
+        ]) == 0
+        warmup = inspect.signature(ev.bench).parameters["warmup"].default
+        assert calls == [("no-correction", 101)] * (warmup + 4) + [("so3", 101)] * (warmup + 4)
+        rows = (out / "timing.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["no-correction", "so3"]
 
 
 class TestConfigPrecedence:

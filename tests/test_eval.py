@@ -13,7 +13,6 @@ from posecorrect.evaluate import (
     ErrorStats,
     MethodConfig,
     TrajectoryDiagnostics,
-    _correct_one_segment,
     bench,
     correct_trajectory,
     frame_errors,
@@ -21,6 +20,7 @@ from posecorrect.evaluate import (
     write_diagnostics_csv,
     write_report_csv,
 )
+from posecorrect.baseline import interp_correct_segment_scalar
 from posecorrect.correction import correct_segment_scalar
 from posecorrect.liegeom import Pose, Rotation, rotation_angle_deg, so3_exp
 from posecorrect.trajectory import (
@@ -156,14 +156,12 @@ class TestDriver:
                 want = updates[-1].new_pose * rel.rel_pose
                 np.testing.assert_array_equal(got[rel.id].translation, want.translation)
                 np.testing.assert_array_equal(got[rel.id].rotation.quat, want.rotation.quat)
-            poses, _ = _correct_one_segment(terminal, updates[-1], None, cfg)
-            for pose, rel in zip(poses, terminal.rels, strict=True):
-                assert pose is rel.rel_pose
 
     def test_world_poses_equal_scalar_composition_bitwise(self):
         # One array pass composes every method's world poses; each must be
         # the scalar product of the updated opening keyframe and the pose
-        # the scalar kernel gives, to the last bit.
+        # the scalar reference kernel gives (the stored relative pose for
+        # no-correction), to the last bit.
         traj, gt = fixtures.noisy_fixture(1)
         updates = snap_to_gt(traj, gt)
         for name in METHODS:
@@ -172,10 +170,12 @@ class TestDriver:
             got = dict(world)
             for seg in traj.segments[:-1]:
                 upd_a, upd_b = updates[seg.index], updates[seg.index + 1]
-                if name == "proposed":
+                if name == "no-correction":
+                    poses = [rel.rel_pose for rel in seg.rels]
+                elif name == "proposed":
                     poses, _ = correct_segment_scalar(seg, upd_a, upd_b)
                 else:
-                    poses, _ = _correct_one_segment(seg, upd_a, upd_b, cfg)
+                    poses, _ = interp_correct_segment_scalar(seg, upd_a, upd_b, *cfg.spaces())
                 for rel, pose in zip(seg.rels, poses, strict=True):
                     want = upd_a.new_pose * pose
                     assert got[rel.id].rotation.quat.tobytes() == want.rotation.quat.tobytes()
@@ -280,15 +280,14 @@ class TestBench:
         # slower than the so(3) interpolation, same order of magnitude.
         # Wall-clock ordering is too flaky to pin down in CI, so only the
         # magnitude bound is asserted.
-        from posecorrect.evaluate import _correct_one_segment
-
-        seg, upd_a, upd_b = fixtures.bench_segment()
+        traj, gt = fixtures.noisy_fixture(0)
+        updates = snap_to_gt(traj, gt)
         medians = {}
         for name in ("so3", "proposed"):
             cfg = MethodConfig(name)
             stats = bench(
-                lambda fx, cfg=cfg: _correct_one_segment(fx[0], fx[1], fx[2], cfg),
-                [(seg, upd_a, upd_b)],
+                lambda upd, cfg=cfg: correct_trajectory(traj, upd, cfg),
+                [updates],
                 repetitions=80,
                 warmup=20,
             )
