@@ -23,8 +23,10 @@ from .liegeom import (
 )
 from .trajectory import (
     FrameId,
+    FrameTable,
     Keyframe,
     KeyframeUpdate,
+    KeyframeUpdates,
     RelativeFrame,
     Segment,
     Trajectory,
@@ -49,8 +51,10 @@ __all__ = [
     "so3_exp",
     "so3_log",
     "FrameId",
+    "FrameTable",
     "Keyframe",
     "KeyframeUpdate",
+    "KeyframeUpdates",
     "RelativeFrame",
     "Segment",
     "Trajectory",

@@ -29,20 +29,13 @@ reference that the tests compare the batched kernel against bit for bit.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
 from . import liegeom
 from .correction import keyframe_pairs
 from .liegeom import Pose, Rotation, mat_vec
-from .trajectory import (
-    KeyframeUpdate,
-    Segment,
-    SegmentBatch,
-    SegmentRecord,
-    rel_pose_arrays,
-)
+from .trajectory import KeyframeUpdate, Segment, SegmentBatch, SegmentRecord
 
 SINGULARITY_EPS = 1e-12
 QUAT_RENORM_TOL = 1e-6
@@ -227,7 +220,7 @@ def _rotation_rows(rvec: np.ndarray, rs: RotSpace) -> tuple[np.ndarray, np.ndarr
 
 def interp_correct_segment(
     batch: SegmentBatch,
-    updates: Sequence[KeyframeUpdate],
+    updates,
     ts: TransSpace,
     rs: RotSpace,
     raw_division: bool = False,
@@ -235,17 +228,18 @@ def interp_correct_segment(
     """Correct every relative frame of the full segments of ``batch`` in
     vector space, in one pass.
 
-    ``updates[i]`` is the update of keyframe ``i``.  Returns the corrected
-    poses of ``batch.rels`` relative to each segment's updated opening
-    keyframe as (N, 4) quaternions and (N, 3) translations, plus one record
-    per segment.  Each value and count is bitwise equal to
+    ``updates`` is a :class:`KeyframeUpdates` table or a sequence of
+    :class:`KeyframeUpdate`, row ``i`` for keyframe ``i``.  Returns the
+    corrected poses of ``batch.rels`` relative to each segment's updated
+    opening keyframe as (N, 4) quaternions and (N, 3) translations, plus one
+    record per segment.  Each value and count is bitwise equal to
     :func:`interp_correct_segment_scalar` on the segment.
     """
-    segments, per_frame = batch.segments, batch.per_frame
-    pairs = keyframe_pairs(segments, updates)
+    per_frame = batch.per_frame
+    pairs = keyframe_pairs(batch, updates)
     tv_old, rv_old, om_old, gimbal_old = _vectorize_rows(pairs.old_q, pairs.old_t, ts, rs)
     tv_new, rv_new, om_new, gimbal_new = _vectorize_rows(pairs.new_q, pairs.new_t, ts, rs)
-    tv, rv, om, gimbal = _vectorize_rows(*rel_pose_arrays(segments), ts, rs)
+    tv, rv, om, gimbal = _vectorize_rows(batch.rels.q, batch.rels.t, ts, rs)
 
     def update(x, x_old, x_new):
         x_old = per_frame(x_old)
@@ -266,10 +260,10 @@ def interp_correct_segment(
 
     records = [
         SegmentRecord(
-            seg.index, singular_hits=n_singular, gimbal_hits=n_gimbal, quat_renorm_hits=n_renorm
+            index, singular_hits=n_singular, gimbal_hits=n_gimbal, quat_renorm_hits=n_renorm
         )
-        for seg, n_singular, n_gimbal, n_renorm in zip(
-            segments,
+        for index, n_singular, n_gimbal, n_renorm in zip(
+            batch.index.tolist(),
             (singular * batch.counts).tolist(),
             (
                 gimbal_old.astype(int) + gimbal_new + batch.reduce(np.add, gimbal.astype(int), 0)

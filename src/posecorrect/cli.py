@@ -34,6 +34,8 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
+import numpy as np
+
 from . import evaluate as ev
 from . import fixtures
 from . import io as trajio
@@ -41,7 +43,7 @@ from . import synth
 from .baseline import RotSpace, TransSpace
 from .trajectory import (
     AssociationError,
-    KeyframeUpdate,
+    KeyframeUpdates,
     Trajectory,
     associate,
     from_world_poses,
@@ -135,21 +137,22 @@ def _associate_updates(traj: Trajectory, old_file, new_file, tol: float, fmt: st
     ride along unchanged; a keyframe in exactly one of the files is an
     error (the pair is meaningless without both sides).
     """
-    stamps = [kf.id.stamp for kf in traj.keyframes]
-    olds = associate(stamps, _read_trajectory_file(old_file, fmt), tol, allow_missing=True)
-    news = associate(stamps, _read_trajectory_file(new_file, fmt), tol, allow_missing=True)
-    updates = []
-    for i, (kf, old, new) in enumerate(zip(traj.keyframes, olds, news)):
-        if (old is None) != (new is None):
-            missing = "--kf-new" if new is None else "--kf-old"
-            raise CliError(
-                f"keyframe at t={kf.id.stamp:.6f} has no match in {missing}"
-            )
-        if old is None:
-            updates.append(KeyframeUpdate(i, kf.world_pose, kf.world_pose))
-        else:
-            updates.append(KeyframeUpdate(i, old[1], new[1]))
-    return updates
+    stamps = traj.kf.stamps
+    poses = []
+    for path in (old_file, new_file):
+        table = _read_trajectory_file(path, fmt)
+        rows = associate(stamps, table, tol, allow_missing=True)
+        found = rows >= 0
+        q, t = traj.kf.q.copy(), traj.kf.t.copy()
+        q[found], t[found] = table.q[rows[found]], table.t[rows[found]]
+        poses.append((found, q, t))
+    (old_found, old_q, old_t), (new_found, new_q, new_t) = poses
+    mismatch = old_found != new_found
+    if mismatch.any():
+        k = int(np.argmax(mismatch))
+        missing = "--kf-new" if not new_found[k] else "--kf-old"
+        raise CliError(f"keyframe at t={stamps[k]:.6f} has no match in {missing}")
+    return KeyframeUpdates(old_q, old_t, new_q, new_t)
 
 
 @contextmanager
@@ -177,7 +180,7 @@ def cmd_correct(args) -> int:
 
     # Relative poses must be anchored to the *old* keyframe poses; rebase
     # when the update files disagree with the trajectory's own keyframes.
-    traj = rebase(traj, [upd.old_pose for upd in updates])
+    traj = rebase(traj, updates.old_q, updates.old_t)
 
     cfg = _method_config(methods[0], args)
     with _raw_division_errors(cfg):
@@ -195,14 +198,16 @@ def cmd_evaluate(args) -> int:
     traj = _build_trajectory(args)
     gt = _read_trajectory_file(args.gt, args.format)
     sequence = Path(args.traj).stem
-    rows = []
+    # Every method runs before any file is written, so a run that fails
+    # leaves no partial output.
+    results = []
     for name in methods:
         cfg = _method_config(name, args)
         with _raw_division_errors(cfg):
-            report, errors = ev.run_protocol(traj, gt, cfg, tol=args.assoc_tol)
-        rows.append((sequence, report))
+            results.append(ev.run_protocol(traj, gt, cfg, tol=args.assoc_tol))
+    for name, (_, errors) in zip(methods, results):
         ev.write_frame_errors_csv(out / f"frame_errors_{name}.csv", errors)
-    ev.write_report_csv(out / "report.csv", rows)
+    ev.write_report_csv(out / "report.csv", [(sequence, report) for report, _ in results])
     _echo_config(args, out)
     log.info("wrote %s", out / "report.csv")
     return 0
@@ -226,7 +231,7 @@ def cmd_simulate(args) -> int:
     with open(out / "kf_index.txt", "w", encoding="utf-8") as fh:
         fh.write("# keyframe frame indices\n")
         for p in positions:
-            fh.write(f"{frames[p][0].index}\n")
+            fh.write(f"{frames.indices[p]}\n")
     if args.drift > 0.0:
         est = fixtures.displaced_estimate(frames, positions, seed=args.seed, magnitude=args.drift)
     else:

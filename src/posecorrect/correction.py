@@ -34,14 +34,13 @@ vector-space interpolation.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from .liegeom import (
     Pose,
     Rotation,
-    pose_arrays,
     pose_inverse,
     pose_mul,
     quat_inverse,
@@ -51,13 +50,7 @@ from .liegeom import (
     slerp_from_identity,
     vec_norm,
 )
-from .trajectory import (
-    KeyframeUpdate,
-    Segment,
-    SegmentBatch,
-    SegmentRecord,
-    rel_pose_arrays,
-)
+from .trajectory import KeyframeUpdate, KeyframeUpdates, Segment, SegmentBatch, SegmentRecord
 
 DEGENERATE_BASELINE = 1e-9  # meters; below this the scale ratio is unusable
 
@@ -205,23 +198,22 @@ class KeyframePairs(NamedTuple):
 
 
 def keyframe_pairs(
-    segments: Sequence[Segment],
-    updates: Sequence[KeyframeUpdate],
+    batch: SegmentBatch,
+    updates,
     scale_squared: bool = False,
 ) -> KeyframePairs:
-    """:func:`_segment_setup` of every full segment at once, on arrays and
-    bitwise equal to it; ``updates[i]`` is the update of keyframe ``i``."""
-    for seg in segments:
-        if seg.terminal:
-            raise ValueError("segment is terminal: it has no closing keyframe")
-
-    def between(attr: str):
-        q_a, t_a = pose_arrays(getattr(updates[seg.index], attr) for seg in segments)
-        q_b, t_b = pose_arrays(getattr(updates[seg.index + 1], attr) for seg in segments)
-        return pose_mul(*pose_inverse(q_a, t_a), q_b, t_b)
-
-    old_q, old_t = between("old_pose")
-    new_q, new_t = between("new_pose")
+    """:func:`_segment_setup` of every segment of ``batch`` at once, on
+    arrays and bitwise equal to it; ``updates`` is a
+    :class:`KeyframeUpdates` table or a sequence of :class:`KeyframeUpdate`,
+    row ``i`` for keyframe ``i``."""
+    updates = KeyframeUpdates.of(updates)
+    a, b = batch.index, batch.index + 1
+    old_q, old_t = pose_mul(
+        *pose_inverse(updates.old_q[a], updates.old_t[a]), updates.old_q[b], updates.old_t[b]
+    )
+    new_q, new_t = pose_mul(
+        *pose_inverse(updates.new_q[a], updates.new_t[a]), updates.new_q[b], updates.new_t[b]
+    )
     n_old, n_new = vec_norm(old_t), vec_norm(new_t)
     degenerate = (n_old < DEGENERATE_BASELINE) | (n_new < DEGENERATE_BASELINE)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -236,30 +228,31 @@ def keyframe_pairs(
 
 def correct_segment(
     batch: SegmentBatch,
-    updates: Sequence[KeyframeUpdate],
+    updates,
     scale_squared: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, list[SegmentRecord]]:
     """Correct every relative frame of the full segments of ``batch`` in
     one pass.
 
-    ``updates[i]`` is the update of keyframe ``i``.  Returns the corrected
-    poses of ``batch.rels`` relative to each segment's updated opening
-    keyframe as (N, 4) quaternions and (N, 3) translations, plus one record
-    per segment.  Each value is bitwise equal to
+    ``updates`` is a :class:`KeyframeUpdates` table or a sequence of
+    :class:`KeyframeUpdate`, row ``i`` for keyframe ``i``.  Returns the
+    corrected poses of ``batch.rels`` relative to each segment's updated
+    opening keyframe as (N, 4) quaternions and (N, 3) translations, plus one
+    record per segment.  Each value is bitwise equal to
     :func:`correct_segment_scalar` on the segment: the per-segment setup is
     :func:`keyframe_pairs`, and the per-frame steps are the array twins of
     its scalar operations.
     """
-    segments, per_frame = batch.segments, batch.per_frame
-    pairs = keyframe_pairs(segments, updates, scale_squared)
-    q, t = rel_pose_arrays(segments)
+    per_frame = batch.per_frame
+    pairs = keyframe_pairs(batch, updates, scale_squared)
+    q, t = batch.rels.q, batch.rels.t
     q_b, t_b = pose_mul(per_frame(pairs.old_inv_q), per_frame(pairs.old_inv_t), q, t)  # rel_b_old
     alpha = _alphas(
         t,
         t_b,
-        np.array([rel.id.stamp for rel in batch.rels]),
-        per_frame([seg.kf_a.id.stamp for seg in segments]),
-        per_frame([seg.kf_b.id.stamp - seg.kf_a.id.stamp for seg in segments]),
+        batch.rels.stamps,
+        per_frame(batch.start),
+        per_frame(batch.stop - batch.start),
         per_frame(pairs.degenerate),
     )
 
@@ -274,9 +267,9 @@ def correct_segment(
     trans = trans_a + alpha[:, None] * quat_rotate(rot, dtrans)
 
     records = [
-        SegmentRecord(seg.index, s=s_seg, degenerate_baseline=flag, alpha_min=a_min, alpha_max=a_max)
-        for seg, s_seg, flag, a_min, a_max in zip(
-            segments,
+        SegmentRecord(index, s=s_seg, degenerate_baseline=flag, alpha_min=a_min, alpha_max=a_max)
+        for index, s_seg, flag, a_min, a_max in zip(
+            batch.index.tolist(),
             pairs.s.tolist(),
             pairs.degenerate.tolist(),
             batch.reduce(np.minimum, alpha, math.nan).tolist(),

@@ -20,18 +20,17 @@ import numpy as np
 
 from . import baseline, correction
 from .baseline import RotSpace, TransSpace
-from .liegeom import Pose, pose_arrays, rotation_angles_deg, vec_norm
+from .liegeom import rotation_angles_deg, vec_norm
 from .trajectory import (
     DEFAULT_ASSOC_TOL,
     FrameId,
-    KeyframeUpdate,
-    Segment,
+    FrameTable,
+    KeyframeUpdates,
     SegmentBatch,
     SegmentRecord,
     Trajectory,
     associate,
     compose_world_poses,
-    rel_pose_arrays,
     snap_to_gt,
 )
 
@@ -81,26 +80,26 @@ class TrajectoryDiagnostics:
         return sum(1 for rec in self.segments if rec.degenerate_baseline)
 
 
-# Kernel adapters: correct the full segments of a trajectory, in order, and
-# return the poses of their relative frames relative to each updated opening
-# keyframe as (N, 4) quaternion and (N, 3) translation arrays, plus one
-# SegmentRecord per segment.  ``updates[i]`` is the update of keyframe i.
-# Kernels are looked up through their modules at call time, so a patched
-# module attribute takes effect.
+# Kernel adapters: correct the full segments of a trajectory, given as a
+# SegmentBatch, and return the poses of their relative frames relative to
+# each updated opening keyframe as (N, 4) quaternion and (N, 3) translation
+# arrays, plus one SegmentRecord per segment.  ``updates`` is the
+# trajectory's KeyframeUpdates table.  Kernels are looked up through their
+# modules at call time, so a patched module attribute takes effect.
 
 
-def _unchanged(segments: Sequence[Segment], updates, cfg: MethodConfig):
-    return (*rel_pose_arrays(segments), [SegmentRecord(seg.index) for seg in segments])
+def _unchanged(batch: SegmentBatch, updates, cfg: MethodConfig):
+    return batch.rels.q, batch.rels.t, [SegmentRecord(i) for i in batch.index.tolist()]
 
 
-def _proposed(segments: Sequence[Segment], updates, cfg: MethodConfig):
-    return correction.correct_segment(SegmentBatch(segments), updates, cfg.scale_squared)
+def _proposed(batch: SegmentBatch, updates, cfg: MethodConfig):
+    return correction.correct_segment(batch, updates, cfg.scale_squared)
 
 
-def _interpolated(segments: Sequence[Segment], updates, cfg: MethodConfig):
+def _interpolated(batch: SegmentBatch, updates, cfg: MethodConfig):
     ts, rs = cfg.spaces()
     return baseline.interp_correct_segment(
-        SegmentBatch(segments), updates, ts, rs, raw_division=cfg.raw_division
+        batch, updates, ts, rs, raw_division=cfg.raw_division
     )
 
 
@@ -128,22 +127,25 @@ METHODS = {
 
 def correct_trajectory(
     traj: Trajectory,
-    updates: Sequence[KeyframeUpdate],
+    updates,
     cfg: MethodConfig,
-) -> tuple[list[tuple[FrameId, Pose]], TrajectoryDiagnostics]:
+) -> tuple[FrameTable, TrajectoryDiagnostics]:
     """Apply a correction method to every segment, in segment order, and
-    rebuild world poses on the updated keyframes.
+    rebuild world poses on the updated keyframes, as a table ordered by
+    ``(stamp, index)``.
 
-    ``updates`` must carry one entry per keyframe, in keyframe order.
+    ``updates`` is a :class:`KeyframeUpdates` table or a sequence of
+    :class:`KeyframeUpdate`, one per keyframe, in keyframe order.
     """
-    if len(updates) != len(traj.keyframes):
+    updates = KeyframeUpdates.of(updates)
+    n_keyframes = len(traj.kf)
+    if len(updates) != n_keyframes:
         raise ValueError(
-            f"need one update per keyframe ({len(traj.keyframes)}), got {len(updates)}"
+            f"need one update per keyframe ({n_keyframes}), got {len(updates)}"
         )
     method = METHODS[cfg.name]
     # Only the last segment, which no keyframe closes, is terminal.
-    *full, last = traj.segments
-    q, t, records = method.kernel(full, updates, cfg)
+    q, t, records = method.kernel(traj.full_segments(), updates, cfg)
     not_finite = int(np.count_nonzero(~np.isfinite(np.hstack((q, t))).all(axis=1)))
     if not_finite:
         log.warning(
@@ -152,14 +154,15 @@ def correct_trajectory(
     # No method has an interpolation target without a closing keyframe, so
     # the terminal segment's relative poses ride along with the updated
     # opening keyframe.
-    last_q, last_t = rel_pose_arrays([last])
+    last = traj.offsets[-2]
     world = compose_world_poses(
         traj,
-        [upd.new_pose for upd in updates],
-        np.concatenate((q, last_q)),
-        np.concatenate((t, last_t)),
+        updates.new_q,
+        updates.new_t,
+        np.concatenate((q, traj.rel.q[last:])),
+        np.concatenate((t, traj.rel.t[last:])),
     )
-    records.append(SegmentRecord(last.index, terminal=True, s=method.terminal_s))
+    records.append(SegmentRecord(n_keyframes - 1, terminal=True, s=method.terminal_s))
     return world, TrajectoryDiagnostics(records)
 
 
@@ -171,6 +174,32 @@ class FrameError:
     frame: FrameId
     translation_cm: float
     rotation_deg: float
+
+
+@dataclass(frozen=True)
+class FrameErrors:
+    """Per-frame errors as arrays, one row per scored frame: its stamp and
+    index, the translation error (cm) and the rotation error (deg).
+    Iterating yields :class:`FrameError` objects, built on demand."""
+
+    stamps: np.ndarray
+    indices: np.ndarray
+    translation_cm: np.ndarray
+    rotation_deg: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.stamps)
+
+    def __iter__(self):
+        return (
+            FrameError(FrameId(stamp, index), t_err, r_err)
+            for stamp, index, t_err, r_err in zip(
+                self.stamps.tolist(),
+                self.indices.tolist(),
+                self.translation_cm.tolist(),
+                self.rotation_deg.tolist(),
+            )
+        )
 
 
 @dataclass(frozen=True)
@@ -192,24 +221,18 @@ class ErrorStats:
         return f"{self.mean:.3f}+-{self.std:.2f} ({self.median:.3f})"
 
 
-def frame_errors(
-    est: Sequence[tuple[FrameId, Pose]],
-    gt: Sequence[tuple[FrameId, Pose]],
-    tol: float = DEFAULT_ASSOC_TOL,
-) -> list[FrameError]:
-    """Per-frame translation (cm) and rotation (deg) errors against the
-    nearest-timestamp ground-truth association."""
-    matches = associate([fid.stamp for fid, _ in est], gt, tol)
-    q, t = pose_arrays(pose for _, pose in est)
-    ref_q, ref_t = pose_arrays(ref for _, ref in matches)
-    return [
-        FrameError(fid, t_err, r_err)
-        for (fid, _), t_err, r_err in zip(
-            est,
-            (vec_norm(t - ref_t) * 100.0).tolist(),
-            rotation_angles_deg(q, ref_q).tolist(),
-        )
-    ]
+def frame_errors(est, gt, tol: float = DEFAULT_ASSOC_TOL) -> FrameErrors:
+    """Per-frame translation (cm) and rotation (deg) errors of ``est``
+    against the nearest-timestamp association in ``gt`` (each a
+    :class:`FrameTable` or ``(FrameId, Pose)`` pairs)."""
+    est, gt = FrameTable.of(est), FrameTable.of(gt)
+    rows = associate(est.stamps, gt, tol)
+    return FrameErrors(
+        est.stamps,
+        est.indices,
+        vec_norm(est.t - gt.t[rows]) * 100.0,
+        rotation_angles_deg(est.q, gt.q[rows]),
+    )
 
 
 @dataclass(frozen=True)
@@ -224,20 +247,21 @@ class MethodReport:
 
 def run_protocol(
     traj: Trajectory,
-    gt: Sequence[tuple[FrameId, Pose]],
+    gt,
     cfg: MethodConfig,
     tol: float = DEFAULT_ASSOC_TOL,
-) -> tuple[MethodReport, list[FrameError]]:
+) -> tuple[MethodReport, FrameErrors]:
     """Snap keyframes to ground truth, correct, and score relative frames."""
+    gt = FrameTable.of(gt)
     updates = snap_to_gt(traj, gt, tol)
     world, diagnostics = correct_trajectory(traj, updates, cfg)
-    rel_ids = {rel.id for rel in traj.relatives}
-    est_rel = [(fid, pose) for fid, pose in world if fid in rel_ids]
-    errors = frame_errors(est_rel, gt, tol)
+    is_rel = np.zeros(len(world), dtype=bool)
+    is_rel[traj.rel_rows] = True
+    errors = frame_errors(world.take(is_rel), gt, tol)
     report = MethodReport(
         method=cfg.name,
-        translation=ErrorStats.from_values([e.translation_cm for e in errors]),
-        rotation=ErrorStats.from_values([e.rotation_deg for e in errors]),
+        translation=ErrorStats.from_values(errors.translation_cm),
+        rotation=ErrorStats.from_values(errors.rotation_deg),
         singular_hits=diagnostics.singular_hits,
         gimbal_hits=diagnostics.gimbal_hits,
         degenerate_segments=diagnostics.degenerate_segments,
@@ -307,14 +331,16 @@ def write_report_csv(path, rows: Sequence[tuple[str, MethodReport]]) -> None:
             )
 
 
-def write_frame_errors_csv(path, errors: Sequence[FrameError]) -> None:
+def write_frame_errors_csv(path, errors: FrameErrors) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("stamp", "index", "translation_cm", "rotation_deg"))
-        for e in errors:
-            writer.writerow(
-                [repr(e.frame.stamp), e.frame.index, repr(e.translation_cm), repr(e.rotation_deg)]
-            )
+        writer.writerows(zip(
+            map(repr, errors.stamps.tolist()),
+            errors.indices.tolist(),
+            map(repr, errors.translation_cm.tolist()),
+            map(repr, errors.rotation_deg.tolist()),
+        ))
 
 
 DIAGNOSTICS_COLUMNS = tuple(f.name for f in fields(SegmentRecord))

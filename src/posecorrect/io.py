@@ -6,9 +6,16 @@ w, x, y, z on read.  KITTI lines are the 12 row-major entries of the 3x4
 ``[R | t]`` matrix; the frame index is the line position and timestamps
 are synthesized from a fixed frame rate.
 
-Parsers reject malformed input with the offending file and line number
-rather than guessing.  Floats are written with ``repr`` so that
-write-then-read is exact.
+The readers return one :class:`~posecorrect.trajectory.FrameTable`; the
+writers take a table or ``(FrameId, Pose)`` pairs.  Each line is split and
+its fields converted with ``float`` as it is read, and the value checks
+then run on the whole array, so a file costs a few array passes rather
+than a ``Pose`` per line.  Parsers reject malformed input with the file
+and line number of the first offending line, rather than guessing.
+Floats are written with ``repr`` so that write-then-read is exact.
+:func:`parse_tum_fields` and :func:`format_tum_line` are the one-line
+forms, which scene files use and the tests compare the readers and
+writers against.
 """
 from __future__ import annotations
 
@@ -18,8 +25,8 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .liegeom import Pose, Rotation
-from .trajectory import AssociationError, FrameId, associate
+from .liegeom import Pose, Rotation, quat_matrix, quat_normalize, vec_norm
+from .trajectory import AssociationError, FrameTable, associate
 
 log = logging.getLogger("posecorrect.io")
 
@@ -68,31 +75,80 @@ def format_tum_line(stamp: float, pose: Pose) -> str:
     return " ".join(repr(float(v)) for v in vals)
 
 
+def _quat_norm_error(norm: float) -> str:
+    return f"quaternion norm {norm:.6f} departs from 1 by more than {QUAT_NORM_TOL}"
+
+
 def parse_tum_fields(fields: list[str], path, line: int) -> tuple[float, Pose]:
     stamp, tx, ty, tz, qx, qy, qz, qw = _parse_floats(fields, path, line, 8, " (stamp t q)")
     norm = float(np.linalg.norm([qw, qx, qy, qz]))
     if abs(norm - 1.0) > QUAT_NORM_TOL:
-        raise TrajectoryParseError(
-            path, line, f"quaternion norm {norm:.6f} departs from 1 by more than {QUAT_NORM_TOL}"
-        )
+        raise TrajectoryParseError(path, line, _quat_norm_error(norm))
     return stamp, Pose(Rotation((qw, qx, qy, qz)), (tx, ty, tz))
 
 
-def read_tum(path) -> list[tuple[FrameId, Pose]]:
+def _parse_rows(path, count: int, layout: str = ""):
+    """The fields of the data lines of ``path`` as an (N, ``count``) float
+    array, their line numbers, and the error of the first line whose field
+    count or conversion fails (``None`` when none does); the rows stop
+    there.  Finite values are not checked here."""
+    values: list[float] = []
+    linenos: list[int] = []
+    error = None
+    for lineno, text in data_lines(path):
+        fields = text.split()
+        if len(fields) != count:
+            error = TrajectoryParseError(
+                path, lineno, f"expected {count} fields{layout}, got {len(fields)}"
+            )
+            break
+        try:
+            values.extend(map(float, fields))
+        except ValueError as exc:
+            error = TrajectoryParseError(path, lineno, f"non-numeric field: {exc}")
+            break
+        linenos.append(lineno)
+    rows = np.array(values[:len(linenos) * count], dtype=float).reshape(-1, count)
+    return rows, linenos, error
+
+
+def read_tum(path) -> FrameTable:
     """Read a TUM trajectory, ordered by timestamp (stable sort, with a
-    warning, when the file is not monotone)."""
-    records = [parse_tum_fields(text.split(), path, lineno) for lineno, text in data_lines(path)]
-    if any(b[0] < a[0] for a, b in zip(records, records[1:])):
+    warning, when the file is not monotone).  Frame ``i`` of the result has
+    index ``i``."""
+    rows, linenos, error = _parse_rows(path, 8, " (stamp t q)")
+    wxyz = rows[:, [7, 4, 5, 6]]
+    finite = np.isfinite(rows).all(axis=1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        norm = vec_norm(wxyz)
+    bad = ~finite | (np.abs(norm - 1.0) > QUAT_NORM_TOL)
+    if bad.any():
+        k = int(np.argmax(bad))
+        message = (
+            "non-finite field (nan or inf)" if not finite[k] else _quat_norm_error(norm[k])
+        )
+        raise TrajectoryParseError(path, linenos[k], message)
+    if error is not None:
+        raise error
+    stamps = rows[:, 0]
+    if (stamps[1:] < stamps[:-1]).any():
         log.warning("%s: timestamps not monotone; applying stable sort", path)
-        records.sort(key=lambda item: item[0])
-    return [(FrameId(stamp, i), pose) for i, (stamp, pose) in enumerate(records)]
+        order = np.argsort(stamps, kind="stable")
+        rows, wxyz, stamps = rows[order], wxyz[order], stamps[order]
+    return FrameTable(stamps, np.arange(len(rows)), quat_normalize(wxyz), rows[:, 1:4])
+
+
+_TUM_LINE = " ".join(["%r"] * 8) + "\n"  # %r of a float is its repr
 
 
 def write_tum(path, poses) -> None:
+    """Write a :class:`FrameTable` or ``(FrameId, Pose)`` pairs as TUM
+    lines; each line equals :func:`format_tum_line` of its frame."""
+    frames = FrameTable.of(poses)
+    rows = np.column_stack((frames.stamps, frames.t, frames.q[:, 1:], frames.q[:, :1])).tolist()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# stamp tx ty tz qx qy qz qw\n")
-        for fid, pose in poses:
-            fh.write(format_tum_line(fid.stamp, pose) + "\n")
+        fh.write("".join([_TUM_LINE % tuple(row) for row in rows]))
 
 
 def _orthonormalize(m: np.ndarray, path, line: int) -> np.ndarray:
@@ -111,35 +167,42 @@ def _orthonormalize(m: np.ndarray, path, line: int) -> np.ndarray:
     return r
 
 
-def read_kitti(path, frame_rate: float = 10.0) -> list[tuple[FrameId, Pose]]:
+def read_kitti(path, frame_rate: float = 10.0) -> FrameTable:
     """Read a KITTI pose file; the frame index is the line number and
     timestamps are ``index / frame_rate``."""
-    out: list[tuple[FrameId, Pose]] = []
-    for index, (lineno, text) in enumerate(data_lines(path)):
-        vals = np.array(_parse_floats(text.split(), path, lineno, 12)).reshape(3, 4)
-        rot = _orthonormalize(vals[:, :3], path, lineno)
-        out.append(
-            (FrameId(index / frame_rate, index), Pose(Rotation.from_matrix(rot), vals[:, 3]))
-        )
-    return out
+    rows, linenos, error = _parse_rows(path, 12)
+    finite = np.isfinite(rows).all(axis=1)
+    matrices = rows.reshape(-1, 3, 4)
+    q = np.empty((len(rows), 4))
+    for k, lineno in enumerate(linenos):
+        if not finite[k]:
+            raise TrajectoryParseError(path, lineno, "non-finite field (nan or inf)")
+        q[k] = Rotation.from_matrix(_orthonormalize(matrices[k, :, :3], path, lineno)).quat
+    if error is not None:
+        raise error
+    index = np.arange(len(rows))
+    return FrameTable(index / frame_rate, index, q, matrices[:, :, 3])
 
 
 def write_kitti(path, poses) -> None:
+    frames = FrameTable.of(poses)
+    rows = np.concatenate((quat_matrix(frames.q), frames.t[:, :, None]), axis=2)
     with open(path, "w", encoding="utf-8") as fh:
-        for _, pose in poses:
-            m = pose.matrix[:3, :]
-            fh.write(" ".join(repr(float(v)) for v in m.reshape(-1)) + "\n")
+        fh.write("".join([" ".join(map(repr, row)) + "\n" for row in rows.reshape(-1, 12).tolist()]))
 
 
 def read_keyframe_index(path, frames) -> list[int]:
-    """Resolve a keyframe-index file against a frame list.
+    """Resolve a keyframe-index file against the frames of a
+    :class:`FrameTable` (or ``(FrameId, Pose)`` pairs), as positions.
 
     Each line is either an integer frame index or a finite timestamp; all
     timestamps are associated in one call within the default tolerance.
     Unresolvable entries, and entries that resolve to a frame an earlier
     line already selected, raise with the file and line number.
     """
-    by_index = {fid.index: k for k, (fid, _) in enumerate(frames)}
+    frames = FrameTable.of(frames)
+    indices = frames.indices.tolist()
+    by_index = {index: k for k, index in enumerate(indices)}
     entries: list[tuple[int, Optional[int]]] = []  # (line, position)
     stamps: list[float] = []
     stamp_slots: list[int] = []  # entries still waiting for their stamp's match
@@ -172,8 +235,8 @@ def read_keyframe_index(path, frames) -> list[int]:
         except AssociationError as exc:
             line = entries[stamp_slots[exc.query]][0]
             raise TrajectoryParseError(path, line, str(exc)) from None
-        for slot, (fid, _) in zip(stamp_slots, matches):
-            entries[slot] = (entries[slot][0], by_index[fid.index])
+        for slot, row in zip(stamp_slots, matches.tolist()):
+            entries[slot] = (entries[slot][0], by_index[indices[row]])
     positions = []
     selected_at: dict[int, int] = {}
     for lineno, pos in entries:
@@ -181,7 +244,7 @@ def read_keyframe_index(path, frames) -> list[int]:
             raise TrajectoryParseError(
                 path,
                 lineno,
-                f"selects frame index {frames[pos][0].index} again "
+                f"selects frame index {indices[pos]} again "
                 f"(first selected at line {selected_at[pos]})",
             )
         selected_at[pos] = lineno

@@ -36,6 +36,7 @@ from . import io as trajio
 from .liegeom import Pose, Rotation, euler_zyx_to, so3_exp
 from .trajectory import (
     FrameId,
+    FrameTable,
     KeyframeUpdate,
     Trajectory,
     from_world_poses,
@@ -159,7 +160,7 @@ class Scene:
     landmarks: tuple[Landmark, ...]
     observations: tuple[Observation, ...]
 
-    def gt_world_poses(self) -> list[tuple[FrameId, Pose]]:
+    def gt_world_poses(self) -> FrameTable:
         return world_poses(self.trajectory)
 
 

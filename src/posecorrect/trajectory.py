@@ -1,16 +1,35 @@
-"""Keyframe-anchored trajectory model.
+"""Keyframe-anchored trajectory model, held as arrays.
 
-A trajectory is a list of keyframes with world poses plus relative frames
-whose poses are stored with respect to a parent keyframe (``rel_pose`` is
-``T_{kf,frame}``).  Segments group the relative frames between consecutive
-keyframes; a terminal partial segment (no closing keyframe) collects any
-trailing relative frames.
+A :class:`FrameTable` holds frames as rows: stamps (N,), frame indices
+(N,), canonical wxyz quaternions (N, 4) and translations (N, 3).  The
+parsers return one, the writers take one, and the correction returns one.
+
+A :class:`Trajectory` is a table of keyframe world poses, with strictly
+increasing stamps, plus a table of relative frames whose poses are stored
+with respect to a parent keyframe (``T_{kf,frame}``), one parent index per
+row.  The relative rows are kept in segment order: by parent keyframe,
+then stamp, then frame index.  Segment ``i`` is the range
+``offsets[i]:offsets[i + 1]`` of those rows: the frames between keyframe
+``i`` and keyframe ``i + 1``, or, for the last keyframe, the terminal
+partial segment of trailing frames.  A :class:`SegmentBatch` hands the
+rows of the full segments to the correction kernels, and a
+:class:`KeyframeUpdates` table carries the old and new pose of every
+keyframe.
+
+:class:`Keyframe`, :class:`RelativeFrame`, :class:`Segment`,
+:class:`KeyframeUpdate` and ``(FrameId, Pose)`` pairs are the object
+forms.  They build tables (``Trajectory(keyframes, relatives)``,
+``SegmentBatch(segments)``, :meth:`FrameTable.of`) and are built from
+them on demand (``traj.keyframes``, ``traj.segments``, iterating a
+table), for library callers and for the scalar reference kernels that the
+tests compare the array kernels against.  The correction path itself
+reads only the arrays.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -68,22 +87,156 @@ class Segment:
         return self.kf_b is None
 
 
-@dataclass(frozen=True)
-class SegmentBatch:
-    """Segments corrected in one call; ``rels`` are their relative frames,
-    in segment order, as for a single :class:`Segment`, and ``counts`` the
-    number of relative frames of each segment."""
+@dataclass(frozen=True, slots=True)
+class KeyframeUpdate:
+    index: int
+    old_pose: Pose
+    new_pose: Pose
 
-    segments: tuple[Segment, ...]
-    rels: tuple[RelativeFrame, ...] = field(init=False)
-    counts: tuple[int, ...] = field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "segments", tuple(self.segments))
-        object.__setattr__(
-            self, "rels", tuple(rel for seg in self.segments for rel in seg.rels)
+class FrameTable:
+    """Frames as rows: ``stamps`` (N,), frame ``indices`` (N,), canonical
+    wxyz quaternions ``q`` (N, 4) and translations ``t`` (N, 3).
+
+    It is a read-only sequence of ``(FrameId, Pose)`` pairs, built on
+    demand: ``len``, iteration, an integer index (a pair) and a slice or an
+    index array (a table) all work.  Two tables are equal when every array
+    is; anything else is compared after :meth:`of`.
+    """
+
+    __slots__ = ("stamps", "indices", "q", "t")
+
+    def __init__(self, stamps, indices, q, t):
+        self.stamps = np.asarray(stamps, dtype=float)
+        self.indices = np.asarray(indices, dtype=np.int64)
+        self.q = np.asarray(q, dtype=float).reshape(-1, 4)
+        self.t = np.asarray(t, dtype=float).reshape(-1, 3)
+
+    @classmethod
+    def of(cls, frames) -> "FrameTable":
+        """``frames`` as a table: a table as is, a sequence of ``(FrameId,
+        Pose)`` pairs row by row."""
+        if isinstance(frames, cls):
+            return frames
+        frames = list(frames)
+        q, t = pose_arrays(pose for _, pose in frames)
+        return cls(
+            np.fromiter((fid.stamp for fid, _ in frames), dtype=float, count=len(frames)),
+            np.fromiter((fid.index for fid, _ in frames), dtype=np.int64, count=len(frames)),
+            q,
+            t,
         )
-        object.__setattr__(self, "counts", tuple(len(seg.rels) for seg in self.segments))
+
+    def __len__(self) -> int:
+        return len(self.stamps)
+
+    def take(self, rows) -> "FrameTable":
+        """The rows ``rows`` (a slice, an index array or a boolean mask)."""
+        return FrameTable(self.stamps[rows], self.indices[rows], self.q[rows], self.t[rows])
+
+    def ids(self) -> list[FrameId]:
+        return [FrameId(s, i) for s, i in zip(self.stamps.tolist(), self.indices.tolist())]
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            (pair,) = self.take([key])
+            return pair
+        return self.take(key)
+
+    def __iter__(self) -> Iterator[tuple[FrameId, Pose]]:
+        return zip(self.ids(), poses_from_arrays(self.q, self.t))
+
+    def __eq__(self, other) -> bool:
+        try:
+            other = FrameTable.of(other)
+        except (AttributeError, TypeError, ValueError):
+            return NotImplemented
+        return all(
+            np.array_equal(a, b)
+            for a, b in zip(
+                (self.stamps, self.indices, self.q, self.t),
+                (other.stamps, other.indices, other.q, other.t),
+            )
+        )
+
+    __hash__ = None
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"FrameTable({len(self)} frames)"
+
+
+class KeyframeUpdates:
+    """The old and new world pose of every keyframe, row ``i`` for
+    keyframe ``i``: quaternions ``old_q``/``new_q`` (K, 4) and translations
+    ``old_t``/``new_t`` (K, 3).  Indexing or iterating yields
+    :class:`KeyframeUpdate` objects, built on demand."""
+
+    __slots__ = ("old_q", "old_t", "new_q", "new_t")
+
+    def __init__(self, old_q, old_t, new_q, new_t):
+        self.old_q, self.old_t, self.new_q, self.new_t = old_q, old_t, new_q, new_t
+
+    @classmethod
+    def of(cls, updates) -> "KeyframeUpdates":
+        """``updates`` as a table: a table as is, a sequence of
+        :class:`KeyframeUpdate` (``updates[i]`` for keyframe ``i``) row by
+        row."""
+        if isinstance(updates, cls):
+            return updates
+        updates = list(updates)
+        return cls(
+            *pose_arrays(upd.old_pose for upd in updates),
+            *pose_arrays(upd.new_pose for upd in updates),
+        )
+
+    def __len__(self) -> int:
+        return len(self.old_q)
+
+    def __getitem__(self, i: int) -> KeyframeUpdate:
+        old, new = poses_from_arrays(
+            np.stack((self.old_q[i], self.new_q[i])), np.stack((self.old_t[i], self.new_t[i]))
+        )
+        return KeyframeUpdate(range(len(self))[i], old, new)
+
+    def __iter__(self) -> Iterator[KeyframeUpdate]:
+        return (self[i] for i in range(len(self)))
+
+
+class SegmentBatch:
+    """Full segments corrected in one call, as rows.
+
+    ``index`` (S,) holds each segment's opening keyframe (the closing one
+    is ``index + 1``), ``counts`` (S,) its number of relative frames,
+    ``start`` and ``stop`` (S,) the stamps of its two keyframes, and
+    ``rels`` the table of all their relative frames in segment order, each
+    pose relative to its segment's opening keyframe.
+
+    ``SegmentBatch(segments)`` builds one from :class:`Segment` objects and
+    raises ``ValueError`` on a terminal segment, which has no closing
+    keyframe; :meth:`Trajectory.full_segments` builds one from the arrays.
+    """
+
+    __slots__ = ("index", "counts", "start", "stop", "rels")
+
+    def __init__(self, segments: Sequence[Segment]):
+        segments = tuple(segments)
+        if any(seg.terminal for seg in segments):
+            raise ValueError("segment is terminal: it has no closing keyframe")
+        self.index = np.array([seg.index for seg in segments], dtype=np.int64)
+        self.counts = np.array([len(seg.rels) for seg in segments], dtype=np.int64)
+        self.start = np.array([seg.kf_a.id.stamp for seg in segments], dtype=float)
+        self.stop = np.array([seg.kf_b.id.stamp for seg in segments], dtype=float)
+        self.rels = FrameTable.of(
+            (rel.id, rel.rel_pose) for seg in segments for rel in seg.rels
+        )
+
+    @classmethod
+    def from_rows(cls, index, counts, start, stop, rels: FrameTable) -> "SegmentBatch":
+        batch = object.__new__(cls)
+        batch.index, batch.counts, batch.start, batch.stop, batch.rels = (
+            index, counts, start, stop, rels
+        )
+        return batch
 
     def per_frame(self, values) -> np.ndarray:
         """Row ``i`` of ``values`` (one row per segment) repeated once for
@@ -93,11 +246,10 @@ class SegmentBatch:
     def reduce(self, ufunc: np.ufunc, values: np.ndarray, empty) -> np.ndarray:
         """``ufunc.reduce`` over each segment's rows of ``values`` (one row
         per relative frame); ``empty`` for a segment with no rows."""
-        counts = np.array(self.counts, dtype=int)
-        out = np.full(len(counts), empty, dtype=values.dtype)
-        filled = counts > 0
+        out = np.full(len(self.counts), empty, dtype=values.dtype)
+        filled = self.counts > 0
         if filled.any():
-            out[filled] = ufunc.reduceat(values, (np.cumsum(counts) - counts)[filled])
+            out[filled] = ufunc.reduceat(values, (np.cumsum(self.counts) - self.counts)[filled])
         return out
 
 
@@ -119,11 +271,125 @@ class SegmentRecord:
     quat_renorm_hits: int = 0   # renormalization moved the quaternion > 1e-6
 
 
-@dataclass(frozen=True, slots=True)
-class KeyframeUpdate:
-    index: int
-    old_pose: Pose
-    new_pose: Pose
+def _first(mask: np.ndarray) -> Optional[int]:
+    return int(np.argmax(mask)) if mask.any() else None
+
+
+class Trajectory:
+    """Keyframe world poses ``kf`` (a :class:`FrameTable`) plus relative
+    frames ``rel`` (poses relative to their parent keyframe) with
+    ``parents`` (M,), in segment order; segment ``i`` is the rel rows
+    ``offsets[i]:offsets[i + 1]``.  ``kf_rows`` and ``rel_rows`` are the
+    positions of the keyframe and relative rows among all frames ordered by
+    ``(stamp, index)``.
+
+    ``Trajectory(keyframes, relatives)`` builds one from :class:`Keyframe`
+    and :class:`RelativeFrame` objects; :meth:`from_tables` from arrays.
+    Both validate as :func:`segmentize` documents.
+    """
+
+    __slots__ = ("kf", "rel", "parents", "offsets", "kf_rows", "rel_rows")
+
+    def __init__(self, keyframes: Sequence[Keyframe], relatives: Sequence[RelativeFrame]):
+        relatives = tuple(relatives)
+        self._build(
+            FrameTable.of((kf.id, kf.world_pose) for kf in keyframes),
+            FrameTable.of((rel.id, rel.rel_pose) for rel in relatives),
+            np.array([rel.parent for rel in relatives], dtype=np.int64),
+        )
+
+    @classmethod
+    def from_tables(cls, kf: FrameTable, rel: FrameTable, parents) -> "Trajectory":
+        traj = object.__new__(cls)
+        traj._build(kf, rel, np.asarray(parents, dtype=np.int64))
+        return traj
+
+    def _build(self, kf: FrameTable, rel: FrameTable, parents: np.ndarray) -> None:
+        n = len(kf)
+        if n == 0:
+            raise AssociationError("trajectory has no keyframes")
+        if (kf.stamps[1:] <= kf.stamps[:-1]).any():
+            raise AssociationError("keyframe timestamps must be strictly increasing")
+        missing = (parents < 0) | (parents >= n)
+        known = np.where(missing, 0, parents)
+        lo = kf.stamps[known]
+        hi = np.append(kf.stamps[1:], math.inf)[known]
+        outside = ~((lo <= rel.stamps) & (rel.stamps < hi))
+        k = _first(missing | outside)
+        if k is not None:
+            fid = rel.ids()[k]
+            i = int(parents[k])
+            if missing[k]:
+                raise AssociationError(f"relative frame {fid} references missing keyframe {i}")
+            raise AssociationError(f"relative frame {fid} lies outside keyframe {i}'s segment")
+
+        order = np.lexsort((rel.indices, rel.stamps, parents))
+        self.kf = kf
+        self.rel = rel.take(order)
+        self.parents = parents[order]
+        self.offsets = np.concatenate(([0], np.cumsum(np.bincount(parents, minlength=n))))
+        # Frame order is a stable sort of the keyframes, then the relative
+        # frames in segment order, by (stamp, index).
+        frame_order = np.lexsort((
+            np.concatenate((kf.indices, self.rel.indices)),
+            np.concatenate((kf.stamps, self.rel.stamps)),
+        ))
+        rows = np.empty(len(frame_order), dtype=np.int64)
+        rows[frame_order] = np.arange(len(frame_order))
+        self.kf_rows, self.rel_rows = rows[:n], rows[n:]
+
+    def _with_poses(self, kf_q, kf_t, rel_q, rel_t) -> "Trajectory":
+        """This trajectory's frames and structure with new pose arrays."""
+        traj = object.__new__(Trajectory)
+        traj.kf = FrameTable(self.kf.stamps, self.kf.indices, kf_q, kf_t)
+        traj.rel = FrameTable(self.rel.stamps, self.rel.indices, rel_q, rel_t)
+        traj.parents, traj.offsets = self.parents, self.offsets
+        traj.kf_rows, traj.rel_rows = self.kf_rows, self.rel_rows
+        return traj
+
+    @property
+    def frame_count(self) -> int:
+        return len(self.kf) + len(self.rel)
+
+    def full_segments(self) -> SegmentBatch:
+        """Every segment that a keyframe closes, as a batch."""
+        stop = self.offsets[-2]
+        return SegmentBatch.from_rows(
+            np.arange(len(self.kf) - 1),
+            np.diff(self.offsets[:-1]),
+            self.kf.stamps[:-1],
+            self.kf.stamps[1:],
+            self.rel.take(slice(0, stop)),
+        )
+
+    # -- object views, built on demand -----------------------------------------
+
+    @property
+    def keyframes(self) -> tuple[Keyframe, ...]:
+        return tuple(Keyframe(fid, pose) for fid, pose in self.kf)
+
+    @property
+    def relatives(self) -> tuple[RelativeFrame, ...]:
+        """The relative frames in segment order."""
+        return tuple(
+            RelativeFrame(fid, parent, pose)
+            for (fid, pose), parent in zip(self.rel, self.parents.tolist())
+        )
+
+    @property
+    def segments(self) -> tuple[Segment, ...]:
+        keyframes, relatives = self.keyframes, self.relatives
+        bounds = self.offsets.tolist()
+        n = len(keyframes)
+        return tuple(
+            Segment(
+                index=i,
+                kf_a=keyframes[i],
+                kf_b=keyframes[i + 1] if i + 1 < n else None,
+                rels=relatives[bounds[i]:bounds[i + 1]],
+            )
+            for i in range(n)
+        )
 
 
 def segmentize(
@@ -137,161 +403,98 @@ def segmentize(
     parent's segment window, raises :class:`AssociationError`.  A frame at
     exactly a keyframe timestamp belongs to the segment that keyframe opens.
     """
-    if not keyframes:
-        raise AssociationError("trajectory has no keyframes")
-    stamps = [kf.id.stamp for kf in keyframes]
-    if any(b <= a for a, b in zip(stamps, stamps[1:])):
-        raise AssociationError("keyframe timestamps must be strictly increasing")
-
-    n = len(keyframes)
-    buckets: list[list[RelativeFrame]] = [[] for _ in range(n)]
-    for rel in relatives:
-        i = rel.parent
-        if not 0 <= i < n:
-            raise AssociationError(
-                f"relative frame {rel.id} references missing keyframe {i}"
-            )
-        lo = stamps[i]
-        hi = stamps[i + 1] if i + 1 < n else float("inf")
-        if not lo <= rel.id.stamp < hi:
-            raise AssociationError(
-                f"relative frame {rel.id} lies outside keyframe {i}'s segment"
-            )
-        buckets[i].append(rel)
-
-    segments = []
-    for i in range(n):
-        rels = tuple(sorted(buckets[i], key=lambda r: (r.id.stamp, r.id.index)))
-        kf_b = keyframes[i + 1] if i + 1 < n else None
-        segments.append(Segment(index=i, kf_a=keyframes[i], kf_b=kf_b, rels=rels))
-    return tuple(segments)
+    return Trajectory(keyframes, relatives).segments
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    keyframes: tuple[Keyframe, ...]
-    relatives: tuple[RelativeFrame, ...]
-    segments: tuple[Segment, ...] = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "keyframes", tuple(self.keyframes))
-        object.__setattr__(self, "relatives", tuple(self.relatives))
-        object.__setattr__(
-            self, "segments", segmentize(self.keyframes, self.relatives)
-        )
-
-    @property
-    def frame_count(self) -> int:
-        return len(self.keyframes) + len(self.relatives)
-
-
-def from_world_poses(
-    frames: Sequence[tuple[FrameId, Pose]],
-    keyframe_positions: Sequence[int],
-) -> Trajectory:
-    """Build a trajectory from world poses, rebasing non-keyframes onto the
-    keyframe that opens their segment.
+def from_world_poses(frames, keyframe_positions: Sequence[int]) -> Trajectory:
+    """Build a trajectory from world poses (a :class:`FrameTable` or
+    ``(FrameId, Pose)`` pairs), rebasing non-keyframes onto the keyframe
+    that opens their segment.
 
     ``keyframe_positions`` are indices into ``frames``.
     """
-    if not keyframe_positions:
+    frames = FrameTable.of(frames)
+    positions = np.unique(np.asarray(keyframe_positions, dtype=np.int64))
+    if len(positions) == 0:
         raise AssociationError("keyframe index selects no frames")
-    positions = sorted(set(int(i) for i in keyframe_positions))
     if positions[0] < 0 or positions[-1] >= len(frames):
         raise AssociationError(
             f"keyframe position out of range (n_frames={len(frames)})"
         )
-    keyframes = [Keyframe(frames[p][0], frames[p][1]) for p in positions]
+    kf = frames.take(positions)
     is_rel = np.ones(len(frames), dtype=bool)
     is_rel[positions] = False
-    rel_frames = [frames[p] for p in np.flatnonzero(is_rel).tolist()]
-    kf_stamps = np.array([kf.id.stamp for kf in keyframes])
-    rel_stamps = np.array([fid.stamp for fid, _ in rel_frames])
-    parents = np.searchsorted(kf_stamps, rel_stamps, side="right") - 1
-    if (parents < 0).any():
-        fid = rel_frames[int(np.argmax(parents < 0))][0]
-        raise AssociationError(f"frame {fid} precedes the first keyframe; cannot anchor it")
-    kf_inv_q, kf_inv_t = pose_inverse(*pose_arrays(kf.world_pose for kf in keyframes))
-    q, t = pose_mul(
-        kf_inv_q[parents], kf_inv_t[parents], *pose_arrays(world for _, world in rel_frames)
-    )
-    relatives = [
-        RelativeFrame(fid, i, rel)
-        for (fid, _), i, rel in zip(rel_frames, parents.tolist(), poses_from_arrays(q, t))
-    ]
-    return Trajectory(tuple(keyframes), tuple(relatives))
-
-
-def rel_pose_arrays(segments: Sequence[Segment]) -> tuple[np.ndarray, np.ndarray]:
-    """Stored relative poses of ``segments`` as arrays, in segment order."""
-    return pose_arrays(rel.rel_pose for seg in segments for rel in seg.rels)
-
-
-def _compose_on_segments(
-    segments: Sequence[Segment], bases: Sequence[Pose], q: np.ndarray, t: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``bases[seg.index] * pose`` for the pose ``(q, t)`` of every relative
-    frame of ``segments`` (rows in segment order), as arrays."""
-    batch = SegmentBatch(segments)
-    base_q, base_t = pose_arrays(bases[seg.index] for seg in segments)
-    return pose_mul(batch.per_frame(base_q), batch.per_frame(base_t), q, t)
+    rel = frames.take(is_rel)
+    parents = np.searchsorted(kf.stamps, rel.stamps, side="right") - 1
+    k = _first(parents < 0)
+    if k is not None:
+        raise AssociationError(
+            f"frame {rel.ids()[k]} precedes the first keyframe; cannot anchor it"
+        )
+    kf_inv_q, kf_inv_t = pose_inverse(kf.q, kf.t)
+    q, t = pose_mul(kf_inv_q[parents], kf_inv_t[parents], rel.q, rel.t)
+    return Trajectory.from_tables(kf, FrameTable(rel.stamps, rel.indices, q, t), parents)
 
 
 def compose_world_poses(
     traj: Trajectory,
-    keyframe_poses: Sequence[Pose],
+    kf_q: np.ndarray,
+    kf_t: np.ndarray,
     rel_q: np.ndarray,
     rel_t: np.ndarray,
-) -> list[tuple[FrameId, Pose]]:
-    """World pose of every frame of ``traj``: keyframe ``i`` at
-    ``keyframe_poses[i]``, and each relative frame at its opening
-    keyframe's pose times its relative pose, row ``k`` of the (N, 4)
-    quaternions ``rel_q`` and (N, 3) translations ``rel_t`` for the
-    ``k``-th relative frame in segment order.  Ordered by timestamp."""
-    q, t = _compose_on_segments(traj.segments, keyframe_poses, rel_q, rel_t)
-    out = [(kf.id, pose) for kf, pose in zip(traj.keyframes, keyframe_poses)]
-    ids = [rel.id for seg in traj.segments for rel in seg.rels]
-    out.extend(zip(ids, poses_from_arrays(q, t)))
-    out.sort(key=lambda item: (item[0].stamp, item[0].index))
-    return out
+) -> FrameTable:
+    """World pose of every frame of ``traj``, ordered by ``(stamp,
+    index)``: keyframe ``i`` at row ``i`` of ``kf_q``/``kf_t``, and each
+    relative frame at its parent keyframe's pose times its relative pose,
+    row ``k`` of ``rel_q``/``rel_t`` for the ``k``-th relative frame in
+    segment order."""
+    q, t = pose_mul(kf_q[traj.parents], kf_t[traj.parents], rel_q, rel_t)
+    n = traj.frame_count
+    stamps, indices = np.empty(n), np.empty(n, dtype=np.int64)
+    out_q, out_t = np.empty((n, 4)), np.empty((n, 3))
+    for rows, table, rows_q, rows_t in (
+        (traj.kf_rows, traj.kf, kf_q, kf_t),
+        (traj.rel_rows, traj.rel, q, t),
+    ):
+        stamps[rows], indices[rows] = table.stamps, table.indices
+        out_q[rows], out_t[rows] = rows_q, rows_t
+    return FrameTable(stamps, indices, out_q, out_t)
 
 
-def world_poses(traj: Trajectory) -> list[tuple[FrameId, Pose]]:
+def world_poses(traj: Trajectory) -> FrameTable:
     """World pose of every frame: keyframes pass through, relative frames
-    compose ``kf.world_pose * rel_pose``.  Ordered by timestamp."""
-    return compose_world_poses(
-        traj, [kf.world_pose for kf in traj.keyframes], *rel_pose_arrays(traj.segments)
-    )
+    compose ``kf.world_pose * rel_pose``.  Ordered by ``(stamp, index)``."""
+    return compose_world_poses(traj, traj.kf.q, traj.kf.t, traj.rel.q, traj.rel.t)
 
 
-def rebase(traj: Trajectory, keyframe_poses: Sequence[Pose]) -> Trajectory:
-    """``traj`` with its keyframes moved to ``keyframe_poses`` (one per
-    keyframe, in order; ``ValueError`` otherwise) and every relative pose
-    re-expressed against them, so that each frame keeps its world pose."""
-    keyframes = [
-        Keyframe(kf.id, pose) for kf, pose in zip(traj.keyframes, keyframe_poses, strict=True)
-    ]
-    segments = traj.segments
-    world = _compose_on_segments(
-        segments, [kf.world_pose for kf in traj.keyframes], *rel_pose_arrays(segments)
-    )
-    q, t = _compose_on_segments(segments, [pose.inverse() for pose in keyframe_poses], *world)
-    rels = [rel for seg in segments for rel in seg.rels]
-    relatives = [
-        RelativeFrame(rel.id, rel.parent, pose)
-        for rel, pose in zip(rels, poses_from_arrays(q, t))
-    ]
-    return Trajectory(tuple(keyframes), tuple(relatives))
+def rebase(traj: Trajectory, kf_q: np.ndarray, kf_t: np.ndarray) -> Trajectory:
+    """``traj`` with its keyframes moved to the poses ``kf_q``/``kf_t``
+    (one row per keyframe, in order; ``ValueError`` otherwise) and every
+    relative pose re-expressed against them, so that each frame keeps its
+    world pose."""
+    if len(kf_q) != len(traj.kf) or len(kf_t) != len(traj.kf):
+        raise ValueError(f"need one pose per keyframe ({len(traj.kf)}), got {len(kf_q)}")
+    p = traj.parents
+    world_q, world_t = pose_mul(traj.kf.q[p], traj.kf.t[p], traj.rel.q, traj.rel.t)
+    inv_q, inv_t = pose_inverse(kf_q, kf_t)
+    return traj._with_poses(kf_q, kf_t, *pose_mul(inv_q[p], inv_t[p], world_q, world_t))
+
+
+def _stamps(frames) -> np.ndarray:
+    if isinstance(frames, FrameTable):
+        return frames.stamps
+    return np.fromiter((fid.stamp for fid, _ in frames), dtype=float, count=len(frames))
 
 
 def associate(
     stamps: Sequence[float],
-    reference: Sequence[tuple[FrameId, Pose]],
+    reference,
     tol: float = DEFAULT_ASSOC_TOL,
     *,
     allow_missing: bool = False,
-) -> list[Optional[tuple[FrameId, Pose]]]:
-    """Nearest-timestamp match in ``reference`` for every query stamp.
+) -> np.ndarray:
+    """Position in ``reference`` (a :class:`FrameTable` or ``(FrameId,
+    Pose)`` pairs) of the nearest-timestamp match of every query stamp.
 
     ``reference`` need not be sorted: it is stable-sorted by stamp here and
     all queries are resolved by one ``np.searchsorted`` pass.  For a query
@@ -303,17 +506,15 @@ def associate(
 
     A query with no match raises :class:`AssociationError` naming its
     stamp, with ``query`` set to its position in ``stamps``; with
-    ``allow_missing`` it yields ``None`` instead.
+    ``allow_missing`` its position is -1 instead.
     """
-    ref_stamps = np.fromiter(
-        (fid.stamp for fid, _ in reference), dtype=float, count=len(reference)
-    )
+    ref_stamps = _stamps(reference)
     order = np.argsort(ref_stamps, kind="stable")
     sorted_stamps = ref_stamps[order]
     queries = np.asarray(stamps, dtype=float).reshape(-1)
     n = len(sorted_stamps)
     if n == 0:
-        picks = np.zeros(len(queries), dtype=int)
+        picks = np.zeros(len(queries), dtype=np.int64)
         missing = np.ones(len(queries), dtype=bool)
     else:
         j = np.searchsorted(sorted_stamps, queries, side="left")
@@ -324,33 +525,23 @@ def associate(
         nearer_above = d_above < d_below
         picks = order[np.where(nearer_above, above, below)]
         missing = np.where(nearer_above, d_above, d_below) > tol
-    if not allow_missing and missing.any():
-        k = int(np.argmax(missing))
+    k = _first(missing)
+    if not allow_missing and k is not None:
         raise AssociationError(
             f"no pose within {tol} s of timestamp {float(queries[k]):.6f}", query=k
         )
-    return [
-        None if miss else reference[p] for p, miss in zip(picks.tolist(), missing.tolist())
-    ]
+    return np.where(missing, -1, picks)
 
 
-def snap_to_gt(
-    traj: Trajectory,
-    gt: Sequence[tuple[FrameId, Pose]],
-    tol: float = DEFAULT_ASSOC_TOL,
-) -> list[KeyframeUpdate]:
-    """One update per keyframe: old = estimated world pose, new = associated
-    ground-truth pose.  Missing associations raise, never drop silently."""
-    matches = associate([kf.id.stamp for kf in traj.keyframes], gt, tol)
-    return [
-        KeyframeUpdate(index=i, old_pose=kf.world_pose, new_pose=pose)
-        for i, (kf, (_, pose)) in enumerate(zip(traj.keyframes, matches))
-    ]
+def snap_to_gt(traj: Trajectory, gt, tol: float = DEFAULT_ASSOC_TOL) -> KeyframeUpdates:
+    """One update per keyframe: old = estimated world pose, new = the
+    associated ground-truth pose (``gt`` a :class:`FrameTable` or pairs).
+    Missing associations raise, never drop silently."""
+    gt = FrameTable.of(gt)
+    rows = associate(traj.kf.stamps, gt, tol)
+    return KeyframeUpdates(traj.kf.q, traj.kf.t, gt.q[rows], gt.t[rows])
 
 
-def identity_updates(traj: Trajectory) -> list[KeyframeUpdate]:
+def identity_updates(traj: Trajectory) -> KeyframeUpdates:
     """Updates with new == old for every keyframe (no back-end change)."""
-    return [
-        KeyframeUpdate(index=i, old_pose=kf.world_pose, new_pose=kf.world_pose)
-        for i, kf in enumerate(traj.keyframes)
-    ]
+    return KeyframeUpdates(traj.kf.q, traj.kf.t, traj.kf.q, traj.kf.t)

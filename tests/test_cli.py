@@ -2,6 +2,7 @@
 precedence and determinism."""
 
 import inspect
+import itertools
 import json
 import math
 import shlex
@@ -19,7 +20,7 @@ from posecorrect.baseline import interp_correct_segment_scalar
 from posecorrect.cli import main
 from posecorrect.correction import correct_segment_scalar
 from posecorrect.liegeom import pose_arrays, rotation_angle_deg
-from posecorrect.trajectory import world_poses
+from posecorrect.trajectory import FrameId, Keyframe, RelativeFrame, Segment, world_poses
 
 DATA = Path(__file__).parent / "data"
 README = Path(__file__).parent.parent / "README.md"
@@ -85,13 +86,32 @@ def zero_yaw_keyframes_args(tmp_path, command):
     ]
 
 
+def batch_segments(batch):
+    """The segments of a ``SegmentBatch`` as ``Segment`` objects.  The
+    scalar kernels read the keyframe stamps but not the keyframe poses or
+    frame indices, which a batch does not carry."""
+    rels = iter(batch.rels)
+    return [
+        Segment(
+            index,
+            Keyframe(FrameId(start, -1), None),
+            Keyframe(FrameId(stop, -1), None),
+            tuple(RelativeFrame(fid, index, pose) for fid, pose in itertools.islice(rels, count)),
+        )
+        for index, count, start, stop in zip(
+            batch.index.tolist(), batch.counts.tolist(), batch.start.tolist(), batch.stop.tolist()
+        )
+    ]
+
+
 def scalar_kernel(correct_one):
     """A ``METHODS`` kernel that corrects one segment at a time through
     ``correct_one(seg, upd_a, upd_b, cfg)``, a scalar reference kernel."""
 
-    def kernel(segments, updates, cfg):
+    def kernel(batch, updates, cfg):
         results = [
-            correct_one(seg, updates[seg.index], updates[seg.index + 1], cfg) for seg in segments
+            correct_one(seg, updates[seg.index], updates[seg.index + 1], cfg)
+            for seg in batch_segments(batch)
         ]
         q, t = pose_arrays(pose for poses, _ in results for pose in poses)
         return q, t, [record for _, record in results]
@@ -161,6 +181,19 @@ class TestCorrect:
             assert abs(fa.stamp - fb.stamp) < 1e-9
             assert np.linalg.norm(pa.translation - pb.translation) < 1e-9
             assert rotation_angle_deg(pa.rotation, pb.rotation) < 1e-9
+
+    def test_keyframe_in_one_update_file_names_the_other(self, sim_dir, tmp_path, capsys):
+        old, new = make_update_files(sim_dir, tmp_path)
+        kf_stamp = trajio.read_tum(old).stamps[-1]
+        short = tmp_path / "short.tum"
+        trajio.write_tum(short, trajio.read_tum(old)[:-1])
+        for kf_old, kf_new, missing in ((old, short, "--kf-new"), (short, new, "--kf-old")):
+            assert main([
+                "correct", "--traj", str(sim_dir / "est.tum"),
+                "--kf-index", str(sim_dir / "kf_index.txt"),
+                "--kf-old", str(kf_old), "--kf-new", str(kf_new), "--out", str(tmp_path / "x"),
+            ]) == 2
+            assert f"t={kf_stamp:.6f} has no match in {missing}" in capsys.readouterr().err
 
     def test_diagnostics_written(self, sim_dir, tmp_path):
         old, new = make_update_files(sim_dir, tmp_path)
@@ -270,6 +303,15 @@ class TestEvaluate:
         assert names == sorted(p.name for p in scalar.iterdir() if p.name != "config.json")
         for name in names:
             assert (batched / name).read_bytes() == (scalar / name).read_bytes(), name
+
+    def test_failing_method_leaves_no_partial_output(self, tmp_path, capsys):
+        # euler fails under --raw-division after no-correction, xyz and
+        # se3-v succeeded; none of their files may be written.
+        argv = [*zero_yaw_keyframes_args(tmp_path, "evaluate"), "--methods", "all", "--raw-division"]
+        assert main(argv) == 2
+        assert "method euler" in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert not list(out.glob("frame_errors_*.csv")) and not (out / "report.csv").exists()
 
     @pytest.mark.parametrize("command", ["correct", "evaluate"])
     def test_raw_division_infinite_euler_angle_exit_two(self, tmp_path, capsys, command):

@@ -447,7 +447,7 @@ class TestBatchedKernel:
         updates[6] = KeyframeUpdate(6, updates[6].old_pose, updates[5].new_pose)
         full = traj.segments[:-1]
         assert len(full[3].rels) == 0
-        pairs = keyframe_pairs(full, updates, scale_squared)
+        pairs = keyframe_pairs(SegmentBatch(full), updates, scale_squared)
         assert np.flatnonzero(pairs.degenerate).tolist() == [1, 5]
         for k, seg in enumerate(full):
             upd_a, upd_b = updates[seg.index], updates[seg.index + 1]

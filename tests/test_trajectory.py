@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posecorrect.liegeom import Pose, Rotation, rotation_angle_deg, so3_exp
+from posecorrect.liegeom import Pose, Rotation, pose_arrays, rotation_angle_deg, so3_exp
 from posecorrect.synth import SceneSpec, generate_scene
 from posecorrect.trajectory import (
     AssociationError,
@@ -110,6 +110,23 @@ class TestSegmentize:
         assert sum(len(s.rels) for s in segments) + len(keyframes) == len(rels) + 6
 
 
+class TestOrder:
+    def test_segments_sort_their_frames_by_stamp_then_index(self):
+        rels = [rel(7, 0.5, 0), rel(3, 0.5, 0), rel(5, 1.5, 1), rel(2, 0.25, 0), rel(4, 1.0, 1)]
+        segments = Trajectory((kf(0, 0.0), kf(1, 1.0)), rels).segments
+        assert [[(r.id.stamp, r.id.index) for r in seg.rels] for seg in segments] == [
+            [(0.25, 2), (0.5, 3), (0.5, 7)], [(1.0, 4), (1.5, 5)]
+        ]
+
+    def test_world_poses_order_ties_by_index(self):
+        # Frame 1 shares its stamp with keyframe 2 and joins the segment
+        # that keyframe opens, yet comes first in frame order.
+        frames = [(FrameId(s, i), Pose.identity()) for i, s in enumerate([0.0, 0.5, 0.5, 0.75])]
+        traj = from_world_poses(frames, [0, 2])
+        assert [r.parent for r in traj.relatives] == [1, 1]
+        assert [fid.index for fid, _ in world_poses(traj)] == [0, 1, 2, 3]
+
+
 class TestWorldPoses:
     def test_identity_rel_equals_keyframe_pose(self):
         rng = np.random.default_rng(1)
@@ -205,8 +222,9 @@ class TestRebase:
         ]
         traj = from_world_poses(frames, [0, 4, 8])  # frame 9 is terminal
         poses = [Pose(Rotation.random(rng), rng.normal(size=3)) for _ in traj.keyframes]
-        rebased = rebase(traj, poses)
-        assert [k.world_pose for k in rebased.keyframes] == poses
+        q, t = pose_arrays(poses)
+        rebased = rebase(traj, q, t)
+        assert rebased.kf.q.tobytes() == q.tobytes() and rebased.kf.t.tobytes() == t.tobytes()
         assert [k.id for k in rebased.keyframes] == [k.id for k in traj.keyframes]
         assert [(r.id, r.parent) for r in rebased.relatives] == [
             (r.id, r.parent) for r in traj.relatives
@@ -230,7 +248,7 @@ class TestRebase:
         traj = from_world_poses(frames, [0, 4, 5, 9])  # an empty segment, a terminal one
         poses = [Pose(Rotation.random(rng), rng.normal(size=3)) for _ in traj.keyframes]
         world = dict(world_poses(traj))
-        rebased = {r.id: r.rel_pose for r in rebase(traj, poses).relatives}
+        rebased = {r.id: r.rel_pose for r in rebase(traj, *pose_arrays(poses)).relatives}
         for r in traj.relatives:
             want = traj.keyframes[r.parent].world_pose * r.rel_pose
             assert world[r.id].rotation.quat.tobytes() == want.rotation.quat.tobytes()
@@ -243,7 +261,7 @@ class TestRebase:
         traj = Trajectory((kf(0, 0.0), kf(2, 1.0)), (rel(1, 0.5, 0),))
         for poses in ([Pose.identity()], [Pose.identity()] * 3):
             with pytest.raises(ValueError):
-                rebase(traj, poses)
+                rebase(traj, *pose_arrays(poses))
 
 
 class TestSnapToGt:
@@ -359,10 +377,12 @@ class TestAssociate:
         queries, reference, tol = case
         want = [scalar_associate(q, reference, tol) for q in queries]
         got = associate(queries, reference, tol, allow_missing=True)
-        assert [m and m[0] for m in got] == [m and m[0] for m in want]
+        assert [reference[k][0] if k >= 0 else None for k in got.tolist()] == [
+            m and m[0] for m in want
+        ]
         first_miss = next((k for k, m in enumerate(want) if m is None), None)
         if first_miss is None:
-            assert associate(queries, reference, tol) == got
+            np.testing.assert_array_equal(associate(queries, reference, tol), got)
         else:
             with pytest.raises(AssociationError) as err:
                 associate(queries, reference, tol)
@@ -371,20 +391,18 @@ class TestAssociate:
 
     def test_tie_goes_to_the_earlier_stamp(self):
         reference = [(FrameId(1.0, 1), Pose.identity()), (FrameId(0.0, 0), Pose.identity())]
-        [(fid, _)] = associate([0.5], reference, tol=0.5)
-        assert fid.index == 0
+        assert associate([0.5], reference, tol=0.5).tolist() == [1]
 
     def test_duplicate_stamps_pick_last_below_and_first_at_or_above(self):
         reference = [(FrameId(t, i), Pose.identity()) for i, t in enumerate([0.0, 0.0, 1.0, 1.0])]
-        below, exact = associate([0.25, 1.0], reference, tol=0.5)
-        assert (below[0].index, exact[0].index) == (1, 2)
+        assert associate([0.25, 1.0], reference, tol=0.5).tolist() == [1, 2]
 
     def test_distance_equal_to_tol_is_accepted(self):
         reference = [(FrameId(1.0, 0), Pose.identity())]
-        assert associate([1.25, 0.75], reference, tol=0.25)[0][0].index == 0
-        assert associate([1.5], reference, tol=0.25, allow_missing=True) == [None]
+        assert associate([1.25, 0.75], reference, tol=0.25).tolist() == [0, 0]
+        assert associate([1.5], reference, tol=0.25, allow_missing=True).tolist() == [-1]
 
     def test_empty_reference_misses_every_query(self):
-        assert associate([0.0, 1.0], [], allow_missing=True) == [None, None]
+        assert associate([0.0, 1.0], [], allow_missing=True).tolist() == [-1, -1]
         with pytest.raises(AssociationError, match="0.000000"):
             associate([0.0], [])
