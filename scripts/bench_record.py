@@ -2,14 +2,14 @@
 """Write a ``BENCH_<label>.json`` record comparing two checkouts.
 
     python3 scripts/bench_record.py --parent ../parent --change . \\
-        --label array_trajectory --pairs 10 --seconds 40
+        --label array_trajectory
 
 Two parts, each run on both checkouts with the same inputs:
 
-* **Benchmark pairs.**  ``perfbench/run.py`` of each checkout, unmodified,
-  on every workload for ``--pairs`` seeds from 900 upwards, away from the
-  small seeds a change is developed on, one parent and one change run per
-  seed, alternating which side runs first.
+* **Benchmark pairs.**  ``perfbench/run.py`` of each checkout, unmodified
+  and at its own default run length, on every workload for ten seeds from
+  900 upwards, away from the small seeds a change is developed on, one
+  parent and one change run per seed, alternating which side runs first.
   Each metric is summarized by its median and quartiles per side and by
   the number of pairs the change won.
 * **Size ladder.**  ``posecorrect correct`` and ``posecorrect evaluate
@@ -38,6 +38,7 @@ from pathlib import Path
 
 WORKLOADS = ("correct-forward", "evaluate-all", "online-window")
 SEED0 = 900
+PAIRS = 10
 LADDER_REPS = {100: 15, 1000: 9, 10000: 5}  # timed calls per keyframe count
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -122,10 +123,10 @@ def source_sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def run_perfbench(side: Path, workload: str, seed: int, seconds: float, out_dir: Path) -> dict:
+def run_perfbench(side: Path, workload: str, seed: int, out_dir: Path) -> dict:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--out-dir", str(out_dir)],
+         "--out-dir", str(out_dir)],
         cwd=side, capture_output=True, text=True, check=True,
     )
     lines = proc.stdout.splitlines()
@@ -137,6 +138,7 @@ def run_perfbench(side: Path, workload: str, seed: int, seconds: float, out_dir:
             reported[fields[1]] = float(fields[2])
     return {
         "seed": seed,
+        "seconds": result["seconds"],
         "attempted": result["attempted"],
         "failed": result["failed"],
         "metrics": {k: v["value"] for k, v in result["metrics"].items()},
@@ -144,10 +146,10 @@ def run_perfbench(side: Path, workload: str, seed: int, seconds: float, out_dir:
     }
 
 
-def benchmark_pairs(sides: dict, args, workdir: Path) -> dict:
+def benchmark_pairs(sides: dict, workdir: Path) -> dict:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    seeds = list(range(SEED0, SEED0 + args.pairs))
+    seeds = list(range(SEED0, SEED0 + PAIRS))
     record = {}
     for workload in WORKLOADS:
         runs = {"parent": [], "change": []}
@@ -155,7 +157,7 @@ def benchmark_pairs(sides: dict, args, workdir: Path) -> dict:
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             for name in order:
                 runs[name].append(
-                    run_perfbench(sides[name], workload, seed, args.seconds, workdir / name)
+                    run_perfbench(sides[name], workload, seed, workdir / name)
                 )
                 print(f"{workload} seed {seed} {name}: {runs[name][-1]['metrics']}", file=sys.stderr)
         metrics = {}
@@ -173,9 +175,9 @@ def benchmark_pairs(sides: dict, args, workdir: Path) -> dict:
                 "change_runs": change,
             }
         record[workload] = {
-            "pairs": args.pairs,
+            "pairs": PAIRS,
             "seeds": seeds,
-            "seconds": args.seconds,
+            "seconds": sorted({r["seconds"] for name in runs for r in runs[name]}),
             "order": "parent first on even pair index, change first on odd",
             "attempted": {name: [r["attempted"] for r in runs[name]] for name in runs},
             "failed": {name: sum(r["failed"] for r in runs[name]) for name in runs},
@@ -219,8 +221,6 @@ def main(argv=None) -> int:
     p.add_argument("--parent", type=Path, required=True, help="parent checkout")
     p.add_argument("--change", type=Path, default=ROOT, help="changed checkout")
     p.add_argument("--label", required=True, help="the record is BENCH_<label>.json")
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seconds", type=float, default=40.0)
     p.add_argument("--parent-commit", default=None)
     p.add_argument("--change-commit", default=None)
     args = p.parse_args(argv)
@@ -242,7 +242,7 @@ def main(argv=None) -> int:
     }
     with tempfile.TemporaryDirectory(prefix="bench-record-") as tmp:
         workdir = Path(tmp)
-        record["workloads"] = benchmark_pairs(sides, args, workdir)
+        record["workloads"] = benchmark_pairs(sides, workdir)
         record["ladder"] = ladder(sides, workdir)
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")

@@ -7,10 +7,11 @@ w, x, y, z on read.  KITTI lines are the 12 row-major entries of the 3x4
 are synthesized from a fixed frame rate.
 
 The readers return one :class:`~posecorrect.trajectory.FrameTable`; the
-writers take a table or ``(FrameId, Pose)`` pairs.  Each line is split and
-its fields converted with ``float`` as it is read, and the value checks
-then run on the whole array, so a file costs a few array passes rather
-than a ``Pose`` per line.  Parsers reject malformed input with the file
+writers take a table or ``(FrameId, Pose)`` pairs.  Each TUM line is split
+and its fields converted with ``float`` as it is read, and the value
+checks then run on the whole array, so a file costs a few array passes
+rather than a ``Pose`` per line; KITTI lines are checked and
+orthonormalized one at a time.  Parsers reject malformed input with the file
 and line number of the first offending line, rather than guessing.
 Floats are written with ``repr`` so that write-then-read is exact.
 :func:`parse_tum_fields` and :func:`format_tum_line` are the one-line
@@ -52,19 +53,27 @@ def data_lines(path) -> Iterator[tuple[int, str]]:
                 yield lineno, text
 
 
-def _parse_floats(fields: list[str], path, line: int, count: int, layout: str = "") -> list[float]:
-    """``fields`` as ``count`` finite floats; ``layout`` follows the field
-    count in the error message."""
+NON_FINITE = "non-finite field (nan or inf)"
+
+
+def _convert_fields(fields: list[str], path, line: int, count: int, layout: str = "") -> list[float]:
+    """``fields`` as ``count`` floats, finite or not; ``layout`` follows the
+    field count in the error message."""
     if len(fields) != count:
         raise TrajectoryParseError(
             path, line, f"expected {count} fields{layout}, got {len(fields)}"
         )
     try:
-        vals = [float(f) for f in fields]
+        return [float(f) for f in fields]
     except ValueError as exc:
         raise TrajectoryParseError(path, line, f"non-numeric field: {exc}") from None
+
+
+def _parse_floats(fields: list[str], path, line: int, count: int, layout: str = "") -> list[float]:
+    """``fields`` as ``count`` finite floats."""
+    vals = _convert_fields(fields, path, line, count, layout)
     if not all(math.isfinite(v) for v in vals):
-        raise TrajectoryParseError(path, line, "non-finite field (nan or inf)")
+        raise TrajectoryParseError(path, line, NON_FINITE)
     return vals
 
 
@@ -96,19 +105,13 @@ def _parse_rows(path, count: int, layout: str = ""):
     linenos: list[int] = []
     error = None
     for lineno, text in data_lines(path):
-        fields = text.split()
-        if len(fields) != count:
-            error = TrajectoryParseError(
-                path, lineno, f"expected {count} fields{layout}, got {len(fields)}"
-            )
-            break
         try:
-            values.extend(map(float, fields))
-        except ValueError as exc:
-            error = TrajectoryParseError(path, lineno, f"non-numeric field: {exc}")
+            values.extend(_convert_fields(text.split(), path, lineno, count, layout))
+        except TrajectoryParseError as exc:
+            error = exc
             break
         linenos.append(lineno)
-    rows = np.array(values[:len(linenos) * count], dtype=float).reshape(-1, count)
+    rows = np.array(values, dtype=float).reshape(-1, count)
     return rows, linenos, error
 
 
@@ -124,9 +127,7 @@ def read_tum(path) -> FrameTable:
     bad = ~finite | (np.abs(norm - 1.0) > QUAT_NORM_TOL)
     if bad.any():
         k = int(np.argmax(bad))
-        message = (
-            "non-finite field (nan or inf)" if not finite[k] else _quat_norm_error(norm[k])
-        )
+        message = NON_FINITE if not finite[k] else _quat_norm_error(norm[k])
         raise TrajectoryParseError(path, linenos[k], message)
     if error is not None:
         raise error
@@ -170,18 +171,14 @@ def _orthonormalize(m: np.ndarray, path, line: int) -> np.ndarray:
 def read_kitti(path, frame_rate: float = 10.0) -> FrameTable:
     """Read a KITTI pose file; the frame index is the line number and
     timestamps are ``index / frame_rate``."""
-    rows, linenos, error = _parse_rows(path, 12)
-    finite = np.isfinite(rows).all(axis=1)
-    matrices = rows.reshape(-1, 3, 4)
-    q = np.empty((len(rows), 4))
-    for k, lineno in enumerate(linenos):
-        if not finite[k]:
-            raise TrajectoryParseError(path, lineno, "non-finite field (nan or inf)")
-        q[k] = Rotation.from_matrix(_orthonormalize(matrices[k, :, :3], path, lineno)).quat
-    if error is not None:
-        raise error
-    index = np.arange(len(rows))
-    return FrameTable(index / frame_rate, index, q, matrices[:, :, 3])
+    q: list[np.ndarray] = []
+    t: list[np.ndarray] = []
+    for lineno, text in data_lines(path):
+        vals = np.array(_parse_floats(text.split(), path, lineno, 12)).reshape(3, 4)
+        q.append(Rotation.from_matrix(_orthonormalize(vals[:, :3], path, lineno)).quat)
+        t.append(vals[:, 3])
+    index = np.arange(len(q))
+    return FrameTable(index / frame_rate, index, np.array(q), np.array(t))
 
 
 def write_kitti(path, poses) -> None:

@@ -98,19 +98,23 @@ class FrameTable:
     """Frames as rows: ``stamps`` (N,), frame ``indices`` (N,), canonical
     wxyz quaternions ``q`` (N, 4) and translations ``t`` (N, 3).
 
-    It is a read-only sequence of ``(FrameId, Pose)`` pairs, built on
-    demand: ``len``, iteration, an integer index (a pair) and a slice or an
-    index array (a table) all work.  Two tables are equal when every array
-    is; anything else is compared after :meth:`of`.
+    It is a read-only sequence of ``(FrameId, Pose)`` pairs: ``len``,
+    iteration, an integer index (a pair) and a slice or an index array (a
+    table) all work.  The pairs are built on the first iteration and kept,
+    so a caller that reads them several times pays for one ``FrameId`` and
+    one ``Pose`` per frame; the arrays are not to be changed in place.  Two
+    tables are equal when every array is; anything else is compared after
+    :meth:`of`.
     """
 
-    __slots__ = ("stamps", "indices", "q", "t")
+    __slots__ = ("stamps", "indices", "q", "t", "_pairs")
 
     def __init__(self, stamps, indices, q, t):
         self.stamps = np.asarray(stamps, dtype=float)
         self.indices = np.asarray(indices, dtype=np.int64)
         self.q = np.asarray(q, dtype=float).reshape(-1, 4)
         self.t = np.asarray(t, dtype=float).reshape(-1, 3)
+        self._pairs = None
 
     @classmethod
     def of(cls, frames) -> "FrameTable":
@@ -144,7 +148,9 @@ class FrameTable:
         return self.take(key)
 
     def __iter__(self) -> Iterator[tuple[FrameId, Pose]]:
-        return zip(self.ids(), poses_from_arrays(self.q, self.t))
+        if self._pairs is None:
+            self._pairs = list(zip(self.ids(), poses_from_arrays(self.q, self.t)))
+        return iter(self._pairs)
 
     def __eq__(self, other) -> bool:
         try:
@@ -480,12 +486,6 @@ def rebase(traj: Trajectory, kf_q: np.ndarray, kf_t: np.ndarray) -> Trajectory:
     return traj._with_poses(kf_q, kf_t, *pose_mul(inv_q[p], inv_t[p], world_q, world_t))
 
 
-def _stamps(frames) -> np.ndarray:
-    if isinstance(frames, FrameTable):
-        return frames.stamps
-    return np.fromiter((fid.stamp for fid, _ in frames), dtype=float, count=len(frames))
-
-
 def associate(
     stamps: Sequence[float],
     reference,
@@ -508,7 +508,7 @@ def associate(
     stamp, with ``query`` set to its position in ``stamps``; with
     ``allow_missing`` its position is -1 instead.
     """
-    ref_stamps = _stamps(reference)
+    ref_stamps = FrameTable.of(reference).stamps
     order = np.argsort(ref_stamps, kind="stable")
     sorted_stamps = ref_stamps[order]
     queries = np.asarray(stamps, dtype=float).reshape(-1)

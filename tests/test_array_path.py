@@ -393,3 +393,16 @@ def test_cli_builds_no_object_per_frame(tmp_path, pose_counter):
     pose_counter["n"] = 0
     list(from_world_poses(gt, positions).relatives)
     assert pose_counter["n"] >= relatives
+
+
+def test_table_builds_its_pairs_once(pose_counter):
+    table = FrameTable.of(random_pairs(6, 50, half_turns=False))
+    pose_counter["n"] = 0
+    first = list(table)
+    built = pose_counter["n"]
+    assert built >= len(table)
+    # Two more passes, as a caller reading stamps, translations and
+    # quaternions one after another makes, reuse the same pairs.
+    assert all(a is b for (_, a), (_, b) in zip(table, first))
+    assert len(list(table)) == len(first)
+    assert pose_counter["n"] == built
