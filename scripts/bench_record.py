@@ -138,7 +138,9 @@ def run_perfbench(side: Path, workload: str, seed: int, out_dir: Path) -> dict:
             reported[fields[1]] = float(fields[2])
     return {
         "seed": seed,
-        "seconds": result["seconds"],
+        "seconds": json.loads(
+            (out_dir / "results" / f"{workload}-seed{seed}-trace0.json").read_text(encoding="utf-8")
+        )["seconds"],
         "attempted": result["attempted"],
         "failed": result["failed"],
         "metrics": {k: v["value"] for k, v in result["metrics"].items()},
