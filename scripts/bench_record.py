@@ -12,13 +12,18 @@ Two parts, each run on both checkouts with the same inputs:
   parent and one change run per seed, alternating which side runs first.
   Each metric is summarized by its median and quartiles per side and by
   the number of pairs the change won.
-* **Size ladder.**  ``posecorrect correct`` and ``posecorrect evaluate
-  --methods proposed`` in process on seeded ``mav`` trajectories of 991,
-  9,991 and 99,991 frames (9 relative frames per segment), as
-  microseconds per frame, median and quartiles of 15, 9 and 5 timed
-  calls after one warm-up call.  The estimate is
-  ``fixtures.displaced_estimate`` of the path; ``correct`` moves its
-  keyframes onto the path.
+* **Size ladder.**  ``posecorrect correct --methods proposed``,
+  ``posecorrect evaluate --methods proposed`` and ``posecorrect evaluate
+  --methods all`` in process on seeded ``mav`` trajectories of 991, 9,991
+  and 99,991 frames (9 relative frames per segment), as microseconds per
+  frame, median and quartiles of 15, 9 and 5 timed calls after one
+  warm-up call.  The estimate is ``fixtures.displaced_estimate`` of the
+  path; ``correct`` moves its keyframes onto the path.  Before each timed
+  call the process times ``probe()`` of ``perfbench/speed.py`` 15 times,
+  and each call is reported both as wall time and at the probe's
+  reference speed: wall time times ``REFERENCE_PROBE_S`` over the median
+  probe time.  The wall figures move with the load of a shared machine;
+  the second divide out the slowdown the probe saw just before the call.
 
 The record states the machine, Python, numpy and both commits.  Only the
 numbers it holds are claims; the script compares nothing itself.
@@ -65,27 +70,43 @@ for n_keyframes in map(int, sys.argv[2:]):
 """
 
 LADDER_TIMING = """
-import json, sys, time
+import json, statistics, sys, time
 from pathlib import Path
 from posecorrect.cli import main
 
 d, reps, out = Path(sys.argv[1]), int(sys.argv[2]), sys.argv[3]
-common = ["--traj", str(d / "est.tum"), "--kf-index", str(d / "kf_index.txt"),
-          "--methods", "proposed", "--out", out]
+sys.path.insert(0, sys.argv[4])
+from speed import REFERENCE_PROBE_S, probe
+
+PROBES = 15  # probe calls timed before each timed command
+
+
+def probe_median():
+    times = []
+    for _ in range(PROBES):
+        start = time.perf_counter()
+        probe()
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
+
+
+common = ["--traj", str(d / "est.tum"), "--kf-index", str(d / "kf_index.txt"), "--out", out]
 commands = {
-    "correct": ["correct", *common, "--kf-old", str(d / "kf_old.tum"),
+    "correct": ["correct", *common, "--methods", "proposed", "--kf-old", str(d / "kf_old.tum"),
                 "--kf-new", str(d / "kf_new.tum")],
-    "evaluate": ["evaluate", *common, "--gt", str(d / "gt.tum")],
+    "evaluate": ["evaluate", *common, "--methods", "proposed", "--gt", str(d / "gt.tum")],
+    "evaluate-all": ["evaluate", *common, "--methods", "all", "--gt", str(d / "gt.tum")],
 }
-times = {}
+runs = {}
 for name, argv in commands.items():
     assert main(argv) == 0
-    times[name] = []
+    runs[name] = {"wall_s": [], "probe_s": []}
     for _ in range(reps):
+        runs[name]["probe_s"].append(probe_median())
         start = time.perf_counter()
         assert main(argv) == 0
-        times[name].append(time.perf_counter() - start)
-print(json.dumps(times))
+        runs[name]["wall_s"].append(time.perf_counter() - start)
+print(json.dumps({"reference_probe_s": REFERENCE_PROBE_S, "runs": runs}))
 """
 
 
@@ -203,17 +224,24 @@ def ladder(sides: dict, workdir: Path) -> dict:
             env = dict(os.environ, PYTHONPATH=str(sides[name] / "src"))
             proc = subprocess.run(
                 [sys.executable, "-c", LADDER_TIMING, str(inputs / str(n_keyframes)),
-                 str(reps), str(workdir / f"ladder-out-{name}")],
+                 str(reps), str(workdir / f"ladder-out-{name}"), str(ROOT / "perfbench")],
                 env=env, capture_output=True, text=True, check=True,
             )
-            times = json.loads(proc.stdout.splitlines()[-1])
-            entry[name] = {
-                command: {**quartiles([1e6 * t / frames for t in values]), "unit": "us/frame",
-                          "runs_s": values}
-                for command, values in times.items()
-            }
-            print(f"ladder {frames} {name}: {entry[name]['correct']['median']:.1f} / "
-                  f"{entry[name]['evaluate']['median']:.1f} us/frame", file=sys.stderr)
+            timing = json.loads(proc.stdout.splitlines()[-1])
+            reference = timing["reference_probe_s"]
+            entry[name] = {}
+            for command, runs in timing["runs"].items():
+                wall = [1e6 * t / frames for t in runs["wall_s"]]
+                normalised = [w * reference / p for w, p in zip(wall, runs["probe_s"])]
+                entry[name][command] = {
+                    "wall": {**quartiles(wall), "unit": "us/frame"},
+                    "at_reference_speed": {**quartiles(normalised), "unit": "us/frame"},
+                    "runs_s": runs["wall_s"],
+                    "probe_median_s": runs["probe_s"],
+                }
+            print(f"ladder {frames} {name}: " + " / ".join(
+                f"{c} {v['at_reference_speed']['median']:.1f}" for c, v in entry[name].items()
+            ) + " us/frame at reference speed", file=sys.stderr)
         record[str(frames)] = entry
     return record
 

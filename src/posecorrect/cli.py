@@ -200,13 +200,15 @@ def cmd_evaluate(args) -> int:
     sequence = Path(args.traj).stem
     # Every method runs before any file is written, so a run that fails
     # leaves no partial output.
+    protocol = ev.SnapProtocol(traj, gt, args.assoc_tol)
     results = []
     for name in methods:
         cfg = _method_config(name, args)
         with _raw_division_errors(cfg):
-            results.append(ev.run_protocol(traj, gt, cfg, tol=args.assoc_tol))
-    for name, (_, errors) in zip(methods, results):
-        ev.write_frame_errors_csv(out / f"frame_errors_{name}.csv", errors)
+            results.append(protocol.run(cfg))
+    ev.write_frame_errors_csv(
+        [(out / f"frame_errors_{name}.csv", errors) for name, (_, errors) in zip(methods, results)]
+    )
     ev.write_report_csv(out / "report.csv", [(sequence, report) for report, _ in results])
     _echo_config(args, out)
     log.info("wrote %s", out / "report.csv")

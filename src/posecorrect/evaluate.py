@@ -221,12 +221,14 @@ class ErrorStats:
         return f"{self.mean:.3f}+-{self.std:.2f} ({self.median:.3f})"
 
 
-def frame_errors(est, gt, tol: float = DEFAULT_ASSOC_TOL) -> FrameErrors:
+def frame_errors(est, gt, tol: float = DEFAULT_ASSOC_TOL, *, rows=None) -> FrameErrors:
     """Per-frame translation (cm) and rotation (deg) errors of ``est``
     against the nearest-timestamp association in ``gt`` (each a
-    :class:`FrameTable` or ``(FrameId, Pose)`` pairs)."""
+    :class:`FrameTable` or ``(FrameId, Pose)`` pairs).  ``rows``, when
+    given, is that association, as :func:`associate` returns it."""
     est, gt = FrameTable.of(est), FrameTable.of(gt)
-    rows = associate(est.stamps, gt, tol)
+    if rows is None:
+        rows = associate(est.stamps, gt, tol)
     return FrameErrors(
         est.stamps,
         est.indices,
@@ -245,6 +247,41 @@ class MethodReport:
     degenerate_segments: int
 
 
+class SnapProtocol:
+    """The keyframe-snap protocol for one trajectory and ground truth.
+
+    What does not depend on the method is done once: the keyframes are
+    snapped to ground truth here, and the relative frames, whose stamps
+    every method keeps, are associated with ground truth on the first
+    :meth:`run`, after its correction, so errors surface in the order of a
+    single run.  :meth:`run` corrects and scores one method.
+    """
+
+    def __init__(self, traj: Trajectory, gt, tol: float = DEFAULT_ASSOC_TOL):
+        self.traj, self.gt, self.tol = traj, FrameTable.of(gt), tol
+        self.updates = snap_to_gt(traj, self.gt, tol)
+        self.is_rel = np.zeros(traj.frame_count, dtype=bool)
+        self.is_rel[traj.rel_rows] = True
+        self.gt_rows = None
+
+    def run(self, cfg: MethodConfig) -> tuple[MethodReport, FrameErrors]:
+        """Correct, and score the relative frames."""
+        world, diagnostics = correct_trajectory(self.traj, self.updates, cfg)
+        est = world.take(self.is_rel)
+        if self.gt_rows is None:
+            self.gt_rows = associate(est.stamps, self.gt, self.tol)
+        errors = frame_errors(est, self.gt, rows=self.gt_rows)
+        report = MethodReport(
+            method=cfg.name,
+            translation=ErrorStats.from_values(errors.translation_cm),
+            rotation=ErrorStats.from_values(errors.rotation_deg),
+            singular_hits=diagnostics.singular_hits,
+            gimbal_hits=diagnostics.gimbal_hits,
+            degenerate_segments=diagnostics.degenerate_segments,
+        )
+        return report, errors
+
+
 def run_protocol(
     traj: Trajectory,
     gt,
@@ -252,21 +289,7 @@ def run_protocol(
     tol: float = DEFAULT_ASSOC_TOL,
 ) -> tuple[MethodReport, FrameErrors]:
     """Snap keyframes to ground truth, correct, and score relative frames."""
-    gt = FrameTable.of(gt)
-    updates = snap_to_gt(traj, gt, tol)
-    world, diagnostics = correct_trajectory(traj, updates, cfg)
-    is_rel = np.zeros(len(world), dtype=bool)
-    is_rel[traj.rel_rows] = True
-    errors = frame_errors(world.take(is_rel), gt, tol)
-    report = MethodReport(
-        method=cfg.name,
-        translation=ErrorStats.from_values(errors.translation_cm),
-        rotation=ErrorStats.from_values(errors.rotation_deg),
-        singular_hits=diagnostics.singular_hits,
-        gimbal_hits=diagnostics.gimbal_hits,
-        degenerate_segments=diagnostics.degenerate_segments,
-    )
-    return report, errors
+    return SnapProtocol(traj, gt, tol).run(cfg)
 
 
 # -- timing ----------------------------------------------------------------------
@@ -331,16 +354,37 @@ def write_report_csv(path, rows: Sequence[tuple[str, MethodReport]]) -> None:
             )
 
 
-def write_frame_errors_csv(path, errors: FrameErrors) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("stamp", "index", "translation_cm", "rotation_deg"))
-        writer.writerows(zip(
-            map(repr, errors.stamps.tolist()),
-            errors.indices.tolist(),
-            map(repr, errors.translation_cm.tolist()),
-            map(repr, errors.rotation_deg.tolist()),
-        ))
+FRAME_ERRORS_HEADER = "stamp,index,translation_cm,rotation_deg\r\n"
+
+
+def write_frame_errors_csv(files) -> None:
+    """Write one per-frame error table per ``(path, FrameErrors)`` pair.
+
+    Each file is the ``csv`` dialect's text of ``repr`` cells.  A column is
+    formatted once per call: the stamp and index column is reused while its
+    values are byte-equal to the previous file's, and an error column whose
+    values are byte-equal to one already formatted reuses that text (equal
+    bytes give equal ``repr``; ``-0.0 == 0.0`` does not).  Methods share
+    the frames they score, and baselines that treat translation or
+    rotation alike share that error column.
+    """
+    cells: dict[bytes, list[str]] = {}
+
+    def reprs(values: np.ndarray) -> list[str]:
+        key = values.tobytes()
+        if key not in cells:
+            cells[key] = list(map(repr, values.tolist()))
+        return cells[key]
+
+    keys_of = keys = None
+    for path, errors in files:
+        frames = errors.stamps.tobytes() + errors.indices.tobytes()
+        if frames != keys_of:
+            keys_of = frames
+            keys = [f"{s!r},{i}," for s, i in zip(errors.stamps.tolist(), errors.indices.tolist())]
+        rows = zip(keys, reprs(errors.translation_cm), reprs(errors.rotation_deg))
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(FRAME_ERRORS_HEADER + "".join([f"{k}{t},{r}\r\n" for k, t, r in rows]))
 
 
 DIAGNOSTICS_COLUMNS = tuple(f.name for f in fields(SegmentRecord))

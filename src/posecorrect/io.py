@@ -7,12 +7,14 @@ w, x, y, z on read.  KITTI lines are the 12 row-major entries of the 3x4
 are synthesized from a fixed frame rate.
 
 The readers return one :class:`~posecorrect.trajectory.FrameTable`; the
-writers take a table or ``(FrameId, Pose)`` pairs.  Each TUM line is split
-and its fields converted with ``float`` as it is read, and the value
-checks then run on the whole array, so a file costs a few array passes
-rather than a ``Pose`` per line; KITTI lines are checked and
-orthonormalized one at a time.  Parsers reject malformed input with the file
-and line number of the first offending line, rather than guessing.
+writers take a table or ``(FrameId, Pose)`` pairs.  Both readers read the
+file in blocks of lines and convert all the fields of a block with one
+``float`` pass into a flat array; only a block that fails is walked line
+by line, to name its first bad line.  The TUM value checks then run on
+the whole array, so a file costs a few array passes rather than a
+``Pose`` per line; KITTI rows are checked and orthonormalized one at a
+time.  Parsers reject malformed input with the file and line number of
+the first offending line, rather than guessing.
 Floats are written with ``repr`` so that write-then-read is exact.
 :func:`parse_tum_fields` and :func:`format_tum_line` are the one-line
 forms, which scene files use and the tests compare the readers and
@@ -22,6 +24,8 @@ from __future__ import annotations
 
 import logging
 import math
+from array import array
+from itertools import chain
 from typing import Iterator, Optional
 
 import numpy as np
@@ -96,22 +100,47 @@ def parse_tum_fields(fields: list[str], path, line: int) -> tuple[float, Pose]:
     return stamp, Pose(Rotation((qw, qx, qy, qz)), (tx, ty, tz))
 
 
+BLOCK_HINT = 1 << 16  # characters of text read per block of lines
+
+
 def _parse_rows(path, count: int, layout: str = ""):
     """The fields of the data lines of ``path`` as an (N, ``count``) float
     array, their line numbers, and the error of the first line whose field
     count or conversion fails (``None`` when none does); the rows stop
-    there.  Finite values are not checked here."""
-    values: list[float] = []
+    there.  Finite values are not checked here.
+
+    The file is read in blocks of lines and each block is converted in one
+    pass; a block that fails is walked line by line with
+    :func:`_convert_fields`, so the error is the one-line reader's."""
+    values = array("d")
     linenos: list[int] = []
     error = None
-    for lineno, text in data_lines(path):
-        try:
-            values.extend(_convert_fields(text.split(), path, lineno, count, layout))
-        except TrajectoryParseError as exc:
-            error = exc
-            break
-        linenos.append(lineno)
-    rows = np.array(values, dtype=float).reshape(-1, count)
+    first = 1  # line number of the block's first line
+    with open(path, "r", encoding="utf-8") as fh:
+        while error is None:
+            lines = fh.readlines(BLOCK_HINT)
+            if not lines:
+                break
+            texts = [line.strip() for line in lines]
+            numbers = [k for k, text in enumerate(texts, start=first) if text and text[0] != "#"]
+            fields = [texts[k - first].split() for k in numbers]
+            first += len(lines)
+            try:
+                if any(len(f) != count for f in fields):
+                    raise ValueError
+                block = array("d", map(float, chain.from_iterable(fields)))
+            except ValueError:
+                for lineno, f in zip(numbers, fields):
+                    try:
+                        values.extend(_convert_fields(f, path, lineno, count, layout))
+                    except TrajectoryParseError as exc:
+                        error = exc
+                        break
+                    linenos.append(lineno)
+                continue
+            values.extend(block)
+            linenos.extend(numbers)
+    rows = np.frombuffer(values, dtype=float).reshape(-1, count)
     return rows, linenos, error
 
 
@@ -171,14 +200,18 @@ def _orthonormalize(m: np.ndarray, path, line: int) -> np.ndarray:
 def read_kitti(path, frame_rate: float = 10.0) -> FrameTable:
     """Read a KITTI pose file; the frame index is the line number and
     timestamps are ``index / frame_rate``."""
-    q: list[np.ndarray] = []
-    t: list[np.ndarray] = []
-    for lineno, text in data_lines(path):
-        vals = np.array(_parse_floats(text.split(), path, lineno, 12)).reshape(3, 4)
-        q.append(Rotation.from_matrix(_orthonormalize(vals[:, :3], path, lineno)).quat)
-        t.append(vals[:, 3])
-    index = np.arange(len(q))
-    return FrameTable(index / frame_rate, index, np.array(q), np.array(t))
+    rows, linenos, error = _parse_rows(path, 12)
+    finite = np.isfinite(rows).all(axis=1)
+    n_finite = len(rows) if finite.all() else int(np.argmin(finite))
+    q = np.empty((n_finite, 4))
+    for k, (vals, lineno) in enumerate(zip(rows[:n_finite].reshape(-1, 3, 4), linenos)):
+        q[k] = Rotation.from_matrix(_orthonormalize(vals[:, :3], path, lineno)).quat
+    if n_finite < len(rows):
+        raise TrajectoryParseError(path, linenos[n_finite], NON_FINITE)
+    if error is not None:
+        raise error
+    index = np.arange(len(rows))
+    return FrameTable(index / frame_rate, index, q, rows[:, 3::4])
 
 
 def write_kitti(path, poses) -> None:

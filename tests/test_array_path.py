@@ -142,6 +142,24 @@ class TestReadersAndWriters:
             _, got = outcome(trajio.read_kitti, path)
             assert got == want and got[0] == line
 
+    @pytest.mark.parametrize("hint", [None, 1])
+    def test_kitti_errors_in_later_blocks(self, tmp_path, monkeypatch, hint):
+        if hint is not None:
+            monkeypatch.setattr(trajio, "BLOCK_HINT", hint)
+        good = object_kitti_text(random_pairs(5, 600)).splitlines(keepends=True)
+        assert len("".join(good[:500])) > trajio.BLOCK_HINT
+        for lines, line in (
+            (good[:500] + ["1 0 0 0 0 1 0 0 0 0 1 x\n"] + good[500:], 501),
+            (good[:20] + ["1 0 0 inf 0 1 0 0 0 0 1 0\n"] + good[20:500] + ["1 2\n"], 21),
+            (good[:20] + ["1.01 0 0 0 0 1 0 0 0 0 1 0\n"] + good[20:500] + ["1 2\n"], 21),
+            (good[:500] + ["1.01 0 0 0 0 1 0 0 0 0 1 0\n", "1 0 0 0 0 1 0 0 0 0 1 nan\n"], 501),
+        ):
+            path = tmp_path / "e.kitti"
+            path.write_text("".join(lines))
+            _, want = outcome(object_read_kitti, path)
+            _, got = outcome(trajio.read_kitti, path)
+            assert got == want and got[0] == line
+
     def test_table_sequence_behaviour(self):
         pairs = random_pairs(4, 5, half_turns=False)
         table = FrameTable.of(pairs)
@@ -218,6 +236,73 @@ class TestRandomTumText:
         assert same_bits(again.stamps, got.stamps) and same_bits(again.t, got.t)
         assert same_bits(again.q, quat_normalize(got.q))
         assert again.indices.tolist() == list(range(len(got)))
+
+
+def tum_lines_over_blocks():
+    """A comment line and 1,500 valid TUM lines; the first 600 take more
+    than one block to read."""
+    lines = object_tum_text(random_pairs(6, 1500)).splitlines(keepends=True)
+    assert len("".join(lines[:600])) > trajio.BLOCK_HINT
+    return lines
+
+
+def with_line(lines, k, text):
+    return lines[:k] + [text] + lines[k:]
+
+
+BLOCK_CASES = {
+    # name: (file text from the valid lines, line of the first error or None)
+    "non-numeric in a later block": (
+        lambda v: "".join(with_line(v, 1000, "1 2 3 x 0 0 0 1\n")), 1001),
+    "non-finite row before a later short row": (
+        lambda v: "".join(with_line(with_line(v, 1000, "1 2 3\n"), 10, "1 2 3 nan 0 0 0 1\n")), 11),
+    "short row before a later non-finite row": (
+        lambda v: "".join(with_line(with_line(v, 1000, "1 2 3 nan 0 0 0 1\n"), 10, "1 2 3\n")), 11),
+    "non-finite row before a non-numeric row in its block": (
+        lambda v: "".join(with_line(with_line(v, 12, "1 2 3 x 0 0 0 1\n"), 10, "1 2 3 inf 0 0 0 1\n")),
+        11),
+    "short row before a non-numeric row in its block": (
+        lambda v: "".join(with_line(with_line(v, 12, "1 2 3 x 0 0 0 1\n"), 10, "1 2 3\n")), 11),
+    "quaternion norm in a later block": (
+        lambda v: "".join(with_line(v, 1000, "1 2 3 4 0 0 0 2\n")), 1001),
+    "CRLF endings": (lambda v: "".join(v).replace("\n", "\r\n"), None),
+    "CR endings": (lambda v: "".join(v).replace("\n", "\r"), None),
+    "CR endings, error in a later block": (
+        lambda v: "".join(with_line(v, 1000, "x\n")).replace("\n", "\r"), 1001),
+    # str.splitlines would end a line at \x0c or \x1c; a file does not, and
+    # str.split takes them as whitespace between fields.
+    "form feed between fields": (
+        lambda v: "".join(with_line(v, 700, v[700].replace(" ", "\x0c", 1))), None),
+    "form feed joining two lines": (
+        lambda v: "".join(v[:700] + [v[700].rstrip("\n") + "\x0c"] + v[701:]), 701),
+    "file separator between fields, error after it": (
+        lambda v: "".join(with_line(with_line(v, 1200, "1\n"), 700, v[5].replace(" ", "\x1c", 1))),
+        1202),
+    "last line without newline": (lambda v: "".join(v).rstrip("\n"), None),
+    "bad last line without newline": (lambda v: "".join(v) + "1 2 3 4", 1502),
+    "comments and blank lines across blocks": (
+        lambda v: "".join(line if k % 3 else "  # c\n\n" + line for k, line in enumerate(v)), None),
+}
+
+
+class TestBlockBoundaries:
+    """The block reader against the one-line reader on files of several
+    blocks, at the default block size and at one line per block."""
+
+    @pytest.mark.parametrize("hint", [None, 1])
+    @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+    def test_tum_reads_like_the_object_reader(self, tmp_path, monkeypatch, case, hint):
+        if hint is not None:
+            monkeypatch.setattr(trajio, "BLOCK_HINT", hint)
+        text, line = BLOCK_CASES[case]
+        path = tmp_path / "b.tum"
+        path.write_bytes(text(tum_lines_over_blocks()).encode("utf-8"))
+        want, want_error = outcome(object_read_tum, path)
+        got, got_error = outcome(trajio.read_tum, path)
+        assert got_error == want_error
+        assert (want_error and want_error[0]) == line
+        if want is not None:
+            assert_table_equals_pairs(got, want)
 
 
 # -- whole runs against the object path ---------------------------------------------

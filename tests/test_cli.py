@@ -1,7 +1,9 @@
 """Command-line interface: subcommand workflows, exit codes, config
 precedence and determinism."""
 
+import csv
 import inspect
+import io
 import itertools
 import json
 import math
@@ -84,6 +86,21 @@ def zero_yaw_keyframes_args(tmp_path, command):
         command, "--traj", str(tmp_path / "traj.tum"),
         "--kf-index", str(tmp_path / "kf_index.txt"), *inputs, "--out", str(tmp_path / "out"),
     ]
+
+
+def csv_writer_of_repr(errors) -> bytes:
+    """A per-frame error table as ``csv.writer`` rows of ``repr`` cells, the
+    writer's reference form."""
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(("stamp", "index", "translation_cm", "rotation_deg"))
+    writer.writerows(zip(
+        map(repr, errors.stamps.tolist()),
+        errors.indices.tolist(),
+        map(repr, errors.translation_cm.tolist()),
+        map(repr, errors.rotation_deg.tolist()),
+    ))
+    return text.getvalue().encode("utf-8")
 
 
 def batch_segments(batch):
@@ -303,6 +320,51 @@ class TestEvaluate:
         assert names == sorted(p.name for p in scalar.iterdir() if p.name != "config.json")
         for name in names:
             assert (batched / name).read_bytes() == (scalar / name).read_bytes(), name
+
+    @pytest.mark.parametrize("scene,extra", [
+        ("sim", ("--methods", "all")),
+        ("sim", ("--methods", "all", "--trans-space", "se3-v", "--rot-space", "so3")),
+        ("sim", ("--methods", "euler")),
+        ("zero-yaw", ("--methods", "no-correction,xyz,se3-v,quat,so3,proposed", "--raw-division")),
+    ])
+    def test_frame_errors_files_equal_csv_writer_of_repr(
+        self, sim_dir, tmp_path, monkeypatch, scene, extra
+    ):
+        written = []
+        write = ev.write_frame_errors_csv
+
+        def recording_write(files):
+            written.extend(files)
+            write(written)
+
+        monkeypatch.setattr(ev, "write_frame_errors_csv", recording_write)
+        if scene == "sim":
+            argv = [*evaluate_args(sim_dir, tmp_path / "out")[:-4], "--out", str(tmp_path / "out")]
+        else:
+            argv = zero_yaw_keyframes_args(tmp_path, "evaluate")
+        assert main([*argv, *extra]) == 0
+        assert len(written) == len(list((tmp_path / "out").glob("frame_errors_*.csv")))
+        for path, errors in written:
+            assert path.read_bytes() == csv_writer_of_repr(errors), path.name
+        if scene == "zero-yaw":
+            assert b"nan" in written[1][0].read_bytes()
+
+    def test_frame_errors_writer_shares_only_equal_columns(self, tmp_path):
+        stamps, indices = np.array([0.5, -0.0, 2.0]), np.array([1, 2, 3])
+        tables = [
+            ev.FrameErrors(stamps, indices, np.array([math.inf, 0.0, 1e-300]),
+                           np.array([math.nan, -math.inf, 3.0])),
+            ev.FrameErrors(stamps, indices, np.array([-0.0, 0.0, 1e-300]),
+                           np.array([math.nan, -math.inf, 3.0])),
+            ev.FrameErrors(np.array([0.5, 0.0, 2.0]), indices, np.array([-0.0, 0.0, 1e-300]),
+                           np.array([1.0, 2.0, 3.0])),
+            ev.FrameErrors(stamps, np.array([1, 2, 4]), np.array([1.0, 2.0, 3.0]),
+                           np.array([0.1, 0.2, 0.3])),
+        ]
+        files = [(tmp_path / f"{k}.csv", errors) for k, errors in enumerate(tables)]
+        ev.write_frame_errors_csv(files)
+        for path, errors in files:
+            assert path.read_bytes() == csv_writer_of_repr(errors), path.name
 
     def test_failing_method_leaves_no_partial_output(self, tmp_path, capsys):
         # euler fails under --raw-division after no-correction, xyz and
