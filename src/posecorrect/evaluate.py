@@ -13,6 +13,7 @@ import csv
 import logging
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -364,17 +365,22 @@ def write_frame_errors_csv(files) -> None:
     formatted once per call: the stamp and index column is reused while its
     values are byte-equal to the previous file's, and an error column whose
     values are byte-equal to one already formatted reuses that text (equal
-    bytes give equal ``repr``; ``-0.0 == 0.0`` does not).  Methods share
-    the frames they score, and baselines that treat translation or
-    rotation alike share that error column.
+    bytes give equal ``repr``; ``-0.0 == 0.0`` does not), which is kept
+    until the last file that uses it is written.  Methods share the frames
+    they score, and baselines that treat translation or rotation alike
+    share that error column.  Rows are streamed to the file rather than
+    joined, so that no whole-file string is held beside the columns.
     """
+    files = list(files)
+    uses = Counter(v.tobytes() for _, e in files for v in (e.translation_cm, e.rotation_deg))
     cells: dict[bytes, list[str]] = {}
 
     def reprs(values: np.ndarray) -> list[str]:
         key = values.tobytes()
         if key not in cells:
             cells[key] = list(map(repr, values.tolist()))
-        return cells[key]
+        uses[key] -= 1
+        return cells[key] if uses[key] else cells.pop(key)
 
     keys_of = keys = None
     for path, errors in files:
@@ -384,7 +390,8 @@ def write_frame_errors_csv(files) -> None:
             keys = [f"{s!r},{i}," for s, i in zip(errors.stamps.tolist(), errors.indices.tolist())]
         rows = zip(keys, reprs(errors.translation_cm), reprs(errors.rotation_deg))
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(FRAME_ERRORS_HEADER + "".join([f"{k}{t},{r}\r\n" for k, t, r in rows]))
+            fh.write(FRAME_ERRORS_HEADER)
+            fh.writelines(f"{k}{t},{r}\r\n" for k, t, r in rows)
 
 
 DIAGNOSTICS_COLUMNS = tuple(f.name for f in fields(SegmentRecord))
