@@ -4,7 +4,7 @@
     python3 scripts/bench_record.py --parent ../parent --change . \\
         --label array_trajectory
 
-Two parts, each run on both checkouts with the same inputs:
+Three parts, each run on both checkouts with the same inputs:
 
 * **Benchmark pairs.**  ``perfbench/run.py`` of each checkout, unmodified
   and at its own default run length, on every workload for ten seeds from
@@ -24,6 +24,19 @@ Two parts, each run on both checkouts with the same inputs:
   reference speed: wall time times ``REFERENCE_PROBE_S`` over the median
   probe time.  The wall figures move with the load of a shared machine;
   the second divide out the slowdown the probe saw just before the call.
+* **Call ladder.**  ``evaluate.correct_trajectory`` (proposed) called in
+  process on seeded ``mav`` paths of 11, 91 and 991 frames (2, 10 and 100
+  keyframes) whose keyframes move from ``fixtures.displaced_estimate``
+  onto the path, with the updates passed as a list of ``KeyframeUpdate``,
+  as a SLAM back-end would: milliseconds per call, median and quartiles
+  of 15 timed batches of calls, each batch after a probe median as above.
+  It measures the fixed cost of one call, which the CLI ladder hides
+  under parsing and writing.  One more call per size runs under a tracer
+  that counts the numpy calls made from ``posecorrect`` code: numpy
+  functions and array methods, ufuncs called by name (``np.add(...)``,
+  ``np.frompyfunc`` objects), and array operator instructions (binary,
+  comparison and unary operators executed in ``posecorrect`` frames;
+  this also counts the few operators on Python scalars there).
 
 The record states the machine, Python, numpy and both commits.  Only the
 numbers it holds are claims; the script compares nothing itself.
@@ -106,6 +119,119 @@ for name, argv in commands.items():
         start = time.perf_counter()
         assert main(argv) == 0
         runs[name]["wall_s"].append(time.perf_counter() - start)
+print(json.dumps({"reference_probe_s": REFERENCE_PROBE_S, "runs": runs}))
+"""
+
+
+CALL_KEYFRAMES = {2: 40, 10: 40, 100: 10}  # keyframe count: calls per timed batch
+CALL_BATCHES = 15
+
+CALL_TIMING = """
+import dis, json, statistics, sys, time
+import numpy as np
+import posecorrect
+from posecorrect import evaluate, fixtures
+from posecorrect.synth import SceneSpec, keyframe_positions, path_world_poses
+from posecorrect.trajectory import KeyframeUpdate, from_world_poses
+
+sizes, batches = json.loads(sys.argv[1]), int(sys.argv[2])
+sys.path.insert(0, sys.argv[3])
+from speed import REFERENCE_PROBE_S, probe
+
+PACKAGE = posecorrect.__path__[0]
+OPERATORS = {dis.opmap[name] for name in (
+    "BINARY_OP", "COMPARE_OP", "UNARY_NEGATIVE", "UNARY_INVERT", "UNARY_POSITIVE"
+)}
+
+
+def probe_median():
+    times = []
+    for _ in range(15):
+        start = time.perf_counter()
+        probe()
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
+
+
+class CountedUfunc:
+    def __init__(self, ufunc, counts):
+        self.ufunc, self.counts = ufunc, counts
+
+    def __call__(self, *args, **kwargs):
+        self.counts["ufunc_calls"] += 1
+        return self.ufunc(*args, **kwargs)
+
+    def __getattr__(self, name):  # reduce, reduceat, ...
+        self.counts["ufunc_calls"] += 1
+        return getattr(self.ufunc, name)
+
+
+def count_numpy_calls(call):
+    counts = {"functions_and_methods": 0, "ufunc_calls": 0, "operators": 0}
+    in_package = lambda frame: frame is not None and frame.f_code.co_filename.startswith(PACKAGE)
+    patched = []
+    for module in [np, *(m for name, m in sys.modules.items() if name.startswith("posecorrect."))]:
+        for name, value in list(vars(module).items()):
+            if isinstance(value, np.ufunc):
+                patched.append((module, name, value))
+                setattr(module, name, CountedUfunc(value, counts))
+
+    def profiler(frame, event, arg):
+        if event == "c_call" and in_package(frame):
+            module = getattr(arg, "__module__", None) or ""
+            if module.startswith("numpy") or isinstance(getattr(arg, "__self__", None), np.ndarray):
+                counts["functions_and_methods"] += 1
+        elif event == "call" and in_package(frame.f_back) and "/numpy/" in frame.f_code.co_filename:
+            # Skip the dispatcher of a numpy function and the Python body
+            # of an array method: the call itself is counted once.
+            name, path = frame.f_code.co_name, frame.f_code.co_filename
+            if not (name.endswith("_dispatcher") or path.endswith("_methods.py")):
+                counts["functions_and_methods"] += 1
+
+    def local_tracer(frame, event, arg):
+        if event == "opcode" and frame.f_code.co_code[frame.f_lasti] in OPERATORS:
+            counts["operators"] += 1
+        return local_tracer
+
+    def tracer(frame, event, arg):
+        if event == "call" and in_package(frame):
+            frame.f_trace_opcodes = True
+            return local_tracer
+        return None
+
+    sys.setprofile(profiler)
+    sys.settrace(tracer)
+    try:
+        call()
+    finally:
+        sys.settrace(None)
+        sys.setprofile(None)
+        for module, name, value in patched:
+            setattr(module, name, value)
+    counts["total"] = sum(counts.values())
+    return counts
+
+
+runs = {}
+for n_keyframes, calls in sizes.items():
+    spec = SceneSpec(shape="mav", n_keyframes=int(n_keyframes), rels_per_segment=9, seed=0)
+    gt = path_world_poses(spec)
+    positions = keyframe_positions(spec)
+    traj = from_world_poses(fixtures.displaced_estimate(gt, positions, seed=0), positions)
+    updates = [KeyframeUpdate(i, kf.world_pose, gt[p][1])
+               for i, (kf, p) in enumerate(zip(traj.keyframes, positions))]
+    cfg = evaluate.MethodConfig("proposed")
+    call = lambda: evaluate.correct_trajectory(traj, updates, cfg)
+    call()
+    entry = {"frames": len(gt), "calls_per_batch": calls, "wall_s": [], "probe_s": []}
+    for _ in range(batches):
+        entry["probe_s"].append(probe_median())
+        start = time.perf_counter()
+        for _ in range(calls):
+            call()
+        entry["wall_s"].append((time.perf_counter() - start) / calls)
+    entry["numpy_calls"] = count_numpy_calls(call)
+    runs[n_keyframes] = entry
 print(json.dumps({"reference_probe_s": REFERENCE_PROBE_S, "runs": runs}))
 """
 
@@ -246,6 +372,46 @@ def ladder(sides: dict, workdir: Path) -> dict:
     return record
 
 
+def call_ladder(sides: dict) -> dict:
+    record = {}
+    per_side = {}
+    for name in ("parent", "change"):
+        env = dict(os.environ, PYTHONPATH=str(sides[name] / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", CALL_TIMING, json.dumps(CALL_KEYFRAMES), str(CALL_BATCHES),
+             str(ROOT / "perfbench")],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        per_side[name] = json.loads(proc.stdout.splitlines()[-1])
+    for n_keyframes in map(str, CALL_KEYFRAMES):
+        entry = None
+        for name, timing in per_side.items():
+            run = timing["runs"][n_keyframes]
+            reference = timing["reference_probe_s"]
+            wall = [1e3 * t for t in run["wall_s"]]
+            normalised = [w * reference / p for w, p in zip(wall, run["probe_s"])]
+            if entry is None:
+                entry = {"frames": run["frames"], "keyframes": int(n_keyframes),
+                         "calls_per_batch": run["calls_per_batch"], "batches": CALL_BATCHES}
+            entry[name] = {
+                "wall": {**quartiles(wall), "unit": "ms/call"},
+                "at_reference_speed": {**quartiles(normalised), "unit": "ms/call"},
+                "numpy_calls": run["numpy_calls"],
+                "runs_s": run["wall_s"],
+                "probe_median_s": run["probe_s"],
+            }
+        entry["change_over_parent_at_reference_speed"] = (
+            entry["change"]["at_reference_speed"]["median"]
+            / entry["parent"]["at_reference_speed"]["median"]
+        )
+        print(f"call ladder {entry['frames']}: " + " / ".join(
+            f"{name} {entry[name]['at_reference_speed']['median']:.3f} ms, "
+            f"{entry[name]['numpy_calls']['total']} numpy calls" for name in per_side
+        ), file=sys.stderr)
+        record[str(entry["frames"])] = entry
+    return record
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", type=Path, required=True, help="parent checkout")
@@ -274,6 +440,7 @@ def main(argv=None) -> int:
         workdir = Path(tmp)
         record["workloads"] = benchmark_pairs(sides, workdir)
         record["ladder"] = ladder(sides, workdir)
+    record["call_ladder"] = call_ladder(sides)
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {path}", file=sys.stderr)

@@ -207,14 +207,14 @@ def keyframe_pairs(
     :class:`KeyframeUpdates` table or a sequence of :class:`KeyframeUpdate`,
     row ``i`` for keyframe ``i``."""
     updates = KeyframeUpdates.of(updates)
-    a, b = batch.index, batch.index + 1
-    old_q, old_t = pose_mul(
-        *pose_inverse(updates.old_q[a], updates.old_t[a]), updates.old_q[b], updates.old_t[b]
-    )
-    new_q, new_t = pose_mul(
-        *pose_inverse(updates.new_q[a], updates.new_t[a]), updates.new_q[b], updates.new_t[b]
-    )
-    n_old, n_new = vec_norm(old_t), vec_norm(new_t)
+    # The old keyframe pairs, then the new ones, as one stack of rows.
+    a = np.concatenate((batch.index, batch.index + len(updates)))
+    kf_q = np.concatenate((updates.old_q, updates.new_q))
+    kf_t = np.concatenate((updates.old_t, updates.new_t))
+    q, t = pose_mul(*pose_inverse(kf_q[a], kf_t[a]), kf_q[a + 1], kf_t[a + 1])
+    n = vec_norm(t)
+    k = len(batch.index)
+    old_q, new_q, old_t, new_t, n_old, n_new = q[:k], q[k:], t[:k], t[k:], n[:k], n[k:]
     degenerate = (n_old < DEGENERATE_BASELINE) | (n_new < DEGENERATE_BASELINE)
     with np.errstate(divide="ignore", invalid="ignore"):
         s = n_new / n_old
@@ -243,22 +243,18 @@ def correct_segment(
     :func:`keyframe_pairs`, and the per-frame steps are the array twins of
     its scalar operations.
     """
-    per_frame = batch.per_frame
     pairs = keyframe_pairs(batch, updates, scale_squared)
+    # The per-segment table, repeated once for all its columns.
+    table = batch.per_frame(np.column_stack((
+        pairs.old_inv_q, pairs.old_inv_t, pairs.new_q, pairs.new_t,
+        pairs.s, batch.start, batch.stop - batch.start, pairs.degenerate,
+    )))
     q, t = batch.rels.q, batch.rels.t
-    q_b, t_b = pose_mul(per_frame(pairs.old_inv_q), per_frame(pairs.old_inv_t), q, t)  # rel_b_old
-    alpha = _alphas(
-        t,
-        t_b,
-        batch.rels.stamps,
-        per_frame(batch.start),
-        per_frame(batch.stop - batch.start),
-        per_frame(pairs.degenerate),
-    )
+    q_b, t_b = pose_mul(table[:, 0:4], table[:, 4:7], q, t)  # rel_b_old
+    alpha = _alphas(t, t_b, batch.rels.stamps, table[:, 15], table[:, 16], table[:, 17] != 0.0)
 
     # condition_from_kf, fusion_gap and fuse, row by row.
-    s = per_frame(pairs.s)[:, None]
-    new_q, new_t = per_frame(pairs.new_q), per_frame(pairs.new_t)
+    s, new_q, new_t = table[:, 14:15], table[:, 7:11], table[:, 11:14]
     trans_a = s * t
     rot_a_inv = quat_inverse(q)
     drot = quat_mul(rot_a_inv, quat_mul(new_q, q_b))

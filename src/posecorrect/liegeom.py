@@ -375,34 +375,57 @@ def slerp(q0: Rotation, q1: Rotation, a: float) -> Rotation:
 #
 # Row-wise twins of the scalar operations above on (N, 4) quaternion and
 # (N, 3) vector arrays.  Each performs the scalar form's IEEE operations in
-# the same order, using numpy only for + - * / and sqrt and ``math`` for
-# the trigonometry, so every result is bitwise equal to the scalar one.
+# the same order, so every result is bitwise equal to the scalar one.
+# numpy does + - * / and sqrt, writing multi-column results through ufunc
+# ``out=`` into one array; the bitwise tests pin ``np.sin``/``np.cos`` to
+# ``math``.  ``acos``, ``asin``, ``atan2``, ``hypot``, ``degrees`` and
+# slerp's ``sin``, where numpy's results differ or are not pinned, are the
+# ``math`` functions mapped over the rows by ``np.frompyfunc``: one call of
+# the same function per element, without a Python loop.
+
+_SHEET_WEIGHTS = np.array((8.0, 4.0, 2.0, 1.0))
+_acos, _asin, _sin, _degrees = (np.frompyfunc(f, 1, 1) for f in (
+    math.acos, math.asin, math.sin, math.degrees
+))
+_atan2, _hypot = np.frompyfunc(math.atan2, 2, 1), np.frompyfunc(math.hypot, 2, 1)
+
+
+def _math_rows(ufunc: np.ufunc, *args) -> np.ndarray:
+    """One of the ``math`` functions above over the rows, as floats.  A
+    domain error raises as in the scalar form; the floating-point flags
+    that a Python call leaves unreported stay unreported here too."""
+    with np.errstate(all="ignore"):
+        return ufunc(*args).astype(float)
 
 
 def quat_normalize(q: np.ndarray) -> np.ndarray:
     """Array twin of ``Rotation(q)``: scale each row to unit norm, then pick
     the ``w >= 0`` sheet; a half-turn (``w == 0``) takes the sheet whose
-    first nonzero of x, y, z is positive."""
-    w, x, y, z = q.T
-    q = q / np.sqrt(w * w + x * x + y * y + z * z)[..., None]
-    w, x, y, z = q.T
-    flip = (w < 0.0) | (
-        (w == 0.0) & ((x < 0.0) | ((x == 0.0) & ((y < 0.0) | ((y == 0.0) & (z < 0.0)))))
-    )
+    first nonzero of x, y, z is positive.
+
+    Sign rule: a scaled row is negated when the first of its w, x, y, z
+    that is not zero is negative, a NaN ending the search as a positive
+    value does.  That is the scalar form's w/x/y/z cascade in one test:
+    ``fmin(sign(q), 1)`` maps each component to -1, ±0 or 1 (NaN to 1),
+    and its dot with (8, 4, 2, 1) is negative exactly when the rule
+    negates the row."""
+    sq = q * q
+    q = q / np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2] + sq[..., 3])[..., None]
+    flip = np.fmin(np.sign(q), 1.0).dot(_SHEET_WEIGHTS) < 0.0
     np.negative(q, out=q, where=flip[..., None])
     return q
 
 
 def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Array twin of ``Rotation.__mul__`` (Hamilton product, normalized)."""
-    aw, ax, ay, az = a.T
-    bw, bx, by, bz = b.T
-    return quat_normalize(np.stack((
-        aw * bw - ax * bx - ay * by - az * bz,
-        aw * bx + ax * bw + ay * bz - az * by,
-        aw * by - ax * bz + ay * bw + az * bx,
-        aw * bz + ax * by - ay * bx + az * bw,
-    ), axis=-1))
+    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
+    out = np.empty(a.shape)
+    np.subtract(aw * bw - ax * bx - ay * by, az * bz, out=out[..., 0])
+    np.subtract(aw * bx + ax * bw + ay * bz, az * by, out=out[..., 1])
+    np.add(aw * by - ax * bz + ay * bw, az * bx, out=out[..., 2])
+    np.add(aw * bz + ax * by - ay * bx, az * bw, out=out[..., 3])
+    return quat_normalize(out)
 
 
 _CONJUGATE = np.array((1.0, -1.0, -1.0, -1.0))
@@ -415,16 +438,16 @@ def quat_inverse(q: np.ndarray) -> np.ndarray:
 
 def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Array twin of ``Rotation.apply`` on one 3-vector per row."""
-    w, x, y, z = q.T
-    vx, vy, vz = v.T
+    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    vx, vy, vz = v[..., 0], v[..., 1], v[..., 2]
     ax = y * vz - z * vy + w * vx
     ay = z * vx - x * vz + w * vy
     az = x * vy - y * vx + w * vz
-    return np.stack((
-        vx + 2.0 * (y * az - z * ay),
-        vy + 2.0 * (z * ax - x * az),
-        vz + 2.0 * (x * ay - y * ax),
-    ), axis=-1)
+    out = np.empty(v.shape)
+    np.add(vx, 2.0 * (y * az - z * ay), out=out[..., 0])
+    np.add(vy, 2.0 * (z * ax - x * az), out=out[..., 1])
+    np.add(vz, 2.0 * (x * ay - y * ax), out=out[..., 2])
+    return out
 
 
 def pose_mul(qa: np.ndarray, ta: np.ndarray, qb: np.ndarray, tb: np.ndarray):
@@ -486,7 +509,7 @@ def so3_log_rows(q: np.ndarray) -> np.ndarray:
     """Array twin of :func:`so3_log` on (N, 4) canonical quaternions."""
     w, x, y, z = q.T
     s = np.sqrt(x * x + y * y + z * z)
-    atan = np.array([math.atan2(a, b) for a, b in zip(s.tolist(), w.tolist())])
+    atan = _math_rows(_atan2, s, w)
     with np.errstate(divide="ignore", invalid="ignore"):
         k = np.where(s < _SMALL_ANGLE, 2.0 / w, 2.0 * atan / s)
     return k[:, None] * q[:, 1:]
@@ -549,29 +572,26 @@ def quat_matrix(q: np.ndarray) -> np.ndarray:
 
 def gimbal_proximity_rows(q: np.ndarray) -> np.ndarray:
     """Array twin of :func:`gimbal_proximity`, one flag per row."""
-    m = quat_matrix(q)
-    return np.array(
-        [math.hypot(a, b) for a, b in zip(m[:, 2, 1].tolist(), m[:, 2, 2].tolist())]
-    ) < _GIMBAL_COS
+    return _gimbal_rows(quat_matrix(q))
+
+
+def _gimbal_rows(m: np.ndarray) -> np.ndarray:
+    return _math_rows(_hypot, m[:, 2, 1], m[:, 2, 2]) < _GIMBAL_COS
 
 
 def euler_zyx_from_rows(q: np.ndarray) -> np.ndarray:
     """Array twin of :func:`euler_zyx_from`: (N, 3) ``(yaw, pitch, roll)``
     rows of (N, 4) canonical quaternions."""
     m = quat_matrix(q)
-    entries = (
-        m[:, i, j].tolist() for i, j in ((0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2))
+    gimbal = _gimbal_rows(m)
+    out = np.empty((len(q), 3))
+    # fmin and fmax, like Python's min and max, pass a NaN over.
+    out[:, 1] = _math_rows(_asin, np.fmin(1.0, np.fmax(-1.0, -m[:, 2, 0])))
+    out[:, 0] = _math_rows(
+        _atan2, np.where(gimbal, -m[:, 0, 1], m[:, 1, 0]), np.where(gimbal, m[:, 1, 1], m[:, 0, 0])
     )
-    rows = []
-    for gimbal, m00, m01, m10, m11, m20, m21, m22 in zip(
-        gimbal_proximity_rows(q).tolist(), *entries
-    ):
-        pitch = math.asin(min(1.0, max(-1.0, -m20)))
-        if gimbal:
-            rows.append((math.atan2(-m01, m11), pitch, 0.0))
-        else:
-            rows.append((math.atan2(m10, m00), pitch, math.atan2(m21, m22)))
-    return np.array(rows).reshape(-1, 3)
+    out[:, 2] = np.where(gimbal, 0.0, _math_rows(_atan2, m[:, 2, 1], m[:, 2, 2]))
+    return out
 
 
 _IDENTITY_QUAT = np.array((1.0, 0.0, 0.0, 0.0))
@@ -590,28 +610,24 @@ def slerp_from_identity(q: np.ndarray, a: np.ndarray) -> np.ndarray:
     if not inside.all():
         bad = float(a[np.argmin(inside)])
         raise ValueError(f"interpolation factor must be in [0, 1], got {bad}")
-    out = q.copy()
-    out[a == 0.0] = _IDENTITY_QUAT
+    out = np.where((a == 0.0)[:, None], _IDENTITY_QUAT, q)
     mid = np.flatnonzero((a > 0.0) & (a < 1.0))
     if mid.size == 0:
         return out
-    qm, am = q[mid], a[mid]
+    qm, am = q[mid], a[mid, None]
     if not np.isfinite(qm).all():
         raise ValueError("slerp of a non-finite quaternion")
-    dot = qm[:, 0]
-    blend = np.empty_like(qm)
-    near = dot > _NLERP_DOT
-    blend[near] = _IDENTITY_QUAT + am[near, None] * (qm[near] - _IDENTITY_QUAT)
-    far = ~near
-    c0, c1 = [], []
-    for d, t in zip(dot[far].tolist(), am[far].tolist()):
-        theta = math.acos(min(1.0, d))
-        s = math.sin(theta)
-        c0.append(math.sin((1.0 - t) * theta) / s)
-        c1.append(math.sin(t * theta) / s)
-    # Computed in full: c0 * 0 + c1 * x can turn a -0.0 into 0.0, and the
-    # sign of a zero reaches the half-turn canonicalization.
-    blend[far] = np.array(c0)[:, None] * _IDENTITY_QUAT + np.array(c1)[:, None] * qm[far]
+    # The nlerp blend of every row, replaced where the dot is at most the
+    # cutoff (rows are finite here, so that is where it is not above it).
+    blend = _IDENTITY_QUAT + am * (qm - _IDENTITY_QUAT)
+    far = qm[:, 0] <= _NLERP_DOT
+    if far.any():
+        theta = _math_rows(_acos, np.fmin(1.0, qm[far, 0]))
+        t = am[far, 0]
+        s, s0, s1 = _math_rows(_sin, np.stack((theta, (1.0 - t) * theta, t * theta)))
+        # Computed in full: c0 * 0 + c1 * x can turn a -0.0 into 0.0, and
+        # the sign of a zero reaches the half-turn canonicalization.
+        blend[far] = (s0 / s)[:, None] * _IDENTITY_QUAT + (s1 / s)[:, None] * qm[far]
     out[mid] = quat_normalize(blend)
     return out
 
@@ -654,7 +670,5 @@ def rotation_angles_deg(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
     x = (aw * bx - ax * bw) + (az * by - ay * bz)
     y = (aw * by - ay * bw) + (ax * bz - az * bx)
     z = (aw * bz - az * bw) + (ay * bx - ax * by)
-    return np.array([
-        math.degrees(2.0 * math.atan2(math.hypot(a, math.hypot(b, c)), abs(d)))
-        for a, b, c, d in zip(x.tolist(), y.tolist(), z.tolist(), w.tolist())
-    ])
+    r = _math_rows(_hypot, x, _math_rows(_hypot, y, z))
+    return _math_rows(_degrees, 2.0 * _math_rows(_atan2, r, np.abs(w)))

@@ -469,6 +469,81 @@ class TestArrayForms:
             slerp_from_identity(np.array([random_rotation(0).quat]), np.array([1.5]))
 
 
+def cascade_normalize(q: np.ndarray) -> np.ndarray:
+    """``Rotation.__init__``'s w/x/y/z comparison cascade on an (N, 4) or
+    (4,) array: the oracle for ``quat_normalize``'s sign test."""
+    w, x, y, z = q.T
+    q = q / np.sqrt(w * w + x * x + y * y + z * z)[..., None]
+    w, x, y, z = q.T
+    flip = (w < 0.0) | (
+        (w == 0.0) & ((x < 0.0) | ((x == 0.0) & ((y < 0.0) | ((y == 0.0) & (z < 0.0)))))
+    )
+    np.negative(q, out=q, where=flip[..., None])
+    return q
+
+
+# Signed zeros, half-turn and unit components, NaN, the infinities, and
+# magnitudes whose squares underflow to zero (the norm is then 0, and the
+# scaled row mixes infinities with NaN) or overflow to infinity.
+SHEET_COMPONENTS = (0.0, -0.0, 1.0, -1.0, 0.5, math.nan, math.inf, -math.inf,
+                    1e-170, -1e-170, 1e200, -1e200)
+
+
+class TestSheetAndStrides:
+    """``quat_normalize``'s sign test against the comparison cascade, and
+    the quaternion products on strided column views against contiguous
+    copies, bit for bit."""
+
+    def test_sign_test_matches_cascade_on_every_component_mix(self):
+        grid = np.array(np.meshgrid(*[SHEET_COMPONENTS] * 4, indexing="ij")).reshape(4, -1).T
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+            got, want = quat_normalize(grid), cascade_normalize(grid.copy())
+        assert same_bits(got, want)
+        # The grid reaches both sheets and the degenerate rows.
+        assert ((grid[:, 0] < 0.0) & (got[:, 0] > 0.0)).any()
+        assert np.isnan(got).any() and np.isinf(got).any()
+
+    @pytest.mark.parametrize("wxyz", [
+        (-0.0, 0.0, -0.0, -2.0), (0.0, -0.0, 3.0, -1.0), (-1.0, 2.0, -3.0, 4.0),
+        (-1e-170, 0.0, 0.0, 0.0), (1.0, math.nan, 0.0, 0.0), (-1.0, 0.0, math.inf, 0.0),
+    ])
+    def test_single_quaternion(self, wxyz):
+        q = np.array(wxyz)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            got, want = quat_normalize(q), cascade_normalize(q.copy())
+            row = quat_normalize(q[None])[0]
+        assert got.shape == (4,)
+        assert same_bits(got, want)
+        assert same_bits(got, row)
+        if np.isfinite(q).all() and abs(wxyz[0]) > 1e-100:
+            assert same_bits(got, Rotation(wxyz).quat)
+
+    @settings(max_examples=100)
+    @given(st.lists(st.tuples(raw_quaternions(), raw_quaternions()), min_size=1, max_size=6),
+           st.integers(min_value=0, max_value=2**31 - 1))
+    def test_products_on_repeated_table_views(self, pairs, seed):
+        # A per-segment table repeated per frame, as the proposed kernel
+        # builds one, sliced into quaternion and translation columns.
+        rng = np.random.default_rng(seed)
+        n = len(pairs)
+        qa = quat_normalize(np.array([a for a, _ in pairs]))
+        qb = quat_normalize(np.array([b for _, b in pairs]))
+        ta, tb = rng.uniform(-10.0, 10.0, (2, n, 3))
+        per_segment = np.column_stack((qa, ta, qb, tb, rng.uniform(0.5, 2.0, n)))
+        table = np.repeat(per_segment, rng.integers(2, 5, n), axis=0)
+        views = table[:, 0:4], table[:, 4:7], table[:, 7:11], table[:, 11:14]
+        assert not any(v.flags.c_contiguous for v in views)
+        copies = [np.ascontiguousarray(v) for v in views]
+        assert same_bits(quat_mul(views[0], views[2]), quat_mul(copies[0], copies[2]))
+        assert same_bits(quat_rotate(views[0], views[3]), quat_rotate(copies[0], copies[3]))
+        for got, want in zip(pose_mul(*views), pose_mul(*copies)):
+            assert same_bits(got, want)
+        # A 1-wide column view scales a translation view, as ``s`` does.
+        s_col = table[:, 14:15]
+        assert same_bits(quat_rotate(views[2], s_col * views[1]),
+                         quat_rotate(copies[2], np.ascontiguousarray(s_col) * copies[1]))
+
+
 @st.composite
 def tangents(draw):
     """An axis-angle vector: zero, just below or above the Taylor switch of
