@@ -409,9 +409,10 @@ def quat_normalize(q: np.ndarray) -> np.ndarray:
     ``fmin(sign(q), 1)`` maps each component to -1, ±0 or 1 (NaN to 1),
     and its dot with (8, 4, 2, 1) is negative exactly when the rule
     negates the row."""
-    sq = q * q
-    q = q / np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2] + sq[..., 3])[..., None]
-    flip = np.fmin(np.sign(q), 1.0).dot(_SHEET_WEIGHTS) < 0.0
+    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    q = q / np.sqrt(w * w + x * x + y * y + z * z)[..., None]
+    sign = np.sign(q)
+    flip = np.fmin(sign, 1.0, out=sign).dot(_SHEET_WEIGHTS) < 0.0
     np.negative(q, out=q, where=flip[..., None])
     return q
 
