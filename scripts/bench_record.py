@@ -4,7 +4,7 @@
     python3 scripts/bench_record.py --parent ../parent --change . \\
         --label array_trajectory
 
-Three parts, each run on both checkouts with the same inputs:
+Four parts, each run on both checkouts with the same inputs:
 
 * **Benchmark pairs.**  ``perfbench/run.py`` of each checkout, unmodified
   and at its own default run length, on every workload for ten seeds from
@@ -37,6 +37,12 @@ Three parts, each run on both checkouts with the same inputs:
   ``np.frompyfunc`` objects), and array operator instructions (binary,
   comparison and unary operators executed in ``posecorrect`` frames;
   this also counts the few operators on Python scalars there).
+* **Writer ladder.**  ``io.write_tum`` called in process on the size
+  ladder's estimates (991, 9,991 and 99,991 lines), as milliseconds per
+  call at the probe's reference speed beside wall time, median and
+  quartiles of 15, 9 and 5 timed calls after one warm-up call, each after
+  a probe median as above.  It measures the text formatting that the CLI
+  ladder's ``correct`` pays once per run.
 
 The record states the machine, Python, numpy and both commits.  Only the
 numbers it holds are claims; the script compares nothing itself.
@@ -82,13 +88,10 @@ for n_keyframes in map(int, sys.argv[2:]):
     (d / "kf_index.txt").write_text("".join(f"{gt[p][0].index}\\n" for p in positions))
 """
 
-LADDER_TIMING = """
-import json, statistics, sys, time
-from pathlib import Path
-from posecorrect.cli import main
-
-d, reps, out = Path(sys.argv[1]), int(sys.argv[2]), sys.argv[3]
-sys.path.insert(0, sys.argv[4])
+# Prefix of the timing scripts; each takes the perfbench directory last.
+PROBE = """
+import statistics, sys, time
+sys.path.insert(0, sys.argv[-1])
 from speed import REFERENCE_PROBE_S, probe
 
 PROBES = 15  # probe calls timed before each timed command
@@ -101,7 +104,14 @@ def probe_median():
         probe()
         times.append(time.perf_counter() - start)
     return statistics.median(times)
+"""
 
+LADDER_TIMING = PROBE + """
+import json
+from pathlib import Path
+from posecorrect.cli import main
+
+d, reps, out = Path(sys.argv[1]), int(sys.argv[2]), sys.argv[3]
 
 common = ["--traj", str(d / "est.tum"), "--kf-index", str(d / "kf_index.txt"), "--out", out]
 commands = {
@@ -126,8 +136,8 @@ print(json.dumps({"reference_probe_s": REFERENCE_PROBE_S, "runs": runs}))
 CALL_KEYFRAMES = {2: 40, 10: 40, 100: 10}  # keyframe count: calls per timed batch
 CALL_BATCHES = 15
 
-CALL_TIMING = """
-import dis, json, statistics, sys, time
+CALL_TIMING = PROBE + """
+import dis, json
 import numpy as np
 import posecorrect
 from posecorrect import evaluate, fixtures
@@ -135,22 +145,11 @@ from posecorrect.synth import SceneSpec, keyframe_positions, path_world_poses
 from posecorrect.trajectory import KeyframeUpdate, from_world_poses
 
 sizes, batches = json.loads(sys.argv[1]), int(sys.argv[2])
-sys.path.insert(0, sys.argv[3])
-from speed import REFERENCE_PROBE_S, probe
 
 PACKAGE = posecorrect.__path__[0]
 OPERATORS = {dis.opmap[name] for name in (
     "BINARY_OP", "COMPARE_OP", "UNARY_NEGATIVE", "UNARY_INVERT", "UNARY_POSITIVE"
 )}
-
-
-def probe_median():
-    times = []
-    for _ in range(15):
-        start = time.perf_counter()
-        probe()
-        times.append(time.perf_counter() - start)
-    return statistics.median(times)
 
 
 class CountedUfunc:
@@ -233,6 +232,25 @@ for n_keyframes, calls in sizes.items():
     entry["numpy_calls"] = count_numpy_calls(call)
     runs[n_keyframes] = entry
 print(json.dumps({"reference_probe_s": REFERENCE_PROBE_S, "runs": runs}))
+"""
+
+
+WRITER_TIMING = PROBE + """
+import json
+from pathlib import Path
+from posecorrect import io as trajio
+
+d, reps, out = Path(sys.argv[1]), int(sys.argv[2]), Path(sys.argv[3])
+frames = trajio.read_tum(d / "est.tum")
+out.mkdir(parents=True, exist_ok=True)
+trajio.write_tum(out / "written.tum", frames)
+run = {"lines": len(frames), "wall_s": [], "probe_s": []}
+for _ in range(reps):
+    run["probe_s"].append(probe_median())
+    start = time.perf_counter()
+    trajio.write_tum(out / "written.tum", frames)
+    run["wall_s"].append(time.perf_counter() - start)
+print(json.dumps({"reference_probe_s": REFERENCE_PROBE_S, "run": run}))
 """
 
 
@@ -336,11 +354,16 @@ def benchmark_pairs(sides: dict, workdir: Path) -> dict:
     return record
 
 
-def ladder(sides: dict, workdir: Path) -> dict:
+def ladder_inputs(sides: dict, workdir: Path) -> Path:
+    """The ladder's input files, written once by the change checkout."""
     inputs = workdir / "ladder"
     env = dict(os.environ, PYTHONPATH=str(sides["change"] / "src"))
     subprocess.run([sys.executable, "-c", LADDER_INPUTS, str(inputs), *map(str, LADDER_REPS)],
                    env=env, check=True)
+    return inputs
+
+
+def ladder(sides: dict, inputs: Path, workdir: Path) -> dict:
     record = {}
     for k, (n_keyframes, reps) in enumerate(LADDER_REPS.items()):
         frames = 10 * n_keyframes - 9
@@ -369,6 +392,40 @@ def ladder(sides: dict, workdir: Path) -> dict:
                 f"{c} {v['at_reference_speed']['median']:.1f}" for c, v in entry[name].items()
             ) + " us/frame at reference speed", file=sys.stderr)
         record[str(frames)] = entry
+    return record
+
+
+def writer_ladder(sides: dict, inputs: Path, workdir: Path) -> dict:
+    record = {}
+    for k, (n_keyframes, reps) in enumerate(LADDER_REPS.items()):
+        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+        entry = {"repetitions": reps}
+        for name in order:
+            env = dict(os.environ, PYTHONPATH=str(sides[name] / "src"))
+            proc = subprocess.run(
+                [sys.executable, "-c", WRITER_TIMING, str(inputs / str(n_keyframes)), str(reps),
+                 str(workdir / f"writer-out-{name}"), str(ROOT / "perfbench")],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            timing = json.loads(proc.stdout.splitlines()[-1])
+            run, reference = timing["run"], timing["reference_probe_s"]
+            wall = [1e3 * t for t in run["wall_s"]]
+            normalised = [w * reference / p for w, p in zip(wall, run["probe_s"])]
+            entry["lines"] = run["lines"]
+            entry[name] = {
+                "wall": {**quartiles(wall), "unit": "ms/call"},
+                "at_reference_speed": {**quartiles(normalised), "unit": "ms/call"},
+                "runs_s": run["wall_s"],
+                "probe_median_s": run["probe_s"],
+            }
+        entry["change_over_parent_at_reference_speed"] = (
+            entry["change"]["at_reference_speed"]["median"]
+            / entry["parent"]["at_reference_speed"]["median"]
+        )
+        print(f"writer ladder {entry['lines']}: " + " / ".join(
+            f"{name} {entry[name]['at_reference_speed']['median']:.2f} ms" for name in order
+        ) + " at reference speed", file=sys.stderr)
+        record[str(entry["lines"])] = entry
     return record
 
 
@@ -439,7 +496,9 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench-record-") as tmp:
         workdir = Path(tmp)
         record["workloads"] = benchmark_pairs(sides, workdir)
-        record["ladder"] = ladder(sides, workdir)
+        inputs = ladder_inputs(sides, workdir)
+        record["ladder"] = ladder(sides, inputs, workdir)
+        record["writer_ladder"] = writer_ladder(sides, inputs, workdir)
     record["call_ladder"] = call_ladder(sides)
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")

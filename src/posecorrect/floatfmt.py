@@ -1,0 +1,261 @@
+"""Shortest round-trip text of float64 tables, byte-equal to ``repr``.
+
+:func:`format_table` turns an (N, C) float64 table into the bytes of
+``repr`` of every value, each followed by its column's separator string;
+:func:`write_table` writes a table to an open binary file in blocks of
+about :data:`BLOCK` values.  The digits come from Ryū's ``d2d`` (Adams,
+"Ryū: fast float-to-string conversion", PLDI 2018) run on numpy ``uint64``
+arrays: it finds the shortest decimal that reads back to the same double
+and, among those, the nearest one, which is what CPython's ``repr``
+(David Gay's ``dtoa`` in shortest mode) prints.  The layout then follows
+``repr``: positional for ``-4 < decpt <= 16`` (``decpt`` is the position of
+the decimal point relative to the first digit), with ``.0`` after an
+integral value; exponent form otherwise, with an explicit exponent sign,
+at least two exponent digits and no ``.0``; and ``0.0``, ``-0.0``,
+``inf``, ``-inf`` and ``nan``, which has no sign.
+
+All integer arithmetic is ``uint64`` with ``uint64`` constants: a
+``uint64`` array combined with an ``int64`` one, or (on numpy 1.x) a
+``uint64`` scalar combined with a Python ``int``, becomes float64.
+"""
+from __future__ import annotations
+
+import functools
+from typing import Sequence
+
+import numpy as np
+
+BLOCK = 8192  # values formatted per block by write_table
+
+_U = np.uint64
+_MASK32 = _U(0xFFFFFFFF)
+_TEN = _U(10)
+_POW10 = np.array([10**k for k in range(20)], dtype=np.uint64)
+_PAD = 17  # room for the leading '0's the digit scatter writes (17 digits at most)
+_ZERO, _DOT, _MINUS, _PLUS, _E = (ord(c) for c in "0.-+e")
+
+
+@functools.cache
+def _exponent_table() -> dict:
+    """Ryū's per-exponent constants, indexed by the biased exponent 0..2046,
+    computed exactly with Python integers on first use (read-only arrays).
+
+    ``limbs`` is the multiplier (``5^-q`` or ``5^q`` scaled to 125 bits;
+    ``2^125 + 1`` for ``q = 0``) as four 32-bit limbs, low first, and
+    ``shift`` the final right shift past bit 96: ``vr = (m * mul) >> (96 +
+    shift)``.  ``e10`` is the decimal exponent of ``vr``.  ``tz_mask`` holds
+    Ryū's ``multipleOfPowerOf2(mv, q)`` test for ``e2 < 0`` as a mask that
+    ``mv`` must clear (all ones where the test is false); ``pow5`` is
+    ``5^q`` on the ``e2 >= 0, q <= 21`` rows that need the factor-of-5
+    tests, else 0; ``small_q`` marks the ``e2 < 0, q <= 1`` rows."""
+    size = 2047
+    limbs = np.empty((4, size), dtype=np.uint64)
+    shift = np.empty(size, dtype=np.uint64)
+    e10 = np.empty(size, dtype=np.int64)
+    tz_mask = np.empty(size, dtype=np.uint64)
+    pow5 = np.zeros(size, dtype=np.uint64)
+    small_q = np.zeros(size, dtype=bool)
+    for biased in range(size):
+        e2 = max(biased, 1) - 1023 - 52 - 2
+        if e2 >= 0:
+            q = (e2 * 78913 >> 18) - (e2 > 3)  # log10(2^e2), less one above e2 = 3
+            p5 = 5**q
+            j = -e2 + q + 125 + p5.bit_length() - 1
+            mul = (1 << (p5.bit_length() - 1 + 125)) // p5 + 1
+            e10[biased] = q
+            tz_mask[biased] = 2**64 - 1
+            if q <= 21:
+                pow5[biased] = p5
+        else:
+            q = (-e2 * 732923 >> 20) - (-e2 > 1)  # log10(5^-e2), less one above -e2 = 1
+            p5 = 5 ** (-e2 - q)
+            k = p5.bit_length() - 125
+            j = q - k
+            mul = p5 >> k if k >= 0 else p5 << -k
+            e10[biased] = q + e2
+            tz_mask[biased] = 0 if q <= 1 else (1 << q) - 1 if q < 63 else 2**64 - 1
+            small_q[biased] = q <= 1
+        for limb in range(4):
+            limbs[limb, biased] = (mul >> (32 * limb)) & 0xFFFFFFFF
+        shift[biased] = j - 96
+    table = {"limbs": limbs, "shift": shift, "e10": e10, "tz_mask": tz_mask,
+             "pow5": pow5, "small_q": small_q}
+    for column in table.values():
+        column.setflags(write=False)
+    return table
+
+
+def _mul_shift(m: np.ndarray, limbs: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """``(m * mul) >> (96 + shift)`` exactly, for ``m < 2^55``, a ``mul``
+    below ``2^126`` given as four 32-bit limbs and ``0 <= shift <= 32``.
+
+    ``m`` splits into a 32-bit and a 23-bit limb, so every limb product
+    fits 64 bits with room for a 32-bit carry; the carries ripple up one
+    32-bit column at a time, and the bits below 96 only feed them."""
+    m0, m1, m2, m3 = limbs
+    a = m & _MASK32
+    b = m >> _U(32)
+    lo = a * m1 + ((a * m0) >> _U(32))
+    col = b * m0 + (lo & _MASK32)
+    carry = (lo >> _U(32)) + (col >> _U(32))  # into bit 64
+    lo = a * m2 + carry
+    col = b * m1 + (lo & _MASK32)
+    carry = (lo >> _U(32)) + (col >> _U(32))  # into bit 96
+    lo = a * m3 + carry
+    col = b * m2 + (lo & _MASK32)  # bits 96..127 in its low half
+    high = b * m3 + (lo >> _U(32)) + (col >> _U(32))  # bits 128 and up
+    return ((col & _MASK32) >> shift) | (high << (_U(32) - shift))
+
+
+def _shortest(bits: np.ndarray):
+    """Ryū ``d2d`` on the finite, nonzero doubles ``bits``: the shortest
+    digits (as an integer) and their decimal exponent, nearest first and
+    ties to even."""
+    table = _exponent_table()
+    biased = (bits >> _U(52)).astype(np.intp) & 0x7FF
+    mantissa = bits & _U((1 << 52) - 1)
+    m2 = mantissa | ((biased != 0).astype(np.uint64) << _U(52))
+    even = (m2 & _U(1)) == 0
+    mm_shift = (mantissa != 0) | (biased <= 1)
+    mv = m2 << _U(2)
+    limbs, shift = np.take(table["limbs"], biased, axis=1), table["shift"][biased]
+    vr, vp, vm = (
+        _mul_shift(m, limbs, shift)
+        for m in (mv, mv + _U(2), mv - _U(1) - mm_shift.astype(np.uint64))
+    )
+    vr_tz = (mv & table["tz_mask"][biased]) == 0
+    small_q = table["small_q"][biased]
+    vm_tz = small_q & even & mm_shift
+    vp -= (small_q & ~even).astype(np.uint64)
+    rows = np.flatnonzero(table["pow5"][biased])
+    if rows.size:  # e2 >= 0, q <= 21: magnitudes from 2^54 up to 2^131
+        p5 = table["pow5"][biased[rows]]
+        mvr, ev = mv[rows], even[rows]
+        by5 = mvr % _U(5) == 0
+        vr_tz[rows] = by5 & (mvr % p5 == 0)
+        vm_tz[rows] = ~by5 & ev & ((mvr - _U(1) - mm_shift[rows].astype(np.uint64)) % p5 == 0)
+        vp[rows] -= (~by5 & ~ev & ((mvr + _U(2)) % p5 == 0)).astype(np.uint64)
+
+    # Drop the k lowest digits, for the largest k that leaves a multiple of
+    # 10^k in (vm, vp].  That holds whenever 10^k <= vp - vm; the rows that
+    # also pass k + 1 are bisected between that and 18 (vp < 10^19).  This
+    # is Ryū's digit-removal loop with the digits it drops read off at
+    # once: the last one decides rounding, the others whether vr is exact.
+    width = vp - vm
+    k = np.searchsorted(_POW10, width, side="right") - 1
+    rows = np.flatnonzero(vp % _POW10[k + 1] < width)
+    k_lo, k_hi = k[rows] + 1, np.full(rows.size, 18)
+    vp_rows, width_rows = vp[rows], width[rows]
+    while (k_lo < k_hi).any():
+        mid = (k_lo + k_hi + 1) >> 1
+        holds = vp_rows % _POW10[mid] < width_rows
+        k_lo, k_hi = np.where(holds, mid, k_lo), np.where(holds, k_hi, mid - 1)
+    k[rows] = k_lo
+    scale = _POW10[k]
+    digits = vr // scale
+    dropped = (vr - digits * scale) * _TEN
+    last = dropped // scale  # the last digit dropped
+    vr_tz &= dropped == last * scale
+    vm_digits = vm // scale
+    vm_tz &= vm_digits * scale == vm
+    # With vm exact, also drop the trailing zeros vm shares.
+    rows = np.flatnonzero(vm_tz)
+    while rows.size:
+        vm10 = vm_digits[rows] // _TEN
+        zero = vm10 * _TEN == vm_digits[rows]
+        rows, vm10 = rows[zero], vm10[zero]
+        vr10 = digits[rows] // _TEN
+        vr_tz[rows] &= last[rows] == 0
+        last[rows] = digits[rows] - vr10 * _TEN
+        digits[rows], vm_digits[rows] = vr10, vm10
+        k[rows] += 1
+    last[vr_tz & (last == 5) & ((digits & _U(1)) == 0)] = 4  # exact half: round to even
+    up = ((digits == vm_digits) & ~(even & vm_tz)) | (last >= 5)
+    return digits + up.astype(np.uint64), table["e10"][biased] + k
+
+
+def format_table(table: np.ndarray, seps: Sequence[str]) -> bytes:
+    """The text of an (N, C) float64 table: ``repr`` of each value followed
+    by ``seps`` of its column, row after row."""
+    values = np.ascontiguousarray(table, dtype=np.float64)
+    n_rows, n_cols = values.shape
+    if len(seps) != n_cols:
+        raise ValueError(f"{n_cols} columns but {len(seps)} separators")
+    bits = values.reshape(-1).view(np.uint64)
+    n = bits.size
+    if n == 0:
+        return b""
+    magnitude = bits & _U((1 << 63) - 1)
+    zero = magnitude == 0
+    finite = magnitude < _U(0x7FF << 52)
+    nan = magnitude > _U(0x7FF << 52)
+    neg = (((bits >> _U(63)) != 0) & ~nan).astype(np.int64)  # nan prints no sign
+    special = zero | ~finite
+    if special.any():  # format those as 1.0 (same length), then overwrite
+        bits = np.where(special, _U(0x3FF << 52), bits)
+    digits, exp10 = _shortest(bits)
+    length = np.searchsorted(_POW10, digits, side="right")
+    digits[zero] = 0
+    decpt = exp10 + length
+
+    sci = (decpt <= -4) | (decpt > 16)
+    lead = neg + np.where(sci, 0, np.maximum(1 - decpt, 0))  # offset of the first digit
+    dot_after = np.where(sci, 1, np.maximum(decpt, 0))  # digits before the '.'
+    exp_abs = np.abs(decpt - 1)
+    mantissa_len = length + (length > 1)
+    width = neg + np.where(
+        sci,
+        mantissa_len + 4 + (exp_abs >= 100),
+        np.maximum(length, decpt) + 1 + np.maximum(1 - decpt, 0) + (decpt >= length),
+    )
+    sep_bytes = [s.encode() for s in seps]
+    sep_len = np.tile([len(s) for s in sep_bytes], n_rows)
+    # Each value's text starts at start; _PAD bytes lead the buffer.
+    end = np.cumsum(width + sep_len) + _PAD
+    start = end - width - sep_len
+    buf = np.full(int(end[-1]), _ZERO, dtype=np.uint8)  # zero padding is pre-filled
+
+    # One scatter per digit position r (counted from the last digit), from
+    # the top one down.  Past a value's first digit the scatter writes '0's
+    # further left: onto its own zero padding, onto characters written
+    # after this loop, or onto digits of earlier values, which have a lower
+    # r and so are written by a later pass.
+    last_at = start + lead + length - 1
+    right_of_dot = length - 1 - dot_after  # digits r <= this sit past the '.'
+    rest = digits
+    for r in range(int(length.max()) - 1, -1, -1):
+        digit = rest // _POW10[r]
+        rest = rest - digit * _POW10[r]
+        buf[last_at - r + (right_of_dot >= r)] = digit.astype(np.uint8) + np.uint8(_ZERO)
+    point = ~sci | (length > 1)
+    buf[(start + neg + np.where(sci, 1, np.maximum(decpt, 1)))[point]] = _DOT
+    buf[start[neg == 1]] = _MINUS
+
+    rows = np.flatnonzero(sci)
+    if rows.size:
+        e_at = start[rows] + neg[rows] + mantissa_len[rows]
+        e = exp_abs[rows]
+        buf[e_at] = _E
+        buf[e_at + 1] = np.where(decpt[rows] > 1, _PLUS, _MINUS)
+        at = start[rows] + width[rows] - 1
+        for _ in range(3):
+            buf[at] = e % 10 + _ZERO
+            at, e = at[e >= 10] - 1, e[e >= 10] // 10
+    rows = np.flatnonzero(~finite)
+    if rows.size:
+        text = np.where(nan[rows, None], np.frombuffer(b"nan", np.uint8), np.frombuffer(b"inf", np.uint8))
+        buf[(start[rows] + neg[rows])[:, None] + np.arange(3)] = text
+
+    for col, sep in enumerate(sep_bytes):
+        for offset, byte in enumerate(sep):
+            buf[end[col::n_cols] - len(sep) + offset] = byte
+    return buf[_PAD:].tobytes()
+
+
+def write_table(fh, table: np.ndarray, seps: Sequence[str]) -> None:
+    """Write :func:`format_table` of ``table`` to the binary file ``fh``,
+    about :data:`BLOCK` values at a time."""
+    values = np.asarray(table, dtype=np.float64)
+    step = max(1, BLOCK // max(1, values.shape[1]))
+    for first in range(0, len(values), step):
+        fh.write(format_table(values[first:first + step], seps))

@@ -15,7 +15,10 @@ the whole array, so a file costs a few array passes rather than a
 ``Pose`` per line; KITTI rows are checked and orthonormalized one at a
 time.  Parsers reject malformed input with the file and line number of
 the first offending line, rather than guessing.
-Floats are written with ``repr`` so that write-then-read is exact.
+The writers format a whole table with :mod:`~posecorrect.floatfmt`, whose
+text of each float is byte-equal to its ``repr``, so write-then-read is
+exact; they write bytes, so a file does not depend on the platform's
+newline translation.
 :func:`parse_tum_fields` and :func:`format_tum_line` are the one-line
 forms, which scene files use and the tests compare the readers and
 writers against.
@@ -30,6 +33,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
+from .floatfmt import write_table
 from .liegeom import Pose, Rotation, quat_matrix, quat_normalize, vec_norm
 from .trajectory import AssociationError, FrameTable, associate
 
@@ -168,17 +172,14 @@ def read_tum(path) -> FrameTable:
     return FrameTable(stamps, np.arange(len(rows)), quat_normalize(wxyz), rows[:, 1:4])
 
 
-_TUM_LINE = " ".join(["%r"] * 8) + "\n"  # %r of a float is its repr
-
-
 def write_tum(path, poses) -> None:
     """Write a :class:`FrameTable` or ``(FrameId, Pose)`` pairs as TUM
     lines; each line equals :func:`format_tum_line` of its frame."""
     frames = FrameTable.of(poses)
-    rows = np.column_stack((frames.stamps, frames.t, frames.q[:, 1:], frames.q[:, :1])).tolist()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# stamp tx ty tz qx qy qz qw\n")
-        fh.write("".join([_TUM_LINE % tuple(row) for row in rows]))
+    rows = np.column_stack((frames.stamps, frames.t, frames.q[:, 1:], frames.q[:, :1]))
+    with open(path, "wb") as fh:
+        fh.write(b"# stamp tx ty tz qx qy qz qw\n")
+        write_table(fh, rows, [" "] * 7 + ["\n"])
 
 
 def _orthonormalize(m: np.ndarray, path, line: int) -> np.ndarray:
@@ -217,8 +218,8 @@ def read_kitti(path, frame_rate: float = 10.0) -> FrameTable:
 def write_kitti(path, poses) -> None:
     frames = FrameTable.of(poses)
     rows = np.concatenate((quat_matrix(frames.q), frames.t[:, :, None]), axis=2)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("".join([" ".join(map(repr, row)) + "\n" for row in rows.reshape(-1, 12).tolist()]))
+    with open(path, "wb") as fh:
+        write_table(fh, rows.reshape(-1, 12), [" "] * 11 + ["\n"])
 
 
 def read_keyframe_index(path, frames) -> list[int]:

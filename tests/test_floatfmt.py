@@ -1,0 +1,159 @@
+"""The array float formatter against ``repr``, byte for byte: the edge sets
+of the shortest-digit search, random bit patterns, Hypothesis over all
+doubles, and the table layout (separators, empty tables, special values,
+block boundaries)."""
+
+import io
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from posecorrect import floatfmt
+
+
+def repr_text(table, seps) -> bytes:
+    """The oracle: ``repr`` of each value and its column's separator."""
+    return "".join(
+        "".join(repr(v) + sep for v, sep in zip(row, seps)) for row in np.asarray(table).tolist()
+    ).encode()
+
+
+def assert_reprs(values):
+    """One value per line, compared line by line so a failure names it."""
+    column = np.asarray(values, dtype=np.float64).reshape(-1, 1)
+    got = floatfmt.format_table(column, ["\n"]).decode().split("\n")[:-1]
+    want = [repr(v) for v in column[:, 0].tolist()]
+    assert len(got) == len(want)
+    bad = [(w, g) for w, g in zip(want, got) if w != g]
+    assert not bad, f"{len(bad)} differ, first {bad[:5]}"
+
+
+def with_neighbours(values):
+    values = np.asarray(values, dtype=np.float64)
+    with np.errstate(over="ignore"):  # the largest finite value's upper neighbour is inf
+        return np.concatenate([values, np.nextafter(values, np.inf), np.nextafter(values, -np.inf)])
+
+
+class TestAgainstRepr:
+    def test_signed_zeros_infinities_and_nans(self):
+        nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                         0xFFFFFFFFFFFFFFFF], dtype=np.uint64).view(np.float64)
+        assert_reprs(np.concatenate([[0.0, -0.0, np.inf, -np.inf], nans]))
+        text = floatfmt.format_table(np.array([[-0.0, np.nan, -np.inf]]), [" ", " ", ""])
+        assert text == b"-0.0 nan -inf"
+
+    def test_powers_of_two_and_neighbours(self):
+        powers = np.ldexp(1.0, np.arange(-1074, 1024))
+        assert_reprs(with_neighbours(powers))
+        assert_reprs(-with_neighbours(powers))
+
+    def test_powers_of_ten_and_neighbours(self):
+        powers = np.array([float(f"1e{k}") for k in range(-320, 309)])
+        assert_reprs(with_neighbours(powers))
+
+    def test_layout_boundaries(self):
+        # Positional for 1e-4 <= |x| < 1e16, exponent form outside; the
+        # largest and smallest finite values; integral values get ".0".
+        edges = [1e-4, 1e-5, 1e16, 1e15, 9999999999999998.0, 123456789012345678.0,
+                 1.7976931348623157e308, 2.2250738585072014e-308, 5e-324, 0.1, 0.5,
+                 1.0, 2.0, 100.0, 1e22, 1e23, 9007199254740993.0, 0.30000000000000004]
+        assert_reprs(with_neighbours(edges + [-v for v in edges]))
+
+    def test_subnormals(self):
+        rng = np.random.default_rng(0)
+        assert_reprs(rng.integers(1, 1 << 52, 200_000, dtype=np.uint64).view(np.float64))
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(1)
+        assert_reprs(rng.integers(0, 2**64 - 1, 400_000, dtype=np.uint64, endpoint=True).view(np.float64))
+
+    def test_trajectory_like_values(self):
+        rng = np.random.default_rng(2)
+        assert_reprs(np.concatenate([
+            rng.normal(size=50_000),
+            rng.uniform(-100.0, 100.0, 50_000),
+            np.round(rng.uniform(-100.0, 100.0, 50_000), 3),
+            np.arange(-50_000, 50_000) * 0.05,
+            np.arange(-1000, 1000, dtype=np.float64),
+        ]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+    def test_any_bit_pattern(self, patterns):
+        assert_reprs(np.array(patterns, dtype=np.uint64).view(np.float64))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=40))
+    def test_any_float(self, values):
+        assert_reprs(values)
+
+
+class TestExactMultiply:
+    def test_constants_fit_the_limb_multiply(self):
+        table = floatfmt._exponent_table()
+        assert table["shift"].min() >= 22 and table["shift"].max() <= 29
+        assert (table["limbs"] < 2**32).all() and (table["limbs"][3] <= 2**29).all()
+
+    def test_mul_shift_equals_python_integers(self):
+        table = floatfmt._exponent_table()
+        rng = np.random.default_rng(3)
+        biased = rng.integers(0, 2047, 20_000)
+        m = rng.integers(0, 2**55, 20_000, dtype=np.uint64)
+        m[:4] = [0, 1, 2**55 - 1, 2**53]
+        got = floatfmt._mul_shift(m, table["limbs"][:, biased], table["shift"][biased])
+        limbs = table["limbs"][:, biased].astype(object)
+        mul = limbs[0] + (limbs[1] << 32) + (limbs[2] << 64) + (limbs[3] << 96)
+        want = [(int(a) * int(b)) >> (96 + int(s))
+                for a, b, s in zip(m, mul, table["shift"][biased])]
+        assert got.tolist() == want
+
+
+class TestTable:
+    def test_empty_tables(self):
+        assert floatfmt.format_table(np.empty((0, 3)), [" ", " ", "\n"]) == b""
+        out = io.BytesIO()
+        floatfmt.write_table(out, np.empty((0, 8)), [" "] * 7 + ["\n"])
+        assert out.getvalue() == b""
+
+    def test_block_of_only_zeros_infinities_and_nans(self):
+        # No value takes the digit search's shortening loops.
+        table = np.array([[0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan]] * 3)
+        seps = [" "] * 5 + ["\n"]
+        assert floatfmt.format_table(table, seps) == repr_text(table, seps)
+        assert floatfmt.format_table(np.zeros((1, 1)), [""]) == b"0.0"
+
+    def test_separators_of_any_length(self):
+        rng = np.random.default_rng(4)
+        table = rng.normal(size=(50, 4)) * 10.0 ** rng.integers(-8, 20, (50, 4))
+        seps = [", ", "", "\t|\t", "\r\n"]
+        assert floatfmt.format_table(table, seps) == repr_text(table, seps)
+
+    def test_separator_count_must_match(self):
+        with pytest.raises(ValueError, match="2 columns but 1 separators"):
+            floatfmt.format_table(np.zeros((3, 2)), [" "])
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, floatfmt.BLOCK // 8 + 3])
+    def test_tables_across_block_boundaries(self, extra):
+        rng = np.random.default_rng(5)
+        rows = floatfmt.BLOCK // 8 + extra
+        table = rng.normal(size=(rows, 8))
+        table[::7, 0] = np.arange(len(table[::7])) * 0.1
+        table[3::11, 5] = -0.0
+        seps = [" "] * 7 + ["\n"]
+        out = io.BytesIO()
+        floatfmt.write_table(out, table, seps)
+        assert out.getvalue() == repr_text(table, seps)
+
+    def test_non_contiguous_and_integer_input(self):
+        table = np.arange(24, dtype=np.int64).reshape(4, 6)[:, ::2]
+        assert floatfmt.format_table(table, [" ", " ", "\n"]) == repr_text(
+            table.astype(float), [" ", " ", "\n"]
+        )
+
+    def test_table_is_built_on_first_use(self):
+        floatfmt._exponent_table.cache_clear()
+        assert floatfmt._exponent_table.cache_info().currsize == 0
+        floatfmt.format_table(np.ones((1, 1)), [""])
+        assert floatfmt._exponent_table.cache_info().currsize == 1

@@ -5,17 +5,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posecorrect.io import (
     TrajectoryParseError,
+    _parse_rows,
+    format_tum_line,
     read_keyframe_index,
     read_kitti,
     read_tum,
     write_kitti,
     write_tum,
 )
-from posecorrect.liegeom import Pose, Rotation, rotation_angle_deg
-from posecorrect.trajectory import FrameId
+from posecorrect.liegeom import Pose, Rotation, quat_matrix, quat_normalize, rotation_angle_deg
+from posecorrect.trajectory import FrameId, FrameTable
 
 DATA = Path(__file__).parent / "data"
 
@@ -149,6 +153,90 @@ class TestKitti:
         for (_, pa), (_, pb) in zip(poses, final):
             np.testing.assert_allclose(pa.translation, pb.translation, atol=1e-9)
             assert rotation_angle_deg(pa.rotation, pb.rotation) < 1e-9
+
+
+# Values at the formatter's edges: signed zeros, subnormals, the largest
+# positional value and the switch to exponent form at 1e16 and 1e-4.
+EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.225073858507201e-308,
+         1e16, -1e16, 9999999999999998.0, 1e-4, -1e-4, 9.999999999999999e-05, 1e-5,
+         0.1, 1.0, 12.35, 123456789.0]
+
+
+def values(bound=None):
+    """Floats weighted toward ``EDGES``; finite and within ``bound`` when
+    one is given, anything (nan and inf included) otherwise."""
+    anything = (st.floats(-bound, bound, allow_subnormal=True) if bound else st.floats())
+    return st.one_of(st.sampled_from(EDGES), st.floats(-3e-308, 3e-308), anything)
+
+
+@st.composite
+def frame_tables(draw, elements, max_rows=12):
+    n = draw(st.integers(0, max_rows))
+    cells = np.array(draw(st.lists(elements, min_size=8 * n, max_size=8 * n)), dtype=float)
+    cells = cells.reshape(n, 8)
+    return FrameTable(cells[:, 0], np.arange(n), cells[:, 4:], cells[:, 1:4])
+
+
+def old_kitti_text(table) -> str:
+    """``write_kitti`` as it was: ``repr`` of each entry of each 3x4 row."""
+    rows = np.concatenate((quat_matrix(table.q), table.t[:, :, None]), axis=2).reshape(-1, 12)
+    return "".join(" ".join(map(repr, row)) + "\n" for row in rows.tolist())
+
+
+class TestWriterPins:
+    """The array writers against their one-line forms."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(frame_tables(values()))
+    def test_write_tum_lines_equal_format_tum_line(self, tmp_path_factory, table):
+        path = tmp_path_factory.mktemp("tum") / "t.tum"
+        write_tum(path, table)
+        want = ["# stamp tx ty tz qx qy qz qw"] + [
+            format_tum_line(fid.stamp, pose) for fid, pose in table
+        ]
+        assert path.read_bytes() == "".join(line + "\n" for line in want).encode()
+
+    @settings(max_examples=150, deadline=None)
+    @given(frame_tables(values(bound=1e6)))
+    def test_write_kitti_equals_repr_join(self, tmp_path_factory, table):
+        path = tmp_path_factory.mktemp("kitti") / "t.kitti"
+        write_kitti(path, table)
+        assert path.read_bytes() == old_kitti_text(table).encode()
+
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_zero_and_one_row_tables(self, tmp_path, rows):
+        table = FrameTable([-0.0] * rows, range(rows), [[1.0, -0.0, 5e-324, 1e16]] * rows,
+                           [[1e-4, -1e-5, 0.0]] * rows)
+        write_tum(tmp_path / "t.tum", table)
+        assert (tmp_path / "t.tum").read_text() == "# stamp tx ty tz qx qy qz qw\n" + (
+            "-0.0 0.0001 -1e-05 0.0 -0.0 5e-324 1e+16 1.0\n" * rows
+        )
+        write_kitti(tmp_path / "t.kitti", table)
+        assert (tmp_path / "t.kitti").read_text() == old_kitti_text(table)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 20).flatmap(lambda n: st.tuples(
+            st.lists(values(bound=1e9), min_size=n, max_size=n),
+            st.lists(values(bound=1e9), min_size=3 * n, max_size=3 * n),
+            st.lists(st.floats(-1.0, 1.0), min_size=4 * n, max_size=4 * n),
+        ))
+    )
+    def test_tum_round_trip_is_bitwise(self, tmp_path_factory, cells):
+        stamps, t, q = (np.array(c, dtype=float) for c in cells)
+        stamps, t, q = np.sort(stamps), t.reshape(-1, 3), q.reshape(-1, 4)
+        q[np.linalg.norm(q, axis=1) < 0.1] = [0.5, -0.5, 0.5, -0.5]
+        table = FrameTable(stamps, np.arange(len(stamps)), quat_normalize(q), t)
+        path = tmp_path_factory.mktemp("rt") / "t.tum"
+        write_tum(path, table)
+        rows, _, error = _parse_rows(path, 8)
+        assert error is None
+        written = np.column_stack((table.stamps, table.t, table.q[:, 1:], table.q[:, :1]))
+        assert rows.tobytes() == written.tobytes()
+        back = read_tum(path)
+        assert back.stamps.tobytes() == table.stamps.tobytes()
+        assert back.t.tobytes() == table.t.tobytes()
+        assert back.q.tobytes() == quat_normalize(table.q).tobytes()  # read_tum renormalizes
 
 
 class TestKeyframeIndex:
