@@ -37,12 +37,13 @@ Four parts, each run on both checkouts with the same inputs:
   ``np.frompyfunc`` objects), and array operator instructions (binary,
   comparison and unary operators executed in ``posecorrect`` frames;
   this also counts the few operators on Python scalars there).
-* **Writer ladder.**  ``io.write_tum`` called in process on the size
-  ladder's estimates (991, 9,991 and 99,991 lines), as milliseconds per
-  call at the probe's reference speed beside wall time, median and
-  quartiles of 15, 9 and 5 timed calls after one warm-up call, each after
-  a probe median as above.  It measures the text formatting that the CLI
-  ladder's ``correct`` pays once per run.
+* **Writer and reader ladders.**  ``io.write_tum`` and ``io.read_tum``
+  called in process on the size ladder's estimates (991, 9,991 and 99,991
+  lines), as milliseconds per call at the probe's reference speed beside
+  wall time, median and quartiles of 15, 9 and 5 timed calls after one
+  warm-up call, each after a probe median as above.  They measure the
+  text formatting that the CLI ladder's ``correct`` pays once per run and
+  the parsing it pays three times.
 
 The record states the machine, Python, numpy and both commits.  Only the
 numbers it holds are claims; the script compares nothing itself.
@@ -235,20 +236,24 @@ print(json.dumps({"reference_probe_s": REFERENCE_PROBE_S, "runs": runs}))
 """
 
 
-WRITER_TIMING = PROBE + """
+TEXT_TIMING = PROBE + """
 import json
 from pathlib import Path
 from posecorrect import io as trajio
 
-d, reps, out = Path(sys.argv[1]), int(sys.argv[2]), Path(sys.argv[3])
+d, reps, out, name = Path(sys.argv[1]), int(sys.argv[2]), Path(sys.argv[3]), sys.argv[4]
 frames = trajio.read_tum(d / "est.tum")
 out.mkdir(parents=True, exist_ok=True)
-trajio.write_tum(out / "written.tum", frames)
+call = {
+    "write_tum": lambda: trajio.write_tum(out / "written.tum", frames),
+    "read_tum": lambda: trajio.read_tum(d / "est.tum"),
+}[name]
+call()
 run = {"lines": len(frames), "wall_s": [], "probe_s": []}
 for _ in range(reps):
     run["probe_s"].append(probe_median())
     start = time.perf_counter()
-    trajio.write_tum(out / "written.tum", frames)
+    call()
     run["wall_s"].append(time.perf_counter() - start)
 print(json.dumps({"reference_probe_s": REFERENCE_PROBE_S, "run": run}))
 """
@@ -395,7 +400,8 @@ def ladder(sides: dict, inputs: Path, workdir: Path) -> dict:
     return record
 
 
-def writer_ladder(sides: dict, inputs: Path, workdir: Path) -> dict:
+def text_ladder(sides: dict, inputs: Path, workdir: Path, call: str) -> dict:
+    """``io.<call>`` (``write_tum`` or ``read_tum``) on each ladder estimate."""
     record = {}
     for k, (n_keyframes, reps) in enumerate(LADDER_REPS.items()):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
@@ -403,8 +409,8 @@ def writer_ladder(sides: dict, inputs: Path, workdir: Path) -> dict:
         for name in order:
             env = dict(os.environ, PYTHONPATH=str(sides[name] / "src"))
             proc = subprocess.run(
-                [sys.executable, "-c", WRITER_TIMING, str(inputs / str(n_keyframes)), str(reps),
-                 str(workdir / f"writer-out-{name}"), str(ROOT / "perfbench")],
+                [sys.executable, "-c", TEXT_TIMING, str(inputs / str(n_keyframes)), str(reps),
+                 str(workdir / f"{call}-out-{name}"), call, str(ROOT / "perfbench")],
                 env=env, capture_output=True, text=True, check=True,
             )
             timing = json.loads(proc.stdout.splitlines()[-1])
@@ -422,7 +428,7 @@ def writer_ladder(sides: dict, inputs: Path, workdir: Path) -> dict:
             entry["change"]["at_reference_speed"]["median"]
             / entry["parent"]["at_reference_speed"]["median"]
         )
-        print(f"writer ladder {entry['lines']}: " + " / ".join(
+        print(f"{call} ladder {entry['lines']}: " + " / ".join(
             f"{name} {entry[name]['at_reference_speed']['median']:.2f} ms" for name in order
         ) + " at reference speed", file=sys.stderr)
         record[str(entry["lines"])] = entry
@@ -498,7 +504,8 @@ def main(argv=None) -> int:
         record["workloads"] = benchmark_pairs(sides, workdir)
         inputs = ladder_inputs(sides, workdir)
         record["ladder"] = ladder(sides, inputs, workdir)
-        record["writer_ladder"] = writer_ladder(sides, inputs, workdir)
+        record["writer_ladder"] = text_ladder(sides, inputs, workdir, "write_tum")
+        record["reader_ladder"] = text_ladder(sides, inputs, workdir, "read_tum")
     record["call_ladder"] = call_ladder(sides)
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")

@@ -17,7 +17,11 @@ command set:
   ``se3-v`` on KITTI inputs;
 * ``--scale-squared`` and ``--raw-division``, with ``evaluate --methods
   all`` and with ``correct`` (``proposed`` and three baselines);
-* ``correct`` and ``evaluate`` on each malformed file in ``tests/data``.
+* ``correct`` and ``evaluate`` on each malformed file in ``tests/data``;
+* ``correct`` and ``evaluate`` on the valid ten-frame files of
+  ``tests/data`` whose text is out of the ordinary: CRLF and tab-separated
+  files, which the readers convert with ``np.loadtxt``, and files with
+  comment lines between their data lines, which they read line by line.
 
 For every command the exit code, standard output and standard error are
 compared, and afterwards every file the commands wrote.  ``bench`` output
@@ -43,6 +47,11 @@ RAW_DIVISION_METHODS = ("xyz", "euler", "so3")  # --raw-division changes only th
 TIMED_OUTPUTS = ("out/bench",)  # contents are timings; compared by file name only
 MALFORMED = ("malformed.tum", "bad_quat.tum", "comments_only.tum", "malformed.kitti",
              "bad_rotation.kitti")
+# Valid ten-frame trajectories (keyframes at 0, 3, 6, 9), each with the
+# file its keyframes move onto or that serves as its ground truth.
+ODD_TEXT = (("crlf.tum", "tabs.tum"), ("tabs.tum", "interior_comments.tum"),
+            ("interior_comments.tum", "crlf.tum"), ("crlf.kitti", "interior_comments.kitti"),
+            ("interior_comments.kitti", "crlf.kitti"))
 
 KITTI_INPUTS = """
 import sys
@@ -95,6 +104,12 @@ def command_set() -> list[list[str]]:
         commands.append(["correct", "--traj", f"data/{name}", "--kf-index", "out/sim/kf_index.txt",
                          "--kf-old", "data/valid.tum", "--kf-new", "data/valid.tum",
                          "--methods", "proposed", "--out", f"out/bad-corr-{name}"])
+    for name, other in ODD_TEXT:
+        traj = ["--traj", f"data/{name}", "--kf-index", "data/ten_frames_kf_index.txt"]
+        commands.append(["evaluate", *traj, "--gt", f"data/{other}", "--methods", "all",
+                         "--out", f"out/odd-eval-{name}"])
+        commands.append(["correct", *traj, "--kf-old", f"data/{name}", "--kf-new", f"data/{other}",
+                         "--methods", "proposed", "--out", f"out/odd-corr-{name}"])
     return commands
 
 

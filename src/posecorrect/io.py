@@ -7,14 +7,21 @@ w, x, y, z on read.  KITTI lines are the 12 row-major entries of the 3x4
 are synthesized from a fixed frame rate.
 
 The readers return one :class:`~posecorrect.trajectory.FrameTable`; the
-writers take a table or ``(FrameId, Pose)`` pairs.  Both readers read the
-file in blocks of lines and convert all the fields of a block with one
-``float`` pass into a flat array; only a block that fails is walked line
-by line, to name its first bad line.  The TUM value checks then run on
-the whole array, so a file costs a few array passes rather than a
-``Pose`` per line; KITTI rows are checked and orthonormalized one at a
-time.  Parsers reject malformed input with the file and line number of
-the first offending line, rather than guessing.
+writers take a table or ``(FrameId, Pose)`` pairs.  Both readers first try
+``np.loadtxt``, whose C tokenizer converts each field with the same
+correctly rounded routine as ``float``, on files that pass a strict gate:
+leading ``#`` lines, then only digits, ``.eE+-`` and whitespace, with the
+expected column count on every line (:func:`_fast_rows`).  Any other file,
+or one whose table fails a value check, is read again in blocks of lines
+converted by ``float`` (:func:`_parse_rows`), which keeps line numbers; a
+block that fails is walked line by line to name its first bad line.  The
+value checks run on the whole array: finite values and unit quaternions
+for TUM, finite values and the drift check, SVD projection and
+matrix-to-quaternion conversion of every rotation for KITTI.  So a file
+costs a few array passes rather than a ``Pose`` per line.  Parsers reject
+malformed input with the file and line number of the first offending
+line, rather than guessing.  Under ``POSECORRECT_LOG=DEBUG`` each read
+logs which path it took and, on a fallback, which check sent it there.
 The writers format a whole table with :mod:`~posecorrect.floatfmt`, whose
 text of each float is byte-equal to its ``repr``, so write-then-read is
 exact; they write bytes, so a file does not depend on the platform's
@@ -27,6 +34,7 @@ from __future__ import annotations
 
 import logging
 import math
+import re
 from array import array
 from itertools import chain
 from typing import Iterator, Optional
@@ -34,7 +42,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .floatfmt import write_table
-from .liegeom import Pose, Rotation, quat_matrix, quat_normalize, vec_norm
+from .liegeom import Pose, Rotation, quat_from_matrix, quat_matrix, quat_normalize, vec_norm
 from .trajectory import AssociationError, FrameTable, associate
 
 log = logging.getLogger("posecorrect.io")
@@ -148,11 +156,79 @@ def _parse_rows(path, count: int, layout: str = ""):
     return rows, linenos, error
 
 
-def read_tum(path) -> FrameTable:
-    """Read a TUM trajectory, ordered by timestamp (stable sort, with a
-    warning, when the file is not monotone).  Frame ``i`` of the result has
-    index ``i``."""
-    rows, linenos, error = _parse_rows(path, 8, " (stamp t q)")
+# Leading comment lines: '#' in the first column, each ended by a newline.
+_HEADER = re.compile(rb"(?:#[^\r\n]*(?:\r\n?|\n))*")
+# Every byte a data line of a file on the fast path may hold.
+_NUMBER_BYTES = b"0123456789.eE+- \t\r\n"
+
+
+def _fast_rows(path, count: int):
+    """The data rows of ``path`` as an (N, ``count``) array converted by
+    ``np.loadtxt``, or ``None`` and the gate check the file failed.
+
+    ``np.loadtxt`` converts each field with ``PyOS_string_to_double``, the
+    routine behind ``float``, so its values equal :func:`_parse_rows`'.
+    The gate keeps it to text on which the two agree on the rest too: the
+    leading ``#`` lines are valid UTF-8, every later byte is a digit,
+    ``.eE+-``, a space, a tab or a newline, there is at least one data
+    line, and ``np.loadtxt`` finds ``count`` columns on every line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    start = _HEADER.match(data).end()
+    try:
+        data[:start].decode("utf-8")
+    except UnicodeDecodeError:
+        return None, "header is not UTF-8"
+    body = data[start:]
+    del data
+    if body.translate(None, _NUMBER_BYTES):
+        return None, "a byte outside the number grammar"
+    if not body or body.isspace():
+        return None, "no data line"
+    # str.splitlines breaks lines only where universal newlines do, since
+    # the gate admits no other line boundary.
+    lines = body.decode("ascii").splitlines()
+    del body
+    try:
+        rows = np.loadtxt(lines, comments=None, ndmin=2)
+    except ValueError as exc:
+        return None, f"np.loadtxt: {exc}"
+    if rows.shape[1] != count:
+        return None, f"{rows.shape[1]} columns"
+    return rows, None
+
+
+def _read_rows(path, count: int, layout: str, check):
+    """The data rows of ``path`` as an (N, ``count``) array, and the value
+    ``check`` derives from them.  ``check(rows)`` returns ``(value, bad)``,
+    where ``bad`` is ``(k, message)`` for the first bad row ``k``, or
+    ``None``.
+
+    A file that passes :func:`_fast_rows`' gate and ``check`` costs one
+    ``np.loadtxt``.  Any other file is read again by :func:`_parse_rows`,
+    whose line numbers name the first error in file order: a bad row, then
+    a line that does not convert."""
+    rows, reason = _fast_rows(path, count)
+    if rows is not None:
+        value, bad = check(rows)
+        if bad is None:
+            log.debug("%s: %d rows by np.loadtxt", path, len(rows))
+            return rows, value
+        reason = "a row fails the value checks"
+    log.debug("%s: read line by line (%s)", path, reason)
+    rows, linenos, error = _parse_rows(path, count, layout)
+    value, bad = check(rows)
+    if bad is not None:
+        raise TrajectoryParseError(path, linenos[bad[0]], bad[1])
+    if error is not None:
+        raise error
+    return rows, value
+
+
+def _tum_check(rows):
+    """The (N, 4) wxyz quaternions of a TUM table, and ``(k, message)`` of
+    its first non-finite row or non-unit quaternion (``None`` when there is
+    none)."""
     wxyz = rows[:, [7, 4, 5, 6]]
     finite = np.isfinite(rows).all(axis=1)
     with np.errstate(invalid="ignore", over="ignore"):
@@ -160,10 +236,15 @@ def read_tum(path) -> FrameTable:
     bad = ~finite | (np.abs(norm - 1.0) > QUAT_NORM_TOL)
     if bad.any():
         k = int(np.argmax(bad))
-        message = NON_FINITE if not finite[k] else _quat_norm_error(norm[k])
-        raise TrajectoryParseError(path, linenos[k], message)
-    if error is not None:
-        raise error
+        return wxyz, (k, NON_FINITE if not finite[k] else _quat_norm_error(norm[k]))
+    return wxyz, None
+
+
+def read_tum(path) -> FrameTable:
+    """Read a TUM trajectory, ordered by timestamp (stable sort, with a
+    warning, when the file is not monotone).  Frame ``i`` of the result has
+    index ``i``."""
+    rows, wxyz = _read_rows(path, 8, " (stamp t q)", _tum_check)
     stamps = rows[:, 0]
     if (stamps[1:] < stamps[:-1]).any():
         log.warning("%s: timestamps not monotone; applying stable sort", path)
@@ -182,14 +263,20 @@ def write_tum(path, poses) -> None:
         write_table(fh, rows, [" "] * 7 + ["\n"])
 
 
+def _drift_error(drift: float) -> str:
+    return f"rotation departs from SO(3) by {drift:.2e} (limit {ROTATION_DRIFT_TOL})"
+
+
 def _orthonormalize(m: np.ndarray, path, line: int) -> np.ndarray:
+    """One 3x3 rotation block as read: as is when ``m^T m`` is within 1e-12
+    of the identity, projected onto SO(3) by SVD when within
+    :data:`ROTATION_DRIFT_TOL`, rejected beyond.  :func:`_kitti_check` is
+    its array twin."""
     drift = float(np.max(np.abs(m.T @ m - np.eye(3))))
     if drift <= 1e-12:
         return m
     if drift > ROTATION_DRIFT_TOL:
-        raise TrajectoryParseError(
-            path, line, f"rotation departs from SO(3) by {drift:.2e} (limit {ROTATION_DRIFT_TOL})"
-        )
+        raise TrajectoryParseError(path, line, _drift_error(drift))
     u, _, vt = np.linalg.svd(m)
     r = u @ vt
     if np.linalg.det(r) < 0.0:
@@ -198,19 +285,38 @@ def _orthonormalize(m: np.ndarray, path, line: int) -> np.ndarray:
     return r
 
 
+def _kitti_check(rows):
+    """The (N, 4) quaternions of a KITTI table, and ``(k, message)`` of its
+    first bad row (``None`` when there is none): the rows of
+    :func:`_orthonormalize` and ``Rotation.from_matrix`` in array form, in
+    the same order, so a drift error before the first non-finite row wins
+    and no row after the first error is projected."""
+    finite = np.isfinite(rows).all(axis=1)
+    n = len(rows) if finite.all() else int(np.argmin(finite))
+    m = rows[:n].reshape(-1, 3, 4)[:, :, :3]
+    drift = np.abs(m.transpose(0, 2, 1) @ m - np.eye(3)).max(axis=(1, 2))
+    over = drift > ROTATION_DRIFT_TOL
+    stop = int(np.argmax(over)) if over.any() else n
+    r = m[:stop].copy()
+    fix = np.flatnonzero(~(drift[:stop] <= 1e-12))
+    if fix.size:
+        u, _, vt = np.linalg.svd(r[fix])
+        projected = u @ vt
+        flip = np.linalg.det(projected) < 0.0
+        u[flip, :, -1] = -u[flip, :, -1]
+        projected[flip] = u[flip] @ vt[flip]
+        r[fix] = projected
+    if stop < n:
+        return None, (stop, _drift_error(drift[stop]))
+    if n < len(rows):
+        return None, (n, NON_FINITE)
+    return quat_from_matrix(r), None
+
+
 def read_kitti(path, frame_rate: float = 10.0) -> FrameTable:
     """Read a KITTI pose file; the frame index is the line number and
     timestamps are ``index / frame_rate``."""
-    rows, linenos, error = _parse_rows(path, 12)
-    finite = np.isfinite(rows).all(axis=1)
-    n_finite = len(rows) if finite.all() else int(np.argmin(finite))
-    q = np.empty((n_finite, 4))
-    for k, (vals, lineno) in enumerate(zip(rows[:n_finite].reshape(-1, 3, 4), linenos)):
-        q[k] = Rotation.from_matrix(_orthonormalize(vals[:, :3], path, lineno)).quat
-    if n_finite < len(rows):
-        raise TrajectoryParseError(path, linenos[n_finite], NON_FINITE)
-    if error is not None:
-        raise error
+    rows, q = _read_rows(path, 12, "", _kitti_check)
     index = np.arange(len(rows))
     return FrameTable(index / frame_rate, index, q, rows[:, 3::4])
 

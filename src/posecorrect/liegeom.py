@@ -571,6 +571,32 @@ def quat_matrix(q: np.ndarray) -> np.ndarray:
     ), axis=-1).reshape(-1, 3, 3)
 
 
+def quat_from_matrix(m: np.ndarray) -> np.ndarray:
+    """Array twin of ``Rotation.from_matrix`` on (N, 3, 3) matrices: each
+    row takes the scalar form's Shepperd branch and does that branch's
+    operations in the same order."""
+    m00, m01, m02 = m[:, 0, 0], m[:, 0, 1], m[:, 0, 2]
+    m10, m11, m12 = m[:, 1, 0], m[:, 1, 1], m[:, 1, 2]
+    m20, m21, m22 = m[:, 2, 0], m[:, 2, 1], m[:, 2, 2]
+    tr = m00 + m11 + m22
+    big = np.where((tr >= m00) & (tr >= m11) & (tr >= m22), 0, np.where(
+        (m00 >= m11) & (m00 >= m22), 1, np.where(m11 >= m22, 2, 3)
+    ))
+    # Only the chosen radicand reaches sqrt; the others may be negative.
+    s = 2.0 * np.sqrt(np.choose(big, (
+        1.0 + tr, 1.0 + m00 - m11 - m22, 1.0 + m11 - m00 - m22, 1.0 + m22 - m00 - m11
+    )))
+    big_part = 0.25 * s
+    dx, dy, dz = (m21 - m12) / s, (m02 - m20) / s, (m10 - m01) / s
+    sxy, sxz, syz = (m01 + m10) / s, (m02 + m20) / s, (m12 + m21) / s
+    return quat_normalize(np.column_stack((
+        np.choose(big, (big_part, dx, dy, dz)),
+        np.choose(big, (dx, big_part, sxy, sxz)),
+        np.choose(big, (dy, sxy, big_part, syz)),
+        np.choose(big, (dz, sxz, syz, big_part)),
+    )))
+
+
 def gimbal_proximity_rows(q: np.ndarray) -> np.ndarray:
     """Array twin of :func:`gimbal_proximity`, one flag per row."""
     return _gimbal_rows(quat_matrix(q))
