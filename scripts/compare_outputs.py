@@ -17,11 +17,14 @@ command set:
   ``se3-v`` on KITTI inputs;
 * ``--scale-squared`` and ``--raw-division``, with ``evaluate --methods
   all`` and with ``correct`` (``proposed`` and three baselines);
-* ``correct`` and ``evaluate`` on each malformed file in ``tests/data``;
+* ``correct`` and ``evaluate`` on each malformed file in ``tests/data``
+  (non-UTF-8 data lines, a KITTI reflection and a KITTI rotation whose
+  entries overflow among them), and on its non-UTF-8 keyframe index;
 * ``correct`` and ``evaluate`` on the valid ten-frame files of
   ``tests/data`` whose text is out of the ordinary: CRLF and tab-separated
-  files, which the readers convert with ``np.loadtxt``, and files with
-  comment lines between their data lines, which they read line by line.
+  files and one with a Latin-1 comment line, which the readers convert
+  with ``np.loadtxt``, and files with comment lines between their data
+  lines, which they read line by line.
 
 For every command the exit code, standard output and standard error are
 compared, and afterwards every file the commands wrote.  ``bench`` output
@@ -46,12 +49,13 @@ METHODS = ("no-correction", "xyz", "se3-v", "euler", "quat", "so3", "proposed")
 RAW_DIVISION_METHODS = ("xyz", "euler", "so3")  # --raw-division changes only the baselines
 TIMED_OUTPUTS = ("out/bench",)  # contents are timings; compared by file name only
 MALFORMED = ("malformed.tum", "bad_quat.tum", "comments_only.tum", "malformed.kitti",
-             "bad_rotation.kitti")
+             "bad_rotation.kitti", "non_utf8.tum", "non_utf8.kitti", "reflection.kitti",
+             "huge_rotation.kitti")
 # Valid ten-frame trajectories (keyframes at 0, 3, 6, 9), each with the
 # file its keyframes move onto or that serves as its ground truth.
 ODD_TEXT = (("crlf.tum", "tabs.tum"), ("tabs.tum", "interior_comments.tum"),
             ("interior_comments.tum", "crlf.tum"), ("crlf.kitti", "interior_comments.kitti"),
-            ("interior_comments.kitti", "crlf.kitti"))
+            ("interior_comments.kitti", "crlf.kitti"), ("latin1_header.tum", "crlf.tum"))
 
 KITTI_INPUTS = """
 import sys
@@ -104,6 +108,12 @@ def command_set() -> list[list[str]]:
         commands.append(["correct", "--traj", f"data/{name}", "--kf-index", "out/sim/kf_index.txt",
                          "--kf-old", "data/valid.tum", "--kf-new", "data/valid.tum",
                          "--methods", "proposed", "--out", f"out/bad-corr-{name}"])
+    bad_index = ["--traj", "data/tabs.tum", "--kf-index", "data/non_utf8_kf_index.txt"]
+    commands.append(["evaluate", *bad_index, "--gt", "data/crlf.tum", "--methods", "all",
+                     "--out", "out/bad-eval-kf-index"])
+    commands.append(["correct", *bad_index, "--kf-old", "data/tabs.tum",
+                     "--kf-new", "data/crlf.tum", "--methods", "proposed",
+                     "--out", "out/bad-corr-kf-index"])
     for name, other in ODD_TEXT:
         traj = ["--traj", f"data/{name}", "--kf-index", "data/ten_frames_kf_index.txt"]
         commands.append(["evaluate", *traj, "--gt", f"data/{other}", "--methods", "all",

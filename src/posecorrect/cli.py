@@ -347,7 +347,7 @@ def _apply_config_file(subparser: argparse.ArgumentParser, path: Path) -> None:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise CliError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(cfg, dict):
         raise CliError(f"{path}: config must be a JSON object")

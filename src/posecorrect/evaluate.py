@@ -283,16 +283,6 @@ class SnapProtocol:
         return report, errors
 
 
-def run_protocol(
-    traj: Trajectory,
-    gt,
-    cfg: MethodConfig,
-    tol: float = DEFAULT_ASSOC_TOL,
-) -> tuple[MethodReport, FrameErrors]:
-    """Snap keyframes to ground truth, correct, and score relative frames."""
-    return SnapProtocol(traj, gt, tol).run(cfg)
-
-
 # -- timing ----------------------------------------------------------------------
 
 

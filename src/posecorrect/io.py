@@ -12,16 +12,18 @@ writers take a table or ``(FrameId, Pose)`` pairs.  Both readers first try
 correctly rounded routine as ``float``, on files that pass a strict gate:
 leading ``#`` lines, then only digits, ``.eE+-`` and whitespace, with the
 expected column count on every line (:func:`_fast_rows`).  Any other file,
-or one whose table fails a value check, is read again in blocks of lines
-converted by ``float`` (:func:`_parse_rows`), which keeps line numbers; a
-block that fails is walked line by line to name its first bad line.  The
-value checks run on the whole array: finite values and unit quaternions
-for TUM, finite values and the drift check, SVD projection and
-matrix-to-quaternion conversion of every rotation for KITTI.  So a file
-costs a few array passes rather than a ``Pose`` per line.  Parsers reject
-malformed input with the file and line number of the first offending
-line, rather than guessing.  Under ``POSECORRECT_LOG=DEBUG`` each read
-logs which path it took and, on a fallback, which check sent it there.
+or one whose table fails a value check, is read again one line at a time
+by :func:`data_lines`, the one line reader of every text input, and each
+line is converted by ``float`` (:func:`_parse_rows`), which names the
+first bad line.  Comment lines may hold any bytes; a data line that is
+not UTF-8 fails at its own line.  The value checks run on the whole
+array: finite values and unit quaternions for TUM, finite values, the
+drift and reflection checks, SVD projection and matrix-to-quaternion
+conversion of every rotation for KITTI.  So a file costs a few array
+passes rather than a ``Pose`` per line.  Parsers reject malformed input
+with the file and line number of the first offending line, rather than
+guessing.  Under ``POSECORRECT_LOG=DEBUG`` each read logs which path it
+took and, on a fallback, which check sent it there.
 The writers format a whole table with :mod:`~posecorrect.floatfmt`, whose
 text of each float is byte-equal to its ``repr``, so write-then-read is
 exact; they write bytes, so a file does not depend on the platform's
@@ -35,8 +37,6 @@ from __future__ import annotations
 import logging
 import math
 import re
-from array import array
-from itertools import chain
 from typing import Iterator, Optional
 
 import numpy as np
@@ -61,8 +61,10 @@ class TrajectoryParseError(ValueError):
 def data_lines(path) -> Iterator[tuple[int, str]]:
     """``(line number, stripped text)`` of every data line of a text file:
     lines are numbered from 1, and blank lines and ``#`` comments are
-    skipped."""
-    with open(path, "r", encoding="utf-8") as fh:
+    skipped whatever bytes they hold.  A byte that is not UTF-8 decodes to
+    a lone surrogate, which no number parses, so a data line holding one
+    fails at its own line."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
             text = raw.strip()
             if text and not text.startswith("#"):
@@ -112,48 +114,22 @@ def parse_tum_fields(fields: list[str], path, line: int) -> tuple[float, Pose]:
     return stamp, Pose(Rotation((qw, qx, qy, qz)), (tx, ty, tz))
 
 
-BLOCK_HINT = 1 << 16  # characters of text read per block of lines
-
-
 def _parse_rows(path, count: int, layout: str = ""):
     """The fields of the data lines of ``path`` as an (N, ``count``) float
     array, their line numbers, and the error of the first line whose field
     count or conversion fails (``None`` when none does); the rows stop
-    there.  Finite values are not checked here.
-
-    The file is read in blocks of lines and each block is converted in one
-    pass; a block that fails is walked line by line with
-    :func:`_convert_fields`, so the error is the one-line reader's."""
-    values = array("d")
+    there.  Finite values are not checked here."""
+    values: list[float] = []
     linenos: list[int] = []
     error = None
-    first = 1  # line number of the block's first line
-    with open(path, "r", encoding="utf-8") as fh:
-        while error is None:
-            lines = fh.readlines(BLOCK_HINT)
-            if not lines:
-                break
-            texts = [line.strip() for line in lines]
-            numbers = [k for k, text in enumerate(texts, start=first) if text and text[0] != "#"]
-            fields = [texts[k - first].split() for k in numbers]
-            first += len(lines)
-            try:
-                if any(len(f) != count for f in fields):
-                    raise ValueError
-                block = array("d", map(float, chain.from_iterable(fields)))
-            except ValueError:
-                for lineno, f in zip(numbers, fields):
-                    try:
-                        values.extend(_convert_fields(f, path, lineno, count, layout))
-                    except TrajectoryParseError as exc:
-                        error = exc
-                        break
-                    linenos.append(lineno)
-                continue
-            values.extend(block)
-            linenos.extend(numbers)
-    rows = np.frombuffer(values, dtype=float).reshape(-1, count)
-    return rows, linenos, error
+    for lineno, text in data_lines(path):
+        try:
+            values.extend(_convert_fields(text.split(), path, lineno, count, layout))
+        except TrajectoryParseError as exc:
+            error = exc
+            break
+        linenos.append(lineno)
+    return np.array(values, dtype=float).reshape(-1, count), linenos, error
 
 
 # Leading comment lines: '#' in the first column, each ended by a newline.
@@ -168,18 +144,13 @@ def _fast_rows(path, count: int):
 
     ``np.loadtxt`` converts each field with ``PyOS_string_to_double``, the
     routine behind ``float``, so its values equal :func:`_parse_rows`'.
-    The gate keeps it to text on which the two agree on the rest too: the
-    leading ``#`` lines are valid UTF-8, every later byte is a digit,
+    The gate keeps it to text on which the two agree on the rest too: after
+    the leading ``#`` lines, which both skip, every byte is a digit,
     ``.eE+-``, a space, a tab or a newline, there is at least one data
     line, and ``np.loadtxt`` finds ``count`` columns on every line."""
     with open(path, "rb") as fh:
         data = fh.read()
-    start = _HEADER.match(data).end()
-    try:
-        data[:start].decode("utf-8")
-    except UnicodeDecodeError:
-        return None, "header is not UTF-8"
-    body = data[start:]
+    body = data[_HEADER.match(data).end():]
     del data
     if body.translate(None, _NUMBER_BYTES):
         return None, "a byte outside the number grammar"
@@ -267,47 +238,46 @@ def _drift_error(drift: float) -> str:
     return f"rotation departs from SO(3) by {drift:.2e} (limit {ROTATION_DRIFT_TOL})"
 
 
+REFLECTION = "rotation block has a negative determinant (a reflection, not a rotation)"
+
+
 def _orthonormalize(m: np.ndarray, path, line: int) -> np.ndarray:
-    """One 3x3 rotation block as read: as is when ``m^T m`` is within 1e-12
-    of the identity, projected onto SO(3) by SVD when within
-    :data:`ROTATION_DRIFT_TOL`, rejected beyond.  :func:`_kitti_check` is
-    its array twin."""
+    """One 3x3 rotation block as read: rejected when ``m^T m`` departs from
+    the identity by more than :data:`ROTATION_DRIFT_TOL` or when it is a
+    reflection, as is when within 1e-12 of the identity, projected onto
+    SO(3) by SVD otherwise.  :func:`_kitti_check` is its array twin."""
     drift = float(np.max(np.abs(m.T @ m - np.eye(3))))
-    if drift <= 1e-12:
-        return m
     if drift > ROTATION_DRIFT_TOL:
         raise TrajectoryParseError(path, line, _drift_error(drift))
+    if np.linalg.det(m) < 0.0:
+        raise TrajectoryParseError(path, line, REFLECTION)
+    if drift <= 1e-12:
+        return m
     u, _, vt = np.linalg.svd(m)
-    r = u @ vt
-    if np.linalg.det(r) < 0.0:
-        u[:, -1] = -u[:, -1]
-        r = u @ vt
-    return r
+    return u @ vt
 
 
 def _kitti_check(rows):
     """The (N, 4) quaternions of a KITTI table, and ``(k, message)`` of its
     first bad row (``None`` when there is none): the rows of
     :func:`_orthonormalize` and ``Rotation.from_matrix`` in array form, in
-    the same order, so a drift error before the first non-finite row wins
-    and no row after the first error is projected."""
+    the same order, so a drift or reflection error before the first
+    non-finite row wins and no row after the first error is projected."""
     finite = np.isfinite(rows).all(axis=1)
     n = len(rows) if finite.all() else int(np.argmin(finite))
     m = rows[:n].reshape(-1, 3, 4)[:, :, :3]
-    drift = np.abs(m.transpose(0, 2, 1) @ m - np.eye(3)).max(axis=(1, 2))
-    over = drift > ROTATION_DRIFT_TOL
-    stop = int(np.argmax(over)) if over.any() else n
+    with np.errstate(over="ignore", invalid="ignore"):  # huge entries: drift inf, rejected
+        drift = np.abs(m.transpose(0, 2, 1) @ m - np.eye(3)).max(axis=(1, 2))
+        over = drift > ROTATION_DRIFT_TOL
+        bad = over | (np.linalg.det(m) < 0.0)
+    stop = int(np.argmax(bad)) if bad.any() else n
     r = m[:stop].copy()
     fix = np.flatnonzero(~(drift[:stop] <= 1e-12))
     if fix.size:
         u, _, vt = np.linalg.svd(r[fix])
-        projected = u @ vt
-        flip = np.linalg.det(projected) < 0.0
-        u[flip, :, -1] = -u[flip, :, -1]
-        projected[flip] = u[flip] @ vt[flip]
-        r[fix] = projected
+        r[fix] = u @ vt
     if stop < n:
-        return None, (stop, _drift_error(drift[stop]))
+        return None, (stop, _drift_error(drift[stop]) if over[stop] else REFLECTION)
     if n < len(rows):
         return None, (n, NON_FINITE)
     return quat_from_matrix(r), None

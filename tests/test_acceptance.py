@@ -26,9 +26,9 @@ from posecorrect.correction import (
 from posecorrect.evaluate import (
     METHODS,
     MethodConfig,
+    SnapProtocol,
     bench,
     correct_trajectory,
-    run_protocol,
 )
 from posecorrect.liegeom import (
     Pose,
@@ -181,7 +181,7 @@ def test_criterion_4_singularity_contrast():
     stats = {}
     errors = {}
     for name in METHODS:
-        report, errs = run_protocol(traj, gt, MethodConfig(name))
+        report, errs = SnapProtocol(traj, gt).run(MethodConfig(name))
         stats[name] = report
         errors[name] = np.array([e.translation_cm for e in errs])
     se3v = errors["se3-v"]
@@ -206,7 +206,7 @@ def test_criterion_5_error_ordering_across_seeds():
     wins = 0
     for seed in range(10):
         traj, gt = fixtures.noisy_fixture(seed)
-        reports = {name: run_protocol(traj, gt, MethodConfig(name))[0] for name in METHODS}
+        reports = {name: SnapProtocol(traj, gt).run(MethodConfig(name))[0] for name in METHODS}
         p = reports["proposed"]
         t_ok = all(
             p.translation.mean < reports[m].translation.mean

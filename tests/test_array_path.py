@@ -142,12 +142,8 @@ class TestReadersAndWriters:
             _, got = outcome(trajio.read_kitti, path)
             assert got == want and got[0] == line
 
-    @pytest.mark.parametrize("hint", [None, 1])
-    def test_kitti_errors_in_later_blocks(self, tmp_path, monkeypatch, hint):
-        if hint is not None:
-            monkeypatch.setattr(trajio, "BLOCK_HINT", hint)
+    def test_kitti_errors_in_later_blocks(self, tmp_path):
         good = object_kitti_text(random_pairs(5, 600)).splitlines(keepends=True)
-        assert len("".join(good[:500])) > trajio.BLOCK_HINT
         for lines, line in (
             (good[:500] + ["1 0 0 0 0 1 0 0 0 0 1 x\n"] + good[500:], 501),
             (good[:20] + ["1 0 0 inf 0 1 0 0 0 0 1 0\n"] + good[20:500] + ["1 2\n"], 21),
@@ -239,11 +235,8 @@ class TestRandomTumText:
 
 
 def tum_lines_over_blocks():
-    """A comment line and 1,500 valid TUM lines; the first 600 take more
-    than one block to read."""
-    lines = object_tum_text(random_pairs(6, 1500)).splitlines(keepends=True)
-    assert len("".join(lines[:600])) > trajio.BLOCK_HINT
-    return lines
+    """A comment line and 1,500 valid TUM lines."""
+    return object_tum_text(random_pairs(6, 1500)).splitlines(keepends=True)
 
 
 def with_line(lines, k, text):
@@ -286,14 +279,11 @@ BLOCK_CASES = {
 
 
 class TestBlockBoundaries:
-    """The block reader against the one-line reader on files of several
-    blocks, at the default block size and at one line per block."""
+    """The line reader against the one-line reader on files of 1,500 lines
+    with odd line endings and errors far into the file."""
 
-    @pytest.mark.parametrize("hint", [None, 1])
     @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
-    def test_tum_reads_like_the_object_reader(self, tmp_path, monkeypatch, case, hint):
-        if hint is not None:
-            monkeypatch.setattr(trajio, "BLOCK_HINT", hint)
+    def test_tum_reads_like_the_object_reader(self, tmp_path, case):
         text, line = BLOCK_CASES[case]
         path = tmp_path / "b.tum"
         path.write_bytes(text(tum_lines_over_blocks()).encode("utf-8"))

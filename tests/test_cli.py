@@ -491,6 +491,14 @@ class TestConfigPrecedence:
         ])
         assert code == 2
 
+    def test_config_not_utf8_exit_two_naming_file(self, sim_dir, tmp_path, capsys):
+        cfg_path = tmp_path / "latin1.json"
+        cfg_path.write_bytes(b'{"methods": "caf\xe9"}')
+        code = main([*evaluate_args(sim_dir, tmp_path / "x"), "--config", str(cfg_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{cfg_path}: invalid JSON" in err and "unexpected error" not in err
+
 
 class TestLogging:
     def test_env_var_sets_level(self, tmp_path, monkeypatch, caplog):
@@ -663,3 +671,73 @@ class TestInputValidation:
         line = len(text.splitlines()) + 1
         assert self.evaluate(sim_dir, tmp_path, kf_index=kf_index) == 2
         assert f"kf_dup.txt:{line}" in capsys.readouterr().err
+
+
+# Every input role of ``correct`` and ``evaluate``, with the ten-frame files
+# that fill the roles a run does not vary.
+ROLES = {
+    "correct": {"--traj": "tabs.tum", "--kf-index": "ten_frames_kf_index.txt",
+                "--kf-old": "tabs.tum", "--kf-new": "crlf.tum"},
+    "evaluate": {"--traj": "tabs.tum", "--kf-index": "ten_frames_kf_index.txt",
+                 "--gt": "crlf.tum"},
+}
+SWEEP = [(command, role, path.name) for command, roles in ROLES.items() for role in roles
+         for path in sorted(DATA.iterdir())]
+SWEEP_IDS = [f"{command}-{role[2:]}-{name}" for command, role, name in SWEEP]
+
+
+def reflected_kitti(path, rotation: str, comment: bool) -> int:
+    """A copy of the ten-frame ``crlf.kitti`` at ``path`` whose fifth frame
+    has the rotation block ``rotation`` (row-major), with a comment line
+    before each frame when ``comment`` (so only the line reader takes it);
+    returns the line of that frame."""
+    lines = (DATA / "crlf.kitti").read_text().splitlines()
+    fields = lines[4].split()
+    fields[0:3], fields[4:7], fields[8:11] = (rotation.split()[k:k + 3] for k in (0, 3, 6))
+    lines[4] = " ".join(fields)
+    if comment:
+        lines = [text for line in lines for text in ("# frame", line)]
+    path.write_text("\n".join(lines) + "\n")
+    return 10 if comment else 5
+
+
+class TestExitCodes:
+    """No input file makes ``correct`` or ``evaluate`` exit other than 0 or
+    2, and a parse error names the file and its line."""
+
+    @pytest.mark.parametrize("command,role,name", SWEEP, ids=SWEEP_IDS)
+    def test_every_data_file_in_every_role(self, tmp_path, capsys, monkeypatch, command, role,
+                                           name):
+        raised = []
+        init = trajio.TrajectoryParseError.__init__
+
+        def recording_init(self, path, line, message):
+            init(self, path, line, message)
+            raised.append(self)
+
+        monkeypatch.setattr(trajio.TrajectoryParseError, "__init__", recording_init)
+        inputs = {**ROLES[command], role: name}
+        argv = [command, *(a for flag, file in inputs.items() for a in (flag, str(DATA / file)))]
+        code = main([*argv, "--methods", "proposed", "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code in (0, 2), err
+        assert "unexpected error" not in err
+        reported = [exc for exc in raised if err == f"posecorrect: error: {exc}\n"]
+        if reported:
+            exc = reported[0]
+            assert exc.path in {str(DATA / file) for file in inputs.values()} and exc.line >= 1
+            assert f"{exc.path}:{exc.line}: " in err
+
+    @pytest.mark.parametrize("comment", [False, True], ids=["loadtxt", "line reader"])
+    @pytest.mark.parametrize("rotation", ["1 0 0 0 1 0 0 0 -1", "0 1 0 1 0 0 0 0 1.000001"],
+                             ids=["exact", "near"])
+    def test_reflection_exit_two_naming_line(self, tmp_path, capsys, rotation, comment):
+        path = tmp_path / "reflected.kitti"
+        line = reflected_kitti(path, rotation, comment)
+        assert (trajio._fast_rows(path, 12)[0] is None) == comment
+        code = main(["correct", "--traj", str(path), "--kf-index",
+                     str(DATA / "ten_frames_kf_index.txt"), "--kf-old", str(path),
+                     "--kf-new", str(DATA / "crlf.kitti"), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{path}:{line}: rotation block has a negative determinant" in err

@@ -12,11 +12,11 @@ from posecorrect.evaluate import (
     METHODS,
     ErrorStats,
     MethodConfig,
+    SnapProtocol,
     TrajectoryDiagnostics,
     bench,
     correct_trajectory,
     frame_errors,
-    run_protocol,
     write_diagnostics_csv,
     write_report_csv,
 )
@@ -231,7 +231,7 @@ class TestRunProtocol:
         positions = [i for i, (fid, _) in enumerate(gt) if fid.index in set(kf_positions)]
         traj = from_world_poses(gt, positions)
         for name in METHODS:
-            report, errors = run_protocol(traj, gt, MethodConfig(name))
+            report, errors = SnapProtocol(traj, gt).run(MethodConfig(name))
             assert report.translation.mean < 1e-10, name
             assert report.rotation.mean < 1e-8, name
 
@@ -242,19 +242,19 @@ class TestRunProtocol:
         scene, update, target = fixtures.similarity_case(4)
         traj = scene.trajectory
         for name in METHODS:
-            report, _ = run_protocol(traj, target, MethodConfig(name))
+            report, _ = SnapProtocol(traj, target).run(MethodConfig(name))
             assert report.translation.mean < 1e-9, name
 
     def test_perturbed_update_proposed_near_floor_baselines_above(self):
         traj, gt = fixtures.noisy_fixture(0)
-        proposed, _ = run_protocol(traj, gt, MethodConfig("proposed"))
+        proposed, _ = SnapProtocol(traj, gt).run(MethodConfig("proposed"))
         for name in ("xyz", "se3-v", "no-correction"):
-            report, _ = run_protocol(traj, gt, MethodConfig(name))
+            report, _ = SnapProtocol(traj, gt).run(MethodConfig(name))
             assert report.translation.mean > 1.5 * proposed.translation.mean, name
 
     def test_relative_frames_only_are_scored(self):
         traj, gt = fixtures.noisy_fixture(4)
-        report, errors = run_protocol(traj, gt, MethodConfig("no-correction"))
+        report, errors = SnapProtocol(traj, gt).run(MethodConfig("no-correction"))
         assert report.translation.count == len(traj.relatives)
         rel_ids = {rel.id for rel in traj.relatives}
         assert all(e.frame in rel_ids for e in errors)
@@ -302,8 +302,8 @@ class TestSingularDiagnostics:
         # for the element-wise spaces; the proposed correction performs no
         # such division and reports zero hits.
         traj, gt = fixtures.singular_fixture()
-        se3v, _ = run_protocol(traj, gt, MethodConfig("se3-v"))
-        proposed, _ = run_protocol(traj, gt, MethodConfig("proposed"))
+        se3v, _ = SnapProtocol(traj, gt).run(MethodConfig("se3-v"))
+        proposed, _ = SnapProtocol(traj, gt).run(MethodConfig("proposed"))
         assert se3v.singular_hits >= 1
         assert proposed.singular_hits == 0
         assert proposed.degenerate_segments == 0
@@ -314,7 +314,7 @@ class TestReportCsv:
         traj, gt = fixtures.noisy_fixture(5)
         rows = []
         for name in ("no-correction", "proposed"):
-            report, _ = run_protocol(traj, gt, MethodConfig(name))
+            report, _ = SnapProtocol(traj, gt).run(MethodConfig(name))
             rows.append(("fixture5", report))
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         write_report_csv(p1, rows)
