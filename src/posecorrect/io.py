@@ -15,15 +15,13 @@ expected column count on every line (:func:`_fast_rows`).  Any other file,
 or one whose table fails a value check, is read again one line at a time
 by :func:`data_lines`, the one line reader of every text input, and each
 line is converted by ``float`` (:func:`_parse_rows`), which names the
-first bad line.  Comment lines may hold any bytes; a data line that is
-not UTF-8 fails at its own line.  The value checks run on the whole
-array: finite values and unit quaternions for TUM, finite values, the
-drift and reflection checks, SVD projection and matrix-to-quaternion
-conversion of every rotation for KITTI.  So a file costs a few array
-passes rather than a ``Pose`` per line.  Parsers reject malformed input
-with the file and line number of the first offending line, rather than
-guessing.  Under ``POSECORRECT_LOG=DEBUG`` each read logs which path it
-took and, on a fallback, which check sent it there.
+first bad line.  Comment lines may hold any bytes; a data line that is not
+UTF-8 fails at its own line.  The value checks run on the whole array:
+finite values and unit quaternions for TUM, finite values, the drift and
+reflection checks, SVD projection and matrix-to-quaternion conversion of
+every rotation for KITTI.  So a file costs a few array passes rather than
+a ``Pose`` per line.  Under ``POSECORRECT_LOG=DEBUG`` each read logs which
+path it took and, on a fallback, which check sent it there.
 The writers format a whole table with :mod:`~posecorrect.floatfmt`, whose
 text of each float is byte-equal to its ``repr``, so write-then-read is
 exact; they write bytes, so a file does not depend on the platform's
@@ -37,6 +35,7 @@ from __future__ import annotations
 import logging
 import math
 import re
+from array import array
 from typing import Iterator, Optional
 
 import numpy as np
@@ -119,7 +118,7 @@ def _parse_rows(path, count: int, layout: str = ""):
     array, their line numbers, and the error of the first line whose field
     count or conversion fails (``None`` when none does); the rows stop
     there.  Finite values are not checked here."""
-    values: list[float] = []
+    values = array("d")
     linenos: list[int] = []
     error = None
     for lineno, text in data_lines(path):
@@ -129,7 +128,7 @@ def _parse_rows(path, count: int, layout: str = ""):
             error = exc
             break
         linenos.append(lineno)
-    return np.array(values, dtype=float).reshape(-1, count), linenos, error
+    return np.frombuffer(values, dtype=float).reshape(-1, count), linenos, error
 
 
 # Leading comment lines: '#' in the first column, each ended by a newline.
@@ -246,8 +245,9 @@ def _orthonormalize(m: np.ndarray, path, line: int) -> np.ndarray:
     the identity by more than :data:`ROTATION_DRIFT_TOL` or when it is a
     reflection, as is when within 1e-12 of the identity, projected onto
     SO(3) by SVD otherwise.  :func:`_kitti_check` is its array twin."""
-    drift = float(np.max(np.abs(m.T @ m - np.eye(3))))
-    if drift > ROTATION_DRIFT_TOL:
+    with np.errstate(over="ignore", invalid="ignore"):  # huge entries: drift inf or nan
+        drift = float(np.max(np.abs(m.T @ m - np.eye(3))))
+    if not drift <= ROTATION_DRIFT_TOL:
         raise TrajectoryParseError(path, line, _drift_error(drift))
     if np.linalg.det(m) < 0.0:
         raise TrajectoryParseError(path, line, REFLECTION)
@@ -266,9 +266,9 @@ def _kitti_check(rows):
     finite = np.isfinite(rows).all(axis=1)
     n = len(rows) if finite.all() else int(np.argmin(finite))
     m = rows[:n].reshape(-1, 3, 4)[:, :, :3]
-    with np.errstate(over="ignore", invalid="ignore"):  # huge entries: drift inf, rejected
+    with np.errstate(over="ignore", invalid="ignore"):  # huge entries: drift inf or nan
         drift = np.abs(m.transpose(0, 2, 1) @ m - np.eye(3)).max(axis=(1, 2))
-        over = drift > ROTATION_DRIFT_TOL
+        over = ~(drift <= ROTATION_DRIFT_TOL)
         bad = over | (np.linalg.det(m) < 0.0)
     stop = int(np.argmax(bad)) if bad.any() else n
     r = m[:stop].copy()

@@ -142,7 +142,7 @@ class TestReadersAndWriters:
             _, got = outcome(trajio.read_kitti, path)
             assert got == want and got[0] == line
 
-    def test_kitti_errors_in_later_blocks(self, tmp_path):
+    def test_kitti_errors_far_into_the_file(self, tmp_path):
         good = object_kitti_text(random_pairs(5, 600)).splitlines(keepends=True)
         for lines, line in (
             (good[:500] + ["1 0 0 0 0 1 0 0 0 0 1 x\n"] + good[500:], 501),
@@ -234,7 +234,7 @@ class TestRandomTumText:
         assert again.indices.tolist() == list(range(len(got)))
 
 
-def tum_lines_over_blocks():
+def long_tum_lines():
     """A comment line and 1,500 valid TUM lines."""
     return object_tum_text(random_pairs(6, 1500)).splitlines(keepends=True)
 
@@ -243,24 +243,24 @@ def with_line(lines, k, text):
     return lines[:k] + [text] + lines[k:]
 
 
-BLOCK_CASES = {
+LONG_FILE_CASES = {
     # name: (file text from the valid lines, line of the first error or None)
-    "non-numeric in a later block": (
+    "non-numeric far into the file": (
         lambda v: "".join(with_line(v, 1000, "1 2 3 x 0 0 0 1\n")), 1001),
     "non-finite row before a later short row": (
         lambda v: "".join(with_line(with_line(v, 1000, "1 2 3\n"), 10, "1 2 3 nan 0 0 0 1\n")), 11),
     "short row before a later non-finite row": (
         lambda v: "".join(with_line(with_line(v, 1000, "1 2 3 nan 0 0 0 1\n"), 10, "1 2 3\n")), 11),
-    "non-finite row before a non-numeric row in its block": (
+    "non-finite row two lines before a non-numeric row": (
         lambda v: "".join(with_line(with_line(v, 12, "1 2 3 x 0 0 0 1\n"), 10, "1 2 3 inf 0 0 0 1\n")),
         11),
-    "short row before a non-numeric row in its block": (
+    "short row two lines before a non-numeric row": (
         lambda v: "".join(with_line(with_line(v, 12, "1 2 3 x 0 0 0 1\n"), 10, "1 2 3\n")), 11),
-    "quaternion norm in a later block": (
+    "quaternion norm far into the file": (
         lambda v: "".join(with_line(v, 1000, "1 2 3 4 0 0 0 2\n")), 1001),
     "CRLF endings": (lambda v: "".join(v).replace("\n", "\r\n"), None),
     "CR endings": (lambda v: "".join(v).replace("\n", "\r"), None),
-    "CR endings, error in a later block": (
+    "CR endings, error far into the file": (
         lambda v: "".join(with_line(v, 1000, "x\n")).replace("\n", "\r"), 1001),
     # str.splitlines would end a line at \x0c or \x1c; a file does not, and
     # str.split takes them as whitespace between fields.
@@ -273,20 +273,20 @@ BLOCK_CASES = {
         1202),
     "last line without newline": (lambda v: "".join(v).rstrip("\n"), None),
     "bad last line without newline": (lambda v: "".join(v) + "1 2 3 4", 1502),
-    "comments and blank lines across blocks": (
+    "comments and blank lines throughout": (
         lambda v: "".join(line if k % 3 else "  # c\n\n" + line for k, line in enumerate(v)), None),
 }
 
 
-class TestBlockBoundaries:
+class TestLongFiles:
     """The line reader against the one-line reader on files of 1,500 lines
     with odd line endings and errors far into the file."""
 
-    @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+    @pytest.mark.parametrize("case", sorted(LONG_FILE_CASES))
     def test_tum_reads_like_the_object_reader(self, tmp_path, case):
-        text, line = BLOCK_CASES[case]
+        text, line = LONG_FILE_CASES[case]
         path = tmp_path / "b.tum"
-        path.write_bytes(text(tum_lines_over_blocks()).encode("utf-8"))
+        path.write_bytes(text(long_tum_lines()).encode("utf-8"))
         want, want_error = outcome(object_read_tum, path)
         got, got_error = outcome(trajio.read_tum, path)
         assert got_error == want_error

@@ -147,6 +147,7 @@ KITTI_CASES = [
      + b"1.01 0 0 0 0 1 0 0 0 0 1 0\n", True),
     ("1e400 after drift", b"1.01 0 0 0 0 1 0 0 0 0 1 0\n"
      + KITTI_ROW.replace(b"0 0 1 0", b"0 0 1 1e400") + b"\n", True),
+    ("overflowing rotation", (DATA / "huge_rotation.kitti").read_bytes(), True),
     ("interior comment", KITTI_ROW + b"\n# interior\n" + KITTI_ROW + b"\n", False),
     ("eight columns", ROW + b"\n", False),
     ("drift before a short line", b"1.01 0 0 0 0 1 0 0 0 0 1 0\n1 2 3\n", False),
@@ -303,6 +304,20 @@ class TestKittiTwins:
         want_q, want_bad = row_kitti_check(rows)
         assert bad == want_bad is None
         assert q.tobytes() == want_q.tobytes()
+
+    def test_overflowing_rotation_is_a_drift_error(self, monkeypatch):
+        # An entry of m^T m sums 1e400 and -1e400: inf where the matmul
+        # fuses multiply and add, nan where it does not.  Neither passes.
+        path = DATA / "huge_rotation.kitti"
+        assert trajio._fast_rows(path, 12)[0] is not None
+        got = outcome(trajio.read_kitti, path)
+        assert got == line_reader_outcome(monkeypatch, trajio.read_kitti, path)
+        drift = got[2].rsplit(" by ", 1)[1].split()[0]
+        assert got[2] == f"{path}:1: {trajio._drift_error(float(drift))}" and drift in ("inf", "nan")
+        assert got[:2] == ("raised", trajio.TrajectoryParseError) and got[3] == 1
+        rows = np.loadtxt(path, ndmin=2)
+        assert trajio._kitti_check(rows)[1] == row_kitti_check(rows)[1] == (
+            0, trajio._drift_error(float(drift)))
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.sampled_from(["ok", "small", "reflect", "over", "nan"]), min_size=1,
