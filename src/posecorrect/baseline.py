@@ -22,9 +22,9 @@ segment of a :class:`SegmentBatch` in one pass over (N, 4) quaternion and
 per segment by :func:`correction.keyframe_pairs`.  Vectorization, the
 guarded update and the rotation rebuild run on the ``liegeom`` array
 forms, and the hit counters are summed per segment.
-:func:`interp_correct_segment_scalar` is the same correction for one
-segment, one frame at a time, on :class:`Pose` values; it is the
-reference that the tests compare the batched kernel against bit for bit.
+``interp_correct_segment_scalar`` in ``tests/reference_kernels.py`` is the
+same correction for one segment, one frame at a time, on ``Pose`` values;
+the tests compare this kernel against it bit for bit.
 """
 from __future__ import annotations
 
@@ -34,8 +34,8 @@ import numpy as np
 
 from . import liegeom
 from .correction import keyframe_pairs
-from .liegeom import Pose, Rotation, mat_vec
-from .trajectory import KeyframeUpdate, Segment, SegmentBatch, SegmentRecord
+from .liegeom import Rotation, mat_vec
+from .trajectory import SegmentBatch, SegmentRecord
 
 SINGULARITY_EPS = 1e-12
 QUAT_RENORM_TOL = 1e-6
@@ -52,142 +52,24 @@ class RotSpace(Enum):
     SO3 = "so3"
 
 
-def vectorize(
-    pose: Pose,
-    ts: TransSpace,
-    rs: RotSpace,
-    diagnostics: SegmentRecord | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Vector views of a pose: (translation vector, rotation vector, so(3)
-    log of the rotation).  The log is computed once, when ``SE3_V`` or
-    ``SO3`` needs it, and is ``None`` otherwise."""
-    omega = None
-    if ts is TransSpace.SE3_V or rs is RotSpace.SO3:
-        omega = liegeom.so3_log(pose.rotation)
-    if ts is TransSpace.XYZ:
-        tvec = np.array(pose.translation)
-    else:
-        tvec = liegeom.so3_left_jacobian_inv(omega) @ pose.translation
-    if rs is RotSpace.EULER:
-        rvec = liegeom.euler_zyx_from(pose.rotation)
-        if diagnostics is not None and liegeom.gimbal_proximity(pose.rotation):
-            diagnostics.gimbal_hits += 1
-    elif rs is RotSpace.QUAT:
-        rvec = np.array(pose.rotation.quat)
-    else:
-        rvec = omega
-    return tvec, rvec, omega
-
-
-def _rotation_from_vec(
-    rvec: np.ndarray,
-    rs: RotSpace,
-    diagnostics: SegmentRecord | None = None,
-) -> Rotation:
-    if rs is RotSpace.EULER:
-        return liegeom.euler_zyx_to(rvec)
-    if rs is RotSpace.QUAT:
-        norm = float(np.linalg.norm(rvec))
-        if norm < SINGULARITY_EPS:
-            # Exact cancellation of every component; nothing recoverable.
-            if diagnostics is not None:
-                diagnostics.quat_renorm_hits += 1
-            return Rotation.identity()
-        if diagnostics is not None and abs(norm - 1.0) > QUAT_RENORM_TOL:
-            diagnostics.quat_renorm_hits += 1
-        return Rotation(rvec)
-    return liegeom.so3_exp(rvec)
-
-
-def devectorize(
-    tvec: np.ndarray,
-    rvec: np.ndarray,
-    ts: TransSpace,
-    rs: RotSpace,
-    diagnostics: SegmentRecord | None = None,
-) -> Pose:
-    """Inverse of :func:`vectorize`; quaternions are renormalized.
-
-    For ``SE3_V`` the translation is mapped back through the left Jacobian
-    of the rotation encoded by ``rvec``, so the reassembled pose is exactly
-    ``exp`` of the tangent when ``rs`` is ``SO3``.
-    """
-    rot = _rotation_from_vec(rvec, rs, diagnostics)
-    if ts is TransSpace.XYZ:
-        trans = tvec
-    else:
-        trans = liegeom.so3_left_jacobian(liegeom.so3_log(rot)) @ tvec
-    return Pose(rot, trans)
-
-
 def _guarded_factor(
     numerator: np.ndarray,
     denominator: np.ndarray,
     raw_division: bool,
-    diagnostics: SegmentRecord | None = None,
 ) -> np.ndarray:
     """Per-component ``numerator / denominator`` with the singularity guard,
-    for one vector or an (N, k) stack; ``diagnostics`` counts the guarded
-    components."""
+    for one vector or an (N, k) stack."""
     small = np.abs(denominator) < SINGULARITY_EPS
-    if diagnostics is not None:
-        diagnostics.singular_hits += int(np.count_nonzero(small))
     if raw_division:
         with np.errstate(divide="ignore", invalid="ignore"):
             return numerator / denominator
     return np.divide(numerator, denominator, out=np.zeros_like(numerator), where=~small)
 
 
-def interp_correct_segment_scalar(
-    seg: Segment,
-    upd_a: KeyframeUpdate,
-    upd_b: KeyframeUpdate,
-    ts: TransSpace,
-    rs: RotSpace,
-    raw_division: bool = False,
-) -> tuple[list[Pose], SegmentRecord]:
-    """Correct every relative frame of a full segment in vector space, one
-    frame at a time.
-
-    Returns poses relative to the updated opening keyframe, plus the
-    segment's record with its singular/gimbal/renormalization counts.  This
-    is the reference that :func:`interp_correct_segment` is tested against
-    bit for bit.
-    """
-    if seg.terminal:
-        raise ValueError("interpolation needs a closing keyframe; segment is terminal")
-    diag = SegmentRecord(seg.index)
-    t_ab_old = upd_a.old_pose.inverse() * upd_b.old_pose
-    t_ab_new = upd_a.new_pose.inverse() * upd_b.new_pose
-    tv_old, rv_old, om_old = vectorize(t_ab_old, ts, rs, diag)
-    tv_new, rv_new, om_new = vectorize(t_ab_new, ts, rs, diag)
-    dt = tv_new - tv_old
-    dr = rv_new - rv_old
-    if ts is TransSpace.SE3_V:
-        dom = om_new - om_old
-
-    corrected = []
-    for rel in seg.rels:
-        tv, rv, om = vectorize(rel.rel_pose, ts, rs, diag)
-        tv_star = tv + dt * _guarded_factor(tv, tv_old, raw_division, diag)
-        rv_star = rv + dr * _guarded_factor(rv, rv_old, raw_division, diag)
-        rot = _rotation_from_vec(rv_star, rs, diag)
-        if ts is TransSpace.XYZ:
-            trans = tv_star
-        else:
-            # v maps back through the left Jacobian of the interpolated
-            # rotation part of the same tangent, keeping the translation
-            # result independent of the rotation-space choice.
-            om_star = om + dom * _guarded_factor(om, om_old, raw_division, diag)
-            trans = liegeom.so3_left_jacobian(om_star) @ tv_star
-        corrected.append(Pose(rot, trans))
-    return corrected, diag
-
-
 def _vectorize_rows(q: np.ndarray, t: np.ndarray, ts: TransSpace, rs: RotSpace):
-    """Array twin of :func:`vectorize` on poses ``(q, t)``: translation
-    vectors, rotation vectors, so(3) logs (``None`` unless needed) and the
-    rows that count a gimbal hit."""
+    """Vector views of poses ``(q, t)`` in spaces ``ts`` and ``rs``:
+    translation vectors, rotation vectors, so(3) logs (``None`` unless
+    needed) and the rows that count a gimbal hit."""
     omega = None
     if ts is TransSpace.SE3_V or rs is RotSpace.SO3:
         omega = liegeom.so3_log_rows(q)
@@ -204,8 +86,9 @@ def _vectorize_rows(q: np.ndarray, t: np.ndarray, ts: TransSpace, rs: RotSpace):
 
 
 def _rotation_rows(rvec: np.ndarray, rs: RotSpace) -> tuple[np.ndarray, np.ndarray]:
-    """Array twin of :func:`_rotation_from_vec`: canonical quaternions plus
-    the rows that count a renormalization hit."""
+    """Rotations of the vectors ``rvec`` of space ``rs`` as canonical
+    quaternions (a quaternion is renormalized, or the identity when every
+    component cancels), plus the rows that count a renormalization hit."""
     if rs is RotSpace.EULER:
         return liegeom.euler_zyx_to_rows(rvec), np.zeros(len(rvec), dtype=bool)
     if rs is RotSpace.SO3:
@@ -232,8 +115,8 @@ def interp_correct_segment(
     :class:`KeyframeUpdate`, row ``i`` for keyframe ``i``.  Returns the
     corrected poses of ``batch.rels`` relative to each segment's updated
     opening keyframe as (N, 4) quaternions and (N, 3) translations, plus one
-    record per segment.  Each value and count is bitwise equal to
-    :func:`interp_correct_segment_scalar` on the segment.
+    record per segment.  Each value and count is bitwise equal to the
+    scalar reference on the segment.
     """
     per_frame = batch.per_frame
     pairs = keyframe_pairs(batch, updates)

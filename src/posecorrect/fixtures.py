@@ -14,8 +14,9 @@ the evaluation protocol:
   regime, deliberately not a similarity.
 * :func:`similarity_case` - synthetic scene plus a global similarity
   update, the exactness oracle.
-* :func:`bench_segment` - a small full segment, the fixture of acceptance
-  criterion 8 (the scalar correction's latency).
+
+``bench_segment``, the small full segment that acceptance criterion 8
+times the scalar correction on, is in ``tests/reference_kernels.py``.
 """
 from __future__ import annotations
 
@@ -33,16 +34,8 @@ from .synth import (
     apply_similarity_update,
     frame_grid,
     generate_scene,
-    keyframe_positions,
-    path_world_poses,
 )
-from .trajectory import (
-    FrameId,
-    KeyframeUpdate,
-    Segment,
-    Trajectory,
-    from_world_poses,
-)
+from .trajectory import FrameId, Trajectory, from_world_poses
 
 JITTER_ROT = 0.0014   # rad per axis: so(3) jitter of a relative frame
 JITTER_TRANS = 0.002  # m per axis: translation jitter of a relative frame
@@ -229,24 +222,3 @@ def similarity_case(
     update = apply_similarity_update(scene, sim)
     target = [(fid, sim.apply_pose(pose)) for fid, pose in scene.gt_world_poses()]
     return scene, update, target
-
-
-# -- timing fixture ----------------------------------------------------------------
-
-
-def bench_segment() -> tuple[Segment, KeyframeUpdate, KeyframeUpdate]:
-    """A 3-relative-frame full segment with a non-trivial update: the
-    fixture that acceptance criterion 8 times the scalar correction on."""
-    spec = SceneSpec(shape="forward", n_keyframes=2, rels_per_segment=3, seed=3)
-    frames = path_world_poses(spec)
-    traj = from_world_poses(frames, keyframe_positions(spec))
-    seg = traj.segments[0]
-    sim = SimilarityTransform(
-        so3_exp((0.01, -0.02, 0.03)), np.array([0.4, -0.2, 0.1]), 1.05
-    )
-    nudge = Pose(so3_exp((0.0, 1e-3, 0.0)), (5e-3, -2e-3, 1e-3))
-    upd_a = KeyframeUpdate(0, seg.kf_a.world_pose, sim.apply_pose(seg.kf_a.world_pose))
-    upd_b = KeyframeUpdate(
-        1, seg.kf_b.world_pose, nudge * sim.apply_pose(seg.kf_b.world_pose)
-    )
-    return seg, upd_a, upd_b

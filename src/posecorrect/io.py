@@ -28,7 +28,8 @@ exact; they write bytes, so a file does not depend on the platform's
 newline translation.
 :func:`parse_tum_fields` and :func:`format_tum_line` are the one-line
 forms, which scene files use and the tests compare the readers and
-writers against.
+writers against; the one-row form of the KITTI rotation check is
+``_orthonormalize`` in ``tests/reference_kernels.py``.
 """
 from __future__ import annotations
 
@@ -240,29 +241,18 @@ def _drift_error(drift: float) -> str:
 REFLECTION = "rotation block has a negative determinant (a reflection, not a rotation)"
 
 
-def _orthonormalize(m: np.ndarray, path, line: int) -> np.ndarray:
-    """One 3x3 rotation block as read: rejected when ``m^T m`` departs from
-    the identity by more than :data:`ROTATION_DRIFT_TOL` or when it is a
-    reflection, as is when within 1e-12 of the identity, projected onto
-    SO(3) by SVD otherwise.  :func:`_kitti_check` is its array twin."""
-    with np.errstate(over="ignore", invalid="ignore"):  # huge entries: drift inf or nan
-        drift = float(np.max(np.abs(m.T @ m - np.eye(3))))
-    if not drift <= ROTATION_DRIFT_TOL:
-        raise TrajectoryParseError(path, line, _drift_error(drift))
-    if np.linalg.det(m) < 0.0:
-        raise TrajectoryParseError(path, line, REFLECTION)
-    if drift <= 1e-12:
-        return m
-    u, _, vt = np.linalg.svd(m)
-    return u @ vt
-
-
 def _kitti_check(rows):
     """The (N, 4) quaternions of a KITTI table, and ``(k, message)`` of its
-    first bad row (``None`` when there is none): the rows of
-    :func:`_orthonormalize` and ``Rotation.from_matrix`` in array form, in
-    the same order, so a drift or reflection error before the first
-    non-finite row wins and no row after the first error is projected."""
+    first bad row (``None`` when there is none).
+
+    A rotation block is rejected when ``m^T m`` departs from the identity
+    by more than :data:`ROTATION_DRIFT_TOL` or when it is a reflection,
+    kept as is when within 1e-12 of the identity, and projected onto SO(3)
+    by SVD otherwise.  The rows are checked in file order, so a drift or
+    reflection error before the first non-finite row wins and no row after
+    the first error is projected.  ``_orthonormalize`` in
+    ``tests/reference_kernels.py`` is the one-row form, which the tests
+    compare this against."""
     finite = np.isfinite(rows).all(axis=1)
     n = len(rows) if finite.all() else int(np.argmin(finite))
     m = rows[:n].reshape(-1, 3, 4)[:, :, :3]

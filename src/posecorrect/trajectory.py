@@ -21,9 +21,9 @@ keyframe.
 forms.  They build tables (``Trajectory(keyframes, relatives)``,
 ``SegmentBatch(segments)``, :meth:`FrameTable.of`) and are built from
 them on demand (``traj.keyframes``, ``traj.segments``, iterating a
-table), for library callers and for the scalar reference kernels that the
-tests compare the array kernels against.  The correction path itself
-reads only the arrays.
+table), for library callers and for the scalar reference kernels of
+``tests/reference_kernels.py``, which the tests compare the array kernels
+against.  The correction path itself reads only the arrays.
 """
 from __future__ import annotations
 

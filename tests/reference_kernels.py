@@ -1,0 +1,315 @@
+"""Scalar reference kernels: the per-segment, frame-at-a-time forms of the
+batched kernels, which the tests compare them against bit for bit.  No
+command runs them.  The equations are in the docstrings of
+:mod:`posecorrect.correction` and :mod:`posecorrect.baseline`;
+:func:`reference_correct` picks the reference of a method by name.
+:func:`_orthonormalize` is the one-row form of ``io._kitti_check``, and
+:func:`bench_segment` the fixture of acceptance criterion 8.
+"""
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from posecorrect import liegeom
+from posecorrect.baseline import QUAT_RENORM_TOL, SINGULARITY_EPS, RotSpace, TransSpace, _guarded_factor
+from posecorrect.correction import DEGENERATE_BASELINE
+from posecorrect.io import REFLECTION, ROTATION_DRIFT_TOL, TrajectoryParseError, _drift_error
+from posecorrect.liegeom import Pose, Rotation, slerp, so3_exp
+from posecorrect.synth import SceneSpec, SimilarityTransform, keyframe_positions, path_world_poses
+from posecorrect.trajectory import KeyframeUpdate, Segment, SegmentRecord, from_world_poses
+
+
+def scale_factor(t_ab_old, t_ab_new, squared: bool = False) -> tuple[float, bool]:
+    """Ratio ``s`` of the new to the old inter-keyframe translation norm
+    (the depth-ratio proxy), plus a flag marking a near-zero baseline,
+    where ``s`` falls back to 1.
+
+    ``squared=True`` uses the squared-norm ratio instead (kept for
+    comparison; the unsquared ratio is the one that is exact under
+    similarity updates).
+    """
+    n_old = float(np.linalg.norm(t_ab_old))
+    n_new = float(np.linalg.norm(t_ab_new))
+    if n_old < DEGENERATE_BASELINE or n_new < DEGENERATE_BASELINE:
+        return 1.0, True
+    s = n_new / n_old
+    return (s * s if squared else s), False
+
+
+def condition_from_kf(rel_old: Pose, s: float) -> tuple[Rotation, np.ndarray]:
+    """Single-keyframe solution as a ``(rotation, translation)`` pair: the
+    relative pose implied by one keyframe's constraint, rotation kept and
+    translation scaled by ``s``."""
+    return rel_old.rotation, s * rel_old.translation
+
+
+def fusion_gap(
+    sol_a: tuple[Rotation, np.ndarray],
+    sol_b: tuple[Rotation, np.ndarray],
+    t_ab_new: Pose,
+) -> tuple[Rotation, np.ndarray]:
+    """Gap ``(drot, dtrans)`` between the two condition solutions of one
+    segment, expressed in the opening-keyframe solution's frame.
+
+    ``sol_a`` is relative to the updated opening keyframe, ``sol_b`` to the
+    updated closing keyframe, both ``(rotation, translation)`` pairs from
+    :func:`condition_from_kf`; ``t_ab_new`` is the updated closing keyframe
+    relative to the updated opening one.
+    """
+    rot_a, trans_a = sol_a
+    rot_b, trans_b = sol_b
+    rot_a_inv = rot_a.inverse()
+    drot = rot_a_inv * (t_ab_new.rotation * rot_b)
+    delta = t_ab_new.translation + t_ab_new.rotation.apply(trans_b) - trans_a
+    return drot, rot_a_inv.apply(delta)
+
+
+def timestamp_fraction(seg: Segment, j: int) -> float:
+    """Position of relative frame ``j`` in a full segment's time window."""
+    t_a = seg.kf_a.id.stamp
+    return (seg.rels[j].id.stamp - t_a) / (seg.kf_b.id.stamp - t_a)
+
+
+def _alpha(seg: Segment, j: int, rel_b: Pose, degenerate_baseline: bool) -> float:
+    """Interpolation factor ``alpha = d_a / (d_a + d_b)`` of relative frame
+    ``j``, whose pose relative to the closing keyframe is ``rel_b``; a
+    degenerate baseline or coincident geometry falls back to the timestamp
+    fraction."""
+    if not degenerate_baseline:
+        d_a = float(np.linalg.norm(seg.rels[j].rel_pose.translation))
+        d_b = float(np.linalg.norm(rel_b.translation))
+        total = d_a + d_b
+        if total >= DEGENERATE_BASELINE:
+            return d_a / total
+    return timestamp_fraction(seg, j)
+
+
+def fuse(
+    sol_a: tuple[Rotation, np.ndarray], gap: tuple[Rotation, np.ndarray], alpha: float
+) -> Pose:
+    """Blend the opening-keyframe solution ``(rotation, translation)``
+    toward the gap ``(drot, dtrans)`` by ``alpha``."""
+    rot_a, trans_a = sol_a
+    drot, dtrans = gap
+    rot = rot_a * slerp(Rotation.identity(), drot, alpha)
+    trans = trans_a + alpha * rot.apply(dtrans)
+    return Pose(rot, trans)
+
+
+def _segment_setup(
+    upd_a: KeyframeUpdate, upd_b: KeyframeUpdate, scale_squared: bool
+) -> tuple[Pose, Pose, float, bool]:
+    """Per-segment quantities of the correction: the inverse of the old pose
+    of the closing keyframe relative to the opening one, the new such pose,
+    ``s`` and the degenerate-baseline flag."""
+    t_ab_old = upd_a.old_pose.inverse() * upd_b.old_pose
+    t_ab_new = upd_a.new_pose.inverse() * upd_b.new_pose
+    s, degenerate = scale_factor(t_ab_old.translation, t_ab_new.translation, scale_squared)
+    return t_ab_old.inverse(), t_ab_new, s, degenerate
+
+
+def correct_segment_scalar(
+    seg: Segment,
+    upd_a: KeyframeUpdate,
+    upd_b: KeyframeUpdate,
+    scale_squared: bool = False,
+) -> tuple[list[Pose], SegmentRecord]:
+    """Correct every relative frame of a full segment, one frame at a time.
+
+    Returns poses relative to the updated opening keyframe plus the
+    segment's record: ``s``, the degenerate-baseline flag and the range of
+    ``alpha``.  This is the reference that :func:`correct_segment` is
+    tested against bit for bit.
+    """
+    if seg.terminal:
+        raise ValueError("segment is terminal: it has no closing keyframe")
+    t_ab_old_inv, t_ab_new, s, degenerate = _segment_setup(upd_a, upd_b, scale_squared)
+
+    corrected = []
+    alphas = []
+    for j, rel in enumerate(seg.rels):
+        rel_b_old = t_ab_old_inv * rel.rel_pose
+        sol_a = condition_from_kf(rel.rel_pose, s)
+        sol_b = condition_from_kf(rel_b_old, s)
+        gap = fusion_gap(sol_a, sol_b, t_ab_new)
+        alpha = _alpha(seg, j, rel_b_old, degenerate)
+        alphas.append(alpha)
+        corrected.append(fuse(sol_a, gap, alpha))
+    return corrected, SegmentRecord(
+        seg.index,
+        s=s,
+        degenerate_baseline=degenerate,
+        alpha_min=min(alphas, default=math.nan),
+        alpha_max=max(alphas, default=math.nan),
+    )
+
+
+def vectorize(
+    pose: Pose,
+    ts: TransSpace,
+    rs: RotSpace,
+    diagnostics: SegmentRecord | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Vector views of a pose: (translation vector, rotation vector, so(3)
+    log of the rotation).  The log is computed once, when ``SE3_V`` or
+    ``SO3`` needs it, and is ``None`` otherwise."""
+    omega = None
+    if ts is TransSpace.SE3_V or rs is RotSpace.SO3:
+        omega = liegeom.so3_log(pose.rotation)
+    if ts is TransSpace.XYZ:
+        tvec = np.array(pose.translation)
+    else:
+        tvec = liegeom.so3_left_jacobian_inv(omega) @ pose.translation
+    if rs is RotSpace.EULER:
+        rvec = liegeom.euler_zyx_from(pose.rotation)
+        if diagnostics is not None and liegeom.gimbal_proximity(pose.rotation):
+            diagnostics.gimbal_hits += 1
+    elif rs is RotSpace.QUAT:
+        rvec = np.array(pose.rotation.quat)
+    else:
+        rvec = omega
+    return tvec, rvec, omega
+
+
+def _rotation_from_vec(
+    rvec: np.ndarray,
+    rs: RotSpace,
+    diagnostics: SegmentRecord | None = None,
+) -> Rotation:
+    if rs is RotSpace.EULER:
+        return liegeom.euler_zyx_to(rvec)
+    if rs is RotSpace.QUAT:
+        norm = float(np.linalg.norm(rvec))
+        if norm < SINGULARITY_EPS:
+            # Exact cancellation of every component; nothing recoverable.
+            if diagnostics is not None:
+                diagnostics.quat_renorm_hits += 1
+            return Rotation.identity()
+        if diagnostics is not None and abs(norm - 1.0) > QUAT_RENORM_TOL:
+            diagnostics.quat_renorm_hits += 1
+        return Rotation(rvec)
+    return liegeom.so3_exp(rvec)
+
+
+def devectorize(
+    tvec: np.ndarray,
+    rvec: np.ndarray,
+    ts: TransSpace,
+    rs: RotSpace,
+    diagnostics: SegmentRecord | None = None,
+) -> Pose:
+    """Inverse of :func:`vectorize`; quaternions are renormalized.
+
+    For ``SE3_V`` the translation is mapped back through the left Jacobian
+    of the rotation encoded by ``rvec``, so the reassembled pose is exactly
+    ``exp`` of the tangent when ``rs`` is ``SO3``.
+    """
+    rot = _rotation_from_vec(rvec, rs, diagnostics)
+    if ts is TransSpace.XYZ:
+        trans = tvec
+    else:
+        trans = liegeom.so3_left_jacobian(liegeom.so3_log(rot)) @ tvec
+    return Pose(rot, trans)
+
+
+def _counted_factor(numerator, denominator, raw_division: bool, diagnostics: SegmentRecord):
+    """``baseline._guarded_factor``, with the guarded components of
+    ``denominator`` counted into ``diagnostics.singular_hits``."""
+    diagnostics.singular_hits += int(np.count_nonzero(np.abs(denominator) < SINGULARITY_EPS))
+    return _guarded_factor(numerator, denominator, raw_division)
+
+
+def interp_correct_segment_scalar(
+    seg: Segment,
+    upd_a: KeyframeUpdate,
+    upd_b: KeyframeUpdate,
+    ts: TransSpace,
+    rs: RotSpace,
+    raw_division: bool = False,
+) -> tuple[list[Pose], SegmentRecord]:
+    """Correct every relative frame of a full segment in vector space, one
+    frame at a time.
+
+    Returns poses relative to the updated opening keyframe, plus the
+    segment's record with its singular/gimbal/renormalization counts.  This
+    is the reference that :func:`interp_correct_segment` is tested against
+    bit for bit.
+    """
+    if seg.terminal:
+        raise ValueError("interpolation needs a closing keyframe; segment is terminal")
+    diag = SegmentRecord(seg.index)
+    t_ab_old = upd_a.old_pose.inverse() * upd_b.old_pose
+    t_ab_new = upd_a.new_pose.inverse() * upd_b.new_pose
+    tv_old, rv_old, om_old = vectorize(t_ab_old, ts, rs, diag)
+    tv_new, rv_new, om_new = vectorize(t_ab_new, ts, rs, diag)
+    dt = tv_new - tv_old
+    dr = rv_new - rv_old
+    if ts is TransSpace.SE3_V:
+        dom = om_new - om_old
+
+    corrected = []
+    for rel in seg.rels:
+        tv, rv, om = vectorize(rel.rel_pose, ts, rs, diag)
+        tv_star = tv + dt * _counted_factor(tv, tv_old, raw_division, diag)
+        rv_star = rv + dr * _counted_factor(rv, rv_old, raw_division, diag)
+        rot = _rotation_from_vec(rv_star, rs, diag)
+        if ts is TransSpace.XYZ:
+            trans = tv_star
+        else:
+            # v maps back through the left Jacobian of the interpolated
+            # rotation part of the same tangent, keeping the translation
+            # result independent of the rotation-space choice.
+            om_star = om + dom * _counted_factor(om, om_old, raw_division, diag)
+            trans = liegeom.so3_left_jacobian(om_star) @ tv_star
+        corrected.append(Pose(rot, trans))
+    return corrected, diag
+
+
+def reference_correct(seg: Segment, upd_a: KeyframeUpdate, upd_b: KeyframeUpdate, cfg):
+    """The scalar reference of the method of ``evaluate.METHODS`` that the
+    ``MethodConfig`` ``cfg`` names, on the full segment ``seg``: its
+    corrected poses relative to the updated opening keyframe and its
+    record.  ``no-correction`` passes the stored relative poses through."""
+    if cfg.name == "no-correction":
+        return [rel.rel_pose for rel in seg.rels], SegmentRecord(seg.index)
+    if cfg.name == "proposed":
+        return correct_segment_scalar(seg, upd_a, upd_b, cfg.scale_squared)
+    ts, rs = cfg.spaces()
+    return interp_correct_segment_scalar(seg, upd_a, upd_b, ts, rs, cfg.raw_division)
+
+
+def _orthonormalize(m: np.ndarray, path, line: int) -> np.ndarray:
+    """One 3x3 rotation block as read: rejected when ``m^T m`` departs from
+    the identity by more than :data:`ROTATION_DRIFT_TOL` or when it is a
+    reflection, as is when within 1e-12 of the identity, projected onto
+    SO(3) by SVD otherwise.  :func:`_kitti_check` is its array twin."""
+    with np.errstate(over="ignore", invalid="ignore"):  # huge entries: drift inf or nan
+        drift = float(np.max(np.abs(m.T @ m - np.eye(3))))
+    if not drift <= ROTATION_DRIFT_TOL:
+        raise TrajectoryParseError(path, line, _drift_error(drift))
+    if np.linalg.det(m) < 0.0:
+        raise TrajectoryParseError(path, line, REFLECTION)
+    if drift <= 1e-12:
+        return m
+    u, _, vt = np.linalg.svd(m)
+    return u @ vt
+
+
+def bench_segment() -> tuple[Segment, KeyframeUpdate, KeyframeUpdate]:
+    """A 3-relative-frame full segment with a non-trivial update: the
+    fixture that acceptance criterion 8 times the scalar correction on."""
+    spec = SceneSpec(shape="forward", n_keyframes=2, rels_per_segment=3, seed=3)
+    frames = path_world_poses(spec)
+    traj = from_world_poses(frames, keyframe_positions(spec))
+    seg = traj.segments[0]
+    sim = SimilarityTransform(
+        so3_exp((0.01, -0.02, 0.03)), np.array([0.4, -0.2, 0.1]), 1.05
+    )
+    nudge = Pose(so3_exp((0.0, 1e-3, 0.0)), (5e-3, -2e-3, 1e-3))
+    upd_a = KeyframeUpdate(0, seg.kf_a.world_pose, sim.apply_pose(seg.kf_a.world_pose))
+    upd_b = KeyframeUpdate(
+        1, seg.kf_b.world_pose, nudge * sim.apply_pose(seg.kf_b.world_pose)
+    )
+    return seg, upd_a, upd_b

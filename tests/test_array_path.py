@@ -15,9 +15,7 @@ from hypothesis import strategies as st
 
 from posecorrect import fixtures
 from posecorrect import io as trajio
-from posecorrect.baseline import interp_correct_segment_scalar
 from posecorrect.cli import main
-from posecorrect.correction import correct_segment_scalar
 from posecorrect.evaluate import METHODS, MethodConfig, frame_errors
 from posecorrect.liegeom import Pose, Rotation, quat_normalize, rotation_angle_deg
 from posecorrect.synth import SceneSpec, keyframe_positions, path_world_poses
@@ -32,6 +30,7 @@ from posecorrect.trajectory import (
     from_world_poses,
     world_poses,
 )
+from reference_kernels import _orthonormalize, reference_correct
 
 
 def same_bits(a, b) -> bool:
@@ -66,7 +65,7 @@ def object_read_kitti(path, frame_rate=10.0):
     out = []
     for index, (lineno, text) in enumerate(trajio.data_lines(path)):
         vals = np.array(trajio._parse_floats(text.split(), path, lineno, 12)).reshape(3, 4)
-        rot = trajio._orthonormalize(vals[:, :3], path, lineno)
+        rot = _orthonormalize(vals[:, :3], path, lineno)
         out.append((FrameId(index / frame_rate, index), Pose(Rotation.from_matrix(rot), vals[:, 3])))
     return out
 
@@ -312,15 +311,15 @@ def object_trajectory(frames, positions):
     return keyframes, relatives
 
 
-def object_correct(keyframes, relatives, updates, correct_one):
-    """World poses after ``correct_one(seg, upd_a, upd_b)`` on each full
+def object_correct(keyframes, relatives, updates, cfg):
+    """World poses after the scalar reference of method ``cfg`` on each full
     segment, composed with ``Pose.__mul__`` and sorted by (stamp, index)."""
     out = [(kf.id, upd.new_pose) for kf, upd in zip(keyframes, updates)]
     for seg in Trajectory(keyframes, relatives).segments:
         if seg.terminal:
             poses = [rel.rel_pose for rel in seg.rels]
         else:
-            poses, _ = correct_one(seg, updates[seg.index], updates[seg.index + 1])
+            poses, _ = reference_correct(seg, updates[seg.index], updates[seg.index + 1], cfg)
         base = updates[seg.index].new_pose
         out += [(rel.id, base * pose) for rel, pose in zip(seg.rels, poses)]
     out.sort(key=lambda item: (item[0].stamp, item[0].index))
@@ -364,7 +363,7 @@ class TestRunsEqualObjectPath:
         updates = [
             KeyframeUpdate(i, o, n) for i, ((_, o), (_, n)) in enumerate(zip(old_read, new_read))
         ]
-        want = object_correct(keyframes, relatives, updates, correct_segment_scalar)
+        want = object_correct(keyframes, relatives, updates, MethodConfig("proposed"))
         assert (tmp_path / "out" / "corrected.tum").read_text() == object_tum_text(want)
 
     def test_evaluate_at_the_evaluate_all_size(self, tmp_path):
@@ -387,17 +386,7 @@ class TestRunsEqualObjectPath:
         updates = [KeyframeUpdate(i, kf.world_pose, gt_at[kf.id.stamp]) for i, kf in enumerate(keyframes)]
         rel_ids = {rel.id for rel in relatives}
         for name in METHODS:
-            cfg = MethodConfig(name)
-            if name == "proposed":
-                def one(seg, a, b):
-                    return correct_segment_scalar(seg, a, b)
-            elif name == "no-correction":
-                def one(seg, a, b):
-                    return [rel.rel_pose for rel in seg.rels], None
-            else:
-                def one(seg, a, b, cfg=cfg):
-                    return interp_correct_segment_scalar(seg, a, b, *cfg.spaces())
-            world = object_correct(keyframes, relatives, updates, one)
+            world = object_correct(keyframes, relatives, updates, MethodConfig(name))
             rows = [
                 [repr(fid.stamp), str(fid.index),
                  repr(float(np.linalg.norm(pose.translation - gt_at[fid.stamp].translation)) * 100.0),

@@ -9,14 +9,7 @@ import numpy as np
 import pytest
 
 from posecorrect import fixtures
-from posecorrect.baseline import (
-    RotSpace,
-    TransSpace,
-    devectorize,
-    interp_correct_segment,
-    interp_correct_segment_scalar,
-    vectorize,
-)
+from posecorrect.baseline import RotSpace, TransSpace, interp_correct_segment
 from posecorrect.liegeom import (
     Pose,
     Rotation,
@@ -36,6 +29,7 @@ from posecorrect.trajectory import (
     from_world_poses,
     snap_to_gt,
 )
+from reference_kernels import devectorize, interp_correct_segment_scalar, vectorize
 
 ALL_SPACES = [(ts, rs) for ts in TransSpace for rs in RotSpace]
 

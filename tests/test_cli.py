@@ -18,11 +18,10 @@ import pytest
 from posecorrect import evaluate as ev
 from posecorrect import fixtures
 from posecorrect import io as trajio
-from posecorrect.baseline import interp_correct_segment_scalar
 from posecorrect.cli import main
-from posecorrect.correction import correct_segment_scalar
 from posecorrect.liegeom import pose_arrays, rotation_angle_deg
 from posecorrect.trajectory import FrameId, Keyframe, RelativeFrame, Segment, world_poses
+from reference_kernels import reference_correct
 
 DATA = Path(__file__).parent / "data"
 README = Path(__file__).parent.parent / "README.md"
@@ -121,32 +120,22 @@ def batch_segments(batch):
     ]
 
 
-def scalar_kernel(correct_one):
+def scalar_kernel(batch, updates, cfg):
     """A ``METHODS`` kernel that corrects one segment at a time through
-    ``correct_one(seg, upd_a, upd_b, cfg)``, a scalar reference kernel."""
-
-    def kernel(batch, updates, cfg):
-        results = [
-            correct_one(seg, updates[seg.index], updates[seg.index + 1], cfg)
-            for seg in batch_segments(batch)
-        ]
-        q, t = pose_arrays(pose for poses, _ in results for pose in poses)
-        return q, t, [record for _, record in results]
-
-    return kernel
+    ``reference_correct``, the scalar reference of each method."""
+    results = [
+        reference_correct(seg, updates[seg.index], updates[seg.index + 1], cfg)
+        for seg in batch_segments(batch)
+    ]
+    q, t = pose_arrays(pose for poses, _ in results for pose in poses)
+    return q, t, [record for _, record in results]
 
 
 def scalar_oracle_methods():
-    """``evaluate.METHODS`` with the batched kernels replaced by per-segment
-    adapters of the scalar references."""
-    swap = {
-        ev._interpolated: scalar_kernel(lambda seg, a, b, cfg: interp_correct_segment_scalar(
-            seg, a, b, *cfg.spaces(), raw_division=cfg.raw_division)),
-        ev._proposed: scalar_kernel(lambda seg, a, b, cfg: correct_segment_scalar(
-            seg, a, b, cfg.scale_squared)),
-    }
+    """``evaluate.METHODS`` with every batched kernel but no-correction's
+    pass-through replaced by :func:`scalar_kernel`."""
     return {
-        name: method._replace(kernel=swap.get(method.kernel, method.kernel))
+        name: method if method.kernel is ev._unchanged else method._replace(kernel=scalar_kernel)
         for name, method in ev.METHODS.items()
     }
 

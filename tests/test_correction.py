@@ -9,17 +9,7 @@ import numpy as np
 import pytest
 
 from posecorrect import fixtures
-from posecorrect.correction import (
-    _segment_setup,
-    condition_from_kf,
-    correct_segment,
-    correct_segment_scalar,
-    fuse,
-    fusion_gap,
-    keyframe_pairs,
-    scale_factor,
-    timestamp_fraction,
-)
+from posecorrect.correction import correct_segment, keyframe_pairs
 from posecorrect.evaluate import MethodConfig, correct_trajectory
 from posecorrect.liegeom import Pose, Rotation, rotation_angle_deg, so3_exp
 from posecorrect.synth import (
@@ -38,6 +28,16 @@ from posecorrect.trajectory import (
     SegmentBatch,
     from_world_poses,
     snap_to_gt,
+)
+from reference_kernels import (
+    _segment_setup,
+    bench_segment,
+    condition_from_kf,
+    correct_segment_scalar,
+    fuse,
+    fusion_gap,
+    scale_factor,
+    timestamp_fraction,
 )
 
 
@@ -309,7 +309,7 @@ class TestCorrectSegment:
         # hardware; require the same order of magnitude, not the value.
         import time
 
-        seg, upd_a, upd_b = fixtures.bench_segment()
+        seg, upd_a, upd_b = bench_segment()
         correct_segment_scalar(seg, upd_a, upd_b)  # warm
         times = []
         for _ in range(50):

@@ -20,8 +20,6 @@ from posecorrect.evaluate import (
     write_diagnostics_csv,
     write_report_csv,
 )
-from posecorrect.baseline import interp_correct_segment_scalar
-from posecorrect.correction import correct_segment_scalar
 from posecorrect.liegeom import Pose, Rotation, rotation_angle_deg, so3_exp
 from posecorrect.trajectory import (
     FrameId,
@@ -32,6 +30,7 @@ from posecorrect.trajectory import (
     snap_to_gt,
     world_poses,
 )
+from reference_kernels import bench_segment, correct_segment_scalar, reference_correct
 
 
 class TestErrorStats:
@@ -170,12 +169,7 @@ class TestDriver:
             got = dict(world)
             for seg in traj.segments[:-1]:
                 upd_a, upd_b = updates[seg.index], updates[seg.index + 1]
-                if name == "no-correction":
-                    poses = [rel.rel_pose for rel in seg.rels]
-                elif name == "proposed":
-                    poses, _ = correct_segment_scalar(seg, upd_a, upd_b)
-                else:
-                    poses, _ = interp_correct_segment_scalar(seg, upd_a, upd_b, *cfg.spaces())
+                poses, _ = reference_correct(seg, upd_a, upd_b, cfg)
                 for rel, pose in zip(seg.rels, poses, strict=True):
                     want = upd_a.new_pose * pose
                     assert got[rel.id].rotation.quat.tobytes() == want.rotation.quat.tobytes()
@@ -262,9 +256,7 @@ class TestRunProtocol:
 
 class TestBench:
     def test_small_fixture_timing_stats(self):
-        from posecorrect.correction import correct_segment_scalar
-
-        seg, upd_a, upd_b = fixtures.bench_segment()
+        seg, upd_a, upd_b = bench_segment()
         stats = bench(
             lambda fx: correct_segment_scalar(fx[0], fx[1], fx[2]),
             [(seg, upd_a, upd_b)],

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from posecorrect import io as trajio
 from posecorrect.liegeom import Rotation, quat_from_matrix, quat_matrix, quat_normalize
+from reference_kernels import _orthonormalize
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -262,7 +263,7 @@ def row_kitti_check(rows):
     q = np.empty((n, 4))
     for k, vals in enumerate(rows[:n].reshape(-1, 3, 4)):
         try:
-            q[k] = Rotation.from_matrix(trajio._orthonormalize(vals[:, :3], "p", k)).quat
+            q[k] = Rotation.from_matrix(_orthonormalize(vals[:, :3], "p", k)).quat
         except trajio.TrajectoryParseError as exc:
             return None, (k, str(exc).split(": ", 1)[1])
     if n < len(rows):

@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-from posecorrect.correction import scale_factor
 from posecorrect.liegeom import Pose, Rotation, rotation_angle_deg, so3_exp
 from posecorrect.synth import (
     Camera,
@@ -25,6 +24,7 @@ from posecorrect.synth import (
     unproject,
 )
 from posecorrect.trajectory import world_poses
+from reference_kernels import scale_factor
 
 CAM = Camera(fx=500.0, fy=500.0, cx=320.0, cy=240.0)
 
