@@ -527,13 +527,28 @@ def save_scene(scene: Scene, path) -> None:
             )
 
 
+def _scene_fields(path, lineno: int, text: str, what: str, types) -> list:
+    """The fields of a scene line, each converted by its entry of
+    ``types``; a wrong field count or a field that does not convert raises
+    with the file and line."""
+    fields = text.split()
+    if len(fields) != len(types):
+        raise trajio.TrajectoryParseError(path, lineno, f"{what} line needs {len(types)} fields")
+    try:
+        return [convert(field) for convert, field in zip(types, fields)]
+    except ValueError as exc:
+        raise trajio.TrajectoryParseError(path, lineno, f"non-numeric field: {exc}") from None
+
+
 def load_scene(path) -> Scene:
     sections: dict[str, list[tuple[int, str]]] = {}
+    headers: dict[str, int] = {}  # the line of each section's first header
     current: Optional[str] = None
     for lineno, text in trajio.data_lines(path):
         if text.startswith("[") and text.endswith("]"):
             current = text[1:-1]
             sections.setdefault(current, [])
+            headers.setdefault(current, lineno)
             continue
         if current is None:
             raise trajio.TrajectoryParseError(path, lineno, "content before any section")
@@ -543,14 +558,14 @@ def load_scene(path) -> Scene:
         if name not in sections:
             raise trajio.TrajectoryParseError(path, 0, f"missing [{name}] section")
 
+    if not sections["camera"]:
+        raise trajio.TrajectoryParseError(path, headers["camera"], "empty [camera] section")
     lineno, cam_line = sections["camera"][0]
-    fields = cam_line.split()
-    if len(fields) != 6:
-        raise trajio.TrajectoryParseError(path, lineno, "camera line needs 6 fields")
-    camera = Camera(
-        float(fields[0]), float(fields[1]), float(fields[2]), float(fields[3]),
-        int(fields[4]), int(fields[5]),
-    )
+    intrinsics = _scene_fields(path, lineno, cam_line, "camera", (float,) * 4 + (int,) * 2)
+    try:
+        camera = Camera(*intrinsics)
+    except ValueError as exc:
+        raise trajio.TrajectoryParseError(path, lineno, str(exc)) from None
 
     frames = []
     for row, (lineno, text) in enumerate(sections["poses"]):
@@ -566,22 +581,15 @@ def load_scene(path) -> Scene:
 
     landmarks = []
     for lineno, text in sections["landmarks"]:
-        fields = text.split()
-        if len(fields) != 4:
-            raise trajio.TrajectoryParseError(path, lineno, "landmark line needs 4 fields")
-        landmarks.append(Landmark(int(fields[0]), [float(v) for v in fields[1:]]))
+        lm_id, *position = _scene_fields(path, lineno, text, "landmark", (int,) + (float,) * 3)
+        landmarks.append(Landmark(lm_id, position))
 
     observations = []
     for lineno, text in sections["observations"]:
-        fields = text.split()
-        if len(fields) != 5:
-            raise trajio.TrajectoryParseError(path, lineno, "observation line needs 5 fields")
-        observations.append(
-            Observation(
-                int(fields[0]), int(fields[1]),
-                (float(fields[2]), float(fields[3])), float(fields[4]),
-            )
+        frame, lm_id, u, v, depth = _scene_fields(
+            path, lineno, text, "observation", (int, int) + (float,) * 3
         )
+        observations.append(Observation(frame, lm_id, (u, v), depth))
 
     trajectory = from_world_poses(frames, kf_rows)
     return Scene(camera, trajectory, tuple(landmarks), tuple(observations))

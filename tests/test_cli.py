@@ -293,6 +293,10 @@ class TestEvaluate:
         ("sim", ("--trans-space", "se3-v", "--rot-space", "euler")),
         ("sim", ("--trans-space", "se3-v", "--rot-space", "so3")),
         ("singular", ("--raw-division",)),
+        ("sim", ("--trans-space", "xyz", "--rot-space", "euler")),
+        ("sim", ("--trans-space", "xyz", "--rot-space", "so3")),
+        ("sim", ("--trans-space", "se3-v", "--rot-space", "quat")),
+        ("sim", ("--scale-squared",)),
     ])
     def test_batched_kernels_match_scalar_oracles_byte_for_byte(
         self, sim_dir, singular_dir, tmp_path, monkeypatch, scene, extra

@@ -27,6 +27,19 @@ from posecorrect.trajectory import world_poses
 from reference_kernels import scale_factor
 
 CAM = Camera(fx=500.0, fy=500.0, cx=320.0, cy=240.0)
+# A one-frame scene file whose every line loads.
+SCENE_TEXT = """# posecorrect scene v1
+[camera]
+500.0 500.0 320.0 240.0 640 480
+[poses]
+0.0 0.0 0.0 0.0 0.0 0.0 0.0 1.0
+[keyframes]
+0
+[landmarks]
+0 1.0 2.0 5.0
+[observations]
+0 0 420.0 440.0 5.0
+"""
 
 
 class TestProjection:
@@ -292,3 +305,24 @@ class TestSceneSerialization:
 
         with pytest.raises(TrajectoryParseError, match="before any section"):
             load_scene(path)
+
+    @pytest.mark.parametrize("old,new,line,message", [
+        ("500.0 500.0 320.0", "abc 500.0 320.0", 3,
+         "non-numeric field: could not convert string to float: 'abc'"),
+        ("500.0 500.0 320.0", "-500.0 500.0 320.0", 3, "focal lengths must be positive"),
+        ("[camera]\n500.0 500.0 320.0 240.0 640 480\n", "[camera]\n", 2, "empty [camera] section"),
+        ("0 1.0 2.0 5.0", "0 1.0 abc 5.0", 9,
+         "non-numeric field: could not convert string to float: 'abc'"),
+        ("0 0 420.0", "x 0 420.0", 11,
+         "non-numeric field: invalid literal for int() with base 10: 'x'"),
+    ], ids=["camera field", "camera intrinsics", "empty camera", "landmark field",
+            "observation field"])
+    def test_load_names_file_and_line_of_a_bad_line(self, tmp_path, old, new, line, message):
+        from posecorrect.io import TrajectoryParseError
+
+        path = tmp_path / "bad.txt"
+        assert old in SCENE_TEXT
+        path.write_text(SCENE_TEXT.replace(old, new))
+        with pytest.raises(TrajectoryParseError) as info:
+            load_scene(path)
+        assert (info.value.line, str(info.value)) == (line, f"{path}:{line}: {message}")
