@@ -24,15 +24,19 @@ command set:
   ``tests/data`` whose text is out of the ordinary: CRLF and tab-separated
   files and one with a Latin-1 comment line, which the readers convert
   with ``np.loadtxt``, and files with comment lines between their data
-  lines, which they read line by line.
+  lines, which they read line by line;
+* ``correct`` with each method on a drifted ``rotonly`` scene, whose
+  zero-length keyframe baselines write ``degenerate_baseline`` rows and
+  quaternion-renormalization hits to ``diagnostics.csv``;
+* ``evaluate`` with a valid and with an invalid ``--config`` file.
 
 For every command the exit code, standard output and standard error are
 compared, and afterwards every file the commands wrote.  ``bench`` output
 holds timings, so only its exit code, its streams and the names of its
 files are compared.  The inputs that are not made by a command (the KITTI
-trajectories, and ``tests/data``) are written once, from the change
-checkout, and copied to both sides.  Exits 0 when everything is
-byte-identical, 1 otherwise, and lists each difference.
+trajectories, the ``--config`` files and ``tests/data``) are written
+once, from the change checkout, and copied to both sides.  Exits 0 when
+everything is byte-identical, 1 otherwise, and lists each difference.
 """
 from __future__ import annotations
 
@@ -56,6 +60,13 @@ MALFORMED = ("malformed.tum", "bad_quat.tum", "comments_only.tum", "malformed.ki
 ODD_TEXT = (("crlf.tum", "tabs.tum"), ("tabs.tum", "interior_comments.tum"),
             ("interior_comments.tum", "crlf.tum"), ("crlf.kitti", "interior_comments.kitti"),
             ("interior_comments.kitti", "crlf.kitti"), ("latin1_header.tum", "crlf.tum"))
+# The --config inputs: every value of the valid one differs from the
+# flag's default; the invalid one names a rotation space that does not exist.
+CONFIGS = {
+    "config.json": '{"methods": "all", "trans-space": "se3-v", "rot-space": "euler", '
+                   '"raw-division": true, "assoc-tol": 0.02}\n',
+    "bad_config.json": '{"methods": "all", "rot-space": "rpy"}\n',
+}
 
 KITTI_INPUTS = """
 import sys
@@ -100,6 +111,12 @@ def command_set() -> list[list[str]]:
         *(["correct", "--traj", "in/est.kitti", "--kf-index", "out/sim/kf_index.txt",
            "--kf-old", "in/est.kitti", "--kf-new", "in/gt.kitti", "--methods", m,
            "--out", f"out/corr-kitti-{m}"] for m in ("proposed", "se3-v")),
+        ["simulate", "--shape", "rotonly", "--seed", "2", "--drift", "1.0", "--out", "out/rotonly"],
+        *(["correct", "--traj", "out/rotonly/est.tum", "--kf-index", "out/rotonly/kf_index.txt",
+           "--kf-old", "out/rotonly/est.tum", "--kf-new", "out/rotonly/gt.tum", "--methods", m,
+           "--out", f"out/rotonly-corr-{m}"] for m in METHODS),
+        *(["evaluate", *sim, "--gt", "out/sim/gt.tum", "--config", f"in/{name}",
+           "--out", f"out/eval-{name[:-5]}"] for name in CONFIGS),
     ]
     for name in MALFORMED:
         commands.append(["evaluate", "--traj", f"data/{name}", "--gt", "data/valid.tum",
@@ -147,6 +164,8 @@ def main(argv=None) -> int:
         for name, cwd in work.items():
             shutil.copytree(sides["change"] / "tests" / "data", cwd / "data")
             (cwd / "in").mkdir()
+            for config, text in CONFIGS.items():
+                (cwd / "in" / config).write_text(text, encoding="utf-8")
         results = {name: [] for name in sides}
         for k, command in enumerate(commands):
             for name in sides:

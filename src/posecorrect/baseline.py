@@ -21,7 +21,7 @@ segment of a :class:`SegmentBatch` in one pass over (N, 4) quaternion and
 (N, 3) translation arrays, with the keyframe-pair vectors computed once
 per segment by :func:`correction.keyframe_pairs`.  Vectorization, the
 guarded update and the rotation rebuild run on the ``liegeom`` array
-forms, and the hit counters are summed per segment.
+forms, and the hit counts are summed per segment.
 ``interp_correct_segment_scalar`` in ``tests/reference_kernels.py`` is the
 same correction for one segment, one frame at a time, on ``Pose`` values;
 the tests compare this kernel against it bit for bit.
@@ -35,7 +35,7 @@ import numpy as np
 from . import liegeom
 from .correction import keyframe_pairs
 from .liegeom import Rotation, mat_vec
-from .trajectory import SegmentBatch, SegmentRecord
+from .trajectory import SegmentBatch
 
 SINGULARITY_EPS = 1e-12
 QUAT_RENORM_TOL = 1e-6
@@ -107,16 +107,17 @@ def interp_correct_segment(
     ts: TransSpace,
     rs: RotSpace,
     raw_division: bool = False,
-) -> tuple[np.ndarray, np.ndarray, list[SegmentRecord]]:
+) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
     """Correct every relative frame of the full segments of ``batch`` in
     vector space, in one pass.
 
     ``updates`` is a :class:`KeyframeUpdates` table or a sequence of
     :class:`KeyframeUpdate`, row ``i`` for keyframe ``i``.  Returns the
     corrected poses of ``batch.rels`` relative to each segment's updated
-    opening keyframe as (N, 4) quaternions and (N, 3) translations, plus one
-    record per segment.  Each value and count is bitwise equal to the
-    scalar reference on the segment.
+    opening keyframe as (N, 4) quaternions and (N, 3) translations, plus the
+    diagnostics columns ``singular_hits``, ``gimbal_hits`` and
+    ``quat_renorm_hits``, one count per segment.  Each value and count is
+    bitwise equal to the scalar reference on the segment.
     """
     per_frame = batch.per_frame
     pairs = keyframe_pairs(batch, updates)
@@ -141,17 +142,9 @@ def interp_correct_segment(
         small.append(om_old)
     singular = sum(np.count_nonzero(np.abs(x) < SINGULARITY_EPS, axis=1) for x in small)
 
-    records = [
-        SegmentRecord(
-            index, singular_hits=n_singular, gimbal_hits=n_gimbal, quat_renorm_hits=n_renorm
-        )
-        for index, n_singular, n_gimbal, n_renorm in zip(
-            batch.index.tolist(),
-            (singular * batch.counts).tolist(),
-            (
-                gimbal_old.astype(int) + gimbal_new + batch.reduce(np.add, gimbal.astype(int), 0)
-            ).tolist(),
-            batch.reduce(np.add, renorm.astype(int), 0).tolist(),
-        )
-    ]
-    return rot, trans, records
+    gimbal_hits = gimbal_old.astype(int) + gimbal_new + batch.reduce(np.add, gimbal.astype(int), 0)
+    return rot, trans, {
+        "singular_hits": singular * batch.counts,
+        "gimbal_hits": gimbal_hits,
+        "quat_renorm_hits": batch.reduce(np.add, renorm.astype(int), 0),
+    }

@@ -46,7 +46,7 @@ from .liegeom import (
     slerp_from_identity,
     vec_norm,
 )
-from .trajectory import KeyframeUpdates, SegmentBatch, SegmentRecord
+from .trajectory import KeyframeUpdates, SegmentBatch
 
 DEGENERATE_BASELINE = 1e-9  # meters; below this the scale ratio is unusable
 
@@ -101,16 +101,17 @@ def correct_segment(
     batch: SegmentBatch,
     updates,
     scale_squared: bool = False,
-) -> tuple[np.ndarray, np.ndarray, list[SegmentRecord]]:
+) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
     """Correct every relative frame of the full segments of ``batch`` in
     one pass.
 
     ``updates`` is a :class:`KeyframeUpdates` table or a sequence of
     :class:`KeyframeUpdate`, row ``i`` for keyframe ``i``.  Returns the
     corrected poses of ``batch.rels`` relative to each segment's updated
-    opening keyframe as (N, 4) quaternions and (N, 3) translations, plus one
-    record per segment.  Each value is bitwise equal to the scalar
-    reference on the segment: the per-segment setup is
+    opening keyframe as (N, 4) quaternions and (N, 3) translations, plus the
+    diagnostics columns ``s``, ``degenerate_baseline``, ``alpha_min`` and
+    ``alpha_max``, one value per segment.  Each value is bitwise equal to
+    the scalar reference on the segment: the per-segment setup is
     :func:`keyframe_pairs`, and the per-frame steps are the array twins of
     its scalar operations.
     """
@@ -133,17 +134,12 @@ def correct_segment(
     rot = quat_mul(q, slerp_from_identity(drot, alpha))
     trans = trans_a + alpha[:, None] * quat_rotate(rot, dtrans)
 
-    records = [
-        SegmentRecord(index, s=s_seg, degenerate_baseline=flag, alpha_min=a_min, alpha_max=a_max)
-        for index, s_seg, flag, a_min, a_max in zip(
-            batch.index.tolist(),
-            pairs.s.tolist(),
-            pairs.degenerate.tolist(),
-            batch.reduce(np.minimum, alpha, math.nan).tolist(),
-            batch.reduce(np.maximum, alpha, math.nan).tolist(),
-        )
-    ]
-    return rot, trans, records
+    return rot, trans, {
+        "s": pairs.s,
+        "degenerate_baseline": pairs.degenerate,
+        "alpha_min": batch.reduce(np.minimum, alpha, math.nan),
+        "alpha_max": batch.reduce(np.maximum, alpha, math.nan),
+    }
 
 
 def _alphas(t, t_b, stamps, t_a, span, degenerate) -> np.ndarray:

@@ -5,7 +5,8 @@ ground-truth pose, applies the selected correction method to the relative
 frames of each segment, rebuilds world poses and reports per-frame errors
 of the relative frames only (the snapped keyframes would contribute
 zeros).  Statistics follow the mean +- standard deviation (median)
-convention with the sample (n-1) standard deviation.
+convention with the sample (n-1) standard deviation.  The segment
+diagnostics are a table of :data:`SEGMENT_DEFAULTS` rows, one per keyframe.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import logging
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -28,7 +29,6 @@ from .trajectory import (
     FrameTable,
     KeyframeUpdates,
     SegmentBatch,
-    SegmentRecord,
     Trajectory,
     associate,
     compose_world_poses,
@@ -64,33 +64,38 @@ class MethodConfig:
         return method.trans_space or self.trans_space, method.rot_space or self.rot_space
 
 
+# A segment row that no kernel fills in; its fields, in order, are the
+# columns of diagnostics.csv.  The proposed correction fills ``s``,
+# ``degenerate_baseline`` and the alpha range, the baselines the hit counts.
+SEGMENT_DEFAULTS = np.array((0, False, math.nan, False, math.nan, math.nan, 0, 0, 0), dtype=[
+    ("segment", "i8"), ("terminal", "?"), ("s", "f8"), ("degenerate_baseline", "?"),
+    ("alpha_min", "f8"), ("alpha_max", "f8"),
+    ("singular_hits", "i8"),     # components with |x_ab| < SINGULARITY_EPS
+    ("gimbal_hits", "i8"),       # Euler vectorizations near pitch = +-pi/2
+    ("quat_renorm_hits", "i8"),  # renormalization moved the quaternion > 1e-6
+])
+
+
 @dataclass
 class TrajectoryDiagnostics:
-    segments: list[SegmentRecord] = field(default_factory=list)
+    segments: np.ndarray  # one SEGMENT_DEFAULTS row per keyframe
 
-    @property
-    def singular_hits(self) -> int:
-        return sum(rec.singular_hits for rec in self.segments)
-
-    @property
-    def gimbal_hits(self) -> int:
-        return sum(rec.gimbal_hits for rec in self.segments)
-
-    @property
-    def degenerate_segments(self) -> int:
-        return sum(1 for rec in self.segments if rec.degenerate_baseline)
+    singular_hits = property(lambda self: int(self.segments["singular_hits"].sum()))
+    gimbal_hits = property(lambda self: int(self.segments["gimbal_hits"].sum()))
+    degenerate_segments = property(lambda self: int(self.segments["degenerate_baseline"].sum()))
 
 
 # Kernel adapters: correct the full segments of a trajectory, given as a
 # SegmentBatch, and return the poses of their relative frames relative to
 # each updated opening keyframe as (N, 4) quaternion and (N, 3) translation
-# arrays, plus one SegmentRecord per segment.  ``updates`` is the
-# trajectory's KeyframeUpdates table.  Kernels are looked up through their
-# modules at call time, so a patched module attribute takes effect.
+# arrays, plus the diagnostics columns it computes, by name, one value per
+# segment.  ``updates`` is the trajectory's KeyframeUpdates table.  Kernels
+# are looked up through their modules at call time, so a patched module
+# attribute takes effect.
 
 
 def _unchanged(batch: SegmentBatch, updates, cfg: MethodConfig):
-    return batch.rels.q, batch.rels.t, [SegmentRecord(i) for i in batch.index.tolist()]
+    return batch.rels.q, batch.rels.t, {}
 
 
 def _proposed(batch: SegmentBatch, updates, cfg: MethodConfig):
@@ -107,7 +112,7 @@ def _interpolated(batch: SegmentBatch, updates, cfg: MethodConfig):
 class Method(NamedTuple):
     """A row of :data:`METHODS`; a ``None`` space is taken from the config."""
 
-    kernel: Callable[..., tuple[np.ndarray, np.ndarray, list[SegmentRecord]]]
+    kernel: Callable[..., tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]]
     trans_space: Optional[TransSpace] = None
     rot_space: Optional[RotSpace] = None
     terminal_s: float = math.nan  # the s recorded for a terminal segment
@@ -146,7 +151,7 @@ def correct_trajectory(
         )
     method = METHODS[cfg.name]
     # Only the last segment, which no keyframe closes, is terminal.
-    q, t, records = method.kernel(traj.full_segments(), updates, cfg)
+    q, t, columns = method.kernel(traj.full_segments(), updates, cfg)
     not_finite = int(np.count_nonzero(~np.isfinite(np.hstack((q, t))).all(axis=1)))
     if not_finite:
         log.warning(
@@ -163,8 +168,12 @@ def correct_trajectory(
         np.concatenate((q, traj.rel.q[last:])),
         np.concatenate((t, traj.rel.t[last:])),
     )
-    records.append(SegmentRecord(n_keyframes - 1, terminal=True, s=method.terminal_s))
-    return world, TrajectoryDiagnostics(records)
+    segments = np.full(n_keyframes, SEGMENT_DEFAULTS)
+    segments["segment"] = np.arange(n_keyframes)
+    for name, column in columns.items():
+        segments[name][:-1] = column
+    segments["terminal"][-1], segments["s"][-1] = True, method.terminal_s
+    return world, TrajectoryDiagnostics(segments)
 
 
 # -- error metrics --------------------------------------------------------------
@@ -384,24 +393,12 @@ def write_frame_errors_csv(files) -> None:
             fh.writelines(f"{k}{t},{r}\r\n" for k, t, r in rows)
 
 
-DIAGNOSTICS_COLUMNS = tuple(f.name for f in fields(SegmentRecord))
-
-
-def _diagnostics_cell(value):
-    """A bool as 0/1, a float by ``repr`` (``nan`` included), an int as is."""
-    if isinstance(value, bool):
-        return int(value)
-    if isinstance(value, float):
-        return repr(value)
-    return value
-
-
 def write_diagnostics_csv(path, diagnostics: TrajectoryDiagnostics) -> None:
-    """One row per segment, one column per :class:`SegmentRecord` field."""
+    """One row per segment, one column per diagnostics field: bools as 0/1,
+    and ``tolist`` gives Python floats, which ``csv`` writes by ``repr``."""
+    table = diagnostics.segments
+    bools_as_ints = [(name, "<i8" if kind == "|b1" else kind) for name, kind in table.dtype.descr]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(DIAGNOSTICS_COLUMNS)
-        for rec in diagnostics.segments:
-            writer.writerow(
-                [_diagnostics_cell(getattr(rec, name)) for name in DIAGNOSTICS_COLUMNS]
-            )
+        writer.writerow(table.dtype.names)
+        writer.writerows(table.astype(bools_as_ints).tolist())

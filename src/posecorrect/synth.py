@@ -529,15 +529,19 @@ def save_scene(scene: Scene, path) -> None:
 
 def _scene_fields(path, lineno: int, text: str, what: str, types) -> list:
     """The fields of a scene line, each converted by its entry of
-    ``types``; a wrong field count or a field that does not convert raises
-    with the file and line."""
+    ``types``; a wrong field count or a field that does not convert to a
+    finite number raises with the file and line."""
     fields = text.split()
     if len(fields) != len(types):
         raise trajio.TrajectoryParseError(path, lineno, f"{what} line needs {len(types)} fields")
     try:
-        return [convert(field) for convert, field in zip(types, fields)]
+        values = [convert(field) for convert, field in zip(types, fields)]
     except ValueError as exc:
         raise trajio.TrajectoryParseError(path, lineno, f"non-numeric field: {exc}") from None
+    for field, value in zip(fields, values):
+        if not math.isfinite(value):
+            raise trajio.TrajectoryParseError(path, lineno, f"non-finite field: {field!r}")
+    return values
 
 
 def load_scene(path) -> Scene:
@@ -572,12 +576,22 @@ def load_scene(path) -> Scene:
         stamp, pose = trajio.parse_tum_fields(text.split(), path, lineno)
         frames.append((FrameId(stamp, row), pose))
 
-    kf_rows = []
+    selected_at: dict[int, int] = {}  # keyframe row -> the line that selects it
     for lineno, text in sections["keyframes"]:
         try:
-            kf_rows.append(int(text))
+            row = int(text)
         except ValueError:
             raise trajio.TrajectoryParseError(path, lineno, f"bad keyframe row {text!r}") from None
+        if not 0 <= row < len(frames):
+            raise trajio.TrajectoryParseError(
+                path, lineno, f"keyframe row {row} not present in [poses] of length {len(frames)}"
+            )
+        if row in selected_at:
+            first = selected_at[row]
+            raise trajio.TrajectoryParseError(
+                path, lineno, f"selects pose row {row} again (first selected at line {first})"
+            )
+        selected_at[row] = lineno
 
     landmarks = []
     for lineno, text in sections["landmarks"]:
@@ -591,5 +605,5 @@ def load_scene(path) -> Scene:
         )
         observations.append(Observation(frame, lm_id, (u, v), depth))
 
-    trajectory = from_world_poses(frames, kf_rows)
+    trajectory = from_world_poses(frames, list(selected_at))
     return Scene(camera, trajectory, tuple(landmarks), tuple(observations))

@@ -12,9 +12,9 @@ then stamp, then frame index.  Segment ``i`` is the range
 ``offsets[i]:offsets[i + 1]`` of those rows: the frames between keyframe
 ``i`` and keyframe ``i + 1``, or, for the last keyframe, the terminal
 partial segment of trailing frames.  A :class:`SegmentBatch` hands the
-rows of the full segments to the correction kernels, and a
-:class:`KeyframeUpdates` table carries the old and new pose of every
-keyframe.
+rows of the full segments to the correction kernels (whose diagnostics
+table ``evaluate`` owns), and a :class:`KeyframeUpdates` table carries
+the old and new pose of every keyframe.
 
 :class:`Keyframe`, :class:`RelativeFrame`, :class:`Segment`,
 :class:`KeyframeUpdate` and ``(FrameId, Pose)`` pairs are the object
@@ -257,24 +257,6 @@ class SegmentBatch:
         if filled.any():
             out[filled] = ufunc.reduceat(values, (np.cumsum(self.counts) - self.counts)[filled])
         return out
-
-
-@dataclass
-class SegmentRecord:
-    """Diagnostics of one corrected segment; its fields, in order, are the
-    columns of ``diagnostics.csv``.  The proposed correction fills ``s``,
-    ``degenerate_baseline`` and the ``alpha`` range, the interpolation
-    baselines the hit counters."""
-
-    segment: int
-    terminal: bool = False
-    s: float = math.nan
-    degenerate_baseline: bool = False
-    alpha_min: float = math.nan
-    alpha_max: float = math.nan
-    singular_hits: int = 0      # components with |x_ab| < SINGULARITY_EPS
-    gimbal_hits: int = 0        # Euler vectorizations near pitch = +-pi/2
-    quat_renorm_hits: int = 0   # renormalization moved the quaternion > 1e-6
 
 
 def _first(mask: np.ndarray) -> Optional[int]:

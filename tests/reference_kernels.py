@@ -9,6 +9,7 @@ command runs them.  The equations are in the docstrings of
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -18,7 +19,44 @@ from posecorrect.correction import DEGENERATE_BASELINE
 from posecorrect.io import REFLECTION, ROTATION_DRIFT_TOL, TrajectoryParseError, _drift_error
 from posecorrect.liegeom import Pose, Rotation, slerp, so3_exp
 from posecorrect.synth import SceneSpec, SimilarityTransform, keyframe_positions, path_world_poses
-from posecorrect.trajectory import KeyframeUpdate, Segment, SegmentRecord, from_world_poses
+from posecorrect.trajectory import KeyframeUpdate, Segment, from_world_poses
+
+
+@dataclass
+class SegmentRecord:
+    """The diagnostics of one segment as the scalar references count them;
+    its fields are the columns of ``diagnostics.csv``, so a row of the
+    table that ``evaluate.correct_trajectory`` returns is
+    ``SegmentRecord(*row)``."""
+
+    segment: int
+    terminal: bool = False
+    s: float = math.nan
+    degenerate_baseline: bool = False
+    alpha_min: float = math.nan
+    alpha_max: float = math.nan
+    singular_hits: int = 0
+    gimbal_hits: int = 0
+    quat_renorm_hits: int = 0
+
+
+def columns_of(records: list[SegmentRecord]) -> dict:
+    """``records`` as the diagnostics columns that a batched kernel returns:
+    every field but ``segment`` and ``terminal``, one value per record."""
+    return {
+        f.name: np.array([getattr(record, f.name) for record in records])
+        for f in fields(SegmentRecord)[2:]
+    }
+
+
+def records_of(columns: dict, index) -> list[SegmentRecord]:
+    """The diagnostics ``columns`` that a batched kernel returns, as one
+    record per segment, numbered by ``index`` (the batch's)."""
+    names = list(columns)
+    return [
+        SegmentRecord(i, **dict(zip(names, values)))
+        for i, *values in zip(index.tolist(), *(columns[name].tolist() for name in names))
+    ]
 
 
 def scale_factor(t_ab_old, t_ab_new, squared: bool = False) -> tuple[float, bool]:

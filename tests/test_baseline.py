@@ -25,11 +25,16 @@ from posecorrect.trajectory import (
     RelativeFrame,
     Segment,
     SegmentBatch,
-    SegmentRecord,
     from_world_poses,
     snap_to_gt,
 )
-from reference_kernels import devectorize, interp_correct_segment_scalar, vectorize
+from reference_kernels import (
+    SegmentRecord,
+    devectorize,
+    interp_correct_segment_scalar,
+    records_of,
+    vectorize,
+)
 
 ALL_SPACES = [(ts, rs) for ts in TransSpace for rs in RotSpace]
 
@@ -258,9 +263,9 @@ def assert_batch_equals_scalar(full, updates, ts, rs, raw_division=False):
     """``interp_correct_segment`` on the full segments ``full`` against
     ``interp_correct_segment_scalar`` per segment: every pose and every
     record field."""
-    q, t, records = interp_correct_segment(
-        SegmentBatch(full), updates, ts, rs, raw_division=raw_division
-    )
+    batch = SegmentBatch(full)
+    q, t, columns = interp_correct_segment(batch, updates, ts, rs, raw_division=raw_division)
+    records = records_of(columns, batch.index)
     assert len(records) == len(full)
     k = 0
     for seg, record in zip(full, records):
@@ -351,8 +356,11 @@ class TestBatchedBaseline:
         assert q.tolist() == [[1.0, 0.0, 0.0, 0.0]]
 
     def test_empty_batch(self):
-        q, t, records = interp_correct_segment(SegmentBatch(()), [], TransSpace.SE3_V, RotSpace.SO3)
-        assert q.shape == (0, 4) and t.shape == (0, 3) and records == []
+        q, t, columns = interp_correct_segment(SegmentBatch(()), [], TransSpace.SE3_V, RotSpace.SO3)
+        assert q.shape == (0, 4) and t.shape == (0, 3)
+        assert {name: len(column) for name, column in columns.items()} == {
+            "singular_hits": 0, "gimbal_hits": 0, "quat_renorm_hits": 0
+        }
 
     def test_terminal_segment_rejected(self):
         kf_a = Keyframe(FrameId(0.0, 0), Pose.identity())

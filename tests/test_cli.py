@@ -21,7 +21,7 @@ from posecorrect import io as trajio
 from posecorrect.cli import main
 from posecorrect.liegeom import pose_arrays, rotation_angle_deg
 from posecorrect.trajectory import FrameId, Keyframe, RelativeFrame, Segment, world_poses
-from reference_kernels import reference_correct
+from reference_kernels import columns_of, reference_correct
 
 DATA = Path(__file__).parent / "data"
 README = Path(__file__).parent.parent / "README.md"
@@ -128,7 +128,7 @@ def scalar_kernel(batch, updates, cfg):
         for seg in batch_segments(batch)
     ]
     q, t = pose_arrays(pose for poses, _ in results for pose in poses)
-    return q, t, [record for _, record in results]
+    return q, t, columns_of([record for _, record in results])
 
 
 def scalar_oracle_methods():

@@ -30,12 +30,14 @@ from posecorrect.trajectory import (
     snap_to_gt,
 )
 from reference_kernels import (
+    SegmentRecord,
     _segment_setup,
     bench_segment,
     condition_from_kf,
     correct_segment_scalar,
     fuse,
     fusion_gap,
+    records_of,
     scale_factor,
     timestamp_fraction,
 )
@@ -178,9 +180,10 @@ def recorded_alpha(seg):
         KeyframeUpdate(0, seg.kf_a.world_pose, seg.kf_a.world_pose),
         KeyframeUpdate(1, seg.kf_b.world_pose, seg.kf_b.world_pose),
     ]
-    _, _, (record,) = correct_segment(SegmentBatch([seg]), updates)
-    assert record.alpha_min == record.alpha_max
-    return record.alpha_min
+    _, _, columns = correct_segment(SegmentBatch([seg]), updates)
+    (alpha,) = columns["alpha_min"].tolist()
+    assert columns["alpha_max"].tolist() == [alpha]
+    return alpha
 
 
 class TestInterpFactor:
@@ -338,10 +341,13 @@ def assert_batch_equals_scalar(traj, updates):
     per segment composed with ``Pose.__mul__``; the terminal segment's
     frames ride along with its opening keyframe."""
     *full, last = traj.segments
-    q, t, records = correct_segment(SegmentBatch(full), updates)
+    batch = SegmentBatch(full)
+    q, t, columns = correct_segment(batch, updates)
+    records = records_of(columns, batch.index)
     world, diagnostics = correct_trajectory(traj, updates, MethodConfig("proposed"))
     world = dict(world)
-    assert [record_bits(r) for r in diagnostics.segments[:-1]] == list(map(record_bits, records))
+    rows = [SegmentRecord(*row) for row in diagnostics.segments.tolist()]
+    assert list(map(record_bits, rows[:-1])) == list(map(record_bits, records))
     k = 0
     for seg, record in zip(full, records):
         poses, want = correct_segment_scalar(seg, updates[seg.index], updates[seg.index + 1])
@@ -354,7 +360,7 @@ def assert_batch_equals_scalar(traj, updates):
             assert same_bits(world[rel.id].translation, expected.translation)
             k += 1
     assert k == len(q) == len(t)
-    assert diagnostics.segments[-1].terminal
+    assert rows[-1].terminal is True and rows[-1].segment == last.index
     for rel in last.rels:
         expected = updates[last.index].new_pose * rel.rel_pose
         assert same_bits(world[rel.id].rotation.quat, expected.rotation.quat)
@@ -420,7 +426,8 @@ class TestBatchedKernel:
         traj = from_world_poses(frames, [0, 3, 4, 7])
         assert [len(seg.rels) for seg in traj.segments] == [2, 0, 2, 2]
         updates = perturbed_updates(traj, seed=34)
-        *_, records = correct_segment(SegmentBatch(traj.segments[:-1]), updates)
+        batch = SegmentBatch(traj.segments[:-1])
+        records = records_of(correct_segment(batch, updates)[2], batch.index)
         assert records[0].degenerate_baseline and records[0].s == 1.0
         assert records[0].alpha_min == timestamp_fraction(traj.segments[0], 0)
         assert math.isnan(records[1].alpha_min) and math.isnan(records[1].alpha_max)

@@ -1,15 +1,20 @@
 """Evaluation protocol: error metrics, statistics, the method registry,
 the whole-trajectory driver and the timing harness."""
 
+import csv
+import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from posecorrect import fixtures
 from posecorrect.baseline import RotSpace, TransSpace
 from posecorrect.evaluate import (
     METHODS,
+    SEGMENT_DEFAULTS,
     ErrorStats,
     MethodConfig,
     SnapProtocol,
@@ -24,13 +29,17 @@ from posecorrect.liegeom import Pose, Rotation, rotation_angle_deg, so3_exp
 from posecorrect.trajectory import (
     FrameId,
     KeyframeUpdate,
-    SegmentRecord,
     from_world_poses,
     identity_updates,
     snap_to_gt,
     world_poses,
 )
-from reference_kernels import bench_segment, correct_segment_scalar, reference_correct
+from reference_kernels import (
+    SegmentRecord,
+    bench_segment,
+    correct_segment_scalar,
+    reference_correct,
+)
 
 
 class TestErrorStats:
@@ -144,7 +153,7 @@ class TestDriver:
         for name in METHODS:
             cfg = MethodConfig(name)
             world, diagnostics = correct_trajectory(traj, updates, cfg)
-            record = diagnostics.segments[-1]
+            record = SegmentRecord(*diagnostics.segments[-1].tolist())
             assert record.terminal is True
             if name == "proposed":
                 assert record.s == 1.0
@@ -176,8 +185,8 @@ class TestDriver:
                     assert got[rel.id].translation.tobytes() == want.translation.tobytes()
 
     def test_records_numbered_by_segment(self):
-        # Each kernel fills in its segment's number; only the record of the
-        # terminal segment (here with two frames) is marked terminal.
+        # The table has one row per segment, numbered in order; only the row
+        # of the terminal segment (here with two frames) is marked terminal.
         rng = np.random.default_rng(13)
         frames = [
             (FrameId(0.2 * j, j), Pose(Rotation.random(rng), rng.normal(size=3)))
@@ -192,10 +201,8 @@ class TestDriver:
         assert n == 3 and len(traj.segments[-1].rels) == 2
         for name in METHODS:
             _, diagnostics = correct_trajectory(traj, updates, MethodConfig(name))
-            assert len(diagnostics.segments) == n
-            for i, record in enumerate(diagnostics.segments):
-                assert record.segment == i, name
-                assert record.terminal is (i == n - 1), name
+            assert diagnostics.segments["segment"].tolist() == list(range(n)), name
+            assert diagnostics.segments["terminal"].tolist() == [False] * (n - 1) + [True], name
 
     def test_update_count_mismatch_rejected(self):
         traj, _ = fixtures.noisy_fixture(2)
@@ -321,26 +328,56 @@ class TestReportCsv:
         assert p1.read_text().splitlines()[1].endswith(",")
 
 
+def _diagnostics_cell(value):
+    """A bool as 0/1, a float by ``repr`` (``nan`` included), an int as is."""
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float):
+        return repr(value)
+    return value
+
+
+def diagnostics_csv_oracle(table) -> bytes:
+    """``diagnostics.csv`` written row by row and cell by cell, as the
+    writer did when each segment was a record object."""
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(table.dtype.names)
+    for row in table.tolist():
+        writer.writerow([_diagnostics_cell(value) for value in row])
+    return text.getvalue().encode("utf-8")
+
+
+FLOATS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.225073858507201e-308]),
+    st.floats(),
+)
+INTS = st.integers(-(2**63), 2**63 - 1)
+ROWS = st.tuples(INTS, st.booleans(), FLOATS, st.booleans(), FLOATS, FLOATS, INTS, INTS, INTS)
+
+
 class TestDiagnosticsCsv:
     def test_columns_and_cells_literal(self, tmp_path):
-        # One column per SegmentRecord field, in order; bools as 0/1,
-        # floats by repr (nan included), ints as they are.
-        full = SegmentRecord(
-            segment=7,
-            s=1.0 / 3.0,
-            degenerate_baseline=True,
-            alpha_min=0.1,
-            alpha_max=0.875,
-            singular_hits=2,
-            gimbal_hits=1,
-            quat_renorm_hits=4,
-        )
-        terminal = SegmentRecord(8, terminal=True)
+        # One column per table field, in order; bools as 0/1, floats by
+        # repr (nan included), ints as they are.
+        table = np.full(2, SEGMENT_DEFAULTS)
+        table[0] = (7, False, 1.0 / 3.0, True, 0.1, 0.875, 2, 1, 4)
+        table["segment"][1], table["terminal"][1] = 8, True
         path = tmp_path / "diagnostics.csv"
-        write_diagnostics_csv(path, TrajectoryDiagnostics([full, terminal]))
+        write_diagnostics_csv(path, TrajectoryDiagnostics(table))
         assert path.read_bytes() == (
             b"segment,terminal,s,degenerate_baseline,alpha_min,alpha_max,"
             b"singular_hits,gimbal_hits,quat_renorm_hits\r\n"
             b"7,0,0.3333333333333333,1,0.1,0.875,2,1,4\r\n"
             b"8,1,nan,0,nan,nan,0,0,0\r\n"
         )
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(ROWS, max_size=20))
+    @example([(2**63 - 1, True, -0.0, False, 5e-324, math.inf, -(2**63), 0, 1),
+              (0, False, math.nan, True, -math.inf, -5e-324, 1, 2**40, -1)])
+    def test_writer_equals_per_cell_oracle(self, tmp_path_factory, rows):
+        table = np.array(rows, dtype=SEGMENT_DEFAULTS.dtype)
+        path = tmp_path_factory.mktemp("diag") / "diagnostics.csv"
+        write_diagnostics_csv(path, TrajectoryDiagnostics(table))
+        assert path.read_bytes() == diagnostics_csv_oracle(table)

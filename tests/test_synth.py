@@ -315,8 +315,19 @@ class TestSceneSerialization:
          "non-numeric field: could not convert string to float: 'abc'"),
         ("0 0 420.0", "x 0 420.0", 11,
          "non-numeric field: invalid literal for int() with base 10: 'x'"),
+        ("500.0 500.0 320.0", "nan 500.0 320.0", 3, "non-finite field: 'nan'"),
+        ("0 1.0 2.0 5.0", "0 1.0 inf 5.0", 9, "non-finite field: 'inf'"),
+        ("420.0 440.0 5.0", "420.0 -inf 5.0", 11, "non-finite field: '-inf'"),
+        ("[keyframes]\n0\n", "[keyframes]\n1\n", 7,
+         "keyframe row 1 not present in [poses] of length 1"),
+        ("[keyframes]\n0\n", "[keyframes]\n-1\n", 7,
+         "keyframe row -1 not present in [poses] of length 1"),
+        ("[keyframes]\n0\n", "[keyframes]\n0\n0\n", 8,
+         "selects pose row 0 again (first selected at line 7)"),
     ], ids=["camera field", "camera intrinsics", "empty camera", "landmark field",
-            "observation field"])
+            "observation field", "non-finite camera", "non-finite landmark",
+            "non-finite observation", "keyframe row past the poses", "negative keyframe row",
+            "repeated keyframe row"])
     def test_load_names_file_and_line_of_a_bad_line(self, tmp_path, old, new, line, message):
         from posecorrect.io import TrajectoryParseError
 
