@@ -43,7 +43,11 @@ Four parts, each run on both checkouts with the same inputs:
   wall time, median and quartiles of 15, 9 and 5 timed calls after one
   warm-up call, each after a probe median as above.  They measure the
   text formatting that the CLI ladder's ``correct`` pays once per run and
-  the parsing it pays three times.
+  the parsing it pays three times.  The same for
+  ``evaluate.write_frame_errors_csv`` on seven files, one per method, of
+  ``evaluate.frame_errors`` over all frames of each method's correction of
+  the estimate (991, 9,991 and 99,991 rows): the writer that the CLI
+  ladder's ``evaluate-all`` pays once per run.
 
 The record states the machine, Python, numpy and both commits.  Only the
 numbers it holds are claims; the script compares nothing itself.
@@ -244,9 +248,32 @@ from posecorrect import io as trajio
 d, reps, out, name = Path(sys.argv[1]), int(sys.argv[2]), Path(sys.argv[3]), sys.argv[4]
 frames = trajio.read_tum(d / "est.tum")
 out.mkdir(parents=True, exist_ok=True)
+
+
+def frame_errors_files():
+    # Every method's errors over all frames, as evaluate --methods all
+    # passes them to its writer.
+    from posecorrect import evaluate
+    from posecorrect.trajectory import from_world_poses, snap_to_gt
+
+    gt = trajio.read_tum(d / "gt.tum")
+    traj = from_world_poses(frames, [int(i) for i in (d / "kf_index.txt").read_text().split()])
+    updates = snap_to_gt(traj, gt)
+    return [
+        (out / f"frame_errors_{m}.csv", evaluate.frame_errors(
+            evaluate.correct_trajectory(traj, updates, evaluate.MethodConfig(m))[0], gt))
+        for m in evaluate.METHODS
+    ]
+
+
+if name == "write_frame_errors_csv":
+    from posecorrect.evaluate import write_frame_errors_csv
+
+    files = frame_errors_files()
 call = {
     "write_tum": lambda: trajio.write_tum(out / "written.tum", frames),
     "read_tum": lambda: trajio.read_tum(d / "est.tum"),
+    "write_frame_errors_csv": lambda: write_frame_errors_csv(files),
 }[name]
 call()
 run = {"lines": len(frames), "wall_s": [], "probe_s": []}
@@ -401,7 +428,8 @@ def ladder(sides: dict, inputs: Path, workdir: Path) -> dict:
 
 
 def text_ladder(sides: dict, inputs: Path, workdir: Path, call: str) -> dict:
-    """``io.<call>`` (``write_tum`` or ``read_tum``) on each ladder estimate."""
+    """``<call>`` (``write_tum``, ``read_tum`` or ``write_frame_errors_csv``)
+    on each ladder estimate."""
     record = {}
     for k, (n_keyframes, reps) in enumerate(LADDER_REPS.items()):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
@@ -506,6 +534,9 @@ def main(argv=None) -> int:
         record["ladder"] = ladder(sides, inputs, workdir)
         record["writer_ladder"] = text_ladder(sides, inputs, workdir, "write_tum")
         record["reader_ladder"] = text_ladder(sides, inputs, workdir, "read_tum")
+        record["frame_errors_ladder"] = text_ladder(
+            sides, inputs, workdir, "write_frame_errors_csv"
+        )
     record["call_ladder"] = call_ladder(sides)
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")

@@ -28,19 +28,26 @@ command set:
 * ``correct`` with each method on a drifted ``rotonly`` scene, whose
   zero-length keyframe baselines write ``degenerate_baseline`` rows and
   quaternion-renormalization hits to ``diagnostics.csv``;
-* ``evaluate`` with a valid and with an invalid ``--config`` file.
+* ``evaluate`` with a valid and with an invalid ``--config`` file;
+* ``evaluate --methods all`` on a 2,991-frame ``mav`` scene, whose
+  frame-error files span several of the writer's blocks;
+* ``evaluate --raw-division`` on a three-frame input whose keyframes have
+  zero yaw, where every interpolating baseline but Euler warns of
+  non-finite frames, the two that share a kernel run among them.
 
 For every command the exit code, standard output and standard error are
 compared, and afterwards every file the commands wrote.  ``bench`` output
 holds timings, so only its exit code, its streams and the names of its
 files are compared.  The inputs that are not made by a command (the KITTI
-trajectories, the ``--config`` files and ``tests/data``) are written
-once, from the change checkout, and copied to both sides.  Exits 0 when
+trajectories, the ``--config`` files, the zero-yaw input and
+``tests/data``) are written once, from the change checkout, and copied to
+both sides.  Exits 0 when
 everything is byte-identical, 1 otherwise, and lists each difference.
 """
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import shutil
 import subprocess
@@ -66,6 +73,22 @@ CONFIGS = {
     "config.json": '{"methods": "all", "trans-space": "se3-v", "rot-space": "euler", '
                    '"raw-division": true, "assoc-tol": 0.02}\n',
     "bad_config.json": '{"methods": "all", "rot-space": "rpy"}\n',
+}
+
+
+
+def zero_yaw_line(stamp, x, yaw):
+    return f"{stamp} {x} 0 0 0 0 {math.sin(yaw / 2)!r} {math.cos(yaw / 2)!r}\n"
+
+
+# Keyframes at t=0 and t=1 with zero yaw and a frame between them with yaw
+# 0.3; ground truth turns the second keyframe's yaw to 0.1.  Under
+# --raw-division the baselines divide by the zero yaw gap.
+ZERO_YAW = {
+    "zero_yaw.tum": zero_yaw_line(0, 0, 0) + zero_yaw_line(0.5, 0.5, 0.3) + zero_yaw_line(1, 1, 0),
+    "zero_yaw_kf_index.txt": "0\n2\n",
+    "zero_yaw_gt.tum": zero_yaw_line(0, 0, 0) + zero_yaw_line(0.5, 0.5, 0.3)
+    + zero_yaw_line(1, 1, 0.1),
 }
 
 KITTI_INPUTS = """
@@ -117,6 +140,13 @@ def command_set() -> list[list[str]]:
            "--out", f"out/rotonly-corr-{m}"] for m in METHODS),
         *(["evaluate", *sim, "--gt", "out/sim/gt.tum", "--config", f"in/{name}",
            "--out", f"out/eval-{name[:-5]}"] for name in CONFIGS),
+        ["simulate", "--shape", "mav", "--n-keyframes", "300", "--rels-per-segment", "9",
+         "--drift", "1.0", "--out", "out/mav300"],
+        ["evaluate", "--traj", "out/mav300/est.tum", "--kf-index", "out/mav300/kf_index.txt",
+         "--gt", "out/mav300/gt.tum", "--methods", "all", "--out", "out/mav300-eval"],
+        ["evaluate", "--traj", "in/zero_yaw.tum", "--kf-index", "in/zero_yaw_kf_index.txt",
+         "--gt", "in/zero_yaw_gt.tum", "--methods", "no-correction,xyz,se3-v,quat,so3,proposed",
+         "--raw-division", "--out", "out/zero-yaw-eval"],
     ]
     for name in MALFORMED:
         commands.append(["evaluate", "--traj", f"data/{name}", "--gt", "data/valid.tum",
@@ -164,7 +194,7 @@ def main(argv=None) -> int:
         for name, cwd in work.items():
             shutil.copytree(sides["change"] / "tests" / "data", cwd / "data")
             (cwd / "in").mkdir()
-            for config, text in CONFIGS.items():
+            for config, text in (CONFIGS | ZERO_YAW).items():
                 (cwd / "in" / config).write_text(text, encoding="utf-8")
         results = {name: [] for name in sides}
         for k, command in enumerate(commands):

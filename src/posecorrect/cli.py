@@ -206,6 +206,7 @@ def cmd_evaluate(args) -> int:
         cfg = _method_config(name, args)
         with _raw_division_errors(cfg):
             results.append(protocol.run(cfg))
+    del protocol  # its run and score caches, before the writer's buffers
     ev.write_frame_errors_csv(
         [(out / f"frame_errors_{name}.csv", errors) for name, (_, errors) in zip(methods, results)]
     )

@@ -14,14 +14,15 @@ import csv
 import logging
 import math
 import time
-from collections import Counter
-from dataclasses import dataclass
+from contextlib import ExitStack
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import baseline, correction
 from .baseline import RotSpace, TransSpace
+from .floatfmt import format_values
 from .liegeom import rotation_angles_deg, vec_norm
 from .trajectory import (
     DEFAULT_ASSOC_TOL,
@@ -79,10 +80,16 @@ SEGMENT_DEFAULTS = np.array((0, False, math.nan, False, math.nan, math.nan, 0, 0
 @dataclass
 class TrajectoryDiagnostics:
     segments: np.ndarray  # one SEGMENT_DEFAULTS row per keyframe
+    not_finite: tuple[int, int] = (0, 0)  # corrected frames not finite, of all corrected
 
     singular_hits = property(lambda self: int(self.segments["singular_hits"].sum()))
     gimbal_hits = property(lambda self: int(self.segments["gimbal_hits"].sum()))
     degenerate_segments = property(lambda self: int(self.segments["degenerate_baseline"].sum()))
+
+    def warn_not_finite(self, method: str) -> None:
+        if self.not_finite[0]:
+            log.warning("method %s: %d of %d corrected frames are not finite",
+                        method, *self.not_finite)
 
 
 # Kernel adapters: correct the full segments of a trajectory, given as a
@@ -152,11 +159,14 @@ def correct_trajectory(
     method = METHODS[cfg.name]
     # Only the last segment, which no keyframe closes, is terminal.
     q, t, columns = method.kernel(traj.full_segments(), updates, cfg)
+    segments = np.full(n_keyframes, SEGMENT_DEFAULTS)
+    segments["segment"] = np.arange(n_keyframes)
+    for name, column in columns.items():
+        segments[name][:-1] = column
+    segments["terminal"][-1], segments["s"][-1] = True, method.terminal_s
     not_finite = int(np.count_nonzero(~np.isfinite(np.hstack((q, t))).all(axis=1)))
-    if not_finite:
-        log.warning(
-            "method %s: %d of %d corrected frames are not finite", cfg.name, not_finite, len(q)
-        )
+    diagnostics = TrajectoryDiagnostics(segments, (not_finite, len(q)))
+    diagnostics.warn_not_finite(cfg.name)
     # No method has an interpolation target without a closing keyframe, so
     # the terminal segment's relative poses ride along with the updated
     # opening keyframe.
@@ -168,12 +178,7 @@ def correct_trajectory(
         np.concatenate((q, traj.rel.q[last:])),
         np.concatenate((t, traj.rel.t[last:])),
     )
-    segments = np.full(n_keyframes, SEGMENT_DEFAULTS)
-    segments["segment"] = np.arange(n_keyframes)
-    for name, column in columns.items():
-        segments[name][:-1] = column
-    segments["terminal"][-1], segments["s"][-1] = True, method.terminal_s
-    return world, TrajectoryDiagnostics(segments)
+    return world, diagnostics
 
 
 # -- error metrics --------------------------------------------------------------
@@ -231,20 +236,23 @@ class ErrorStats:
         return f"{self.mean:.3f}+-{self.std:.2f} ({self.median:.3f})"
 
 
-def frame_errors(est, gt, tol: float = DEFAULT_ASSOC_TOL, *, rows=None) -> FrameErrors:
+def frame_errors(est, gt, tol: float = DEFAULT_ASSOC_TOL, *, rows=None, scores=None) -> FrameErrors:
     """Per-frame translation (cm) and rotation (deg) errors of ``est``
     against the nearest-timestamp association in ``gt`` (each a
     :class:`FrameTable` or ``(FrameId, Pose)`` pairs).  ``rows``, when
-    given, is that association, as :func:`associate` returns it."""
+    given, is that association, as :func:`associate` returns it.  ``scores``
+    keeps each error column by the bytes it scored, across calls that share
+    ``gt`` and ``rows``, so that byte-equal rows are scored once."""
     est, gt = FrameTable.of(est), FrameTable.of(gt)
     if rows is None:
         rows = associate(est.stamps, gt, tol)
-    return FrameErrors(
-        est.stamps,
-        est.indices,
-        vec_norm(est.t - gt.t[rows]) * 100.0,
-        rotation_angles_deg(est.q, gt.q[rows]),
-    )
+    scores = {} if scores is None else scores
+    t_key, q_key = ("t", est.t.tobytes()), ("q", est.q.tobytes())
+    if t_key not in scores:
+        scores[t_key] = vec_norm(est.t - gt.t[rows]) * 100.0
+    if q_key not in scores:
+        scores[q_key] = rotation_angles_deg(est.q, gt.q[rows])
+    return FrameErrors(est.stamps, est.indices, scores[t_key], scores[q_key])
 
 
 @dataclass(frozen=True)
@@ -264,7 +272,9 @@ class SnapProtocol:
     snapped to ground truth here, and the relative frames, whose stamps
     every method keeps, are associated with ground truth on the first
     :meth:`run`, after its correction, so errors surface in the order of a
-    single run.  :meth:`run` corrects and scores one method.
+    single run.  :meth:`run` corrects and scores one method; configs that
+    give a kernel the same inputs share one run, and byte-equal corrected
+    rows one error column.
     """
 
     def __init__(self, traj: Trajectory, gt, tol: float = DEFAULT_ASSOC_TOL):
@@ -273,14 +283,22 @@ class SnapProtocol:
         self.is_rel = np.zeros(traj.frame_count, dtype=bool)
         self.is_rel[traj.rel_rows] = True
         self.gt_rows = None
+        self.runs, self.scores = {}, {}  # (report, errors, diagnostics) by config; columns
 
     def run(self, cfg: MethodConfig) -> tuple[MethodReport, FrameErrors]:
         """Correct, and score the relative frames."""
+        method = METHODS[cfg.name]
+        space = cfg.spaces() if method.trans_space or method.rot_space else cfg.name
+        key = (method.kernel, space, cfg.scale_squared, cfg.raw_division)
+        if key in self.runs:
+            report, errors, diagnostics = self.runs[key]
+            diagnostics.warn_not_finite(cfg.name)
+            return replace(report, method=cfg.name), errors
         world, diagnostics = correct_trajectory(self.traj, self.updates, cfg)
         est = world.take(self.is_rel)
         if self.gt_rows is None:
             self.gt_rows = associate(est.stamps, self.gt, self.tol)
-        errors = frame_errors(est, self.gt, rows=self.gt_rows)
+        errors = frame_errors(est, self.gt, rows=self.gt_rows, scores=self.scores)
         report = MethodReport(
             method=cfg.name,
             translation=ErrorStats.from_values(errors.translation_cm),
@@ -289,6 +307,7 @@ class SnapProtocol:
             gimbal_hits=diagnostics.gimbal_hits,
             degenerate_segments=diagnostics.degenerate_segments,
         )
+        self.runs[key] = report, errors, diagnostics
         return report, errors
 
 
@@ -354,43 +373,58 @@ def write_report_csv(path, rows: Sequence[tuple[str, MethodReport]]) -> None:
             )
 
 
-FRAME_ERRORS_HEADER = "stamp,index,translation_cm,rotation_deg\r\n"
+FRAME_ERRORS_HEADER = b"stamp,index,translation_cm,rotation_deg\r\n"
+FRAME_ERRORS_BLOCK = 6144  # values of the distinct columns formatted per block
+_SEPS = np.frombuffer(b",\r\n", np.uint8)
 
 
 def write_frame_errors_csv(files) -> None:
     """Write one per-frame error table per ``(path, FrameErrors)`` pair.
 
-    Each file is the ``csv`` dialect's text of ``repr`` cells.  A column is
-    formatted once per call: the stamp and index column is reused while its
-    values are byte-equal to the previous file's, and an error column whose
-    values are byte-equal to one already formatted reuses that text (equal
-    bytes give equal ``repr``; ``-0.0 == 0.0`` does not), which is kept
-    until the last file that uses it is written.  Methods share the frames
-    they score, and baselines that treat translation or rotation alike
-    share that error column.  Rows are streamed to the file rather than
-    joined, so that no whole-file string is held beside the columns.
+    Each file is the ``csv`` dialect's text of ``repr`` cells (``str`` of
+    the index).  Methods share the frames they score, and baselines that
+    treat translation or rotation alike share that error column, so each
+    byte-distinct column is formatted once (equal bytes give equal text;
+    ``-0.0 == 0.0`` does not).  The rows go out in blocks of about
+    :data:`FRAME_ERRORS_BLOCK` values of those columns, one
+    :func:`floatfmt.format_values` call per kind; each file's rows of a
+    block are one byte gather from that text, written to its open file.
     """
     files = list(files)
-    uses = Counter(v.tobytes() for _, e in files for v in (e.translation_cm, e.rotation_deg))
-    cells: dict[bytes, list[str]] = {}
-
-    def reprs(values: np.ndarray) -> list[str]:
-        key = values.tobytes()
-        if key not in cells:
-            cells[key] = list(map(repr, values.tolist()))
-        uses[key] -= 1
-        return cells[key] if uses[key] else cells.pop(key)
-
-    keys_of = keys = None
-    for path, errors in files:
-        frames = errors.stamps.tobytes() + errors.indices.tobytes()
-        if frames != keys_of:
-            keys_of = frames
-            keys = [f"{s!r},{i}," for s, i in zip(errors.stamps.tolist(), errors.indices.tolist())]
-        rows = zip(keys, reprs(errors.translation_cm), reprs(errors.rotation_deg))
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+    ids, columns, cells = {}, [], []  # column ids by dtype and bytes; columns; ids per file
+    for _, e in files:
+        for v in (e.stamps, e.indices, e.translation_cm, e.rotation_deg):
+            cells.append(ids.setdefault((v.dtype.str, v.tobytes()), len(ids)))
+            if cells[-1] == len(columns):
+                columns.append(v)
+    del ids
+    kinds = [[j for j, c in enumerate(columns) if (c.dtype.kind == "i") == is_int]
+             for is_int in (False, True)]
+    order, step = kinds[0] + kinds[1], max(1, FRAME_ERRORS_BLOCK // max(1, len(columns)))
+    with ExitStack() as stack:
+        handles = [stack.enter_context(open(path, "wb")) for path, _ in files]
+        for fh in handles:
             fh.write(FRAME_ERRORS_HEADER)
-            fh.writelines(f"{k}{t},{r}\r\n" for k, t, r in rows)
+        for lo in range(0, max(map(len, columns), default=0), step):
+            block = [c[lo:lo + step] for c in columns]
+            parts = [format_values(np.concatenate([block[j] for j in group]))
+                     for group in kinds if group]
+            shift = np.cumsum([0] + [len(text) for text, _, _ in parts])  # ",\r\n" at shift[-1]
+            text = np.concatenate([text for text, _, _ in parts] + [_SEPS])
+            start = np.concatenate([start + at for (_, start, _), at in zip(parts, shift)])
+            width = np.concatenate([width for _, _, width in parts])
+            first = dict(zip(order, np.cumsum([0] + [len(block[j]) for j in order]).tolist()))
+            for k, fh in enumerate(handles):
+                row = cells[4 * k:4 * k + 4]
+                m = min(len(block[j]) for j in row)
+                at, size = np.empty((2, m, 8), np.int32)  # four cells, each then its separator
+                for cell, j in enumerate(row):
+                    at[:, 2 * cell], size[:, 2 * cell] = start[first[j]:][:m], width[first[j]:][:m]
+                at[:, 1::2], size[:, 1::2] = shift[-1] + np.array([0, 0, 0, 1]), (1, 1, 1, 2)
+                at, size = at.reshape(-1), size.reshape(-1)
+                gather = np.repeat(at - np.cumsum(size, dtype=np.int32) + size, size)
+                gather += np.arange(len(gather), dtype=np.int32)
+                fh.write(text[gather])
 
 
 def write_diagnostics_csv(path, diagnostics: TrajectoryDiagnostics) -> None:

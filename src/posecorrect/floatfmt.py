@@ -1,9 +1,9 @@
 """Shortest round-trip text of float64 tables, byte-equal to ``repr``.
 
-:func:`format_table` turns an (N, C) float64 table into the bytes of
-``repr`` of every value, each followed by its column's separator string;
-:func:`write_table` writes a table to an open binary file in blocks of
-about :data:`BLOCK` values.  The digits come from Ryū's ``d2d`` (Adams,
+:func:`format_values` packs the text of an array's values (``str`` of an
+integer) and gives each one's start and width; :func:`format_table` lays an
+(N, C) table out on it with a separator per column, and :func:`write_table`
+writes in blocks of about :data:`BLOCK` values.  Digits come from Ryū's ``d2d`` (Adams,
 "Ryū: fast float-to-string conversion", PLDI 2018) run on numpy ``uint64``
 arrays: it finds the shortest decimal that reads back to the same double
 and, among those, the nearest one, which is what CPython's ``repr``
@@ -114,15 +114,16 @@ def _shortest(bits: np.ndarray):
     table = _exponent_table()
     biased = (bits >> _U(52)).astype(np.intp) & 0x7FF
     mantissa = bits & _U((1 << 52) - 1)
-    m2 = mantissa | ((biased != 0).astype(np.uint64) << _U(52))
-    even = (m2 & _U(1)) == 0
+    mv = (mantissa | ((biased != 0).astype(np.uint64) << _U(52))) << _U(2)
+    even = (mv & _U(4)) == 0
     mm_shift = (mantissa != 0) | (biased <= 1)
-    mv = m2 << _U(2)
+    del mantissa
     limbs, shift = np.take(table["limbs"], biased, axis=1), table["shift"][biased]
     vr, vp, vm = (
         _mul_shift(m, limbs, shift)
         for m in (mv, mv + _U(2), mv - _U(1) - mm_shift.astype(np.uint64))
     )
+    del limbs, shift
     vr_tz = (mv & table["tz_mask"][biased]) == 0
     small_q = table["small_q"][biased]
     vm_tz = small_q & even & mm_shift
@@ -174,45 +175,48 @@ def _shortest(bits: np.ndarray):
     return digits + up.astype(np.uint64), table["e10"][biased] + k
 
 
-def format_table(table: np.ndarray, seps: Sequence[str]) -> bytes:
-    """The text of an (N, C) float64 table: ``repr`` of each value followed
-    by ``seps`` of its column, row after row."""
-    values = np.ascontiguousarray(table, dtype=np.float64)
-    n_rows, n_cols = values.shape
-    if len(seps) != n_cols:
-        raise ValueError(f"{n_cols} columns but {len(seps)} separators")
-    bits = values.reshape(-1).view(np.uint64)
-    n = bits.size
-    if n == 0:
-        return b""
-    magnitude = bits & _U((1 << 63) - 1)
-    zero = magnitude == 0
-    finite = magnitude < _U(0x7FF << 52)
-    nan = magnitude > _U(0x7FF << 52)
-    neg = (((bits >> _U(63)) != 0) & ~nan).astype(np.int64)  # nan prints no sign
-    special = zero | ~finite
-    if special.any():  # format those as 1.0 (same length), then overwrite
-        bits = np.where(special, _U(0x3FF << 52), bits)
-    digits, exp10 = _shortest(bits)
-    length = np.searchsorted(_POW10, digits, side="right")
-    digits[zero] = 0
-    decpt = exp10 + length
-
-    sci = (decpt <= -4) | (decpt > 16)
-    lead = neg + np.where(sci, 0, np.maximum(1 - decpt, 0))  # offset of the first digit
-    dot_after = np.where(sci, 1, np.maximum(decpt, 0))  # digits before the '.'
-    exp_abs = np.abs(decpt - 1)
-    mantissa_len = length + (length > 1)
-    width = neg + np.where(
-        sci,
-        mantissa_len + 4 + (exp_abs >= 100),
-        np.maximum(length, decpt) + 1 + np.maximum(1 - decpt, 0) + (decpt >= length),
-    )
-    sep_bytes = [s.encode() for s in seps]
-    sep_len = np.tile([len(s) for s in sep_bytes], n_rows)
+def format_values(values: np.ndarray, gap=0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The text of each value of a 1-D float or integer array, one after
+    another in a ``uint8`` buffer, each followed by ``gap`` bytes (a count,
+    or one count per value) that are left for the caller to fill.  Floats
+    print as ``repr``; integers as ``str``, exactly for every int64.
+    Returns the buffer and each value's start and width in it."""
+    values = np.asarray(values).reshape(-1)
+    if values.size == 0:
+        return np.empty(0, np.uint8), np.empty(0, np.int64), np.empty(0, np.int64)
+    if values.dtype.kind == "i":
+        neg = (values < 0).astype(np.int64)
+        digits = np.abs(values.astype(np.int64)).view(np.uint64)  # -2^63 wraps onto 2^63
+        length = np.maximum(np.searchsorted(_POW10, digits, side="right"), 1)
+        lead, width, right_of_dot = neg, neg + length, -1  # no '.' to step over
+    else:
+        bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
+        magnitude = bits & _U((1 << 63) - 1)
+        zero = magnitude == 0
+        finite = magnitude < _U(0x7FF << 52)
+        nan = magnitude > _U(0x7FF << 52)
+        neg = (((bits >> _U(63)) != 0) & ~nan).astype(np.int64)  # nan prints no sign
+        special = zero | ~finite
+        if special.any():  # format those as 1.0 (same length), then overwrite
+            bits = np.where(special, _U(0x3FF << 52), bits)
+        digits, exp10 = _shortest(bits)
+        length = np.searchsorted(_POW10, digits, side="right")
+        digits[zero] = 0
+        decpt = exp10 + length
+        sci = (decpt <= -4) | (decpt > 16)
+        lead = neg + np.where(sci, 0, np.maximum(1 - decpt, 0))  # offset of the first digit
+        dot_after = np.where(sci, 1, np.maximum(decpt, 0))  # digits before the '.'
+        right_of_dot = length - 1 - dot_after  # digits r <= this sit past the '.'
+        exp_abs = np.abs(decpt - 1)
+        mantissa_len = length + (length > 1)
+        width = neg + np.where(
+            sci,
+            mantissa_len + 4 + (exp_abs >= 100),
+            np.maximum(length, decpt) + 1 + np.maximum(1 - decpt, 0) + (decpt >= length),
+        )
     # Each value's text starts at start; _PAD bytes lead the buffer.
-    end = np.cumsum(width + sep_len) + _PAD
-    start = end - width - sep_len
+    end = np.cumsum(width + gap) + _PAD
+    start = end - width - gap
     buf = np.full(int(end[-1]), _ZERO, dtype=np.uint8)  # zero padding is pre-filled
 
     # One scatter per digit position r (counted from the last digit), from
@@ -221,16 +225,17 @@ def format_table(table: np.ndarray, seps: Sequence[str]) -> bytes:
     # after this loop, or onto digits of earlier values, which have a lower
     # r and so are written by a later pass.
     last_at = start + lead + length - 1
-    right_of_dot = length - 1 - dot_after  # digits r <= this sit past the '.'
     rest = digits
     for r in range(int(length.max()) - 1, -1, -1):
         digit = rest // _POW10[r]
         rest = rest - digit * _POW10[r]
         buf[last_at - r + (right_of_dot >= r)] = digit.astype(np.uint8) + np.uint8(_ZERO)
+    buf[start[neg == 1]] = _MINUS
+    if values.dtype.kind == "i":
+        return buf[_PAD:], start - _PAD, width
+
     point = ~sci | (length > 1)
     buf[(start + neg + np.where(sci, 1, np.maximum(decpt, 1)))[point]] = _DOT
-    buf[start[neg == 1]] = _MINUS
-
     rows = np.flatnonzero(sci)
     if rows.size:
         e_at = start[rows] + neg[rows] + mantissa_len[rows]
@@ -245,11 +250,24 @@ def format_table(table: np.ndarray, seps: Sequence[str]) -> bytes:
     if rows.size:
         text = np.where(nan[rows, None], np.frombuffer(b"nan", np.uint8), np.frombuffer(b"inf", np.uint8))
         buf[(start[rows] + neg[rows])[:, None] + np.arange(3)] = text
+    return buf[_PAD:], start - _PAD, width
 
+
+def format_table(table: np.ndarray, seps: Sequence[str]) -> bytes:
+    """The text of an (N, C) float64 table: ``repr`` of each value followed
+    by ``seps`` of its column, row after row."""
+    values = np.ascontiguousarray(table, dtype=np.float64)
+    n_rows, n_cols = values.shape
+    if len(seps) != n_cols:
+        raise ValueError(f"{n_cols} columns but {len(seps)} separators")
+    sep_bytes = [s.encode() for s in seps]
+    sep_len = np.tile([len(s) for s in sep_bytes], n_rows)
+    buf, start, width = format_values(values, sep_len)
+    end = start + width + sep_len
     for col, sep in enumerate(sep_bytes):
         for offset, byte in enumerate(sep):
             buf[end[col::n_cols] - len(sep) + offset] = byte
-    return buf[_PAD:].tobytes()
+    return buf.tobytes()
 
 
 def write_table(fh, table: np.ndarray, seps: Sequence[str]) -> None:

@@ -31,6 +31,7 @@ _SMALL_ANGLE = 1e-8   # Taylor branch for exp/log trig factors
 _SMALL_V_ANGLE = 1e-4  # Taylor branch for V-matrix coefficients
 _GIMBAL_COS = 1e-6    # |cos(pitch)| below this counts as gimbal proximity
 _NLERP_DOT = 0.9995   # slerp falls back to normalized lerp above this dot
+_RAD_TO_DEG = 180.0 / math.pi  # the factor of math.degrees
 
 
 def _vec3(v) -> np.ndarray:
@@ -384,9 +385,7 @@ def slerp(q0: Rotation, q1: Rotation, a: float) -> Rotation:
 # the same function per element, without a Python loop.
 
 _SHEET_WEIGHTS = np.array((8.0, 4.0, 2.0, 1.0))
-_acos, _asin, _sin, _degrees = (np.frompyfunc(f, 1, 1) for f in (
-    math.acos, math.asin, math.sin, math.degrees
-))
+_acos, _asin, _sin = (np.frompyfunc(f, 1, 1) for f in (math.acos, math.asin, math.sin))
 _atan2, _hypot = np.frompyfunc(math.atan2, 2, 1), np.frompyfunc(math.hypot, 2, 1)
 
 
@@ -698,4 +697,5 @@ def rotation_angles_deg(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
     y = (aw * by - ay * bw) + (ax * bz - az * bx)
     z = (aw * bz - az * bw) + (ay * bx - ax * by)
     r = _math_rows(_hypot, x, _math_rows(_hypot, y, z))
-    return _math_rows(_degrees, 2.0 * _math_rows(_atan2, r, np.abs(w)))
+    with np.errstate(all="ignore"):  # math.degrees(x) is x * (180.0 / math.pi), bit for bit
+        return 2.0 * _math_rows(_atan2, r, np.abs(w)) * _RAD_TO_DEG

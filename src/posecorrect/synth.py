@@ -592,6 +592,13 @@ def load_scene(path) -> Scene:
                 path, lineno, f"selects pose row {row} again (first selected at line {first})"
             )
         selected_at[row] = lineno
+    if not selected_at:
+        raise trajio.TrajectoryParseError(path, headers["keyframes"], "empty [keyframes] section")
+    first = min(selected_at)  # from_world_poses anchors no frame before it
+    for row, (fid, _) in enumerate(frames):
+        if fid.stamp < frames[first][0].stamp and row not in selected_at:
+            message = f"pose row {row} precedes the first keyframe (pose row {first})"
+            raise trajio.TrajectoryParseError(path, headers["keyframes"], message)
 
     landmarks = []
     for lineno, text in sections["landmarks"]:

@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posecorrect import evaluate as ev
 from posecorrect import fixtures
@@ -347,6 +349,9 @@ class TestEvaluate:
 
     def test_frame_errors_writer_shares_only_equal_columns(self, tmp_path):
         stamps, indices = np.array([0.5, -0.0, 2.0]), np.array([1, 2, 3])
+        rng = np.random.default_rng(6)
+        long = rng.normal(size=3 * ev.FRAME_ERRORS_BLOCK + 5) * 10.0 ** rng.integers(-6, 6, 1)
+        limits = np.array([-1, 2**53 + 1, np.iinfo(np.int64).min, np.iinfo(np.int64).max, 0])
         tables = [
             ev.FrameErrors(stamps, indices, np.array([math.inf, 0.0, 1e-300]),
                            np.array([math.nan, -math.inf, 3.0])),
@@ -359,11 +364,72 @@ class TestEvaluate:
             ev.FrameErrors(stamps, indices, np.array([0.1, 0.2, 0.3]), np.array([0.1, 0.2, 0.3])),
             ev.FrameErrors(stamps, indices, np.array([math.inf, 0.0, 1e-300]),
                            np.array([0.1, 0.2, 0.3])),
+            # Files of other lengths: none, fewer and more rows than a block.
+            ev.FrameErrors(np.empty(0), np.empty(0, np.int64), np.empty(0), np.empty(0)),
+            ev.FrameErrors(limits * 0.5, limits, limits * 1e-3, np.array([0.1, 0.2, 0.3, 3.0, 0.0])),
+            ev.FrameErrors(long, np.arange(len(long)) - 7, long[::-1].copy(), np.abs(long)),
+            ev.FrameErrors(long[:-3], np.arange(len(long) - 3) - 7, long[:-3] * 2.0, long[3:]),
         ]
         files = [(tmp_path / f"{k}.csv", errors) for k, errors in enumerate(tables)]
         ev.write_frame_errors_csv(files)
         for path, errors in files:
             assert path.read_bytes() == csv_writer_of_repr(errors), path.name
+        assert b"-9223372036854775808," in files[7][0].read_bytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 5)), min_size=1, max_size=6),
+           st.data())
+    def test_frame_errors_writer_equals_csv_writer_of_repr(self, tmp_path_factory, shapes, data):
+        # Tables of any length; a pool of columns makes files share some.
+        floats = st.floats(width=64) | st.sampled_from([0.0, -0.0, math.inf, math.nan])
+        ints = st.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max)
+        pool = {}
+
+        def column(length, pick, elements, dtype):
+            if (length, pick, dtype) not in pool:
+                pool[length, pick, dtype] = np.array(
+                    data.draw(st.lists(elements, min_size=length, max_size=length)), dtype=dtype)
+            return pool[length, pick, dtype]
+
+        tables = [
+            ev.FrameErrors(column(n, k % 2, floats, float), column(n, 0, ints, np.int64),
+                           column(n, k, floats, float), column(n, k // 2, floats, float))
+            for n, k in shapes
+        ]
+        out = tmp_path_factory.mktemp("errors")
+        files = [(out / f"{k}.csv", errors) for k, errors in enumerate(tables)]
+        ev.write_frame_errors_csv(files)
+        for path, errors in files:
+            assert path.read_bytes() == csv_writer_of_repr(errors), path.name
+
+    @pytest.mark.parametrize("extra,merged", [
+        ((), ("xyz", "quat")),
+        (("--trans-space", "se3-v"), ("se3-v", "quat")),
+        (("--trans-space", "se3-v", "--rot-space", "euler"), ("se3-v", "euler")),
+        (("--rot-space", "so3", "--raw-division"), ("xyz", "so3")),
+    ])
+    def test_evaluate_runs_each_kernel_config_once(self, sim_dir, tmp_path, monkeypatch,
+                                                   extra, merged):
+        # At any space pair one translation-space baseline and one
+        # rotation-space baseline interpolate in the same two spaces.
+        calls = []
+
+        def counted(kernel):
+            def run(batch, updates, cfg):
+                calls.append(cfg.name)
+                return kernel(batch, updates, cfg)
+            return run
+
+        wrapped = {kernel: counted(kernel) for kernel in {m.kernel for m in ev.METHODS.values()}}
+        monkeypatch.setattr(ev, "METHODS", {
+            name: method._replace(kernel=wrapped[method.kernel])
+            for name, method in ev.METHODS.items()
+        })
+        assert main(evaluate_args(sim_dir, tmp_path / "out", *extra)) == 0
+        assert calls == [name for name in ev.METHODS if name != merged[1]]
+        first, second = ((tmp_path / "out" / f"frame_errors_{name}.csv").read_bytes()
+                         for name in merged)
+        assert first == second
 
     def test_failing_method_leaves_no_partial_output(self, tmp_path, capsys):
         # euler fails under --raw-division after no-correction, xyz and

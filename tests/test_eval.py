@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from posecorrect import fixtures
+from posecorrect import evaluate, fixtures
 from posecorrect.baseline import RotSpace, TransSpace
 from posecorrect.evaluate import (
     METHODS,
@@ -252,6 +252,36 @@ class TestRunProtocol:
         for name in ("xyz", "se3-v", "no-correction"):
             report, _ = SnapProtocol(traj, gt).run(MethodConfig(name))
             assert report.translation.mean > 1.5 * proposed.translation.mean, name
+
+    @pytest.mark.parametrize("spaces", [(TransSpace.XYZ, RotSpace.QUAT),
+                                        (TransSpace.SE3_V, RotSpace.EULER),
+                                        (TransSpace.SE3_V, RotSpace.SO3)])
+    @pytest.mark.parametrize("raw_division", [False, True])
+    def test_shared_runs_equal_a_fresh_protocol_per_method(self, spaces, raw_division):
+        traj, gt = fixtures.noisy_fixture(1)
+        protocol = SnapProtocol(traj, gt)
+        for name in METHODS:
+            cfg = MethodConfig(name, *spaces, raw_division=raw_division)
+            shared_report, shared = protocol.run(cfg)
+            fresh_report, fresh = SnapProtocol(traj, gt).run(cfg)
+            assert repr(shared_report) == repr(fresh_report), name
+            for column in ("stamps", "indices", "translation_cm", "rotation_deg"):
+                assert getattr(shared, column).tobytes() == getattr(fresh, column).tobytes(), name
+
+    def test_frame_errors_scores_byte_equal_rows_once(self, monkeypatch):
+        traj, gt = fixtures.noisy_fixture(2)
+        est = correct_trajectory(traj, snap_to_gt(traj, gt), MethodConfig("xyz"))[0]
+        scored = []
+        angles = evaluate.rotation_angles_deg
+        monkeypatch.setattr(evaluate, "rotation_angles_deg",
+                            lambda q1, q2: scored.append(len(q1)) or angles(q1, q2))
+        scores = {}
+        first = frame_errors(est, gt, scores=scores)
+        again = frame_errors(est.take(np.arange(len(est))), gt, scores=scores)
+        assert scored == [len(est)]
+        assert again.rotation_deg is first.rotation_deg
+        assert again.translation_cm is first.translation_cm
+        assert first.rotation_deg.tobytes() == frame_errors(est, gt).rotation_deg.tobytes()
 
     def test_relative_frames_only_are_scored(self):
         traj, gt = fixtures.noisy_fixture(4)

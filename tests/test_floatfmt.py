@@ -157,3 +157,34 @@ class TestTable:
         assert floatfmt._exponent_table.cache_info().currsize == 0
         floatfmt.format_table(np.ones((1, 1)), [""])
         assert floatfmt._exponent_table.cache_info().currsize == 1
+
+
+class TestValues:
+    @staticmethod
+    def texts(values, gap=0):
+        buf, start, width = floatfmt.format_values(values, gap)
+        return [bytes(buf[a:a + w]).decode() for a, w in zip(start.tolist(), width.tolist())]
+
+    def test_integers_are_exact_str_over_all_int64(self):
+        limits = np.iinfo(np.int64)
+        edges = [0, 1, -1, 9, 10, -10, 2**53 + 1, -(2**53 + 1), limits.min, limits.max,
+                 limits.min + 1, 10**18, 10**18 - 1, -(10**18)]
+        values = np.array(edges, dtype=np.int64)
+        assert self.texts(values) == [str(v) for v in edges]
+        assert self.texts(values.astype(np.int32)[:6]) == [str(v) for v in edges[:6]]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=40))
+    def test_any_int64(self, values):
+        assert self.texts(np.array(values, dtype=np.int64)) == [str(v) for v in values]
+
+    def test_floats_and_gaps(self):
+        values = np.array([0.1, -0.0, np.nan, 1e300, -5e-324, 2.0])
+        assert self.texts(values, gap=3) == [repr(v) for v in values.tolist()]
+        buf, start, width = floatfmt.format_values(values, np.arange(6))
+        assert (start[1:] == start[:-1] + width[:-1] + np.arange(5)).all()
+        assert len(buf) == start[-1] + width[-1] + 5
+
+    def test_empty(self):
+        buf, start, width = floatfmt.format_values(np.empty(0, np.int64))
+        assert buf.size == start.size == width.size == 0

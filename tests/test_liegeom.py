@@ -359,6 +359,15 @@ class TestRotationAngle:
             d = rotation_angle_deg(Rotation.random(rng), Rotation.random(rng))
             assert 0.0 <= d <= 180.0
 
+    @settings(max_examples=500)
+    @given(st.lists(st.floats(width=64), min_size=1, max_size=20))
+    def test_degrees_is_one_multiply_bitwise(self, values):
+        # rotation_angles_deg multiplies by 180 / pi in place of math.degrees.
+        x = np.array(values)
+        with np.errstate(over="ignore"):
+            got = x * (180.0 / math.pi)
+        assert got.tobytes() == np.array([math.degrees(v) for v in values]).tobytes()
+
     def test_matches_trace_formula(self):
         rng = np.random.default_rng(23)
         for _ in range(300):

@@ -324,10 +324,14 @@ class TestSceneSerialization:
          "keyframe row -1 not present in [poses] of length 1"),
         ("[keyframes]\n0\n", "[keyframes]\n0\n0\n", 8,
          "selects pose row 0 again (first selected at line 7)"),
+        ("[keyframes]\n0\n", "[keyframes]\n", 6, "empty [keyframes] section"),
+        ("0.0 0.0 0.0 0.0 0.0 0.0 0.0 1.0\n[keyframes]\n0\n",
+         "0.0 0.0 0.0 0.0 0.0 0.0 0.0 1.0\n1.0 0.0 0.0 0.0 0.0 0.0 0.0 1.0\n[keyframes]\n1\n",
+         7, "pose row 0 precedes the first keyframe (pose row 1)"),
     ], ids=["camera field", "camera intrinsics", "empty camera", "landmark field",
             "observation field", "non-finite camera", "non-finite landmark",
             "non-finite observation", "keyframe row past the poses", "negative keyframe row",
-            "repeated keyframe row"])
+            "repeated keyframe row", "empty keyframes", "first pose not a keyframe"])
     def test_load_names_file_and_line_of_a_bad_line(self, tmp_path, old, new, line, message):
         from posecorrect.io import TrajectoryParseError
 
