@@ -31,7 +31,14 @@ Four parts, each run on both checkouts with the same inputs:
   as a SLAM back-end would: milliseconds per call, median and quartiles
   of 15 timed batches of calls, each batch after a probe median as above.
   It measures the fixed cost of one call, which the CLI ladder hides
-  under parsing and writing.  One more call per size runs under a tracer
+  under parsing and writing.  The batches call one trajectory again and
+  again with the same updates, as a back-end that moves the same window
+  does (``repeated``, the gated figure); beside each batch, as many
+  freshly built copies of the trajectory are called once each
+  (``first_call``), which pays for what a trajectory keeps between calls.
+  The 11-frame entry states ROADMAP item 3's fixed-cost target: a call
+  at least 2x below 1.36 ms at the probe's reference speed.  One more
+  call per size runs under a tracer
   that counts the numpy calls made from ``posecorrect`` code: numpy
   functions and array methods, ufuncs called by name (``np.add(...)``,
   ``np.frompyfunc`` objects), and array operator instructions (binary,
@@ -140,6 +147,8 @@ print(json.dumps({"reference_probe_s": REFERENCE_PROBE_S, "runs": runs}))
 
 CALL_KEYFRAMES = {2: 40, 10: 40, 100: 10}  # keyframe count: calls per timed batch
 CALL_BATCHES = 15
+FIXED_COST_MS = 1.36  # an 11-frame call at the re-anchor of ROADMAP item 3
+FIXED_COST_TARGET = 2.0  # the fold below it that the item asks for
 
 CALL_TIMING = PROBE + """
 import dis, json
@@ -147,7 +156,7 @@ import numpy as np
 import posecorrect
 from posecorrect import evaluate, fixtures
 from posecorrect.synth import SceneSpec, keyframe_positions, path_world_poses
-from posecorrect.trajectory import KeyframeUpdate, from_world_poses
+from posecorrect.trajectory import KeyframeUpdate, Trajectory, from_world_poses
 
 sizes, batches = json.loads(sys.argv[1]), int(sys.argv[2])
 
@@ -227,13 +236,21 @@ for n_keyframes, calls in sizes.items():
     cfg = evaluate.MethodConfig("proposed")
     call = lambda: evaluate.correct_trajectory(traj, updates, cfg)
     call()
-    entry = {"frames": len(gt), "calls_per_batch": calls, "wall_s": [], "probe_s": []}
+    entry = {"frames": len(gt), "calls_per_batch": calls, "wall_s": [], "probe_s": [],
+             "first_wall_s": [], "first_probe_s": []}
     for _ in range(batches):
         entry["probe_s"].append(probe_median())
         start = time.perf_counter()
         for _ in range(calls):
             call()
         entry["wall_s"].append((time.perf_counter() - start) / calls)
+        copies = [Trajectory.from_tables(traj.kf, traj.rel, traj.parents) for _ in range(calls)]
+        entry["first_probe_s"].append(probe_median())
+        start = time.perf_counter()
+        for copy in copies:
+            evaluate.correct_trajectory(copy, updates, cfg)
+        entry["first_wall_s"].append((time.perf_counter() - start) / calls)
+        del copies
     entry["numpy_calls"] = count_numpy_calls(call)
     runs[n_keyframes] = entry
 print(json.dumps({"reference_probe_s": REFERENCE_PROBE_S, "runs": runs}))
@@ -479,24 +496,34 @@ def call_ladder(sides: dict) -> dict:
         for name, timing in per_side.items():
             run = timing["runs"][n_keyframes]
             reference = timing["reference_probe_s"]
-            wall = [1e3 * t for t in run["wall_s"]]
-            normalised = [w * reference / p for w, p in zip(wall, run["probe_s"])]
             if entry is None:
                 entry = {"frames": run["frames"], "keyframes": int(n_keyframes),
                          "calls_per_batch": run["calls_per_batch"], "batches": CALL_BATCHES}
-            entry[name] = {
-                "wall": {**quartiles(wall), "unit": "ms/call"},
-                "at_reference_speed": {**quartiles(normalised), "unit": "ms/call"},
-                "numpy_calls": run["numpy_calls"],
-                "runs_s": run["wall_s"],
-                "probe_median_s": run["probe_s"],
+            entry[name] = {"numpy_calls": run["numpy_calls"]}
+            for kind, prefix in (("repeated", ""), ("first_call", "first_")):
+                wall = [1e3 * t for t in run[prefix + "wall_s"]]
+                normalised = [w * reference / p for w, p in zip(wall, run[prefix + "probe_s"])]
+                entry[name][kind] = {
+                    "wall": {**quartiles(wall), "unit": "ms/call"},
+                    "at_reference_speed": {**quartiles(normalised), "unit": "ms/call"},
+                    "runs_s": run[prefix + "wall_s"],
+                    "probe_median_s": run[prefix + "probe_s"],
+                }
+        for kind in ("repeated", "first_call"):
+            entry[f"{kind}_change_over_parent_at_reference_speed"] = (
+                entry["change"][kind]["at_reference_speed"]["median"]
+                / entry["parent"][kind]["at_reference_speed"]["median"]
+            )
+        if entry["frames"] == 11:
+            entry["fixed_cost_target"] = {
+                "reference_ms": FIXED_COST_MS,
+                "target_fold_below": FIXED_COST_TARGET,
+                **{f"{name}_repeated_fold_below": FIXED_COST_MS
+                   / entry[name]["repeated"]["at_reference_speed"]["median"] for name in per_side},
             }
-        entry["change_over_parent_at_reference_speed"] = (
-            entry["change"]["at_reference_speed"]["median"]
-            / entry["parent"]["at_reference_speed"]["median"]
-        )
         print(f"call ladder {entry['frames']}: " + " / ".join(
-            f"{name} {entry[name]['at_reference_speed']['median']:.3f} ms, "
+            f"{name} {entry[name]['repeated']['at_reference_speed']['median']:.3f} ms repeated, "
+            f"{entry[name]['first_call']['at_reference_speed']['median']:.3f} ms first call, "
             f"{entry[name]['numpy_calls']['total']} numpy calls" for name in per_side
         ), file=sys.stderr)
         record[str(entry["frames"])] = entry

@@ -33,7 +33,13 @@ command set:
   frame-error files span several of the writer's blocks;
 * ``evaluate --raw-division`` on a three-frame input whose keyframes have
   zero yaw, where every interpolating baseline but Euler warns of
-  non-finite frames, the two that share a kernel run among them.
+  non-finite frames, the two that share a kernel run among them;
+* one in-process command per simulated scene (``repeated-updates``): it
+  corrects one trajectory again and again, with every method, under a
+  cycle of updates whose old poses are the trajectory's own keyframes or
+  differ from them, and writes each result with ``write_tum`` and
+  ``write_diagnostics_csv``, so that results a trajectory computes after
+  earlier calls are compared too, not only those of a fresh process.
 
 For every command the exit code, standard output and standard error are
 compared, and afterwards every file the commands wrote.  ``bench`` output
@@ -91,6 +97,34 @@ ZERO_YAW = {
     + zero_yaw_line(1, 1, 0.1),
 }
 
+REPEATED = "repeated-updates"  # the in-process command; its arguments follow
+REPEATED_UPDATES = """
+import sys
+from pathlib import Path
+from posecorrect import evaluate, io
+from posecorrect.trajectory import KeyframeUpdates, from_world_poses, snap_to_gt
+
+scene, out = Path(sys.argv[1]), Path(sys.argv[2])
+out.mkdir(parents=True)
+est, gt = io.read_tum(scene / "est.tum"), io.read_tum(scene / "gt.tum")
+traj = from_world_poses(est, io.read_keyframe_index(scene / "kf_index.txt", est))
+snap = snap_to_gt(traj, gt)
+kf = traj.kf
+cycle = {
+    "snap": snap,
+    "scaled": KeyframeUpdates(kf.q, kf.t, kf.q, 1.5 * kf.t),
+    "back": KeyframeUpdates(snap.new_q, snap.new_t, kf.q, kf.t),  # other old poses
+}
+configs = [evaluate.MethodConfig(m) for m in evaluate.METHODS]
+configs.append(evaluate.MethodConfig("proposed", scale_squared=True))
+for k, name in enumerate(["snap", "scaled", "snap", "back", "back", "scaled", "snap"]):
+    for cfg in configs:
+        world, diagnostics = evaluate.correct_trajectory(traj, cycle[name], cfg)
+        tag = f"{k}-{name}-{cfg.name}" + ("-squared" if cfg.scale_squared else "")
+        io.write_tum(out / f"{tag}.tum", world)
+        evaluate.write_diagnostics_csv(out / f"{tag}.csv", diagnostics)
+"""
+
 KITTI_INPUTS = """
 import sys
 from posecorrect import io
@@ -147,6 +181,7 @@ def command_set() -> list[list[str]]:
         ["evaluate", "--traj", "in/zero_yaw.tum", "--kf-index", "in/zero_yaw_kf_index.txt",
          "--gt", "in/zero_yaw_gt.tum", "--methods", "no-correction,xyz,se3-v,quat,so3,proposed",
          "--raw-division", "--out", "out/zero-yaw-eval"],
+        *([REPEATED, f"out/{scene}", f"out/repeat-{scene}"] for scene in ("sim", "mav", "rotonly")),
     ]
     for name in MALFORMED:
         commands.append(["evaluate", "--traj", f"data/{name}", "--gt", "data/valid.tum",
@@ -173,8 +208,11 @@ def command_set() -> list[list[str]]:
 def run(checkout: Path, cwd: Path, argv: list[str]) -> subprocess.CompletedProcess:
     env = {k: v for k, v in os.environ.items() if k != "POSECORRECT_LOG"}
     env["PYTHONPATH"] = str(checkout / "src")
-    return subprocess.run([sys.executable, "-m", "posecorrect.cli", *argv], cwd=cwd, env=env,
-                          capture_output=True)
+    if argv[0] == REPEATED:
+        argv = [sys.executable, "-c", REPEATED_UPDATES, *argv[1:]]
+    else:
+        argv = [sys.executable, "-m", "posecorrect.cli", *argv]
+    return subprocess.run(argv, cwd=cwd, env=env, capture_output=True)
 
 
 def files(root: Path) -> dict[str, Path]:

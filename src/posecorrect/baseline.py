@@ -19,9 +19,10 @@ the unguarded IEEE behavior (inf/NaN) for failure-mode studies.
 :func:`interp_correct_segment` is the entry point: it corrects every full
 segment of a :class:`SegmentBatch` in one pass over (N, 4) quaternion and
 (N, 3) translation arrays, with the keyframe-pair vectors computed once
-per segment by :func:`correction.keyframe_pairs`.  Vectorization, the
-guarded update and the rotation rebuild run on the ``liegeom`` array
-forms, and the hit counts are summed per segment.
+per segment by :func:`correction.keyframe_pairs`, whose old half comes
+from the batch's memo.  Vectorization, the guarded update and the
+rotation rebuild run on the ``liegeom`` array forms, and the hit counts
+are summed per segment.
 ``interp_correct_segment_scalar`` in ``tests/reference_kernels.py`` is the
 same correction for one segment, one frame at a time, on ``Pose`` values;
 the tests compare this kernel against it bit for bit.

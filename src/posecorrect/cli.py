@@ -185,6 +185,7 @@ def cmd_correct(args) -> int:
     cfg = _method_config(methods[0], args)
     with _raw_division_errors(cfg):
         world, diagnostics = ev.correct_trajectory(traj, updates, cfg)
+    del traj  # and the correction geometry it keeps, before the writer's buffers
     trajio.write_tum(out / "corrected.tum", world)
     ev.write_diagnostics_csv(out / "diagnostics.csv", diagnostics)
     _echo_config(args, out)
@@ -206,7 +207,7 @@ def cmd_evaluate(args) -> int:
         cfg = _method_config(name, args)
         with _raw_division_errors(cfg):
             results.append(protocol.run(cfg))
-    del protocol  # its run and score caches, before the writer's buffers
+    del protocol, traj  # the run and score caches and the memo, before the writer's buffers
     ev.write_frame_errors_csv(
         [(out / f"frame_errors_{name}.csv", errors) for name, (_, errors) in zip(methods, results)]
     )

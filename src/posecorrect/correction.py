@@ -22,7 +22,10 @@ exactly; ``alpha = 1`` closes the far keyframe's constraint.
 :class:`SegmentBatch`, usually all of a trajectory's, in one pass over
 (N, 4) quaternion and (N, 3) translation arrays, with the per-segment
 quantities (the inter-keyframe poses, ``s`` and the inverse) computed once
-per segment.  ``correct_segment_scalar`` in ``tests/reference_kernels.py``
+per segment.  What depends only on the batch and the old keyframe poses
+(:class:`OldGeometry`) is kept in the batch's one-entry memo while those
+poses stay byte-equal, so a repeated update pays only for the new poses,
+the gap and the blend.  ``correct_segment_scalar`` in ``tests/reference_kernels.py``
 is the same correction for one segment, one frame at a time, on ``Pose``
 values; the tests compare this kernel against it bit for bit.
 
@@ -49,6 +52,43 @@ from .liegeom import (
 from .trajectory import KeyframeUpdates, SegmentBatch
 
 DEGENERATE_BASELINE = 1e-9  # meters; below this the scale ratio is unusable
+
+
+class OldGeometry:
+    """The half of the correction of a batch that no keyframe update
+    changes, for old keyframe poses ``old_q``/``old_t``: per segment the
+    old pose of the closing keyframe relative to the opening one (``q``,
+    ``t``), its ``norm`` and its inverse (``inv_q``, ``inv_t``), and per
+    relative frame what :meth:`frames` lists, built on its first call."""
+
+    def __init__(self, batch: SegmentBatch, old_q: np.ndarray, old_t: np.ndarray):
+        a = batch.index
+        self.q, self.t = pose_mul(*pose_inverse(old_q[a], old_t[a]), old_q[a + 1], old_t[a + 1])
+        self.norm = vec_norm(self.t)
+        self.inv_q, self.inv_t = pose_inverse(self.q, self.t)
+        self._frames = None
+
+    @classmethod
+    def of(cls, batch: SegmentBatch, updates: KeyframeUpdates) -> "OldGeometry":
+        """The geometry of ``batch`` for the old poses of ``updates``, from
+        the batch's memo when those poses are byte-equal to the last ones."""
+        key = (updates.old_q.tobytes(), updates.old_t.tobytes())
+        if batch.memo is None or batch.memo[0] != key:
+            batch.memo = key, cls(batch, updates.old_q, updates.old_t)
+        return batch.memo[1]
+
+    def frames(self, batch: SegmentBatch) -> tuple[np.ndarray, ...]:
+        """``(q_b, t_b, rot_a_inv, d_a, d_a + d_b, timestamp fraction)``."""
+        if self._frames is None:
+            q, t = batch.rels.q, batch.rels.t
+            table = batch.per_frame(np.column_stack((
+                self.inv_q, self.inv_t, batch.start, batch.stop - batch.start,
+            )))
+            q_b, t_b = pose_mul(table[:, 0:4], table[:, 4:7], q, t)  # rel_b_old
+            d_a = vec_norm(t)
+            fraction = (batch.rels.stamps - table[:, 7]) / table[:, 8]
+            self._frames = q_b, t_b, quat_inverse(q), d_a, d_a + vec_norm(t_b), fraction
+        return self._frames
 
 
 class KeyframePairs(NamedTuple):
@@ -78,23 +118,17 @@ def keyframe_pairs(
     ``updates`` is a :class:`KeyframeUpdates` table or a sequence of
     :class:`KeyframeUpdate`, row ``i`` for keyframe ``i``."""
     updates = KeyframeUpdates.of(updates)
-    # The old keyframe pairs, then the new ones, as one stack of rows.
-    a = np.concatenate((batch.index, batch.index + len(updates)))
-    kf_q = np.concatenate((updates.old_q, updates.new_q))
-    kf_t = np.concatenate((updates.old_t, updates.new_t))
-    q, t = pose_mul(*pose_inverse(kf_q[a], kf_t[a]), kf_q[a + 1], kf_t[a + 1])
-    n = vec_norm(t)
-    k = len(batch.index)
-    old_q, new_q, old_t, new_t, n_old, n_new = q[:k], q[k:], t[:k], t[k:], n[:k], n[k:]
-    degenerate = (n_old < DEGENERATE_BASELINE) | (n_new < DEGENERATE_BASELINE)
+    old = OldGeometry.of(batch, updates)
+    a, kf_q, kf_t = batch.index, updates.new_q, updates.new_t
+    new_q, new_t = pose_mul(*pose_inverse(kf_q[a], kf_t[a]), kf_q[a + 1], kf_t[a + 1])
+    n_new = vec_norm(new_t)
+    degenerate = (old.norm < DEGENERATE_BASELINE) | (n_new < DEGENERATE_BASELINE)
     with np.errstate(divide="ignore", invalid="ignore"):
-        s = n_new / n_old
+        s = n_new / old.norm
     if scale_squared:
         s = s * s
     s[degenerate] = 1.0
-    return KeyframePairs(
-        old_q, old_t, *pose_inverse(old_q, old_t), new_q, new_t, s, degenerate
-    )
+    return KeyframePairs(old.q, old.t, old.inv_q, old.inv_t, new_q, new_t, s, degenerate)
 
 
 def correct_segment(
@@ -115,20 +149,21 @@ def correct_segment(
     :func:`keyframe_pairs`, and the per-frame steps are the array twins of
     its scalar operations.
     """
+    updates = KeyframeUpdates.of(updates)
     pairs = keyframe_pairs(batch, updates, scale_squared)
+    q_b, t_b, rot_a_inv, d_a, total, fraction = OldGeometry.of(batch, updates).frames(batch)
     # The per-segment table, repeated once for all its columns.
-    table = batch.per_frame(np.column_stack((
-        pairs.old_inv_q, pairs.old_inv_t, pairs.new_q, pairs.new_t,
-        pairs.s, batch.start, batch.stop - batch.start, pairs.degenerate,
-    )))
-    q, t = batch.rels.q, batch.rels.t
-    q_b, t_b = pose_mul(table[:, 0:4], table[:, 4:7], q, t)  # rel_b_old
-    alpha = _alphas(t, t_b, batch.rels.stamps, table[:, 15], table[:, 16], table[:, 17] != 0.0)
+    table = batch.per_frame(np.column_stack((pairs.new_q, pairs.new_t, pairs.s, pairs.degenerate)))
+    # alpha = d_a / (d_a + d_b), or the timestamp fraction on a degenerate
+    # baseline or coincident geometry.
+    alpha = fraction.copy()
+    valid = (table[:, 8] == 0.0) & (total >= DEGENERATE_BASELINE)
+    np.divide(d_a, total, out=alpha, where=valid)
 
     # The two single-keyframe solutions, their gap and the blend, row by row.
-    s, new_q, new_t = table[:, 14:15], table[:, 7:11], table[:, 11:14]
+    q, t = batch.rels.q, batch.rels.t
+    s, new_q, new_t = table[:, 7:8], table[:, 0:4], table[:, 4:7]
     trans_a = s * t
-    rot_a_inv = quat_inverse(q)
     drot = quat_mul(rot_a_inv, quat_mul(new_q, q_b))
     dtrans = quat_rotate(rot_a_inv, new_t + quat_rotate(new_q, s * t_b) - trans_a)
     rot = quat_mul(q, slerp_from_identity(drot, alpha))
@@ -141,14 +176,3 @@ def correct_segment(
         "alpha_max": batch.reduce(np.maximum, alpha, math.nan),
     }
 
-
-def _alphas(t, t_b, stamps, t_a, span, degenerate) -> np.ndarray:
-    """``alpha`` of every row: ``d_a / (d_a + d_b)`` from the relative
-    translations to the opening (``t``) and closing (``t_b``) keyframe, or
-    the timestamp fraction ``(stamps - t_a) / span`` on a degenerate
-    baseline or coincident geometry."""
-    alpha = (stamps - t_a) / span
-    d_a = vec_norm(t)
-    total = d_a + vec_norm(t_b)
-    np.divide(d_a, total, out=alpha, where=~degenerate & (total >= DEGENERATE_BASELINE))
-    return alpha

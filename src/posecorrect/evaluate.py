@@ -272,9 +272,11 @@ class SnapProtocol:
     snapped to ground truth here, and the relative frames, whose stamps
     every method keeps, are associated with ground truth on the first
     :meth:`run`, after its correction, so errors surface in the order of a
-    single run.  :meth:`run` corrects and scores one method; configs that
-    give a kernel the same inputs share one run, and byte-equal corrected
-    rows one error column.
+    single run; every method's :class:`FrameErrors` shares their stamp and
+    index arrays.  :meth:`run` corrects and scores one method; configs
+    that give a kernel the same inputs share one run, and byte-equal
+    corrected rows one error column.  The trajectory's memo lets the
+    kernel runs share their update-invariant geometry.
     """
 
     def __init__(self, traj: Trajectory, gt, tol: float = DEFAULT_ASSOC_TOL):
@@ -282,7 +284,7 @@ class SnapProtocol:
         self.updates = snap_to_gt(traj, self.gt, tol)
         self.is_rel = np.zeros(traj.frame_count, dtype=bool)
         self.is_rel[traj.rel_rows] = True
-        self.gt_rows = None
+        self.gt_rows = self.ids = None  # association; stamps and indices of the scored rows
         self.runs, self.scores = {}, {}  # (report, errors, diagnostics) by config; columns
 
     def run(self, cfg: MethodConfig) -> tuple[MethodReport, FrameErrors]:
@@ -295,9 +297,10 @@ class SnapProtocol:
             diagnostics.warn_not_finite(cfg.name)
             return replace(report, method=cfg.name), errors
         world, diagnostics = correct_trajectory(self.traj, self.updates, cfg)
-        est = world.take(self.is_rel)
         if self.gt_rows is None:
-            self.gt_rows = associate(est.stamps, self.gt, self.tol)
+            self.ids = world.stamps[self.is_rel], world.indices[self.is_rel]
+            self.gt_rows = associate(self.ids[0], self.gt, self.tol)
+        est = FrameTable(*self.ids, world.q[self.is_rel], world.t[self.is_rel])
         errors = frame_errors(est, self.gt, rows=self.gt_rows, scores=self.scores)
         report = MethodReport(
             method=cfg.name,

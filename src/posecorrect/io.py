@@ -37,7 +37,7 @@ import logging
 import math
 import re
 from array import array
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -294,56 +294,69 @@ def read_keyframe_index(path, frames) -> list[int]:
 
     Each line is either an integer frame index or a finite timestamp; all
     timestamps are associated in one call within the default tolerance.
-    Unresolvable entries, and entries that resolve to a frame an earlier
-    line already selected, raise with the file and line number.
+    An index, or the index of a timestamp's frame, resolves to the last
+    frame that holds it, all in one sorted lookup.  Unresolvable entries,
+    and entries that resolve to a frame an earlier line already selected,
+    raise with the file and line number.
     """
     frames = FrameTable.of(frames)
-    indices = frames.indices.tolist()
-    by_index = {index: k for k, index in enumerate(indices)}
-    entries: list[tuple[int, Optional[int]]] = []  # (line, position)
-    stamps: list[float] = []
-    stamp_slots: list[int] = []  # entries still waiting for their stamp's match
+    lines: list[int] = []
+    ints, int_slots, stamps, stamp_slots = [], [], [], []  # values, and their entries
+    bad = None  # the first line that is neither, which ends the file's valid part
     for lineno, text in data_lines(path):
         try:
-            idx = int(text)
+            ints.append(int(text))
+            int_slots.append(len(lines))
         except ValueError:
-            idx = None
-        if idx is not None:
-            if idx not in by_index:
-                raise TrajectoryParseError(
-                    path, lineno, f"frame index {idx} not present in trajectory"
+            try:
+                stamp = float(text)
+            except ValueError:
+                stamp = math.nan
+            if not math.isfinite(stamp):
+                bad = TrajectoryParseError(
+                    path, lineno, f"expected frame index or timestamp, got {text!r}"
                 )
-            entries.append((lineno, by_index[idx]))
-            continue
-        try:
-            stamp = float(text)
-        except ValueError:
-            stamp = math.nan
-        if not math.isfinite(stamp):
+                break
+            stamp_slots.append(len(lines))
+            stamps.append(stamp)
+        lines.append(lineno)
+    order = np.argsort(frames.indices, kind="stable")
+    sorted_indices = frames.indices[order]
+
+    def last_with(values: np.ndarray) -> np.ndarray:  # positions, -1 where none
+        at = np.searchsorted(sorted_indices, values, side="right") - 1
+        found = at >= 0
+        found[found] = sorted_indices[at[found]] == values[found]
+        positions = np.full(len(values), -1)
+        positions[found] = order[at[found]]
+        return positions
+
+    positions = [0] * len(lines)
+    in_range = [-(2**63) <= v < 2**63 for v in ints]
+    found = last_with(np.array([v if ok else 0 for v, ok in zip(ints, in_range)], np.int64))
+    for slot, value, ok, pos in zip(int_slots, ints, in_range, found.tolist()):
+        if not ok or pos < 0:
             raise TrajectoryParseError(
-                path, lineno, f"expected frame index or timestamp, got {text!r}"
+                path, lines[slot], f"frame index {value} not present in trajectory"
             )
-        stamp_slots.append(len(entries))
-        entries.append((lineno, None))
-        stamps.append(stamp)
+        positions[slot] = pos
+    if bad is not None:
+        raise bad
     if stamps:
         try:
             matches = associate(stamps, frames)
         except AssociationError as exc:
-            line = entries[stamp_slots[exc.query]][0]
-            raise TrajectoryParseError(path, line, str(exc)) from None
-        for slot, row in zip(stamp_slots, matches.tolist()):
-            entries[slot] = (entries[slot][0], by_index[indices[row]])
-    positions = []
+            raise TrajectoryParseError(path, lines[stamp_slots[exc.query]], str(exc)) from None
+        for slot, pos in zip(stamp_slots, last_with(frames.indices[matches]).tolist()):
+            positions[slot] = pos
     selected_at: dict[int, int] = {}
-    for lineno, pos in entries:
+    for lineno, pos in zip(lines, positions):
         if pos in selected_at:
             raise TrajectoryParseError(
                 path,
                 lineno,
-                f"selects frame index {indices[pos]} again "
+                f"selects frame index {frames.indices[pos]} again "
                 f"(first selected at line {selected_at[pos]})",
             )
         selected_at[pos] = lineno
-        positions.append(pos)
     return positions

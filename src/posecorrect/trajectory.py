@@ -16,6 +16,12 @@ rows of the full segments to the correction kernels (whose diagnostics
 table ``evaluate`` owns), and a :class:`KeyframeUpdates` table carries
 the old and new pose of every keyframe.
 
+A trajectory keeps its full-segment batch, and the batch a one-entry
+memo of the correction geometry that no keyframe update changes, keyed on
+the bytes of the old keyframe poses; :func:`rebase` carries neither over.
+Neither is checked against the trajectory's arrays again, so those arrays
+are not to be changed in place.
+
 :class:`Keyframe`, :class:`RelativeFrame`, :class:`Segment`,
 :class:`KeyframeUpdate` and ``(FrameId, Pose)`` pairs are the object
 forms.  They build tables (``Trajectory(keyframes, relatives)``,
@@ -174,13 +180,15 @@ class FrameTable:
 class KeyframeUpdates:
     """The old and new world pose of every keyframe, row ``i`` for
     keyframe ``i``: quaternions ``old_q``/``new_q`` (K, 4) and translations
-    ``old_t``/``new_t`` (K, 3).  Indexing or iterating yields
-    :class:`KeyframeUpdate` objects, built on demand."""
+    ``old_t``/``new_t`` (K, 3), as float arrays.  Indexing or iterating
+    yields :class:`KeyframeUpdate` objects, built on demand."""
 
     __slots__ = ("old_q", "old_t", "new_q", "new_t")
 
     def __init__(self, old_q, old_t, new_q, new_t):
-        self.old_q, self.old_t, self.new_q, self.new_t = old_q, old_t, new_q, new_t
+        self.old_q, self.old_t, self.new_q, self.new_t = (
+            np.asarray(v, dtype=float) for v in (old_q, old_t, new_q, new_t)
+        )
 
     @classmethod
     def of(cls, updates) -> "KeyframeUpdates":
@@ -220,9 +228,11 @@ class SegmentBatch:
     ``SegmentBatch(segments)`` builds one from :class:`Segment` objects and
     raises ``ValueError`` on a terminal segment, which has no closing
     keyframe; :meth:`Trajectory.full_segments` builds one from the arrays.
+    ``memo`` is ``correction``'s ``(key, value)`` memo of the batch's
+    update-invariant geometry, ``None`` until a kernel runs.
     """
 
-    __slots__ = ("index", "counts", "start", "stop", "rels")
+    __slots__ = ("index", "counts", "start", "stop", "rels", "memo")
 
     def __init__(self, segments: Sequence[Segment]):
         segments = tuple(segments)
@@ -235,12 +245,13 @@ class SegmentBatch:
         self.rels = FrameTable.of(
             (rel.id, rel.rel_pose) for seg in segments for rel in seg.rels
         )
+        self.memo = None
 
     @classmethod
     def from_rows(cls, index, counts, start, stop, rels: FrameTable) -> "SegmentBatch":
         batch = object.__new__(cls)
-        batch.index, batch.counts, batch.start, batch.stop, batch.rels = (
-            index, counts, start, stop, rels
+        batch.index, batch.counts, batch.start, batch.stop, batch.rels, batch.memo = (
+            index, counts, start, stop, rels, None
         )
         return batch
 
@@ -276,7 +287,7 @@ class Trajectory:
     Both validate as :func:`segmentize` documents.
     """
 
-    __slots__ = ("kf", "rel", "parents", "offsets", "kf_rows", "rel_rows")
+    __slots__ = ("kf", "rel", "parents", "offsets", "kf_rows", "rel_rows", "_full")
 
     def __init__(self, keyframes: Sequence[Keyframe], relatives: Sequence[RelativeFrame]):
         relatives = tuple(relatives)
@@ -325,6 +336,7 @@ class Trajectory:
         rows = np.empty(len(frame_order), dtype=np.int64)
         rows[frame_order] = np.arange(len(frame_order))
         self.kf_rows, self.rel_rows = rows[:n], rows[n:]
+        self._full = None
 
     def _with_poses(self, kf_q, kf_t, rel_q, rel_t) -> "Trajectory":
         """This trajectory's frames and structure with new pose arrays."""
@@ -333,6 +345,7 @@ class Trajectory:
         traj.rel = FrameTable(self.rel.stamps, self.rel.indices, rel_q, rel_t)
         traj.parents, traj.offsets = self.parents, self.offsets
         traj.kf_rows, traj.rel_rows = self.kf_rows, self.rel_rows
+        traj._full = None
         return traj
 
     @property
@@ -340,15 +353,17 @@ class Trajectory:
         return len(self.kf) + len(self.rel)
 
     def full_segments(self) -> SegmentBatch:
-        """Every segment that a keyframe closes, as a batch."""
-        stop = self.offsets[-2]
-        return SegmentBatch.from_rows(
-            np.arange(len(self.kf) - 1),
-            np.diff(self.offsets[:-1]),
-            self.kf.stamps[:-1],
-            self.kf.stamps[1:],
-            self.rel.take(slice(0, stop)),
-        )
+        """Every segment that a keyframe closes, as a batch, built on the
+        first call and kept with its memo."""
+        if self._full is None:
+            self._full = SegmentBatch.from_rows(
+                np.arange(len(self.kf) - 1),
+                np.diff(self.offsets[:-1]),
+                self.kf.stamps[:-1],
+                self.kf.stamps[1:],
+                self.rel.take(slice(0, self.offsets[-2])),
+            )
+        return self._full
 
     # -- object views, built on demand -----------------------------------------
 
@@ -402,17 +417,17 @@ def from_world_poses(frames, keyframe_positions: Sequence[int]) -> Trajectory:
     ``keyframe_positions`` are indices into ``frames``.
     """
     frames = FrameTable.of(frames)
-    positions = np.unique(np.asarray(keyframe_positions, dtype=np.int64))
+    # A mask, not np.unique: on numpy 2.4 its first call imports numpy.ma (1.5 MB).
+    positions = np.asarray(keyframe_positions, dtype=np.int64).reshape(-1)
     if len(positions) == 0:
         raise AssociationError("keyframe index selects no frames")
-    if positions[0] < 0 or positions[-1] >= len(frames):
+    if positions.min() < 0 or positions.max() >= len(frames):
         raise AssociationError(
             f"keyframe position out of range (n_frames={len(frames)})"
         )
-    kf = frames.take(positions)
     is_rel = np.ones(len(frames), dtype=bool)
     is_rel[positions] = False
-    rel = frames.take(is_rel)
+    kf, rel = frames.take(~is_rel), frames.take(is_rel)
     parents = np.searchsorted(kf.stamps, rel.stamps, side="right") - 1
     k = _first(parents < 0)
     if k is not None:

@@ -268,6 +268,14 @@ class TestRunProtocol:
             for column in ("stamps", "indices", "translation_cm", "rotation_deg"):
                 assert getattr(shared, column).tobytes() == getattr(fresh, column).tobytes(), name
 
+    def test_methods_share_one_stamp_and_index_column(self):
+        traj, gt = fixtures.noisy_fixture(1)
+        protocol = SnapProtocol(traj, gt)
+        first = protocol.run(MethodConfig("no-correction"))[1]
+        for name in METHODS:
+            errors = protocol.run(MethodConfig(name))[1]
+            assert errors.stamps is first.stamps and errors.indices is first.indices, name
+
     def test_frame_errors_scores_byte_equal_rows_once(self, monkeypatch):
         traj, gt = fixtures.noisy_fixture(2)
         est = correct_trajectory(traj, snap_to_gt(traj, gt), MethodConfig("xyz"))[0]

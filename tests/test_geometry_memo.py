@@ -1,0 +1,147 @@
+"""The trajectory's memo of its update-invariant correction geometry.
+
+Every result of a trajectory that has corrected before, under any method
+and after any other update, is bitwise equal to the same call on a freshly
+built trajectory, diagnostics included; a change of the old keyframe
+poses, down to the sign of a zero, rebuilds the memo; ``rebase`` does not
+carry it over; and nothing outside the trajectory keeps it alive."""
+
+import gc
+import weakref
+
+import numpy as np
+import pytest
+
+from posecorrect import fixtures
+from posecorrect.evaluate import METHODS, MethodConfig, correct_trajectory
+from posecorrect.liegeom import Pose, so3_exp
+from posecorrect.synth import SceneSpec, SimilarityTransform, keyframe_positions, path_world_poses
+from posecorrect.trajectory import (
+    KeyframeUpdate,
+    KeyframeUpdates,
+    Trajectory,
+    from_world_poses,
+    rebase,
+)
+
+CONFIGS = [MethodConfig(name) for name in METHODS] + [
+    MethodConfig("proposed", scale_squared=True),
+    MethodConfig("so3", raw_division=True),
+]
+SIMILARITY_EVERY = 3  # as the online-window workload cycles its updates
+
+
+def estimate(seed: int, n_keyframes: int = 6, origin: bool = False) -> Trajectory:
+    """A displaced ``mav`` estimate; with ``origin`` its first keyframe is
+    the identity pose, whose zeros the sign tests flip."""
+    spec = SceneSpec(shape="mav", n_keyframes=n_keyframes, rels_per_segment=3, seed=seed)
+    frames = path_world_poses(spec)
+    positions = keyframe_positions(spec)
+    est = fixtures.displaced_estimate(frames, positions, seed=seed)
+    if origin:
+        est[0] = (est[0][0], Pose.identity())
+    return from_world_poses(est, positions)
+
+
+def fresh(traj: Trajectory) -> Trajectory:
+    """The same trajectory, built again, with no memo."""
+    return Trajectory.from_tables(traj.kf, traj.rel, traj.parents)
+
+
+def similarity_updates(traj: Trajectory, seed: int) -> list[KeyframeUpdate]:
+    rng = np.random.default_rng(seed)
+    sim = SimilarityTransform.random(rng, scale=float(rng.uniform(0.5, 2.0)))
+    return [KeyframeUpdate(i, kf.world_pose, sim.apply_pose(kf.world_pose))
+            for i, kf in enumerate(traj.keyframes)]
+
+
+def perturbed(poses, seed: int, rot: float = 0.05, trans: float = 0.02) -> list[Pose]:
+    rng = np.random.default_rng(seed)
+    return [Pose(so3_exp(rng.normal(0.0, rot, 3)), rng.normal(0.0, trans, 3)) * pose
+            for pose in poses]
+
+
+def perturbed_updates(traj: Trajectory, seed: int, old=None) -> list[KeyframeUpdate]:
+    old = [kf.world_pose for kf in traj.keyframes] if old is None else old
+    return [KeyframeUpdate(i, o, n) for i, (o, n) in enumerate(zip(old, perturbed(old, seed)))]
+
+
+def assert_same_as_fresh(traj: Trajectory, updates, cfg: MethodConfig) -> None:
+    world, diagnostics = correct_trajectory(traj, updates, cfg)
+    want_world, want_diagnostics = correct_trajectory(fresh(traj), updates, cfg)
+    for column in ("stamps", "indices", "q", "t"):
+        assert getattr(world, column).tobytes() == getattr(want_world, column).tobytes(), cfg
+    assert diagnostics.segments.tobytes() == want_diagnostics.segments.tobytes(), cfg
+    assert diagnostics.not_finite == want_diagnostics.not_finite, cfg
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_repeated_updates_equal_a_fresh_trajectory(seed):
+    # One trajectory corrected again and again, cycling similarity and
+    # perturbed updates, every method sharing its memo.
+    traj = estimate(seed)
+    for k in range(7):
+        if k % SIMILARITY_EVERY == 0:
+            updates = similarity_updates(traj, 100 * seed + k)
+        else:
+            updates = perturbed_updates(traj, 100 * seed + k)
+        for cfg in CONFIGS:
+            assert_same_as_fresh(traj, updates, cfg)
+
+
+def test_a_hit_after_a_miss_equals_a_fresh_trajectory():
+    traj = estimate(3)
+    own = similarity_updates(traj, 30)
+    moved_old = perturbed([kf.world_pose for kf in traj.keyframes], 31)
+    other = perturbed_updates(traj, 32, old=moved_old)
+    batch = traj.full_segments()
+    for updates in (own, other, other, own, own, other):
+        for cfg in CONFIGS:
+            assert_same_as_fresh(traj, updates, cfg)
+        table = KeyframeUpdates.of(updates)
+        assert batch.memo[0] == (table.old_q.tobytes(), table.old_t.tobytes())
+    assert traj.full_segments() is batch
+
+
+@pytest.mark.parametrize("column", ["old_q", "old_t"])
+def test_old_poses_that_differ_by_the_sign_of_a_zero_rebuild_the_memo(column):
+    traj = estimate(4, origin=True)
+    assert (getattr(traj.kf, column[-1])[0, 1:] == 0.0).all()
+    updates = KeyframeUpdates.of(perturbed_updates(traj, 40))
+    flipped = {name: getattr(updates, name).copy() for name in ("old_q", "old_t", "new_q", "new_t")}
+    flipped[column][0, -1] = -0.0
+    flipped = KeyframeUpdates(**flipped)
+    for cfg in (cfg for cfg in CONFIGS if cfg.name != "no-correction"):  # a kernel that reads it
+        assert_same_as_fresh(traj, updates, cfg)
+        geometry = traj.full_segments().memo[1]
+        assert_same_as_fresh(traj, flipped, cfg)
+        assert traj.full_segments().memo[1] is not geometry
+        assert traj.full_segments().memo[0] == (flipped.old_q.tobytes(), flipped.old_t.tobytes())
+
+
+def test_rebase_does_not_carry_the_memo_over():
+    traj = estimate(5)
+    updates = KeyframeUpdates.of(perturbed_updates(traj, 50))
+    correct_trajectory(traj, updates, MethodConfig("proposed"))
+    assert traj.full_segments().memo is not None
+    moved = rebase(traj, updates.new_q, updates.new_t)
+    assert moved.full_segments() is not traj.full_segments()
+    assert moved.full_segments().memo is None
+    again = similarity_updates(moved, 51)
+    for cfg in CONFIGS:
+        assert_same_as_fresh(moved, again, cfg)
+        assert_same_as_fresh(traj, updates, cfg)
+
+
+def test_nothing_outside_the_trajectory_keeps_it():
+    # A module-level cache of trajectories, batches or their geometry
+    # would keep these objects alive after the caller drops them.
+    traj = estimate(6)
+    for cfg in CONFIGS:
+        correct_trajectory(traj, similarity_updates(traj, 60), cfg)
+    geometry = traj.full_segments().memo[1]
+    kept = [traj.kf.q, traj.full_segments().rels.q, geometry, *geometry.frames(traj.full_segments())]
+    refs = [weakref.ref(obj) for obj in kept]
+    del traj, geometry, kept
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * len(refs)
