@@ -55,6 +55,9 @@ Four parts, each run on both checkouts with the same inputs:
   ``evaluate.frame_errors`` over all frames of each method's correction of
   the estimate (991, 9,991 and 99,991 rows): the writer that the CLI
   ladder's ``evaluate-all`` pays once per run.
+* **Synth ladder.**  ``synth.path_world_poses`` of each ladder path and
+  ``fixtures.displaced_estimate`` of it (991, 9,991 and 99,991 frames),
+  timed the same way: the input build that perfbench's ``setup_s`` pays.
 
 The record states the machine, Python, numpy and both commits.  Only the
 numbers it holds are claims; the script compares nothing itself.
@@ -95,9 +98,9 @@ for n_keyframes in map(int, sys.argv[2:]):
     est = fixtures.displaced_estimate(gt, positions, seed=0)
     trajio.write_tum(d / "gt.tum", gt)
     trajio.write_tum(d / "est.tum", est)
-    trajio.write_tum(d / "kf_old.tum", [est[p] for p in positions])
-    trajio.write_tum(d / "kf_new.tum", [gt[p] for p in positions])
-    (d / "kf_index.txt").write_text("".join(f"{gt[p][0].index}\\n" for p in positions))
+    trajio.write_tum(d / "kf_old.tum", est.take(positions))
+    trajio.write_tum(d / "kf_new.tum", gt.take(positions))
+    (d / "kf_index.txt").write_text("".join(f"{i}\\n" for i in gt.indices[positions].tolist()))
 """
 
 # Prefix of the timing scripts; each takes the perfbench directory last.
@@ -287,10 +290,19 @@ if name == "write_frame_errors_csv":
     from posecorrect.evaluate import write_frame_errors_csv
 
     files = frame_errors_files()
+if name == "synth":
+    # The generators that wrote this estimate, on a path of its length.
+    from posecorrect import fixtures
+    from posecorrect.synth import SceneSpec, keyframe_positions, path_world_poses
+
+    spec = SceneSpec(shape="mav", n_keyframes=(len(frames) + 9) // 10, rels_per_segment=9, seed=0)
 call = {
     "write_tum": lambda: trajio.write_tum(out / "written.tum", frames),
     "read_tum": lambda: trajio.read_tum(d / "est.tum"),
     "write_frame_errors_csv": lambda: write_frame_errors_csv(files),
+    "synth": lambda: fixtures.displaced_estimate(
+        path_world_poses(spec), keyframe_positions(spec), seed=0
+    ),
 }[name]
 call()
 run = {"lines": len(frames), "wall_s": [], "probe_s": []}
@@ -445,8 +457,8 @@ def ladder(sides: dict, inputs: Path, workdir: Path) -> dict:
 
 
 def text_ladder(sides: dict, inputs: Path, workdir: Path, call: str) -> dict:
-    """``<call>`` (``write_tum``, ``read_tum`` or ``write_frame_errors_csv``)
-    on each ladder estimate."""
+    """``<call>`` (``write_tum``, ``read_tum``, ``write_frame_errors_csv``
+    or ``synth``) on each ladder estimate; ``lines`` counts its frames."""
     record = {}
     for k, (n_keyframes, reps) in enumerate(LADDER_REPS.items()):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
@@ -564,6 +576,7 @@ def main(argv=None) -> int:
         record["frame_errors_ladder"] = text_ladder(
             sides, inputs, workdir, "write_frame_errors_csv"
         )
+        record["synth_ladder"] = text_ladder(sides, inputs, workdir, "synth")
     record["call_ladder"] = call_ladder(sides)
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")

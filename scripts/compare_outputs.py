@@ -28,6 +28,9 @@ command set:
 * ``correct`` with each method on a drifted ``rotonly`` scene, whose
   zero-length keyframe baselines write ``degenerate_baseline`` rows and
   quaternion-renormalization hits to ``diagnostics.csv``;
+* ``simulate`` of a ``line`` scene and of a ``forward`` scene with no
+  relative frames, both at ``--drift 0.5``, so that every path shape and
+  a drift other than 1 are compared;
 * ``evaluate`` with a valid and with an invalid ``--config`` file;
 * ``evaluate --methods all`` on a 2,991-frame ``mav`` scene, whose
   frame-error files span several of the writer's blocks;
@@ -172,6 +175,9 @@ def command_set() -> list[list[str]]:
         *(["correct", "--traj", "out/rotonly/est.tum", "--kf-index", "out/rotonly/kf_index.txt",
            "--kf-old", "out/rotonly/est.tum", "--kf-new", "out/rotonly/gt.tum", "--methods", m,
            "--out", f"out/rotonly-corr-{m}"] for m in METHODS),
+        ["simulate", "--shape", "line", "--seed", "4", "--drift", "0.5", "--out", "out/line"],
+        ["simulate", "--shape", "forward", "--n-keyframes", "3", "--rels-per-segment", "0",
+         "--drift", "0.5", "--out", "out/forward-no-rels"],
         *(["evaluate", *sim, "--gt", "out/sim/gt.tum", "--config", f"in/{name}",
            "--out", f"out/eval-{name[:-5]}"] for name in CONFIGS),
         ["simulate", "--shape", "mav", "--n-keyframes", "300", "--rels-per-segment", "9",

@@ -77,8 +77,7 @@ def _vectorize_rows(q: np.ndarray, t: np.ndarray, ts: TransSpace, rs: RotSpace):
     tvec = t if ts is TransSpace.XYZ else mat_vec(liegeom.so3_left_jacobian_inv_rows(omega), t)
     gimbal = np.zeros(len(q), dtype=bool)
     if rs is RotSpace.EULER:
-        rvec = liegeom.euler_zyx_from_rows(q)
-        gimbal = liegeom.gimbal_proximity_rows(q)
+        rvec, gimbal = liegeom.euler_zyx_from_rows(q)
     elif rs is RotSpace.QUAT:
         rvec = q
     else:

@@ -230,7 +230,14 @@ class ErrorStats:
         if v.size == 0:
             return cls(math.nan, math.nan, math.nan, 0)
         std = float(np.std(v, ddof=1)) if v.size > 1 else 0.0
-        return cls(float(np.mean(v)), std, float(np.median(v)), int(v.size))
+        # np.median's steps, bit for bit, without the numpy.ma import of its
+        # NaN check: the middle value, or the mean of the two middle ones
+        # (a mean, not (a + b) / 2: its sum starts at +0.0), and the last
+        # value when that is a NaN (partitioned last, as numpy sorts NaN).
+        n, half = v.size, v.size // 2
+        part = np.partition(v, [half - 1 + n % 2, half, n - 1])
+        median = part[-1] if np.isnan(part[-1]) else np.mean(part[half - 1 + n % 2:half + 1])
+        return cls(float(np.mean(v)), std, float(median), int(v.size))
 
     def format(self) -> str:
         return f"{self.mean:.3f}+-{self.std:.2f} ({self.median:.3f})"

@@ -15,8 +15,11 @@ the evaluation protocol:
 * :func:`similarity_case` - synthetic scene plus a global similarity
   update, the exactness oracle.
 
-``bench_segment``, the small full segment that acceptance criterion 8
-times the scalar correction on, is in ``tests/reference_kernels.py``.
+:func:`noisy_fixture` and :func:`displaced_estimate` compute on (N, 4)
+quaternion and (N, 3) translation arrays and return ``FrameTable`` rows.
+Their per-frame forms, and ``bench_segment``, the small full segment that
+acceptance criterion 8 times the scalar correction on, are in
+``tests/reference_kernels.py``.
 """
 from __future__ import annotations
 
@@ -24,7 +27,7 @@ import math
 
 import numpy as np
 
-from .liegeom import Pose, Rotation, euler_zyx_to, so3_exp
+from .liegeom import Pose, Rotation, euler_zyx_to_rows, pose_mul, quat_mul, so3_exp_rows
 from .synth import (
     KEYFRAME_DT,
     MapUpdate,
@@ -35,7 +38,7 @@ from .synth import (
     frame_grid,
     generate_scene,
 )
-from .trajectory import FrameId, Trajectory, from_world_poses
+from .trajectory import FrameId, FrameTable, Trajectory, from_world_poses
 
 JITTER_ROT = 0.0014   # rad per axis: so(3) jitter of a relative frame
 JITTER_TRANS = 0.002  # m per axis: translation jitter of a relative frame
@@ -81,7 +84,7 @@ def singular_fixture() -> tuple[Trajectory, list[tuple[FrameId, Pose]]]:
 
     est_frames = [
         (FrameId(t, i), Pose(Rotation.identity(), est_position(t)))
-        for i, t in enumerate(stamps)
+        for i, t in enumerate(stamps.tolist())
     ]
     gt_frames = [
         (fid, Pose(pose.rotation, pose.translation + gt_offset(fid.stamp)))
@@ -93,30 +96,33 @@ def singular_fixture() -> tuple[Trajectory, list[tuple[FrameId, Pose]]]:
 # -- drifted noisy fixture -------------------------------------------------------
 
 
-def _smooth_field(rng: np.random.Generator, amplitude: float, t_total: float):
-    """Random smooth scalar field: two low-frequency sinusoids."""
-    amps = amplitude * rng.uniform(0.5, 1.0, size=2)
-    periods = np.array([t_total / rng.uniform(0.8, 1.3), t_total / rng.uniform(1.8, 2.6)])
-    phases = rng.uniform(0.0, 2.0 * math.pi, size=2)
-
-    def field(t: float) -> float:
-        return float(
-            amps[0] * math.sin(2.0 * math.pi * t / periods[0] + phases[0])
-            + amps[1] * math.sin(2.0 * math.pi * t / periods[1] + phases[1])
+def _smooth_fields(rng: np.random.Generator, amplitudes, t_total: float, t: np.ndarray):
+    """Random smooth scalar fields at the stamps ``t``, one column per
+    amplitude: two low-frequency sinusoids each."""
+    columns = []
+    for amplitude in amplitudes:
+        amps = amplitude * rng.uniform(0.5, 1.0, size=2)
+        periods = np.array([t_total / rng.uniform(0.8, 1.3), t_total / rng.uniform(1.8, 2.6)])
+        phases = rng.uniform(0.0, 2.0 * math.pi, size=2)
+        columns.append(
+            amps[0] * np.sin(2.0 * math.pi * t / periods[0] + phases[0])
+            + amps[1] * np.sin(2.0 * math.pi * t / periods[1] + phases[1])
         )
-
-    return field
-
-
-def _jitter(rng: np.random.Generator) -> Pose:
-    """Per-frame SE(3) measurement jitter of a relative frame."""
-    return Pose(
-        so3_exp(rng.normal(0.0, JITTER_ROT, size=3)),
-        rng.normal(0.0, JITTER_TRANS, size=3),
-    )
+    return np.column_stack(columns)
 
 
-def noisy_fixture(seed: int) -> tuple[Trajectory, list[tuple[FrameId, Pose]]]:
+def _jittered(q, t, kf_positions, rng: np.random.Generator):
+    """``(q, t)`` with every row but those at ``kf_positions`` composed, in
+    place, with SE(3) measurement jitter: one row of so(3) and translation
+    noise per jittered frame, drawn in frame order."""
+    rel = np.ones(len(q), dtype=bool)
+    rel[np.asarray(kf_positions, dtype=np.int64)] = False
+    jitter = rng.normal(0.0, (JITTER_ROT,) * 3 + (JITTER_TRANS,) * 3, size=(rel.sum(), 6))
+    q[rel], t[rel] = pose_mul(q[rel], t[rel], so3_exp_rows(jitter[:, :3]), jitter[:, 3:])
+    return q, t
+
+
+def noisy_fixture(seed: int) -> tuple[Trajectory, FrameTable]:
     """Seeded non-similarity fixture with measurement jitter.
 
     The estimate is a forward-style run (sub-millimeter lateral structure,
@@ -130,71 +136,45 @@ def noisy_fixture(seed: int) -> tuple[Trajectory, list[tuple[FrameId, Pose]]]:
     output noise; the constraint-based correction has no such division.
     """
     rng = np.random.default_rng(seed)
-    stamps, kf_positions = frame_grid(n_keyframes=11, rels_per_segment=9)
-    t_total = stamps[-1]
+    t, kf_positions = frame_grid(n_keyframes=11, rels_per_segment=9)
+    t_total = t[-1]
     speed = 1.0
 
     ph = rng.uniform(0.0, 2.0 * math.pi, size=5)
+    base_t = np.column_stack((
+        5e-4 * np.sin(2.0 * math.pi * t / 3.3 + ph[0]),
+        4e-4 * np.sin(2.0 * math.pi * t / 2.6 + ph[1]),
+        speed * t,
+    ))
+    base_q = euler_zyx_to_rows(np.column_stack((
+        0.020 * np.sin(2.0 * math.pi * t / 6.3 + ph[2]),
+        0.012 * np.sin(2.0 * math.pi * t / 4.7 + ph[3]),
+        0.008 * np.sin(2.0 * math.pi * t / 5.9 + ph[4]),
+    )))
 
-    def base_pose(t: float) -> Pose:
-        pos = (
-            5e-4 * math.sin(2.0 * math.pi * t / 3.3 + ph[0]),
-            4e-4 * math.sin(2.0 * math.pi * t / 2.6 + ph[1]),
-            speed * t,
-        )
-        angles = (
-            0.020 * math.sin(2.0 * math.pi * t / 6.3 + ph[2]),
-            0.012 * math.sin(2.0 * math.pi * t / 4.7 + ph[3]),
-            0.008 * math.sin(2.0 * math.pi * t / 5.9 + ph[4]),
-        )
-        return Pose(euler_zyx_to(angles), pos)
-
-    pos_f = [  # lateral x, lateral y, forward z
-        _smooth_field(rng, 0.012, t_total),
-        _smooth_field(rng, 0.012, t_total),
-        _smooth_field(rng, 0.006, t_total),
-    ]
-    rot_f = [_smooth_field(rng, 0.008, t_total) for _ in range(3)]
-
-    def gt_pose(t: float) -> Pose:
-        base = base_pose(t)
-        offset = np.array([f(t) for f in pos_f])
-        return Pose(so3_exp([f(t) for f in rot_f]) * base.rotation,
-                    base.translation + offset)
-
-    gt_frames = [(FrameId(t, i), gt_pose(t)) for i, t in enumerate(stamps)]
-    kf_set = set(kf_positions)
-    est_frames = []
-    for i, t in enumerate(stamps):
-        est = base_pose(t)
-        if i not in kf_set:
-            est = est * _jitter(rng)
-        est_frames.append((FrameId(t, i), est))
-    return from_world_poses(est_frames, kf_positions), gt_frames
+    offset = _smooth_fields(rng, (0.012, 0.012, 0.006), t_total, t)  # lateral x, y, forward z
+    rotvec = _smooth_fields(rng, (0.008,) * 3, t_total, t)
+    indices = np.arange(len(t))
+    gt = FrameTable(t, indices, quat_mul(so3_exp_rows(rotvec), base_q), base_t + offset)
+    # The estimate is the base path, jittered in place after gt is built.
+    est_q, est_t = _jittered(base_q, base_t, kf_positions, rng)
+    return from_world_poses(FrameTable(t, indices, est_q, est_t), kf_positions), gt
 
 
-def displaced_estimate(
-    frames, kf_positions, seed: int, magnitude: float = 1.0
-) -> list[tuple[FrameId, Pose]]:
-    """Displace a ground-truth frame list into a plausible estimate: smooth
-    SE(3) offset fields (about a centimeter laterally at magnitude 1) plus
-    per-frame jitter on the non-keyframes."""
+def displaced_estimate(frames, kf_positions, seed: int, magnitude: float = 1.0) -> FrameTable:
+    """Displace ground-truth frames (a :class:`FrameTable` or ``(FrameId,
+    Pose)`` pairs) into a plausible estimate: smooth SE(3) offset fields
+    (about a centimeter laterally at magnitude 1) plus per-frame jitter on
+    the frames that ``kf_positions`` (positions in ``frames``) leaves out."""
+    frames = FrameTable.of(frames)
     rng = np.random.default_rng(seed + 77)
-    t_total = frames[-1][0].stamp - frames[0][0].stamp
-    pos_f = [_smooth_field(rng, 0.01 * magnitude, t_total) for _ in range(3)]
-    rot_f = [_smooth_field(rng, 0.004 * magnitude, t_total) for _ in range(3)]
-    kf_set = set(kf_positions)
-    out = []
-    for i, (fid, pose) in enumerate(frames):
-        t = fid.stamp
-        est = Pose(
-            so3_exp([f(t) for f in rot_f]) * pose.rotation,
-            pose.translation + np.array([f(t) for f in pos_f]),
-        )
-        if i not in kf_set:
-            est = est * _jitter(rng)
-        out.append((fid, est))
-    return out
+    t = frames.stamps
+    t_total = t[-1] - t[0]
+    offset = _smooth_fields(rng, (0.01 * magnitude,) * 3, t_total, t)
+    rotvec = _smooth_fields(rng, (0.004 * magnitude,) * 3, t_total, t)
+    q = quat_mul(so3_exp_rows(rotvec), frames.q)
+    q, pos = _jittered(q, frames.t + offset, kf_positions, rng)
+    return FrameTable(t, frames.indices, q, pos)
 
 
 # -- similarity exactness fixture -------------------------------------------------

@@ -596,20 +596,12 @@ def quat_from_matrix(m: np.ndarray) -> np.ndarray:
     )))
 
 
-def gimbal_proximity_rows(q: np.ndarray) -> np.ndarray:
-    """Array twin of :func:`gimbal_proximity`, one flag per row."""
-    return _gimbal_rows(quat_matrix(q))
-
-
-def _gimbal_rows(m: np.ndarray) -> np.ndarray:
-    return _math_rows(_hypot, m[:, 2, 1], m[:, 2, 2]) < _GIMBAL_COS
-
-
-def euler_zyx_from_rows(q: np.ndarray) -> np.ndarray:
-    """Array twin of :func:`euler_zyx_from`: (N, 3) ``(yaw, pitch, roll)``
-    rows of (N, 4) canonical quaternions."""
+def euler_zyx_from_rows(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Array twin of :func:`euler_zyx_from` and :func:`gimbal_proximity`:
+    (N, 3) ``(yaw, pitch, roll)`` rows of (N, 4) canonical quaternions and
+    one gimbal flag per row, both from the same matrices."""
     m = quat_matrix(q)
-    gimbal = _gimbal_rows(m)
+    gimbal = _math_rows(_hypot, m[:, 2, 1], m[:, 2, 2]) < _GIMBAL_COS
     out = np.empty((len(q), 3))
     # fmin and fmax, like Python's min and max, pass a NaN over.
     out[:, 1] = _math_rows(_asin, np.fmin(1.0, np.fmax(-1.0, -m[:, 2, 0])))
@@ -617,7 +609,7 @@ def euler_zyx_from_rows(q: np.ndarray) -> np.ndarray:
         _atan2, np.where(gimbal, -m[:, 0, 1], m[:, 1, 0]), np.where(gimbal, m[:, 1, 1], m[:, 0, 0])
     )
     out[:, 2] = np.where(gimbal, 0.0, _math_rows(_atan2, m[:, 2, 1], m[:, 2, 2]))
-    return out
+    return out, gimbal
 
 
 _IDENTITY_QUAT = np.array((1.0, 0.0, 0.0, 0.0))

@@ -10,7 +10,10 @@ must reproject the updated landmarks onto the original measurements.
 Path library: ``forward`` (vehicle-like, motion almost entirely along the
 camera axis - the singular regime for element-wise interpolation), ``mav``
 (smooth 6-DoF wandering), ``line`` (exact 1-D translation) and ``rotonly``
-(rotation in place, the zero-baseline regime).
+(rotation in place, the zero-baseline regime).  A path maps the stamp
+array to (N, 4) quaternions and (N, 3) translations, and
+:func:`path_world_poses` returns a ``FrameTable``; the per-frame forms
+that the tests compare them against are in ``tests/reference_kernels.py``.
 
 Scene container format (line oriented, '#' comments allowed)::
 
@@ -33,7 +36,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import io as trajio
-from .liegeom import Pose, Rotation, euler_zyx_to, so3_exp
+from .liegeom import Pose, Rotation, euler_zyx_to_rows, so3_exp
 from .trajectory import (
     FrameId,
     FrameTable,
@@ -48,6 +51,9 @@ MIN_SHARED_LANDMARKS = 8  # required common landmarks per adjacent frame pair
 DEPTH_BAND = (2.5, 25.0)  # sampling band for generated landmarks, meters
 PIXEL_MARGIN = 40.0       # sampling margin inside the image, pixels
 KEYFRAME_DT = 1.0         # seconds between consecutive keyframes
+
+# A path: stamps (N,) -> canonical quaternions (N, 4), translations (N, 3).
+Path = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 class GenerationError(RuntimeError):
@@ -220,61 +226,64 @@ def _in_bounds(camera: Camera, pixels: np.ndarray, margin: float = 0.0) -> np.nd
 # -- path library -------------------------------------------------------------
 
 
-def _path_forward(spec: SceneSpec, rng: np.random.Generator) -> Callable[[float], Pose]:
+def _path_forward(spec: SceneSpec, rng: np.random.Generator) -> Path:
     speed = 1.2
     ax = 2e-4 * (1.0 + 0.2 * rng.uniform())
     ay = 2e-4 * (1.0 + 0.2 * rng.uniform())
     phase_y = rng.uniform(0.0, 2.0 * math.pi)
 
-    def pose_at(t: float) -> Pose:
-        pos = (
-            ax * math.sin(math.pi * t / KEYFRAME_DT + 0.5 * math.pi),
-            ay * math.sin(2.0 * math.pi * t / (KEYFRAME_DT * 1.003) + phase_y),
+    def path(t: np.ndarray):
+        pos = np.column_stack((
+            ax * np.sin(math.pi * t / KEYFRAME_DT + 0.5 * math.pi),
+            ay * np.sin(2.0 * math.pi * t / (KEYFRAME_DT * 1.003) + phase_y),
             speed * t,
-        )
-        yaw = 2e-3 * math.sin(2.0 * math.pi * t / (3.0 * KEYFRAME_DT))
-        return Pose(euler_zyx_to((yaw, 0.0, 0.0)), pos)
+        ))
+        yaw = 2e-3 * np.sin(2.0 * math.pi * t / (3.0 * KEYFRAME_DT))
+        return euler_zyx_to_rows(np.column_stack((yaw, np.zeros((len(t), 2))))), pos
 
-    return pose_at
+    return path
 
 
-def _path_mav(spec: SceneSpec, rng: np.random.Generator) -> Callable[[float], Pose]:
+def _path_mav(spec: SceneSpec, rng: np.random.Generator) -> Path:
     ph = rng.uniform(0.0, 2.0 * math.pi, size=6)
 
-    def pose_at(t: float) -> Pose:
-        pos = (
-            0.8 * math.sin(2.0 * math.pi * t / 8.0 + ph[0]),
-            0.5 * math.sin(2.0 * math.pi * t / 6.5 + ph[1]),
-            0.7 * t + 0.3 * math.sin(2.0 * math.pi * t / 5.0 + ph[2]),
-        )
-        angles = (
-            0.12 * math.sin(2.0 * math.pi * t / 7.0 + ph[3]),
-            0.08 * math.sin(2.0 * math.pi * t / 5.5 + ph[4]),
-            0.06 * math.sin(2.0 * math.pi * t / 6.0 + ph[5]),
-        )
-        return Pose(euler_zyx_to(angles), pos)
+    def path(t: np.ndarray):
+        pos = np.column_stack((
+            0.8 * np.sin(2.0 * math.pi * t / 8.0 + ph[0]),
+            0.5 * np.sin(2.0 * math.pi * t / 6.5 + ph[1]),
+            0.7 * t + 0.3 * np.sin(2.0 * math.pi * t / 5.0 + ph[2]),
+        ))
+        angles = np.column_stack((
+            0.12 * np.sin(2.0 * math.pi * t / 7.0 + ph[3]),
+            0.08 * np.sin(2.0 * math.pi * t / 5.5 + ph[4]),
+            0.06 * np.sin(2.0 * math.pi * t / 6.0 + ph[5]),
+        ))
+        return euler_zyx_to_rows(angles), pos
 
-    return pose_at
+    return path
 
 
-def _path_line(spec: SceneSpec, rng: np.random.Generator) -> Callable[[float], Pose]:
+def _path_line(spec: SceneSpec, rng: np.random.Generator) -> Path:
     speed = 1.0
 
-    def pose_at(t: float) -> Pose:
-        return Pose(Rotation.identity(), (0.0, 0.0, speed * t))
+    def path(t: np.ndarray):
+        pos = np.zeros((len(t), 3))
+        pos[:, 2] = speed * t
+        return np.tile((1.0, 0.0, 0.0, 0.0), (len(t), 1)), pos
 
-    return pose_at
-
-
-def _path_rotonly(spec: SceneSpec, rng: np.random.Generator) -> Callable[[float], Pose]:
-    def pose_at(t: float) -> Pose:
-        yaw = 0.25 * math.sin(2.0 * math.pi * t / (4.0 * KEYFRAME_DT))
-        return Pose(euler_zyx_to((yaw, 0.0, 0.0)), (0.0, 0.0, 0.0))
-
-    return pose_at
+    return path
 
 
-PATHS: dict[str, Callable[[SceneSpec, np.random.Generator], Callable[[float], Pose]]] = {
+def _path_rotonly(spec: SceneSpec, rng: np.random.Generator) -> Path:
+    def path(t: np.ndarray):
+        yaw = 0.25 * np.sin(2.0 * math.pi * t / (4.0 * KEYFRAME_DT))
+        angles = np.column_stack((yaw, np.zeros((len(t), 2))))
+        return euler_zyx_to_rows(angles), np.zeros((len(t), 3))
+
+    return path
+
+
+PATHS: dict[str, Callable[[SceneSpec, np.random.Generator], Path]] = {
     "forward": _path_forward,
     "mav": _path_mav,
     "line": _path_line,
@@ -282,28 +291,28 @@ PATHS: dict[str, Callable[[SceneSpec, np.random.Generator], Callable[[float], Po
 }
 
 
-def path_world_poses(spec: SceneSpec) -> list[tuple[FrameId, Pose]]:
-    """World poses of every frame of the spec's path, keyframes included."""
+def path_world_poses(spec: SceneSpec) -> FrameTable:
+    """World poses of every frame of the spec's path, keyframes included,
+    as a table whose row ``i`` is frame ``i``."""
     if spec.shape not in PATHS:
         raise GenerationError(f"unknown path shape {spec.shape!r}; choose from {sorted(PATHS)}")
     rng = np.random.default_rng(spec.seed)
-    pose_at = PATHS[spec.shape](spec, rng)
+    path = PATHS[spec.shape](spec, rng)
     stamps, _ = frame_grid(spec.n_keyframes, spec.rels_per_segment)
-    return [(FrameId(t, i), pose_at(t)) for i, t in enumerate(stamps)]
+    return FrameTable(stamps, np.arange(len(stamps)), *path(stamps))
 
 
 def keyframe_positions(spec: SceneSpec) -> list[int]:
-    return frame_grid(spec.n_keyframes, spec.rels_per_segment)[1]
+    return frame_grid(spec.n_keyframes, spec.rels_per_segment)[1].tolist()
 
 
-def frame_grid(n_keyframes: int, rels_per_segment: int) -> tuple[list[float], list[int]]:
+def frame_grid(n_keyframes: int, rels_per_segment: int) -> tuple[np.ndarray, np.ndarray]:
     """Stamps of every frame, keyframes included, and the positions of the
     keyframes among them: keyframes :data:`KEYFRAME_DT` apart with
     ``rels_per_segment`` evenly spaced frames between each pair."""
     dt = KEYFRAME_DT / (rels_per_segment + 1)
     n_frames = n_keyframes + (n_keyframes - 1) * rels_per_segment
-    stamps = [i * dt for i in range(n_frames)]
-    return stamps, [i * (rels_per_segment + 1) for i in range(n_keyframes)]
+    return np.arange(n_frames) * dt, np.arange(n_keyframes) * (rels_per_segment + 1)
 
 
 # -- scene generation ----------------------------------------------------------

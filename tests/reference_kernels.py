@@ -5,11 +5,19 @@ command runs them.  The equations are in the docstrings of
 :func:`reference_correct` picks the reference of a method by name.
 :func:`_orthonormalize` is the one-row form of ``io._kitti_check``, and
 :func:`bench_segment` the fixture of acceptance criterion 8.
+
+The synthetic generators have their per-frame forms here too: the
+``pose_at`` paths of :data:`SCALAR_PATHS` and the frame-at-a-time
+:func:`path_world_poses_scalar`, :func:`noisy_fixture_scalar` and
+:func:`displaced_estimate_scalar`, which build one ``Pose`` per frame and
+return ``(FrameId, Pose)`` pairs.  The array generators of ``synth`` and
+``fixtures`` are compared against them bit for bit, draws included.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from typing import Callable
 
 import numpy as np
 
@@ -17,9 +25,17 @@ from posecorrect import liegeom
 from posecorrect.baseline import QUAT_RENORM_TOL, SINGULARITY_EPS, RotSpace, TransSpace, _guarded_factor
 from posecorrect.correction import DEGENERATE_BASELINE
 from posecorrect.io import REFLECTION, ROTATION_DRIFT_TOL, TrajectoryParseError, _drift_error
-from posecorrect.liegeom import Pose, Rotation, slerp, so3_exp
-from posecorrect.synth import SceneSpec, SimilarityTransform, keyframe_positions, path_world_poses
-from posecorrect.trajectory import KeyframeUpdate, Segment, from_world_poses
+from posecorrect.fixtures import JITTER_ROT, JITTER_TRANS
+from posecorrect.liegeom import Pose, Rotation, euler_zyx_to, slerp, so3_exp
+from posecorrect.synth import (
+    KEYFRAME_DT,
+    GenerationError,
+    SceneSpec,
+    SimilarityTransform,
+    keyframe_positions,
+    path_world_poses,
+)
+from posecorrect.trajectory import FrameId, KeyframeUpdate, Segment, from_world_poses
 
 
 @dataclass
@@ -351,3 +367,177 @@ def bench_segment() -> tuple[Segment, KeyframeUpdate, KeyframeUpdate]:
         1, seg.kf_b.world_pose, nudge * sim.apply_pose(seg.kf_b.world_pose)
     )
     return seg, upd_a, upd_b
+
+
+# -- synthetic generators, one frame at a time -------------------------------------
+
+
+def _path_forward(spec: SceneSpec, rng: np.random.Generator) -> Callable[[float], Pose]:
+    speed = 1.2
+    ax = 2e-4 * (1.0 + 0.2 * rng.uniform())
+    ay = 2e-4 * (1.0 + 0.2 * rng.uniform())
+    phase_y = rng.uniform(0.0, 2.0 * math.pi)
+
+    def pose_at(t: float) -> Pose:
+        pos = (
+            ax * math.sin(math.pi * t / KEYFRAME_DT + 0.5 * math.pi),
+            ay * math.sin(2.0 * math.pi * t / (KEYFRAME_DT * 1.003) + phase_y),
+            speed * t,
+        )
+        yaw = 2e-3 * math.sin(2.0 * math.pi * t / (3.0 * KEYFRAME_DT))
+        return Pose(euler_zyx_to((yaw, 0.0, 0.0)), pos)
+
+    return pose_at
+
+
+def _path_mav(spec: SceneSpec, rng: np.random.Generator) -> Callable[[float], Pose]:
+    ph = rng.uniform(0.0, 2.0 * math.pi, size=6)
+
+    def pose_at(t: float) -> Pose:
+        pos = (
+            0.8 * math.sin(2.0 * math.pi * t / 8.0 + ph[0]),
+            0.5 * math.sin(2.0 * math.pi * t / 6.5 + ph[1]),
+            0.7 * t + 0.3 * math.sin(2.0 * math.pi * t / 5.0 + ph[2]),
+        )
+        angles = (
+            0.12 * math.sin(2.0 * math.pi * t / 7.0 + ph[3]),
+            0.08 * math.sin(2.0 * math.pi * t / 5.5 + ph[4]),
+            0.06 * math.sin(2.0 * math.pi * t / 6.0 + ph[5]),
+        )
+        return Pose(euler_zyx_to(angles), pos)
+
+    return pose_at
+
+
+def _path_line(spec: SceneSpec, rng: np.random.Generator) -> Callable[[float], Pose]:
+    speed = 1.0
+
+    def pose_at(t: float) -> Pose:
+        return Pose(Rotation.identity(), (0.0, 0.0, speed * t))
+
+    return pose_at
+
+
+def _path_rotonly(spec: SceneSpec, rng: np.random.Generator) -> Callable[[float], Pose]:
+    def pose_at(t: float) -> Pose:
+        yaw = 0.25 * math.sin(2.0 * math.pi * t / (4.0 * KEYFRAME_DT))
+        return Pose(euler_zyx_to((yaw, 0.0, 0.0)), (0.0, 0.0, 0.0))
+
+    return pose_at
+
+
+SCALAR_PATHS: dict[str, Callable[[SceneSpec, np.random.Generator], Callable[[float], Pose]]] = {
+    "forward": _path_forward,
+    "mav": _path_mav,
+    "line": _path_line,
+    "rotonly": _path_rotonly,
+}
+
+
+def frame_grid_scalar(n_keyframes: int, rels_per_segment: int) -> tuple[list[float], list[int]]:
+    dt = KEYFRAME_DT / (rels_per_segment + 1)
+    n_frames = n_keyframes + (n_keyframes - 1) * rels_per_segment
+    stamps = [i * dt for i in range(n_frames)]
+    return stamps, [i * (rels_per_segment + 1) for i in range(n_keyframes)]
+
+
+def path_world_poses_scalar(spec: SceneSpec) -> list[tuple[FrameId, Pose]]:
+    """World poses of every frame of the spec's path, keyframes included."""
+    if spec.shape not in SCALAR_PATHS:
+        raise GenerationError(f"unknown path shape {spec.shape!r}; choose from {sorted(SCALAR_PATHS)}")
+    rng = np.random.default_rng(spec.seed)
+    pose_at = SCALAR_PATHS[spec.shape](spec, rng)
+    stamps, _ = frame_grid_scalar(spec.n_keyframes, spec.rels_per_segment)
+    return [(FrameId(t, i), pose_at(t)) for i, t in enumerate(stamps)]
+
+
+def _smooth_field(rng: np.random.Generator, amplitude: float, t_total: float):
+    """Random smooth scalar field: two low-frequency sinusoids."""
+    amps = amplitude * rng.uniform(0.5, 1.0, size=2)
+    periods = np.array([t_total / rng.uniform(0.8, 1.3), t_total / rng.uniform(1.8, 2.6)])
+    phases = rng.uniform(0.0, 2.0 * math.pi, size=2)
+
+    def field(t: float) -> float:
+        return float(
+            amps[0] * math.sin(2.0 * math.pi * t / periods[0] + phases[0])
+            + amps[1] * math.sin(2.0 * math.pi * t / periods[1] + phases[1])
+        )
+
+    return field
+
+
+def _jitter(rng: np.random.Generator) -> Pose:
+    """Per-frame SE(3) measurement jitter of a relative frame."""
+    return Pose(
+        so3_exp(rng.normal(0.0, JITTER_ROT, size=3)),
+        rng.normal(0.0, JITTER_TRANS, size=3),
+    )
+
+
+def noisy_fixture_scalar(seed: int):
+    """``fixtures.noisy_fixture``, one ``Pose`` per frame: the trajectory
+    and the ground-truth pairs."""
+    rng = np.random.default_rng(seed)
+    stamps, kf_positions = frame_grid_scalar(n_keyframes=11, rels_per_segment=9)
+    t_total = stamps[-1]
+    speed = 1.0
+
+    ph = rng.uniform(0.0, 2.0 * math.pi, size=5)
+
+    def base_pose(t: float) -> Pose:
+        pos = (
+            5e-4 * math.sin(2.0 * math.pi * t / 3.3 + ph[0]),
+            4e-4 * math.sin(2.0 * math.pi * t / 2.6 + ph[1]),
+            speed * t,
+        )
+        angles = (
+            0.020 * math.sin(2.0 * math.pi * t / 6.3 + ph[2]),
+            0.012 * math.sin(2.0 * math.pi * t / 4.7 + ph[3]),
+            0.008 * math.sin(2.0 * math.pi * t / 5.9 + ph[4]),
+        )
+        return Pose(euler_zyx_to(angles), pos)
+
+    pos_f = [  # lateral x, lateral y, forward z
+        _smooth_field(rng, 0.012, t_total),
+        _smooth_field(rng, 0.012, t_total),
+        _smooth_field(rng, 0.006, t_total),
+    ]
+    rot_f = [_smooth_field(rng, 0.008, t_total) for _ in range(3)]
+
+    def gt_pose(t: float) -> Pose:
+        base = base_pose(t)
+        offset = np.array([f(t) for f in pos_f])
+        return Pose(so3_exp([f(t) for f in rot_f]) * base.rotation,
+                    base.translation + offset)
+
+    gt_frames = [(FrameId(t, i), gt_pose(t)) for i, t in enumerate(stamps)]
+    kf_set = set(kf_positions)
+    est_frames = []
+    for i, t in enumerate(stamps):
+        est = base_pose(t)
+        if i not in kf_set:
+            est = est * _jitter(rng)
+        est_frames.append((FrameId(t, i), est))
+    return from_world_poses(est_frames, kf_positions), gt_frames
+
+
+def displaced_estimate_scalar(
+    frames, kf_positions, seed: int, magnitude: float = 1.0
+) -> list[tuple[FrameId, Pose]]:
+    """``fixtures.displaced_estimate``, one ``Pose`` per frame."""
+    rng = np.random.default_rng(seed + 77)
+    t_total = frames[-1][0].stamp - frames[0][0].stamp
+    pos_f = [_smooth_field(rng, 0.01 * magnitude, t_total) for _ in range(3)]
+    rot_f = [_smooth_field(rng, 0.004 * magnitude, t_total) for _ in range(3)]
+    kf_set = set(kf_positions)
+    out = []
+    for i, (fid, pose) in enumerate(frames):
+        t = fid.stamp
+        est = Pose(
+            so3_exp([f(t) for f in rot_f]) * pose.rotation,
+            pose.translation + np.array([f(t) for f in pos_f]),
+        )
+        if i not in kf_set:
+            est = est * _jitter(rng)
+        out.append((fid, est))
+    return out

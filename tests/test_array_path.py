@@ -1,8 +1,9 @@
 """The array path against the object path it replaced: the TUM/KITTI
 readers and writers against their one-line forms, random TUM text, whole
 ``correct`` and ``evaluate`` runs at the benchmark's sizes against a
-``Pose``-by-``Pose`` recomputation, and a count of the ``Pose`` objects a
-CLI run builds."""
+``Pose``-by-``Pose`` recomputation, the synthetic generators against their
+per-frame forms, and a count of the ``Pose`` objects a CLI run and the
+generators build."""
 
 import bisect
 import csv
@@ -18,7 +19,7 @@ from posecorrect import io as trajio
 from posecorrect.cli import main
 from posecorrect.evaluate import METHODS, MethodConfig, frame_errors
 from posecorrect.liegeom import Pose, Rotation, quat_normalize, rotation_angle_deg
-from posecorrect.synth import SceneSpec, keyframe_positions, path_world_poses
+from posecorrect.synth import PATHS, SceneSpec, frame_grid, keyframe_positions, path_world_poses
 from posecorrect.trajectory import (
     FrameId,
     FrameTable,
@@ -30,7 +31,15 @@ from posecorrect.trajectory import (
     from_world_poses,
     world_poses,
 )
-from reference_kernels import _orthonormalize, reference_correct
+from reference_kernels import (
+    SCALAR_PATHS,
+    _orthonormalize,
+    displaced_estimate_scalar,
+    frame_grid_scalar,
+    noisy_fixture_scalar,
+    path_world_poses_scalar,
+    reference_correct,
+)
 
 
 def same_bits(a, b) -> bool:
@@ -163,6 +172,9 @@ class TestReadersAndWriters:
         fid, pose = table[-1]
         assert fid == pairs[-1][0] and same_bits(pose.translation, pairs[-1][1].translation)
         assert table[1:3].ids() == [fid for fid, _ in pairs[1:3]]
+        for outside in (5, -6):
+            with pytest.raises(IndexError):
+                table[outside]
         assert [fid for fid, _ in table] == table.ids()
 
 
@@ -470,3 +482,100 @@ def test_table_builds_its_pairs_once(pose_counter):
     assert all(a is b for (_, a), (_, b) in zip(table, first))
     assert len(list(table)) == len(first)
     assert pose_counter["n"] == built
+
+
+# -- synthetic generators against their per-frame forms ------------------------------
+
+
+def assert_same_bits_as_pairs(table, pairs):
+    """``table`` is a :class:`FrameTable` whose every array has the bits of
+    the table of ``pairs``."""
+    assert isinstance(table, FrameTable)
+    want = FrameTable.of(pairs)
+    for got, expected in zip(
+        (table.stamps, table.indices, table.q, table.t), (want.stamps, want.indices, want.q, want.t)
+    ):
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+
+def with_generator_states(monkeypatch, call):
+    """``call()``'s result and the final ``bit_generator.state`` of each
+    generator that ``np.random.default_rng`` made during it."""
+    made, default_rng = [], np.random.default_rng
+
+    def recording(*args, **kwargs):
+        made.append(default_rng(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", recording)
+    try:
+        result = call()
+    finally:
+        monkeypatch.setattr(np.random, "default_rng", default_rng)
+    return result, [g.bit_generator.state for g in made]
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("shape", sorted(PATHS))
+def test_path_equals_its_per_frame_form(monkeypatch, shape, seed):
+    assert sorted(SCALAR_PATHS) == sorted(PATHS)
+    for n_keyframes, rels_per_segment in ((8, 4), (3, 0), (30, 9)):
+        spec = SceneSpec(shape=shape, n_keyframes=n_keyframes, rels_per_segment=rels_per_segment,
+                         seed=seed)
+        got, got_states = with_generator_states(monkeypatch, lambda: path_world_poses(spec))
+        want, want_states = with_generator_states(monkeypatch, lambda: path_world_poses_scalar(spec))
+        assert_same_bits_as_pairs(got, want)
+        assert got_states == want_states and len(got_states) == 1
+        stamps, positions = frame_grid(n_keyframes, rels_per_segment)
+        assert (stamps.tolist(), positions.tolist()) == frame_grid_scalar(n_keyframes, rels_per_segment)
+        assert keyframe_positions(spec) == positions.tolist()
+
+
+@pytest.mark.parametrize("magnitude", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("keyframes", ["none", "all", "every 10th"])
+def test_displaced_estimate_equals_its_per_frame_form(monkeypatch, magnitude, keyframes):
+    gt = path_world_poses(SceneSpec(shape="mav", n_keyframes=30, rels_per_segment=9, seed=2))
+    positions = {"none": [], "all": list(range(len(gt))), "every 10th": list(range(0, len(gt), 10))}
+    kf = positions[keyframes]
+    got, got_states = with_generator_states(
+        monkeypatch, lambda: fixtures.displaced_estimate(gt, kf, seed=3, magnitude=magnitude)
+    )
+    want, want_states = with_generator_states(
+        monkeypatch, lambda: displaced_estimate_scalar(list(gt), kf, seed=3, magnitude=magnitude)
+    )
+    assert_same_bits_as_pairs(got, want)
+    assert got_states == want_states and len(got_states) == 1
+    # Pairs are accepted as input too.
+    assert_same_bits_as_pairs(fixtures.displaced_estimate(list(gt), kf, seed=3, magnitude=magnitude), want)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_noisy_fixture_equals_its_per_frame_form(monkeypatch, seed):
+    (traj, gt), got_states = with_generator_states(monkeypatch, lambda: fixtures.noisy_fixture(seed))
+    (want_traj, want_gt), want_states = with_generator_states(
+        monkeypatch, lambda: noisy_fixture_scalar(seed)
+    )
+    assert_same_bits_as_pairs(gt, want_gt)
+    assert_same_bits_as_pairs(traj.kf, want_traj.kf)
+    assert_same_bits_as_pairs(traj.rel, want_traj.rel)
+    assert traj.parents.tolist() == want_traj.parents.tolist()
+    assert got_states == want_states and len(got_states) == 1
+
+
+def test_generators_build_no_pose_per_frame(monkeypatch, pose_counter):
+    rotation_init = Rotation.__init__
+
+    def counted_init(self, *args, **kwargs):
+        pose_counter["n"] += 1
+        rotation_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Rotation, "__init__", counted_init)
+    spec = SceneSpec(shape="mav", n_keyframes=50, rels_per_segment=9, seed=1)
+    gt = path_world_poses(spec)
+    fixtures.displaced_estimate(gt, keyframe_positions(spec), seed=1)
+    fixtures.noisy_fixture(1)
+    assert pose_counter["n"] == 0
+    # The counter sees the per-frame forms.
+    path_world_poses_scalar(spec)
+    assert pose_counter["n"] >= len(gt)

@@ -583,6 +583,17 @@ class TestConsoleEntry:
         assert result.returncode == 0
         assert (tmp_path / "cli_sim" / "scene.txt").exists()
 
+    def test_evaluate_does_not_import_numpy_ma(self, sim_dir, tmp_path):
+        # np.median imports numpy.ma (about 1 MB of RSS) for its NaN check.
+        script = (
+            "import sys\n"
+            "from posecorrect.cli import main\n"
+            f"assert main({evaluate_args(sim_dir, tmp_path / 'ev')!r}) == 0\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert (result.returncode, result.stdout) == (0, "False\n"), result.stderr
+
     def test_kitti_input_accepted(self, tmp_path):
         out = tmp_path / "ev_kitti"
         kf_path = tmp_path / "kf.txt"

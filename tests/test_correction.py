@@ -445,7 +445,7 @@ class TestBatchedKernel:
         # The perturbed mav path, plus segments with a zero baseline, no
         # frames, and a zero baseline after the update only.
         spec = SceneSpec(shape="mav", n_keyframes=12, rels_per_segment=3, seed=35)
-        frames = path_world_poses(spec)
+        frames = list(path_world_poses(spec))
         positions = keyframe_positions(spec)
         rot = Rotation.random(np.random.default_rng(36))
         frames[positions[2]] = (frames[positions[2]][0], Pose(rot, frames[positions[1]][1].translation))

@@ -70,6 +70,26 @@ class TestErrorStats:
     def test_format_convention(self):
         assert ErrorStats(1.234, 0.56, 0.987, 10).format() == "1.234+-0.56 (0.987)"
 
+    @pytest.mark.parametrize("n", range(1, 65))
+    def test_median_is_np_median_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        specials = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e308, 5e-324]
+        cases = [rng.normal(size=n), np.full(n, -0.0), np.full(n, math.inf)]
+        for _ in range(40):
+            v = rng.normal(size=n) * 10.0 ** rng.integers(-5, 5)
+            k = rng.integers(0, n + 1)
+            v[rng.choice(n, size=k)] = rng.choice(specials, size=k)
+            cases.append(v)
+        with np.errstate(all="ignore"):  # inf - inf in the means, overflow in the std
+            for v in cases:
+                got = ErrorStats.from_values(v).median
+                assert np.float64(got).tobytes() == np.median(v).tobytes(), v
+
+    def test_median_of_nothing_is_nan(self):
+        with pytest.warns(RuntimeWarning):
+            want = np.median(np.array([]))
+        assert math.isnan(ErrorStats.from_values([]).median) and math.isnan(want)
+
 
 class TestFrameErrors:
     def _random_poses(self, rng, n=20):

@@ -37,7 +37,7 @@ def estimate(seed: int, n_keyframes: int = 6, origin: bool = False) -> Trajector
     spec = SceneSpec(shape="mav", n_keyframes=n_keyframes, rels_per_segment=3, seed=seed)
     frames = path_world_poses(spec)
     positions = keyframe_positions(spec)
-    est = fixtures.displaced_estimate(frames, positions, seed=seed)
+    est = list(fixtures.displaced_estimate(frames, positions, seed=seed))
     if origin:
         est[0] = (est[0][0], Pose.identity())
     return from_world_poses(est, positions)

@@ -17,7 +17,6 @@ from posecorrect.liegeom import (
     euler_zyx_from_rows,
     euler_zyx_to_rows,
     gimbal_proximity,
-    gimbal_proximity_rows,
     mat_vec,
     pose_arrays,
     pose_inverse,
@@ -590,7 +589,7 @@ class TestLieArrayForms:
         rots = [Rotation(tuple(q)) for q in rows]
         q = np.array([r.quat for r in rots])
         for r, log, m, euler, gimbal in zip(
-            rots, so3_log_rows(q), quat_matrix(q), euler_zyx_from_rows(q), gimbal_proximity_rows(q)
+            rots, so3_log_rows(q), quat_matrix(q), *euler_zyx_from_rows(q)
         ):
             assert same_bits(log, so3_log(r))
             assert same_bits(m, r.matrix)
@@ -604,14 +603,15 @@ class TestLieArrayForms:
         for row, a in zip(q, angles):
             assert same_bits(row, euler_zyx_to(a).quat)
         rots = [Rotation._from_canonical(row) for row in q]
-        for euler, gimbal, r in zip(euler_zyx_from_rows(q), gimbal_proximity_rows(q), rots):
+        for euler, gimbal, r in zip(*euler_zyx_from_rows(q), rots):
             assert same_bits(euler, euler_zyx_from(r))
             assert gimbal == gimbal_proximity(r)
 
     def test_near_gimbal_pitch_flagged(self):
         q = euler_zyx_to_rows(np.array([[0.3, 0.5 * math.pi, 0.1], [0.3, 0.2, 0.1]]))
-        assert gimbal_proximity_rows(q).tolist() == [True, False]
-        assert euler_zyx_from_rows(q)[0, 2] == 0.0
+        angles, gimbal = euler_zyx_from_rows(q)
+        assert gimbal.tolist() == [True, False]
+        assert angles[0, 2] == 0.0
 
     @settings(max_examples=300)
     @given(tangent_batches, st.integers(min_value=0, max_value=2**31 - 1))
@@ -658,7 +658,8 @@ class TestLieArrayForms:
 
     def test_empty_batches(self):
         q, v = np.zeros((0, 4)), np.zeros((0, 3))
-        assert so3_log_rows(q).shape == euler_zyx_from_rows(q).shape == (0, 3)
+        angles, gimbal = euler_zyx_from_rows(q)
+        assert so3_log_rows(q).shape == angles.shape == (0, 3)
         assert so3_exp_rows(v).shape == euler_zyx_to_rows(v).shape == (0, 4)
         assert so3_left_jacobian_rows(v).shape == (0, 3, 3)
-        assert gimbal_proximity_rows(q).shape == rotation_angles_deg(q, q).shape == (0,)
+        assert gimbal.shape == rotation_angles_deg(q, q).shape == (0,)
