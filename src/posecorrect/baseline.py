@@ -36,7 +36,7 @@ import numpy as np
 from . import liegeom
 from .correction import keyframe_pairs
 from .liegeom import Rotation, mat_vec
-from .trajectory import SegmentBatch
+from .trajectory import KeyframeUpdates, SegmentBatch
 
 SINGULARITY_EPS = 1e-12
 QUAT_RENORM_TOL = 1e-6
@@ -103,7 +103,7 @@ def _rotation_rows(rvec: np.ndarray, rs: RotSpace) -> tuple[np.ndarray, np.ndarr
 
 def interp_correct_segment(
     batch: SegmentBatch,
-    updates,
+    updates: KeyframeUpdates,
     ts: TransSpace,
     rs: RotSpace,
     raw_division: bool = False,
@@ -111,10 +111,9 @@ def interp_correct_segment(
     """Correct every relative frame of the full segments of ``batch`` in
     vector space, in one pass.
 
-    ``updates`` is a :class:`KeyframeUpdates` table or a sequence of
-    :class:`KeyframeUpdate`, row ``i`` for keyframe ``i``.  Returns the
-    corrected poses of ``batch.rels`` relative to each segment's updated
-    opening keyframe as (N, 4) quaternions and (N, 3) translations, plus the
+    ``updates`` has row ``i`` for keyframe ``i``.  Returns the corrected
+    poses of ``batch.rels`` relative to each segment's updated opening
+    keyframe as (N, 4) quaternions and (N, 3) translations, plus the
     diagnostics columns ``singular_hits``, ``gimbal_hits`` and
     ``quat_renorm_hits``, one count per segment.  Each value and count is
     bitwise equal to the scalar reference on the segment.

@@ -110,14 +110,12 @@ class KeyframePairs(NamedTuple):
 
 def keyframe_pairs(
     batch: SegmentBatch,
-    updates,
+    updates: KeyframeUpdates,
     scale_squared: bool = False,
 ) -> KeyframePairs:
     """The :class:`KeyframePairs` of every segment of ``batch`` at once,
     bitwise equal to the per-segment setup of the scalar reference;
-    ``updates`` is a :class:`KeyframeUpdates` table or a sequence of
-    :class:`KeyframeUpdate`, row ``i`` for keyframe ``i``."""
-    updates = KeyframeUpdates.of(updates)
+    ``updates`` has row ``i`` for keyframe ``i``."""
     old = OldGeometry.of(batch, updates)
     a, kf_q, kf_t = batch.index, updates.new_q, updates.new_t
     new_q, new_t = pose_mul(*pose_inverse(kf_q[a], kf_t[a]), kf_q[a + 1], kf_t[a + 1])
@@ -133,23 +131,21 @@ def keyframe_pairs(
 
 def correct_segment(
     batch: SegmentBatch,
-    updates,
+    updates: KeyframeUpdates,
     scale_squared: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
     """Correct every relative frame of the full segments of ``batch`` in
     one pass.
 
-    ``updates`` is a :class:`KeyframeUpdates` table or a sequence of
-    :class:`KeyframeUpdate`, row ``i`` for keyframe ``i``.  Returns the
-    corrected poses of ``batch.rels`` relative to each segment's updated
-    opening keyframe as (N, 4) quaternions and (N, 3) translations, plus the
+    ``updates`` has row ``i`` for keyframe ``i``.  Returns the corrected
+    poses of ``batch.rels`` relative to each segment's updated opening
+    keyframe as (N, 4) quaternions and (N, 3) translations, plus the
     diagnostics columns ``s``, ``degenerate_baseline``, ``alpha_min`` and
     ``alpha_max``, one value per segment.  Each value is bitwise equal to
     the scalar reference on the segment: the per-segment setup is
     :func:`keyframe_pairs`, and the per-frame steps are the array twins of
     its scalar operations.
     """
-    updates = KeyframeUpdates.of(updates)
     pairs = keyframe_pairs(batch, updates, scale_squared)
     q_b, t_b, rot_a_inv, d_a, total, fraction = OldGeometry.of(batch, updates).frames(batch)
     # The per-segment table, repeated once for all its columns.

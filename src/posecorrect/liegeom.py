@@ -18,6 +18,11 @@ Conventions used consistently across the package:
   ``omega``; ``exp`` maps ``v`` through the left Jacobian (V matrix).
 
 All types are immutable values and all functions are pure.
+
+Each rotation formula is written once, in the array forms at the end;
+``so3_log``, the left Jacobians, ``euler_zyx_from``, ``gimbal_proximity``,
+``rotation_angle_deg`` and ``Rotation.from_matrix``/``matrix`` are one-row
+views of them.  The array forms list the names that keep scalar bodies.
 """
 from __future__ import annotations
 
@@ -42,14 +47,6 @@ def _vec3(v) -> np.ndarray:
         out = np.array(out.reshape(3))
     out.setflags(write=False)
     return out
-
-
-def _skew(v: np.ndarray) -> np.ndarray:
-    return np.array([
-        [0.0, -v[2], v[1]],
-        [v[2], 0.0, -v[0]],
-        [-v[1], v[0], 0.0],
-    ])
 
 
 class Rotation:
@@ -82,25 +79,10 @@ class Rotation:
 
     @classmethod
     def from_matrix(cls, m) -> "Rotation":
-        """Largest-component (Shepperd) matrix-to-quaternion conversion."""
-        m = np.asarray(m, dtype=float)
-        m00, m01, m02 = m[0]
-        m10, m11, m12 = m[1]
-        m20, m21, m22 = m[2]
-        tr = m00 + m11 + m22
-        if tr >= m00 and tr >= m11 and tr >= m22:
-            s = 2.0 * math.sqrt(1.0 + tr)
-            q = (0.25 * s, (m21 - m12) / s, (m02 - m20) / s, (m10 - m01) / s)
-        elif m00 >= m11 and m00 >= m22:
-            s = 2.0 * math.sqrt(1.0 + m00 - m11 - m22)
-            q = ((m21 - m12) / s, 0.25 * s, (m01 + m10) / s, (m02 + m20) / s)
-        elif m11 >= m22:
-            s = 2.0 * math.sqrt(1.0 + m11 - m00 - m22)
-            q = ((m02 - m20) / s, (m01 + m10) / s, 0.25 * s, (m12 + m21) / s)
-        else:
-            s = 2.0 * math.sqrt(1.0 + m22 - m00 - m11)
-            q = ((m10 - m01) / s, (m02 + m20) / s, (m12 + m21) / s, 0.25 * s)
-        return cls(q)
+        """One row of :func:`quat_from_matrix` (Shepperd's method)."""
+        q = quat_from_matrix(np.asarray(m, dtype=float)[None])[0]
+        q.setflags(write=False)
+        return cls._from_canonical(q)
 
     @classmethod
     def random(cls, rng: np.random.Generator) -> "Rotation":
@@ -125,12 +107,7 @@ class Rotation:
 
     @property
     def matrix(self) -> np.ndarray:
-        w, x, y, z = self._q
-        return np.array([
-            [1.0 - 2.0 * (y * y + z * z), 2.0 * (x * y - w * z), 2.0 * (x * z + w * y)],
-            [2.0 * (x * y + w * z), 1.0 - 2.0 * (x * x + z * z), 2.0 * (y * z - w * x)],
-            [2.0 * (x * z - w * y), 2.0 * (y * z + w * x), 1.0 - 2.0 * (x * x + y * y)],
-        ])
+        return quat_matrix(self._q[None])[0]
 
     # -- algebra -----------------------------------------------------------
 
@@ -243,51 +220,21 @@ def so3_exp(rotvec) -> Rotation:
 
 
 def so3_log(r: Rotation) -> np.ndarray:
-    """Canonical axis-angle of ``r`` with angle in [0, pi].
-
-    Quaternion-based form: stable at both the small-angle and the near-pi
-    ends (w >= 0 keeps atan2 on the canonical sheet).
-    """
-    w, x, y, z = r.quat
-    s = math.sqrt(x * x + y * y + z * z)
-    if s < _SMALL_ANGLE:
-        k = 2.0 / w  # relative error O(s^2)
-    else:
-        k = 2.0 * math.atan2(s, w) / s
-    return k * np.array([x, y, z])
+    """Canonical axis-angle of ``r``: one row of :func:`so3_log_rows`."""
+    return so3_log_rows(r.quat[None])[0]
 
 
 # -- se(3) exp/log ----------------------------------------------------------
 
 
-def _v_coeffs(angle: float) -> tuple[float, float]:
-    # Half-angle forms avoid the 1 - cos cancellation at moderate angles.
-    if angle < _SMALL_V_ANGLE:
-        a2 = angle * angle
-        return 0.5 - a2 / 24.0, 1.0 / 6.0 - a2 / 120.0
-    a2 = angle * angle
-    s_half = math.sin(0.5 * angle)
-    return 2.0 * s_half * s_half / a2, (angle - math.sin(angle)) / (a2 * angle)
-
-
 def so3_left_jacobian(omega: np.ndarray) -> np.ndarray:
-    """The V matrix mapping se(3) translation tangents to translations."""
-    angle = math.sqrt(float(omega @ omega))
-    c1, c2 = _v_coeffs(angle)
-    k = _skew(omega)
-    return np.eye(3) + c1 * k + c2 * (k @ k)
+    """The V matrix of ``omega``: one row of :func:`so3_left_jacobian_rows`."""
+    return so3_left_jacobian_rows(np.asarray(omega, dtype=float)[None])[0]
 
 
 def so3_left_jacobian_inv(omega: np.ndarray) -> np.ndarray:
-    angle = math.sqrt(float(omega @ omega))
-    if angle < _SMALL_V_ANGLE:
-        c = 1.0 / 12.0 + angle * angle / 720.0
-    else:
-        # (theta/2) * cot(theta/2) stays well conditioned up to pi.
-        half = 0.5 * angle
-        c = (1.0 - half * math.cos(half) / math.sin(half)) / (angle * angle)
-    k = _skew(omega)
-    return np.eye(3) - 0.5 * k + c * (k @ k)
+    """The inverse V matrix: one row of :func:`so3_left_jacobian_inv_rows`."""
+    return so3_left_jacobian_inv_rows(np.asarray(omega, dtype=float)[None])[0]
 
 
 def se3_exp(t: Twist) -> Pose:
@@ -318,27 +265,13 @@ def euler_zyx_to(angles) -> Rotation:
 
 
 def euler_zyx_from(r: Rotation) -> np.ndarray:
-    """Intrinsic Z-Y-X angles ``(yaw, pitch, roll)`` of ``r``.
-
-    Near pitch = +-pi/2 only yaw - roll is observable; roll is pinned to 0
-    there.  Use :func:`gimbal_proximity` to detect that regime.
-    """
-    m = r.matrix
-    sp = min(1.0, max(-1.0, -m[2, 0]))
-    pitch = math.asin(sp)
-    if math.hypot(m[2, 1], m[2, 2]) < _GIMBAL_COS:
-        yaw = math.atan2(-m[0, 1], m[1, 1])
-        roll = 0.0
-    else:
-        yaw = math.atan2(m[1, 0], m[0, 0])
-        roll = math.atan2(m[2, 1], m[2, 2])
-    return np.array([yaw, pitch, roll])
+    """Z-Y-X ``(yaw, pitch, roll)`` of ``r``: one row of :func:`euler_zyx_from_rows`."""
+    return euler_zyx_from_rows(r.quat[None])[0][0]
 
 
 def gimbal_proximity(r: Rotation) -> bool:
-    """True when ``|cos(pitch)| < 1e-6``, i.e. the Z-Y-X chart degenerates."""
-    m = r.matrix
-    return math.hypot(m[2, 1], m[2, 2]) < _GIMBAL_COS
+    """True when ``|cos(pitch)| < 1e-6``: one flag of :func:`euler_zyx_from_rows`."""
+    return bool(euler_zyx_from_rows(r.quat[None])[1][0])
 
 
 # -- interpolation and metrics ----------------------------------------------
@@ -374,9 +307,12 @@ def slerp(q0: Rotation, q1: Rotation, a: float) -> Rotation:
 
 # -- array forms ------------------------------------------------------------
 #
-# Row-wise twins of the scalar operations above on (N, 4) quaternion and
-# (N, 3) vector arrays.  Each performs the scalar form's IEEE operations in
-# the same order, so every result is bitwise equal to the scalar one.
+# The rotation formulas, on (N, 4) quaternion and (N, 3) vector arrays.
+# ``so3_exp``, ``euler_zyx_to`` and the ``Rotation``/``Pose`` arithmetic
+# keep scalar bodies, which input builders call once per pose (a one-row
+# view costs several times as much); the twins here repeat their IEEE
+# operations in order, bit for bit.  ``slerp`` keeps its body: only its
+# start at the identity has a row form.  Tests pin each to a scalar oracle.
 # numpy does + - * / and sqrt, writing multi-column results through ufunc
 # ``out=`` into one array; the bitwise tests pin ``np.sin``/``np.cos`` to
 # ``math``.  ``acos``, ``asin``, ``atan2``, ``hypot``, ``degrees`` and
@@ -506,7 +442,8 @@ def so3_exp_rows(rotvec: np.ndarray) -> np.ndarray:
 
 
 def so3_log_rows(q: np.ndarray) -> np.ndarray:
-    """Array twin of :func:`so3_log` on (N, 4) canonical quaternions."""
+    """Canonical axis-angles (angle in [0, pi]) of (N, 4) canonical
+    quaternions; w >= 0 keeps atan2 stable at both ends."""
     w, x, y, z = q.T
     s = np.sqrt(x * x + y * y + z * z)
     atan = _math_rows(_atan2, s, w)
@@ -516,7 +453,8 @@ def so3_log_rows(q: np.ndarray) -> np.ndarray:
 
 
 def so3_left_jacobian_rows(omega: np.ndarray) -> np.ndarray:
-    """Array twin of :func:`so3_left_jacobian`: (N, 3, 3) V matrices."""
+    """(N, 3, 3) V matrices of (N, 3) rotation vectors; half-angle forms
+    avoid the 1 - cos cancellation at moderate angles."""
     angle = vec_norm(omega)
     _require_trig_domain(angle)
     a2 = angle * angle
@@ -532,7 +470,7 @@ def so3_left_jacobian_rows(omega: np.ndarray) -> np.ndarray:
 
 
 def so3_left_jacobian_inv_rows(omega: np.ndarray) -> np.ndarray:
-    """Array twin of :func:`so3_left_jacobian_inv`."""
+    """Inverse V matrices; (theta/2) cot(theta/2) is well conditioned to pi."""
     angle = vec_norm(omega)
     _require_trig_domain(angle)
     half = 0.5 * angle
@@ -561,7 +499,7 @@ def euler_zyx_to_rows(angles: np.ndarray) -> np.ndarray:
 
 
 def quat_matrix(q: np.ndarray) -> np.ndarray:
-    """Array twin of ``Rotation.matrix``: (N, 3, 3) matrices."""
+    """The (N, 3, 3) rotation matrices of (N, 4) quaternions."""
     w, x, y, z = q.T
     return np.stack((
         1.0 - 2.0 * (y * y + z * z), 2.0 * (x * y - w * z), 2.0 * (x * z + w * y),
@@ -571,9 +509,9 @@ def quat_matrix(q: np.ndarray) -> np.ndarray:
 
 
 def quat_from_matrix(m: np.ndarray) -> np.ndarray:
-    """Array twin of ``Rotation.from_matrix`` on (N, 3, 3) matrices: each
-    row takes the scalar form's Shepperd branch and does that branch's
-    operations in the same order."""
+    """Largest-component (Shepperd) conversion of (N, 3, 3) matrices to
+    canonical quaternions: each row takes the branch of the largest of its
+    trace and diagonal entries."""
     m00, m01, m02 = m[:, 0, 0], m[:, 0, 1], m[:, 0, 2]
     m10, m11, m12 = m[:, 1, 0], m[:, 1, 1], m[:, 1, 2]
     m20, m21, m22 = m[:, 2, 0], m[:, 2, 1], m[:, 2, 2]
@@ -597,9 +535,8 @@ def quat_from_matrix(m: np.ndarray) -> np.ndarray:
 
 
 def euler_zyx_from_rows(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Array twin of :func:`euler_zyx_from` and :func:`gimbal_proximity`:
-    (N, 3) ``(yaw, pitch, roll)`` rows of (N, 4) canonical quaternions and
-    one gimbal flag per row, both from the same matrices."""
+    """Z-Y-X ``(yaw, pitch, roll)`` rows of (N, 4) canonical quaternions and
+    gimbal flags (``|cos(pitch)| < 1e-6``: only yaw - roll is observable; roll is 0)."""
     m = quat_matrix(q)
     gimbal = _math_rows(_hypot, m[:, 2, 1], m[:, 2, 2]) < _GIMBAL_COS
     out = np.empty((len(q), 3))
@@ -667,23 +604,16 @@ def poses_from_arrays(q: np.ndarray, t: np.ndarray) -> list[Pose]:
 
 
 def rotation_angle_deg(r1: Rotation, r2: Rotation) -> float:
-    """Geodesic angle between two rotations, in degrees, in [0, 180]."""
-    aw, ax, ay, az = r1.quat.tolist()
-    bw, bx, by, bz = r2.quat.tolist()
-    # r1^-1 * r2, scalar and vector parts; the pairwise grouping cancels
-    # exactly for identical inputs.
-    w = aw * bw + ax * bx + ay * by + az * bz
-    x = (aw * bx - ax * bw) + (az * by - ay * bz)
-    y = (aw * by - ay * bw) + (ax * bz - az * bx)
-    z = (aw * bz - az * bw) + (ay * bx - ax * by)
-    return math.degrees(2.0 * math.atan2(math.hypot(x, math.hypot(y, z)), abs(w)))
+    """Geodesic angle in degrees: one row of :func:`rotation_angles_deg`."""
+    return float(rotation_angles_deg(r1.quat[None], r2.quat[None])[0])
 
 
 def rotation_angles_deg(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
-    """Array twin of :func:`rotation_angle_deg` on rows of (N, 4)
-    canonical quaternions."""
+    """Geodesic angle in degrees, in [0, 180], between the rows of two
+    (N, 4) canonical quaternion arrays."""
     aw, ax, ay, az = q1.T
     bw, bx, by, bz = q2.T
+    # q1^-1 * q2; the pairwise grouping cancels exactly for equal inputs.
     w = aw * bw + ax * bx + ay * by + az * bz
     x = (aw * bx - ax * bw) + (az * by - ay * bz)
     y = (aw * by - ay * bw) + (ax * bz - az * bx)

@@ -157,6 +157,8 @@ class SceneSpec:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= low):
                 raise GenerationError(f"{name} must be finite and >= {low}, got {value!r}")
+        if self.seed < 0:  # an integer of any size; math.isfinite would overflow
+            raise GenerationError(f"seed must be >= 0, got {self.seed!r}")
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,10 @@ The synthetic generators have their per-frame forms here too: the
 :func:`displaced_estimate_scalar`, which build one ``Pose`` per frame and
 return ``(FrameId, Pose)`` pairs.  The array generators of ``synth`` and
 ``fixtures`` are compared against them bit for bit, draws included.
+
+So are ``liegeom``'s array forms, against the scalar formulas of the names
+the package keeps as one-row views of them (:func:`so3_log_scalar` and the
+rest of the next section), which nothing here calls.
 """
 from __future__ import annotations
 
@@ -21,11 +25,11 @@ from typing import Callable
 
 import numpy as np
 
-from posecorrect import liegeom
 from posecorrect.baseline import QUAT_RENORM_TOL, SINGULARITY_EPS, RotSpace, TransSpace, _guarded_factor
 from posecorrect.correction import DEGENERATE_BASELINE
 from posecorrect.io import REFLECTION, ROTATION_DRIFT_TOL, TrajectoryParseError, _drift_error
 from posecorrect.fixtures import JITTER_ROT, JITTER_TRANS
+from posecorrect.liegeom import _GIMBAL_COS, _SMALL_ANGLE, _SMALL_V_ANGLE
 from posecorrect.liegeom import Pose, Rotation, euler_zyx_to, slerp, so3_exp
 from posecorrect.synth import (
     KEYFRAME_DT,
@@ -36,6 +40,116 @@ from posecorrect.synth import (
     path_world_poses,
 )
 from posecorrect.trajectory import FrameId, KeyframeUpdate, Segment, from_world_poses
+
+
+# -- liegeom's scalar formulas, documented at their array forms ------------------
+
+
+def _skew(v: np.ndarray) -> np.ndarray:
+    return np.array([
+        [0.0, -v[2], v[1]],
+        [v[2], 0.0, -v[0]],
+        [-v[1], v[0], 0.0],
+    ])
+
+
+def rotation_from_matrix_scalar(m) -> Rotation:
+    m = np.asarray(m, dtype=float)
+    m00, m01, m02 = m[0]
+    m10, m11, m12 = m[1]
+    m20, m21, m22 = m[2]
+    tr = m00 + m11 + m22
+    if tr >= m00 and tr >= m11 and tr >= m22:
+        s = 2.0 * math.sqrt(1.0 + tr)
+        q = (0.25 * s, (m21 - m12) / s, (m02 - m20) / s, (m10 - m01) / s)
+    elif m00 >= m11 and m00 >= m22:
+        s = 2.0 * math.sqrt(1.0 + m00 - m11 - m22)
+        q = ((m21 - m12) / s, 0.25 * s, (m01 + m10) / s, (m02 + m20) / s)
+    elif m11 >= m22:
+        s = 2.0 * math.sqrt(1.0 + m11 - m00 - m22)
+        q = ((m02 - m20) / s, (m01 + m10) / s, 0.25 * s, (m12 + m21) / s)
+    else:
+        s = 2.0 * math.sqrt(1.0 + m22 - m00 - m11)
+        q = ((m10 - m01) / s, (m02 + m20) / s, (m12 + m21) / s, 0.25 * s)
+    return Rotation(q)
+
+
+def rotation_matrix_scalar(r: Rotation) -> np.ndarray:
+    w, x, y, z = r.quat
+    return np.array([
+        [1.0 - 2.0 * (y * y + z * z), 2.0 * (x * y - w * z), 2.0 * (x * z + w * y)],
+        [2.0 * (x * y + w * z), 1.0 - 2.0 * (x * x + z * z), 2.0 * (y * z - w * x)],
+        [2.0 * (x * z - w * y), 2.0 * (y * z + w * x), 1.0 - 2.0 * (x * x + y * y)],
+    ])
+
+
+def so3_log_scalar(r: Rotation) -> np.ndarray:
+    w, x, y, z = r.quat
+    s = math.sqrt(x * x + y * y + z * z)
+    if s < _SMALL_ANGLE:
+        k = 2.0 / w  # relative error O(s^2)
+    else:
+        k = 2.0 * math.atan2(s, w) / s
+    return k * np.array([x, y, z])
+
+
+def _v_coeffs(angle: float) -> tuple[float, float]:
+    # Half-angle forms avoid the 1 - cos cancellation at moderate angles.
+    if angle < _SMALL_V_ANGLE:
+        a2 = angle * angle
+        return 0.5 - a2 / 24.0, 1.0 / 6.0 - a2 / 120.0
+    a2 = angle * angle
+    s_half = math.sin(0.5 * angle)
+    return 2.0 * s_half * s_half / a2, (angle - math.sin(angle)) / (a2 * angle)
+
+
+def so3_left_jacobian_scalar(omega: np.ndarray) -> np.ndarray:
+    angle = math.sqrt(float(omega @ omega))
+    c1, c2 = _v_coeffs(angle)
+    k = _skew(omega)
+    return np.eye(3) + c1 * k + c2 * (k @ k)
+
+
+def so3_left_jacobian_inv_scalar(omega: np.ndarray) -> np.ndarray:
+    angle = math.sqrt(float(omega @ omega))
+    if angle < _SMALL_V_ANGLE:
+        c = 1.0 / 12.0 + angle * angle / 720.0
+    else:
+        # (theta/2) * cot(theta/2) stays well conditioned up to pi.
+        half = 0.5 * angle
+        c = (1.0 - half * math.cos(half) / math.sin(half)) / (angle * angle)
+    k = _skew(omega)
+    return np.eye(3) - 0.5 * k + c * (k @ k)
+
+
+def euler_zyx_from_scalar(r: Rotation) -> np.ndarray:
+    m = rotation_matrix_scalar(r)
+    sp = min(1.0, max(-1.0, -m[2, 0]))
+    pitch = math.asin(sp)
+    if math.hypot(m[2, 1], m[2, 2]) < _GIMBAL_COS:
+        yaw = math.atan2(-m[0, 1], m[1, 1])
+        roll = 0.0
+    else:
+        yaw = math.atan2(m[1, 0], m[0, 0])
+        roll = math.atan2(m[2, 1], m[2, 2])
+    return np.array([yaw, pitch, roll])
+
+
+def gimbal_proximity_scalar(r: Rotation) -> bool:
+    m = rotation_matrix_scalar(r)
+    return math.hypot(m[2, 1], m[2, 2]) < _GIMBAL_COS
+
+
+def rotation_angle_deg_scalar(r1: Rotation, r2: Rotation) -> float:
+    aw, ax, ay, az = r1.quat.tolist()
+    bw, bx, by, bz = r2.quat.tolist()
+    # r1^-1 * r2, scalar and vector parts; the pairwise grouping cancels
+    # exactly for identical inputs.
+    w = aw * bw + ax * bx + ay * by + az * bz
+    x = (aw * bx - ax * bw) + (az * by - ay * bz)
+    y = (aw * by - ay * bw) + (ax * bz - az * bx)
+    z = (aw * bz - az * bw) + (ay * bx - ax * by)
+    return math.degrees(2.0 * math.atan2(math.hypot(x, math.hypot(y, z)), abs(w)))
 
 
 @dataclass
@@ -211,14 +325,14 @@ def vectorize(
     ``SO3`` needs it, and is ``None`` otherwise."""
     omega = None
     if ts is TransSpace.SE3_V or rs is RotSpace.SO3:
-        omega = liegeom.so3_log(pose.rotation)
+        omega = so3_log_scalar(pose.rotation)
     if ts is TransSpace.XYZ:
         tvec = np.array(pose.translation)
     else:
-        tvec = liegeom.so3_left_jacobian_inv(omega) @ pose.translation
+        tvec = so3_left_jacobian_inv_scalar(omega) @ pose.translation
     if rs is RotSpace.EULER:
-        rvec = liegeom.euler_zyx_from(pose.rotation)
-        if diagnostics is not None and liegeom.gimbal_proximity(pose.rotation):
+        rvec = euler_zyx_from_scalar(pose.rotation)
+        if diagnostics is not None and gimbal_proximity_scalar(pose.rotation):
             diagnostics.gimbal_hits += 1
     elif rs is RotSpace.QUAT:
         rvec = np.array(pose.rotation.quat)
@@ -233,7 +347,7 @@ def _rotation_from_vec(
     diagnostics: SegmentRecord | None = None,
 ) -> Rotation:
     if rs is RotSpace.EULER:
-        return liegeom.euler_zyx_to(rvec)
+        return euler_zyx_to(rvec)
     if rs is RotSpace.QUAT:
         norm = float(np.linalg.norm(rvec))
         if norm < SINGULARITY_EPS:
@@ -244,7 +358,7 @@ def _rotation_from_vec(
         if diagnostics is not None and abs(norm - 1.0) > QUAT_RENORM_TOL:
             diagnostics.quat_renorm_hits += 1
         return Rotation(rvec)
-    return liegeom.so3_exp(rvec)
+    return so3_exp(rvec)
 
 
 def devectorize(
@@ -264,7 +378,7 @@ def devectorize(
     if ts is TransSpace.XYZ:
         trans = tvec
     else:
-        trans = liegeom.so3_left_jacobian(liegeom.so3_log(rot)) @ tvec
+        trans = so3_left_jacobian_scalar(so3_log_scalar(rot)) @ tvec
     return Pose(rot, trans)
 
 
@@ -316,7 +430,7 @@ def interp_correct_segment_scalar(
             # rotation part of the same tangent, keeping the translation
             # result independent of the rotation-space choice.
             om_star = om + dom * _counted_factor(om, om_old, raw_division, diag)
-            trans = liegeom.so3_left_jacobian(om_star) @ tv_star
+            trans = so3_left_jacobian_scalar(om_star) @ tv_star
         corrected.append(Pose(rot, trans))
     return corrected, diag
 

@@ -18,7 +18,7 @@ from posecorrect import fixtures
 from posecorrect import io as trajio
 from posecorrect.cli import main
 from posecorrect.evaluate import METHODS, MethodConfig, frame_errors
-from posecorrect.liegeom import Pose, Rotation, quat_normalize, rotation_angle_deg
+from posecorrect.liegeom import Pose, Rotation, quat_normalize
 from posecorrect.synth import PATHS, SceneSpec, frame_grid, keyframe_positions, path_world_poses
 from posecorrect.trajectory import (
     FrameId,
@@ -39,6 +39,9 @@ from reference_kernels import (
     noisy_fixture_scalar,
     path_world_poses_scalar,
     reference_correct,
+    rotation_angle_deg_scalar,
+    rotation_from_matrix_scalar,
+    rotation_matrix_scalar,
 )
 
 
@@ -75,7 +78,7 @@ def object_read_kitti(path, frame_rate=10.0):
     for index, (lineno, text) in enumerate(trajio.data_lines(path)):
         vals = np.array(trajio._parse_floats(text.split(), path, lineno, 12)).reshape(3, 4)
         rot = _orthonormalize(vals[:, :3], path, lineno)
-        out.append((FrameId(index / frame_rate, index), Pose(Rotation.from_matrix(rot), vals[:, 3])))
+        out.append((FrameId(index / frame_rate, index), Pose(rotation_from_matrix_scalar(rot), vals[:, 3])))
     return out
 
 
@@ -87,7 +90,8 @@ def object_tum_text(pairs) -> str:
 
 def object_kitti_text(pairs) -> str:
     return "".join(
-        " ".join(repr(float(v)) for v in pose.matrix[:3, :].reshape(-1)) + "\n"
+        " ".join(repr(float(v)) for v in np.column_stack((
+            rotation_matrix_scalar(pose.rotation), pose.translation)).reshape(-1)) + "\n"
         for _, pose in pairs
     )
 
@@ -402,7 +406,7 @@ class TestRunsEqualObjectPath:
             rows = [
                 [repr(fid.stamp), str(fid.index),
                  repr(float(np.linalg.norm(pose.translation - gt_at[fid.stamp].translation)) * 100.0),
-                 repr(rotation_angle_deg(pose.rotation, gt_at[fid.stamp].rotation))]
+                 repr(rotation_angle_deg_scalar(pose.rotation, gt_at[fid.stamp].rotation))]
                 for fid, pose in world if fid in rel_ids
             ]
             with open(tmp_path / "out" / f"frame_errors_{name}.csv", newline="") as fh:

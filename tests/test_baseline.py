@@ -22,6 +22,7 @@ from posecorrect.trajectory import (
     FrameId,
     Keyframe,
     KeyframeUpdate,
+    KeyframeUpdates,
     RelativeFrame,
     Segment,
     SegmentBatch,
@@ -264,7 +265,9 @@ def assert_batch_equals_scalar(full, updates, ts, rs, raw_division=False):
     ``interp_correct_segment_scalar`` per segment: every pose and every
     record field."""
     batch = SegmentBatch(full)
-    q, t, columns = interp_correct_segment(batch, updates, ts, rs, raw_division=raw_division)
+    q, t, columns = interp_correct_segment(
+        batch, KeyframeUpdates.of(updates), ts, rs, raw_division=raw_division
+    )
     records = records_of(columns, batch.index)
     assert len(records) == len(full)
     k = 0
@@ -352,11 +355,15 @@ class TestBatchedBaseline:
         updates = [KeyframeUpdate(0, Pose.identity(), Pose.identity()), KeyframeUpdate(1, kf_b, turned)]
         (record,) = assert_batch_equals_scalar([seg], updates, TransSpace.XYZ, RotSpace.QUAT)
         assert record.quat_renorm_hits == 1
-        q, _, _ = interp_correct_segment(SegmentBatch([seg]), updates, TransSpace.XYZ, RotSpace.QUAT)
+        q, _, _ = interp_correct_segment(
+            SegmentBatch([seg]), KeyframeUpdates.of(updates), TransSpace.XYZ, RotSpace.QUAT
+        )
         assert q.tolist() == [[1.0, 0.0, 0.0, 0.0]]
 
     def test_empty_batch(self):
-        q, t, columns = interp_correct_segment(SegmentBatch(()), [], TransSpace.SE3_V, RotSpace.SO3)
+        q, t, columns = interp_correct_segment(
+            SegmentBatch(()), KeyframeUpdates.of([]), TransSpace.SE3_V, RotSpace.SO3
+        )
         assert q.shape == (0, 4) and t.shape == (0, 3)
         assert {name: len(column) for name, column in columns.items()} == {
             "singular_hits": 0, "gimbal_hits": 0, "quat_renorm_hits": 0
@@ -367,4 +374,6 @@ class TestBatchedBaseline:
         seg = Segment(index=0, kf_a=kf_a, kf_b=None, rels=())
         upd = KeyframeUpdate(0, Pose.identity(), Pose.identity())
         with pytest.raises(ValueError, match="terminal"):
-            interp_correct_segment(SegmentBatch([seg]), [upd], TransSpace.XYZ, RotSpace.QUAT)
+            interp_correct_segment(
+                SegmentBatch([seg]), KeyframeUpdates.of([upd]), TransSpace.XYZ, RotSpace.QUAT
+            )

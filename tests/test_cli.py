@@ -715,7 +715,7 @@ class TestInputValidation:
         [("--n-keyframes", "1", "n_keyframes"), ("--n-keyframes", "0", "n_keyframes"),
          ("--rels-per-segment", "-1", "rels_per_segment"), ("--drift", "nan", "--drift"),
          ("--pixel-noise", "nan", "pixel_noise"), ("--n-landmarks", "-5", "n_landmarks"),
-         ("--n-landmarks", "0", "n_landmarks")],
+         ("--n-landmarks", "0", "n_landmarks"), ("--seed", "-1", "seed")],
     )
     def test_simulate_out_of_range_flags(self, tmp_path, capsys, flag, value, name):
         out = tmp_path / "sim_bad"

@@ -23,6 +23,7 @@ from posecorrect.trajectory import (
     FrameId,
     Keyframe,
     KeyframeUpdate,
+    KeyframeUpdates,
     RelativeFrame,
     Segment,
     SegmentBatch,
@@ -180,7 +181,7 @@ def recorded_alpha(seg):
         KeyframeUpdate(0, seg.kf_a.world_pose, seg.kf_a.world_pose),
         KeyframeUpdate(1, seg.kf_b.world_pose, seg.kf_b.world_pose),
     ]
-    _, _, columns = correct_segment(SegmentBatch([seg]), updates)
+    _, _, columns = correct_segment(SegmentBatch([seg]), KeyframeUpdates.of(updates))
     (alpha,) = columns["alpha_min"].tolist()
     assert columns["alpha_max"].tolist() == [alpha]
     return alpha
@@ -342,7 +343,7 @@ def assert_batch_equals_scalar(traj, updates):
     frames ride along with its opening keyframe."""
     *full, last = traj.segments
     batch = SegmentBatch(full)
-    q, t, columns = correct_segment(batch, updates)
+    q, t, columns = correct_segment(batch, KeyframeUpdates.of(updates))
     records = records_of(columns, batch.index)
     world, diagnostics = correct_trajectory(traj, updates, MethodConfig("proposed"))
     world = dict(world)
@@ -427,7 +428,7 @@ class TestBatchedKernel:
         assert [len(seg.rels) for seg in traj.segments] == [2, 0, 2, 2]
         updates = perturbed_updates(traj, seed=34)
         batch = SegmentBatch(traj.segments[:-1])
-        records = records_of(correct_segment(batch, updates)[2], batch.index)
+        records = records_of(correct_segment(batch, KeyframeUpdates.of(updates))[2], batch.index)
         assert records[0].degenerate_baseline and records[0].s == 1.0
         assert records[0].alpha_min == timestamp_fraction(traj.segments[0], 0)
         assert math.isnan(records[1].alpha_min) and math.isnan(records[1].alpha_max)
@@ -438,7 +439,7 @@ class TestBatchedKernel:
         seg = Segment(index=0, kf_a=kf_a, kf_b=None, rels=())
         upd = KeyframeUpdate(0, Pose.identity(), Pose.identity())
         with pytest.raises(ValueError, match="terminal"):
-            correct_segment(SegmentBatch([seg]), [upd])
+            correct_segment(SegmentBatch([seg]), KeyframeUpdates.of([upd]))
 
     @pytest.mark.parametrize("scale_squared", [False, True])
     def test_keyframe_pairs_equal_scalar_setup(self, scale_squared):
@@ -454,7 +455,7 @@ class TestBatchedKernel:
         updates[6] = KeyframeUpdate(6, updates[6].old_pose, updates[5].new_pose)
         full = traj.segments[:-1]
         assert len(full[3].rels) == 0
-        pairs = keyframe_pairs(SegmentBatch(full), updates, scale_squared)
+        pairs = keyframe_pairs(SegmentBatch(full), KeyframeUpdates.of(updates), scale_squared)
         assert np.flatnonzero(pairs.degenerate).tolist() == [1, 5]
         for k, seg in enumerate(full):
             upd_a, upd_b = updates[seg.index], updates[seg.index + 1]

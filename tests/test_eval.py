@@ -39,6 +39,7 @@ from reference_kernels import (
     bench_segment,
     correct_segment_scalar,
     reference_correct,
+    rotation_angle_deg_scalar,
 )
 
 
@@ -124,7 +125,7 @@ class TestFrameErrors:
         est[0] = gt[0]
         for (_, pe), (_, pg), err in zip(est, gt, frame_errors(est, gt)):
             assert err.translation_cm == float(np.linalg.norm(pe.translation - pg.translation)) * 100.0
-            assert err.rotation_deg == rotation_angle_deg(pe.rotation, pg.rotation)
+            assert err.rotation_deg == rotation_angle_deg_scalar(pe.rotation, pg.rotation)
 
     def test_double_entry_against_independent_recompute(self):
         rng = np.random.default_rng(3)

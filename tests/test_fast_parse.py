@@ -15,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posecorrect import io as trajio
-from posecorrect.liegeom import Rotation, quat_from_matrix, quat_matrix, quat_normalize
-from reference_kernels import _orthonormalize
+from posecorrect.liegeom import quat_from_matrix, quat_matrix, quat_normalize
+from reference_kernels import _orthonormalize, rotation_from_matrix_scalar
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -256,14 +256,14 @@ class TestDebugLog:
 
 def row_kitti_check(rows):
     """The KITTI value checks one row at a time, as ``read_kitti`` did them:
-    ``_orthonormalize`` and ``Rotation.from_matrix`` on each finite row up to
+    ``_orthonormalize`` and ``rotation_from_matrix_scalar`` on each finite row up to
     the first non-finite one."""
     finite = np.isfinite(rows).all(axis=1)
     n = len(rows) if finite.all() else int(np.argmin(finite))
     q = np.empty((n, 4))
     for k, vals in enumerate(rows[:n].reshape(-1, 3, 4)):
         try:
-            q[k] = Rotation.from_matrix(_orthonormalize(vals[:, :3], "p", k)).quat
+            q[k] = rotation_from_matrix_scalar(_orthonormalize(vals[:, :3], "p", k)).quat
         except trajio.TrajectoryParseError as exc:
             return None, (k, str(exc).split(": ", 1)[1])
     if n < len(rows):
@@ -294,7 +294,7 @@ class TestKittiTwins:
     @pytest.mark.parametrize("seed", range(3))
     def test_quat_from_matrix_equals_rotation_from_matrix(self, seed, scale):
         m = near_rotations(seed, 200, scale)
-        want = np.array([Rotation.from_matrix(mk).quat for mk in m])
+        want = np.array([rotation_from_matrix_scalar(mk).quat for mk in m])
         assert quat_from_matrix(m).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("scale", [0.0, 1e-13, 1e-8, 1e-5, 2e-4])

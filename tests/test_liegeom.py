@@ -35,13 +35,15 @@ from posecorrect.liegeom import (
     slerp_from_identity,
     so3_exp,
     so3_exp_rows,
-    so3_left_jacobian,
-    so3_left_jacobian_inv,
     so3_left_jacobian_inv_rows,
     so3_left_jacobian_rows,
     so3_log,
     so3_log_rows,
     vec_norm,
+)
+from reference_kernels import (
+    euler_zyx_from_scalar, gimbal_proximity_scalar, rotation_angle_deg_scalar, rotation_matrix_scalar,
+    so3_left_jacobian_inv_scalar, so3_left_jacobian_scalar, so3_log_scalar,
 )
 
 
@@ -581,7 +583,8 @@ tangent_batches = st.lists(tangents(), min_size=1, max_size=6)
 
 class TestLieArrayForms:
     """The exp/log, Jacobian, Euler and metric array forms against their
-    scalar forms, bit for bit."""
+    scalar forms, bit for bit: ``so3_exp`` and ``euler_zyx_to`` of the
+    package, and the oracles of ``reference_kernels`` for the rest."""
 
     @settings(max_examples=200)
     @given(batches)
@@ -591,10 +594,10 @@ class TestLieArrayForms:
         for r, log, m, euler, gimbal in zip(
             rots, so3_log_rows(q), quat_matrix(q), *euler_zyx_from_rows(q)
         ):
-            assert same_bits(log, so3_log(r))
-            assert same_bits(m, r.matrix)
-            assert same_bits(euler, euler_zyx_from(r))
-            assert gimbal == gimbal_proximity(r)
+            assert same_bits(log, so3_log_scalar(r))
+            assert same_bits(m, rotation_matrix_scalar(r))
+            assert same_bits(euler, euler_zyx_from_scalar(r))
+            assert gimbal == gimbal_proximity_scalar(r)
 
     @settings(max_examples=200)
     @given(st.lists(euler_angles(), min_size=1, max_size=6))
@@ -604,8 +607,8 @@ class TestLieArrayForms:
             assert same_bits(row, euler_zyx_to(a).quat)
         rots = [Rotation._from_canonical(row) for row in q]
         for euler, gimbal, r in zip(*euler_zyx_from_rows(q), rots):
-            assert same_bits(euler, euler_zyx_from(r))
-            assert gimbal == gimbal_proximity(r)
+            assert same_bits(euler, euler_zyx_from_scalar(r))
+            assert gimbal == gimbal_proximity_scalar(r)
 
     def test_near_gimbal_pitch_flagged(self):
         q = euler_zyx_to_rows(np.array([[0.3, 0.5 * math.pi, 0.1], [0.3, 0.2, 0.1]]))
@@ -624,10 +627,10 @@ class TestLieArrayForms:
         for j, j_inv, w, x, jx, jx_inv in zip(
             jac, jac_inv, omega, v, mat_vec(jac, v), mat_vec(jac_inv, v)
         ):
-            assert same_bits(j, so3_left_jacobian(w))
-            assert same_bits(j_inv, so3_left_jacobian_inv(w))
-            assert same_bits(jx, so3_left_jacobian(w) @ x)
-            assert same_bits(jx_inv, so3_left_jacobian_inv(w) @ x)
+            assert same_bits(j, so3_left_jacobian_scalar(w))
+            assert same_bits(j_inv, so3_left_jacobian_inv_scalar(w))
+            assert same_bits(jx, so3_left_jacobian_scalar(w) @ x)
+            assert same_bits(jx_inv, so3_left_jacobian_inv_scalar(w) @ x)
 
     @settings(max_examples=200)
     @given(st.lists(st.tuples(raw_quaternions(), raw_quaternions()), min_size=1, max_size=6),
@@ -643,18 +646,26 @@ class TestLieArrayForms:
             assert same_bits(got_t, pose.inverse().translation)
         angles = rotation_angles_deg(np.array([r.quat for r in a]), np.array([r.quat for r in b]))
         for got, ra, rb in zip(angles.tolist(), a, b):
-            assert got == rotation_angle_deg(ra, rb)
+            assert got == rotation_angle_deg_scalar(ra, rb)
 
     def test_infinite_argument_raises_and_nan_propagates(self):
         # math.sin and math.cos raise on inf and pass NaN through; so do
         # the array forms.
         for fn, scalar in ((so3_exp_rows, so3_exp), (euler_zyx_to_rows, euler_zyx_to),
-                           (so3_left_jacobian_rows, so3_left_jacobian)):
+                           (so3_left_jacobian_rows, so3_left_jacobian_scalar)):
             with pytest.raises(ValueError, match="math domain error"):
                 scalar(np.array([math.inf, 0.0, 0.0]))
             with pytest.raises(ValueError, match="math domain error"):
                 fn(np.array([[0.1, 0.2, 0.3], [math.inf, 0.0, 0.0]]))
             assert np.isnan(fn(np.array([[math.nan, 0.0, 0.0]]))).any()
+
+    def test_one_row_views_keep_scalar_value_types(self):
+        r = random_rotation(3)
+        q = Rotation.from_matrix(r.matrix).quat
+        assert not q.flags.writeable
+        assert type(gimbal_proximity(r)) is bool
+        assert type(rotation_angle_deg(r, Rotation.identity())) is float
+        assert so3_log(r).shape == euler_zyx_from(r).shape == (3,)
 
     def test_empty_batches(self):
         q, v = np.zeros((0, 4)), np.zeros((0, 3))

@@ -145,11 +145,14 @@ class TestGeneration:
         "field, value",
         [("n_keyframes", 1), ("n_keyframes", 0), ("rels_per_segment", -1),
          ("pixel_noise", math.nan), ("pixel_noise", -0.5), ("n_landmarks", 0),
-         ("n_landmarks", -5)],
+         ("n_landmarks", -5), ("seed", -3)],
     )
     def test_out_of_range_spec_rejected(self, field, value):
         with pytest.raises(GenerationError, match=field):
             SceneSpec(**{field: value})
+
+    def test_seed_of_any_size_accepted(self):
+        assert SceneSpec(seed=10**400).seed == 10**400
 
     def test_unknown_shape_raises(self):
         with pytest.raises(GenerationError, match="unknown path shape"):
