@@ -54,7 +54,10 @@ Four parts, each run on both checkouts with the same inputs:
   ``evaluate.write_frame_errors_csv`` on seven files, one per method, of
   ``evaluate.frame_errors`` over all frames of each method's correction of
   the estimate (991, 9,991 and 99,991 rows): the writer that the CLI
-  ladder's ``evaluate-all`` pays once per run.
+  ladder's ``evaluate-all`` pays once per run.  The same again for
+  ``evaluate.write_diagnostics_csv`` on the segment table of the proposed
+  correction of each estimate (100, 1,000 and 10,000 rows), which the CLI
+  ladder's ``correct`` writes once per run.
 * **Synth ladder.**  ``synth.path_world_poses`` of each ladder path and
   ``fixtures.displaced_estimate`` of it (991, 9,991 and 99,991 frames),
   timed the same way: the input build that perfbench's ``setup_s`` pays.
@@ -270,15 +273,21 @@ frames = trajio.read_tum(d / "est.tum")
 out.mkdir(parents=True, exist_ok=True)
 
 
-def frame_errors_files():
-    # Every method's errors over all frames, as evaluate --methods all
-    # passes them to its writer.
-    from posecorrect import evaluate
+def snapped():
+    # The estimate's trajectory, its keyframes snapped onto the path.
     from posecorrect.trajectory import from_world_poses, snap_to_gt
 
     gt = trajio.read_tum(d / "gt.tum")
     traj = from_world_poses(frames, [int(i) for i in (d / "kf_index.txt").read_text().split()])
-    updates = snap_to_gt(traj, gt)
+    return traj, snap_to_gt(traj, gt), gt
+
+
+def frame_errors_files():
+    # Every method's errors over all frames, as evaluate --methods all
+    # passes them to its writer.
+    from posecorrect import evaluate
+
+    traj, updates, gt = snapped()
     return [
         (out / f"frame_errors_{m}.csv", evaluate.frame_errors(
             evaluate.correct_trajectory(traj, updates, evaluate.MethodConfig(m))[0], gt))
@@ -290,6 +299,12 @@ if name == "write_frame_errors_csv":
     from posecorrect.evaluate import write_frame_errors_csv
 
     files = frame_errors_files()
+if name == "write_diagnostics_csv":
+    # The segment table of a proposed correction, as correct writes it.
+    from posecorrect import evaluate
+
+    traj, updates, _ = snapped()
+    diagnostics = evaluate.correct_trajectory(traj, updates, evaluate.MethodConfig("proposed"))[1]
 if name == "synth":
     # The generators that wrote this estimate, on a path of its length.
     from posecorrect import fixtures
@@ -300,6 +315,8 @@ call = {
     "write_tum": lambda: trajio.write_tum(out / "written.tum", frames),
     "read_tum": lambda: trajio.read_tum(d / "est.tum"),
     "write_frame_errors_csv": lambda: write_frame_errors_csv(files),
+    "write_diagnostics_csv": lambda: evaluate.write_diagnostics_csv(out / "diagnostics.csv",
+                                                                    diagnostics),
     "synth": lambda: fixtures.displaced_estimate(
         path_world_poses(spec), keyframe_positions(spec), seed=0
     ),
@@ -457,8 +474,9 @@ def ladder(sides: dict, inputs: Path, workdir: Path) -> dict:
 
 
 def text_ladder(sides: dict, inputs: Path, workdir: Path, call: str) -> dict:
-    """``<call>`` (``write_tum``, ``read_tum``, ``write_frame_errors_csv``
-    or ``synth``) on each ladder estimate; ``lines`` counts its frames."""
+    """``<call>`` (``write_tum``, ``read_tum``, ``write_frame_errors_csv``,
+    ``write_diagnostics_csv`` or ``synth``) on each ladder estimate;
+    ``lines`` counts its frames."""
     record = {}
     for k, (n_keyframes, reps) in enumerate(LADDER_REPS.items()):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
@@ -576,6 +594,7 @@ def main(argv=None) -> int:
         record["frame_errors_ladder"] = text_ladder(
             sides, inputs, workdir, "write_frame_errors_csv"
         )
+        record["diagnostics_ladder"] = text_ladder(sides, inputs, workdir, "write_diagnostics_csv")
         record["synth_ladder"] = text_ladder(sides, inputs, workdir, "synth")
     record["call_ladder"] = call_ladder(sides)
     path = ROOT / f"BENCH_{args.label}.json"

@@ -37,6 +37,11 @@ command set:
 * ``evaluate --raw-division`` on a three-frame input whose keyframes have
   zero yaw, where every interpolating baseline but Euler warns of
   non-finite frames, the two that share a kernel run among them;
+* ``evaluate`` on a copy of that input whose stem holds ``,`` and ``"``,
+  so that ``report.csv`` quotes its ``sequence`` cell;
+* ``evaluate --methods all`` on the ``forward`` scene with no relative
+  frames: every ``frame_errors_*.csv`` is a header alone, and
+  ``report.csv`` holds ``nan`` cells;
 * one in-process command per simulated scene (``repeated-updates``): it
   corrects one trajectory again and again, with every method, under a
   cycle of updates whose old poses are the trajectory's own keyframes or
@@ -99,6 +104,9 @@ ZERO_YAW = {
     "zero_yaw_gt.tum": zero_yaw_line(0, 0, 0) + zero_yaw_line(0.5, 0.5, 0.3)
     + zero_yaw_line(1, 1, 0.1),
 }
+# The zero-yaw input under a stem that report.csv's sequence cell must quote.
+QUOTED_STEM = 'zero,"yaw"'
+ZERO_YAW[f"{QUOTED_STEM}.tum"] = ZERO_YAW["zero_yaw.tum"]
 
 REPEATED = "repeated-updates"  # the in-process command; its arguments follow
 REPEATED_UPDATES = """
@@ -187,6 +195,12 @@ def command_set() -> list[list[str]]:
         ["evaluate", "--traj", "in/zero_yaw.tum", "--kf-index", "in/zero_yaw_kf_index.txt",
          "--gt", "in/zero_yaw_gt.tum", "--methods", "no-correction,xyz,se3-v,quat,so3,proposed",
          "--raw-division", "--out", "out/zero-yaw-eval"],
+        ["evaluate", "--traj", f"in/{QUOTED_STEM}.tum", "--kf-index", "in/zero_yaw_kf_index.txt",
+         "--gt", "in/zero_yaw_gt.tum", "--methods", "no-correction,proposed",
+         "--out", "out/quoted-stem-eval"],
+        ["evaluate", "--traj", "out/forward-no-rels/est.tum",
+         "--kf-index", "out/forward-no-rels/kf_index.txt", "--gt", "out/forward-no-rels/gt.tum",
+         "--methods", "all", "--out", "out/forward-no-rels-eval"],
         *([REPEATED, f"out/{scene}", f"out/repeat-{scene}"] for scene in ("sim", "mav", "rotonly")),
     ]
     for name in MALFORMED:

@@ -41,6 +41,7 @@ from . import fixtures
 from . import io as trajio
 from . import synth
 from .baseline import RotSpace, TransSpace
+from .floatfmt import write_columns
 from .trajectory import (
     AssociationError,
     KeyframeUpdates,
@@ -232,10 +233,9 @@ def cmd_simulate(args) -> int:
     frames = scene.gt_world_poses()
     trajio.write_tum(out / "gt.tum", frames)
     positions = synth.keyframe_positions(spec)
-    with open(out / "kf_index.txt", "w", encoding="utf-8") as fh:
-        fh.write("# keyframe frame indices\n")
-        for p in positions:
-            fh.write(f"{frames.indices[p]}\n")
+    with open(out / "kf_index.txt", "wb") as fh:
+        fh.write(b"# keyframe frame indices\n")
+        write_columns([(fh, [frames.indices[positions]])], ["\n"])
     if args.drift > 0.0:
         est = fixtures.displaced_estimate(frames, positions, seed=args.seed, magnitude=args.drift)
     else:
@@ -261,10 +261,13 @@ def cmd_bench(args) -> int:
         )
         rows.append((name, stats))
         log.info("%s: %s ms", name, stats.format())
-    with open(out / "timing.csv", "w", encoding="utf-8") as fh:
-        fh.write("method,mean_ms,std_ms,median_ms,count\n")
-        for name, stats in rows:
-            fh.write(f"{name},{stats.mean!r},{stats.std!r},{stats.median!r},{stats.count}\n")
+    with open(out / "timing.csv", "wb") as fh:
+        fh.write(b"method,mean_ms,std_ms,median_ms,count\n")
+        write_columns([(fh, [
+            [name.encode() for name, _ in rows],
+            *np.array([(s.mean, s.std, s.median) for _, s in rows], dtype=float).reshape(-1, 3).T,
+            np.array([s.count for _, s in rows], dtype=np.int64),
+        ])], [","] * 4 + ["\n"])
     _echo_config(args, out)
     return 0
 

@@ -10,7 +10,6 @@ diagnostics are a table of :data:`SEGMENT_DEFAULTS` rows, one per keyframe.
 """
 from __future__ import annotations
 
-import csv
 import logging
 import math
 import time
@@ -22,7 +21,7 @@ import numpy as np
 
 from . import baseline, correction
 from .baseline import RotSpace, TransSpace
-from .floatfmt import format_values
+from .floatfmt import write_columns
 from .liegeom import rotation_angles_deg, vec_norm
 from .trajectory import (
     DEFAULT_ASSOC_TOL,
@@ -345,104 +344,44 @@ def bench(
 
 # -- report files ----------------------------------------------------------------
 
-REPORT_COLUMNS = (
-    "sequence",
-    "method",
-    "t_mean_cm",
-    "t_std_cm",
-    "t_median_cm",
-    "r_mean_deg",
-    "r_std_deg",
-    "r_median_deg",
-    "singular_hits",
-    "time_ms_median",
-)
+REPORT_HEADER = (b"sequence,method,t_mean_cm,t_std_cm,t_median_cm,"
+                 b"r_mean_deg,r_std_deg,r_median_deg,singular_hits,time_ms_median\r\n")
 
 
 def write_report_csv(path, rows: Sequence[tuple[str, MethodReport]]) -> None:
-    """One row per (sequence, method).  The ``time_ms_median`` cell is left
-    empty so evaluation output stays byte-deterministic; ``bench`` writes
-    timings to its own ``timing.csv``."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REPORT_COLUMNS)
-        for sequence, rep in rows:
-            writer.writerow(
-                [
-                    sequence,
-                    rep.method,
-                    repr(rep.translation.mean),
-                    repr(rep.translation.std),
-                    repr(rep.translation.median),
-                    repr(rep.rotation.mean),
-                    repr(rep.rotation.std),
-                    repr(rep.rotation.median),
-                    rep.singular_hits,
-                    "",
-                ]
-            )
-
-
-FRAME_ERRORS_HEADER = b"stamp,index,translation_cm,rotation_deg\r\n"
-FRAME_ERRORS_BLOCK = 6144  # values of the distinct columns formatted per block
-_SEPS = np.frombuffer(b",\r\n", np.uint8)
+    """One row per (sequence, method), in ``csv``'s default dialect.  The
+    ``time_ms_median`` cell is left empty so evaluation output stays
+    byte-deterministic; ``bench`` writes timings to its own ``timing.csv``."""
+    stats = [(s.mean, s.std, s.median) for _, rep in rows for s in (rep.translation, rep.rotation)]
+    with open(path, "wb") as fh:
+        fh.write(REPORT_HEADER)
+        write_columns([(fh, [
+            [sequence.encode() for sequence, _ in rows], [rep.method.encode() for _, rep in rows],
+            *np.array(stats, dtype=float).reshape(-1, 6).T,
+            np.array([rep.singular_hits for _, rep in rows], dtype=np.int64), [b""] * len(rows),
+        ])], [","] * 9 + ["\r\n"])
 
 
 def write_frame_errors_csv(files) -> None:
-    """Write one per-frame error table per ``(path, FrameErrors)`` pair.
-
-    Each file is the ``csv`` dialect's text of ``repr`` cells (``str`` of
-    the index).  Methods share the frames they score, and baselines that
-    treat translation or rotation alike share that error column, so each
-    byte-distinct column is formatted once (equal bytes give equal text;
-    ``-0.0 == 0.0`` does not).  The rows go out in blocks of about
-    :data:`FRAME_ERRORS_BLOCK` values of those columns, one
-    :func:`floatfmt.format_values` call per kind; each file's rows of a
-    block are one byte gather from that text, written to its open file.
-    """
+    """Write one per-frame error table per ``(path, FrameErrors)`` pair, in
+    ``csv``'s default dialect.  Methods share the frames they score, and
+    baselines that treat translation or rotation alike share that error
+    column: :func:`floatfmt.write_columns` formats each shared column once."""
     files = list(files)
-    ids, columns, cells = {}, [], []  # column ids by dtype and bytes; columns; ids per file
-    for _, e in files:
-        for v in (e.stamps, e.indices, e.translation_cm, e.rotation_deg):
-            cells.append(ids.setdefault((v.dtype.str, v.tobytes()), len(ids)))
-            if cells[-1] == len(columns):
-                columns.append(v)
-    del ids
-    kinds = [[j for j, c in enumerate(columns) if (c.dtype.kind == "i") == is_int]
-             for is_int in (False, True)]
-    order, step = kinds[0] + kinds[1], max(1, FRAME_ERRORS_BLOCK // max(1, len(columns)))
     with ExitStack() as stack:
         handles = [stack.enter_context(open(path, "wb")) for path, _ in files]
         for fh in handles:
-            fh.write(FRAME_ERRORS_HEADER)
-        for lo in range(0, max(map(len, columns), default=0), step):
-            block = [c[lo:lo + step] for c in columns]
-            parts = [format_values(np.concatenate([block[j] for j in group]))
-                     for group in kinds if group]
-            shift = np.cumsum([0] + [len(text) for text, _, _ in parts])  # ",\r\n" at shift[-1]
-            text = np.concatenate([text for text, _, _ in parts] + [_SEPS])
-            start = np.concatenate([start + at for (_, start, _), at in zip(parts, shift)])
-            width = np.concatenate([width for _, _, width in parts])
-            first = dict(zip(order, np.cumsum([0] + [len(block[j]) for j in order]).tolist()))
-            for k, fh in enumerate(handles):
-                row = cells[4 * k:4 * k + 4]
-                m = min(len(block[j]) for j in row)
-                at, size = np.empty((2, m, 8), np.int32)  # four cells, each then its separator
-                for cell, j in enumerate(row):
-                    at[:, 2 * cell], size[:, 2 * cell] = start[first[j]:][:m], width[first[j]:][:m]
-                at[:, 1::2], size[:, 1::2] = shift[-1] + np.array([0, 0, 0, 1]), (1, 1, 1, 2)
-                at, size = at.reshape(-1), size.reshape(-1)
-                gather = np.repeat(at - np.cumsum(size, dtype=np.int32) + size, size)
-                gather += np.arange(len(gather), dtype=np.int32)
-                fh.write(text[gather])
+            fh.write(b"stamp,index,translation_cm,rotation_deg\r\n")
+        write_columns([(fh, [e.stamps, e.indices, e.translation_cm, e.rotation_deg])
+                      for fh, (_, e) in zip(handles, files)], [","] * 3 + ["\r\n"])
 
 
 def write_diagnostics_csv(path, diagnostics: TrajectoryDiagnostics) -> None:
-    """One row per segment, one column per diagnostics field: bools as 0/1,
-    and ``tolist`` gives Python floats, which ``csv`` writes by ``repr``."""
+    """One row per segment, one column per diagnostics field, in ``csv``'s
+    default dialect, bools as 0/1."""
     table = diagnostics.segments
-    bools_as_ints = [(name, "<i8" if kind == "|b1" else kind) for name, kind in table.dtype.descr]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(table.dtype.names)
-        writer.writerows(table.astype(bools_as_ints).tolist())
+    columns = [table[name].astype(np.int64) if table[name].dtype == bool else table[name]
+               for name in table.dtype.names]
+    with open(path, "wb") as fh:
+        fh.write(",".join(table.dtype.names).encode() + b"\r\n")
+        write_columns([(fh, columns)], [","] * (len(columns) - 1) + ["\r\n"])

@@ -1,18 +1,18 @@
-"""Shortest round-trip text of float64 tables, byte-equal to ``repr``.
+"""Every text output of the package: typed columns, byte-equal to ``repr``.
 
-:func:`format_values` packs the text of an array's values (``str`` of an
-integer) and gives each one's start and width; :func:`format_table` lays an
-(N, C) table out on it with a separator per column, and :func:`write_table`
-writes in blocks of about :data:`BLOCK` values.  Digits come from Ryū's ``d2d`` (Adams,
-"Ryū: fast float-to-string conversion", PLDI 2018) run on numpy ``uint64``
-arrays: it finds the shortest decimal that reads back to the same double
-and, among those, the nearest one, which is what CPython's ``repr``
-(David Gay's ``dtoa`` in shortest mode) prints.  The layout then follows
-``repr``: positional for ``-4 < decpt <= 16`` (``decpt`` is the position of
-the decimal point relative to the first digit), with ``.0`` after an
-integral value; exponent form otherwise, with an explicit exponent sign,
-at least two exponent digits and no ``.0``; and ``0.0``, ``-0.0``,
-``inf``, ``-inf`` and ``nan``, which has no sign.
+:func:`write_columns` writes tables of float (``repr``), integer and bool
+(``str``) and text columns to one or more open binary files, in blocks of
+about :data:`BLOCK` values; :func:`format_values` packs the text of an
+array's values and gives each one's start and width.  Digits come from
+Ryū's ``d2d`` (Adams, "Ryū: fast float-to-string conversion", PLDI 2018)
+run on numpy ``uint64`` arrays: it finds the shortest decimal that reads
+back to the same double and, among those, the nearest one, which is what
+CPython's ``repr`` (David Gay's ``dtoa`` in shortest mode) prints.  The
+layout then follows ``repr``: positional for ``-4 < decpt <= 16``
+(``decpt`` is the position of the decimal point relative to the first
+digit), with ``.0`` after an integral value; exponent form otherwise, with
+an explicit exponent sign, at least two exponent digits and no ``.0``; and
+``0.0``, ``-0.0``, ``inf``, ``-inf`` and ``nan``, which has no sign.
 
 All integer arithmetic is ``uint64`` with ``uint64`` constants: a
 ``uint64`` array combined with an ``int64`` one, or (on numpy 1.x) a
@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-BLOCK = 8192  # values formatted per block by write_table
+BLOCK = 8192  # values of the distinct columns formatted per block by write_columns
 
 _U = np.uint64
 _MASK32 = _U(0xFFFFFFFF)
@@ -253,27 +253,84 @@ def format_values(values: np.ndarray, gap=0) -> tuple[np.ndarray, np.ndarray, np
     return buf[_PAD:], start - _PAD, width
 
 
-def format_table(table: np.ndarray, seps: Sequence[str]) -> bytes:
-    """The text of an (N, C) float64 table: ``repr`` of each value followed
-    by ``seps`` of its column, row after row."""
-    values = np.ascontiguousarray(table, dtype=np.float64)
-    n_rows, n_cols = values.shape
-    if len(seps) != n_cols:
-        raise ValueError(f"{n_cols} columns but {len(seps)} separators")
-    sep_bytes = [s.encode() for s in seps]
-    sep_len = np.tile([len(s) for s in sep_bytes], n_rows)
-    buf, start, width = format_values(values, sep_len)
-    end = start + width + sep_len
-    for col, sep in enumerate(sep_bytes):
-        for offset, byte in enumerate(sep):
-            buf[end[col::n_cols] - len(sep) + offset] = byte
-    return buf.tobytes()
+_QUOTE = b',"\r\n'  # csv's default dialect quotes a text cell holding any of these
+_BOOL_TEXT = np.array([b"False", b"True"], dtype=object)
 
 
-def write_table(fh, table: np.ndarray, seps: Sequence[str]) -> None:
-    """Write :func:`format_table` of ``table`` to the binary file ``fh``,
-    about :data:`BLOCK` values at a time."""
-    values = np.asarray(table, dtype=np.float64)
-    step = max(1, BLOCK // max(1, values.shape[1]))
-    for first in range(0, len(values), step):
-        fh.write(format_table(values[first:first + step], seps))
+def _column(values) -> np.ndarray:
+    """A column as a float64, int64 or object (``bytes`` cells) array."""
+    if not isinstance(values, np.ndarray):
+        return np.array(values, dtype=object).reshape(-1)
+    if values.dtype == bool:
+        return _BOOL_TEXT[values.astype(np.intp)]
+    return values.astype(np.float64 if values.dtype.kind == "f" else np.int64, copy=False)
+
+
+def _text(cells: list, tails: list[bytes]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`format_values`' form of ``bytes`` cells, each quoted as
+    ``csv`` quotes it and followed by its tail, which the width includes."""
+    cells = [(b'"' + c.replace(b'"', b'""') + b'"' if c.translate(None, _QUOTE) != c else c) + t
+             for c, t in zip(cells, tails)]
+    width = np.fromiter(map(len, cells), np.int64, len(cells))
+    return np.frombuffer(bytearray(b"".join(cells)), np.uint8), np.cumsum(width) - width, width
+
+
+def write_columns(files, seps: Sequence[str]) -> None:
+    """Write each ``(fh, columns)`` of ``files`` to its open binary file
+    ``fh``, row after row, each cell followed by its column's separator: a
+    float array's cells as ``repr``, an integer or bool array's as ``str``,
+    and a sequence of ``bytes`` as text, quoted as ``csv.writer``'s default
+    dialect quotes a cell (one holding ``,"\\r\\n`` is wrapped in ``"`` and
+    each ``"`` doubled).
+
+    The rows go out in blocks of about :data:`BLOCK` values of the distinct
+    columns: files may share columns, and each byte-distinct (text cells:
+    identical) column at a position is formatted once.  A block's columns
+    of one kind and length are formatted row after row, with their
+    separators, in one call; a file that is one such group is written as
+    is, any other file's rows are one byte gather from the block's text."""
+    seps, files = [s.encode() for s in seps], list(files)
+    handles, ids, columns, cells = [], {}, [], []  # files; ids by key; (sep, column); ids per file
+    for fh, table in files:
+        table = [_column(c) for c in table]
+        if not table or len(table) != len(seps) or len({len(c) for c in table}) > 1:
+            lengths = [len(c) for c in table]
+            raise ValueError(f"{len(seps)} separators for columns of lengths {lengths}")
+        handles.append(fh)
+        # One file shares no column: its cells are keyed by position alone.
+        keys = [(k, c.dtype.str, c.tobytes()) if len(files) > 1 else k
+                for k, c in enumerate(table)]
+        cells.append([ids.setdefault(key, len(ids)) for key in keys])
+        columns += {j: (seps[k], c) for k, (c, j) in enumerate(zip(table, cells[-1]))
+                    if j >= len(columns)}.values()
+    del ids
+    step = max(1, BLOCK // max(1, len(columns)))
+    for lo in range(0, max((len(c) for _, c in columns), default=0), step):
+        groups = {}  # ids of the block's columns by kind and length
+        for j, (_, c) in enumerate(columns):
+            groups.setdefault((c.dtype.kind, len(c[lo:lo + step])), []).append(j)
+        texts, at, size = {}, {}, {}  # text by group; each column's cells: start and size
+        for (kind, m), group in groups.items():
+            tails, n = [columns[j][0] for j in group], len(group)
+            values = np.stack([columns[j][1][lo:lo + step] for j in group], axis=1).reshape(-1)
+            if kind == "O":
+                text, start, width = _text(values.tolist(), tails * m)
+            else:
+                gap = np.tile([len(t) for t in tails], m)
+                text, start, width = format_values(values, gap)
+                width += gap
+                for g, tail in enumerate(tails):  # the separators, into the gaps
+                    for i, byte in enumerate(tail):
+                        text[start[g::n] + width[g::n] - len(tail) + i] = byte
+            for g, j in enumerate(group):
+                at[j], size[j] = start[g::n] + sum(map(len, texts.values())), width[g::n]
+            texts[tuple(group)] = text
+        text = np.concatenate(list(texts.values()))
+        for fh, row in zip(handles, cells):
+            if tuple(row) in texts:  # the file is one group, laid out in its order
+                fh.write(texts[tuple(row)])
+                continue
+            start, width = (np.stack([d[j] for j in row], axis=1).reshape(-1) for d in (at, size))
+            gather = np.repeat((start - np.cumsum(width) + width).astype(np.int32), width)
+            gather += np.arange(len(gather), dtype=np.int32)
+            fh.write(np.take(text, gather))

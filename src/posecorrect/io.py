@@ -22,14 +22,10 @@ reflection checks, SVD projection and matrix-to-quaternion conversion of
 every rotation for KITTI.  So a file costs a few array passes rather than
 a ``Pose`` per line.  Under ``POSECORRECT_LOG=DEBUG`` each read logs which
 path it took and, on a fallback, which check sent it there.
-The writers format a whole table with :mod:`~posecorrect.floatfmt`, whose
-text of each float is byte-equal to its ``repr``, so write-then-read is
-exact; they write bytes, so a file does not depend on the platform's
-newline translation.
-:func:`parse_tum_fields` and :func:`format_tum_line` are the one-line
-forms, which scene files use and the tests compare the readers and
-writers against; the one-row form of the KITTI rotation check is
-``_orthonormalize`` in ``tests/reference_kernels.py``.
+Each writer is one :func:`~posecorrect.floatfmt.write_columns` call, whose
+floats are byte-equal to ``repr``, so write-then-read is exact.
+:func:`parse_tum_fields` is the one-line TUM reader, which scene files use;
+the tests' one-line oracles are in ``tests/reference_kernels.py``.
 """
 from __future__ import annotations
 
@@ -41,7 +37,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .floatfmt import write_table
+from .floatfmt import write_columns
 from .liegeom import Pose, Rotation, quat_from_matrix, quat_matrix, quat_normalize, vec_norm
 from .trajectory import AssociationError, FrameTable, associate
 
@@ -93,13 +89,6 @@ def _parse_floats(fields: list[str], path, line: int, count: int, layout: str = 
     if not all(math.isfinite(v) for v in vals):
         raise TrajectoryParseError(path, line, NON_FINITE)
     return vals
-
-
-def format_tum_line(stamp: float, pose: Pose) -> str:
-    t = pose.translation
-    w, x, y, z = pose.rotation.quat
-    vals = (stamp, t[0], t[1], t[2], x, y, z, w)
-    return " ".join(repr(float(v)) for v in vals)
 
 
 def _quat_norm_error(norm: float) -> str:
@@ -224,14 +213,18 @@ def read_tum(path) -> FrameTable:
     return FrameTable(stamps, np.arange(len(rows)), quat_normalize(wxyz), rows[:, 1:4])
 
 
+def tum_columns(frames: FrameTable) -> list[np.ndarray]:
+    """The columns of TUM lines: stamp, translation, then xyzw quaternion."""
+    return [frames.stamps, *frames.t.T, *frames.q[:, 1:].T, frames.q[:, 0]]
+
+
 def write_tum(path, poses) -> None:
     """Write a :class:`FrameTable` or ``(FrameId, Pose)`` pairs as TUM
-    lines; each line equals :func:`format_tum_line` of its frame."""
+    lines, ``repr`` of each value."""
     frames = FrameTable.of(poses)
-    rows = np.column_stack((frames.stamps, frames.t, frames.q[:, 1:], frames.q[:, :1]))
     with open(path, "wb") as fh:
         fh.write(b"# stamp tx ty tz qx qy qz qw\n")
-        write_table(fh, rows, [" "] * 7 + ["\n"])
+        write_columns([(fh, tum_columns(frames))], [" "] * 7 + ["\n"])
 
 
 def _drift_error(drift: float) -> str:
@@ -285,7 +278,7 @@ def write_kitti(path, poses) -> None:
     frames = FrameTable.of(poses)
     rows = np.concatenate((quat_matrix(frames.q), frames.t[:, :, None]), axis=2)
     with open(path, "wb") as fh:
-        write_table(fh, rows.reshape(-1, 12), [" "] * 11 + ["\n"])
+        write_columns([(fh, list(rows.reshape(-1, 12).T))], [" "] * 11 + ["\n"])
 
 
 def read_keyframe_index(path, frames) -> list[int]:

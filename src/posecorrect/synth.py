@@ -25,7 +25,10 @@ Scene container format (line oriented, '#' comments allowed)::
     [landmarks]       # id x y z
     [observations]    # frame_index landmark_id u v depth
 
-Floats are written with ``repr`` so serialization is byte-deterministic.
+Each section is one :func:`~posecorrect.floatfmt.write_columns` call: floats
+as ``repr`` and integers as ``str``, so serialization is byte-deterministic.
+The file is written as bytes, so its lines end with ``\\n`` on every
+platform.
 """
 from __future__ import annotations
 
@@ -36,6 +39,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import io as trajio
+from .floatfmt import write_columns
 from .liegeom import Pose, Rotation, euler_zyx_to_rows, so3_exp
 from .trajectory import (
     FrameId,
@@ -151,14 +155,14 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name, low in (
-            ("n_keyframes", 2), ("rels_per_segment", 0), ("n_landmarks", 1), ("pixel_noise", 0)
-        ):
+        # Compared, not converted: float() of an integer overflows past 1e308.
+        # numpy counts and indexes sizes in int64; a seed may be any size.
+        for name, low, high in (("n_keyframes", 2, 2**63), ("rels_per_segment", 0, 2**63),
+                                ("n_landmarks", 1, 2**63), ("pixel_noise", 0, math.inf),
+                                ("seed", 0, math.inf)):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value >= low):
-                raise GenerationError(f"{name} must be finite and >= {low}, got {value!r}")
-        if self.seed < 0:  # an integer of any size; math.isfinite would overflow
-            raise GenerationError(f"seed must be >= 0, got {self.seed!r}")
+            if not low <= value < high:
+                raise GenerationError(f"{name} must be >= {low} and < {high}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -504,38 +508,29 @@ def reprojection_rms(
 
 
 def save_scene(scene: Scene, path) -> None:
+    """Write the scene container, one table per section, as bytes."""
     frames = scene.gt_world_poses()
-    kf_rows = []
-    kf_ids = {kf.id.index for kf in scene.trajectory.keyframes}
-    for row, (fid, _) in enumerate(frames):
-        if fid.index in kf_ids:
-            kf_rows.append(row)
+    kf_rows = np.flatnonzero(np.isin(frames.indices, scene.trajectory.kf.indices))
     cam = scene.camera
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# posecorrect scene v1\n")
-        fh.write("[camera]\n")
-        fh.write(
-            " ".join(
-                repr(float(v)) for v in (cam.fx, cam.fy, cam.cx, cam.cy)
-            )
-            + f" {cam.width} {cam.height}\n"
-        )
-        fh.write("[poses]\n")
-        for fid, pose in frames:
-            fh.write(trajio.format_tum_line(fid.stamp, pose) + "\n")
-        fh.write("[keyframes]\n")
-        for row in kf_rows:
-            fh.write(f"{row}\n")
-        fh.write("[landmarks]\n")
-        for lm in scene.landmarks:
-            p = lm.position
-            fh.write(f"{lm.id} {float(p[0])!r} {float(p[1])!r} {float(p[2])!r}\n")
-        fh.write("[observations]\n")
-        for obs in scene.observations:
-            fh.write(
-                f"{obs.frame_index} {obs.landmark_id} "
-                f"{float(obs.pixel[0])!r} {float(obs.pixel[1])!r} {float(obs.depth)!r}\n"
-            )
+    ids = np.array([lm.id for lm in scene.landmarks], dtype=np.int64)
+    points = np.array([lm.position for lm in scene.landmarks], dtype=float).reshape(-1, 3)
+    obs = scene.observations
+    sections = [
+        (b"# posecorrect scene v1\n[camera]\n", [
+            *np.array([[cam.fx, cam.fy, cam.cx, cam.cy]], dtype=float).T,
+            np.array([cam.width]), np.array([cam.height])]),
+        (b"[poses]\n", trajio.tum_columns(frames)),
+        (b"[keyframes]\n", [kf_rows]),
+        (b"[landmarks]\n", [ids, *points.T]),
+        (b"[observations]\n", [
+            np.array([o.frame_index for o in obs], dtype=np.int64),
+            np.array([o.landmark_id for o in obs], dtype=np.int64),
+            *np.array([(*o.pixel, o.depth) for o in obs], dtype=float).reshape(-1, 3).T]),
+    ]
+    with open(path, "wb") as fh:
+        for header, columns in sections:
+            fh.write(header)
+            write_columns([(fh, columns)], [" "] * (len(columns) - 1) + ["\n"])
 
 
 def _scene_fields(path, lineno: int, text: str, what: str, types) -> list:

@@ -3,7 +3,8 @@ batched kernels, which the tests compare them against bit for bit.  No
 command runs them.  The equations are in the docstrings of
 :mod:`posecorrect.correction` and :mod:`posecorrect.baseline`;
 :func:`reference_correct` picks the reference of a method by name.
-:func:`_orthonormalize` is the one-row form of ``io._kitti_check``, and
+:func:`_orthonormalize` is the one-row form of ``io._kitti_check``,
+:func:`format_tum_line` the one-line form of ``io.write_tum``, and
 :func:`bench_segment` the fixture of acceptance criterion 8.
 
 The synthetic generators have their per-frame forms here too: the
@@ -463,6 +464,15 @@ def _orthonormalize(m: np.ndarray, path, line: int) -> np.ndarray:
         return m
     u, _, vt = np.linalg.svd(m)
     return u @ vt
+
+
+def format_tum_line(stamp: float, pose: Pose) -> str:
+    """One TUM line, ``repr`` of each value: the one-line form of
+    ``io.write_tum``."""
+    t = pose.translation
+    w, x, y, z = pose.rotation.quat
+    vals = (stamp, t[0], t[1], t[2], x, y, z, w)
+    return " ".join(repr(float(v)) for v in vals)
 
 
 def bench_segment() -> tuple[Segment, KeyframeUpdate, KeyframeUpdate]:

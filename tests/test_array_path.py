@@ -35,6 +35,7 @@ from reference_kernels import (
     SCALAR_PATHS,
     _orthonormalize,
     displaced_estimate_scalar,
+    format_tum_line,
     frame_grid_scalar,
     noisy_fixture_scalar,
     path_world_poses_scalar,
@@ -84,7 +85,7 @@ def object_read_kitti(path, frame_rate=10.0):
 
 def object_tum_text(pairs) -> str:
     return "# stamp tx ty tz qx qy qz qw\n" + "".join(
-        trajio.format_tum_line(fid.stamp, pose) + "\n" for fid, pose in pairs
+        format_tum_line(fid.stamp, pose) + "\n" for fid, pose in pairs
     )
 
 

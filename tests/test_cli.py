@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posecorrect import evaluate as ev
-from posecorrect import fixtures
+from posecorrect import fixtures, floatfmt
 from posecorrect import io as trajio
 from posecorrect.cli import main
 from posecorrect.liegeom import pose_arrays, rotation_angle_deg
@@ -347,10 +347,20 @@ class TestEvaluate:
         if scene == "zero-yaw":
             assert b"nan" in written[1][0].read_bytes()
 
+    def test_report_quotes_a_sequence_as_csv_writer_does(self, sim_dir, tmp_path):
+        traj = tmp_path / 'e,"q".tum'
+        traj.write_bytes((sim_dir / "est.tum").read_bytes())
+        argv = evaluate_args(sim_dir, tmp_path / "out", "--methods", "proposed")
+        argv[argv.index("--traj") + 1] = str(traj)
+        assert main(argv) == 0
+        rows = (tmp_path / "out" / "report.csv").read_bytes().split(b"\r\n")
+        assert rows[1].startswith(b'"e,""q""",proposed,')
+        assert list(csv.reader([rows[1].decode()]))[0][0] == 'e,"q"'
+
     def test_frame_errors_writer_shares_only_equal_columns(self, tmp_path):
         stamps, indices = np.array([0.5, -0.0, 2.0]), np.array([1, 2, 3])
         rng = np.random.default_rng(6)
-        long = rng.normal(size=3 * ev.FRAME_ERRORS_BLOCK + 5) * 10.0 ** rng.integers(-6, 6, 1)
+        long = rng.normal(size=3 * floatfmt.BLOCK + 5) * 10.0 ** rng.integers(-6, 6, 1)
         limits = np.array([-1, 2**53 + 1, np.iinfo(np.int64).min, np.iinfo(np.int64).max, 0])
         tables = [
             ev.FrameErrors(stamps, indices, np.array([math.inf, 0.0, 1e-300]),
@@ -475,6 +485,17 @@ class TestEvaluate:
 
 
 class TestBench:
+    def test_timing_csv_equals_its_per_value_form(self, tmp_path, monkeypatch):
+        stats = iter([ev.ErrorStats(0.1, 1e-17, 2.5, 30), ev.ErrorStats(-0.0, math.nan, 1e16, 7)])
+        monkeypatch.setattr(ev, "bench", lambda *args, **kwargs: next(stats))
+        out = tmp_path / "bench"
+        assert main(["bench", "--methods", "proposed,so3", "--out", str(out)]) == 0
+        want = "method,mean_ms,std_ms,median_ms,count\n" + "".join(
+            f"{name},{s.mean!r},{s.std!r},{s.median!r},{s.count}\n"
+            for name, s in zip(["proposed", "so3"], [ev.ErrorStats(0.1, 1e-17, 2.5, 30),
+                                                     ev.ErrorStats(-0.0, math.nan, 1e16, 7)]))
+        assert (out / "timing.csv").read_bytes() == want.encode()
+
     def test_timing_csv_written(self, tmp_path):
         out = tmp_path / "bench"
         assert main([
@@ -590,6 +611,26 @@ class TestConsoleEntry:
             "from posecorrect.cli import main\n"
             f"assert main({evaluate_args(sim_dir, tmp_path / 'ev')!r}) == 0\n"
             "print('numpy.ma' in sys.modules)\n"
+        )
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert (result.returncode, result.stdout) == (0, "False\n"), result.stderr
+
+    @pytest.mark.parametrize("command", ["evaluate", "correct", "simulate"])
+    def test_commands_do_not_import_csv(self, sim_dir, tmp_path, command):
+        # Every text output goes through floatfmt.write_columns.
+        argv = {
+            "evaluate": evaluate_args(sim_dir, tmp_path / "ev"),
+            "correct": ["correct", "--traj", str(sim_dir / "est.tum"),
+                        "--kf-index", str(sim_dir / "kf_index.txt"),
+                        "--kf-old", str(sim_dir / "est.tum"), "--kf-new", str(sim_dir / "gt.tum"),
+                        "--out", str(tmp_path / "corr")],
+            "simulate": ["simulate", "--drift", "1.0", "--out", str(tmp_path / "sim")],
+        }[command]
+        script = (
+            "import sys\n"
+            "from posecorrect.cli import main\n"
+            f"assert main({argv!r}) == 0\n"
+            "print('csv' in sys.modules)\n"
         )
         result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert (result.returncode, result.stdout) == (0, "False\n"), result.stderr
@@ -715,7 +756,11 @@ class TestInputValidation:
         [("--n-keyframes", "1", "n_keyframes"), ("--n-keyframes", "0", "n_keyframes"),
          ("--rels-per-segment", "-1", "rels_per_segment"), ("--drift", "nan", "--drift"),
          ("--pixel-noise", "nan", "pixel_noise"), ("--n-landmarks", "-5", "n_landmarks"),
-         ("--n-landmarks", "0", "n_landmarks"), ("--seed", "-1", "seed")],
+         ("--n-landmarks", "0", "n_landmarks"), ("--seed", "-1", "seed"),
+         # Past float range: the sizes are compared as integers.
+         ("--n-keyframes", "9" * 400, "n_keyframes"),
+         ("--rels-per-segment", "9" * 400, "rels_per_segment"),
+         ("--n-landmarks", "9" * 400, "n_landmarks")],
     )
     def test_simulate_out_of_range_flags(self, tmp_path, capsys, flag, value, name):
         out = tmp_path / "sim_bad"

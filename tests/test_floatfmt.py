@@ -1,9 +1,12 @@
-"""The array float formatter against ``repr``, byte for byte: the edge sets
-of the shortest-digit search, random bit patterns, Hypothesis over all
-doubles, and the table layout (separators, empty tables, special values,
-block boundaries)."""
+"""The table writer against its oracles, byte for byte: ``repr`` on the
+edge sets of the shortest-digit search, random bit patterns and Hypothesis
+over all doubles; ``str`` on integers and bools; ``csv.writer`` rows on
+mixed tables with text cells; and the table layout (separators, empty
+tables, special values, block boundaries, files that share columns)."""
 
+import csv
 import io
+import math
 
 import numpy as np
 import pytest
@@ -14,17 +17,31 @@ from posecorrect import floatfmt
 
 
 def repr_text(table, seps) -> bytes:
-    """The oracle: ``repr`` of each value and its column's separator."""
+    """The oracle: ``repr`` (``str`` of an integer) of each value and its
+    column's separator."""
     return "".join(
         "".join(repr(v) + sep for v, sep in zip(row, seps)) for row in np.asarray(table).tolist()
     ).encode()
 
 
+def written(files, seps) -> list[bytes]:
+    """The bytes :func:`floatfmt.write_columns` writes to each of ``files``,
+    a list of column lists."""
+    handles = [io.BytesIO() for _ in files]
+    floatfmt.write_columns(list(zip(handles, files)), seps)
+    return [fh.getvalue() for fh in handles]
+
+
+def table_text(table, seps) -> bytes:
+    """The text of one (N, C) table, one column per table column."""
+    return written([list(np.asarray(table).T)], seps)[0]
+
+
 def assert_reprs(values):
     """One value per line, compared line by line so a failure names it."""
-    column = np.asarray(values, dtype=np.float64).reshape(-1, 1)
-    got = floatfmt.format_table(column, ["\n"]).decode().split("\n")[:-1]
-    want = [repr(v) for v in column[:, 0].tolist()]
+    column = np.asarray(values, dtype=np.float64)
+    got = table_text(column[:, None], ["\n"]).decode().split("\n")[:-1]
+    want = [repr(v) for v in column.tolist()]
     assert len(got) == len(want)
     bad = [(w, g) for w, g in zip(want, got) if w != g]
     assert not bad, f"{len(bad)} differ, first {bad[:5]}"
@@ -41,7 +58,7 @@ class TestAgainstRepr:
         nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
                          0xFFFFFFFFFFFFFFFF], dtype=np.uint64).view(np.float64)
         assert_reprs(np.concatenate([[0.0, -0.0, np.inf, -np.inf], nans]))
-        text = floatfmt.format_table(np.array([[-0.0, np.nan, -np.inf]]), [" ", " ", ""])
+        text = table_text(np.array([[-0.0, np.nan, -np.inf]]), [" ", " ", ""])
         assert text == b"-0.0 nan -inf"
 
     def test_powers_of_two_and_neighbours(self):
@@ -112,27 +129,29 @@ class TestExactMultiply:
 
 class TestTable:
     def test_empty_tables(self):
-        assert floatfmt.format_table(np.empty((0, 3)), [" ", " ", "\n"]) == b""
-        out = io.BytesIO()
-        floatfmt.write_table(out, np.empty((0, 8)), [" "] * 7 + ["\n"])
-        assert out.getvalue() == b""
+        assert table_text(np.empty((0, 3)), [" ", " ", "\n"]) == b""
+        assert table_text(np.empty((0, 8)), [" "] * 7 + ["\n"]) == b""
 
     def test_block_of_only_zeros_infinities_and_nans(self):
         # No value takes the digit search's shortening loops.
         table = np.array([[0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan]] * 3)
         seps = [" "] * 5 + ["\n"]
-        assert floatfmt.format_table(table, seps) == repr_text(table, seps)
-        assert floatfmt.format_table(np.zeros((1, 1)), [""]) == b"0.0"
+        assert table_text(table, seps) == repr_text(table, seps)
+        assert table_text(np.zeros((1, 1)), [""]) == b"0.0"
 
     def test_separators_of_any_length(self):
         rng = np.random.default_rng(4)
         table = rng.normal(size=(50, 4)) * 10.0 ** rng.integers(-8, 20, (50, 4))
         seps = [", ", "", "\t|\t", "\r\n"]
-        assert floatfmt.format_table(table, seps) == repr_text(table, seps)
+        assert table_text(table, seps) == repr_text(table, seps)
 
     def test_separator_count_must_match(self):
-        with pytest.raises(ValueError, match="2 columns but 1 separators"):
-            floatfmt.format_table(np.zeros((3, 2)), [" "])
+        with pytest.raises(ValueError, match=r"1 separators for columns of lengths \[3, 3\]"):
+            table_text(np.zeros((3, 2)), [" "])
+
+    def test_columns_of_one_file_must_match_in_length(self):
+        with pytest.raises(ValueError, match=r"2 separators for columns of lengths \[3, 2\]"):
+            written([[np.zeros(3), np.zeros(2)]], [" ", "\n"])
 
     @pytest.mark.parametrize("extra", [-1, 0, 1, floatfmt.BLOCK // 8 + 3])
     def test_tables_across_block_boundaries(self, extra):
@@ -142,21 +161,116 @@ class TestTable:
         table[::7, 0] = np.arange(len(table[::7])) * 0.1
         table[3::11, 5] = -0.0
         seps = [" "] * 7 + ["\n"]
-        out = io.BytesIO()
-        floatfmt.write_table(out, table, seps)
-        assert out.getvalue() == repr_text(table, seps)
+        assert table_text(table, seps) == repr_text(table, seps)
 
     def test_non_contiguous_and_integer_input(self):
         table = np.arange(24, dtype=np.int64).reshape(4, 6)[:, ::2]
-        assert floatfmt.format_table(table, [" ", " ", "\n"]) == repr_text(
+        assert table_text(table, [" ", " ", "\n"]) == repr_text(table, [" ", " ", "\n"])
+        assert table_text(table.astype(float), [" ", " ", "\n"]) == repr_text(
             table.astype(float), [" ", " ", "\n"]
         )
 
     def test_table_is_built_on_first_use(self):
         floatfmt._exponent_table.cache_clear()
         assert floatfmt._exponent_table.cache_info().currsize == 0
-        floatfmt.format_table(np.ones((1, 1)), [""])
+        table_text(np.ones((1, 1)), [""])
         assert floatfmt._exponent_table.cache_info().currsize == 1
+
+
+FLOAT_EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.225073858507201e-308,
+               1e16, 9999999999999998.0, 1e-4, 9.999999999999999e-05, -1e16, -1e-4]
+INT64 = np.iinfo(np.int64)
+CELLS = {  # a kind's Hypothesis values, and its array dtype (None: bytes cells)
+    "float": (st.floats(width=64) | st.sampled_from(FLOAT_EDGES)
+              | st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308), np.float64),
+    "int": (st.integers(INT64.min, INT64.max) | st.sampled_from([INT64.min, INT64.max, 0]),
+            np.int64),
+    "bool": (st.booleans(), bool),
+    "text": (st.lists(st.sampled_from([b",", b'"', b"\r", b"\n", b"a", b" ", b"-0.5"]), max_size=4)
+             .map(b"".join), None),
+}
+CSV_SEPS = [","] * 5 + ["\r\n"]
+
+
+def column_of(kind, values):
+    return list(values) if CELLS[kind][1] is None else np.array(values, dtype=CELLS[kind][1])
+
+
+def csv_rows(columns) -> bytes:
+    """The oracle of a CSV table: ``csv.writer`` rows of ``repr`` of each
+    float, ``str`` of each integer and bool, and each text cell (bytes
+    decoded as Latin-1, which maps every byte to one character)."""
+    out = io.StringIO(newline="")
+    cells = [[c.decode("latin-1") for c in col] if isinstance(col, list) else
+             [repr(v) if isinstance(v, float) else str(v) for v in col.tolist()] for col in columns]
+    csv.writer(out).writerows(zip(*cells))
+    return out.getvalue().encode("latin-1")
+
+
+class TestTypedTables:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from(list(CELLS)), min_size=6, max_size=6),
+           st.lists(st.tuples(st.integers(0, 6), st.lists(st.integers(0, 1), min_size=6,
+                                                           max_size=6)), min_size=1, max_size=4),
+           st.data())
+    def test_files_equal_csv_writer_rows(self, kinds, shapes, data):
+        # Each file has the kinds' layout, a length and a pick per column
+        # from a pool, so that files share some columns, and some columns
+        # are byte-equal copies of others.
+        pool = {}
+
+        def column(kind, length, pick):
+            if (kind, length, pick) not in pool:
+                values = data.draw(st.lists(CELLS[kind][0], min_size=length, max_size=length))
+                pool[kind, length, pick] = column_of(kind, values)
+            col = pool[kind, length, pick]
+            return col.copy() if data.draw(st.booleans()) else col
+
+        files = [[column(kind, n, pick) for kind, pick in zip(kinds, picks)] for n, picks in shapes]
+        for got, columns in zip(written(files, CSV_SEPS), files):
+            assert got == csv_rows(columns)
+
+    @pytest.mark.parametrize("blocks, extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (3, 5)])
+    def test_mixed_tables_across_block_boundaries(self, blocks, extra):
+        rows = blocks * (floatfmt.BLOCK // 6) + extra  # a block holds BLOCK // 6 rows of six columns
+        rng = np.random.default_rng(7)
+        floats = rng.normal(size=rows) * 10.0 ** rng.integers(-20, 20, rows)
+        floats[::5] = -0.0
+        text = [[b"", b"a,b", b'say "x"', b"\r\n", b"plain"][k % 5] for k in range(rows)]
+        columns = [floats, rng.integers(INT64.min, INT64.max, rows, endpoint=True),
+                   rng.integers(0, 2, rows).astype(bool), text, floats[::-1].copy(), floats / 3.0]
+        assert written([columns], CSV_SEPS) == [csv_rows(columns)]
+
+    def test_several_files_share_columns(self):
+        rng = np.random.default_rng(8)
+        n = 2 * floatfmt.BLOCK + 3
+        stamps, index = rng.normal(size=n), np.arange(n) - 7
+        shared = rng.normal(size=n)
+        files = [[stamps, index, shared, shared.copy(), [b"m,1"] * n, index > 0],
+                 [stamps, index, -shared, shared, [b"m2"] * n, index > 0],
+                 [stamps[:5], index[:5], shared[:5], shared[:5], [b""] * 5, index[:5] < 0],
+                 [stamps[:0], index[:0], shared[:0], shared[:0], [], index[:0] < 0]]
+        assert written(files, CSV_SEPS) == [csv_rows(columns) for columns in files]
+
+    def test_files_of_one_kind_and_length_are_written_in_place(self):
+        # Each file is the whole group of its block's float or int columns.
+        rng = np.random.default_rng(9)
+        tables = [rng.normal(size=(floatfmt.BLOCK // 3 + 2, 3)), rng.normal(size=(5, 3)),
+                  np.arange(-3, 4)[:, None], np.empty((0, 3))]
+        seps = [[" ", " ", "\n"], ["\t", ",", "\r\n"], ["\n"], [" ", " ", "\n"]]
+        for table, sep in zip(tables, seps):
+            assert written([list(table.T)], sep) == [repr_text(table, sep)]
+        got = written([list(tables[0].T), list(tables[1].T)], seps[0])
+        assert got == [repr_text(tables[0], seps[0]), repr_text(tables[1], seps[0])]
+
+    def test_text_cells_are_quoted_as_csv_quotes_them(self):
+        cells = [b"", b",", b'"', b"\r", b"\n", b'e,"q"', b"plain", b" lead", b"tab\t"]
+        assert written([[cells, cells]], [",", "\r\n"])[0] == csv_rows([cells, cells])
+        assert written([[[b'e,"q"'], np.array([0.5])]], [",", "\r\n"])[0] == b'"e,""q""",0.5\r\n'
+
+    def test_bools_and_integers_print_as_str(self):
+        flags = np.array([True, False])
+        assert written([[flags, flags.astype(np.int64)]], [" ", "\n"]) == [b"True 1\nFalse 0\n"]
 
 
 class TestValues:

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from posecorrect.io import (
     TrajectoryParseError,
     _parse_rows,
-    format_tum_line,
     read_keyframe_index,
     read_kitti,
     read_tum,
@@ -20,6 +19,7 @@ from posecorrect.io import (
 )
 from posecorrect.liegeom import Pose, Rotation, quat_matrix, quat_normalize, rotation_angle_deg
 from posecorrect.trajectory import FrameId, FrameTable
+from reference_kernels import format_tum_line
 
 DATA = Path(__file__).parent / "data"
 

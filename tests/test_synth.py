@@ -145,7 +145,10 @@ class TestGeneration:
         "field, value",
         [("n_keyframes", 1), ("n_keyframes", 0), ("rels_per_segment", -1),
          ("pixel_noise", math.nan), ("pixel_noise", -0.5), ("n_landmarks", 0),
-         ("n_landmarks", -5), ("seed", -3)],
+         ("n_landmarks", -5), ("seed", -3),
+         # Past float range: the sizes are compared as integers.
+         ("n_keyframes", 10**400 - 1), ("rels_per_segment", 10**400 - 1),
+         ("n_landmarks", 10**400 - 1)],
     )
     def test_out_of_range_spec_rejected(self, field, value):
         with pytest.raises(GenerationError, match=field):
