@@ -40,10 +40,12 @@ Four parts, each run on both checkouts with the same inputs:
   at least 2x below 1.36 ms at the probe's reference speed.  One more
   call per size runs under a tracer
   that counts the numpy calls made from ``posecorrect`` code: numpy
-  functions and array methods, ufuncs called by name (``np.add(...)``,
-  ``np.frompyfunc`` objects), and array operator instructions (binary,
-  comparison and unary operators executed in ``posecorrect`` frames;
-  this also counts the few operators on Python scalars there).
+  functions and array methods (``np.fromiter`` and ``tolist`` among
+  them, once per ``math`` function mapped over rows; the ``math`` calls
+  themselves are not numpy calls), ufuncs called by name
+  (``np.add(...)``), and array operator instructions (binary, comparison
+  and unary operators executed in ``posecorrect`` frames; this also
+  counts the few operators on Python scalars there).
 * **Writer and reader ladders.**  ``io.write_tum`` and ``io.read_tum``
   called in process on the size ladder's estimates (991, 9,991 and 99,991
   lines), as milliseconds per call at the probe's reference speed beside

@@ -42,6 +42,9 @@ command set:
 * ``evaluate --methods all`` on the ``forward`` scene with no relative
   frames: every ``frame_errors_*.csv`` is a header alone, and
   ``report.csv`` holds ``nan`` cells;
+* ``evaluate --methods all`` on a nine-frame input where one relative
+  frame shares a keyframe's stamp and two relative frames share a stamp,
+  so that the order of the scored rows is compared;
 * one in-process command per simulated scene (``repeated-updates``): it
   corrects one trajectory again and again, with every method, under a
   cycle of updates whose old poses are the trajectory's own keyframes or
@@ -53,8 +56,8 @@ For every command the exit code, standard output and standard error are
 compared, and afterwards every file the commands wrote.  ``bench`` output
 holds timings, so only its exit code, its streams and the names of its
 files are compared.  The inputs that are not made by a command (the KITTI
-trajectories, the ``--config`` files, the zero-yaw input and
-``tests/data``) are written once, from the change checkout, and copied to
+trajectories, the ``--config`` files, the zero-yaw and shared-stamp inputs
+and ``tests/data``) are written once, from the change checkout, and copied to
 both sides.  Exits 0 when
 everything is byte-identical, 1 otherwise, and lists each difference.
 """
@@ -107,6 +110,22 @@ ZERO_YAW = {
 # The zero-yaw input under a stem that report.csv's sequence cell must quote.
 QUOTED_STEM = 'zero,"yaw"'
 ZERO_YAW[f"{QUOTED_STEM}.tum"] = ZERO_YAW["zero_yaw.tum"]
+
+
+def shared_stamps_line(stamp, x, yaw):
+    return f"{stamp} {x!r} {0.1 * x!r} 0 0 0 {math.sin(yaw / 2)!r} {math.cos(yaw / 2)!r}\n"
+
+
+# Keyframes at t=0, 0.5 and 1 (lines 0, 4 and 7); frames 2 and 3 share t=0.2,
+# and frame 5 shares keyframe 4's stamp.  Ground truth stretches x and yaw.
+SHARED_STAMPS_T = (0.0, 0.1, 0.2, 0.2, 0.5, 0.5, 0.7, 1.0, 1.1)
+SHARED_STAMPS = {
+    "shared_stamps.tum": "".join(shared_stamps_line(t, t + 0.01 * k, 0.2 * t)
+                                 for k, t in enumerate(SHARED_STAMPS_T)),
+    "shared_stamps_kf_index.txt": "0\n4\n7\n",
+    "shared_stamps_gt.tum": "".join(shared_stamps_line(t, 1.05 * t + 0.01 * k, 0.25 * t)
+                                    for k, t in enumerate(SHARED_STAMPS_T)),
+}
 
 REPEATED = "repeated-updates"  # the in-process command; its arguments follow
 REPEATED_UPDATES = """
@@ -201,6 +220,9 @@ def command_set() -> list[list[str]]:
         ["evaluate", "--traj", "out/forward-no-rels/est.tum",
          "--kf-index", "out/forward-no-rels/kf_index.txt", "--gt", "out/forward-no-rels/gt.tum",
          "--methods", "all", "--out", "out/forward-no-rels-eval"],
+        ["evaluate", "--traj", "in/shared_stamps.tum",
+         "--kf-index", "in/shared_stamps_kf_index.txt", "--gt", "in/shared_stamps_gt.tum",
+         "--methods", "all", "--out", "out/shared-stamps-eval"],
         *([REPEATED, f"out/{scene}", f"out/repeat-{scene}"] for scene in ("sim", "mav", "rotonly")),
     ]
     for name in MALFORMED:
@@ -252,7 +274,7 @@ def main(argv=None) -> int:
         for name, cwd in work.items():
             shutil.copytree(sides["change"] / "tests" / "data", cwd / "data")
             (cwd / "in").mkdir()
-            for config, text in (CONFIGS | ZERO_YAW).items():
+            for config, text in (CONFIGS | ZERO_YAW | SHARED_STAMPS).items():
                 (cwd / "in" / config).write_text(text, encoding="utf-8")
         results = {name: [] for name in sides}
         for k, command in enumerate(commands):

@@ -18,9 +18,9 @@ the unguarded IEEE behavior (inf/NaN) for failure-mode studies.
 
 :func:`interp_correct_segment` is the entry point: it corrects every full
 segment of a :class:`SegmentBatch` in one pass over (N, 4) quaternion and
-(N, 3) translation arrays, with the keyframe-pair vectors computed once
-per segment by :func:`correction.keyframe_pairs`, whose old half comes
-from the batch's memo.  Vectorization, the guarded update and the
+(N, 3) translation arrays, from the update's keyframe pairs
+(:func:`correction.keyframe_pairs`, whose old half comes from the batch's
+memo), vectorized once per segment.  Vectorization, the guarded update and the
 rotation rebuild run on the ``liegeom`` array forms, and the hit counts
 are summed per segment.
 ``interp_correct_segment_scalar`` in ``tests/reference_kernels.py`` is the
@@ -34,9 +34,9 @@ from enum import Enum
 import numpy as np
 
 from . import liegeom
-from .correction import keyframe_pairs
+from .correction import KeyframePairs
 from .liegeom import Rotation, mat_vec
-from .trajectory import KeyframeUpdates, SegmentBatch
+from .trajectory import SegmentBatch
 
 SINGULARITY_EPS = 1e-12
 QUAT_RENORM_TOL = 1e-6
@@ -103,7 +103,7 @@ def _rotation_rows(rvec: np.ndarray, rs: RotSpace) -> tuple[np.ndarray, np.ndarr
 
 def interp_correct_segment(
     batch: SegmentBatch,
-    updates: KeyframeUpdates,
+    pairs: KeyframePairs,
     ts: TransSpace,
     rs: RotSpace,
     raw_division: bool = False,
@@ -111,16 +111,15 @@ def interp_correct_segment(
     """Correct every relative frame of the full segments of ``batch`` in
     vector space, in one pass.
 
-    ``updates`` has row ``i`` for keyframe ``i``.  Returns the corrected
-    poses of ``batch.rels`` relative to each segment's updated opening
-    keyframe as (N, 4) quaternions and (N, 3) translations, plus the
+    ``pairs`` is the batch's :func:`correction.keyframe_pairs` for the
+    update.  Returns the corrected poses of ``batch.rels`` relative to each
+    segment's updated opening keyframe as (N, 4) quaternions and (N, 3) translations, plus the
     diagnostics columns ``singular_hits``, ``gimbal_hits`` and
     ``quat_renorm_hits``, one count per segment.  Each value and count is
     bitwise equal to the scalar reference on the segment.
     """
     per_frame = batch.per_frame
-    pairs = keyframe_pairs(batch, updates)
-    tv_old, rv_old, om_old, gimbal_old = _vectorize_rows(pairs.old_q, pairs.old_t, ts, rs)
+    tv_old, rv_old, om_old, gimbal_old = _vectorize_rows(pairs.old.q, pairs.old.t, ts, rs)
     tv_new, rv_new, om_new, gimbal_new = _vectorize_rows(pairs.new_q, pairs.new_t, ts, rs)
     tv, rv, om, gimbal = _vectorize_rows(batch.rels.q, batch.rels.t, ts, rs)
 

@@ -20,14 +20,16 @@ exactly; ``alpha = 1`` closes the far keyframe's constraint.
 
 :func:`correct_segment` corrects every full segment of a
 :class:`SegmentBatch`, usually all of a trajectory's, in one pass over
-(N, 4) quaternion and (N, 3) translation arrays, with the per-segment
-quantities (the inter-keyframe poses, ``s`` and the inverse) computed once
-per segment.  What depends only on the batch and the old keyframe poses
-(:class:`OldGeometry`) is kept in the batch's one-entry memo while those
-poses stay byte-equal, so a repeated update pays only for the new poses,
-the gap and the blend.  ``correct_segment_scalar`` in ``tests/reference_kernels.py``
-is the same correction for one segment, one frame at a time, on ``Pose``
-values; the tests compare this kernel against it bit for bit.
+(N, 4) quaternion and (N, 3) translation arrays.  The per-segment
+quantities (the inter-keyframe poses, ``s`` and the inverse) are the
+update's :class:`KeyframePairs`, computed once per update by
+:func:`keyframe_pairs` and shared by every kernel that corrects it.  What
+depends only on the batch and the old keyframe poses (:class:`OldGeometry`)
+is kept in the batch's one-entry memo while those poses stay byte-equal,
+so a repeated update pays only for the new poses, the gap and the blend.
+``correct_segment_scalar`` in ``tests/reference_kernels.py`` is the same
+correction for one segment, one frame at a time, on ``Pose`` values; the
+tests compare this kernel against it bit for bit.
 
 No divisions by per-axis components occur anywhere, which is what makes
 this correction immune to the axis-aligned singularities of element-wise
@@ -56,26 +58,15 @@ DEGENERATE_BASELINE = 1e-9  # meters; below this the scale ratio is unusable
 
 class OldGeometry:
     """The half of the correction of a batch that no keyframe update
-    changes, for old keyframe poses ``old_q``/``old_t``: per segment the
-    old pose of the closing keyframe relative to the opening one (``q``,
-    ``t``), its ``norm`` and its inverse (``inv_q``, ``inv_t``), and per
-    relative frame what :meth:`frames` lists, built on its first call."""
+    changes: per segment the old pose of the closing keyframe relative to
+    the opening one (``q``, ``t``), its ``norm`` and its inverse (``inv_q``,
+    ``inv_t``), and per relative frame what :meth:`frames` lists, built on
+    its first call."""
 
-    def __init__(self, batch: SegmentBatch, old_q: np.ndarray, old_t: np.ndarray):
-        a = batch.index
-        self.q, self.t = pose_mul(*pose_inverse(old_q[a], old_t[a]), old_q[a + 1], old_t[a + 1])
-        self.norm = vec_norm(self.t)
-        self.inv_q, self.inv_t = pose_inverse(self.q, self.t)
+    def __init__(self, q: np.ndarray, t: np.ndarray, norm: np.ndarray):
+        self.q, self.t, self.norm = q, t, norm
+        self.inv_q, self.inv_t = pose_inverse(q, t)
         self._frames = None
-
-    @classmethod
-    def of(cls, batch: SegmentBatch, updates: KeyframeUpdates) -> "OldGeometry":
-        """The geometry of ``batch`` for the old poses of ``updates``, from
-        the batch's memo when those poses are byte-equal to the last ones."""
-        key = (updates.old_q.tobytes(), updates.old_t.tobytes())
-        if batch.memo is None or batch.memo[0] != key:
-            batch.memo = key, cls(batch, updates.old_q, updates.old_t)
-        return batch.memo[1]
 
     def frames(self, batch: SegmentBatch) -> tuple[np.ndarray, ...]:
         """``(q_b, t_b, rot_a_inv, d_a, d_a + d_b, timestamp fraction)``."""
@@ -93,63 +84,73 @@ class OldGeometry:
 
 class KeyframePairs(NamedTuple):
     """Per-segment quantities that the batched kernels share, one row per
-    segment: the old pose of the closing keyframe relative to the opening
-    one (``t_ab_old``) and its inverse, the new such pose (``t_ab_new``)
+    segment: the :class:`OldGeometry` of the old keyframe poses, the new
+    pose of the closing keyframe relative to the opening one (``t_ab_new``)
     as quaternion and translation arrays, and ``s`` with its
-    degenerate-baseline flag."""
+    degenerate-baseline flag.  A kernel reads them and changes none."""
 
-    old_q: np.ndarray
-    old_t: np.ndarray
-    old_inv_q: np.ndarray
-    old_inv_t: np.ndarray
+    old: OldGeometry
     new_q: np.ndarray
     new_t: np.ndarray
     s: np.ndarray
     degenerate: np.ndarray
 
 
-def keyframe_pairs(
-    batch: SegmentBatch,
-    updates: KeyframeUpdates,
-    scale_squared: bool = False,
-) -> KeyframePairs:
+def keyframe_pairs(batch: SegmentBatch, updates: KeyframeUpdates) -> KeyframePairs:
     """The :class:`KeyframePairs` of every segment of ``batch`` at once,
-    bitwise equal to the per-segment setup of the scalar reference;
-    ``updates`` has row ``i`` for keyframe ``i``."""
-    old = OldGeometry.of(batch, updates)
-    a, kf_q, kf_t = batch.index, updates.new_q, updates.new_t
-    new_q, new_t = pose_mul(*pose_inverse(kf_q[a], kf_t[a]), kf_q[a + 1], kf_t[a + 1])
-    n_new = vec_norm(new_t)
-    degenerate = (old.norm < DEGENERATE_BASELINE) | (n_new < DEGENERATE_BASELINE)
+    bitwise equal to the per-segment setup of the scalar reference without
+    ``scale_squared``; ``updates`` has row ``i`` for keyframe ``i``.
+
+    The old half comes from the batch's memo while the old poses stay
+    byte-equal; on a miss the old and new pairs are one stacked chain."""
+    a = batch.index
+    key = (updates.old_q.tobytes(), updates.old_t.tobytes())
+    hit = batch.memo is not None and batch.memo[0] == key
+    if hit:
+        kf_q, kf_t = updates.new_q, updates.new_t
+    else:
+        kf_q = np.concatenate((updates.old_q, updates.new_q))
+        kf_t = np.concatenate((updates.old_t, updates.new_t))
+        a = np.concatenate((a, a + len(updates)))
+    # Pose b = a + 1 relative to pose a, row by row.
+    q, t = pose_mul(*pose_inverse(kf_q[a], kf_t[a]), kf_q[a + 1], kf_t[a + 1])
+    norm = vec_norm(t)
+    if hit:
+        old = batch.memo[1]
+    else:
+        n = len(batch.index)
+        old = OldGeometry(q[:n], t[:n], norm[:n])
+        batch.memo = key, old
+        q, t, norm = q[n:], t[n:], norm[n:]
+    degenerate = (old.norm < DEGENERATE_BASELINE) | (norm < DEGENERATE_BASELINE)
     with np.errstate(divide="ignore", invalid="ignore"):
-        s = n_new / old.norm
-    if scale_squared:
-        s = s * s
+        s = norm / old.norm
     s[degenerate] = 1.0
-    return KeyframePairs(old.q, old.t, old.inv_q, old.inv_t, new_q, new_t, s, degenerate)
+    return KeyframePairs(old, q, t, s, degenerate)
 
 
 def correct_segment(
     batch: SegmentBatch,
-    updates: KeyframeUpdates,
+    pairs: KeyframePairs,
     scale_squared: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
     """Correct every relative frame of the full segments of ``batch`` in
     one pass.
 
-    ``updates`` has row ``i`` for keyframe ``i``.  Returns the corrected
-    poses of ``batch.rels`` relative to each segment's updated opening
-    keyframe as (N, 4) quaternions and (N, 3) translations, plus the
-    diagnostics columns ``s``, ``degenerate_baseline``, ``alpha_min`` and
-    ``alpha_max``, one value per segment.  Each value is bitwise equal to
-    the scalar reference on the segment: the per-segment setup is
+    ``pairs`` is the batch's :func:`keyframe_pairs` for the update; with
+    ``scale_squared`` the kernel squares their ``s``.  Returns the
+    corrected poses of ``batch.rels`` relative to each segment's updated
+    opening keyframe as (N, 4) quaternions and (N, 3) translations, plus
+    the diagnostics columns ``s``, ``degenerate_baseline``, ``alpha_min``
+    and ``alpha_max``, one value per segment.  Each value is bitwise equal
+    to the scalar reference on the segment: the per-segment setup is
     :func:`keyframe_pairs`, and the per-frame steps are the array twins of
     its scalar operations.
     """
-    pairs = keyframe_pairs(batch, updates, scale_squared)
-    q_b, t_b, rot_a_inv, d_a, total, fraction = OldGeometry.of(batch, updates).frames(batch)
+    s_ab = pairs.s * pairs.s if scale_squared else pairs.s  # a degenerate 1.0 stays 1.0
+    q_b, t_b, rot_a_inv, d_a, total, fraction = pairs.old.frames(batch)
     # The per-segment table, repeated once for all its columns.
-    table = batch.per_frame(np.column_stack((pairs.new_q, pairs.new_t, pairs.s, pairs.degenerate)))
+    table = batch.per_frame(np.column_stack((pairs.new_q, pairs.new_t, s_ab, pairs.degenerate)))
     # alpha = d_a / (d_a + d_b), or the timestamp fraction on a degenerate
     # baseline or coincident geometry.
     alpha = fraction.copy()
@@ -166,9 +167,8 @@ def correct_segment(
     trans = trans_a + alpha[:, None] * quat_rotate(rot, dtrans)
 
     return rot, trans, {
-        "s": pairs.s,
+        "s": s_ab,
         "degenerate_baseline": pairs.degenerate,
         "alpha_min": batch.reduce(np.minimum, alpha, math.nan),
         "alpha_max": batch.reduce(np.maximum, alpha, math.nan),
     }
-

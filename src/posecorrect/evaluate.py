@@ -2,9 +2,9 @@
 
 The protocol snaps every keyframe of the estimated trajectory onto its
 ground-truth pose, applies the selected correction method to the relative
-frames of each segment, rebuilds world poses and reports per-frame errors
-of the relative frames only (the snapped keyframes would contribute
-zeros).  Statistics follow the mean +- standard deviation (median)
+frames of each segment, composes the world poses of those frames alone on
+the snapped keyframes and reports their per-frame errors (the snapped
+keyframes would contribute zeros).  Statistics follow the mean +- standard deviation (median)
 convention with the sample (n-1) standard deviation.  The segment
 diagnostics are a table of :data:`SEGMENT_DEFAULTS` rows, one per keyframe.
 """
@@ -15,6 +15,7 @@ import math
 import time
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
+from functools import cache
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -32,6 +33,7 @@ from .trajectory import (
     Trajectory,
     associate,
     compose_world_poses,
+    relative_world_poses,
     snap_to_gt,
 )
 
@@ -95,24 +97,23 @@ class TrajectoryDiagnostics:
 # SegmentBatch, and return the poses of their relative frames relative to
 # each updated opening keyframe as (N, 4) quaternion and (N, 3) translation
 # arrays, plus the diagnostics columns it computes, by name, one value per
-# segment.  ``updates`` is the trajectory's KeyframeUpdates table.  Kernels
-# are looked up through their modules at call time, so a patched module
-# attribute takes effect.
+# segment.  ``updates`` is the trajectory's KeyframeUpdates table and
+# ``pairs()`` returns its KeyframePairs; a kernel calls it at most once.
+# Kernels are looked up through their modules at call time, so a patched
+# module attribute takes effect.
 
 
-def _unchanged(batch: SegmentBatch, updates, cfg: MethodConfig):
+def _unchanged(batch: SegmentBatch, updates, pairs, cfg: MethodConfig):
     return batch.rels.q, batch.rels.t, {}
 
 
-def _proposed(batch: SegmentBatch, updates, cfg: MethodConfig):
-    return correction.correct_segment(batch, updates, cfg.scale_squared)
+def _proposed(batch: SegmentBatch, updates, pairs, cfg: MethodConfig):
+    return correction.correct_segment(batch, pairs(), cfg.scale_squared)
 
 
-def _interpolated(batch: SegmentBatch, updates, cfg: MethodConfig):
+def _interpolated(batch: SegmentBatch, updates, pairs, cfg: MethodConfig):
     ts, rs = cfg.spaces()
-    return baseline.interp_correct_segment(
-        batch, updates, ts, rs, raw_division=cfg.raw_division
-    )
+    return baseline.interp_correct_segment(batch, pairs(), ts, rs, raw_division=cfg.raw_division)
 
 
 class Method(NamedTuple):
@@ -137,6 +138,32 @@ METHODS = {
 }
 
 
+def _correct(
+    traj: Trajectory, updates: KeyframeUpdates, pairs, cfg: MethodConfig
+) -> tuple[np.ndarray, np.ndarray, TrajectoryDiagnostics]:
+    """Run ``cfg``'s kernel on every full segment of ``traj`` for
+    ``updates``, whose pairs ``pairs()`` returns.  Returns every relative
+    frame's pose relative to its updated parent keyframe, in segment
+    order, and the diagnostics.  No method has an interpolation target
+    without a closing keyframe, so the terminal segment's relative poses
+    pass through."""
+    method = METHODS[cfg.name]
+    n_keyframes = len(traj.kf)
+    q, t, columns = method.kernel(traj.full_segments(), updates, pairs, cfg)
+    # Only the last segment, which no keyframe closes, is terminal.
+    segments = np.full(n_keyframes, SEGMENT_DEFAULTS)
+    segments["segment"] = np.arange(n_keyframes)
+    for name, column in columns.items():
+        segments[name][:-1] = column
+    segments["terminal"][-1], segments["s"][-1] = True, method.terminal_s
+    not_finite = int(np.count_nonzero(~np.isfinite(np.hstack((q, t))).all(axis=1)))
+    diagnostics = TrajectoryDiagnostics(segments, (not_finite, len(q)))
+    diagnostics.warn_not_finite(cfg.name)
+    last = traj.offsets[-2]
+    return (np.concatenate((q, traj.rel.q[last:])), np.concatenate((t, traj.rel.t[last:])),
+            diagnostics)
+
+
 def correct_trajectory(
     traj: Trajectory,
     updates,
@@ -150,34 +177,14 @@ def correct_trajectory(
     :class:`KeyframeUpdate`, one per keyframe, in keyframe order.
     """
     updates = KeyframeUpdates.of(updates)
-    n_keyframes = len(traj.kf)
-    if len(updates) != n_keyframes:
+    if len(updates) != len(traj.kf):
         raise ValueError(
-            f"need one update per keyframe ({n_keyframes}), got {len(updates)}"
+            f"need one update per keyframe ({len(traj.kf)}), got {len(updates)}"
         )
-    method = METHODS[cfg.name]
-    # Only the last segment, which no keyframe closes, is terminal.
-    q, t, columns = method.kernel(traj.full_segments(), updates, cfg)
-    segments = np.full(n_keyframes, SEGMENT_DEFAULTS)
-    segments["segment"] = np.arange(n_keyframes)
-    for name, column in columns.items():
-        segments[name][:-1] = column
-    segments["terminal"][-1], segments["s"][-1] = True, method.terminal_s
-    not_finite = int(np.count_nonzero(~np.isfinite(np.hstack((q, t))).all(axis=1)))
-    diagnostics = TrajectoryDiagnostics(segments, (not_finite, len(q)))
-    diagnostics.warn_not_finite(cfg.name)
-    # No method has an interpolation target without a closing keyframe, so
-    # the terminal segment's relative poses ride along with the updated
-    # opening keyframe.
-    last = traj.offsets[-2]
-    world = compose_world_poses(
-        traj,
-        updates.new_q,
-        updates.new_t,
-        np.concatenate((q, traj.rel.q[last:])),
-        np.concatenate((t, traj.rel.t[last:])),
+    q, t, diagnostics = _correct(
+        traj, updates, lambda: correction.keyframe_pairs(traj.full_segments(), updates), cfg
     )
-    return world, diagnostics
+    return compose_world_poses(traj, updates.new_q, updates.new_t, q, t), diagnostics
 
 
 # -- error metrics --------------------------------------------------------------
@@ -242,23 +249,22 @@ class ErrorStats:
         return f"{self.mean:.3f}+-{self.std:.2f} ({self.median:.3f})"
 
 
-def frame_errors(est, gt, tol: float = DEFAULT_ASSOC_TOL, *, rows=None, scores=None) -> FrameErrors:
+# The error columns: per-frame translation error (cm) and rotation error
+# (deg) of estimated rows against their ground-truth rows.
+ERROR_COLUMNS = {
+    "t": lambda t, gt_t: vec_norm(t - gt_t) * 100.0,
+    "q": rotation_angles_deg,
+}
+
+
+def frame_errors(est, gt, tol: float = DEFAULT_ASSOC_TOL) -> FrameErrors:
     """Per-frame translation (cm) and rotation (deg) errors of ``est``
     against the nearest-timestamp association in ``gt`` (each a
-    :class:`FrameTable` or ``(FrameId, Pose)`` pairs).  ``rows``, when
-    given, is that association, as :func:`associate` returns it.  ``scores``
-    keeps each error column by the bytes it scored, across calls that share
-    ``gt`` and ``rows``, so that byte-equal rows are scored once."""
+    :class:`FrameTable` or ``(FrameId, Pose)`` pairs)."""
     est, gt = FrameTable.of(est), FrameTable.of(gt)
-    if rows is None:
-        rows = associate(est.stamps, gt, tol)
-    scores = {} if scores is None else scores
-    t_key, q_key = ("t", est.t.tobytes()), ("q", est.q.tobytes())
-    if t_key not in scores:
-        scores[t_key] = vec_norm(est.t - gt.t[rows]) * 100.0
-    if q_key not in scores:
-        scores[q_key] = rotation_angles_deg(est.q, gt.q[rows])
-    return FrameErrors(est.stamps, est.indices, scores[t_key], scores[q_key])
+    rows = associate(est.stamps, gt, tol)
+    return FrameErrors(est.stamps, est.indices, ERROR_COLUMNS["t"](est.t, gt.t[rows]),
+                       ERROR_COLUMNS["q"](est.q, gt.q[rows]))
 
 
 @dataclass(frozen=True)
@@ -275,23 +281,36 @@ class SnapProtocol:
     """The keyframe-snap protocol for one trajectory and ground truth.
 
     What does not depend on the method is done once: the keyframes are
-    snapped to ground truth here, and the relative frames, whose stamps
-    every method keeps, are associated with ground truth on the first
-    :meth:`run`, after its correction, so errors surface in the order of a
-    single run; every method's :class:`FrameErrors` shares their stamp and
-    index arrays.  :meth:`run` corrects and scores one method; configs
-    that give a kernel the same inputs share one run, and byte-equal
-    corrected rows one error column.  The trajectory's memo lets the
-    kernel runs share their update-invariant geometry.
+    snapped to ground truth and the update's keyframe pairs computed, and
+    the relative frames, whose stamps every method keeps, are associated
+    with ground truth on the first :meth:`run`, after its correction, so
+    errors surface in the order of a single run.  Every method's
+    :class:`FrameErrors` shares their stamp and index arrays.  :meth:`run`
+    corrects one method and scores the world poses of the relative frames
+    alone, in segment order, which is their ``(stamp, index)`` order;
+    configs that give a kernel the same inputs share one run, and
+    byte-equal corrected rows one error column and its statistics.  The
+    trajectory's memo lets the kernel runs share their update-invariant
+    geometry.
     """
 
     def __init__(self, traj: Trajectory, gt, tol: float = DEFAULT_ASSOC_TOL):
         self.traj, self.gt, self.tol = traj, FrameTable.of(gt), tol
-        self.updates = snap_to_gt(traj, self.gt, tol)
-        self.is_rel = np.zeros(traj.frame_count, dtype=bool)
-        self.is_rel[traj.rel_rows] = True
-        self.gt_rows = self.ids = None  # association; stamps and indices of the scored rows
-        self.runs, self.scores = {}, {}  # (report, errors, diagnostics) by config; columns
+        self.updates = updates = snap_to_gt(traj, self.gt, tol)
+        batch = traj.full_segments()
+        # Closing over self would make a cycle that outlives `del protocol`.
+        self.pairs = cache(lambda: correction.keyframe_pairs(batch, updates))
+        self.gt_rows = None  # the ground-truth poses of the relative frames, by error kind
+        self.runs, self.scores = {}, {}  # (report, errors, diagnostics) by config; by rows
+
+    def _score(self, kind: str, rows: np.ndarray) -> tuple[np.ndarray, ErrorStats]:
+        """The ``kind`` error column of the corrected ``rows`` and its
+        statistics, computed for the first rows of these bytes."""
+        key = kind, rows.tobytes()
+        if key not in self.scores:
+            column = ERROR_COLUMNS[kind](rows, self.gt_rows[kind])
+            self.scores[key] = column, ErrorStats.from_values(column)
+        return self.scores[key]
 
     def run(self, cfg: MethodConfig) -> tuple[MethodReport, FrameErrors]:
         """Correct, and score the relative frames."""
@@ -302,16 +321,18 @@ class SnapProtocol:
             report, errors, diagnostics = self.runs[key]
             diagnostics.warn_not_finite(cfg.name)
             return replace(report, method=cfg.name), errors
-        world, diagnostics = correct_trajectory(self.traj, self.updates, cfg)
+        traj, updates = self.traj, self.updates
+        rel_q, rel_t, diagnostics = _correct(traj, updates, self.pairs, cfg)
+        q, t = relative_world_poses(traj, updates.new_q, updates.new_t, rel_q, rel_t)
         if self.gt_rows is None:
-            self.ids = world.stamps[self.is_rel], world.indices[self.is_rel]
-            self.gt_rows = associate(self.ids[0], self.gt, self.tol)
-        est = FrameTable(*self.ids, world.q[self.is_rel], world.t[self.is_rel])
-        errors = frame_errors(est, self.gt, rows=self.gt_rows, scores=self.scores)
+            rows = associate(traj.rel.stamps, self.gt, self.tol)
+            self.gt_rows = {"q": self.gt.q[rows], "t": self.gt.t[rows]}
+        (t_err, t_stats), (q_err, q_stats) = self._score("t", t), self._score("q", q)
+        errors = FrameErrors(traj.rel.stamps, traj.rel.indices, t_err, q_err)
         report = MethodReport(
             method=cfg.name,
-            translation=ErrorStats.from_values(errors.translation_cm),
-            rotation=ErrorStats.from_values(errors.rotation_deg),
+            translation=t_stats,
+            rotation=q_stats,
             singular_hits=diagnostics.singular_hits,
             gimbal_hits=diagnostics.gimbal_hits,
             degenerate_segments=diagnostics.degenerate_segments,

@@ -287,8 +287,9 @@ def write_columns(files, seps: Sequence[str]) -> None:
     columns: files may share columns, and each byte-distinct (text cells:
     identical) column at a position is formatted once.  A block's columns
     of one kind and length are formatted row after row, with their
-    separators, in one call; a file that is one such group is written as
-    is, any other file's rows are one byte gather from the block's text."""
+    separators, in one call; a file that is one such group, in its order,
+    is written straight from that call's buffer, and any other file's rows
+    are one byte gather from the block's texts, joined."""
     seps, files = [s.encode() for s in seps], list(files)
     handles, ids, columns, cells = [], {}, [], []  # files; ids by key; (sep, column); ids per file
     for fh, table in files:
@@ -309,27 +310,35 @@ def write_columns(files, seps: Sequence[str]) -> None:
         groups = {}  # ids of the block's columns by kind and length
         for j, (_, c) in enumerate(columns):
             groups.setdefault((c.dtype.kind, len(c[lo:lo + step])), []).append(j)
-        texts, at, size = {}, {}, {}  # text by group; each column's cells: start and size
+        texts = {}  # (text, start, width) by group
         for (kind, m), group in groups.items():
             tails, n = [columns[j][0] for j in group], len(group)
             values = np.stack([columns[j][1][lo:lo + step] for j in group], axis=1).reshape(-1)
             if kind == "O":
-                text, start, width = _text(values.tolist(), tails * m)
-            else:
-                gap = np.tile([len(t) for t in tails], m)
-                text, start, width = format_values(values, gap)
-                width += gap
-                for g, tail in enumerate(tails):  # the separators, into the gaps
-                    for i, byte in enumerate(tail):
-                        text[start[g::n] + width[g::n] - len(tail) + i] = byte
-            for g, j in enumerate(group):
-                at[j], size[j] = start[g::n] + sum(map(len, texts.values())), width[g::n]
-            texts[tuple(group)] = text
-        text = np.concatenate(list(texts.values()))
+                texts[tuple(group)] = _text(values.tolist(), tails * m)
+                continue
+            gap = np.tile([len(t) for t in tails], m)
+            text, start, width = format_values(values, gap)
+            gap_at = (start + width).reshape(m, n)
+            for i in range(max(map(len, tails))):  # the separators' i-th bytes, into the gaps
+                has = [len(t) > i for t in tails]
+                text[gap_at[:, has] + i] = [t[i] for t in tails if len(t) > i]
+            texts[tuple(group)] = text, start, width + gap
+        gathered = []
         for fh, row in zip(handles, cells):
             if tuple(row) in texts:  # the file is one group, laid out in its order
-                fh.write(texts[tuple(row)])
-                continue
+                fh.write(texts[tuple(row)][0])
+            else:
+                gathered.append((fh, row))
+        if not gathered:
+            continue
+        at, size, offset = {}, {}, 0  # each column's cells: start and size in the block's text
+        for group, (text, start, width) in texts.items():
+            for g, j in enumerate(group):
+                at[j], size[j] = start[g::len(group)] + offset, width[g::len(group)]
+            offset += len(text)
+        text = np.concatenate([text for text, _, _ in texts.values()])
+        for fh, row in gathered:
             start, width = (np.stack([d[j] for j in row], axis=1).reshape(-1) for d in (at, size))
             gather = np.repeat((start - np.cumsum(width) + width).astype(np.int32), width)
             gather += np.arange(len(gather), dtype=np.int32)

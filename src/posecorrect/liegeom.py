@@ -317,20 +317,17 @@ def slerp(q0: Rotation, q1: Rotation, a: float) -> Rotation:
 # ``out=`` into one array; the bitwise tests pin ``np.sin``/``np.cos`` to
 # ``math``.  ``acos``, ``asin``, ``atan2``, ``hypot``, ``degrees`` and
 # slerp's ``sin``, where numpy's results differ or are not pinned, are the
-# ``math`` functions mapped over the rows by ``np.frompyfunc``: one call of
-# the same function per element, without a Python loop.
+# ``math`` functions mapped over the rows by :func:`_math_rows`: one call of
+# the same function per element, on the Python floats of ``tolist``.
 
 _SHEET_WEIGHTS = np.array((8.0, 4.0, 2.0, 1.0))
-_acos, _asin, _sin = (np.frompyfunc(f, 1, 1) for f in (math.acos, math.asin, math.sin))
-_atan2, _hypot = np.frompyfunc(math.atan2, 2, 1), np.frompyfunc(math.hypot, 2, 1)
 
 
-def _math_rows(ufunc: np.ufunc, *args) -> np.ndarray:
-    """One of the ``math`` functions above over the rows, as floats.  A
-    domain error raises as in the scalar form; the floating-point flags
-    that a Python call leaves unreported stay unreported here too."""
-    with np.errstate(all="ignore"):
-        return ufunc(*args).astype(float)
+def _math_rows(fn, *columns: np.ndarray) -> np.ndarray:
+    """The ``math`` function ``fn`` of one or two arguments over equal-length
+    1-D arrays, as a float array.  A domain error raises as in the scalar
+    form, and no floating-point flag reaches numpy."""
+    return np.fromiter(map(fn, *(c.tolist() for c in columns)), float, count=len(columns[0]))
 
 
 def quat_normalize(q: np.ndarray) -> np.ndarray:
@@ -446,7 +443,7 @@ def so3_log_rows(q: np.ndarray) -> np.ndarray:
     quaternions; w >= 0 keeps atan2 stable at both ends."""
     w, x, y, z = q.T
     s = np.sqrt(x * x + y * y + z * z)
-    atan = _math_rows(_atan2, s, w)
+    atan = _math_rows(math.atan2, s, w)
     with np.errstate(divide="ignore", invalid="ignore"):
         k = np.where(s < _SMALL_ANGLE, 2.0 / w, 2.0 * atan / s)
     return k[:, None] * q[:, 1:]
@@ -538,14 +535,13 @@ def euler_zyx_from_rows(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Z-Y-X ``(yaw, pitch, roll)`` rows of (N, 4) canonical quaternions and
     gimbal flags (``|cos(pitch)| < 1e-6``: only yaw - roll is observable; roll is 0)."""
     m = quat_matrix(q)
-    gimbal = _math_rows(_hypot, m[:, 2, 1], m[:, 2, 2]) < _GIMBAL_COS
+    gimbal = _math_rows(math.hypot, m[:, 2, 1], m[:, 2, 2]) < _GIMBAL_COS
     out = np.empty((len(q), 3))
     # fmin and fmax, like Python's min and max, pass a NaN over.
-    out[:, 1] = _math_rows(_asin, np.fmin(1.0, np.fmax(-1.0, -m[:, 2, 0])))
-    out[:, 0] = _math_rows(
-        _atan2, np.where(gimbal, -m[:, 0, 1], m[:, 1, 0]), np.where(gimbal, m[:, 1, 1], m[:, 0, 0])
-    )
-    out[:, 2] = np.where(gimbal, 0.0, _math_rows(_atan2, m[:, 2, 1], m[:, 2, 2]))
+    out[:, 1] = _math_rows(math.asin, np.fmin(1.0, np.fmax(-1.0, -m[:, 2, 0])))
+    out[:, 0] = _math_rows(math.atan2, np.where(gimbal, -m[:, 0, 1], m[:, 1, 0]),
+                           np.where(gimbal, m[:, 1, 1], m[:, 0, 0]))
+    out[:, 2] = np.where(gimbal, 0.0, _math_rows(math.atan2, m[:, 2, 1], m[:, 2, 2]))
     return out, gimbal
 
 
@@ -577,9 +573,11 @@ def slerp_from_identity(q: np.ndarray, a: np.ndarray) -> np.ndarray:
     blend = _IDENTITY_QUAT + am * (qm - _IDENTITY_QUAT)
     far = qm[:, 0] <= _NLERP_DOT
     if far.any():
-        theta = _math_rows(_acos, np.fmin(1.0, qm[far, 0]))
+        theta = _math_rows(math.acos, np.fmin(1.0, qm[far, 0]))
         t = am[far, 0]
-        s, s0, s1 = _math_rows(_sin, np.stack((theta, (1.0 - t) * theta, t * theta)))
+        s, s0, s1 = _math_rows(
+            math.sin, np.concatenate((theta, (1.0 - t) * theta, t * theta))
+        ).reshape(3, -1)
         # Computed in full: c0 * 0 + c1 * x can turn a -0.0 into 0.0, and
         # the sign of a zero reaches the half-turn canonicalization.
         blend[far] = (s0 / s)[:, None] * _IDENTITY_QUAT + (s1 / s)[:, None] * qm[far]
@@ -618,6 +616,6 @@ def rotation_angles_deg(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
     x = (aw * bx - ax * bw) + (az * by - ay * bz)
     y = (aw * by - ay * bw) + (ax * bz - az * bx)
     z = (aw * bz - az * bw) + (ay * bx - ax * by)
-    r = _math_rows(_hypot, x, _math_rows(_hypot, y, z))
+    r = _math_rows(math.hypot, x, _math_rows(math.hypot, y, z))
     with np.errstate(all="ignore"):  # math.degrees(x) is x * (180.0 / math.pi), bit for bit
-        return 2.0 * _math_rows(_atan2, r, np.abs(w)) * _RAD_TO_DEG
+        return 2.0 * _math_rows(math.atan2, r, np.abs(w)) * _RAD_TO_DEG

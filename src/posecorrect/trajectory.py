@@ -439,6 +439,21 @@ def from_world_poses(frames, keyframe_positions: Sequence[int]) -> Trajectory:
     return Trajectory.from_tables(kf, FrameTable(rel.stamps, rel.indices, q, t), parents)
 
 
+def relative_world_poses(
+    traj: Trajectory,
+    kf_q: np.ndarray,
+    kf_t: np.ndarray,
+    rel_q: np.ndarray,
+    rel_t: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """World pose of each relative frame of ``traj``, in segment order: its
+    parent keyframe's pose (row ``i`` of ``kf_q``/``kf_t`` for keyframe
+    ``i``) times its relative pose (row ``k`` of ``rel_q``/``rel_t``).
+    Segment order is the ``(stamp, index)`` order of the relative frames,
+    since each segment is a window of stamps."""
+    return pose_mul(kf_q[traj.parents], kf_t[traj.parents], rel_q, rel_t)
+
+
 def compose_world_poses(
     traj: Trajectory,
     kf_q: np.ndarray,
@@ -451,7 +466,7 @@ def compose_world_poses(
     relative frame at its parent keyframe's pose times its relative pose,
     row ``k`` of ``rel_q``/``rel_t`` for the ``k``-th relative frame in
     segment order."""
-    q, t = pose_mul(kf_q[traj.parents], kf_t[traj.parents], rel_q, rel_t)
+    q, t = relative_world_poses(traj, kf_q, kf_t, rel_q, rel_t)
     n = traj.frame_count
     stamps, indices = np.empty(n), np.empty(n, dtype=np.int64)
     out_q, out_t = np.empty((n, 4)), np.empty((n, 3))
@@ -478,7 +493,7 @@ def rebase(traj: Trajectory, kf_q: np.ndarray, kf_t: np.ndarray) -> Trajectory:
     if len(kf_q) != len(traj.kf) or len(kf_t) != len(traj.kf):
         raise ValueError(f"need one pose per keyframe ({len(traj.kf)}), got {len(kf_q)}")
     p = traj.parents
-    world_q, world_t = pose_mul(traj.kf.q[p], traj.kf.t[p], traj.rel.q, traj.rel.t)
+    world_q, world_t = relative_world_poses(traj, traj.kf.q, traj.kf.t, traj.rel.q, traj.rel.t)
     inv_q, inv_t = pose_inverse(kf_q, kf_t)
     return traj._with_poses(kf_q, kf_t, *pose_mul(inv_q[p], inv_t[p], world_q, world_t))
 

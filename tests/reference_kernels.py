@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from posecorrect.baseline import QUAT_RENORM_TOL, SINGULARITY_EPS, RotSpace, TransSpace, _guarded_factor
-from posecorrect.correction import DEGENERATE_BASELINE
+from posecorrect.correction import DEGENERATE_BASELINE, KeyframePairs, keyframe_pairs
 from posecorrect.io import REFLECTION, ROTATION_DRIFT_TOL, TrajectoryParseError, _drift_error
 from posecorrect.fixtures import JITTER_ROT, JITTER_TRANS
 from posecorrect.liegeom import _GIMBAL_COS, _SMALL_ANGLE, _SMALL_V_ANGLE
@@ -40,7 +40,14 @@ from posecorrect.synth import (
     keyframe_positions,
     path_world_poses,
 )
-from posecorrect.trajectory import FrameId, KeyframeUpdate, Segment, from_world_poses
+from posecorrect.trajectory import (
+    FrameId,
+    KeyframeUpdate,
+    KeyframeUpdates,
+    Segment,
+    SegmentBatch,
+    from_world_poses,
+)
 
 
 # -- liegeom's scalar formulas, documented at their array forms ------------------
@@ -188,6 +195,14 @@ def records_of(columns: dict, index) -> list[SegmentRecord]:
         SegmentRecord(i, **dict(zip(names, values)))
         for i, *values in zip(index.tolist(), *(columns[name].tolist() for name in names))
     ]
+
+
+def batch_pairs(segments, updates) -> tuple[SegmentBatch, KeyframePairs]:
+    """A batch of the full ``segments`` and its keyframe pairs for
+    ``updates`` (``KeyframeUpdate`` objects, one per keyframe): the
+    arguments a batched kernel takes."""
+    batch = SegmentBatch(segments)
+    return batch, keyframe_pairs(batch, KeyframeUpdates.of(updates))
 
 
 def scale_factor(t_ab_old, t_ab_new, squared: bool = False) -> tuple[float, bool]:

@@ -10,6 +10,7 @@ import pytest
 
 from posecorrect import fixtures
 from posecorrect.baseline import RotSpace, TransSpace, interp_correct_segment
+from posecorrect.correction import keyframe_pairs
 from posecorrect.liegeom import (
     Pose,
     Rotation,
@@ -30,6 +31,7 @@ from posecorrect.trajectory import (
     snap_to_gt,
 )
 from reference_kernels import (
+    batch_pairs,
     SegmentRecord,
     devectorize,
     interp_correct_segment_scalar,
@@ -266,7 +268,7 @@ def assert_batch_equals_scalar(full, updates, ts, rs, raw_division=False):
     record field."""
     batch = SegmentBatch(full)
     q, t, columns = interp_correct_segment(
-        batch, KeyframeUpdates.of(updates), ts, rs, raw_division=raw_division
+        batch, keyframe_pairs(batch, KeyframeUpdates.of(updates)), ts, rs, raw_division=raw_division
     )
     records = records_of(columns, batch.index)
     assert len(records) == len(full)
@@ -356,13 +358,13 @@ class TestBatchedBaseline:
         (record,) = assert_batch_equals_scalar([seg], updates, TransSpace.XYZ, RotSpace.QUAT)
         assert record.quat_renorm_hits == 1
         q, _, _ = interp_correct_segment(
-            SegmentBatch([seg]), KeyframeUpdates.of(updates), TransSpace.XYZ, RotSpace.QUAT
+            *batch_pairs([seg], updates), TransSpace.XYZ, RotSpace.QUAT
         )
         assert q.tolist() == [[1.0, 0.0, 0.0, 0.0]]
 
     def test_empty_batch(self):
         q, t, columns = interp_correct_segment(
-            SegmentBatch(()), KeyframeUpdates.of([]), TransSpace.SE3_V, RotSpace.SO3
+            *batch_pairs((), []), TransSpace.SE3_V, RotSpace.SO3
         )
         assert q.shape == (0, 4) and t.shape == (0, 3)
         assert {name: len(column) for name, column in columns.items()} == {
@@ -375,5 +377,5 @@ class TestBatchedBaseline:
         upd = KeyframeUpdate(0, Pose.identity(), Pose.identity())
         with pytest.raises(ValueError, match="terminal"):
             interp_correct_segment(
-                SegmentBatch([seg]), KeyframeUpdates.of([upd]), TransSpace.XYZ, RotSpace.QUAT
+                *batch_pairs([seg], [upd]), TransSpace.XYZ, RotSpace.QUAT
             )

@@ -122,7 +122,7 @@ def batch_segments(batch):
     ]
 
 
-def scalar_kernel(batch, updates, cfg):
+def scalar_kernel(batch, updates, pairs, cfg):
     """A ``METHODS`` kernel that corrects one segment at a time through
     ``reference_correct``, the scalar reference of each method."""
     results = [
@@ -425,9 +425,9 @@ class TestEvaluate:
         calls = []
 
         def counted(kernel):
-            def run(batch, updates, cfg):
+            def run(batch, updates, pairs, cfg):
                 calls.append(cfg.name)
-                return kernel(batch, updates, cfg)
+                return kernel(batch, updates, pairs, cfg)
             return run
 
         wrapped = {kernel: counted(kernel) for kernel in {m.kernel for m in ev.METHODS.values()}}

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from posecorrect import fixtures
+from posecorrect.baseline import RotSpace, TransSpace, interp_correct_segment
 from posecorrect.correction import correct_segment, keyframe_pairs
 from posecorrect.evaluate import MethodConfig, correct_trajectory
 from posecorrect.liegeom import Pose, Rotation, rotation_angle_deg, so3_exp
@@ -27,10 +28,12 @@ from posecorrect.trajectory import (
     RelativeFrame,
     Segment,
     SegmentBatch,
+    Trajectory,
     from_world_poses,
     snap_to_gt,
 )
 from reference_kernels import (
+    batch_pairs,
     SegmentRecord,
     _segment_setup,
     bench_segment,
@@ -181,7 +184,7 @@ def recorded_alpha(seg):
         KeyframeUpdate(0, seg.kf_a.world_pose, seg.kf_a.world_pose),
         KeyframeUpdate(1, seg.kf_b.world_pose, seg.kf_b.world_pose),
     ]
-    _, _, columns = correct_segment(SegmentBatch([seg]), KeyframeUpdates.of(updates))
+    _, _, columns = correct_segment(*batch_pairs([seg], updates))
     (alpha,) = columns["alpha_min"].tolist()
     assert columns["alpha_max"].tolist() == [alpha]
     return alpha
@@ -343,7 +346,7 @@ def assert_batch_equals_scalar(traj, updates):
     frames ride along with its opening keyframe."""
     *full, last = traj.segments
     batch = SegmentBatch(full)
-    q, t, columns = correct_segment(batch, KeyframeUpdates.of(updates))
+    q, t, columns = correct_segment(batch, keyframe_pairs(batch, KeyframeUpdates.of(updates)))
     records = records_of(columns, batch.index)
     world, diagnostics = correct_trajectory(traj, updates, MethodConfig("proposed"))
     world = dict(world)
@@ -428,7 +431,8 @@ class TestBatchedKernel:
         assert [len(seg.rels) for seg in traj.segments] == [2, 0, 2, 2]
         updates = perturbed_updates(traj, seed=34)
         batch = SegmentBatch(traj.segments[:-1])
-        records = records_of(correct_segment(batch, KeyframeUpdates.of(updates))[2], batch.index)
+        records = records_of(correct_segment(*batch_pairs(traj.segments[:-1], updates))[2],
+                             batch.index)
         assert records[0].degenerate_baseline and records[0].s == 1.0
         assert records[0].alpha_min == timestamp_fraction(traj.segments[0], 0)
         assert math.isnan(records[1].alpha_min) and math.isnan(records[1].alpha_max)
@@ -439,7 +443,7 @@ class TestBatchedKernel:
         seg = Segment(index=0, kf_a=kf_a, kf_b=None, rels=())
         upd = KeyframeUpdate(0, Pose.identity(), Pose.identity())
         with pytest.raises(ValueError, match="terminal"):
-            correct_segment(SegmentBatch([seg]), KeyframeUpdates.of([upd]))
+            correct_segment(*batch_pairs([seg], [upd]))
 
     @pytest.mark.parametrize("scale_squared", [False, True])
     def test_keyframe_pairs_equal_scalar_setup(self, scale_squared):
@@ -455,16 +459,64 @@ class TestBatchedKernel:
         updates[6] = KeyframeUpdate(6, updates[6].old_pose, updates[5].new_pose)
         full = traj.segments[:-1]
         assert len(full[3].rels) == 0
-        pairs = keyframe_pairs(SegmentBatch(full), KeyframeUpdates.of(updates), scale_squared)
-        assert np.flatnonzero(pairs.degenerate).tolist() == [1, 5]
+        batch, table = SegmentBatch(full), KeyframeUpdates.of(updates)
+        # A memo miss computes the old and new pairs as one stacked chain,
+        # a hit the new ones alone; the kernel squares s itself.
+        miss = keyframe_pairs(batch, table)
+        hit = keyframe_pairs(batch, table)
+        assert hit.old is miss.old
+        s_column = correct_segment(batch, hit, scale_squared)[2]["s"]
+        for pairs in (miss, hit):
+            assert np.flatnonzero(pairs.degenerate).tolist() == [1, 5]
         for k, seg in enumerate(full):
             upd_a, upd_b = updates[seg.index], updates[seg.index + 1]
             old_inv, new, s, degenerate = _segment_setup(upd_a, upd_b, scale_squared)
             old = upd_a.old_pose.inverse() * upd_b.old_pose
-            for got, want in (
-                (pairs.old_q[k], old.rotation.quat), (pairs.old_t[k], old.translation),
-                (pairs.old_inv_q[k], old_inv.rotation.quat), (pairs.old_inv_t[k], old_inv.translation),
-                (pairs.new_q[k], new.rotation.quat), (pairs.new_t[k], new.translation),
-            ):
-                assert same_bits(got, want)
-            assert repr(pairs.s[k].item()) == repr(s) and pairs.degenerate[k].item() is degenerate
+            for pairs in (miss, hit):
+                for got, want in (
+                    (pairs.old.q[k], old.rotation.quat), (pairs.old.t[k], old.translation),
+                    (pairs.old.inv_q[k], old_inv.rotation.quat),
+                    (pairs.old.inv_t[k], old_inv.translation),
+                    (pairs.new_q[k], new.rotation.quat), (pairs.new_t[k], new.translation),
+                ):
+                    assert same_bits(got, want)
+                assert pairs.degenerate[k].item() is degenerate
+            assert repr(s_column[k].item()) == repr(s)
+            if not scale_squared:
+                assert repr(miss.s[k].item()) == repr(s) and repr(hit.s[k].item()) == repr(s)
+
+
+class TestSharedPairs:
+    def test_kernels_on_shared_pairs_equal_standalone_calls(self):
+        # A perturbed mav path with a zero old baseline (segment 1) and a
+        # zero new one (segment 5), one set of pairs for every kernel; the
+        # squaring proposed run goes first, so a kernel that changed the
+        # pairs in place would show in the runs after it.
+        spec = SceneSpec(shape="mav", n_keyframes=10, rels_per_segment=3, seed=44)
+        frames = list(path_world_poses(spec))
+        positions = keyframe_positions(spec)
+        rot = Rotation.random(np.random.default_rng(45))
+        moved = Pose(rot, frames[positions[1]][1].translation)
+        frames[positions[2]] = (frames[positions[2]][0], moved)
+        traj = from_world_poses(frames, positions)
+        updates = perturbed_updates(traj, seed=46)
+        updates[6] = KeyframeUpdate(6, updates[6].old_pose, updates[5].new_pose)
+        table = KeyframeUpdates.of(updates)
+        runs = [(correct_segment, (True,)), (correct_segment, (False,))]
+        runs += [(interp_correct_segment, (ts, rs, raw)) for ts in TransSpace for rs in RotSpace
+                 for raw in (False, True)]
+        batch = traj.full_segments()
+        pairs = keyframe_pairs(batch, table)
+        assert np.flatnonzero(pairs.degenerate).tolist() == [1, 5]
+        arrays = lambda: [a.tobytes() for a in (*pairs[1:], pairs.old.q, pairs.old.t, pairs.old.norm)]
+        before = arrays()
+        for kernel, args in runs:
+            fresh = Trajectory.from_tables(traj.kf, traj.rel, traj.parents).full_segments()
+            with np.errstate(invalid="ignore"):  # raw division's NaN rows reach a matmul
+                shared = kernel(batch, pairs, *args)
+                alone = kernel(fresh, keyframe_pairs(fresh, table), *args)
+            assert same_bits(shared[0], alone[0]) and same_bits(shared[1], alone[1]), args
+            assert shared[2].keys() == alone[2].keys()
+            for name, column in shared[2].items():
+                assert same_bits(column, alone[2][name]), (args, name)
+        assert arrays() == before

@@ -26,8 +26,11 @@ from posecorrect.evaluate import (
     write_report_csv,
 )
 from posecorrect.liegeom import Pose, Rotation, rotation_angle_deg, so3_exp
+from posecorrect.synth import SceneSpec, keyframe_positions, path_world_poses
 from posecorrect.trajectory import (
+    AssociationError,
     FrameId,
+    FrameTable,
     KeyframeUpdate,
     from_world_poses,
     identity_updates,
@@ -297,20 +300,22 @@ class TestRunProtocol:
             errors = protocol.run(MethodConfig(name))[1]
             assert errors.stamps is first.stamps and errors.indices is first.indices, name
 
-    def test_frame_errors_scores_byte_equal_rows_once(self, monkeypatch):
+    def test_protocol_scores_byte_equal_rows_once(self, monkeypatch):
+        # xyz and se3-v interpolate rotation alike, in the quaternion space.
         traj, gt = fixtures.noisy_fixture(2)
-        est = correct_trajectory(traj, snap_to_gt(traj, gt), MethodConfig("xyz"))[0]
         scored = []
-        angles = evaluate.rotation_angles_deg
-        monkeypatch.setattr(evaluate, "rotation_angles_deg",
-                            lambda q1, q2: scored.append(len(q1)) or angles(q1, q2))
-        scores = {}
-        first = frame_errors(est, gt, scores=scores)
-        again = frame_errors(est.take(np.arange(len(est))), gt, scores=scores)
-        assert scored == [len(est)]
-        assert again.rotation_deg is first.rotation_deg
-        assert again.translation_cm is first.translation_cm
-        assert first.rotation_deg.tobytes() == frame_errors(est, gt).rotation_deg.tobytes()
+        angles = evaluate.ERROR_COLUMNS["q"]
+        monkeypatch.setitem(evaluate.ERROR_COLUMNS, "q",
+                            lambda q, gt_q: scored.append(len(q)) or angles(q, gt_q))
+        protocol = SnapProtocol(traj, gt)
+        xyz_report, xyz = protocol.run(MethodConfig("xyz"))
+        se3v_report, se3v = protocol.run(MethodConfig("se3-v"))
+        assert scored == [len(traj.rel)]
+        assert se3v.rotation_deg is xyz.rotation_deg and se3v_report.rotation is xyz_report.rotation
+        assert se3v.translation_cm.tobytes() != xyz.translation_cm.tobytes()
+        world = correct_trajectory(traj, snap_to_gt(traj, gt), MethodConfig("xyz"))[0]
+        reference = frame_errors(world.take(traj.rel_rows), gt)
+        assert xyz.rotation_deg.tobytes() == reference.rotation_deg.tobytes()
 
     def test_relative_frames_only_are_scored(self):
         traj, gt = fixtures.noisy_fixture(4)
@@ -318,6 +323,94 @@ class TestRunProtocol:
         assert report.translation.count == len(traj.relatives)
         rel_ids = {rel.id for rel in traj.relatives}
         assert all(e.frame in rel_ids for e in errors)
+
+
+def _frames(stamps, q, t) -> FrameTable:
+    return FrameTable(stamps, np.arange(len(stamps)), q, t)
+
+
+def _protocol_case(name: str):
+    """``(trajectory, ground truth)`` of a seeded protocol case."""
+    spec = SceneSpec(shape="mav", n_keyframes=6, rels_per_segment=3, seed=41)
+    gt, positions = path_world_poses(spec), keyframe_positions(spec)
+    stamps = gt.stamps.copy()
+    if name == "shared-stamps":
+        # A relative frame at a keyframe's stamp on either side of it by
+        # index, and two relative frames that share a stamp.
+        stamps[positions[1] + 1] = stamps[positions[1] - 1] = stamps[positions[1]]
+        stamps[positions[3] + 2] = stamps[positions[3] + 1]
+    if name == "one-keyframe":
+        positions = [0]
+    if name == "no-relative-frames":
+        positions = list(range(len(gt)))
+    if name == "zero-yaw":
+        # Keyframes with zero yaw and a frame between them with yaw 0.3,
+        # the second keyframe turned to yaw 0.1: under raw division the
+        # baselines divide by the zero yaw gap.
+        yaws, x = np.array([0.0, 0.3, 0.0]), np.array([0.0, 0.5, 1.0])
+        q = np.column_stack((np.cos(yaws / 2), 0 * yaws, 0 * yaws, np.sin(yaws / 2)))
+        t = np.column_stack((x, 0 * x, 0 * x))
+        est = _frames(x, q, t)
+        yaws[2] = 0.1
+        gt_q = np.column_stack((np.cos(yaws / 2), 0 * yaws, 0 * yaws, np.sin(yaws / 2)))
+        return from_world_poses(est, [0, 2]), _frames(x, gt_q, t)
+    gt = _frames(stamps, gt.q, gt.t)
+    est = fixtures.displaced_estimate(gt, positions, seed=42)
+    return from_world_poses(est, positions), gt
+
+
+def reference_run(traj, gt, cfg):
+    """The protocol's report and errors the long way: the world table of
+    ``correct_trajectory``, its relative rows, ``frame_errors`` and
+    ``ErrorStats``."""
+    world, diagnostics = correct_trajectory(traj, snap_to_gt(traj, gt), cfg)
+    is_rel = np.zeros(len(world), dtype=bool)
+    is_rel[traj.rel_rows] = True
+    errors = frame_errors(world.take(is_rel), gt)
+    report = evaluate.MethodReport(
+        cfg.name, ErrorStats.from_values(errors.translation_cm),
+        ErrorStats.from_values(errors.rotation_deg), diagnostics.singular_hits,
+        diagnostics.gimbal_hits, diagnostics.degenerate_segments,
+    )
+    return report, errors
+
+
+class TestProtocolAgainstReference:
+    """``SnapProtocol.run`` composes and scores the relative frames alone,
+    in segment order; the reference scores the relative rows of the world
+    table, in ``(stamp, index)`` order.  They agree bit for bit."""
+
+    @pytest.mark.parametrize("case", ["plain", "shared-stamps", "one-keyframe",
+                                      "no-relative-frames", "zero-yaw"])
+    @pytest.mark.parametrize("raw_division", [False, True])
+    def test_every_method_equals_the_reference(self, case, raw_division):
+        traj, gt = _protocol_case(case)
+        if case == "shared-stamps":
+            assert len(traj.rel) - len(np.unique(traj.rel.stamps)) == 2
+            assert len(np.intersect1d(traj.rel.stamps, traj.kf.stamps)) == 1
+        protocol = SnapProtocol(traj, gt)
+        not_finite = 0
+        for name in METHODS:
+            cfg = MethodConfig(name, raw_division=raw_division)
+            try:
+                want_report, want = reference_run(traj, gt, cfg)
+            except ValueError as error:  # euler on the zero yaw gap
+                with pytest.raises(ValueError, match=str(error)):
+                    protocol.run(cfg)
+                continue
+            report, errors = protocol.run(cfg)
+            assert repr(report) == repr(want_report), name
+            for column in ("stamps", "indices", "translation_cm", "rotation_deg"):
+                assert getattr(errors, column).tobytes() == getattr(want, column).tobytes(), name
+            not_finite += not np.isfinite(errors.translation_cm).all()
+        assert not_finite == (4 if case == "zero-yaw" and raw_division else 0)
+
+    def test_two_keyframes_sharing_a_stamp_are_rejected(self):
+        gt = path_world_poses(SceneSpec(shape="mav", n_keyframes=3, rels_per_segment=1, seed=43))
+        stamps = gt.stamps.copy()
+        stamps[2] = stamps[0]
+        with pytest.raises(AssociationError, match="strictly increasing"):
+            from_world_poses(_frames(stamps, gt.q, gt.t), [0, 2, 4])
 
 
 class TestBench:

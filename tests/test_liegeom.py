@@ -12,6 +12,7 @@ from posecorrect.liegeom import (
     Pose,
     Rotation,
     Twist,
+    _math_rows,
     euler_zyx_from,
     euler_zyx_to,
     euler_zyx_from_rows,
@@ -674,3 +675,41 @@ class TestLieArrayForms:
         assert so3_exp_rows(v).shape == euler_zyx_to_rows(v).shape == (0, 4)
         assert so3_left_jacobian_rows(v).shape == (0, 3, 3)
         assert gimbal.shape == rotation_angles_deg(q, q).shape == (0,)
+
+
+SPECIAL = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+           1e-300, -1.0, -0.5, 0.0625, 1.0, 3.0, 1e300]
+
+
+class TestMathRows:
+    """``_math_rows`` is a Python loop of the same ``math`` function, bit
+    for bit, on the values where numpy and ``math`` part ways."""
+
+    @pytest.mark.parametrize("fn", [math.acos, math.asin, math.sin])
+    def test_one_argument(self, fn):
+        values = np.array([x for x in SPECIAL if _domain(fn, x)] + [0.3, -0.7, 1e-9, 2 ** -1074])
+        want = np.array([fn(x) for x in values.tolist()])
+        assert same_bits(_math_rows(fn, values), want)
+
+    @pytest.mark.parametrize("fn", [math.atan2, math.hypot])
+    def test_two_arguments(self, fn):
+        y, x = (np.array(v) for v in zip(*((a, b) for a in SPECIAL for b in SPECIAL)))
+        want = np.array([fn(a, b) for a, b in zip(y.tolist(), x.tolist())])
+        assert same_bits(_math_rows(fn, y, x), want)
+
+    def test_empty(self):
+        assert _math_rows(math.atan2, np.empty(0), np.empty(0)).shape == (0,)
+
+    @pytest.mark.parametrize("fn,bad", [(math.acos, 1.5), (math.asin, -2.0), (math.sin, math.inf)])
+    def test_domain_error_raises_as_math_does(self, fn, bad):
+        # The CLI's --raw-division message names this text.
+        with pytest.raises(ValueError, match="^math domain error$"):
+            _math_rows(fn, np.array([0.5, bad, math.nan]))
+
+
+def _domain(fn, x) -> bool:
+    try:
+        fn(x)
+    except ValueError:
+        return False
+    return True
