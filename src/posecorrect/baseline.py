@@ -20,9 +20,9 @@ the unguarded IEEE behavior (inf/NaN) for failure-mode studies.
 segment of a :class:`SegmentBatch` in one pass over (N, 4) quaternion and
 (N, 3) translation arrays, from the update's keyframe pairs
 (:func:`correction.keyframe_pairs`, whose old half comes from the batch's
-memo), vectorized once per segment.  Vectorization, the guarded update and the
-rotation rebuild run on the ``liegeom`` array forms, and the hit counts
-are summed per segment.
+memo), vectorized once per segment.  Vectorization, the guarded update
+and the rotation rebuild run on the ``liegeom`` array forms, and the hit
+counts are summed per segment.
 ``interp_correct_segment_scalar`` in ``tests/reference_kernels.py`` is the
 same correction for one segment, one frame at a time, on ``Pose`` values;
 the tests compare this kernel against it bit for bit.
@@ -113,9 +113,9 @@ def interp_correct_segment(
 
     ``pairs`` is the batch's :func:`correction.keyframe_pairs` for the
     update.  Returns the corrected poses of ``batch.rels`` relative to each
-    segment's updated opening keyframe as (N, 4) quaternions and (N, 3) translations, plus the
-    diagnostics columns ``singular_hits``, ``gimbal_hits`` and
-    ``quat_renorm_hits``, one count per segment.  Each value and count is
+    segment's updated opening keyframe as (N, 4) quaternions and (N, 3)
+    translations, plus the diagnostics columns ``singular_hits``,
+    ``gimbal_hits`` and ``quat_renorm_hits``, one count per segment.  Each value and count is
     bitwise equal to the scalar reference on the segment.
     """
     per_frame = batch.per_frame

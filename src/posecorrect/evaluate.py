@@ -4,8 +4,9 @@ The protocol snaps every keyframe of the estimated trajectory onto its
 ground-truth pose, applies the selected correction method to the relative
 frames of each segment, composes the world poses of those frames alone on
 the snapped keyframes and reports their per-frame errors (the snapped
-keyframes would contribute zeros).  Statistics follow the mean +- standard deviation (median)
-convention with the sample (n-1) standard deviation.  The segment
+keyframes would contribute zeros).  Statistics follow the mean +-
+standard deviation (median) convention with the sample (n-1) standard
+deviation.  The segment
 diagnostics are a table of :data:`SEGMENT_DEFAULTS` rows, one per keyframe.
 """
 from __future__ import annotations

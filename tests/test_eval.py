@@ -336,9 +336,12 @@ def _protocol_case(name: str):
     stamps = gt.stamps.copy()
     if name == "shared-stamps":
         # A relative frame at a keyframe's stamp on either side of it by
-        # index, and two relative frames that share a stamp.
+        # index, two relative frames that share a stamp, and two whose
+        # stamps run against their indices.
         stamps[positions[1] + 1] = stamps[positions[1] - 1] = stamps[positions[1]]
         stamps[positions[3] + 2] = stamps[positions[3] + 1]
+        swap = [positions[4] + 1, positions[4] + 2]
+        stamps[swap] = stamps[swap[::-1]]
     if name == "one-keyframe":
         positions = [0]
     if name == "no-relative-frames":
