@@ -50,7 +50,10 @@ command set:
   cycle of updates whose old poses are the trajectory's own keyframes or
   differ from them, and writes each result with ``write_tum`` and
   ``write_diagnostics_csv``, so that results a trajectory computes after
-  earlier calls are compared too, not only those of a fresh process.
+  earlier calls are compared too, not only those of a fresh process.  One
+  update of the cycle moves a keyframe onto its predecessor's translation,
+  a degenerate new baseline, between two updates that reuse the
+  trajectory's memo.
 
 For every command the exit code, standard output and standard error are
 compared, and afterwards every file the commands wrote.  ``bench`` output
@@ -140,14 +143,18 @@ est, gt = io.read_tum(scene / "est.tum"), io.read_tum(scene / "gt.tum")
 traj = from_world_poses(est, io.read_keyframe_index(scene / "kf_index.txt", est))
 snap = snap_to_gt(traj, gt)
 kf = traj.kf
+collapsed = 1.5 * kf.t
+collapsed[1] = collapsed[0]  # keyframe 1 on keyframe 0's translation: a degenerate new baseline
 cycle = {
     "snap": snap,
     "scaled": KeyframeUpdates(kf.q, kf.t, kf.q, 1.5 * kf.t),
     "back": KeyframeUpdates(snap.new_q, snap.new_t, kf.q, kf.t),  # other old poses
+    "collapsed": KeyframeUpdates(kf.q, kf.t, kf.q, collapsed),
 }
 configs = [evaluate.MethodConfig(m) for m in evaluate.METHODS]
 configs.append(evaluate.MethodConfig("proposed", scale_squared=True))
-for k, name in enumerate(["snap", "scaled", "snap", "back", "back", "scaled", "snap"]):
+for k, name in enumerate(["snap", "scaled", "snap", "back", "back", "scaled", "collapsed",
+                          "scaled", "snap"]):
     for cfg in configs:
         world, diagnostics = evaluate.correct_trajectory(traj, cycle[name], cfg)
         tag = f"{k}-{name}-{cfg.name}" + ("-squared" if cfg.scale_squared else "")

@@ -24,9 +24,10 @@ exactly; ``alpha = 1`` closes the far keyframe's constraint.
 quantities (the inter-keyframe poses, ``s`` and the inverse) are the
 update's :class:`KeyframePairs`, computed once per update by
 :func:`keyframe_pairs` and shared by every kernel that corrects it.  What
-depends only on the batch and the old keyframe poses (:class:`OldGeometry`)
-is kept in the batch's one-entry memo while those poses stay byte-equal,
-so a repeated update pays only for the new poses, the gap and the blend.
+depends only on the batch and the old keyframe poses (:class:`OldGeometry`,
+the blend factor ``alpha`` and its per-segment min and max among it) is kept
+in the batch's one-entry memo while those poses stay byte-equal, so a
+repeated update pays only for the new poses, the gap and the slerp.
 ``correct_segment_scalar`` in ``tests/reference_kernels.py`` is the same
 correction for one segment, one frame at a time, on ``Pose`` values; the
 tests compare this kernel against it bit for bit.
@@ -60,8 +61,9 @@ class OldGeometry:
     """The half of the correction of a batch that no keyframe update
     changes: per segment the old pose of the closing keyframe relative to
     the opening one (``q``, ``t``), its ``norm`` and its inverse (``inv_q``,
-    ``inv_t``), and per relative frame what :meth:`frames` lists, built on
-    its first call."""
+    ``inv_t``), and per relative frame what :meth:`frames` lists, the blend
+    factor ``alpha`` and its per-segment min and max among it, built on its
+    first call."""
 
     def __init__(self, q: np.ndarray, t: np.ndarray, norm: np.ndarray):
         self.q, self.t, self.norm = q, t, norm
@@ -69,7 +71,8 @@ class OldGeometry:
         self._frames = None
 
     def frames(self, batch: SegmentBatch) -> tuple[np.ndarray, ...]:
-        """``(q_b, t_b, rot_a_inv, d_a, d_a + d_b, timestamp fraction)``."""
+        """``(q_b, t_b, rot_a_inv, d_a, d_a + d_b, timestamp fraction, alpha,
+        alpha_min, alpha_max)``, the last three read-only and without a degenerate baseline."""
         if self._frames is None:
             q, t = batch.rels.q, batch.rels.t
             table = batch.per_frame(np.column_stack((
@@ -77,9 +80,20 @@ class OldGeometry:
             )))
             q_b, t_b = pose_mul(table[:, 0:4], table[:, 4:7], q, t)  # rel_b_old
             d_a = vec_norm(t)
+            total = d_a + vec_norm(t_b)
             fraction = (batch.rels.stamps - table[:, 7]) / table[:, 8]
-            self._frames = q_b, t_b, quat_inverse(q), d_a, d_a + vec_norm(t_b), fraction
+            blend = _blend(batch, d_a, total, fraction)
+            for column in blend:
+                column.flags.writeable = False
+            self._frames = q_b, t_b, quat_inverse(q), d_a, total, fraction, *blend
         return self._frames
+
+
+def _blend(batch: SegmentBatch, d_a, total, fraction, keep=True) -> tuple[np.ndarray, ...]:
+    """alpha, or the timestamp fraction off ``keep`` or on coincident geometry, with its extrema."""
+    alpha = fraction.copy()
+    np.divide(d_a, total, out=alpha, where=keep & (total >= DEGENERATE_BASELINE))
+    return alpha, batch.reduce(np.minimum, alpha, math.nan), batch.reduce(np.maximum, alpha, math.nan)
 
 
 class KeyframePairs(NamedTuple):
@@ -148,14 +162,12 @@ def correct_segment(
     its scalar operations.
     """
     s_ab = pairs.s * pairs.s if scale_squared else pairs.s  # a degenerate 1.0 stays 1.0
-    q_b, t_b, rot_a_inv, d_a, total, fraction = pairs.old.frames(batch)
+    q_b, t_b, rot_a_inv, d_a, total, fraction, alpha, alpha_min, alpha_max = pairs.old.frames(batch)
+    if pairs.degenerate.any():  # the memo's blend is for updates without one
+        keep = ~batch.per_frame(pairs.degenerate)
+        alpha, alpha_min, alpha_max = _blend(batch, d_a, total, fraction, keep)
     # The per-segment table, repeated once for all its columns.
-    table = batch.per_frame(np.column_stack((pairs.new_q, pairs.new_t, s_ab, pairs.degenerate)))
-    # alpha = d_a / (d_a + d_b), or the timestamp fraction on a degenerate
-    # baseline or coincident geometry.
-    alpha = fraction.copy()
-    valid = (table[:, 8] == 0.0) & (total >= DEGENERATE_BASELINE)
-    np.divide(d_a, total, out=alpha, where=valid)
+    table = batch.per_frame(np.column_stack((pairs.new_q, pairs.new_t, s_ab)))
 
     # The two single-keyframe solutions, their gap and the blend, row by row.
     q, t = batch.rels.q, batch.rels.t
@@ -169,6 +181,6 @@ def correct_segment(
     return rot, trans, {
         "s": s_ab,
         "degenerate_baseline": pairs.degenerate,
-        "alpha_min": batch.reduce(np.minimum, alpha, math.nan),
-        "alpha_max": batch.reduce(np.maximum, alpha, math.nan),
+        "alpha_min": alpha_min,
+        "alpha_max": alpha_max,
     }

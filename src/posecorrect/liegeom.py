@@ -313,12 +313,12 @@ def slerp(q0: Rotation, q1: Rotation, a: float) -> Rotation:
 # view costs several times as much); the twins here repeat their IEEE
 # operations in order, bit for bit.  ``slerp`` keeps its body: only its
 # start at the identity has a row form.  Tests pin each to a scalar oracle.
-# numpy does + - * / and sqrt, writing multi-column results through ufunc
-# ``out=`` into one array; the bitwise tests pin ``np.sin``/``np.cos`` to
-# ``math``.  ``acos``, ``asin``, ``atan2``, ``hypot``, ``degrees`` and
-# slerp's ``sin``, where numpy's results differ or are not pinned, are the
-# ``math`` functions mapped over the rows by :func:`_math_rows`: one call of
-# the same function per element, on the Python floats of ``tolist``.
+# numpy does + - * /, sqrt, sin and cos, writing multi-column results
+# through ufunc ``out=`` into one array; the bitwise tests pin ``np.sin``
+# and ``np.cos`` to ``math``, slerp's sines included.  ``acos``, ``asin``,
+# ``atan2`` and ``hypot``, where numpy's results differ or are not pinned,
+# are the ``math`` functions mapped over the rows by :func:`_math_rows`: one
+# call of the same function per element, on the Python floats of ``tolist``.
 
 _SHEET_WEIGHTS = np.array((8.0, 4.0, 2.0, 1.0))
 
@@ -575,9 +575,7 @@ def slerp_from_identity(q: np.ndarray, a: np.ndarray) -> np.ndarray:
     if far.any():
         theta = _math_rows(math.acos, np.fmin(1.0, qm[far, 0]))
         t = am[far, 0]
-        s, s0, s1 = _math_rows(
-            math.sin, np.concatenate((theta, (1.0 - t) * theta, t * theta))
-        ).reshape(3, -1)
+        s, s0, s1 = np.sin((theta, (1.0 - t) * theta, t * theta))
         # Computed in full: c0 * 0 + c1 * x can turn a -0.0 into 0.0, and
         # the sign of a zero reaches the half-turn canonicalization.
         blend[far] = (s0 / s)[:, None] * _IDENTITY_QUAT + (s1 / s)[:, None] * qm[far]

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from posecorrect import fixtures
+from posecorrect.correction import DEGENERATE_BASELINE, keyframe_pairs
 from posecorrect.evaluate import METHODS, MethodConfig, correct_trajectory
 from posecorrect.liegeom import Pose, so3_exp
 from posecorrect.synth import SceneSpec, SimilarityTransform, keyframe_positions, path_world_poses
@@ -66,6 +67,16 @@ def perturbed_updates(traj: Trajectory, seed: int, old=None) -> list[KeyframeUpd
     return [KeyframeUpdate(i, o, n) for i, (o, n) in enumerate(zip(old, perturbed(old, seed)))]
 
 
+def collapsed_updates(traj: Trajectory, seed: int, k: int = 2) -> list[KeyframeUpdate]:
+    """Perturbed updates whose new poses put keyframe ``k`` on keyframe
+    ``k - 1``'s translation: a degenerate new baseline on segment ``k - 1``,
+    whose old baseline is fine."""
+    updates = perturbed_updates(traj, seed)
+    moved = Pose(updates[k].new_pose.rotation, updates[k - 1].new_pose.translation)
+    updates[k] = KeyframeUpdate(k, updates[k].old_pose, moved)
+    return updates
+
+
 def assert_same_as_fresh(traj: Trajectory, updates, cfg: MethodConfig) -> None:
     world, diagnostics = correct_trajectory(traj, updates, cfg)
     want_world, want_diagnostics = correct_trajectory(fresh(traj), updates, cfg)
@@ -78,11 +89,14 @@ def assert_same_as_fresh(traj: Trajectory, updates, cfg: MethodConfig) -> None:
 @pytest.mark.parametrize("seed", range(3))
 def test_repeated_updates_equal_a_fresh_trajectory(seed):
     # One trajectory corrected again and again, cycling similarity and
-    # perturbed updates, every method sharing its memo.
+    # perturbed updates and one collapsed update between them, every method
+    # sharing its memo.
     traj = estimate(seed)
     for k in range(7):
         if k % SIMILARITY_EVERY == 0:
             updates = similarity_updates(traj, 100 * seed + k)
+        elif k == 4:
+            updates = collapsed_updates(traj, 100 * seed + k)
         else:
             updates = perturbed_updates(traj, 100 * seed + k)
         for cfg in CONFIGS:
@@ -101,6 +115,40 @@ def test_a_hit_after_a_miss_equals_a_fresh_trajectory():
         table = KeyframeUpdates.of(updates)
         assert batch.memo[0] == (table.old_q.tobytes(), table.old_t.tobytes())
     assert traj.full_segments() is batch
+
+
+@pytest.mark.parametrize("scale_squared", [False, True])
+def test_a_collapsed_update_between_memo_hits_equals_a_fresh_trajectory(scale_squared):
+    # The memo keeps alpha and its extrema for updates with no degenerate
+    # baseline; a collapsed update between two that reuse them recomputes
+    # its own, and leaves the memo as it was.
+    cfg = MethodConfig("proposed", scale_squared=scale_squared)
+    traj = estimate(7)
+    batch = traj.full_segments()
+    cycle = [perturbed_updates(traj, 70), collapsed_updates(traj, 71), perturbed_updates(traj, 72),
+             collapsed_updates(traj, 73), similarity_updates(traj, 74)]
+    geometry = None
+    for updates in cycle:
+        assert_same_as_fresh(traj, updates, cfg)
+        geometry = geometry or batch.memo[1]
+        assert batch.memo[1] is geometry
+    *_, fraction, alpha, alpha_min, alpha_max = geometry.frames(batch)
+    for column in (alpha, alpha_min, alpha_max):
+        assert not column.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 0.5
+    pairs = keyframe_pairs(batch, KeyframeUpdates.of(cycle[1]))
+    assert pairs.degenerate.tolist() == [i == 1 for i in range(len(batch.index))]
+    assert (geometry.norm >= DEGENERATE_BASELINE).all()
+    _, diagnostics = correct_trajectory(traj, cycle[1], cfg)
+    # Segment 1 blends by its timestamp fractions, not by the memo's alpha.
+    got = diagnostics.segments[["alpha_min", "alpha_max"]][1].tolist()
+    assert got == (batch.reduce(np.minimum, fraction, np.nan)[1],
+                   batch.reduce(np.maximum, fraction, np.nan)[1])
+    assert got != (alpha_min[1], alpha_max[1])
+    others = np.arange(len(batch.index)) != 1
+    assert diagnostics.segments["alpha_min"][:-1][others].tobytes() == alpha_min[others].tobytes()
+    assert diagnostics.segments["alpha_max"][:-1][others].tobytes() == alpha_max[others].tobytes()
 
 
 @pytest.mark.parametrize("column", ["old_q", "old_t"])

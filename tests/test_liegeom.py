@@ -706,6 +706,24 @@ class TestMathRows:
         with pytest.raises(ValueError, match="^math domain error$"):
             _math_rows(fn, np.array([0.5, bad, math.nan]))
 
+    def test_np_sin_is_math_sin_on_slerp_arguments(self):
+        # slerp_from_identity takes its sines from np.sin, not from math.sin
+        # mapped over the rows: theta = acos(w) over [0, pi] and the
+        # (1 - t) * theta and t * theta of every factor t in [0, 1].
+        rng = np.random.default_rng(7)
+        w = np.concatenate((rng.uniform(-1.0, 1.0, 2000), np.linspace(-1.0, 1.0, 257),
+                            [0.9995, np.nextafter(1.0, 0.0), np.nextafter(-1.0, 0.0), -0.0]))
+        tiny = 2.2250738585072014e-308  # the least normal float
+        theta = np.concatenate((_math_rows(math.acos, w),
+                                [0.0, 5e-324, 1e-310, tiny, math.pi, np.nextafter(math.pi, 0.0)]))
+        assert theta.max() == math.pi and theta.min() == 0.0
+        t = np.concatenate((rng.uniform(0.0, 1.0, 24),
+                            [0.0, 5e-324, 1e-300, 0.5, np.nextafter(1.0, 0.0), 1.0]))
+        args = np.concatenate((theta, np.outer(1.0 - t, theta).ravel(), np.outer(t, theta).ravel()))
+        assert ((args > 0.0) & (args < tiny)).sum() > 100  # subnormals
+        want = np.array([math.sin(x) for x in args.tolist()])
+        assert same_bits(np.sin(args), want)
+
 
 def _domain(fn, x) -> bool:
     try:
