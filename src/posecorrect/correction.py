@@ -71,8 +71,8 @@ class OldGeometry:
         self._frames = None
 
     def frames(self, batch: SegmentBatch) -> tuple[np.ndarray, ...]:
-        """``(q_b, t_b, rot_a_inv, d_a, d_a + d_b, timestamp fraction, alpha,
-        alpha_min, alpha_max)``, the last three read-only and without a degenerate baseline."""
+        """``(q_b, t_b, rot_a_inv, d_a, d_a + d_b, timestamp fraction)`` and the
+        read-only ``(alpha, alpha_min, alpha_max)`` of a non-degenerate update."""
         if self._frames is None:
             q, t = batch.rels.q, batch.rels.t
             table = batch.per_frame(np.column_stack((

@@ -127,10 +127,10 @@ def test_a_collapsed_update_between_memo_hits_equals_a_fresh_trajectory(scale_sq
     batch = traj.full_segments()
     cycle = [perturbed_updates(traj, 70), collapsed_updates(traj, 71), perturbed_updates(traj, 72),
              collapsed_updates(traj, 73), similarity_updates(traj, 74)]
-    geometry = None
-    for updates in cycle:
+    assert_same_as_fresh(traj, cycle[0], cfg)
+    geometry = batch.memo[1]
+    for updates in cycle[1:]:
         assert_same_as_fresh(traj, updates, cfg)
-        geometry = geometry or batch.memo[1]
         assert batch.memo[1] is geometry
     *_, fraction, alpha, alpha_min, alpha_max = geometry.frames(batch)
     for column in (alpha, alpha_min, alpha_max):
