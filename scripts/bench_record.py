@@ -64,6 +64,11 @@ Four parts, each run on both checkouts with the same inputs:
   ``fixtures.displaced_estimate`` of it (991, 9,991 and 99,991 frames),
   timed the same way: the input build that perfbench's ``setup_s`` pays.
 
+Every timed call of the size, writer and reader ladders writes into an
+output directory removed before the call's probe, outside the timed
+region: a file that is truncated and rewritten right after its last write
+pays the disk's flush, which would then be timed instead of the code.
+
 The record states the machine, Python, numpy and both commits.  Only the
 numbers it holds are claims; the script compares nothing itself.
 """
@@ -110,11 +115,16 @@ for n_keyframes in map(int, sys.argv[2:]):
 
 # Prefix of the timing scripts; each takes the perfbench directory last.
 PROBE = """
-import statistics, sys, time
+import shutil, statistics, sys, time
 sys.path.insert(0, sys.argv[-1])
 from speed import REFERENCE_PROBE_S, probe
 
 PROBES = 15  # probe calls timed before each timed command
+
+
+def clear(out):
+    # Untimed, before each timed call, so that none rewrites a file the last one wrote.
+    shutil.rmtree(out, ignore_errors=True)
 
 
 def probe_median():
@@ -145,6 +155,7 @@ for name, argv in commands.items():
     assert main(argv) == 0
     runs[name] = {"wall_s": [], "probe_s": []}
     for _ in range(reps):
+        clear(out)
         runs[name]["probe_s"].append(probe_median())
         start = time.perf_counter()
         assert main(argv) == 0
@@ -326,6 +337,8 @@ call = {
 call()
 run = {"lines": len(frames), "wall_s": [], "probe_s": []}
 for _ in range(reps):
+    clear(out)
+    out.mkdir(parents=True)
     run["probe_s"].append(probe_median())
     start = time.perf_counter()
     call()

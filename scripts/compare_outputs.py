@@ -45,6 +45,9 @@ command set:
 * ``evaluate --methods all`` on a nine-frame input where one relative
   frame shares a keyframe's stamp and two relative frames share a stamp,
   so that the order of the scored rows is compared;
+* ``correct`` with each method on that nine-frame input, its keyframes
+  moved onto its ground truth: its last frame follows the last keyframe,
+  so the corrected files hold a terminal segment that passes through;
 * one in-process command per simulated scene (``repeated-updates``): it
   corrects one trajectory again and again, with every method, under a
   cycle of updates whose old poses are the trajectory's own keyframes or
@@ -230,6 +233,10 @@ def command_set() -> list[list[str]]:
         ["evaluate", "--traj", "in/shared_stamps.tum",
          "--kf-index", "in/shared_stamps_kf_index.txt", "--gt", "in/shared_stamps_gt.tum",
          "--methods", "all", "--out", "out/shared-stamps-eval"],
+        *(["correct", "--traj", "in/shared_stamps.tum",
+           "--kf-index", "in/shared_stamps_kf_index.txt", "--kf-old", "in/shared_stamps.tum",
+           "--kf-new", "in/shared_stamps_gt.tum", "--methods", m,
+           "--out", f"out/shared-stamps-corr-{m}"] for m in METHODS),
         *([REPEATED, f"out/{scene}", f"out/repeat-{scene}"] for scene in ("sim", "mav", "rotonly")),
     ]
     for name in MALFORMED:

@@ -127,7 +127,8 @@ def keyframe_pairs(batch: SegmentBatch, updates: KeyframeUpdates) -> KeyframePai
         kf_t = np.concatenate((updates.old_t, updates.new_t))
         a = np.concatenate((a, a + len(updates)))
     # Pose b = a + 1 relative to pose a, row by row.
-    q, t = pose_mul(*pose_inverse(kf_q[a], kf_t[a]), kf_q[a + 1], kf_t[a + 1])
+    b = a + 1
+    q, t = pose_mul(*pose_inverse(kf_q[a], kf_t[a]), kf_q[b], kf_t[b])
     norm = vec_norm(t)
     if hit:
         old = batch.memo[1]

@@ -147,20 +147,28 @@ def _correct(
     frame's pose relative to its updated parent keyframe, in segment
     order, and the diagnostics.  No method has an interpolation target
     without a closing keyframe, so the terminal segment's relative poses
-    pass through."""
+    pass through; with none, the kernel's arrays are returned as they are."""
     method = METHODS[cfg.name]
-    n_keyframes = len(traj.kf)
     q, t, columns = method.kernel(traj.full_segments(), updates, pairs, cfg)
-    # Only the last segment, which no keyframe closes, is terminal.
-    segments = np.full(n_keyframes, SEGMENT_DEFAULTS)
-    segments["segment"] = np.arange(n_keyframes)
+    if traj.diagnostics_template is None:
+        # Only the last segment, which no keyframe closes, is terminal.
+        template = np.full(len(traj.kf), SEGMENT_DEFAULTS)
+        template["segment"] = np.arange(len(traj.kf))
+        template["terminal"][-1] = True
+        template.flags.writeable = False
+        traj.diagnostics_template = template
+    segments = traj.diagnostics_template.copy()
     for name, column in columns.items():
         segments[name][:-1] = column
-    segments["terminal"][-1], segments["s"][-1] = True, method.terminal_s
-    not_finite = int(np.count_nonzero(~np.isfinite(np.hstack((q, t))).all(axis=1)))
+    segments["s"][-1] = method.terminal_s
+    not_finite = 0
+    if not (np.isfinite(q).all() and np.isfinite(t).all()):
+        not_finite = int(np.count_nonzero(~np.isfinite(np.hstack((q, t))).all(axis=1)))
     diagnostics = TrajectoryDiagnostics(segments, (not_finite, len(q)))
     diagnostics.warn_not_finite(cfg.name)
     last = traj.offsets[-2]
+    if last == len(traj.rel):
+        return q, t, diagnostics
     return (np.concatenate((q, traj.rel.q[last:])), np.concatenate((t, traj.rel.t[last:])),
             diagnostics)
 

@@ -557,30 +557,36 @@ def slerp_from_identity(q: np.ndarray, a: np.ndarray) -> np.ndarray:
     at an interior ``a`` raises ``ValueError``, as does ``a`` outside
     [0, 1].
     """
+    interior = (a > 0.0) & (a < 1.0)
+    if interior.all():  # no row to gather or scatter
+        return _slerp_interior(q, a[:, None])
     inside = (a >= 0.0) & (a <= 1.0)
     if not inside.all():
         bad = float(a[np.argmin(inside)])
         raise ValueError(f"interpolation factor must be in [0, 1], got {bad}")
     out = np.where((a == 0.0)[:, None], _IDENTITY_QUAT, q)
-    mid = np.flatnonzero((a > 0.0) & (a < 1.0))
-    if mid.size == 0:
-        return out
-    qm, am = q[mid], a[mid, None]
-    if not np.isfinite(qm).all():
+    mid = np.flatnonzero(interior)
+    if mid.size:
+        out[mid] = _slerp_interior(q[mid], a[mid, None])
+    return out
+
+
+def _slerp_interior(q: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """:func:`slerp_from_identity` of rows ``q`` at the interior factors ``a`` (N, 1)."""
+    if not np.isfinite(q).all():
         raise ValueError("slerp of a non-finite quaternion")
     # The nlerp blend of every row, replaced where the dot is at most the
     # cutoff (rows are finite here, so that is where it is not above it).
-    blend = _IDENTITY_QUAT + am * (qm - _IDENTITY_QUAT)
-    far = qm[:, 0] <= _NLERP_DOT
+    blend = _IDENTITY_QUAT + a * (q - _IDENTITY_QUAT)
+    far = q[:, 0] <= _NLERP_DOT
     if far.any():
-        theta = _math_rows(math.acos, np.fmin(1.0, qm[far, 0]))
-        t = am[far, 0]
+        theta = _math_rows(math.acos, np.fmin(1.0, q[far, 0]))
+        t = a[far, 0]
         s, s0, s1 = np.sin((theta, (1.0 - t) * theta, t * theta))
         # Computed in full: c0 * 0 + c1 * x can turn a -0.0 into 0.0, and
         # the sign of a zero reaches the half-turn canonicalization.
-        blend[far] = (s0 / s)[:, None] * _IDENTITY_QUAT + (s1 / s)[:, None] * qm[far]
-    out[mid] = quat_normalize(blend)
-    return out
+        blend[far] = (s0 / s)[:, None] * _IDENTITY_QUAT + (s1 / s)[:, None] * q[far]
+    return quat_normalize(blend)
 
 
 def pose_arrays(poses: Iterable[Pose]) -> tuple[np.ndarray, np.ndarray]:

@@ -19,8 +19,12 @@ the old and new pose of every keyframe.
 A trajectory keeps its full-segment batch, and the batch a one-entry
 memo of the correction geometry that no keyframe update changes, keyed on
 the bytes of the old keyframe poses; :func:`rebase` carries neither over.
-Neither is checked against the trajectory's arrays again, so those arrays
-are not to be changed in place.
+It also keeps what no pose changes, read-only, and :func:`rebase` carries
+that over: the ``stamps`` and ``indices`` of all its frames in ``(stamp,
+index)`` order, which every world table it composes shares, and the
+diagnostics rows that ``evaluate`` fills in on the first correction and
+every later one copies.  None of this is checked against the
+trajectory's arrays again, so those arrays are not to be changed in place.
 
 :class:`Keyframe`, :class:`RelativeFrame`, :class:`Segment`,
 :class:`KeyframeUpdate` and ``(FrameId, Pose)`` pairs are the object
@@ -280,14 +284,17 @@ class Trajectory:
     ``parents`` (M,), in segment order; segment ``i`` is the rel rows
     ``offsets[i]:offsets[i + 1]``.  ``kf_rows`` and ``rel_rows`` are the
     positions of the keyframe and relative rows among all frames ordered by
-    ``(stamp, index)``.
+    ``(stamp, index)``, and ``stamps`` and ``indices`` (read-only) those
+    frames' columns.  ``diagnostics_template`` is ``evaluate``'s read-only
+    diagnostics table of the trajectory, ``None`` until it is filled in.
 
     ``Trajectory(keyframes, relatives)`` builds one from :class:`Keyframe`
     and :class:`RelativeFrame` objects; :meth:`from_tables` from arrays.
     Both validate as :func:`segmentize` documents.
     """
 
-    __slots__ = ("kf", "rel", "parents", "offsets", "kf_rows", "rel_rows", "_full")
+    __slots__ = ("kf", "rel", "parents", "offsets", "kf_rows", "rel_rows", "stamps", "indices",
+                 "diagnostics_template", "_full")
 
     def __init__(self, keyframes: Sequence[Keyframe], relatives: Sequence[RelativeFrame]):
         relatives = tuple(relatives)
@@ -329,14 +336,15 @@ class Trajectory:
         self.offsets = np.concatenate(([0], np.cumsum(np.bincount(parents, minlength=n))))
         # Frame order is a stable sort of the keyframes, then the relative
         # frames in segment order, by (stamp, index).
-        frame_order = np.lexsort((
-            np.concatenate((kf.indices, self.rel.indices)),
-            np.concatenate((kf.stamps, self.rel.stamps)),
-        ))
+        stamps = np.concatenate((kf.stamps, self.rel.stamps))
+        indices = np.concatenate((kf.indices, self.rel.indices))
+        frame_order = np.lexsort((indices, stamps))
         rows = np.empty(len(frame_order), dtype=np.int64)
         rows[frame_order] = np.arange(len(frame_order))
         self.kf_rows, self.rel_rows = rows[:n], rows[n:]
-        self._full = None
+        self.stamps, self.indices = stamps[frame_order], indices[frame_order]
+        self.stamps.flags.writeable = self.indices.flags.writeable = False
+        self.diagnostics_template = self._full = None
 
     def _with_poses(self, kf_q, kf_t, rel_q, rel_t) -> "Trajectory":
         """This trajectory's frames and structure with new pose arrays."""
@@ -345,7 +353,8 @@ class Trajectory:
         traj.rel = FrameTable(self.rel.stamps, self.rel.indices, rel_q, rel_t)
         traj.parents, traj.offsets = self.parents, self.offsets
         traj.kf_rows, traj.rel_rows = self.kf_rows, self.rel_rows
-        traj._full = None
+        traj.stamps, traj.indices = self.stamps, self.indices
+        traj.diagnostics_template, traj._full = self.diagnostics_template, None
         return traj
 
     @property
@@ -465,18 +474,14 @@ def compose_world_poses(
     index)``: keyframe ``i`` at row ``i`` of ``kf_q``/``kf_t``, and each
     relative frame at its parent keyframe's pose times its relative pose,
     row ``k`` of ``rel_q``/``rel_t`` for the ``k``-th relative frame in
-    segment order."""
+    segment order.  The table shares ``traj``'s read-only ``stamps`` and
+    ``indices``."""
     q, t = relative_world_poses(traj, kf_q, kf_t, rel_q, rel_t)
     n = traj.frame_count
-    stamps, indices = np.empty(n), np.empty(n, dtype=np.int64)
     out_q, out_t = np.empty((n, 4)), np.empty((n, 3))
-    for rows, table, rows_q, rows_t in (
-        (traj.kf_rows, traj.kf, kf_q, kf_t),
-        (traj.rel_rows, traj.rel, q, t),
-    ):
-        stamps[rows], indices[rows] = table.stamps, table.indices
-        out_q[rows], out_t[rows] = rows_q, rows_t
-    return FrameTable(stamps, indices, out_q, out_t)
+    out_q[traj.kf_rows], out_t[traj.kf_rows] = kf_q, kf_t
+    out_q[traj.rel_rows], out_t[traj.rel_rows] = q, t
+    return FrameTable(traj.stamps, traj.indices, out_q, out_t)
 
 
 def world_poses(traj: Trajectory) -> FrameTable:
@@ -489,7 +494,9 @@ def rebase(traj: Trajectory, kf_q: np.ndarray, kf_t: np.ndarray) -> Trajectory:
     """``traj`` with its keyframes moved to the poses ``kf_q``/``kf_t``
     (one row per keyframe, in order; ``ValueError`` otherwise) and every
     relative pose re-expressed against them, so that each frame keeps its
-    world pose."""
+    world pose.  What no pose changes, the ``stamps``, ``indices`` and
+    diagnostics template, is carried over; the segment batch and its memo
+    are not."""
     if len(kf_q) != len(traj.kf) or len(kf_t) != len(traj.kf):
         raise ValueError(f"need one pose per keyframe ({len(traj.kf)}), got {len(kf_q)}")
     p = traj.parents
