@@ -10,8 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from posecorrect import evaluate, fixtures
+from posecorrect import correction, evaluate, fixtures
 from posecorrect.baseline import RotSpace, TransSpace
+from posecorrect.correction import keyframe_pairs
 from posecorrect.evaluate import (
     METHODS,
     SEGMENT_DEFAULTS,
@@ -188,6 +189,38 @@ class TestDriver:
                 want = updates[-1].new_pose * rel.rel_pose
                 np.testing.assert_array_equal(got[rel.id].translation, want.translation)
                 np.testing.assert_array_equal(got[rel.id].rotation.quat, want.rotation.quat)
+
+    @pytest.mark.parametrize("case", ["zero-yaw", "shared-stamps"])
+    def test_not_finite_counts_kernel_rows_with_a_non_finite_value(self, case):
+        # The raw-division baselines leave non-finite rows on the zero-yaw
+        # input (Euler's infinite angle raises instead); the count is that
+        # of the kernel's rows holding any, and (0, n) when every row is finite.
+        traj, gt = _protocol_case(case)
+        updates, batch = snap_to_gt(traj, gt), traj.full_segments()
+        non_finite_methods = 0
+        for name in (name for name in METHODS if name != "euler"):
+            cfg = MethodConfig(name, raw_division=True)
+            q, t, _ = METHODS[name].kernel(batch, updates, lambda: keyframe_pairs(batch, updates),
+                                           cfg)
+            rows = int(np.count_nonzero(~np.isfinite(np.hstack((q, t))).all(axis=1)))
+            _, diagnostics = correct_trajectory(traj, updates, cfg)
+            assert diagnostics.not_finite == (rows, len(batch.rels)), name
+            non_finite_methods += rows > 0
+        assert non_finite_methods == (4 if case == "zero-yaw" else 0)
+
+    def test_not_finite_counts_rows_with_a_non_finite_translation_alone(self, monkeypatch):
+        traj, gt = _protocol_case("shared-stamps")
+        kernel = correction.correct_segment
+
+        def with_bad_translations(batch, pairs, scale_squared):
+            q, t, columns = kernel(batch, pairs, scale_squared)
+            t = t.copy()
+            t[[1, 3], 2] = math.nan
+            return q, t, columns
+
+        monkeypatch.setattr(correction, "correct_segment", with_bad_translations)
+        _, diagnostics = correct_trajectory(traj, snap_to_gt(traj, gt), MethodConfig("proposed"))
+        assert diagnostics.not_finite == (2, len(traj.full_segments().rels))
 
     def test_world_poses_equal_scalar_composition_bitwise(self):
         # One array pass composes every method's world poses; each must be

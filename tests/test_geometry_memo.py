@@ -1,10 +1,13 @@
-"""The trajectory's memo of its update-invariant correction geometry.
+"""The trajectory's memo of its update-invariant correction geometry, and
+what it keeps that no pose changes.
 
 Every result of a trajectory that has corrected before, under any method
 and after any other update, is bitwise equal to the same call on a freshly
 built trajectory, diagnostics included; a change of the old keyframe
 poses, down to the sign of a zero, rebuilds the memo; ``rebase`` does not
-carry it over; and nothing outside the trajectory keeps it alive."""
+carry it over but carries the read-only stamp and index columns and
+diagnostics template, which every result shares or copies; and nothing
+outside the trajectory keeps it alive."""
 
 import gc
 import weakref
@@ -23,6 +26,7 @@ from posecorrect.trajectory import (
     Trajectory,
     from_world_poses,
     rebase,
+    world_poses,
 )
 
 CONFIGS = [MethodConfig(name) for name in METHODS] + [
@@ -32,16 +36,19 @@ CONFIGS = [MethodConfig(name) for name in METHODS] + [
 SIMILARITY_EVERY = 3  # as the online-window workload cycles its updates
 
 
-def estimate(seed: int, n_keyframes: int = 6, origin: bool = False) -> Trajectory:
+def estimate(seed: int, n_keyframes: int = 6, origin: bool = False,
+             trailing: bool = False) -> Trajectory:
     """A displaced ``mav`` estimate; with ``origin`` its first keyframe is
-    the identity pose, whose zeros the sign tests flip."""
+    the identity pose, whose zeros the sign tests flip, and with
+    ``trailing`` its last keyframe is a relative frame, so that four frames
+    follow the last keyframe."""
     spec = SceneSpec(shape="mav", n_keyframes=n_keyframes, rels_per_segment=3, seed=seed)
     frames = path_world_poses(spec)
     positions = keyframe_positions(spec)
     est = list(fixtures.displaced_estimate(frames, positions, seed=seed))
     if origin:
         est[0] = (est[0][0], Pose.identity())
-    return from_world_poses(est, positions)
+    return from_world_poses(est, positions[:-1] if trailing else positions)
 
 
 def fresh(traj: Trajectory) -> Trajectory:
@@ -77,13 +84,15 @@ def collapsed_updates(traj: Trajectory, seed: int, k: int = 2) -> list[KeyframeU
     return updates
 
 
-def assert_same_as_fresh(traj: Trajectory, updates, cfg: MethodConfig) -> None:
+def assert_same_as_fresh(traj: Trajectory, updates, cfg: MethodConfig):
+    """``traj``'s result, checked bitwise against a fresh trajectory's."""
     world, diagnostics = correct_trajectory(traj, updates, cfg)
     want_world, want_diagnostics = correct_trajectory(fresh(traj), updates, cfg)
     for column in ("stamps", "indices", "q", "t"):
         assert getattr(world, column).tobytes() == getattr(want_world, column).tobytes(), cfg
     assert diagnostics.segments.tobytes() == want_diagnostics.segments.tobytes(), cfg
     assert diagnostics.not_finite == want_diagnostics.not_finite, cfg
+    return world, diagnostics
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -101,6 +110,64 @@ def test_repeated_updates_equal_a_fresh_trajectory(seed):
             updates = perturbed_updates(traj, 100 * seed + k)
         for cfg in CONFIGS:
             assert_same_as_fresh(traj, updates, cfg)
+
+
+@pytest.mark.parametrize("trailing", [False, True])
+def test_every_method_repeated_on_one_trajectory_equals_a_fresh_one(trailing):
+    # Every method with and without scale_squared, then a no-correction
+    # call between two proposed ones, all copying one diagnostics template
+    # and sharing one stamp and index column.
+    traj = estimate(8, trailing=trailing)
+    assert (traj.offsets[-1] > traj.offsets[-2]) == trailing
+    calls = [MethodConfig(name, scale_squared=squared)
+             for squared in (False, True) for name in METHODS]
+    calls += [MethodConfig("proposed"), MethodConfig("no-correction"), MethodConfig("proposed")]
+    for k, cfg in enumerate(calls):
+        updates = similarity_updates(traj, 80 + k) if k % 2 else perturbed_updates(traj, 80 + k)
+        _, diagnostics = assert_same_as_fresh(traj, updates, cfg)
+        table = diagnostics.segments
+        assert table["segment"].tolist() == list(range(len(traj.kf)))
+        assert table["terminal"].tolist() == [False] * (len(traj.kf) - 1) + [True]
+        if cfg.name == "proposed":
+            assert table["s"][-1] == 1.0
+        else:
+            assert np.isnan(table["s"][-1]), cfg
+
+
+def test_kept_columns_and_template_are_read_only_and_shared():
+    traj = estimate(9, trailing=True)
+    assert traj.diagnostics_template is None
+    world, diagnostics = correct_trajectory(traj, perturbed_updates(traj, 90),
+                                            MethodConfig("proposed"))
+    template = traj.diagnostics_template
+    for column in (traj.stamps, traj.indices, template):
+        assert not column.flags.writeable
+    again, _ = correct_trajectory(traj, similarity_updates(traj, 91), MethodConfig("xyz"))
+    assert traj.diagnostics_template is template
+    for table in (world, again, world_poses(traj)):
+        assert table.stamps is traj.stamps and table.indices is traj.indices
+    with pytest.raises(ValueError, match="read-only"):
+        world.stamps[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        again.indices[0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        template["s"][0] = 1.0
+    # Each result's diagnostics is its own copy of the template.
+    diagnostics.segments["s"][:] = 7.0
+    assert np.isnan(template["s"]).all()
+
+
+@pytest.mark.parametrize("trailing", [False, True])
+def test_a_rebase_of_a_used_trajectory_equals_a_fresh_one(trailing):
+    traj = estimate(10, trailing=trailing)
+    updates = KeyframeUpdates.of(perturbed_updates(traj, 100))
+    for cfg in CONFIGS:
+        correct_trajectory(traj, updates, cfg)
+    moved = rebase(traj, updates.new_q, updates.new_t)
+    assert moved.stamps is traj.stamps and moved.indices is traj.indices
+    assert moved.diagnostics_template is traj.diagnostics_template is not None
+    for k, cfg in enumerate(CONFIGS):
+        assert_same_as_fresh(moved, similarity_updates(moved, 101 + k), cfg)
 
 
 def test_a_hit_after_a_miss_equals_a_fresh_trajectory():

@@ -479,6 +479,30 @@ class TestArrayForms:
         with pytest.raises(ValueError, match="interpolation factor"):
             slerp_from_identity(np.array([random_rotation(0).quat]), np.array([1.5]))
 
+    @pytest.mark.parametrize("layout", ["interior", "ends", "invalid"])
+    def test_slerp_from_identity_on_each_factor_layout(self, layout):
+        # Factors all interior take the path without gathers, factors with
+        # exact ends the gathered one; a NaN or out-of-range factor raises
+        # in both forms, naming the first such factor.
+        rng = np.random.default_rng(17)
+        rots = [Rotation.random(rng) for _ in range(6)]
+        rots += [Rotation.identity(), so3_exp((0.01, 0.0, 0.0)), Rotation((0.0, -1.0, 0.0, 0.0))]
+        q = np.array([r.quat for r in rots])
+        alphas = rng.uniform(0.05, 0.95, len(rots))
+        if layout == "ends":
+            alphas[[0, 6]], alphas[[1, 7]] = 0.0, 1.0
+        if layout == "invalid":
+            for bad in (math.nan, -0.25, 1.5):
+                alphas[3] = bad
+                with pytest.raises(ValueError, match=f"interpolation factor .* got {bad}$"):
+                    slerp_from_identity(q, alphas)
+                with pytest.raises(ValueError, match=f"interpolation factor .* got {bad}$"):
+                    slerp(Rotation.identity(), rots[3], bad)
+            return
+        got = slerp_from_identity(q, alphas)
+        for row, r, a in zip(got, rots, alphas.tolist()):
+            assert same_bits(row, slerp(Rotation.identity(), r, a).quat)
+
 
 def cascade_normalize(q: np.ndarray) -> np.ndarray:
     """``Rotation.__init__``'s w/x/y/z comparison cascade on an (N, 4) or
