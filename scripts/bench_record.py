@@ -263,7 +263,7 @@ for n_keyframes, calls in sizes.items():
         for _ in range(calls):
             call()
         entry["wall_s"].append((time.perf_counter() - start) / calls)
-        copies = [Trajectory.from_tables(traj.kf, traj.rel, traj.parents) for _ in range(calls)]
+        copies = [Trajectory(traj.kf, traj.rel, traj.parents) for _ in range(calls)]
         entry["first_probe_s"].append(probe_median())
         start = time.perf_counter()
         for copy in copies:

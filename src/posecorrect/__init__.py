@@ -6,20 +6,19 @@ preserving the measurement constraints between the two enclosing keyframes,
 alongside the classical element-wise vector-space interpolation baselines
 (XYZ, se(3) translation, Euler, quaternion, so(3)), a synthetic-scene
 oracle, and an evaluation/timing harness.
+
+Trajectories are tables (:class:`FrameTable`, :class:`Trajectory`,
+:class:`KeyframeUpdates`); the names below that are objects (``Pose``,
+``Rotation``, ``FrameId``, ``Keyframe``, ``KeyframeUpdate``) build and
+read those tables one pose at a time.
 """
 
 from .liegeom import (
     Pose,
     Rotation,
-    Twist,
-    euler_zyx_from,
     euler_zyx_to,
-    rotation_angle_deg,
-    se3_exp,
-    se3_log,
     slerp,
     so3_exp,
-    so3_log,
 )
 from .trajectory import (
     FrameId,
@@ -27,11 +26,8 @@ from .trajectory import (
     Keyframe,
     KeyframeUpdate,
     KeyframeUpdates,
-    RelativeFrame,
-    Segment,
     Trajectory,
     from_world_poses,
-    segmentize,
     snap_to_gt,
     world_poses,
 )
@@ -41,25 +37,16 @@ __version__ = "0.1.0"
 __all__ = [
     "Pose",
     "Rotation",
-    "Twist",
-    "euler_zyx_from",
     "euler_zyx_to",
-    "rotation_angle_deg",
-    "se3_exp",
-    "se3_log",
     "slerp",
     "so3_exp",
-    "so3_log",
     "FrameId",
     "FrameTable",
     "Keyframe",
     "KeyframeUpdate",
     "KeyframeUpdates",
-    "RelativeFrame",
-    "Segment",
     "Trajectory",
     "from_world_poses",
-    "segmentize",
     "snap_to_gt",
     "world_poses",
     "__version__",

@@ -341,7 +341,10 @@ def _config_value(path: Path, key: str, value, action: argparse.Action):
         raise CliError(f"{path}: config key {key!r} must be a {kind.__name__}, got {value!r}")
     if action.choices is not None and value not in action.choices:
         raise CliError(f"{path}: config key {key!r} must be in {action.choices}, got {value!r}")
-    return kind(value)
+    try:
+        return kind(value)
+    except OverflowError:  # float() of an integer past 1e308
+        raise CliError(f"{path}: config key {key!r} must be a finite float, got {value!r}") from None
 
 
 def _apply_config_file(subparser: argparse.ArgumentParser, path: Path) -> None:
@@ -352,7 +355,7 @@ def _apply_config_file(subparser: argparse.ArgumentParser, path: Path) -> None:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             cfg = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except ValueError as exc:  # bad JSON, bad UTF-8, or an integer of over 4300 digits
             raise CliError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(cfg, dict):
         raise CliError(f"{path}: config must be a JSON object")
@@ -365,12 +368,16 @@ def _apply_config_file(subparser: argparse.ArgumentParser, path: Path) -> None:
 
 def _check_flags(args) -> None:
     """Range-check numeric flags (argparse and the config loader check
-    only their type)."""
-    for dest, low in (("assoc_tol", 0), ("drift", 0), ("repetitions", 1)):
+    only their type).  Compared, not converted: ``math.isfinite`` of an
+    integer past 1e308 overflows.  ``timing.csv`` writes the repetition
+    count as an int64."""
+    for dest, low, high in (("assoc_tol", 0, math.inf), ("drift", 0, math.inf),
+                            ("repetitions", 1, 2**63)):
         value = getattr(args, dest, low)
-        if not (math.isfinite(value) and value >= low):
+        if not low <= value < high:
             flag = "--" + dest.replace("_", "-")
-            raise CliError(f"{flag} must be finite and >= {low}, got {value!r}")
+            bound = "finite" if high == math.inf else f"< {high}"
+            raise CliError(f"{flag} must be {bound} and >= {low}, got {value!r}")
 
 
 def main(argv=None) -> int:

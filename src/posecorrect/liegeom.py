@@ -1,12 +1,13 @@
-"""SO(3)/SE(3) value types: rotations, rigid transforms, exp/log maps,
-Euler and axis-angle conversions, and spherical linear interpolation.
+"""SO(3)/SE(3) value types and the rotation formulas on arrays: products
+and inverses, exp/log maps, left Jacobians, Euler and matrix conversions,
+spherical linear interpolation and geodesic angles.
 
 Conventions used consistently across the package:
 
 * ``Rotation`` stores a unit quaternion ``(w, x, y, z)``.  The scalar part
   is canonicalized to ``w >= 0`` (double-cover pick) so that element-wise
   operations on quaternion components are well defined.  3x3 matrices are
-  derived views, never the stored state.
+  derived (:func:`quat_matrix`), never the stored state.
 * ``Pose`` is the rigid transform ``T_AB`` mapping points from frame {B}
   into frame {A}: ``p_A = R_AB @ p_B + t_AB``.  Equivalently, the pose of
   {B} expressed in {A}.  Composition follows ``T_AC = T_AB * T_BC``.
@@ -19,15 +20,14 @@ Conventions used consistently across the package:
 
 All types are immutable values and all functions are pure.
 
-Each rotation formula is written once, in the array forms at the end;
-``so3_log``, the left Jacobians, ``euler_zyx_from``, ``gimbal_proximity``,
-``rotation_angle_deg`` and ``Rotation.from_matrix``/``matrix`` are one-row
-views of them.  The array forms list the names that keep scalar bodies.
+Each rotation formula is written once.  ``Rotation`` and ``Pose``
+arithmetic, ``so3_exp``, ``euler_zyx_to`` and ``slerp`` are the scalar
+forms that build inputs one pose at a time; everything else exists only
+on arrays, in the array forms at the end.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -78,13 +78,6 @@ class Rotation:
         return cls((1.0, 0.0, 0.0, 0.0))
 
     @classmethod
-    def from_matrix(cls, m) -> "Rotation":
-        """One row of :func:`quat_from_matrix` (Shepperd's method)."""
-        q = quat_from_matrix(np.asarray(m, dtype=float)[None])[0]
-        q.setflags(write=False)
-        return cls._from_canonical(q)
-
-    @classmethod
     def random(cls, rng: np.random.Generator) -> "Rotation":
         """Uniformly distributed rotation (normalized Gaussian quaternion)."""
         return cls(rng.normal(size=4))
@@ -104,10 +97,6 @@ class Rotation:
     def quat(self) -> np.ndarray:
         """Unit quaternion ``(w, x, y, z)`` with ``w >= 0`` (read-only)."""
         return self._q
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return quat_matrix(self._q[None])[0]
 
     # -- algebra -----------------------------------------------------------
 
@@ -148,18 +137,6 @@ class Rotation:
         return f"Rotation(w={w:.9g}, x={x:.9g}, y={y:.9g}, z={z:.9g})"
 
 
-@dataclass(frozen=True)
-class Twist:
-    """se(3) tangent element: translation part ``v`` and rotation ``omega``."""
-
-    v: np.ndarray
-    omega: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "v", _vec3(self.v))
-        object.__setattr__(self, "omega", _vec3(self.omega))
-
-
 class Pose:
     """Rigid transform ``T_AB = (R_AB, t_AB)``; maps {B} points into {A}."""
 
@@ -172,18 +149,6 @@ class Pose:
     @classmethod
     def identity(cls) -> "Pose":
         return cls(Rotation.identity(), (0.0, 0.0, 0.0))
-
-    @classmethod
-    def from_matrix(cls, m) -> "Pose":
-        m = np.asarray(m, dtype=float)
-        return cls(Rotation.from_matrix(m[:3, :3]), m[:3, 3])
-
-    @property
-    def matrix(self) -> np.ndarray:
-        out = np.eye(4)
-        out[:3, :3] = self.rotation.matrix
-        out[:3, 3] = self.translation
-        return out
 
     def __mul__(self, other: "Pose") -> "Pose":
         return Pose(
@@ -203,7 +168,7 @@ class Pose:
         return f"Pose({self.rotation!r}, t=({t[0]:.9g}, {t[1]:.9g}, {t[2]:.9g}))"
 
 
-# -- so(3) exp/log ----------------------------------------------------------
+# -- so(3) exp --------------------------------------------------------------
 
 
 def so3_exp(rotvec) -> Rotation:
@@ -217,33 +182,6 @@ def so3_exp(rotvec) -> Rotation:
         k = math.sin(0.5 * angle) / angle
         qw = math.cos(0.5 * angle)
     return Rotation((qw, k * w[0], k * w[1], k * w[2]))
-
-
-def so3_log(r: Rotation) -> np.ndarray:
-    """Canonical axis-angle of ``r``: one row of :func:`so3_log_rows`."""
-    return so3_log_rows(r.quat[None])[0]
-
-
-# -- se(3) exp/log ----------------------------------------------------------
-
-
-def so3_left_jacobian(omega: np.ndarray) -> np.ndarray:
-    """The V matrix of ``omega``: one row of :func:`so3_left_jacobian_rows`."""
-    return so3_left_jacobian_rows(np.asarray(omega, dtype=float)[None])[0]
-
-
-def so3_left_jacobian_inv(omega: np.ndarray) -> np.ndarray:
-    """The inverse V matrix: one row of :func:`so3_left_jacobian_inv_rows`."""
-    return so3_left_jacobian_inv_rows(np.asarray(omega, dtype=float)[None])[0]
-
-
-def se3_exp(t: Twist) -> Pose:
-    return Pose(so3_exp(t.omega), so3_left_jacobian(t.omega) @ t.v)
-
-
-def se3_log(p: Pose) -> Twist:
-    omega = so3_log(p.rotation)
-    return Twist(so3_left_jacobian_inv(omega) @ p.translation, omega)
 
 
 # -- Euler (intrinsic Z-Y-X) -------------------------------------------------
@@ -264,17 +202,7 @@ def euler_zyx_to(angles) -> Rotation:
     ))
 
 
-def euler_zyx_from(r: Rotation) -> np.ndarray:
-    """Z-Y-X ``(yaw, pitch, roll)`` of ``r``: one row of :func:`euler_zyx_from_rows`."""
-    return euler_zyx_from_rows(r.quat[None])[0][0]
-
-
-def gimbal_proximity(r: Rotation) -> bool:
-    """True when ``|cos(pitch)| < 1e-6``: one flag of :func:`euler_zyx_from_rows`."""
-    return bool(euler_zyx_from_rows(r.quat[None])[1][0])
-
-
-# -- interpolation and metrics ----------------------------------------------
+# -- interpolation ----------------------------------------------------------
 
 
 def slerp(q0: Rotation, q1: Rotation, a: float) -> Rotation:
@@ -310,7 +238,7 @@ def slerp(q0: Rotation, q1: Rotation, a: float) -> Rotation:
 # The rotation formulas, on (N, 4) quaternion and (N, 3) vector arrays.
 # ``so3_exp``, ``euler_zyx_to`` and the ``Rotation``/``Pose`` arithmetic
 # keep scalar bodies, which input builders call once per pose (a one-row
-# view costs several times as much); the twins here repeat their IEEE
+# array call costs several times as much); the twins here repeat their IEEE
 # operations in order, bit for bit.  ``slerp`` keeps its body: only its
 # start at the identity has a row form.  Tests pin each to a scalar oracle.
 # numpy does + - * /, sqrt, sin and cos, writing multi-column results
@@ -603,11 +531,6 @@ def poses_from_arrays(q: np.ndarray, t: np.ndarray) -> list[Pose]:
     q = np.array(q)
     q.setflags(write=False)
     return [Pose(Rotation._from_canonical(r), v) for r, v in zip(q, t)]
-
-
-def rotation_angle_deg(r1: Rotation, r2: Rotation) -> float:
-    """Geodesic angle in degrees: one row of :func:`rotation_angles_deg`."""
-    return float(rotation_angles_deg(r1.quat[None], r2.quat[None])[0])
 
 
 def rotation_angles_deg(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:

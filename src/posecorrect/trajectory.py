@@ -26,14 +26,13 @@ diagnostics rows that ``evaluate`` fills in on the first correction and
 every later one copies.  None of this is checked against the
 trajectory's arrays again, so those arrays are not to be changed in place.
 
-:class:`Keyframe`, :class:`RelativeFrame`, :class:`Segment`,
-:class:`KeyframeUpdate` and ``(FrameId, Pose)`` pairs are the object
-forms.  They build tables (``Trajectory(keyframes, relatives)``,
-``SegmentBatch(segments)``, :meth:`FrameTable.of`) and are built from
-them on demand (``traj.keyframes``, ``traj.segments``, iterating a
-table), for library callers and for the scalar reference kernels of
-``tests/reference_kernels.py``, which the tests compare the array kernels
-against.  The correction path itself reads only the arrays.
+The tables are the one representation.  A few object forms remain as
+views for callers that build or read one pose at a time: iterating or
+indexing a :class:`FrameTable` yields ``(FrameId, Pose)`` pairs,
+:meth:`FrameTable.of` builds a table from them, ``traj.keyframes`` yields
+:class:`Keyframe` objects, and :meth:`KeyframeUpdates.of` and its rows
+convert :class:`KeyframeUpdate` objects.  The correction path reads only
+the arrays.
 """
 from __future__ import annotations
 
@@ -70,31 +69,6 @@ class FrameId:
 class Keyframe:
     id: FrameId
     world_pose: Pose
-
-
-@dataclass(frozen=True, slots=True)
-class RelativeFrame:
-    id: FrameId
-    parent: int          # keyframe index i
-    rel_pose: Pose       # T_{kf_i, frame}
-
-
-@dataclass(frozen=True, slots=True)
-class Segment:
-    """Relative frames between keyframe ``kf_a`` and ``kf_b``.
-
-    ``kf_b is None`` marks the terminal partial segment after the last
-    keyframe.
-    """
-
-    index: int
-    kf_a: Keyframe
-    kf_b: Optional[Keyframe]
-    rels: tuple[RelativeFrame, ...]
-
-    @property
-    def terminal(self) -> bool:
-        return self.kf_b is None
 
 
 @dataclass(frozen=True, slots=True)
@@ -227,37 +201,20 @@ class SegmentBatch:
     is ``index + 1``), ``counts`` (S,) its number of relative frames,
     ``start`` and ``stop`` (S,) the stamps of its two keyframes, and
     ``rels`` the table of all their relative frames in segment order, each
-    pose relative to its segment's opening keyframe.
+    pose relative to its segment's opening keyframe.  A batch holds no
+    terminal segment, which has no closing keyframe.
 
-    ``SegmentBatch(segments)`` builds one from :class:`Segment` objects and
-    raises ``ValueError`` on a terminal segment, which has no closing
-    keyframe; :meth:`Trajectory.full_segments` builds one from the arrays.
-    ``memo`` is ``correction``'s ``(key, value)`` memo of the batch's
-    update-invariant geometry, ``None`` until a kernel runs.
+    :meth:`Trajectory.full_segments` builds one.  ``memo`` is
+    ``correction``'s ``(key, value)`` memo of the batch's update-invariant
+    geometry, ``None`` until a kernel runs.
     """
 
     __slots__ = ("index", "counts", "start", "stop", "rels", "memo")
 
-    def __init__(self, segments: Sequence[Segment]):
-        segments = tuple(segments)
-        if any(seg.terminal for seg in segments):
-            raise ValueError("segment is terminal: it has no closing keyframe")
-        self.index = np.array([seg.index for seg in segments], dtype=np.int64)
-        self.counts = np.array([len(seg.rels) for seg in segments], dtype=np.int64)
-        self.start = np.array([seg.kf_a.id.stamp for seg in segments], dtype=float)
-        self.stop = np.array([seg.kf_b.id.stamp for seg in segments], dtype=float)
-        self.rels = FrameTable.of(
-            (rel.id, rel.rel_pose) for seg in segments for rel in seg.rels
-        )
-        self.memo = None
-
-    @classmethod
-    def from_rows(cls, index, counts, start, stop, rels: FrameTable) -> "SegmentBatch":
-        batch = object.__new__(cls)
-        batch.index, batch.counts, batch.start, batch.stop, batch.rels, batch.memo = (
+    def __init__(self, index, counts, start, stop, rels: FrameTable):
+        self.index, self.counts, self.start, self.stop, self.rels, self.memo = (
             index, counts, start, stop, rels, None
         )
-        return batch
 
     def per_frame(self, values) -> np.ndarray:
         """Row ``i`` of ``values`` (one row per segment) repeated once for
@@ -288,29 +245,21 @@ class Trajectory:
     frames' columns.  ``diagnostics_template`` is ``evaluate``'s read-only
     diagnostics table of the trajectory, ``None`` until it is filled in.
 
-    ``Trajectory(keyframes, relatives)`` builds one from :class:`Keyframe`
-    and :class:`RelativeFrame` objects; :meth:`from_tables` from arrays.
-    Both validate as :func:`segmentize` documents.
+    ``Trajectory(kf, rel, parents)`` validates its input.  The keyframe
+    stamps must be strictly increasing.  The parent index of each relative
+    frame is authoritative: a frame whose parent does not exist, or whose
+    stamp falls outside its parent's segment window, raises
+    :class:`AssociationError` naming the frame.  A frame at exactly a
+    keyframe stamp belongs to the segment that keyframe opens; frames after
+    the last keyframe form the terminal segment.  The relative rows are
+    then sorted into segment order.
     """
 
     __slots__ = ("kf", "rel", "parents", "offsets", "kf_rows", "rel_rows", "stamps", "indices",
                  "diagnostics_template", "_full")
 
-    def __init__(self, keyframes: Sequence[Keyframe], relatives: Sequence[RelativeFrame]):
-        relatives = tuple(relatives)
-        self._build(
-            FrameTable.of((kf.id, kf.world_pose) for kf in keyframes),
-            FrameTable.of((rel.id, rel.rel_pose) for rel in relatives),
-            np.array([rel.parent for rel in relatives], dtype=np.int64),
-        )
-
-    @classmethod
-    def from_tables(cls, kf: FrameTable, rel: FrameTable, parents) -> "Trajectory":
-        traj = object.__new__(cls)
-        traj._build(kf, rel, np.asarray(parents, dtype=np.int64))
-        return traj
-
-    def _build(self, kf: FrameTable, rel: FrameTable, parents: np.ndarray) -> None:
+    def __init__(self, kf: FrameTable, rel: FrameTable, parents):
+        parents = np.asarray(parents, dtype=np.int64)
         n = len(kf)
         if n == 0:
             raise AssociationError("trajectory has no keyframes")
@@ -365,7 +314,7 @@ class Trajectory:
         """Every segment that a keyframe closes, as a batch, built on the
         first call and kept with its memo."""
         if self._full is None:
-            self._full = SegmentBatch.from_rows(
+            self._full = SegmentBatch(
                 np.arange(len(self.kf) - 1),
                 np.diff(self.offsets[:-1]),
                 self.kf.stamps[:-1],
@@ -374,48 +323,10 @@ class Trajectory:
             )
         return self._full
 
-    # -- object views, built on demand -----------------------------------------
-
     @property
     def keyframes(self) -> tuple[Keyframe, ...]:
+        """The keyframes as objects, built on demand."""
         return tuple(Keyframe(fid, pose) for fid, pose in self.kf)
-
-    @property
-    def relatives(self) -> tuple[RelativeFrame, ...]:
-        """The relative frames in segment order."""
-        return tuple(
-            RelativeFrame(fid, parent, pose)
-            for (fid, pose), parent in zip(self.rel, self.parents.tolist())
-        )
-
-    @property
-    def segments(self) -> tuple[Segment, ...]:
-        keyframes, relatives = self.keyframes, self.relatives
-        bounds = self.offsets.tolist()
-        n = len(keyframes)
-        return tuple(
-            Segment(
-                index=i,
-                kf_a=keyframes[i],
-                kf_b=keyframes[i + 1] if i + 1 < n else None,
-                rels=relatives[bounds[i]:bounds[i + 1]],
-            )
-            for i in range(n)
-        )
-
-
-def segmentize(
-    keyframes: Sequence[Keyframe],
-    relatives: Sequence[RelativeFrame],
-) -> tuple[Segment, ...]:
-    """Partition relative frames into per-keyframe-pair segments.
-
-    The parent index recorded on each relative frame is authoritative; a
-    frame whose parent does not exist, or whose timestamp falls outside its
-    parent's segment window, raises :class:`AssociationError`.  A frame at
-    exactly a keyframe timestamp belongs to the segment that keyframe opens.
-    """
-    return Trajectory(keyframes, relatives).segments
 
 
 def from_world_poses(frames, keyframe_positions: Sequence[int]) -> Trajectory:
@@ -445,7 +356,7 @@ def from_world_poses(frames, keyframe_positions: Sequence[int]) -> Trajectory:
         )
     kf_inv_q, kf_inv_t = pose_inverse(kf.q, kf.t)
     q, t = pose_mul(kf_inv_q[parents], kf_inv_t[parents], rel.q, rel.t)
-    return Trajectory.from_tables(kf, FrameTable(rel.stamps, rel.indices, q, t), parents)
+    return Trajectory(kf, FrameTable(rel.stamps, rel.indices, q, t), parents)
 
 
 def relative_world_poses(

@@ -2,10 +2,16 @@
 batched kernels, which the tests compare them against bit for bit.  No
 command runs them.  The equations are in the docstrings of
 :mod:`posecorrect.correction` and :mod:`posecorrect.baseline`;
-:func:`reference_correct` picks the reference of a method by name.
-:func:`_orthonormalize` is the one-row form of ``io._kitti_check``,
-:func:`format_tum_line` the one-line form of ``io.write_tum``, and
-:func:`bench_segment` the fixture of acceptance criterion 8.
+:func:`reference_correct` picks the reference of a method by name.  Each
+takes a full segment as row ``k`` of a ``SegmentBatch`` (its keyframe
+stamps and its rows of ``rels``, :func:`segment_rels`) and the keyframe
+updates as rows (``updates[i]`` the ``KeyframeUpdate`` of keyframe
+``i``, from a ``KeyframeUpdates`` table or a list).
+:func:`segment_trajectory` builds a trajectory of one full segment from
+poses, :func:`_orthonormalize` is the one-row form of
+``io._kitti_check``, :func:`format_tum_line` the one-line form of
+``io.write_tum``, and :func:`bench_segment` the fixture of acceptance
+criterion 8.
 
 The synthetic generators have their per-frame forms here too: the
 ``pose_at`` paths of :data:`SCALAR_PATHS` and the frame-at-a-time
@@ -14,9 +20,10 @@ The synthetic generators have their per-frame forms here too: the
 return ``(FrameId, Pose)`` pairs.  The array generators of ``synth`` and
 ``fixtures`` are compared against them bit for bit, draws included.
 
-So are ``liegeom``'s array forms, against the scalar formulas of the names
-the package keeps as one-row views of them (:func:`so3_log_scalar` and the
-rest of the next section), which nothing here calls.
+So are ``liegeom``'s array forms, against the scalar formulas of the next
+section (:func:`so3_log_scalar` and the rest), which call no array form:
+from ``liegeom`` this module takes only the value types, the scalar forms
+that keep their own bodies and the private constants.
 """
 from __future__ import annotations
 
@@ -27,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from posecorrect.baseline import QUAT_RENORM_TOL, SINGULARITY_EPS, RotSpace, TransSpace, _guarded_factor
-from posecorrect.correction import DEGENERATE_BASELINE, KeyframePairs, keyframe_pairs
+from posecorrect.correction import DEGENERATE_BASELINE
 from posecorrect.io import REFLECTION, ROTATION_DRIFT_TOL, TrajectoryParseError, _drift_error
 from posecorrect.fixtures import JITTER_ROT, JITTER_TRANS
 from posecorrect.liegeom import _GIMBAL_COS, _SMALL_ANGLE, _SMALL_V_ANGLE
@@ -42,10 +49,10 @@ from posecorrect.synth import (
 )
 from posecorrect.trajectory import (
     FrameId,
+    FrameTable,
     KeyframeUpdate,
-    KeyframeUpdates,
-    Segment,
     SegmentBatch,
+    Trajectory,
     from_world_poses,
 )
 
@@ -197,12 +204,22 @@ def records_of(columns: dict, index) -> list[SegmentRecord]:
     ]
 
 
-def batch_pairs(segments, updates) -> tuple[SegmentBatch, KeyframePairs]:
-    """A batch of the full ``segments`` and its keyframe pairs for
-    ``updates`` (``KeyframeUpdate`` objects, one per keyframe): the
-    arguments a batched kernel takes."""
-    batch = SegmentBatch(segments)
-    return batch, keyframe_pairs(batch, KeyframeUpdates.of(updates))
+def segment_rels(batch: SegmentBatch, k: int) -> FrameTable:
+    """The relative frames of full segment ``k`` of ``batch``: its rows of
+    ``rels``."""
+    stop = int(batch.counts[: k + 1].sum())
+    return batch.rels.take(slice(stop - int(batch.counts[k]), stop))
+
+
+def segment_trajectory(kf_a: Pose, kf_b: Pose, rels, stamps=None) -> Trajectory:
+    """Keyframes 0 and 100 at stamps 0 and 1, posed at ``kf_a`` and
+    ``kf_b``, and frames 1, 2, ... between them at ``stamps`` (0.1 apart by
+    default) with the poses ``rels`` relative to keyframe 0: one full
+    segment and an empty terminal one."""
+    stamps = stamps or [0.1 * (j + 1) for j in range(len(rels))]
+    kf = FrameTable.of([(FrameId(0.0, 0), kf_a), (FrameId(1.0, 100), kf_b)])
+    rel = FrameTable.of((FrameId(s, j + 1), pose) for j, (s, pose) in enumerate(zip(stamps, rels)))
+    return Trajectory(kf, rel, np.zeros(len(rel), dtype=np.int64))
 
 
 def scale_factor(t_ab_old, t_ab_new, squared: bool = False) -> tuple[float, bool]:
@@ -250,24 +267,24 @@ def fusion_gap(
     return drot, rot_a_inv.apply(delta)
 
 
-def timestamp_fraction(seg: Segment, j: int) -> float:
-    """Position of relative frame ``j`` in a full segment's time window."""
-    t_a = seg.kf_a.id.stamp
-    return (seg.rels[j].id.stamp - t_a) / (seg.kf_b.id.stamp - t_a)
+def timestamp_fraction(batch: SegmentBatch, k: int, stamp: float) -> float:
+    """Position of ``stamp`` in the time window of full segment ``k``."""
+    t_a = float(batch.start[k])
+    return (stamp - t_a) / (float(batch.stop[k]) - t_a)
 
 
-def _alpha(seg: Segment, j: int, rel_b: Pose, degenerate_baseline: bool) -> float:
-    """Interpolation factor ``alpha = d_a / (d_a + d_b)`` of relative frame
-    ``j``, whose pose relative to the closing keyframe is ``rel_b``; a
-    degenerate baseline or coincident geometry falls back to the timestamp
-    fraction."""
+def _alpha(rel_a: Pose, rel_b: Pose, degenerate_baseline: bool, fraction: float) -> float:
+    """Interpolation factor ``alpha = d_a / (d_a + d_b)`` of a relative
+    frame whose poses relative to the opening and closing keyframes are
+    ``rel_a`` and ``rel_b``; a degenerate baseline or coincident geometry
+    falls back to its timestamp ``fraction``."""
     if not degenerate_baseline:
-        d_a = float(np.linalg.norm(seg.rels[j].rel_pose.translation))
+        d_a = float(np.linalg.norm(rel_a.translation))
         d_b = float(np.linalg.norm(rel_b.translation))
         total = d_a + d_b
         if total >= DEGENERATE_BASELINE:
             return d_a / total
-    return timestamp_fraction(seg, j)
+    return fraction
 
 
 def fuse(
@@ -295,34 +312,31 @@ def _segment_setup(
 
 
 def correct_segment_scalar(
-    seg: Segment,
-    upd_a: KeyframeUpdate,
-    upd_b: KeyframeUpdate,
-    scale_squared: bool = False,
+    batch: SegmentBatch, k: int, updates, scale_squared: bool = False
 ) -> tuple[list[Pose], SegmentRecord]:
-    """Correct every relative frame of a full segment, one frame at a time.
+    """Correct every relative frame of full segment ``k`` of ``batch``, one
+    frame at a time.
 
     Returns poses relative to the updated opening keyframe plus the
     segment's record: ``s``, the degenerate-baseline flag and the range of
     ``alpha``.  This is the reference that :func:`correct_segment` is
     tested against bit for bit.
     """
-    if seg.terminal:
-        raise ValueError("segment is terminal: it has no closing keyframe")
-    t_ab_old_inv, t_ab_new, s, degenerate = _segment_setup(upd_a, upd_b, scale_squared)
+    i = int(batch.index[k])
+    t_ab_old_inv, t_ab_new, s, degenerate = _segment_setup(updates[i], updates[i + 1], scale_squared)
 
     corrected = []
     alphas = []
-    for j, rel in enumerate(seg.rels):
-        rel_b_old = t_ab_old_inv * rel.rel_pose
-        sol_a = condition_from_kf(rel.rel_pose, s)
+    for fid, rel in segment_rels(batch, k):
+        rel_b_old = t_ab_old_inv * rel
+        sol_a = condition_from_kf(rel, s)
         sol_b = condition_from_kf(rel_b_old, s)
         gap = fusion_gap(sol_a, sol_b, t_ab_new)
-        alpha = _alpha(seg, j, rel_b_old, degenerate)
+        alpha = _alpha(rel, rel_b_old, degenerate, timestamp_fraction(batch, k, fid.stamp))
         alphas.append(alpha)
         corrected.append(fuse(sol_a, gap, alpha))
     return corrected, SegmentRecord(
-        seg.index,
+        i,
         s=s,
         degenerate_baseline=degenerate,
         alpha_min=min(alphas, default=math.nan),
@@ -406,24 +420,24 @@ def _counted_factor(numerator, denominator, raw_division: bool, diagnostics: Seg
 
 
 def interp_correct_segment_scalar(
-    seg: Segment,
-    upd_a: KeyframeUpdate,
-    upd_b: KeyframeUpdate,
+    batch: SegmentBatch,
+    k: int,
+    updates,
     ts: TransSpace,
     rs: RotSpace,
     raw_division: bool = False,
 ) -> tuple[list[Pose], SegmentRecord]:
-    """Correct every relative frame of a full segment in vector space, one
-    frame at a time.
+    """Correct every relative frame of full segment ``k`` of ``batch`` in
+    vector space, one frame at a time.
 
     Returns poses relative to the updated opening keyframe, plus the
     segment's record with its singular/gimbal/renormalization counts.  This
     is the reference that :func:`interp_correct_segment` is tested against
     bit for bit.
     """
-    if seg.terminal:
-        raise ValueError("interpolation needs a closing keyframe; segment is terminal")
-    diag = SegmentRecord(seg.index)
+    i = int(batch.index[k])
+    upd_a, upd_b = updates[i], updates[i + 1]
+    diag = SegmentRecord(i)
     t_ab_old = upd_a.old_pose.inverse() * upd_b.old_pose
     t_ab_new = upd_a.new_pose.inverse() * upd_b.new_pose
     tv_old, rv_old, om_old = vectorize(t_ab_old, ts, rs, diag)
@@ -434,8 +448,8 @@ def interp_correct_segment_scalar(
         dom = om_new - om_old
 
     corrected = []
-    for rel in seg.rels:
-        tv, rv, om = vectorize(rel.rel_pose, ts, rs, diag)
+    for _, rel in segment_rels(batch, k):
+        tv, rv, om = vectorize(rel, ts, rs, diag)
         tv_star = tv + dt * _counted_factor(tv, tv_old, raw_division, diag)
         rv_star = rv + dr * _counted_factor(rv, rv_old, raw_division, diag)
         rot = _rotation_from_vec(rv_star, rs, diag)
@@ -451,17 +465,17 @@ def interp_correct_segment_scalar(
     return corrected, diag
 
 
-def reference_correct(seg: Segment, upd_a: KeyframeUpdate, upd_b: KeyframeUpdate, cfg):
+def reference_correct(batch: SegmentBatch, k: int, updates, cfg):
     """The scalar reference of the method of ``evaluate.METHODS`` that the
-    ``MethodConfig`` ``cfg`` names, on the full segment ``seg``: its
+    ``MethodConfig`` ``cfg`` names, on full segment ``k`` of ``batch``: its
     corrected poses relative to the updated opening keyframe and its
     record.  ``no-correction`` passes the stored relative poses through."""
     if cfg.name == "no-correction":
-        return [rel.rel_pose for rel in seg.rels], SegmentRecord(seg.index)
+        return [pose for _, pose in segment_rels(batch, k)], SegmentRecord(int(batch.index[k]))
     if cfg.name == "proposed":
-        return correct_segment_scalar(seg, upd_a, upd_b, cfg.scale_squared)
+        return correct_segment_scalar(batch, k, updates, cfg.scale_squared)
     ts, rs = cfg.spaces()
-    return interp_correct_segment_scalar(seg, upd_a, upd_b, ts, rs, cfg.raw_division)
+    return interp_correct_segment_scalar(batch, k, updates, ts, rs, cfg.raw_division)
 
 
 def _orthonormalize(m: np.ndarray, path, line: int) -> np.ndarray:
@@ -490,22 +504,23 @@ def format_tum_line(stamp: float, pose: Pose) -> str:
     return " ".join(repr(float(v)) for v in vals)
 
 
-def bench_segment() -> tuple[Segment, KeyframeUpdate, KeyframeUpdate]:
-    """A 3-relative-frame full segment with a non-trivial update: the
-    fixture that acceptance criterion 8 times the scalar correction on."""
+def bench_segment() -> tuple[SegmentBatch, list[KeyframeUpdate]]:
+    """A batch of one 3-relative-frame full segment and a non-trivial update
+    of its two keyframes: the fixture that acceptance criterion 8 times the
+    scalar correction on."""
     spec = SceneSpec(shape="forward", n_keyframes=2, rels_per_segment=3, seed=3)
     frames = path_world_poses(spec)
     traj = from_world_poses(frames, keyframe_positions(spec))
-    seg = traj.segments[0]
+    kf_a, kf_b = (kf.world_pose for kf in traj.keyframes)
     sim = SimilarityTransform(
         so3_exp((0.01, -0.02, 0.03)), np.array([0.4, -0.2, 0.1]), 1.05
     )
     nudge = Pose(so3_exp((0.0, 1e-3, 0.0)), (5e-3, -2e-3, 1e-3))
-    upd_a = KeyframeUpdate(0, seg.kf_a.world_pose, sim.apply_pose(seg.kf_a.world_pose))
-    upd_b = KeyframeUpdate(
-        1, seg.kf_b.world_pose, nudge * sim.apply_pose(seg.kf_b.world_pose)
-    )
-    return seg, upd_a, upd_b
+    updates = [
+        KeyframeUpdate(0, kf_a, sim.apply_pose(kf_a)),
+        KeyframeUpdate(1, kf_b, nudge * sim.apply_pose(kf_b)),
+    ]
+    return traj.full_segments(), updates
 
 
 # -- synthetic generators, one frame at a time -------------------------------------

@@ -26,14 +26,18 @@ from posecorrect.evaluate import (
 from posecorrect.liegeom import (
     Pose,
     Rotation,
-    euler_zyx_from,
-    euler_zyx_to,
-    rotation_angle_deg,
-    se3_exp,
-    se3_log,
+    euler_zyx_from_rows,
+    euler_zyx_to_rows,
+    mat_vec,
+    quat_matrix,
+    quat_normalize,
+    rotation_angles_deg,
     slerp,
     so3_exp,
-    so3_log,
+    so3_exp_rows,
+    so3_left_jacobian_inv_rows,
+    so3_left_jacobian_rows,
+    so3_log_rows,
 )
 from posecorrect.synth import (
     SceneSpec,
@@ -43,10 +47,7 @@ from posecorrect.synth import (
 )
 from posecorrect.trajectory import (
     FrameId,
-    Keyframe,
     KeyframeUpdate,
-    RelativeFrame,
-    Segment,
     identity_updates,
     snap_to_gt,
     world_poses,
@@ -57,7 +58,10 @@ from reference_kernels import (
     correct_segment_scalar,
     fuse,
     fusion_gap,
+    rotation_angle_deg_scalar,
     scale_factor,
+    segment_rels,
+    segment_trajectory,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -81,12 +85,12 @@ def test_criterion_1_similarity_exactness():
         updates = snap_to_gt(traj, target)
         world, _ = correct_trajectory(traj, updates, MethodConfig("proposed"))
         target_map = dict(target)
-        rel_ids = {rel.id for rel in traj.relatives}
+        rel_ids = set(traj.rel.ids())
         for fid, pose in world:
             if fid not in rel_ids:
                 continue
             want = target_map[fid]
-            worst_rot = max(worst_rot, rotation_angle_deg(pose.rotation, want.rotation))
+            worst_rot = max(worst_rot, rotation_angle_deg_scalar(pose.rotation, want.rotation))
             worst_trans = max(
                 worst_trans, float(np.linalg.norm(pose.translation - want.translation))
             )
@@ -112,7 +116,7 @@ def test_criterion_2_identity_invariance():
         for (fa, pa), (fb, pb) in zip(reference, world):
             assert fa == fb
             worst = max(worst, float(np.linalg.norm(pa.translation - pb.translation)))
-            worst = max(worst, rotation_angle_deg(pa.rotation, pb.rotation))
+            worst = max(worst, rotation_angle_deg_scalar(pa.rotation, pb.rotation))
     elapsed = time.perf_counter() - start
     _criterion(
         2,
@@ -129,15 +133,10 @@ def test_criterion_3_boundary_consistency():
     kf_a_pose = Pose(Rotation.random(rng), rng.normal(size=3))
     kf_b_pose = Pose(Rotation.random(rng), rng.normal(size=3))
     rel = Pose(Rotation.random(rng), (0.0, 0.0, 0.0))
-    seg = Segment(
-        index=0,
-        kf_a=Keyframe(FrameId(0.0, 0), kf_a_pose),
-        kf_b=Keyframe(FrameId(1.0, 10), kf_b_pose),
-        rels=(RelativeFrame(FrameId(0.4, 1), 0, rel),),
-    )
+    batch = segment_trajectory(kf_a_pose, kf_b_pose, [rel], stamps=[0.4]).full_segments()
     upd_a = KeyframeUpdate(0, kf_a_pose, Pose(Rotation.random(rng), rng.normal(size=3)))
     upd_b = KeyframeUpdate(1, kf_b_pose, Pose(Rotation.random(rng), rng.normal(size=3)))
-    out, diag = correct_segment_scalar(seg, upd_a, upd_b)
+    out, diag = correct_segment_scalar(batch, 0, [upd_a, upd_b])
     t_ab_old = upd_a.old_pose.inverse() * upd_b.old_pose
     t_ab_new = upd_a.new_pose.inverse() * upd_b.new_pose
     s, _ = scale_factor(t_ab_old.translation, t_ab_new.translation)
@@ -155,18 +154,17 @@ def test_criterion_3_boundary_consistency():
         scene, update, target = fixtures.similarity_case(case)
         traj = scene.trajectory
         updates = snap_to_gt(traj, target)
-        seg = traj.segments[0]
         upd_a, upd_b = updates[0], updates[1]
         t_ab_old = upd_a.old_pose.inverse() * upd_b.old_pose
         t_ab_new = upd_a.new_pose.inverse() * upd_b.new_pose
         s, _ = scale_factor(t_ab_old.translation, t_ab_new.translation)
-        for rel_frame in seg.rels:
-            sol_a = condition_from_kf(rel_frame.rel_pose, s)
-            rot_b, trans_b = sol_b = condition_from_kf(t_ab_old.inverse() * rel_frame.rel_pose, s)
+        for _, rel_pose in segment_rels(traj.full_segments(), 0):
+            sol_a = condition_from_kf(rel_pose, s)
+            rot_b, trans_b = sol_b = condition_from_kf(t_ab_old.inverse() * rel_pose, s)
             gap = fusion_gap(sol_a, sol_b, t_ab_new)
             fused = fuse(sol_a, gap, 1.0)
             implied = t_ab_new.inverse() * fused
-            worst = max(worst, rotation_angle_deg(implied.rotation, rot_b))
+            worst = max(worst, rotation_angle_deg_scalar(implied.rotation, rot_b))
             worst = max(worst, float(np.linalg.norm(implied.translation - trans_b)))
     _criterion(
         3,
@@ -230,7 +228,7 @@ def _so3_safe(rotation: Rotation) -> bool:
     q = rotation.quat
     if not np.all(np.isfinite(q)):
         return False
-    m = rotation.matrix
+    m = quat_matrix(q[None])[0]
     return (
         abs(np.linalg.det(m) - 1.0) < 1e-9
         and np.max(np.abs(m.T @ m - np.eye(3))) < 1e-9
@@ -256,19 +254,8 @@ def test_criterion_6_so3_safety_everywhere():
     # Zero-baseline segment whose relative frames do move.
     rng = np.random.default_rng(45)
     pivot = Pose(Rotation.random(rng), rng.normal(size=3))
-    wander = tuple(
-        RelativeFrame(
-            FrameId(0.2 * j, j), 0, Pose(so3_exp(rng.normal(0, 0.1, 3)), rng.normal(0, 0.3, 3))
-        )
-        for j in range(1, 4)
-    )
-    zb_traj_keyframes = (
-        Keyframe(FrameId(0.0, 0), pivot),
-        Keyframe(FrameId(1.0, 10), pivot),
-    )
-    from posecorrect.trajectory import Trajectory
-
-    zb_traj = Trajectory(zb_traj_keyframes, wander)
+    wander = [Pose(so3_exp(rng.normal(0, 0.1, 3)), rng.normal(0, 0.3, 3)) for _ in range(3)]
+    zb_traj = segment_trajectory(pivot, pivot, wander, stamps=[0.2, 0.4, 0.6])
     zb_updates = [
         KeyframeUpdate(0, pivot, Pose(so3_exp((0.2, 0.0, 0.1)) * pivot.rotation, pivot.translation)),
         KeyframeUpdate(1, pivot, Pose(so3_exp((0.0, 0.1, 0.0)) * pivot.rotation, pivot.translation)),
@@ -299,33 +286,36 @@ def test_criterion_7_lie_geometry_suite():
     axes = rng.normal(size=(n, 3))
     axes /= np.linalg.norm(axes, axis=1, keepdims=True)
     angles = rng.uniform(0.0, math.pi - 1e-3, size=n)
-    worst = 0.0
-    worst_slerp = 0.0
+    # Each sample's draws in the order of the one-sample loop.
+    t, q2, a = np.empty((n, 3)), np.empty((n, 4)), np.empty(n)
     for k in range(n):
-        w = angles[k] * axes[k]
-        r = so3_exp(w)
-        # so(3) round trip.
-        worst = max(worst, float(np.max(np.abs(so3_log(r) - w))))
-        # quaternion round trip.
-        worst = max(worst, rotation_angle_deg(Rotation(np.array(r.quat)), r))
-        # se(3) round trip.
-        p = Pose(r, rng.uniform(-10, 10, 3))
-        q = se3_exp(se3_log(p))
-        worst = max(worst, rotation_angle_deg(p.rotation, q.rotation))
-        worst = max(worst, float(np.linalg.norm(p.translation - q.translation)))
-        # Euler round trip away from the gimbal band.
-        angles_e = euler_zyx_from(r)
-        if abs(angles_e[1]) < math.pi / 2 - 1e-3:
-            worst = max(worst, rotation_angle_deg(euler_zyx_to(angles_e), r))
-        # slerp: angle linearity and symmetry.
-        r2 = Rotation.random(rng)
-        a = rng.uniform()
-        full = rotation_angle_deg(r, r2)
-        part = rotation_angle_deg(r, slerp(r, r2, a))
-        worst_slerp = max(worst_slerp, abs(part - a * full) / max(1.0, full))
-        worst_slerp = max(
-            worst_slerp, rotation_angle_deg(slerp(r, r2, a), slerp(r2, r, 1.0 - a))
-        )
+        t[k] = rng.uniform(-10, 10, 3)
+        q2[k] = Rotation.random(rng).quat
+        a[k] = rng.uniform()
+    w = angles[:, None] * axes
+    q = so3_exp_rows(w)
+    # so(3) round trip.
+    worst = float(np.max(np.abs(so3_log_rows(q) - w)))
+    # quaternion round trip.
+    worst = max(worst, float(rotation_angles_deg(quat_normalize(q.copy()), q).max()))
+    # se(3) round trip: log through the inverse left Jacobian, exp through
+    # the left Jacobian.
+    omega = so3_log_rows(q)
+    v = mat_vec(so3_left_jacobian_inv_rows(omega), t)
+    worst = max(worst, float(rotation_angles_deg(q, so3_exp_rows(omega)).max()))
+    worst = max(worst, float(np.linalg.norm(t - mat_vec(so3_left_jacobian_rows(omega), v), axis=1).max()))
+    # Euler round trip away from the gimbal band.
+    angles_e, _ = euler_zyx_from_rows(q)
+    away = np.abs(angles_e[:, 1]) < math.pi / 2 - 1e-3
+    worst = max(worst, float(rotation_angles_deg(euler_zyx_to_rows(angles_e[away]), q[away]).max()))
+    # slerp: angle linearity and symmetry.
+    r, r2 = [Rotation._from_canonical(row) for row in q], [Rotation._from_canonical(row) for row in q2]
+    forward = np.array([slerp(ra, rb, ak).quat for ra, rb, ak in zip(r, r2, a.tolist())])
+    backward = np.array([slerp(rb, ra, 1.0 - ak).quat for ra, rb, ak in zip(r, r2, a.tolist())])
+    full = rotation_angles_deg(q, q2)
+    part = rotation_angles_deg(q, forward)
+    worst_slerp = max(float((np.abs(part - a * full) / np.maximum(1.0, full)).max()),
+                      float(rotation_angles_deg(forward, backward).max()))
     _criterion(
         7,
         "10^4-sample exp/log/euler/quat round-trips and slerp properties hold to 1e-9",
@@ -335,11 +325,11 @@ def test_criterion_7_lie_geometry_suite():
 
 
 def test_criterion_8_timing_order_of_magnitude():
-    seg, upd_a, upd_b = bench_segment()
-    assert len(seg.rels) == 3
+    batch, updates = bench_segment()
+    assert batch.counts.tolist() == [3]
     stats = bench(
-        lambda fx: correct_segment_scalar(fx[0], fx[1], fx[2]),
-        [(seg, upd_a, upd_b)],
+        lambda fx: correct_segment_scalar(fx[0], 0, fx[1]),
+        [(batch, updates)],
         repetitions=400,
         warmup=50,
     )
@@ -368,7 +358,7 @@ def test_criterion_9_io_round_trips_and_errors(tmp_path, capsys):
     worst = 0.0
     for (_, pa), (_, pb) in zip(poses, via_kitti):
         worst = max(worst, float(np.linalg.norm(pa.translation - pb.translation)))
-        worst = max(worst, rotation_angle_deg(pa.rotation, pb.rotation))
+        worst = max(worst, rotation_angle_deg_scalar(pa.rotation, pb.rotation))
 
     code_tum = cli_main([
         "evaluate", "--traj", str(DATA / "malformed.tum"),

@@ -23,10 +23,7 @@ from posecorrect.synth import PATHS, SceneSpec, frame_grid, keyframe_positions, 
 from posecorrect.trajectory import (
     FrameId,
     FrameTable,
-    Keyframe,
     KeyframeUpdate,
-    RelativeFrame,
-    Segment,
     Trajectory,
     from_world_poses,
     world_poses,
@@ -43,6 +40,7 @@ from reference_kernels import (
     rotation_angle_deg_scalar,
     rotation_from_matrix_scalar,
     rotation_matrix_scalar,
+    segment_rels,
 )
 
 
@@ -317,28 +315,28 @@ class TestLongFiles:
 def object_trajectory(frames, positions):
     """``from_world_poses`` one ``Pose`` product at a time."""
     positions = sorted(set(positions))
-    keyframes = [Keyframe(*frames[p]) for p in positions]
-    stamps = [kf.id.stamp for kf in keyframes]
-    relatives = []
+    keyframes = [frames[p] for p in positions]
+    stamps = [fid.stamp for fid, _ in keyframes]
+    rels, parents = [], []
     for k, (fid, world) in enumerate(frames):
         if k in positions:
             continue
-        parent = bisect.bisect_right(stamps, fid.stamp) - 1
-        relatives.append(RelativeFrame(fid, parent, keyframes[parent].world_pose.inverse() * world))
-    return keyframes, relatives
+        parents.append(bisect.bisect_right(stamps, fid.stamp) - 1)
+        rels.append((fid, keyframes[parents[-1]][1].inverse() * world))
+    return Trajectory(FrameTable.of(keyframes), FrameTable.of(rels), parents)
 
 
-def object_correct(keyframes, relatives, updates, cfg):
+def object_correct(traj, updates, cfg):
     """World poses after the scalar reference of method ``cfg`` on each full
-    segment, composed with ``Pose.__mul__`` and sorted by (stamp, index)."""
-    out = [(kf.id, upd.new_pose) for kf, upd in zip(keyframes, updates)]
-    for seg in Trajectory(keyframes, relatives).segments:
-        if seg.terminal:
-            poses = [rel.rel_pose for rel in seg.rels]
-        else:
-            poses, _ = reference_correct(seg, updates[seg.index], updates[seg.index + 1], cfg)
-        base = updates[seg.index].new_pose
-        out += [(rel.id, base * pose) for rel, pose in zip(seg.rels, poses)]
+    segment, composed with ``Pose.__mul__`` and sorted by (stamp, index);
+    the terminal segment's frames ride on the last keyframe."""
+    out = [(fid, upd.new_pose) for fid, upd in zip(traj.kf.ids(), updates)]
+    batch = traj.full_segments()
+    for k in range(len(batch.index)):
+        poses, _ = reference_correct(batch, k, updates, cfg)
+        out += [(fid, updates[k].new_pose * pose) for (fid, _), pose in zip(segment_rels(batch, k), poses)]
+    last = updates[len(traj.kf) - 1].new_pose
+    out += [(fid, last * pose) for fid, pose in traj.rel.take(slice(traj.offsets[-2], None))]
     out.sort(key=lambda item: (item[0].stamp, item[0].index))
     return out
 
@@ -368,19 +366,17 @@ class TestRunsEqualObjectPath:
         ]) == 0
 
         read = object_read_tum(tmp_path / "traj.tum")
-        keyframes, relatives = object_trajectory(read, positions)
         old_read, new_read = object_read_tum(tmp_path / "old.tum"), object_read_tum(tmp_path / "new.tum")
-        relatives = [
-            RelativeFrame(rel.id, rel.parent, old_read[rel.parent][1].inverse() * (
-                keyframes[rel.parent].world_pose * rel.rel_pose
-            ))
-            for rel in relatives
-        ]
-        keyframes = [Keyframe(kf.id, pose) for kf, (_, pose) in zip(keyframes, old_read)]
+        traj = object_trajectory(read, positions)
+        parents = traj.parents.tolist()
+        rels = [(fid, old_read[p][1].inverse() * (traj.kf[p][1] * rel))
+                for (fid, rel), p in zip(traj.rel, parents)]
+        kf = FrameTable.of((fid, pose) for fid, (_, pose) in zip(traj.kf.ids(), old_read))
+        traj = Trajectory(kf, FrameTable.of(rels), parents)
         updates = [
             KeyframeUpdate(i, o, n) for i, ((_, o), (_, n)) in enumerate(zip(old_read, new_read))
         ]
-        want = object_correct(keyframes, relatives, updates, MethodConfig("proposed"))
+        want = object_correct(traj, updates, MethodConfig("proposed"))
         assert (tmp_path / "out" / "corrected.tum").read_text() == object_tum_text(want)
 
     def test_evaluate_at_the_evaluate_all_size(self, tmp_path):
@@ -398,12 +394,12 @@ class TestRunsEqualObjectPath:
         ]) == 0
 
         est_read, gt_read = object_read_tum(tmp_path / "est.tum"), object_read_tum(tmp_path / "gt.tum")
-        keyframes, relatives = object_trajectory(est_read, positions)
+        traj = object_trajectory(est_read, positions)
         gt_at = {fid.stamp: pose for fid, pose in gt_read}  # the stamps coincide
-        updates = [KeyframeUpdate(i, kf.world_pose, gt_at[kf.id.stamp]) for i, kf in enumerate(keyframes)]
-        rel_ids = {rel.id for rel in relatives}
+        updates = [KeyframeUpdate(i, pose, gt_at[fid.stamp]) for i, (fid, pose) in enumerate(traj.kf)]
+        rel_ids = set(traj.rel.ids())
         for name in METHODS:
-            world = object_correct(keyframes, relatives, updates, MethodConfig(name))
+            world = object_correct(traj, updates, MethodConfig(name))
             rows = [
                 [repr(fid.stamp), str(fid.index),
                  repr(float(np.linalg.norm(pose.translation - gt_at[fid.stamp].translation)) * 100.0),
@@ -472,7 +468,7 @@ def test_cli_builds_no_object_per_frame(tmp_path, pose_counter):
         assert pose_counter["n"] < relatives, command
     # The counter sees the object path.
     pose_counter["n"] = 0
-    list(from_world_poses(gt, positions).relatives)
+    list(from_world_poses(gt, positions).rel)
     assert pose_counter["n"] >= relatives
 
 

@@ -4,7 +4,6 @@ precedence and determinism."""
 import csv
 import inspect
 import io
-import itertools
 import json
 import math
 import shlex
@@ -21,9 +20,9 @@ from posecorrect import evaluate as ev
 from posecorrect import fixtures, floatfmt
 from posecorrect import io as trajio
 from posecorrect.cli import main
-from posecorrect.liegeom import pose_arrays, rotation_angle_deg
-from posecorrect.trajectory import FrameId, Keyframe, RelativeFrame, Segment, world_poses
-from reference_kernels import columns_of, reference_correct
+from posecorrect.liegeom import pose_arrays
+from posecorrect.trajectory import world_poses
+from reference_kernels import columns_of, reference_correct, rotation_angle_deg_scalar
 
 DATA = Path(__file__).parent / "data"
 README = Path(__file__).parent.parent / "README.md"
@@ -104,31 +103,10 @@ def csv_writer_of_repr(errors) -> bytes:
     return text.getvalue().encode("utf-8")
 
 
-def batch_segments(batch):
-    """The segments of a ``SegmentBatch`` as ``Segment`` objects.  The
-    scalar kernels read the keyframe stamps but not the keyframe poses or
-    frame indices, which a batch does not carry."""
-    rels = iter(batch.rels)
-    return [
-        Segment(
-            index,
-            Keyframe(FrameId(start, -1), None),
-            Keyframe(FrameId(stop, -1), None),
-            tuple(RelativeFrame(fid, index, pose) for fid, pose in itertools.islice(rels, count)),
-        )
-        for index, count, start, stop in zip(
-            batch.index.tolist(), batch.counts.tolist(), batch.start.tolist(), batch.stop.tolist()
-        )
-    ]
-
-
 def scalar_kernel(batch, updates, pairs, cfg):
     """A ``METHODS`` kernel that corrects one segment at a time through
     ``reference_correct``, the scalar reference of each method."""
-    results = [
-        reference_correct(seg, updates[seg.index], updates[seg.index + 1], cfg)
-        for seg in batch_segments(batch)
-    ]
+    results = [reference_correct(batch, k, updates, cfg) for k in range(len(batch.index))]
     q, t = pose_arrays(pose for poses, _ in results for pose in poses)
     return q, t, columns_of([record for _, record in results])
 
@@ -188,7 +166,7 @@ class TestCorrect:
         for (fa, pa), (fb, pb) in zip(original, corrected):
             assert abs(fa.stamp - fb.stamp) < 1e-9
             assert np.linalg.norm(pa.translation - pb.translation) < 1e-9
-            assert rotation_angle_deg(pa.rotation, pb.rotation) < 1e-9
+            assert rotation_angle_deg_scalar(pa.rotation, pb.rotation) < 1e-9
 
     def test_keyframe_in_one_update_file_names_the_other(self, sim_dir, tmp_path, capsys):
         old, new = make_update_files(sim_dir, tmp_path)
@@ -561,15 +539,18 @@ class TestConfigPrecedence:
 
     def test_bad_config_json_exit_two(self, sim_dir, tmp_path, capsys):
         cfg_path = tmp_path / "broken.json"
-        cfg_path.write_text("{not json")
-        code = main([
-            "evaluate", "--traj", str(sim_dir / "est.tum"),
-            "--gt", str(sim_dir / "gt.tum"),
-            "--kf-index", str(sim_dir / "kf_index.txt"),
-            "--config", str(cfg_path),
-            "--out", str(tmp_path / "x"),
-        ])
-        assert code == 2
+        # The integer is past Python's 4,300-digit conversion limit.
+        for text in ("{not json", '{"seed": 1' + "0" * 5000 + "}"):
+            cfg_path.write_text(text)
+            code = main([
+                "evaluate", "--traj", str(sim_dir / "est.tum"),
+                "--gt", str(sim_dir / "gt.tum"),
+                "--kf-index", str(sim_dir / "kf_index.txt"),
+                "--config", str(cfg_path),
+                "--out", str(tmp_path / "x"),
+            ])
+            assert code == 2
+            assert f"{cfg_path}: invalid JSON" in capsys.readouterr().err
 
     def test_config_not_utf8_exit_two_naming_file(self, sim_dir, tmp_path, capsys):
         cfg_path = tmp_path / "latin1.json"
@@ -704,14 +685,21 @@ class TestInputValidation:
 
     def test_bench_repetitions_zero_rejected(self, tmp_path, capsys):
         out = tmp_path / "bench0"
-        assert main(["bench", "--repetitions", "0", "--out", str(out)]) == 2
-        assert "--repetitions" in capsys.readouterr().err
+        cfg_path = tmp_path / "cfg.json"
+        # An integer past 1e308 is compared as an integer, not converted.
+        for value in ("0", "1" + "0" * 400):
+            assert main(["bench", "--repetitions", value, "--out", str(out)]) == 2
+            assert "--repetitions" in capsys.readouterr().err
+            cfg_path.write_text(f'{{"repetitions": {value}}}')
+            assert main(["bench", "--config", str(cfg_path), "--out", str(out)]) == 2
+            assert "--repetitions" in capsys.readouterr().err
         assert not (out / "timing.csv").exists()
 
     @pytest.mark.parametrize(
         "cfg, key",
         [({"methods": 5}, "'methods'"), ({"rot-space": "bogus"}, "'rot-space'"),
-         ({"scale-squared": "no"}, "'scale-squared'")],
+         ({"scale-squared": "no"}, "'scale-squared'"),
+         ({"assoc-tol": 10**400}, "'assoc-tol'")],  # an integer no float holds
     )
     def test_config_values_checked_like_flags(self, sim_dir, tmp_path, capsys, cfg, key):
         cfg_path = tmp_path / "cfg.json"

@@ -12,7 +12,7 @@ from posecorrect import fixtures
 from posecorrect.baseline import RotSpace, TransSpace, interp_correct_segment
 from posecorrect.correction import correct_segment, keyframe_pairs
 from posecorrect.evaluate import MethodConfig, correct_trajectory
-from posecorrect.liegeom import Pose, Rotation, rotation_angle_deg, so3_exp
+from posecorrect.liegeom import Pose, Rotation, so3_exp
 from posecorrect.synth import (
     SceneSpec,
     SimilarityTransform,
@@ -22,18 +22,14 @@ from posecorrect.synth import (
 )
 from posecorrect.trajectory import (
     FrameId,
-    Keyframe,
     KeyframeUpdate,
     KeyframeUpdates,
-    RelativeFrame,
-    Segment,
-    SegmentBatch,
     Trajectory,
     from_world_poses,
+    identity_updates,
     snap_to_gt,
 )
 from reference_kernels import (
-    batch_pairs,
     SegmentRecord,
     _segment_setup,
     bench_segment,
@@ -42,19 +38,12 @@ from reference_kernels import (
     fuse,
     fusion_gap,
     records_of,
+    rotation_angle_deg_scalar,
     scale_factor,
+    segment_rels,
+    segment_trajectory,
     timestamp_fraction,
 )
-
-
-def make_segment(kf_a_pose, kf_b_pose, rels, stamps=None):
-    kf_a = Keyframe(FrameId(0.0, 0), kf_a_pose)
-    kf_b = Keyframe(FrameId(1.0, 100), kf_b_pose)
-    stamps = stamps or [0.1 * (j + 1) for j in range(len(rels))]
-    rel_frames = tuple(
-        RelativeFrame(FrameId(s, j + 1), 0, pose) for j, (s, pose) in enumerate(zip(stamps, rels))
-    )
-    return Segment(index=0, kf_a=kf_a, kf_b=kf_b, rels=rel_frames)
 
 
 class TestScaleFactor:
@@ -102,7 +91,7 @@ class TestConditionSolution:
         rel = Pose(so3_exp((0.1, 0.2, 0.3)), (1.0, 0.0, 0.0))
         rot, trans = condition_from_kf(rel, 2.0)
         np.testing.assert_array_equal(trans, [2.0, 0.0, 0.0])
-        assert rotation_angle_deg(rot, rel.rotation) == 0.0
+        assert rotation_angle_deg_scalar(rot, rel.rotation) == 0.0
 
     def test_both_keyframe_conditions_agree_under_similarity(self):
         # Under a similarity update the Eq.-12-style and Eq.-13-style
@@ -120,7 +109,7 @@ class TestConditionSolution:
         sol_b = condition_from_kf(rel_b, s)
         world_a = sim.apply_pose(kf_a) * Pose(*sol_a)
         world_b = sim.apply_pose(kf_b) * Pose(*sol_b)
-        assert rotation_angle_deg(world_a.rotation, world_b.rotation) < 1e-9
+        assert rotation_angle_deg_scalar(world_a.rotation, world_b.rotation) < 1e-9
         np.testing.assert_allclose(world_a.translation, world_b.translation, atol=1e-9)
 
 
@@ -138,7 +127,7 @@ class TestFusionGap:
         sol_a = condition_from_kf(kf_a.inverse() * frame, s)
         sol_b = condition_from_kf(kf_b.inverse() * frame, s)
         drot, dtrans = fusion_gap(sol_a, sol_b, kf_a.inverse() * kf_b)
-        assert rotation_angle_deg(drot, Rotation.identity()) < 1e-9
+        assert rotation_angle_deg_scalar(drot, Rotation.identity()) < 1e-9
         assert np.linalg.norm(dtrans) < 1e-12
 
     def test_similarity_update_zero_gap(self):
@@ -152,7 +141,7 @@ class TestFusionGap:
             sol_b = condition_from_kf(kf_b.inverse() * frame, s)
             t_ab_new = sim.apply_pose(kf_a).inverse() * sim.apply_pose(kf_b)
             drot, dtrans = fusion_gap(sol_a, sol_b, t_ab_new)
-            assert rotation_angle_deg(drot, Rotation.identity()) < 1e-9
+            assert rotation_angle_deg_scalar(drot, Rotation.identity()) < 1e-9
             assert np.linalg.norm(dtrans) < 1e-9
 
     def test_inconsistent_update_closes_far_constraint_at_alpha_one(self):
@@ -173,18 +162,15 @@ class TestFusionGap:
         fused = fuse(sol_a, gap, 1.0)
         world = kf_a * fused
         implied_rel_b = kf_b_new.inverse() * world
-        assert rotation_angle_deg(implied_rel_b.rotation, rot_b) < 1e-9
+        assert rotation_angle_deg_scalar(implied_rel_b.rotation, rot_b) < 1e-9
         np.testing.assert_allclose(implied_rel_b.translation, trans_b, atol=1e-9)
 
 
-def recorded_alpha(seg):
-    """The alpha that the batched kernel records for a one-frame segment
-    under an identity update."""
-    updates = [
-        KeyframeUpdate(0, seg.kf_a.world_pose, seg.kf_a.world_pose),
-        KeyframeUpdate(1, seg.kf_b.world_pose, seg.kf_b.world_pose),
-    ]
-    _, _, columns = correct_segment(*batch_pairs([seg], updates))
+def recorded_alpha(traj):
+    """The alpha that the batched kernel records for a trajectory of one
+    one-frame full segment under an identity update."""
+    batch = traj.full_segments()
+    _, _, columns = correct_segment(batch, keyframe_pairs(batch, identity_updates(traj)))
     (alpha,) = columns["alpha_min"].tolist()
     assert columns["alpha_max"].tolist() == [alpha]
     return alpha
@@ -194,28 +180,28 @@ class TestInterpFactor:
     def test_frame_at_opening_keyframe_gives_zero(self):
         kf_a = Pose.identity()
         kf_b = Pose(Rotation.identity(), (0.0, 0.0, 1.0))
-        seg = make_segment(kf_a, kf_b, [Pose.identity()])
-        assert recorded_alpha(seg) == 0.0
+        traj = segment_trajectory(kf_a, kf_b, [Pose.identity()])
+        assert recorded_alpha(traj) == 0.0
 
     def test_equidistant_frame_gives_half(self):
         kf_a = Pose.identity()
         kf_b = Pose(Rotation.identity(), (0.0, 0.0, 1.0))
-        seg = make_segment(kf_a, kf_b, [Pose(Rotation.identity(), (0.0, 0.0, 0.5))])
-        assert abs(recorded_alpha(seg) - 0.5) < 1e-12
+        traj = segment_trajectory(kf_a, kf_b, [Pose(Rotation.identity(), (0.0, 0.0, 0.5))])
+        assert abs(recorded_alpha(traj) - 0.5) < 1e-12
 
     def test_uniform_speed_line_matches_arc_length_fraction(self):
         kf_a = Pose.identity()
         kf_b = Pose(Rotation.identity(), (0.0, 0.0, 2.0))
         fracs = [0.1, 0.25, 0.4, 0.65, 0.9]
         for f in fracs:
-            seg = make_segment(kf_a, kf_b, [Pose(Rotation.identity(), (0.0, 0.0, 2.0 * f))])
-            assert abs(recorded_alpha(seg) - f) < 1e-12
+            traj = segment_trajectory(kf_a, kf_b, [Pose(Rotation.identity(), (0.0, 0.0, 2.0 * f))])
+            assert abs(recorded_alpha(traj) - f) < 1e-12
 
     def test_coincident_geometry_falls_back_to_timestamps(self):
         kf_a = Pose.identity()
-        seg = make_segment(kf_a, kf_a, [Pose.identity()], stamps=[0.25])
-        assert abs(recorded_alpha(seg) - timestamp_fraction(seg, 0)) == 0.0
-        assert abs(recorded_alpha(seg) - 0.25) < 1e-12
+        traj = segment_trajectory(kf_a, kf_a, [Pose.identity()], stamps=[0.25])
+        assert recorded_alpha(traj) == timestamp_fraction(traj.full_segments(), 0, 0.25)
+        assert abs(recorded_alpha(traj) - 0.25) < 1e-12
 
 
 class TestCorrectSegment:
@@ -225,12 +211,10 @@ class TestCorrectSegment:
             kf_a = Pose(Rotation.random(rng), rng.normal(size=3))
             kf_b = Pose(Rotation.random(rng), kf_a.translation + rng.normal(size=3))
             rels = [Pose(Rotation.random(rng), rng.uniform(-1, 1, 3)) for _ in range(4)]
-            seg = make_segment(kf_a, kf_b, rels)
-            out, diag = correct_segment_scalar(
-                seg, KeyframeUpdate(0, kf_a, kf_a), KeyframeUpdate(1, kf_b, kf_b)
-            )
+            traj = segment_trajectory(kf_a, kf_b, rels)
+            out, diag = correct_segment_scalar(traj.full_segments(), 0, identity_updates(traj))
             for got, rel in zip(out, rels):
-                assert rotation_angle_deg(got.rotation, rel.rotation) < 1e-10
+                assert rotation_angle_deg_scalar(got.rotation, rel.rotation) < 1e-10
                 np.testing.assert_allclose(got.translation, rel.translation, atol=1e-12)
 
     def test_alpha_zero_equals_condition_solution_exactly(self):
@@ -239,10 +223,10 @@ class TestCorrectSegment:
         kf_b = Pose(Rotation.random(rng), rng.normal(size=3))
         # A relative frame coincident with KF_a has alpha = 0.
         rel = Pose(Rotation.random(rng), (0.0, 0.0, 0.0))
-        seg = make_segment(kf_a, kf_b, [rel])
+        batch = segment_trajectory(kf_a, kf_b, [rel]).full_segments()
         upd_a = KeyframeUpdate(0, kf_a, Pose(Rotation.random(rng), rng.normal(size=3)))
         upd_b = KeyframeUpdate(1, kf_b, Pose(Rotation.random(rng), rng.normal(size=3)))
-        out, diag = correct_segment_scalar(seg, upd_a, upd_b)
+        out, diag = correct_segment_scalar(batch, 0, [upd_a, upd_b])
         t_ab_old = upd_a.old_pose.inverse() * upd_b.old_pose
         t_ab_new = upd_a.new_pose.inverse() * upd_b.new_pose
         s, _ = scale_factor(t_ab_old.translation, t_ab_new.translation)
@@ -258,15 +242,14 @@ class TestCorrectSegment:
         traj = scene.trajectory
         updates = snap_to_gt(traj, target)
         target_map = dict(target)
-        for seg in traj.segments:
-            if seg.terminal:
-                continue
-            out, _ = correct_segment_scalar(seg, updates[seg.index], updates[seg.index + 1])
-            base = updates[seg.index].new_pose
-            for rel, pose in zip(seg.rels, out):
+        batch = traj.full_segments()
+        for k in range(len(batch.index)):
+            out, _ = correct_segment_scalar(batch, k, updates)
+            base = updates[k].new_pose
+            for (fid, _), pose in zip(segment_rels(batch, k), out):
                 world = base * pose
-                want = target_map[rel.id]
-                assert rotation_angle_deg(world.rotation, want.rotation) < 1e-6
+                want = target_map[fid]
+                assert rotation_angle_deg_scalar(world.rotation, want.rotation) < 1e-6
                 assert np.linalg.norm(world.translation - want.translation) < 1e-9
 
     def test_scale_squared_mode_breaks_similarity_exactness(self):
@@ -278,13 +261,13 @@ class TestCorrectSegment:
         target = [(fid, sim.apply_pose(p)) for fid, p in scene.gt_world_poses()]
         traj = scene.trajectory
         updates = snap_to_gt(traj, target)
-        seg = traj.segments[0]
-        out, _ = correct_segment_scalar(seg, updates[0], updates[1], scale_squared=True)
+        batch = traj.full_segments()
+        out, _ = correct_segment_scalar(batch, 0, updates, scale_squared=True)
         base = updates[0].new_pose
         target_map = dict(target)
         worst = max(
-            np.linalg.norm((base * pose).translation - target_map[rel.id].translation)
-            for rel, pose in zip(seg.rels, out)
+            np.linalg.norm((base * pose).translation - target_map[fid].translation)
+            for (fid, _), pose in zip(segment_rels(batch, 0), out)
         )
         assert worst > 1e-2
 
@@ -292,10 +275,10 @@ class TestCorrectSegment:
         rng = np.random.default_rng(10)
         kf_pose = Pose(Rotation.random(rng), rng.normal(size=3))
         rels = [Pose(so3_exp((0.0, 0.0, 0.1 * j)), np.zeros(3)) for j in range(1, 4)]
-        seg = make_segment(kf_pose, kf_pose, rels)
+        batch = segment_trajectory(kf_pose, kf_pose, rels).full_segments()
         upd_a = KeyframeUpdate(0, kf_pose, Pose(Rotation.random(rng), kf_pose.translation))
         upd_b = KeyframeUpdate(1, kf_pose, upd_a.new_pose)
-        out, diag = correct_segment_scalar(seg, upd_a, upd_b)
+        out, diag = correct_segment_scalar(batch, 0, [upd_a, upd_b])
         assert diag.degenerate_baseline
         for pose in out:
             assert np.all(np.isfinite(pose.translation))
@@ -304,24 +287,17 @@ class TestCorrectSegment:
         np.testing.assert_allclose(diag.alpha_min, 0.1, atol=1e-12)
         np.testing.assert_allclose(diag.alpha_max, 0.3, atol=1e-12)
 
-    def test_full_segment_api_rejects_terminal(self):
-        kf_a = Keyframe(FrameId(0.0, 0), Pose.identity())
-        seg = Segment(index=0, kf_a=kf_a, kf_b=None, rels=())
-        upd = KeyframeUpdate(0, Pose.identity(), Pose.identity())
-        with pytest.raises(ValueError, match="terminal"):
-            correct_segment_scalar(seg, upd, upd)
-
     def test_latency_same_order_as_reference(self):
         # Reference medians are ~0.1-1.5 ms per correction on laptop-class
         # hardware; require the same order of magnitude, not the value.
         import time
 
-        seg, upd_a, upd_b = bench_segment()
-        correct_segment_scalar(seg, upd_a, upd_b)  # warm
+        batch, updates = bench_segment()
+        correct_segment_scalar(batch, 0, updates)  # warm
         times = []
         for _ in range(50):
             t0 = time.perf_counter()
-            correct_segment_scalar(seg, upd_a, upd_b)
+            correct_segment_scalar(batch, 0, updates)
             times.append(time.perf_counter() - t0)
         assert np.median(times) < 10e-3
 
@@ -344,31 +320,31 @@ def assert_batch_equals_scalar(traj, updates):
     records of ``correct_trajectory``, bitwise against ``correct_segment_scalar``
     per segment composed with ``Pose.__mul__``; the terminal segment's
     frames ride along with its opening keyframe."""
-    *full, last = traj.segments
-    batch = SegmentBatch(full)
+    batch = Trajectory(traj.kf, traj.rel, traj.parents).full_segments()
     q, t, columns = correct_segment(batch, keyframe_pairs(batch, KeyframeUpdates.of(updates)))
     records = records_of(columns, batch.index)
     world, diagnostics = correct_trajectory(traj, updates, MethodConfig("proposed"))
     world = dict(world)
     rows = [SegmentRecord(*row) for row in diagnostics.segments.tolist()]
     assert list(map(record_bits, rows[:-1])) == list(map(record_bits, records))
-    k = 0
-    for seg, record in zip(full, records):
-        poses, want = correct_segment_scalar(seg, updates[seg.index], updates[seg.index + 1])
+    j = 0
+    for k, record in enumerate(records):
+        poses, want = correct_segment_scalar(batch, k, updates)
         assert record_bits(record) == record_bits(want)
-        base = updates[seg.index].new_pose
-        for rel, pose in zip(seg.rels, poses):
-            assert same_bits(q[k], pose.rotation.quat) and same_bits(t[k], pose.translation)
+        base = updates[k].new_pose
+        for (fid, _), pose in zip(segment_rels(batch, k), poses):
+            assert same_bits(q[j], pose.rotation.quat) and same_bits(t[j], pose.translation)
             expected = base * pose
-            assert same_bits(world[rel.id].rotation.quat, expected.rotation.quat)
-            assert same_bits(world[rel.id].translation, expected.translation)
-            k += 1
-    assert k == len(q) == len(t)
-    assert rows[-1].terminal is True and rows[-1].segment == last.index
-    for rel in last.rels:
-        expected = updates[last.index].new_pose * rel.rel_pose
-        assert same_bits(world[rel.id].rotation.quat, expected.rotation.quat)
-        assert same_bits(world[rel.id].translation, expected.translation)
+            assert same_bits(world[fid].rotation.quat, expected.rotation.quat)
+            assert same_bits(world[fid].translation, expected.translation)
+            j += 1
+    assert j == len(q) == len(t)
+    last = len(traj.kf) - 1
+    assert rows[-1].terminal is True and rows[-1].segment == last
+    for fid, rel in traj.rel.take(slice(traj.offsets[-2], None)):
+        expected = updates[last].new_pose * rel
+        assert same_bits(world[fid].rotation.quat, expected.rotation.quat)
+        assert same_bits(world[fid].translation, expected.translation)
 
 
 def perturbed_updates(traj, seed, rot=0.05, trans=0.02):
@@ -405,14 +381,15 @@ class TestBatchedKernel:
         updates = perturbed_updates(traj, seed=32)
         # Gaps whose rotation is too large for the nlerp branch.
         slerped = 0
-        for seg in traj.segments[:-1]:
-            upd_a, upd_b = updates[seg.index], updates[seg.index + 1]
+        batch = traj.full_segments()
+        for k in range(len(batch.index)):
+            upd_a, upd_b = updates[k], updates[k + 1]
             t_ab_old = upd_a.old_pose.inverse() * upd_b.old_pose
             t_ab_new = upd_a.new_pose.inverse() * upd_b.new_pose
             s, _ = scale_factor(t_ab_old.translation, t_ab_new.translation)
-            for rel in seg.rels:
-                sol_b = condition_from_kf(t_ab_old.inverse() * rel.rel_pose, s)
-                drot, _ = fusion_gap(condition_from_kf(rel.rel_pose, s), sol_b, t_ab_new)
+            for _, rel in segment_rels(batch, k):
+                sol_b = condition_from_kf(t_ab_old.inverse() * rel, s)
+                drot, _ = fusion_gap(condition_from_kf(rel, s), sol_b, t_ab_new)
                 slerped += drot.quat[0] <= 0.9995
         assert slerped > 100
         assert_batch_equals_scalar(traj, updates)
@@ -428,22 +405,15 @@ class TestBatchedKernel:
         ]
         frames[3] = (frames[3][0], Pose(Rotation.random(rng), frames[0][1].translation))
         traj = from_world_poses(frames, [0, 3, 4, 7])
-        assert [len(seg.rels) for seg in traj.segments] == [2, 0, 2, 2]
+        assert np.diff(traj.offsets).tolist() == [2, 0, 2, 2]
         updates = perturbed_updates(traj, seed=34)
-        batch = SegmentBatch(traj.segments[:-1])
-        records = records_of(correct_segment(*batch_pairs(traj.segments[:-1], updates))[2],
-                             batch.index)
+        batch = traj.full_segments()
+        pairs = keyframe_pairs(batch, KeyframeUpdates.of(updates))
+        records = records_of(correct_segment(batch, pairs)[2], batch.index)
         assert records[0].degenerate_baseline and records[0].s == 1.0
-        assert records[0].alpha_min == timestamp_fraction(traj.segments[0], 0)
+        assert records[0].alpha_min == timestamp_fraction(batch, 0, float(batch.rels.stamps[0]))
         assert math.isnan(records[1].alpha_min) and math.isnan(records[1].alpha_max)
         assert_batch_equals_scalar(traj, updates)
-
-    def test_terminal_segment_rejected(self):
-        kf_a = Keyframe(FrameId(0.0, 0), Pose.identity())
-        seg = Segment(index=0, kf_a=kf_a, kf_b=None, rels=())
-        upd = KeyframeUpdate(0, Pose.identity(), Pose.identity())
-        with pytest.raises(ValueError, match="terminal"):
-            correct_segment(*batch_pairs([seg], [upd]))
 
     @pytest.mark.parametrize("scale_squared", [False, True])
     def test_keyframe_pairs_equal_scalar_setup(self, scale_squared):
@@ -457,9 +427,8 @@ class TestBatchedKernel:
         traj = from_world_poses(frames, positions + [positions[3] + 1])
         updates = perturbed_updates(traj, seed=37)
         updates[6] = KeyframeUpdate(6, updates[6].old_pose, updates[5].new_pose)
-        full = traj.segments[:-1]
-        assert len(full[3].rels) == 0
-        batch, table = SegmentBatch(full), KeyframeUpdates.of(updates)
+        batch, table = traj.full_segments(), KeyframeUpdates.of(updates)
+        assert batch.counts[3] == 0
         # A memo miss computes the old and new pairs as one stacked chain,
         # a hit the new ones alone; the kernel squares s itself.
         miss = keyframe_pairs(batch, table)
@@ -468,8 +437,8 @@ class TestBatchedKernel:
         s_column = correct_segment(batch, hit, scale_squared)[2]["s"]
         for pairs in (miss, hit):
             assert np.flatnonzero(pairs.degenerate).tolist() == [1, 5]
-        for k, seg in enumerate(full):
-            upd_a, upd_b = updates[seg.index], updates[seg.index + 1]
+        for k in range(len(batch.index)):
+            upd_a, upd_b = updates[k], updates[k + 1]
             old_inv, new, s, degenerate = _segment_setup(upd_a, upd_b, scale_squared)
             old = upd_a.old_pose.inverse() * upd_b.old_pose
             for pairs in (miss, hit):
@@ -511,7 +480,7 @@ class TestSharedPairs:
         arrays = lambda: [a.tobytes() for a in (*pairs[1:], pairs.old.q, pairs.old.t, pairs.old.norm)]
         before = arrays()
         for kernel, args in runs:
-            fresh = Trajectory.from_tables(traj.kf, traj.rel, traj.parents).full_segments()
+            fresh = Trajectory(traj.kf, traj.rel, traj.parents).full_segments()
             with np.errstate(invalid="ignore"):  # raw division's NaN rows reach a matmul
                 shared = kernel(batch, pairs, *args)
                 alone = kernel(fresh, keyframe_pairs(fresh, table), *args)

@@ -26,7 +26,7 @@ from posecorrect.evaluate import (
     write_diagnostics_csv,
     write_report_csv,
 )
-from posecorrect.liegeom import Pose, Rotation, rotation_angle_deg, so3_exp
+from posecorrect.liegeom import Pose, Rotation, so3_exp
 from posecorrect.synth import SceneSpec, keyframe_positions, path_world_poses
 from posecorrect.trajectory import (
     AssociationError,
@@ -44,6 +44,8 @@ from reference_kernels import (
     correct_segment_scalar,
     reference_correct,
     rotation_angle_deg_scalar,
+    rotation_matrix_scalar,
+    segment_rels,
 )
 
 
@@ -141,7 +143,7 @@ class TestFrameErrors:
         errors = frame_errors(est, gt)
         for (fid, pe), (_, pg), err in zip(est, gt, errors):
             t_ref = float(np.sqrt(np.sum((pe.translation - pg.translation) ** 2))) * 100.0
-            m = pe.rotation.matrix.T @ pg.rotation.matrix
+            m = rotation_matrix_scalar(pe.rotation).T @ rotation_matrix_scalar(pg.rotation)
             c = min(1.0, max(-1.0, (np.trace(m) - 1.0) / 2.0))
             r_ref = math.degrees(math.acos(c))
             assert abs(err.translation_cm - t_ref) < 1e-9
@@ -158,7 +160,7 @@ class TestDriver:
             for (fa, pa), (fb, pb) in zip(baseline, world):
                 assert fa == fb
                 assert np.linalg.norm(pa.translation - pb.translation) < 1e-12
-                assert rotation_angle_deg(pa.rotation, pb.rotation) < 1e-10
+                assert rotation_angle_deg_scalar(pa.rotation, pb.rotation) < 1e-10
 
     def test_terminal_segment_passthrough(self):
         # Frames after the last keyframe ride along with its updated pose in
@@ -169,8 +171,8 @@ class TestDriver:
             for j in range(6)
         ]
         traj = from_world_poses(frames, [0, 3])
-        terminal = traj.segments[-1]
-        assert terminal.terminal and len(terminal.rels) == 2
+        terminal = traj.rel.take(slice(traj.offsets[-2], None))
+        assert len(terminal) == 2 and traj.parents[-1] == len(traj.kf) - 1
         updates = [
             KeyframeUpdate(i, kf.world_pose, Pose(Rotation.random(rng), rng.normal(size=3)))
             for i, kf in enumerate(traj.keyframes)
@@ -185,10 +187,10 @@ class TestDriver:
             else:
                 assert math.isnan(record.s), name
             got = dict(world)
-            for rel in terminal.rels:
-                want = updates[-1].new_pose * rel.rel_pose
-                np.testing.assert_array_equal(got[rel.id].translation, want.translation)
-                np.testing.assert_array_equal(got[rel.id].rotation.quat, want.rotation.quat)
+            for fid, rel in terminal:
+                want = updates[-1].new_pose * rel
+                np.testing.assert_array_equal(got[fid].translation, want.translation)
+                np.testing.assert_array_equal(got[fid].rotation.quat, want.rotation.quat)
 
     @pytest.mark.parametrize("case", ["zero-yaw", "shared-stamps"])
     def test_not_finite_counts_kernel_rows_with_a_non_finite_value(self, case):
@@ -233,13 +235,13 @@ class TestDriver:
             cfg = MethodConfig(name)
             world, _ = correct_trajectory(traj, updates, cfg)
             got = dict(world)
-            for seg in traj.segments[:-1]:
-                upd_a, upd_b = updates[seg.index], updates[seg.index + 1]
-                poses, _ = reference_correct(seg, upd_a, upd_b, cfg)
-                for rel, pose in zip(seg.rels, poses, strict=True):
-                    want = upd_a.new_pose * pose
-                    assert got[rel.id].rotation.quat.tobytes() == want.rotation.quat.tobytes()
-                    assert got[rel.id].translation.tobytes() == want.translation.tobytes()
+            batch = traj.full_segments()
+            for k in range(len(batch.index)):
+                poses, _ = reference_correct(batch, k, updates, cfg)
+                for (fid, _), pose in zip(segment_rels(batch, k), poses, strict=True):
+                    want = updates[k].new_pose * pose
+                    assert got[fid].rotation.quat.tobytes() == want.rotation.quat.tobytes()
+                    assert got[fid].translation.tobytes() == want.translation.tobytes()
 
     def test_records_numbered_by_segment(self):
         # The table has one row per segment, numbered in order; only the row
@@ -254,8 +256,8 @@ class TestDriver:
             KeyframeUpdate(i, kf.world_pose, Pose(Rotation.random(rng), rng.normal(size=3)))
             for i, kf in enumerate(traj.keyframes)
         ]
-        n = len(traj.segments)
-        assert n == 3 and len(traj.segments[-1].rels) == 2
+        n = len(traj.offsets) - 1
+        assert n == 3 and traj.offsets[-1] - traj.offsets[-2] == 2
         for name in METHODS:
             _, diagnostics = correct_trajectory(traj, updates, MethodConfig(name))
             assert diagnostics.segments["segment"].tolist() == list(range(n)), name
@@ -353,8 +355,8 @@ class TestRunProtocol:
     def test_relative_frames_only_are_scored(self):
         traj, gt = fixtures.noisy_fixture(4)
         report, errors = SnapProtocol(traj, gt).run(MethodConfig("no-correction"))
-        assert report.translation.count == len(traj.relatives)
-        rel_ids = {rel.id for rel in traj.relatives}
+        assert report.translation.count == len(traj.rel)
+        rel_ids = set(traj.rel.ids())
         assert all(e.frame in rel_ids for e in errors)
 
 
@@ -451,10 +453,10 @@ class TestProtocolAgainstReference:
 
 class TestBench:
     def test_small_fixture_timing_stats(self):
-        seg, upd_a, upd_b = bench_segment()
+        batch, updates = bench_segment()
         stats = bench(
-            lambda fx: correct_segment_scalar(fx[0], fx[1], fx[2]),
-            [(seg, upd_a, upd_b)],
+            lambda fx: correct_segment_scalar(fx[0], 0, fx[1]),
+            [(batch, updates)],
             repetitions=50,
             warmup=5,
         )

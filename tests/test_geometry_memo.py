@@ -53,7 +53,7 @@ def estimate(seed: int, n_keyframes: int = 6, origin: bool = False,
 
 def fresh(traj: Trajectory) -> Trajectory:
     """The same trajectory, built again, with no memo."""
-    return Trajectory.from_tables(traj.kf, traj.rel, traj.parents)
+    return Trajectory(traj.kf, traj.rel, traj.parents)
 
 
 def similarity_updates(traj: Trajectory, seed: int) -> list[KeyframeUpdate]:

@@ -11,34 +11,28 @@ from scipy.spatial.transform import Rotation as ScipyRotation
 from posecorrect.liegeom import (
     Pose,
     Rotation,
-    Twist,
     _math_rows,
-    euler_zyx_from,
     euler_zyx_to,
     euler_zyx_from_rows,
     euler_zyx_to_rows,
-    gimbal_proximity,
     mat_vec,
     pose_arrays,
     pose_inverse,
     pose_mul,
     poses_from_arrays,
+    quat_from_matrix,
     quat_inverse,
     quat_matrix,
     quat_mul,
     quat_normalize,
     quat_rotate,
-    rotation_angle_deg,
     rotation_angles_deg,
-    se3_exp,
-    se3_log,
     slerp,
     slerp_from_identity,
     so3_exp,
     so3_exp_rows,
     so3_left_jacobian_inv_rows,
     so3_left_jacobian_rows,
-    so3_log,
     so3_log_rows,
     vec_norm,
 )
@@ -52,9 +46,14 @@ def random_rotation(seed: int) -> Rotation:
     return Rotation.random(np.random.default_rng(seed))
 
 
-def as_scipy(r: Rotation) -> ScipyRotation:
-    w, x, y, z = r.quat
-    return ScipyRotation.from_quat([x, y, z, w])
+def random_quats(seed: int, n: int) -> np.ndarray:
+    """The quaternions of ``n`` uniformly random rotations, as rows."""
+    return quat_normalize(np.random.default_rng(seed).normal(size=(n, 4)))
+
+
+def as_scipy(q: np.ndarray) -> ScipyRotation:
+    """Rows of wxyz quaternions as scipy rotations, which take xyzw."""
+    return ScipyRotation.from_quat(q[:, [1, 2, 3, 0]])
 
 
 @st.composite
@@ -71,7 +70,7 @@ def poses(draw):
 
 
 def so3_checks(r: Rotation, tol: float = 1e-9):
-    m = r.matrix
+    m = rotation_matrix_scalar(r)
     assert abs(np.linalg.det(m) - 1.0) < tol
     assert np.max(np.abs(m.T @ m - np.eye(3))) < tol
     assert abs(np.linalg.norm(r.quat) - 1.0) < 1e-12
@@ -81,7 +80,7 @@ def so3_checks(r: Rotation, tol: float = 1e-9):
 class TestRotationBasics:
     def test_identity(self):
         r = Rotation.identity()
-        assert np.allclose(r.matrix, np.eye(3))
+        assert np.allclose(rotation_matrix_scalar(r), np.eye(3))
         np.testing.assert_array_equal(r.quat, [1.0, 0.0, 0.0, 0.0])
 
     def test_quat_canonicalization_flips_negative_w(self):
@@ -94,23 +93,24 @@ class TestRotationBasics:
         np.testing.assert_array_equal(a.quat, b.quat)
 
     def test_matrix_round_trip_matches_scipy(self):
-        for seed in range(50):
-            r = random_rotation(seed)
-            np.testing.assert_allclose(r.matrix, as_scipy(r).as_matrix(), atol=1e-12)
-            again = Rotation.from_matrix(r.matrix)
-            assert rotation_angle_deg(r, again) < 1e-9
+        q = random_quats(0, 50)
+        m = quat_matrix(q)
+        np.testing.assert_allclose(m, as_scipy(q).as_matrix(), atol=1e-12)
+        assert rotation_angles_deg(q, quat_from_matrix(m)).max() < 1e-9
 
     def test_compose_matches_matrix_product(self):
         a, b = random_rotation(1), random_rotation(2)
-        np.testing.assert_allclose((a * b).matrix, a.matrix @ b.matrix, atol=1e-12)
+        np.testing.assert_allclose(rotation_matrix_scalar(a * b),
+                                   rotation_matrix_scalar(a) @ rotation_matrix_scalar(b), atol=1e-12)
 
     def test_apply_matches_matrix(self):
         rng = np.random.default_rng(3)
         r = Rotation.random(rng)
+        m = rotation_matrix_scalar(r)
         v = rng.normal(size=3)
-        np.testing.assert_allclose(r.apply(v), r.matrix @ v, atol=1e-12)
+        np.testing.assert_allclose(r.apply(v), m @ v, atol=1e-12)
         stack = rng.normal(size=(7, 3))
-        np.testing.assert_allclose(r.apply(stack), stack @ r.matrix.T, atol=1e-12)
+        np.testing.assert_allclose(r.apply(stack), stack @ m.T, atol=1e-12)
 
     @settings(max_examples=150)
     @given(rotations(), rotations())
@@ -121,25 +121,23 @@ class TestRotationBasics:
     def test_inverse_composes_to_identity(self):
         for seed in range(20):
             r = random_rotation(seed)
-            assert rotation_angle_deg(r * r.inverse(), Rotation.identity()) < 1e-9
+            assert rotation_angle_deg_scalar(r * r.inverse(), Rotation.identity()) < 1e-9
 
 
 class TestSo3ExpLog:
     def test_log_identity_is_zero(self):
-        np.testing.assert_array_equal(so3_log(Rotation.identity()), np.zeros(3))
+        np.testing.assert_array_equal(so3_log_rows(Rotation.identity().quat[None]), np.zeros((1, 3)))
 
     def test_log_quarter_turn_about_z(self):
-        r = Rotation.from_matrix(
-            [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
-        )
-        np.testing.assert_allclose(so3_log(r), [0.0, 0.0, math.pi / 2], atol=1e-12)
+        q = quat_from_matrix(np.array([[[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]]))
+        np.testing.assert_allclose(so3_log_rows(q), [[0.0, 0.0, math.pi / 2]], atol=1e-12)
 
     def test_exp_zero_is_identity(self):
-        assert rotation_angle_deg(so3_exp((0.0, 0.0, 0.0)), Rotation.identity()) == 0.0
+        assert rotation_angle_deg_scalar(so3_exp((0.0, 0.0, 0.0)), Rotation.identity()) == 0.0
 
     def test_exp_half_turn_about_x(self):
         np.testing.assert_allclose(
-            so3_exp((math.pi, 0.0, 0.0)).matrix, np.diag([1.0, -1.0, -1.0]), atol=1e-12
+            rotation_matrix_scalar(so3_exp((math.pi, 0.0, 0.0))), np.diag([1.0, -1.0, -1.0]), atol=1e-12
         )
 
     def test_collinear_composition(self):
@@ -147,68 +145,29 @@ class TestSo3ExpLog:
         a = np.array([0.3, -0.2, 0.5])
         lhs = so3_exp(a) * so3_exp(a)
         rhs = so3_exp(2.0 * a)
-        assert rotation_angle_deg(lhs, rhs) < 1e-9
+        assert rotation_angle_deg_scalar(lhs, rhs) < 1e-9
 
     def test_round_trip_1000_random(self):
-        rng = np.random.default_rng(42)
-        for _ in range(1000):
-            r = Rotation.random(rng)
-            assert rotation_angle_deg(r, so3_exp(so3_log(r))) < 1e-9
+        q = random_quats(42, 1000)
+        assert rotation_angles_deg(q, so3_exp_rows(so3_log_rows(q))).max() < 1e-9
 
     def test_log_is_canonical(self):
-        rng = np.random.default_rng(7)
-        for _ in range(500):
-            w = so3_log(Rotation.random(rng))
-            assert np.linalg.norm(w) <= math.pi + 1e-12
+        w = so3_log_rows(random_quats(7, 500))
+        assert np.linalg.norm(w, axis=1).max() <= math.pi + 1e-12
 
     def test_near_pi_angles_stable(self):
-        rng = np.random.default_rng(11)
-        for _ in range(200):
-            axis = rng.normal(size=3)
-            axis /= np.linalg.norm(axis)
-            w = (math.pi - 1e-7) * axis
-            r = so3_exp(w)
-            np.testing.assert_allclose(so3_log(r), w, atol=1e-9)
+        axis = np.random.default_rng(11).normal(size=(200, 3))
+        axis /= np.linalg.norm(axis, axis=1, keepdims=True)
+        w = (math.pi - 1e-7) * axis
+        np.testing.assert_allclose(so3_log_rows(so3_exp_rows(w)), w, atol=1e-9)
 
     def test_tiny_angles_stable(self):
-        for scale in (1e-12, 1e-9, 1e-7):
-            w = np.array([scale, -0.5 * scale, 0.25 * scale])
-            np.testing.assert_allclose(so3_log(so3_exp(w)), w, rtol=1e-6, atol=1e-15)
+        w = np.array([1e-12, 1e-9, 1e-7])[:, None] * np.array([1.0, -0.5, 0.25])
+        np.testing.assert_allclose(so3_log_rows(so3_exp_rows(w)), w, rtol=1e-6, atol=1e-15)
 
     def test_matches_scipy_rotvec(self):
-        for seed in range(50):
-            r = random_rotation(seed)
-            np.testing.assert_allclose(so3_log(r), as_scipy(r).as_rotvec(), atol=1e-10)
-
-
-class TestSe3ExpLog:
-    def test_identity_pose_zero_twist(self):
-        tw = se3_log(Pose.identity())
-        np.testing.assert_array_equal(tw.v, np.zeros(3))
-        np.testing.assert_array_equal(tw.omega, np.zeros(3))
-
-    def test_pure_translation(self):
-        tw = se3_log(Pose(Rotation.identity(), (1.0, 2.0, 3.0)))
-        np.testing.assert_allclose(tw.v, [1.0, 2.0, 3.0], atol=1e-15)
-        np.testing.assert_array_equal(tw.omega, np.zeros(3))
-
-    def test_round_trip_1000_random(self):
-        rng = np.random.default_rng(1234)
-        for _ in range(1000):
-            p = Pose(Rotation.random(rng), rng.uniform(-10, 10, size=3))
-            q = se3_exp(se3_log(p))
-            assert rotation_angle_deg(p.rotation, q.rotation) < 1e-9
-            assert np.linalg.norm(p.translation - q.translation) < 1e-9
-
-    def test_exp_log_inverse_pair_from_twist(self):
-        rng = np.random.default_rng(5)
-        for _ in range(200):
-            w = rng.normal(size=3)
-            w *= rng.uniform(0.0, math.pi - 1e-3) / np.linalg.norm(w)
-            tw = Twist(rng.uniform(-5, 5, size=3), w)
-            back = se3_log(se3_exp(tw))
-            np.testing.assert_allclose(back.v, tw.v, atol=1e-9)
-            np.testing.assert_allclose(back.omega, tw.omega, atol=1e-9)
+        q = random_quats(0, 50)
+        np.testing.assert_allclose(so3_log_rows(q), as_scipy(q).as_rotvec(), atol=1e-10)
 
 
 class TestPose:
@@ -217,68 +176,52 @@ class TestPose:
     def test_composition_associativity(self, a, b, c):
         lhs = (a * b) * c
         rhs = a * (b * c)
-        assert rotation_angle_deg(lhs.rotation, rhs.rotation) < 1e-9
+        assert rotation_angle_deg_scalar(lhs.rotation, rhs.rotation) < 1e-9
         np.testing.assert_allclose(lhs.translation, rhs.translation, atol=1e-9)
 
     @settings(max_examples=100)
     @given(poses())
     def test_inverse_composes_to_identity(self, p):
         ident = p * p.inverse()
-        assert rotation_angle_deg(ident.rotation, Rotation.identity()) < 1e-9
+        assert rotation_angle_deg_scalar(ident.rotation, Rotation.identity()) < 1e-9
         np.testing.assert_allclose(ident.translation, np.zeros(3), atol=1e-9)
-
-    def test_matrix_round_trip(self):
-        rng = np.random.default_rng(21)
-        p = Pose(Rotation.random(rng), rng.normal(size=3))
-        q = Pose.from_matrix(p.matrix)
-        assert rotation_angle_deg(p.rotation, q.rotation) < 1e-12
-        np.testing.assert_allclose(p.translation, q.translation, atol=1e-12)
 
     def test_apply_matches_matrix(self):
         rng = np.random.default_rng(8)
         p = Pose(Rotation.random(rng), rng.normal(size=3))
         v = rng.normal(size=3)
-        expected = (p.matrix @ np.append(v, 1.0))[:3]
+        expected = rotation_matrix_scalar(p.rotation) @ v + p.translation
         np.testing.assert_allclose(p.apply(v), expected, atol=1e-12)
 
 
 class TestEuler:
     def test_identity(self):
-        np.testing.assert_array_equal(euler_zyx_from(Rotation.identity()), np.zeros(3))
+        angles, gimbal = euler_zyx_from_rows(Rotation.identity().quat[None])
+        np.testing.assert_array_equal(angles, np.zeros((1, 3)))
+        assert gimbal.tolist() == [False]
 
     def test_pure_yaw(self):
-        angles = euler_zyx_from(euler_zyx_to((math.pi / 2, 0.0, 0.0)))
-        np.testing.assert_allclose(angles, [math.pi / 2, 0.0, 0.0], atol=1e-12)
+        angles, _ = euler_zyx_from_rows(euler_zyx_to_rows(np.array([[math.pi / 2, 0.0, 0.0]])))
+        np.testing.assert_allclose(angles, [[math.pi / 2, 0.0, 0.0]], atol=1e-12)
 
     def test_round_trip_random_nondegenerate(self):
-        rng = np.random.default_rng(99)
-        n = 0
-        while n < 1000:
-            r = Rotation.random(rng)
-            if abs(math.cos(euler_zyx_from(r)[1])) < 1e-3:
-                continue
-            n += 1
-            again = euler_zyx_to(euler_zyx_from(r))
-            assert rotation_angle_deg(r, again) < 1e-9
+        q = random_quats(99, 1200)
+        angles, _ = euler_zyx_from_rows(q)
+        keep = np.abs(np.cos(angles[:, 1])) >= 1e-3
+        assert keep.sum() >= 1000
+        assert rotation_angles_deg(q[keep], euler_zyx_to_rows(angles[keep])).max() < 1e-9
 
     def test_matches_scipy_convention(self):
-        for seed in range(50):
-            r = random_rotation(seed)
-            ours = euler_zyx_from(r)
-            theirs = as_scipy(r).as_euler("ZYX")
-            np.testing.assert_allclose(ours, theirs, atol=1e-10)
+        q = random_quats(0, 50)
+        np.testing.assert_allclose(euler_zyx_from_rows(q)[0], as_scipy(q).as_euler("ZYX"), atol=1e-10)
 
     def test_gimbal_flagged_and_result_still_returned(self):
-        r = euler_zyx_to((0.3, math.pi / 2, 0.0))
-        assert gimbal_proximity(r)
-        angles = euler_zyx_from(r)
+        q = euler_zyx_to_rows(np.array([[0.3, math.pi / 2, 0.0], [0.3, 0.4, 0.5]]))
+        angles, gimbal = euler_zyx_from_rows(q)
+        assert gimbal.tolist() == [True, False]  # not for a generic rotation
         assert np.all(np.isfinite(angles))
         # Yaw - roll is the observable combination at the singularity.
-        again = euler_zyx_to(angles)
-        assert rotation_angle_deg(r, again) < 1e-6
-
-    def test_not_gimbal_for_generic_rotation(self):
-        assert not gimbal_proximity(euler_zyx_to((0.3, 0.4, 0.5)))
+        assert rotation_angles_deg(q, euler_zyx_to_rows(angles)).max() < 1e-6
 
 
 class TestSlerp:
@@ -290,13 +233,13 @@ class TestSlerp:
     def test_same_rotation_any_factor(self):
         r = random_rotation(5)
         for a in (0.0, 0.25, 0.5, 0.75, 1.0):
-            assert rotation_angle_deg(slerp(r, r, a), r) < 1e-12
+            assert rotation_angle_deg_scalar(slerp(r, r, a), r) < 1e-12
 
     def test_geodesic_midpoint_single_axis(self):
         q1 = so3_exp((0.0, 0.0, math.pi / 2))
         mid = slerp(Rotation.identity(), q1, 0.5)
         expected = so3_exp((0.0, 0.0, math.pi / 4))
-        assert rotation_angle_deg(mid, expected) < 1e-12
+        assert rotation_angle_deg_scalar(mid, expected) < 1e-12
 
     def test_angle_linearity_1000_random_pairs(self):
         # Independent oracle: the geodesic angle computed from the matrix
@@ -315,14 +258,14 @@ class TestSlerp:
     def test_symmetry(self, q0, q1, a):
         lhs = slerp(q0, q1, a)
         rhs = slerp(q1, q0, 1.0 - a)
-        assert rotation_angle_deg(lhs, rhs) < 1e-9
+        assert rotation_angle_deg_scalar(lhs, rhs) < 1e-9
 
     def test_nearly_parallel_falls_back_to_nlerp(self):
         q0 = Rotation.identity()
         q1 = so3_exp((1e-5, 0.0, 0.0))
         mid = slerp(q0, q1, 0.5)
         so3_checks(mid)
-        assert rotation_angle_deg(mid, so3_exp((0.5e-5, 0.0, 0.0))) < 1e-9
+        assert rotation_angle_deg_scalar(mid, so3_exp((0.5e-5, 0.0, 0.0))) < 1e-9
 
     def test_out_of_range_factor_rejected(self):
         with pytest.raises(ValueError):
@@ -337,29 +280,28 @@ class TestSlerp:
 
 
 def _trace_angle_deg(r1: Rotation, r2: Rotation) -> float:
-    m = r1.matrix.T @ r2.matrix
+    m = rotation_matrix_scalar(r1).T @ rotation_matrix_scalar(r2)
     c = min(1.0, max(-1.0, (np.trace(m) - 1.0) / 2.0))
     return math.degrees(math.acos(c))
 
 
 class TestRotationAngle:
     def test_same_rotation_zero(self):
-        r = random_rotation(3)
-        assert rotation_angle_deg(r, r) == 0.0
+        q = random_quats(3, 20)
+        assert rotation_angles_deg(q, q).tolist() == [0.0] * 20
 
     def test_quarter_turn_is_90(self):
-        assert abs(rotation_angle_deg(Rotation.identity(), so3_exp((0, 0, math.pi / 2))) - 90.0) < 1e-12
+        q = np.array([Rotation.identity().quat, so3_exp((0, 0, math.pi / 2)).quat])
+        assert abs(rotation_angles_deg(q[:1], q[1:])[0] - 90.0) < 1e-12
 
     @settings(max_examples=150)
     @given(rotations(), rotations())
     def test_symmetric(self, a, b):
-        assert abs(rotation_angle_deg(a, b) - rotation_angle_deg(b, a)) < 1e-9
+        assert abs(rotation_angle_deg_scalar(a, b) - rotation_angle_deg_scalar(b, a)) < 1e-9
 
     def test_range(self):
-        rng = np.random.default_rng(17)
-        for _ in range(300):
-            d = rotation_angle_deg(Rotation.random(rng), Rotation.random(rng))
-            assert 0.0 <= d <= 180.0
+        d = rotation_angles_deg(random_quats(17, 300), random_quats(18, 300))
+        assert d.min() >= 0.0 and d.max() <= 180.0
 
     @settings(max_examples=500)
     @given(st.lists(st.floats(width=64), min_size=1, max_size=20))
@@ -372,9 +314,10 @@ class TestRotationAngle:
 
     def test_matches_trace_formula(self):
         rng = np.random.default_rng(23)
-        for _ in range(300):
-            a, b = Rotation.random(rng), Rotation.random(rng)
-            assert abs(rotation_angle_deg(a, b) - _trace_angle_deg(a, b)) < 1e-7
+        pairs = [(Rotation.random(rng), Rotation.random(rng)) for _ in range(300)]
+        got = rotation_angles_deg(*(np.array([r.quat for r in rots]) for rots in zip(*pairs)))
+        want = [_trace_angle_deg(a, b) for a, b in pairs]
+        assert np.abs(got - want).max() < 1e-7
 
 
 # -- array forms against the scalar operations, bit for bit ----------------------
@@ -683,14 +626,6 @@ class TestLieArrayForms:
             with pytest.raises(ValueError, match="math domain error"):
                 fn(np.array([[0.1, 0.2, 0.3], [math.inf, 0.0, 0.0]]))
             assert np.isnan(fn(np.array([[math.nan, 0.0, 0.0]]))).any()
-
-    def test_one_row_views_keep_scalar_value_types(self):
-        r = random_rotation(3)
-        q = Rotation.from_matrix(r.matrix).quat
-        assert not q.flags.writeable
-        assert type(gimbal_proximity(r)) is bool
-        assert type(rotation_angle_deg(r, Rotation.identity())) is float
-        assert so3_log(r).shape == euler_zyx_from(r).shape == (3,)
 
     def test_empty_batches(self):
         q, v = np.zeros((0, 4)), np.zeros((0, 3))

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from posecorrect.liegeom import Pose, Rotation, rotation_angle_deg, so3_exp
+from posecorrect.liegeom import Pose, Rotation, so3_exp
 from posecorrect.synth import (
     Camera,
     GenerationError,
@@ -24,7 +24,7 @@ from posecorrect.synth import (
     unproject,
 )
 from posecorrect.trajectory import world_poses
-from reference_kernels import scale_factor
+from reference_kernels import rotation_angle_deg_scalar, scale_factor
 
 CAM = Camera(fx=500.0, fy=500.0, cx=320.0, cy=240.0)
 # A one-frame scene file whose every line loads.
@@ -175,7 +175,7 @@ class TestSimilarityUpdate:
         update = apply_similarity_update(scene, SimilarityTransform.identity())
         for upd in update.keyframe_updates:
             np.testing.assert_array_equal(upd.old_pose.translation, upd.new_pose.translation)
-            assert rotation_angle_deg(upd.old_pose.rotation, upd.new_pose.rotation) == 0.0
+            assert rotation_angle_deg_scalar(upd.old_pose.rotation, upd.new_pose.rotation) == 0.0
         for old, new in zip(scene.landmarks, update.landmarks):
             np.testing.assert_array_equal(old.position, new.position)
 
@@ -294,7 +294,7 @@ class TestSceneSerialization:
             # World poses are exact on disk; the relative-frame rebase on
             # load costs at most an ulp when recomposed.
             np.testing.assert_allclose(pa.translation, pb.translation, atol=1e-12)
-            assert rotation_angle_deg(pa.rotation, pb.rotation) < 1e-12
+            assert rotation_angle_deg_scalar(pa.rotation, pb.rotation) < 1e-12
 
     def test_load_rejects_missing_section(self, tmp_path):
         path = tmp_path / "bad.txt"

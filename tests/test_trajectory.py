@@ -1,5 +1,5 @@
-"""Trajectory model: segmentation, world reconstruction, association, GT
-snapping."""
+"""Trajectory model: the table constructor's validation and segment
+order, world reconstruction, association, GT snapping."""
 
 import bisect
 
@@ -8,122 +8,110 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posecorrect.liegeom import Pose, Rotation, pose_arrays, rotation_angle_deg, so3_exp
+from posecorrect.liegeom import Pose, Rotation, pose_arrays, so3_exp
 from posecorrect.synth import SceneSpec, generate_scene
 from posecorrect.trajectory import (
     AssociationError,
     FrameId,
-    Keyframe,
-    RelativeFrame,
+    FrameTable,
     Trajectory,
     associate,
     from_world_poses,
     identity_updates,
     rebase,
-    segmentize,
     snap_to_gt,
     world_poses,
 )
+from reference_kernels import rotation_angle_deg_scalar
 
 
-def kf(i: int, stamp: float, pose: Pose = None) -> Keyframe:
-    return Keyframe(FrameId(stamp, i), pose if pose is not None else Pose.identity())
+def table(stamps, indices, poses=None) -> FrameTable:
+    """Frames at ``stamps`` with frame ``indices``, at the identity unless
+    ``poses`` are given."""
+    if poses is None:
+        poses = [Pose.identity()] * len(stamps)
+    return FrameTable(stamps, indices, *pose_arrays(poses))
 
 
-def rel(index: int, stamp: float, parent: int, pose: Pose = None) -> RelativeFrame:
-    return RelativeFrame(
-        FrameId(stamp, index), parent, pose if pose is not None else Pose.identity()
-    )
+def segment_sizes(traj) -> list[int]:
+    return np.diff(traj.offsets).tolist()
 
 
-class TestSegmentize:
+class TestTableConstructor:
     def test_two_keyframes_three_rels(self):
-        keyframes = [kf(0, 0.0), kf(1, 10.0)]
-        rels = [rel(10, 2.0, 0), rel(11, 5.0, 0), rel(12, 8.0, 0)]
-        segments = segmentize(keyframes, rels)
-        assert len(segments) == 2  # one full + empty terminal
-        assert len(segments[0].rels) == 3
-        assert not segments[0].terminal
-        assert segments[1].terminal
-        assert segments[1].rels == ()
+        traj = Trajectory(table([0.0, 10.0], [0, 1]), table([2.0, 5.0, 8.0], [10, 11, 12]), [0, 0, 0])
+        assert segment_sizes(traj) == [3, 0]  # one full + empty terminal
+        batch = traj.full_segments()
+        assert batch.index.tolist() == [0] and batch.counts.tolist() == [3]
+        assert (batch.start.tolist(), batch.stop.tolist()) == ([0.0], [10.0])
 
     def test_no_relative_frames(self):
-        segments = segmentize([kf(0, 0.0), kf(1, 1.0), kf(2, 2.0)], [])
-        assert [len(s.rels) for s in segments] == [0, 0, 0]
+        traj = Trajectory(table([0.0, 1.0, 2.0], [0, 1, 2]), table([], []), [])
+        assert segment_sizes(traj) == [0, 0, 0]
 
     def test_kitti_seq00_scale(self):
         # 1355 keyframes, 4541 frames total: 1354 full segments + terminal,
         # and 4541 - 1355 relative frames.
         n_kf, n_total = 1355, 4541
-        kf_stride = n_total // n_kf
-        kf_positions = set(i * kf_stride for i in range(n_kf))
-        keyframes = []
-        rels = []
-        stamps = [i * 0.1 for i in range(n_total)]
-        kf_sorted = sorted(kf_positions)
-        for i, stamp in enumerate(stamps):
-            if i in kf_positions:
-                keyframes.append(Keyframe(FrameId(stamp, i), Pose.identity()))
-            else:
-                parent = sum(1 for p in kf_sorted if p < i) - 1
-                rels.append(RelativeFrame(FrameId(stamp, i), parent, Pose.identity()))
-        segments = segmentize(keyframes, rels)
-        assert len(segments) == 1354 + 1
-        assert sum(len(s.rels) for s in segments) == n_total - n_kf
-        assert sum(not s.terminal for s in segments) == 1354
+        stamps = np.arange(n_total) * 0.1
+        kf_pos = np.arange(n_kf) * (n_total // n_kf)
+        rel_pos = np.setdiff1d(np.arange(n_total), kf_pos)
+        parents = np.searchsorted(kf_pos, rel_pos) - 1
+        traj = Trajectory(table(stamps[kf_pos], kf_pos), table(stamps[rel_pos], rel_pos), parents)
+        assert len(traj.offsets) - 1 == 1354 + 1
+        assert traj.offsets[-1] == n_total - n_kf
+        assert len(traj.full_segments().counts) == 1354
 
     def test_unresolvable_parent_names_frame(self):
         with pytest.raises(AssociationError, match="index=77"):
-            segmentize([kf(0, 0.0)], [RelativeFrame(FrameId(1.0, 77), 3, Pose.identity())])
+            Trajectory(table([0.0], [0]), table([1.0], [77]), [3])
 
     def test_rel_outside_segment_window_rejected(self):
         with pytest.raises(AssociationError, match="outside"):
-            segmentize([kf(0, 0.0), kf(1, 1.0)], [rel(5, 1.5, 0)])
+            Trajectory(table([0.0, 1.0], [0, 1]), table([1.5], [5]), [0])
 
     def test_rel_at_keyframe_stamp_joins_the_segment_it_opens(self):
-        segments = segmentize([kf(0, 0.0), kf(1, 1.0)], [rel(5, 1.0, 1)])
-        assert len(segments[1].rels) == 1
+        traj = Trajectory(table([0.0, 1.0], [0, 1]), table([1.0], [5]), [1])
+        assert segment_sizes(traj) == [0, 1]
 
     def test_trailing_rels_form_terminal_segment(self):
-        segments = segmentize([kf(0, 0.0), kf(1, 1.0)], [rel(5, 1.5, 1), rel(6, 2.0, 1)])
-        assert segments[1].terminal
-        assert len(segments[1].rels) == 2
+        traj = Trajectory(table([0.0, 1.0], [0, 1]), table([1.5, 2.0], [5, 6]), [1, 1])
+        assert segment_sizes(traj) == [0, 2]
+        assert len(traj.full_segments().rels) == 0
 
     def test_nonincreasing_keyframe_stamps_rejected(self):
         with pytest.raises(AssociationError, match="strictly increasing"):
-            segmentize([kf(0, 1.0), kf(1, 1.0)], [])
+            Trajectory(table([1.0, 1.0], [0, 1]), table([], []), [])
 
     def test_flatten_is_identity_on_input_frames(self):
-        rng = np.random.default_rng(0)
-        keyframes = [kf(i, float(i)) for i in range(6)]
-        rels = [
-            rel(100 + 10 * i + j, i + 0.2 + 0.2 * j, i)
-            for i in range(6)
-            for j in range(3)
-            if i + 0.2 + 0.2 * j < 5.0 or i == 5
-        ]
-        segments = segmentize(keyframes, rels)
-        flattened = sorted(
-            (r.id for s in segments for r in s.rels), key=lambda f: (f.stamp, f.index)
-        )
-        assert flattened == sorted((r.id for r in rels), key=lambda f: (f.stamp, f.index))
-        assert sum(len(s.rels) for s in segments) + len(keyframes) == len(rels) + 6
+        stamps, indices, parents = [], [], []
+        for i in range(6):
+            for j in range(3):
+                if i + 0.2 + 0.2 * j < 5.0 or i == 5:
+                    stamps.append(i + 0.2 + 0.2 * j)
+                    indices.append(100 + 10 * i + j)
+                    parents.append(i)
+        order = np.random.default_rng(0).permutation(len(stamps))  # any input order
+        rel = table(np.array(stamps)[order], np.array(indices)[order])
+        traj = Trajectory(table(np.arange(6.0), np.arange(6)), rel, np.array(parents)[order])
+        assert sorted(traj.rel.ids()) == sorted(FrameId(s, i) for s, i in zip(stamps, indices))
+        assert traj.offsets[-1] + len(traj.kf) == len(stamps) + 6
 
 
 class TestOrder:
     def test_segments_sort_their_frames_by_stamp_then_index(self):
-        rels = [rel(7, 0.5, 0), rel(3, 0.5, 0), rel(5, 1.5, 1), rel(2, 0.25, 0), rel(4, 1.0, 1)]
-        segments = Trajectory((kf(0, 0.0), kf(1, 1.0)), rels).segments
-        assert [[(r.id.stamp, r.id.index) for r in seg.rels] for seg in segments] == [
-            [(0.25, 2), (0.5, 3), (0.5, 7)], [(1.0, 4), (1.5, 5)]
-        ]
+        rel = table([0.5, 0.5, 1.5, 0.25, 1.0], [7, 3, 5, 2, 4])
+        traj = Trajectory(table([0.0, 1.0], [0, 1]), rel, [0, 0, 1, 0, 1])
+        ids = [(fid.stamp, fid.index) for fid in traj.rel.ids()]
+        assert ids == [(0.25, 2), (0.5, 3), (0.5, 7), (1.0, 4), (1.5, 5)]
+        assert segment_sizes(traj) == [3, 2] and traj.parents.tolist() == [0, 0, 0, 1, 1]
 
     def test_world_poses_order_ties_by_index(self):
         # Frame 1 shares its stamp with keyframe 2 and joins the segment
         # that keyframe opens, yet comes first in frame order.
         frames = [(FrameId(s, i), Pose.identity()) for i, s in enumerate([0.0, 0.5, 0.5, 0.75])]
         traj = from_world_poses(frames, [0, 2])
-        assert [r.parent for r in traj.relatives] == [1, 1]
+        assert traj.parents.tolist() == [1, 1]
         assert [fid.index for fid, _ in world_poses(traj)] == [0, 1, 2, 3]
 
 
@@ -131,17 +119,15 @@ class TestWorldPoses:
     def test_identity_rel_equals_keyframe_pose(self):
         rng = np.random.default_rng(1)
         world = Pose(Rotation.random(rng), rng.normal(size=3))
-        traj = Trajectory((Keyframe(FrameId(0.0, 0), world),), (rel(1, 0.5, 0),))
+        traj = Trajectory(table([0.0], [0], [world]), table([0.5], [1]), [0])
         out = dict(world_poses(traj))
         got = out[FrameId(0.5, 1)]
-        assert rotation_angle_deg(got.rotation, world.rotation) == 0.0
+        assert rotation_angle_deg_scalar(got.rotation, world.rotation) == 0.0
         np.testing.assert_array_equal(got.translation, world.translation)
 
     def test_translation_composition(self):
-        traj = Trajectory(
-            (Keyframe(FrameId(0.0, 0), Pose.identity()),),
-            (rel(1, 0.5, 0, Pose(Rotation.identity(), (1.0, 0.0, 0.0))),),
-        )
+        moved = Pose(Rotation.identity(), (1.0, 0.0, 0.0))
+        traj = Trajectory(table([0.0], [0]), table([0.5], [1], [moved]), [0])
         out = dict(world_poses(traj))
         np.testing.assert_array_equal(out[FrameId(0.5, 1)].translation, [1.0, 0.0, 0.0])
 
@@ -153,13 +139,10 @@ class TestWorldPoses:
         for fid, pose in frames:
             got = rebuilt[fid]
             assert np.linalg.norm(got.translation - pose.translation) < 1e-12
-            assert rotation_angle_deg(got.rotation, pose.rotation) < 1e-12
+            assert rotation_angle_deg_scalar(got.rotation, pose.rotation) < 1e-12
 
     def test_ordering_by_timestamp(self):
-        traj = Trajectory(
-            (kf(0, 0.0), kf(2, 1.0)),
-            (rel(1, 0.5, 0), rel(3, 1.5, 1)),
-        )
+        traj = Trajectory(table([0.0, 1.0], [0, 2]), table([0.5, 1.5], [1, 3]), [0, 1])
         stamps = [fid.stamp for fid, _ in world_poses(traj)]
         assert stamps == sorted(stamps)
 
@@ -177,7 +160,7 @@ class TestFromWorldPoses:
         for fid, pose in frames:
             got = rebuilt[fid]
             assert np.linalg.norm(got.translation - pose.translation) < 1e-9
-            assert rotation_angle_deg(got.rotation, pose.rotation) < 1e-9
+            assert rotation_angle_deg_scalar(got.rotation, pose.rotation) < 1e-9
 
     def test_relative_poses_equal_scalar_rebase_bitwise(self):
         # Unsorted and repeated keyframe positions, a frame at a keyframe's
@@ -190,14 +173,13 @@ class TestFromWorldPoses:
             for i, s in enumerate(stamps)
         ]
         traj = from_world_poses(frames, [5, 0, 2, 5, 7])
-        assert [(r.id.index, r.parent) for r in traj.relatives] == [
-            (1, 0), (3, 1), (4, 1), (6, 2), (8, 3)
-        ]
+        parents = traj.parents.tolist()
+        assert list(zip(traj.rel.indices.tolist(), parents)) == [(1, 0), (3, 1), (4, 1), (6, 2), (8, 3)]
         world = dict(frames)
-        for r in traj.relatives:
-            want = traj.keyframes[r.parent].world_pose.inverse() * world[r.id]
-            assert r.rel_pose.rotation.quat.tobytes() == want.rotation.quat.tobytes()
-            assert r.rel_pose.translation.tobytes() == want.translation.tobytes()
+        for (fid, rel), parent in zip(traj.rel, parents):
+            want = traj.kf[parent][1].inverse() * world[fid]
+            assert rel.rotation.quat.tobytes() == want.rotation.quat.tobytes()
+            assert rel.translation.tobytes() == want.translation.tobytes()
 
     def test_frame_before_first_keyframe_rejected(self):
         frames = [(FrameId(0.0, 0), Pose.identity()), (FrameId(1.0, 1), Pose.identity())]
@@ -225,17 +207,15 @@ class TestRebase:
         q, t = pose_arrays(poses)
         rebased = rebase(traj, q, t)
         assert rebased.kf.q.tobytes() == q.tobytes() and rebased.kf.t.tobytes() == t.tobytes()
-        assert [k.id for k in rebased.keyframes] == [k.id for k in traj.keyframes]
-        assert [(r.id, r.parent) for r in rebased.relatives] == [
-            (r.id, r.parent) for r in traj.relatives
-        ]
+        assert rebased.kf.ids() == traj.kf.ids() and rebased.rel.ids() == traj.rel.ids()
+        assert rebased.parents.tolist() == traj.parents.tolist()
         before = dict(world_poses(traj))
         for fid, got in world_poses(rebased):
-            if fid in {k.id for k in traj.keyframes}:
+            if fid in traj.kf.ids():
                 continue
             want = before[fid]
             assert np.linalg.norm(got.translation - want.translation) < 1e-9
-            assert rotation_angle_deg(got.rotation, want.rotation) < 1e-9
+            assert rotation_angle_deg_scalar(got.rotation, want.rotation) < 1e-9
 
     def test_array_composition_equals_scalar_bitwise(self):
         # world_poses and rebase compose on arrays; each pose must be the
@@ -248,17 +228,17 @@ class TestRebase:
         traj = from_world_poses(frames, [0, 4, 5, 9])  # an empty segment, a terminal one
         poses = [Pose(Rotation.random(rng), rng.normal(size=3)) for _ in traj.keyframes]
         world = dict(world_poses(traj))
-        rebased = {r.id: r.rel_pose for r in rebase(traj, *pose_arrays(poses)).relatives}
-        for r in traj.relatives:
-            want = traj.keyframes[r.parent].world_pose * r.rel_pose
-            assert world[r.id].rotation.quat.tobytes() == want.rotation.quat.tobytes()
-            assert world[r.id].translation.tobytes() == want.translation.tobytes()
-            want = poses[r.parent].inverse() * want
-            assert rebased[r.id].rotation.quat.tobytes() == want.rotation.quat.tobytes()
-            assert rebased[r.id].translation.tobytes() == want.translation.tobytes()
+        rebased = dict(rebase(traj, *pose_arrays(poses)).rel)
+        for (fid, rel), parent in zip(traj.rel, traj.parents.tolist()):
+            want = traj.kf[parent][1] * rel
+            assert world[fid].rotation.quat.tobytes() == want.rotation.quat.tobytes()
+            assert world[fid].translation.tobytes() == want.translation.tobytes()
+            want = poses[parent].inverse() * want
+            assert rebased[fid].rotation.quat.tobytes() == want.rotation.quat.tobytes()
+            assert rebased[fid].translation.tobytes() == want.translation.tobytes()
 
     def test_pose_count_mismatch_rejected(self):
-        traj = Trajectory((kf(0, 0.0), kf(2, 1.0)), (rel(1, 0.5, 0),))
+        traj = Trajectory(table([0.0, 1.0], [0, 2]), table([0.5], [1]), [0])
         for poses in ([Pose.identity()], [Pose.identity()] * 3):
             with pytest.raises(ValueError):
                 rebase(traj, *pose_arrays(poses))
@@ -277,7 +257,7 @@ class TestSnapToGt:
         updates = snap_to_gt(traj, frames)
         assert len(updates) == 3
         for upd in updates:
-            assert rotation_angle_deg(upd.old_pose.rotation, upd.new_pose.rotation) == 0.0
+            assert rotation_angle_deg_scalar(upd.old_pose.rotation, upd.new_pose.rotation) == 0.0
             np.testing.assert_array_equal(upd.old_pose.translation, upd.new_pose.translation)
 
     def test_global_left_transform(self):
@@ -286,7 +266,7 @@ class TestSnapToGt:
         gt = [(fid, g * pose) for fid, pose in frames]
         for upd in snap_to_gt(traj, gt):
             expected = g * upd.old_pose
-            assert rotation_angle_deg(upd.new_pose.rotation, expected.rotation) < 1e-9
+            assert rotation_angle_deg_scalar(upd.new_pose.rotation, expected.rotation) < 1e-9
             np.testing.assert_allclose(upd.new_pose.translation, expected.translation, atol=1e-9)
 
     def test_injected_perturbation_recovered_exactly(self):
@@ -301,7 +281,7 @@ class TestSnapToGt:
         for i, upd in enumerate(snap_to_gt(traj, gt)):
             fid = traj.keyframes[i].id
             recovered = upd.new_pose * upd.old_pose.inverse()
-            assert rotation_angle_deg(recovered.rotation, nudges[fid].rotation) < 1e-9
+            assert rotation_angle_deg_scalar(recovered.rotation, nudges[fid].rotation) < 1e-9
             np.testing.assert_allclose(
                 recovered.translation, nudges[fid].translation, atol=1e-9
             )
