@@ -54,9 +54,12 @@ Four parts, each run on both checkouts with the same inputs:
   text formatting that the CLI ladder's ``correct`` pays once per run and
   the parsing it pays three times.  The same for
   ``evaluate.write_frame_errors_csv`` on seven files, one per method, of
-  ``evaluate.frame_errors`` over all frames of each method's correction of
-  the estimate (991, 9,991 and 99,991 rows): the writer that the CLI
-  ladder's ``evaluate-all`` pays once per run.  The same again for
+  the errors that one ``evaluate.SnapProtocol`` of the estimate and its
+  path returns per method: the writer, and the input, that the CLI
+  ladder's ``evaluate-all`` pays once per run.  They cover the relative
+  frames only (891, 8,991 and 89,991 rows; ``lines`` still counts every
+  frame), where records before this one scored every frame.  The same
+  again for
   ``evaluate.write_diagnostics_csv`` on the segment table of the proposed
   correction of each estimate (100, 1,000 and 10,000 rows), which the CLI
   ladder's ``correct`` writes once per run.
@@ -296,16 +299,14 @@ def snapped():
 
 
 def frame_errors_files():
-    # Every method's errors over all frames, as evaluate --methods all
-    # passes them to its writer.
+    # Every method's errors over the relative frames, from one protocol, as
+    # evaluate --methods all hands them to its writer.
     from posecorrect import evaluate
 
-    traj, updates, gt = snapped()
-    return [
-        (out / f"frame_errors_{m}.csv", evaluate.frame_errors(
-            evaluate.correct_trajectory(traj, updates, evaluate.MethodConfig(m))[0], gt))
-        for m in evaluate.METHODS
-    ]
+    traj, _, gt = snapped()
+    protocol = evaluate.SnapProtocol(traj, gt)
+    return [(out / f"frame_errors_{m}.csv", protocol.run(evaluate.MethodConfig(m))[1])
+            for m in evaluate.METHODS]
 
 
 if name == "write_frame_errors_csv":

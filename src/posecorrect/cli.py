@@ -228,18 +228,29 @@ def cmd_simulate(args) -> int:
         seed=args.seed,
     )
     scene = synth.generate_scene(spec)
+    frames = scene.gt_world_poses()
+    positions = synth.keyframe_positions(spec)
+    est = frames
+    if args.drift > 0.0:
+        try:
+            with np.errstate(over="ignore"):  # the angle's norm overflows to inf
+                est = fixtures.displaced_estimate(frames, positions, seed=args.seed,
+                                                  magnitude=args.drift)
+        except ValueError as exc:
+            if str(exc) != "math domain error":
+                raise
+            raise CliError(
+                f"--drift {args.drift!r} gives an infinite rotation offset, which no rotation "
+                "represents (math domain error); use a smaller --drift"
+            ) from None
+    # Every file's contents are computed before the output directory is made,
+    # so a bad flag leaves no directory behind.
     out = _out_dir(args)
     synth.save_scene(scene, out / "scene.txt")
-    frames = scene.gt_world_poses()
     trajio.write_tum(out / "gt.tum", frames)
-    positions = synth.keyframe_positions(spec)
     with open(out / "kf_index.txt", "wb") as fh:
         fh.write(b"# keyframe frame indices\n")
         write_columns([(fh, [frames.indices[positions]])], ["\n"])
-    if args.drift > 0.0:
-        est = fixtures.displaced_estimate(frames, positions, seed=args.seed, magnitude=args.drift)
-    else:
-        est = frames
     trajio.write_tum(out / "est.tum", est)
     _echo_config(args, out)
     log.info("wrote scene and trajectory files to %s", out)

@@ -4,10 +4,13 @@ The protocol snaps every keyframe of the estimated trajectory onto its
 ground-truth pose, applies the selected correction method to the relative
 frames of each segment, composes the world poses of those frames alone on
 the snapped keyframes and reports their per-frame errors (the snapped
-keyframes would contribute zeros).  Statistics follow the mean +-
-standard deviation (median) convention with the sample (n-1) standard
-deviation.  The segment
-diagnostics are a table of :data:`SEGMENT_DEFAULTS` rows, one per keyframe.
+keyframes would contribute zeros) as the columns of a
+:class:`FrameErrors`, computed by :data:`ERROR_COLUMNS`.  Statistics
+follow the mean +- standard deviation (median) convention with the
+sample (n-1) standard deviation.  The segment diagnostics are a table of
+:data:`SEGMENT_DEFAULTS` rows, one per keyframe.  The tests score the
+relative rows of a whole corrected world table the long way and compare
+the protocol against that, bit for bit.
 """
 from __future__ import annotations
 
@@ -27,7 +30,6 @@ from .floatfmt import write_columns
 from .liegeom import rotation_angles_deg, vec_norm
 from .trajectory import (
     DEFAULT_ASSOC_TOL,
-    FrameId,
     FrameTable,
     KeyframeUpdates,
     SegmentBatch,
@@ -200,36 +202,14 @@ def correct_trajectory(
 
 
 @dataclass(frozen=True)
-class FrameError:
-    frame: FrameId
-    translation_cm: float
-    rotation_deg: float
-
-
-@dataclass(frozen=True)
 class FrameErrors:
     """Per-frame errors as arrays, one row per scored frame: its stamp and
-    index, the translation error (cm) and the rotation error (deg).
-    Iterating yields :class:`FrameError` objects, built on demand."""
+    index, the translation error (cm) and the rotation error (deg)."""
 
     stamps: np.ndarray
     indices: np.ndarray
     translation_cm: np.ndarray
     rotation_deg: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.stamps)
-
-    def __iter__(self):
-        return (
-            FrameError(FrameId(stamp, index), t_err, r_err)
-            for stamp, index, t_err, r_err in zip(
-                self.stamps.tolist(),
-                self.indices.tolist(),
-                self.translation_cm.tolist(),
-                self.rotation_deg.tolist(),
-            )
-        )
 
 
 @dataclass(frozen=True)
@@ -264,16 +244,6 @@ ERROR_COLUMNS = {
     "t": lambda t, gt_t: vec_norm(t - gt_t) * 100.0,
     "q": rotation_angles_deg,
 }
-
-
-def frame_errors(est, gt, tol: float = DEFAULT_ASSOC_TOL) -> FrameErrors:
-    """Per-frame translation (cm) and rotation (deg) errors of ``est``
-    against the nearest-timestamp association in ``gt`` (each a
-    :class:`FrameTable` or ``(FrameId, Pose)`` pairs)."""
-    est, gt = FrameTable.of(est), FrameTable.of(gt)
-    rows = associate(est.stamps, gt, tol)
-    return FrameErrors(est.stamps, est.indices, ERROR_COLUMNS["t"](est.t, gt.t[rows]),
-                       ERROR_COLUMNS["q"](est.q, gt.q[rows]))
 
 
 @dataclass(frozen=True)

@@ -23,9 +23,9 @@ every rotation for KITTI.  So a file costs a few array passes rather than
 a ``Pose`` per line.  Under ``POSECORRECT_LOG=DEBUG`` each read logs which
 path it took and, on a fallback, which check sent it there.
 Each writer is one :func:`~posecorrect.floatfmt.write_columns` call, whose
-floats are byte-equal to ``repr``, so write-then-read is exact.
-:func:`parse_tum_fields` is the one-line TUM reader, which scene files use;
-the tests' one-line oracles are in ``tests/reference_kernels.py``.
+floats are byte-equal to ``repr``, so write-then-read is exact.  The
+one-line readers and writer that the tests compare these against are in
+``tests/reference_kernels.py``.
 """
 from __future__ import annotations
 
@@ -38,7 +38,7 @@ from typing import Iterator
 import numpy as np
 
 from .floatfmt import write_columns
-from .liegeom import Pose, Rotation, quat_from_matrix, quat_matrix, quat_normalize, vec_norm
+from .liegeom import quat_from_matrix, quat_matrix, quat_normalize, vec_norm
 from .trajectory import AssociationError, FrameTable, associate
 
 log = logging.getLogger("posecorrect.io")
@@ -83,24 +83,8 @@ def _convert_fields(fields: list[str], path, line: int, count: int, layout: str 
         raise TrajectoryParseError(path, line, f"non-numeric field: {exc}") from None
 
 
-def _parse_floats(fields: list[str], path, line: int, count: int, layout: str = "") -> list[float]:
-    """``fields`` as ``count`` finite floats."""
-    vals = _convert_fields(fields, path, line, count, layout)
-    if not all(math.isfinite(v) for v in vals):
-        raise TrajectoryParseError(path, line, NON_FINITE)
-    return vals
-
-
 def _quat_norm_error(norm: float) -> str:
     return f"quaternion norm {norm:.6f} departs from 1 by more than {QUAT_NORM_TOL}"
-
-
-def parse_tum_fields(fields: list[str], path, line: int) -> tuple[float, Pose]:
-    stamp, tx, ty, tz, qx, qy, qz, qw = _parse_floats(fields, path, line, 8, " (stamp t q)")
-    norm = float(np.linalg.norm([qw, qx, qy, qz]))
-    if abs(norm - 1.0) > QUAT_NORM_TOL:
-        raise TrajectoryParseError(path, line, _quat_norm_error(norm))
-    return stamp, Pose(Rotation((qw, qx, qy, qz)), (tx, ty, tz))
 
 
 def _parse_rows(path, count: int, layout: str = ""):

@@ -28,7 +28,8 @@ Scene container format (line oriented, '#' comments allowed)::
 Each section is one :func:`~posecorrect.floatfmt.write_columns` call: floats
 as ``repr`` and integers as ``str``, so serialization is byte-deterministic.
 The file is written as bytes, so its lines end with ``\\n`` on every
-platform.
+platform.  The package writes this container and ships no reader for it:
+no command reads a scene back.
 """
 from __future__ import annotations
 
@@ -116,10 +117,6 @@ class SimilarityTransform:
         t = np.array(self.translation, dtype=float).reshape(3)
         t.setflags(write=False)
         object.__setattr__(self, "translation", t)
-
-    @classmethod
-    def identity(cls) -> "SimilarityTransform":
-        return cls(Rotation.identity(), np.zeros(3), 1.0)
 
     @classmethod
     def random(cls, rng: np.random.Generator, scale: float = 1.0) -> "SimilarityTransform":
@@ -531,92 +528,3 @@ def save_scene(scene: Scene, path) -> None:
         for header, columns in sections:
             fh.write(header)
             write_columns([(fh, columns)], [" "] * (len(columns) - 1) + ["\n"])
-
-
-def _scene_fields(path, lineno: int, text: str, what: str, types) -> list:
-    """The fields of a scene line, each converted by its entry of
-    ``types``; a wrong field count or a field that does not convert to a
-    finite number raises with the file and line."""
-    fields = text.split()
-    if len(fields) != len(types):
-        raise trajio.TrajectoryParseError(path, lineno, f"{what} line needs {len(types)} fields")
-    try:
-        values = [convert(field) for convert, field in zip(types, fields)]
-    except ValueError as exc:
-        raise trajio.TrajectoryParseError(path, lineno, f"non-numeric field: {exc}") from None
-    for field, value in zip(fields, values):
-        if not math.isfinite(value):
-            raise trajio.TrajectoryParseError(path, lineno, f"non-finite field: {field!r}")
-    return values
-
-
-def load_scene(path) -> Scene:
-    sections: dict[str, list[tuple[int, str]]] = {}
-    headers: dict[str, int] = {}  # the line of each section's first header
-    current: Optional[str] = None
-    for lineno, text in trajio.data_lines(path):
-        if text.startswith("[") and text.endswith("]"):
-            current = text[1:-1]
-            sections.setdefault(current, [])
-            headers.setdefault(current, lineno)
-            continue
-        if current is None:
-            raise trajio.TrajectoryParseError(path, lineno, "content before any section")
-        sections[current].append((lineno, text))
-
-    for name in ("camera", "poses", "keyframes", "landmarks", "observations"):
-        if name not in sections:
-            raise trajio.TrajectoryParseError(path, 0, f"missing [{name}] section")
-
-    if not sections["camera"]:
-        raise trajio.TrajectoryParseError(path, headers["camera"], "empty [camera] section")
-    lineno, cam_line = sections["camera"][0]
-    intrinsics = _scene_fields(path, lineno, cam_line, "camera", (float,) * 4 + (int,) * 2)
-    try:
-        camera = Camera(*intrinsics)
-    except ValueError as exc:
-        raise trajio.TrajectoryParseError(path, lineno, str(exc)) from None
-
-    frames = []
-    for row, (lineno, text) in enumerate(sections["poses"]):
-        stamp, pose = trajio.parse_tum_fields(text.split(), path, lineno)
-        frames.append((FrameId(stamp, row), pose))
-
-    selected_at: dict[int, int] = {}  # keyframe row -> the line that selects it
-    for lineno, text in sections["keyframes"]:
-        try:
-            row = int(text)
-        except ValueError:
-            raise trajio.TrajectoryParseError(path, lineno, f"bad keyframe row {text!r}") from None
-        if not 0 <= row < len(frames):
-            raise trajio.TrajectoryParseError(
-                path, lineno, f"keyframe row {row} not present in [poses] of length {len(frames)}"
-            )
-        if row in selected_at:
-            first = selected_at[row]
-            raise trajio.TrajectoryParseError(
-                path, lineno, f"selects pose row {row} again (first selected at line {first})"
-            )
-        selected_at[row] = lineno
-    if not selected_at:
-        raise trajio.TrajectoryParseError(path, headers["keyframes"], "empty [keyframes] section")
-    first = min(selected_at)  # from_world_poses anchors no frame before it
-    for row, (fid, _) in enumerate(frames):
-        if fid.stamp < frames[first][0].stamp and row not in selected_at:
-            message = f"pose row {row} precedes the first keyframe (pose row {first})"
-            raise trajio.TrajectoryParseError(path, headers["keyframes"], message)
-
-    landmarks = []
-    for lineno, text in sections["landmarks"]:
-        lm_id, *position = _scene_fields(path, lineno, text, "landmark", (int,) + (float,) * 3)
-        landmarks.append(Landmark(lm_id, position))
-
-    observations = []
-    for lineno, text in sections["observations"]:
-        frame, lm_id, u, v, depth = _scene_fields(
-            path, lineno, text, "observation", (int, int) + (float,) * 3
-        )
-        observations.append(Observation(frame, lm_id, (u, v), depth))
-
-    trajectory = from_world_poses(frames, list(selected_at))
-    return Scene(camera, trajectory, tuple(landmarks), tuple(observations))

@@ -31,8 +31,10 @@ views for callers that build or read one pose at a time: iterating or
 indexing a :class:`FrameTable` yields ``(FrameId, Pose)`` pairs,
 :meth:`FrameTable.of` builds a table from them, ``traj.keyframes`` yields
 :class:`Keyframe` objects, and :meth:`KeyframeUpdates.of` and its rows
-convert :class:`KeyframeUpdate` objects.  The correction path reads only
-the arrays.
+convert :class:`KeyframeUpdate` objects.  They stay because the
+benchmark harness and ``synth``'s update models build their inputs with
+them.  A table has no ``==``; compare its arrays.  The correction path
+reads only the arrays.
 """
 from __future__ import annotations
 
@@ -86,9 +88,7 @@ class FrameTable:
     iteration, an integer index (a pair) and a slice or an index array (a
     table) all work.  The pairs are built on the first iteration and kept,
     so a caller that reads them several times pays for one ``FrameId`` and
-    one ``Pose`` per frame; the arrays are not to be changed in place.  Two
-    tables are equal when every array is; anything else is compared after
-    :meth:`of`.
+    one ``Pose`` per frame; the arrays are not to be changed in place.
     """
 
     __slots__ = ("stamps", "indices", "q", "t", "_pairs")
@@ -135,21 +135,6 @@ class FrameTable:
         if self._pairs is None:
             self._pairs = list(zip(self.ids(), poses_from_arrays(self.q, self.t)))
         return iter(self._pairs)
-
-    def __eq__(self, other) -> bool:
-        try:
-            other = FrameTable.of(other)
-        except (AttributeError, TypeError, ValueError):
-            return NotImplemented
-        return all(
-            np.array_equal(a, b)
-            for a, b in zip(
-                (self.stamps, self.indices, self.q, self.t),
-                (other.stamps, other.indices, other.q, other.t),
-            )
-        )
-
-    __hash__ = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FrameTable({len(self)} frames)"

@@ -9,9 +9,12 @@ updates as rows (``updates[i]`` the ``KeyframeUpdate`` of keyframe
 ``i``, from a ``KeyframeUpdates`` table or a list).
 :func:`segment_trajectory` builds a trajectory of one full segment from
 poses, :func:`_orthonormalize` is the one-row form of
-``io._kitti_check``, :func:`format_tum_line` the one-line form of
-``io.write_tum``, and :func:`bench_segment` the fixture of acceptance
-criterion 8.
+``io._kitti_check``, :func:`parse_tum_fields` and :func:`parse_floats`
+the one-line forms of ``io.read_tum``'s and ``io.read_kitti``'s
+conversion and checks, :func:`format_tum_line` the one-line form of
+``io.write_tum``, :func:`bench_segment` the fixture of acceptance
+criterion 8, and :func:`frame_errors` the reference of the evaluation
+protocol's scoring.
 
 The synthetic generators have their per-frame forms here too: the
 ``pose_at`` paths of :data:`SCALAR_PATHS` and the frame-at-a-time
@@ -35,7 +38,17 @@ import numpy as np
 
 from posecorrect.baseline import QUAT_RENORM_TOL, SINGULARITY_EPS, RotSpace, TransSpace, _guarded_factor
 from posecorrect.correction import DEGENERATE_BASELINE
-from posecorrect.io import REFLECTION, ROTATION_DRIFT_TOL, TrajectoryParseError, _drift_error
+from posecorrect.evaluate import ERROR_COLUMNS, FrameErrors
+from posecorrect.io import (
+    NON_FINITE,
+    QUAT_NORM_TOL,
+    REFLECTION,
+    ROTATION_DRIFT_TOL,
+    TrajectoryParseError,
+    _convert_fields,
+    _drift_error,
+    _quat_norm_error,
+)
 from posecorrect.fixtures import JITTER_ROT, JITTER_TRANS
 from posecorrect.liegeom import _GIMBAL_COS, _SMALL_ANGLE, _SMALL_V_ANGLE
 from posecorrect.liegeom import Pose, Rotation, euler_zyx_to, slerp, so3_exp
@@ -53,6 +66,7 @@ from posecorrect.trajectory import (
     KeyframeUpdate,
     SegmentBatch,
     Trajectory,
+    associate,
     from_world_poses,
 )
 
@@ -495,6 +509,24 @@ def _orthonormalize(m: np.ndarray, path, line: int) -> np.ndarray:
     return u @ vt
 
 
+def parse_floats(fields: list[str], path, line: int, count: int, layout: str = "") -> list[float]:
+    """One line's ``fields`` as ``count`` finite floats, raising as the
+    readers do."""
+    vals = _convert_fields(fields, path, line, count, layout)
+    if not all(math.isfinite(v) for v in vals):
+        raise TrajectoryParseError(path, line, NON_FINITE)
+    return vals
+
+
+def parse_tum_fields(fields: list[str], path, line: int) -> tuple[float, Pose]:
+    """One TUM line's stamp and pose: the one-line form of ``io.read_tum``."""
+    stamp, tx, ty, tz, qx, qy, qz, qw = parse_floats(fields, path, line, 8, " (stamp t q)")
+    norm = float(np.linalg.norm([qw, qx, qy, qz]))
+    if abs(norm - 1.0) > QUAT_NORM_TOL:
+        raise TrajectoryParseError(path, line, _quat_norm_error(norm))
+    return stamp, Pose(Rotation((qw, qx, qy, qz)), (tx, ty, tz))
+
+
 def format_tum_line(stamp: float, pose: Pose) -> str:
     """One TUM line, ``repr`` of each value: the one-line form of
     ``io.write_tum``."""
@@ -521,6 +553,16 @@ def bench_segment() -> tuple[SegmentBatch, list[KeyframeUpdate]]:
         KeyframeUpdate(1, kf_b, nudge * sim.apply_pose(kf_b)),
     ]
     return traj.full_segments(), updates
+
+
+def frame_errors(est, gt) -> FrameErrors:
+    """The errors of every row of ``est`` (a table or ``(FrameId, Pose)``
+    pairs) against the nearest-stamp row of ``gt``, by ``ERROR_COLUMNS``:
+    the long way that ``SnapProtocol``'s scoring is compared against."""
+    est, gt = FrameTable.of(est), FrameTable.of(gt)
+    rows = associate(est.stamps, gt)
+    return FrameErrors(est.stamps, est.indices, ERROR_COLUMNS["t"](est.t, gt.t[rows]),
+                       ERROR_COLUMNS["q"](est.q, gt.q[rows]))
 
 
 # -- synthetic generators, one frame at a time -------------------------------------

@@ -182,7 +182,7 @@ def test_criterion_4_singularity_contrast():
     for name in METHODS:
         report, errs = SnapProtocol(traj, gt).run(MethodConfig(name))
         stats[name] = report
-        errors[name] = np.array([e.translation_cm for e in errs])
+        errors[name] = errs.translation_cm
     se3v = errors["se3-v"]
     prop = errors["proposed"]
     se3v_ratio = se3v.max() / np.median(se3v)

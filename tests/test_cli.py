@@ -748,7 +748,9 @@ class TestInputValidation:
          # Past float range: the sizes are compared as integers.
          ("--n-keyframes", "9" * 400, "n_keyframes"),
          ("--rels-per-segment", "9" * 400, "rels_per_segment"),
-         ("--n-landmarks", "9" * 400, "n_landmarks")],
+         ("--n-landmarks", "9" * 400, "n_landmarks"),
+         # Finite, but the estimate's rotation offsets overflow to an infinite angle.
+         ("--drift", "1e160", "--drift")],
     )
     def test_simulate_out_of_range_flags(self, tmp_path, capsys, flag, value, name):
         out = tmp_path / "sim_bad"

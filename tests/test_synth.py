@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from posecorrect.io import tum_columns
 from posecorrect.liegeom import Pose, Rotation, so3_exp
 from posecorrect.synth import (
     Camera,
@@ -15,7 +16,7 @@ from posecorrect.synth import (
     SimilarityTransform,
     apply_similarity_update,
     generate_scene,
-    load_scene,
+    keyframe_positions,
     perturb_keyframes_update,
     project,
     project_many,
@@ -23,23 +24,9 @@ from posecorrect.synth import (
     save_scene,
     unproject,
 )
-from posecorrect.trajectory import world_poses
 from reference_kernels import rotation_angle_deg_scalar, scale_factor
 
 CAM = Camera(fx=500.0, fy=500.0, cx=320.0, cy=240.0)
-# A one-frame scene file whose every line loads.
-SCENE_TEXT = """# posecorrect scene v1
-[camera]
-500.0 500.0 320.0 240.0 640 480
-[poses]
-0.0 0.0 0.0 0.0 0.0 0.0 0.0 1.0
-[keyframes]
-0
-[landmarks]
-0 1.0 2.0 5.0
-[observations]
-0 0 420.0 440.0 5.0
-"""
 
 
 class TestProjection:
@@ -172,7 +159,7 @@ class TestGeneration:
 class TestSimilarityUpdate:
     def test_identity_changes_nothing(self):
         scene = generate_scene(SceneSpec(shape="mav", seed=7))
-        update = apply_similarity_update(scene, SimilarityTransform.identity())
+        update = apply_similarity_update(scene, SimilarityTransform(Rotation.identity(), np.zeros(3)))
         for upd in update.keyframe_updates:
             np.testing.assert_array_equal(upd.old_pose.translation, upd.new_pose.translation)
             assert rotation_angle_deg_scalar(upd.old_pose.rotation, upd.new_pose.rotation) == 0.0
@@ -274,76 +261,31 @@ class TestReprojection:
 
 
 class TestSceneSerialization:
-    def test_save_load_round_trip(self, tmp_path):
-        scene = generate_scene(SceneSpec(shape="mav", seed=18, pixel_noise=0.3))
+    def test_sections_read_back_bitwise(self, tmp_path):
+        # Each section of scene.txt, read back by np.loadtxt, holds the
+        # scene's values bit for bit.
+        spec = SceneSpec(shape="mav", seed=18, pixel_noise=0.3)
+        scene = generate_scene(spec)
         path = tmp_path / "scene.txt"
         save_scene(scene, path)
-        loaded = load_scene(path)
-        assert loaded.camera == scene.camera
-        assert len(loaded.landmarks) == len(scene.landmarks)
-        assert len(loaded.observations) == len(scene.observations)
-        for (la, lb) in zip(scene.landmarks, loaded.landmarks):
-            assert la.id == lb.id
-            np.testing.assert_array_equal(la.position, lb.position)
-        assert loaded.observations == scene.observations
-        orig = world_poses(scene.trajectory)
-        back = world_poses(loaded.trajectory)
-        for (fa, pa), (fb, pb) in zip(orig, back):
-            assert fa.index == fb.index
-            assert abs(fa.stamp - fb.stamp) == 0.0
-            # World poses are exact on disk; the relative-frame rebase on
-            # load costs at most an ulp when recomposed.
-            np.testing.assert_allclose(pa.translation, pb.translation, atol=1e-12)
-            assert rotation_angle_deg_scalar(pa.rotation, pb.rotation) < 1e-12
-
-    def test_load_rejects_missing_section(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("[camera]\n500.0 500.0 320.0 240.0 640 480\n")
-        from posecorrect.io import TrajectoryParseError
-
-        with pytest.raises(TrajectoryParseError, match="missing"):
-            load_scene(path)
-
-    def test_load_rejects_content_before_section(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("500.0 500.0\n")
-        from posecorrect.io import TrajectoryParseError
-
-        with pytest.raises(TrajectoryParseError, match="before any section"):
-            load_scene(path)
-
-    @pytest.mark.parametrize("old,new,line,message", [
-        ("500.0 500.0 320.0", "abc 500.0 320.0", 3,
-         "non-numeric field: could not convert string to float: 'abc'"),
-        ("500.0 500.0 320.0", "-500.0 500.0 320.0", 3, "focal lengths must be positive"),
-        ("[camera]\n500.0 500.0 320.0 240.0 640 480\n", "[camera]\n", 2, "empty [camera] section"),
-        ("0 1.0 2.0 5.0", "0 1.0 abc 5.0", 9,
-         "non-numeric field: could not convert string to float: 'abc'"),
-        ("0 0 420.0", "x 0 420.0", 11,
-         "non-numeric field: invalid literal for int() with base 10: 'x'"),
-        ("500.0 500.0 320.0", "nan 500.0 320.0", 3, "non-finite field: 'nan'"),
-        ("0 1.0 2.0 5.0", "0 1.0 inf 5.0", 9, "non-finite field: 'inf'"),
-        ("420.0 440.0 5.0", "420.0 -inf 5.0", 11, "non-finite field: '-inf'"),
-        ("[keyframes]\n0\n", "[keyframes]\n1\n", 7,
-         "keyframe row 1 not present in [poses] of length 1"),
-        ("[keyframes]\n0\n", "[keyframes]\n-1\n", 7,
-         "keyframe row -1 not present in [poses] of length 1"),
-        ("[keyframes]\n0\n", "[keyframes]\n0\n0\n", 8,
-         "selects pose row 0 again (first selected at line 7)"),
-        ("[keyframes]\n0\n", "[keyframes]\n", 6, "empty [keyframes] section"),
-        ("0.0 0.0 0.0 0.0 0.0 0.0 0.0 1.0\n[keyframes]\n0\n",
-         "0.0 0.0 0.0 0.0 0.0 0.0 0.0 1.0\n1.0 0.0 0.0 0.0 0.0 0.0 0.0 1.0\n[keyframes]\n1\n",
-         7, "pose row 0 precedes the first keyframe (pose row 1)"),
-    ], ids=["camera field", "camera intrinsics", "empty camera", "landmark field",
-            "observation field", "non-finite camera", "non-finite landmark",
-            "non-finite observation", "keyframe row past the poses", "negative keyframe row",
-            "repeated keyframe row", "empty keyframes", "first pose not a keyframe"])
-    def test_load_names_file_and_line_of_a_bad_line(self, tmp_path, old, new, line, message):
-        from posecorrect.io import TrajectoryParseError
-
-        path = tmp_path / "bad.txt"
-        assert old in SCENE_TEXT
-        path.write_text(SCENE_TEXT.replace(old, new))
-        with pytest.raises(TrajectoryParseError) as info:
-            load_scene(path)
-        assert (info.value.line, str(info.value)) == (line, f"{path}:{line}: {message}")
+        sections, name = {}, None
+        for line in path.read_text().splitlines():
+            if line.startswith("["):
+                name = line[1:-1]
+                sections[name] = []
+            elif not line.startswith("#"):
+                sections[name].append(line)
+        read = {name: np.loadtxt(lines, ndmin=2) for name, lines in sections.items()}
+        cam = scene.camera
+        want = {
+            "camera": [[cam.fx, cam.fy, cam.cx, cam.cy, cam.width, cam.height]],
+            "poses": np.column_stack(tum_columns(scene.gt_world_poses())),
+            "keyframes": np.array(keyframe_positions(spec))[:, None],
+            "landmarks": [(lm.id, *lm.position) for lm in scene.landmarks],
+            "observations": [(o.frame_index, o.landmark_id, *o.pixel, o.depth)
+                             for o in scene.observations],
+        }
+        assert list(read) == list(want)
+        for name, rows in want.items():
+            rows = np.asarray(rows, dtype=float)
+            assert read[name].shape == rows.shape and read[name].tobytes() == rows.tobytes(), name
