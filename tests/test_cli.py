@@ -758,6 +758,21 @@ class TestInputValidation:
         assert name in capsys.readouterr().err
         assert not out.exists()
 
+    def test_simulate_large_finite_drift_writes_a_finite_estimate(self, tmp_path):
+        # Below the overflow that --drift 1e160 meets, the estimate is written.
+        out = tmp_path / "sim_far"
+        assert main(["simulate", "--drift", "1e154", "--out", str(out)]) == 0
+        est = trajio.read_tum(out / "est.tum")
+        assert len(est) == len(trajio.read_tum(out / "gt.tum"))
+        assert np.isfinite(est.q).all() and np.isfinite(est.t).all()
+
+    def test_overflowing_drift_fails_with_the_error_simulate_reports(self):
+        # simulate turns exactly this error into exit 2 and re-raises any other.
+        frames = trajio.read_tum(DATA / "valid.tum")
+        with np.errstate(over="ignore"), pytest.raises(ValueError) as info:
+            fixtures.displaced_estimate(frames, [0], seed=0, magnitude=1e160)
+        assert str(info.value) == "math domain error"
+
     def test_non_finite_estimate_names_file_and_line(self, sim_dir, tmp_path, capsys):
         lines = (sim_dir / "est.tum").read_text().splitlines()
         fields = lines[3].split()

@@ -261,10 +261,22 @@ class TestReprojection:
 
 
 class TestSceneSerialization:
-    def test_sections_read_back_bitwise(self, tmp_path):
+    @pytest.mark.parametrize("spec", [
+        SceneSpec(shape="mav", seed=18, pixel_noise=0.3),
+        SceneSpec(shape="forward", seed=4, pixel_noise=1.5),
+        SceneSpec(shape="line", seed=9),
+        SceneSpec(shape="rotonly", seed=2, pixel_noise=0.3),
+        # Keyframes only: every [poses] row is a [keyframes] row.
+        SceneSpec(shape="mav", rels_per_segment=0, seed=5),
+        SceneSpec(shape="forward", n_keyframes=2, seed=6),
+        SceneSpec(shape="line", n_landmarks=1, seed=3),
+        # A seed past int64 still gives a scene the file holds.
+        SceneSpec(shape="mav", seed=2**70),
+    ], ids=["mav noisy", "forward noisy", "line", "rotonly noisy", "keyframes only",
+            "two keyframes", "few landmarks", "huge seed"])
+    def test_sections_read_back_bitwise(self, tmp_path, spec):
         # Each section of scene.txt, read back by np.loadtxt, holds the
         # scene's values bit for bit.
-        spec = SceneSpec(shape="mav", seed=18, pixel_noise=0.3)
         scene = generate_scene(spec)
         path = tmp_path / "scene.txt"
         save_scene(scene, path)
