@@ -66,6 +66,14 @@ Four parts, each run on both checkouts with the same inputs:
 * **Synth ladder.**  ``synth.path_world_poses`` of each ladder path and
   ``fixtures.displaced_estimate`` of it (991, 9,991 and 99,991 frames),
   timed the same way: the input build that perfbench's ``setup_s`` pays.
+* **Simulate ladder.**  ``posecorrect simulate --shape mav
+  --rels-per-segment 9`` in process at 991, 2,991 and 9,991 frames (100,
+  300 and 1,000 keyframes), one fresh subprocess per size and side, each
+  timing one call after a probe median as above: its wall time, the time
+  at the probe's reference speed, and the process's peak RSS
+  (``ru_maxrss``, the import included).  Generating the scene is most of
+  the command; the sizes stop at 9,991 frames because the parent's
+  per-object generator grows faster than the frame count.
 
 Every timed call of the size, writer and reader ladders writes into an
 output directory removed before the call's probe, outside the timed
@@ -164,6 +172,24 @@ for name, argv in commands.items():
         assert main(argv) == 0
         runs[name]["wall_s"].append(time.perf_counter() - start)
 print(json.dumps({"reference_probe_s": REFERENCE_PROBE_S, "runs": runs}))
+"""
+
+
+SIMULATE_KEYFRAMES = (100, 300, 1000)
+
+SIMULATE_TIMING = PROBE + """
+import json, resource
+from posecorrect.cli import main
+
+n_keyframes, out = sys.argv[1], sys.argv[2]
+probe_s = probe_median()
+start = time.perf_counter()
+assert main(["simulate", "--shape", "mav", "--n-keyframes", n_keyframes,
+             "--rels-per-segment", "9", "--out", out]) == 0
+wall_s = time.perf_counter() - start
+maxrss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps({"reference_probe_s": REFERENCE_PROBE_S, "wall_s": wall_s, "probe_s": probe_s,
+                  "maxrss_kb": maxrss_kb}))
 """
 
 
@@ -526,6 +552,36 @@ def text_ladder(sides: dict, inputs: Path, workdir: Path, call: str) -> dict:
     return record
 
 
+def simulate_ladder(sides: dict, workdir: Path) -> dict:
+    record = {}
+    for k, n_keyframes in enumerate(SIMULATE_KEYFRAMES):
+        frames = 10 * n_keyframes - 9
+        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+        entry = {"frames": frames, "keyframes": n_keyframes, "order": list(order)}
+        for name in order:
+            env = dict(os.environ, PYTHONPATH=str(sides[name] / "src"))
+            proc = subprocess.run(
+                [sys.executable, "-c", SIMULATE_TIMING, str(n_keyframes),
+                 str(workdir / f"simulate-out-{name}-{n_keyframes}"), str(ROOT / "perfbench")],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            run = json.loads(proc.stdout.splitlines()[-1])
+            entry[name] = {
+                "wall_s": run["wall_s"],
+                "at_reference_speed_s": run["wall_s"] * run["reference_probe_s"] / run["probe_s"],
+                "probe_median_s": run["probe_s"],
+                "peak_rss_mb": run["maxrss_kb"] / 1024.0,
+            }
+        for key in ("wall_s", "at_reference_speed_s", "peak_rss_mb"):
+            entry[f"{key}_change_over_parent"] = entry["change"][key] / entry["parent"][key]
+        print(f"simulate ladder {frames}: " + " / ".join(
+            f"{name} {entry[name]['wall_s']:.2f} s, {entry[name]['peak_rss_mb']:.0f} MB"
+            for name in order
+        ), file=sys.stderr)
+        record[str(frames)] = entry
+    return record
+
+
 def call_ladder(sides: dict) -> dict:
     record = {}
     per_side = {}
@@ -612,6 +668,7 @@ def main(argv=None) -> int:
         )
         record["diagnostics_ladder"] = text_ladder(sides, inputs, workdir, "write_diagnostics_csv")
         record["synth_ladder"] = text_ladder(sides, inputs, workdir, "synth")
+        record["simulate_ladder"] = simulate_ladder(sides, workdir)
     record["call_ladder"] = call_ladder(sides)
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")

@@ -227,7 +227,11 @@ def cmd_simulate(args) -> int:
         pixel_noise=args.pixel_noise,
         seed=args.seed,
     )
-    scene = synth.generate_scene(spec)
+    try:
+        scene = synth.generate_scene(spec)
+    except MemoryError:
+        raise CliError("the scene does not fit in memory; use a smaller --n-keyframes, "
+                       "--rels-per-segment or --n-landmarks") from None
     frames = scene.gt_world_poses()
     positions = synth.keyframe_positions(spec)
     est = frames

@@ -1,11 +1,22 @@
 """Synthetic scenes: landmarks, pinhole projections and update models.
 
 A scene bundles a keyframe trajectory, world landmarks and the pixel/depth
-observations of those landmarks from every frame.  Zero-noise scenes
+observations of those landmarks from every frame, held as arrays: the
+landmarks as an (L, 3) array whose row is the landmark id, and the
+observations as one :class:`Observations` table of frame indices,
+landmark ids, (M, 2) pixels and (M,) depths.  Zero-noise scenes
 reproject exactly, which makes them the oracle for the correction's
 measurement-preservation property: a global similarity update rescales all
 depths uniformly and leaves every pixel untouched, so the corrected poses
 must reproject the updated landmarks onto the original measurements.
+
+:func:`generate_scene` inverts every frame pose once, finds which
+landmarks each frame sees in one array pass over blocks of frames, and
+projects only the landmarks that a top-up round adds.  The update models
+return a ``KeyframeUpdates`` table, and :func:`reprojection_rms` scores a
+``FrameTable``.  The scalar projection that the tests compare the
+observation table against, observation by observation, is in
+``tests/reference_kernels.py``.
 
 Path library: ``forward`` (vehicle-like, motion almost entirely along the
 camera axis - the singular regime for element-wise interpolation), ``mav``
@@ -35,27 +46,30 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable
 
 import numpy as np
 
 from . import io as trajio
 from .floatfmt import write_columns
-from .liegeom import Pose, Rotation, euler_zyx_to_rows, so3_exp
-from .trajectory import (
-    FrameId,
-    FrameTable,
-    KeyframeUpdate,
-    Trajectory,
-    from_world_poses,
-    world_poses,
+from .liegeom import (
+    Pose,
+    Rotation,
+    euler_zyx_to_rows,
+    pose_inverse,
+    pose_mul,
+    quat_mul,
+    quat_rotate,
+    so3_exp_rows,
 )
+from .trajectory import FrameTable, KeyframeUpdates, Trajectory, from_world_poses, world_poses
 
 MIN_DEPTH = 1e-6          # meters; at or below this a point is behind the camera
 MIN_SHARED_LANDMARKS = 8  # required common landmarks per adjacent frame pair
 DEPTH_BAND = (2.5, 25.0)  # sampling band for generated landmarks, meters
 PIXEL_MARGIN = 40.0       # sampling margin inside the image, pixels
 KEYFRAME_DT = 1.0         # seconds between consecutive keyframes
+PROJECTION_BLOCK = 1 << 18  # frame-landmark pairs projected at once; bounds the temporaries
 
 # A path: stamps (N,) -> canonical quaternions (N, 4), translations (N, 3).
 Path = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
@@ -82,25 +96,6 @@ class Camera:
 
 
 DEFAULT_CAMERA = Camera(fx=500.0, fy=500.0, cx=320.0, cy=240.0)
-
-
-@dataclass(frozen=True)
-class Landmark:
-    id: int
-    position: np.ndarray
-
-    def __post_init__(self):
-        p = np.array(self.position, dtype=float).reshape(3)
-        p.setflags(write=False)
-        object.__setattr__(self, "position", p)
-
-
-@dataclass(frozen=True)
-class Observation:
-    frame_index: int
-    landmark_id: int
-    pixel: tuple[float, float]
-    depth: float
 
 
 @dataclass(frozen=True)
@@ -135,11 +130,10 @@ class SimilarityTransform:
 @dataclass(frozen=True)
 class MapUpdate:
     """A back-end map refinement: keyframe pose updates plus the moved
-    landmarks (and the similarity that produced them, when there is one)."""
+    landmarks, an (L, 3) array."""
 
-    keyframe_updates: tuple[KeyframeUpdate, ...]
-    landmarks: tuple[Landmark, ...]
-    similarity: Optional[SimilarityTransform] = None
+    keyframe_updates: KeyframeUpdates
+    landmarks: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -163,11 +157,26 @@ class SceneSpec:
 
 
 @dataclass(frozen=True)
+class Observations:
+    """Observations as rows, ordered by frame, then landmark: the index of
+    the observing frame ``frame_indices`` (M,), ``landmark_ids`` (M,),
+    ``pixels`` (M, 2) and ``depths`` (M,)."""
+
+    frame_indices: np.ndarray
+    landmark_ids: np.ndarray
+    pixels: np.ndarray
+    depths: np.ndarray
+
+
+@dataclass(frozen=True)
 class Scene:
+    """A trajectory, its world landmarks as an (L, 3) array whose row is
+    the landmark id, and their observations."""
+
     camera: Camera
     trajectory: Trajectory
-    landmarks: tuple[Landmark, ...]
-    observations: tuple[Observation, ...]
+    landmarks: np.ndarray
+    observations: Observations
 
     def gt_world_poses(self) -> FrameTable:
         return world_poses(self.trajectory)
@@ -176,54 +185,33 @@ class Scene:
 # -- projection ---------------------------------------------------------------
 
 
-def project(camera: Camera, world_to_cam: Pose, point) -> Optional[tuple[np.ndarray, float]]:
-    """Pinhole projection of a world point; None when behind the camera."""
-    p = world_to_cam.apply(np.asarray(point, dtype=float))
-    depth = float(p[2])
-    if depth <= MIN_DEPTH:
-        return None
-    pixel = np.array([
-        camera.fx * p[0] / depth + camera.cx,
-        camera.fy * p[1] / depth + camera.cy,
-    ])
-    return pixel, depth
-
-
-def unproject(camera: Camera, pixel, depth: float) -> np.ndarray:
-    """Camera-frame point of a pixel at a known depth."""
-    u, v = float(pixel[0]), float(pixel[1])
-    return depth * np.array([
-        (u - camera.cx) / camera.fx,
-        (v - camera.cy) / camera.fy,
-        1.0,
-    ])
+def unproject(camera: Camera, pixels: np.ndarray, depths: np.ndarray) -> np.ndarray:
+    """Camera-frame points (N, 3) of pixels (N, 2) at known depths (N,)."""
+    rays = (pixels - (camera.cx, camera.cy)) / (camera.fx, camera.fy)
+    return depths[:, None] * np.column_stack((rays, np.ones(len(depths))))
 
 
 def project_many(
-    camera: Camera, world_to_cam: Pose, points: np.ndarray
+    camera: Camera, q: np.ndarray, t: np.ndarray, points: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized projection: (pixels (N,2), depths (N,), in-front mask)."""
-    p = world_to_cam.apply(points)
-    depths = p[:, 2]
+    """Pinhole projection of world points through world-to-camera poses,
+    row by row, with ``q`` (..., 4), ``t`` (..., 3) and ``points`` (..., 3)
+    broadcast: (pixels (..., 2), depths (...), in-front mask (...)).
+
+    The rotation is ``Rotation.apply``'s form for a stack of points (two
+    cross products), whose bits ``simulate``'s files hold."""
+    u = q[..., 1:]
+    uv = np.cross(u, points)
+    p = points + 2.0 * (q[..., :1] * uv + np.cross(u, uv)) + t
+    depths = p[..., 2]
     front = depths > MIN_DEPTH
-    safe = np.where(front, depths, 1.0)
-    pixels = np.stack(
-        [
-            camera.fx * p[:, 0] / safe + camera.cx,
-            camera.fy * p[:, 1] / safe + camera.cy,
-        ],
-        axis=1,
-    )
+    safe = np.where(front, depths, 1.0)[..., None]
+    pixels = (camera.fx, camera.fy) * p[..., :2] / safe + (camera.cx, camera.cy)
     return pixels, depths, front
 
 
-def _in_bounds(camera: Camera, pixels: np.ndarray, margin: float = 0.0) -> np.ndarray:
-    return (
-        (pixels[:, 0] >= margin)
-        & (pixels[:, 0] < camera.width - margin)
-        & (pixels[:, 1] >= margin)
-        & (pixels[:, 1] < camera.height - margin)
-    )
+def _in_bounds(camera: Camera, pixels: np.ndarray) -> np.ndarray:
+    return ((pixels >= 0.0) & (pixels < (camera.width, camera.height))).all(axis=-1)
 
 
 # -- path library -------------------------------------------------------------
@@ -322,37 +310,28 @@ def frame_grid(n_keyframes: int, rels_per_segment: int) -> tuple[np.ndarray, np.
 
 
 def _sample_landmarks(
-    camera: Camera,
-    frames: Sequence[tuple[FrameId, Pose]],
-    count: int,
-    rng: np.random.Generator,
-    start_id: int,
-    through: Optional[Sequence[int]] = None,
-) -> list[Landmark]:
-    """Sample landmarks through frame frustums (uniform pixel and depth)."""
-    hosts = list(through) if through is not None else list(range(len(frames)))
-    out = []
-    for k in range(count):
-        host = frames[hosts[k % len(hosts)]][1]
-        pixel = (
-            rng.uniform(PIXEL_MARGIN, camera.width - PIXEL_MARGIN),
-            rng.uniform(PIXEL_MARGIN, camera.height - PIXEL_MARGIN),
-        )
-        depth = rng.uniform(*DEPTH_BAND)
-        out.append(Landmark(start_id + k, host.apply(unproject(camera, pixel, depth))))
-    return out
+    camera: Camera, frames: FrameTable, hosts: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """One world point through the frustum of each frame row of ``hosts``
+    (uniform pixel and depth, drawn as u, v, depth per point)."""
+    low = (PIXEL_MARGIN, PIXEL_MARGIN, DEPTH_BAND[0])
+    high = (camera.width - PIXEL_MARGIN, camera.height - PIXEL_MARGIN, DEPTH_BAND[1])
+    draws = rng.uniform(low, high, size=(len(hosts), 3))
+    points = unproject(camera, draws[:, :2], draws[:, 2])
+    return quat_rotate(frames.q[hosts], points) + frames.t[hosts]
 
 
 def _visibility(
-    camera: Camera,
-    frames: Sequence[tuple[FrameId, Pose]],
-    landmarks: Sequence[Landmark],
+    camera: Camera, inv_q: np.ndarray, inv_t: np.ndarray, points: np.ndarray
 ) -> np.ndarray:
-    points = np.array([lm.position for lm in landmarks])
-    table = np.zeros((len(frames), len(landmarks)), dtype=bool)
-    for k, (_, pose) in enumerate(frames):
-        pixels, _, front = project_many(camera, pose.inverse(), points)
-        table[k] = front & _in_bounds(camera, pixels)
+    """Whether each frame (row; world-to-camera poses ``inv_q``/``inv_t``)
+    sees each point (column) in front of it and inside its image."""
+    table = np.empty((len(inv_q), len(points)), dtype=bool)
+    step = max(1, PROJECTION_BLOCK // len(points))
+    for start in range(0, len(inv_q), step):
+        rows = slice(start, start + step)
+        pixels, _, front = project_many(camera, inv_q[rows, None], inv_t[rows, None], points)
+        table[rows] = front & _in_bounds(camera, pixels)
     return table
 
 
@@ -367,55 +346,41 @@ def generate_scene(spec: SceneSpec) -> Scene:
     frames = path_world_poses(spec)
     rng = np.random.default_rng(spec.seed + 1)
     camera = DEFAULT_CAMERA
-    landmarks = _sample_landmarks(camera, frames, spec.n_landmarks, rng, start_id=0)
+    inv_q, inv_t = pose_inverse(frames.q, frames.t)
+    points = _sample_landmarks(camera, frames, np.arange(spec.n_landmarks) % len(frames), rng)
+    table = _visibility(camera, inv_q, inv_t, points)
 
     for _ in range(60):
-        table = _visibility(camera, frames, landmarks)
-        shared = [
-            int(np.count_nonzero(table[k] & table[k + 1]))
-            for k in range(len(frames) - 1)
-        ]
-        if min(shared) >= MIN_SHARED_LANDMARKS:
+        shared = np.count_nonzero(table[:-1] & table[1:], axis=1)
+        if shared.min() >= MIN_SHARED_LANDMARKS:
             break
+        # Top up through the weakest adjacent pair, alternating its two frames.
         weakest = int(np.argmin(shared))
-        landmarks.extend(
-            _sample_landmarks(
-                camera, frames, MIN_SHARED_LANDMARKS, rng,
-                start_id=len(landmarks), through=[weakest, weakest + 1],
-            )
-        )
+        hosts = weakest + np.arange(MIN_SHARED_LANDMARKS) % 2
+        added = _sample_landmarks(camera, frames, hosts, rng)
+        points = np.concatenate((points, added))
+        table = np.concatenate((table, _visibility(camera, inv_q, inv_t, added)), axis=1)
     else:
-        raise GenerationError(
-            "could not reach the shared-landmark minimum; spec is infeasible"
-        )
+        raise GenerationError("could not reach the shared-landmark minimum; spec is infeasible")
 
-    if not np.all(table.any(axis=1)):
-        missing = int(np.argmin(table.any(axis=1)))
-        raise GenerationError(f"no landmark visible from frame {missing}")
+    seen = table.any(axis=1)
+    if not seen.all():
+        raise GenerationError(f"no landmark visible from frame {int(np.argmin(seen))}")
 
-    points = np.array([lm.position for lm in landmarks])
-    observations = []
-    for k, (fid, pose) in enumerate(frames):
-        pixels, depths, _ = project_many(camera, pose.inverse(), points)
-        visible = np.flatnonzero(table[k])
-        px = pixels[visible]
-        if spec.pixel_noise > 0.0:
-            px = px + rng.normal(0.0, spec.pixel_noise, size=px.shape)
-            keep = _in_bounds(camera, px)
-            visible = visible[keep]
-            px = px[keep]
-        for lm_row, pixel in zip(visible, px):
-            observations.append(
-                Observation(
-                    frame_index=fid.index,
-                    landmark_id=landmarks[lm_row].id,
-                    pixel=(float(pixel[0]), float(pixel[1])),
-                    depth=float(depths[lm_row]),
-                )
-            )
+    rows, ids = np.nonzero(table)
+    pixels, depths = np.empty((len(rows), 2)), np.empty(len(rows))
+    for start in range(0, len(rows), PROJECTION_BLOCK):
+        block = slice(start, start + PROJECTION_BLOCK)
+        f, lm = rows[block], ids[block]
+        pixels[block], depths[block], _ = project_many(camera, inv_q[f], inv_t[f], points[lm])
+    if spec.pixel_noise > 0.0:
+        pixels = pixels + rng.normal(0.0, spec.pixel_noise, size=pixels.shape)
+        keep = _in_bounds(camera, pixels)
+        rows, ids, pixels, depths = rows[keep], ids[keep], pixels[keep], depths[keep]
 
     trajectory = from_world_poses(frames, keyframe_positions(spec))
-    return Scene(camera, trajectory, tuple(landmarks), tuple(observations))
+    observations = Observations(frames.indices[rows], ids, pixels, depths)
+    return Scene(camera, trajectory, points, observations)
 
 
 # -- update models -------------------------------------------------------------
@@ -423,17 +388,13 @@ def generate_scene(spec: SceneSpec) -> Scene:
 
 def apply_similarity_update(scene: Scene, sim: SimilarityTransform) -> MapUpdate:
     """Similarity map update: keyframes and landmarks move together and all
-    feature depths scale uniformly, so pixel measurements are preserved."""
-    updates = tuple(
-        KeyframeUpdate(i, kf.world_pose, sim.apply_pose(kf.world_pose))
-        for i, kf in enumerate(scene.trajectory.keyframes)
-    )
-    points = np.array([lm.position for lm in scene.landmarks])
-    moved = sim.apply_points(points)
-    landmarks = tuple(
-        Landmark(lm.id, moved[k]) for k, lm in enumerate(scene.landmarks)
-    )
-    return MapUpdate(updates, landmarks, sim)
+    feature depths scale uniformly, so pixel measurements are preserved.
+    Each keyframe moves as ``sim.apply_pose`` moves it."""
+    kf = scene.trajectory.kf
+    rotation = np.broadcast_to(sim.rotation.quat, kf.q.shape)
+    new_t = sim.scale * quat_rotate(rotation, kf.t) + sim.translation
+    updates = KeyframeUpdates(kf.q, kf.t, quat_mul(rotation, kf.q), new_t)
+    return MapUpdate(updates, sim.apply_points(scene.landmarks))
 
 
 def perturb_keyframes_update(
@@ -443,15 +404,12 @@ def perturb_keyframes_update(
     rng: np.random.Generator,
 ) -> MapUpdate:
     """Independent SE(3) perturbation of every keyframe pose (landmarks
-    kept) - the non-exact update regime."""
-    updates = []
-    for i, kf in enumerate(scene.trajectory.keyframes):
-        wobble = Pose(
-            so3_exp(rng.normal(0.0, rot_sigma, size=3)),
-            rng.normal(0.0, trans_sigma, size=3),
-        )
-        updates.append(KeyframeUpdate(i, kf.world_pose, wobble * kf.world_pose))
-    return MapUpdate(tuple(updates), scene.landmarks, None)
+    kept) - the non-exact update regime.  Each keyframe draws its so(3)
+    and then its translation noise, in keyframe order."""
+    kf = scene.trajectory.kf
+    wobble = rng.normal(0.0, (rot_sigma,) * 3 + (trans_sigma,) * 3, size=(len(kf), 6))
+    new_q, new_t = pose_mul(so3_exp_rows(wobble[:, :3]), wobble[:, 3:], kf.q, kf.t)
+    return MapUpdate(KeyframeUpdates(kf.q, kf.t, new_q, new_t), scene.landmarks)
 
 
 # -- reprojection --------------------------------------------------------------
@@ -465,40 +423,28 @@ class ReprojectionResult:
 
 
 def reprojection_rms(
-    scene: Scene,
-    candidate_poses: Sequence[tuple[FrameId, Pose]],
-    landmarks: Sequence[Landmark],
+    scene: Scene, candidates: FrameTable, landmarks: np.ndarray
 ) -> ReprojectionResult:
     """RMS pixel distance between the stored observations and reprojections
-    of ``landmarks`` through the candidate world poses.  Behind-camera
+    of ``landmarks`` (row = landmark id) through the candidate world poses,
+    the rows of ``candidates`` matched by frame index.  Behind-camera
     observations are excluded and counted."""
-    pose_by_index = {fid.index: pose for fid, pose in candidate_poses}
-    position_by_id = {lm.id: lm.position for lm in landmarks}
-
-    frame_indices = sorted({obs.frame_index for obs in scene.observations})
-    missing = [k for k in frame_indices if k not in pose_by_index]
-    if missing:
+    obs = scene.observations
+    found = np.isin(obs.frame_indices, candidates.indices)
+    if not found.all():
+        missing = sorted(set(obs.frame_indices[~found].tolist()))
         raise ValueError(f"candidate poses missing for frames {missing[:5]}")
 
-    by_frame: dict[int, list[Observation]] = {k: [] for k in frame_indices}
-    for obs in scene.observations:
-        by_frame[obs.frame_index].append(obs)
-
-    sq_sum = 0.0
-    n_used = 0
-    n_behind = 0
-    for k in frame_indices:
-        group = by_frame[k]
-        points = np.array([position_by_id[obs.landmark_id] for obs in group])
-        measured = np.array([obs.pixel for obs in group])
-        pixels, _, front = project_many(scene.camera, pose_by_index[k].inverse(), points)
-        n_behind += int(np.count_nonzero(~front))
-        if np.any(front):
-            d = pixels[front] - measured[front]
-            sq_sum += float(np.sum(d * d))
-            n_used += int(np.count_nonzero(front))
-    rms = math.sqrt(sq_sum / n_used) if n_used else math.inf
-    return ReprojectionResult(rms, n_used, n_behind)
+    order = np.argsort(candidates.indices, kind="stable")
+    rows = order[np.searchsorted(candidates.indices[order], obs.frame_indices)]
+    inv_q, inv_t = pose_inverse(candidates.q, candidates.t)
+    pixels, _, front = project_many(
+        scene.camera, inv_q[rows], inv_t[rows], landmarks[obs.landmark_ids]
+    )
+    d = pixels[front] - obs.pixels[front]
+    n_used = int(np.count_nonzero(front))
+    rms = math.sqrt(float(np.sum(d * d)) / n_used) if n_used else math.inf
+    return ReprojectionResult(rms, n_used, len(front) - n_used)
 
 
 # -- serialization ---------------------------------------------------------------
@@ -509,8 +455,6 @@ def save_scene(scene: Scene, path) -> None:
     frames = scene.gt_world_poses()
     kf_rows = np.flatnonzero(np.isin(frames.indices, scene.trajectory.kf.indices))
     cam = scene.camera
-    ids = np.array([lm.id for lm in scene.landmarks], dtype=np.int64)
-    points = np.array([lm.position for lm in scene.landmarks], dtype=float).reshape(-1, 3)
     obs = scene.observations
     sections = [
         (b"# posecorrect scene v1\n[camera]\n", [
@@ -518,11 +462,9 @@ def save_scene(scene: Scene, path) -> None:
             np.array([cam.width]), np.array([cam.height])]),
         (b"[poses]\n", trajio.tum_columns(frames)),
         (b"[keyframes]\n", [kf_rows]),
-        (b"[landmarks]\n", [ids, *points.T]),
+        (b"[landmarks]\n", [np.arange(len(scene.landmarks)), *scene.landmarks.T]),
         (b"[observations]\n", [
-            np.array([o.frame_index for o in obs], dtype=np.int64),
-            np.array([o.landmark_id for o in obs], dtype=np.int64),
-            *np.array([(*o.pixel, o.depth) for o in obs], dtype=float).reshape(-1, 3).T]),
+            obs.frame_indices, obs.landmark_ids, *obs.pixels.T, obs.depths]),
     ]
     with open(path, "wb") as fh:
         for header, columns in sections:

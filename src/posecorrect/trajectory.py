@@ -31,8 +31,8 @@ views for callers that build or read one pose at a time: iterating or
 indexing a :class:`FrameTable` yields ``(FrameId, Pose)`` pairs,
 :meth:`FrameTable.of` builds a table from them, ``traj.keyframes`` yields
 :class:`Keyframe` objects, and :meth:`KeyframeUpdates.of` and its rows
-convert :class:`KeyframeUpdate` objects.  They stay because the
-benchmark harness and ``synth``'s update models build their inputs with
+convert :class:`KeyframeUpdate` objects.  They stay because perfbench and
+the call ladder of ``scripts/bench_record.py`` build their inputs with
 them.  A table has no ``==``; compare its arrays.  The correction path
 reads only the arrays.
 """

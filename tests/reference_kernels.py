@@ -20,8 +20,10 @@ The synthetic generators have their per-frame forms here too: the
 ``pose_at`` paths of :data:`SCALAR_PATHS` and the frame-at-a-time
 :func:`path_world_poses_scalar`, :func:`noisy_fixture_scalar` and
 :func:`displaced_estimate_scalar`, which build one ``Pose`` per frame and
-return ``(FrameId, Pose)`` pairs.  The array generators of ``synth`` and
-``fixtures`` are compared against them bit for bit, draws included.
+return ``(FrameId, Pose)`` pairs, and :func:`project`, the one-point
+pinhole projection that a scene's observation table is checked against.
+The array generators of ``synth`` and ``fixtures`` are compared against
+them bit for bit, draws included (:func:`with_generator_states`).
 
 So are ``liegeom``'s array forms, against the scalar formulas of the next
 section (:func:`so3_log_scalar` and the rest), which call no array form:
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -54,6 +56,8 @@ from posecorrect.liegeom import _GIMBAL_COS, _SMALL_ANGLE, _SMALL_V_ANGLE
 from posecorrect.liegeom import Pose, Rotation, euler_zyx_to, slerp, so3_exp
 from posecorrect.synth import (
     KEYFRAME_DT,
+    MIN_DEPTH,
+    Camera,
     GenerationError,
     SceneSpec,
     SimilarityTransform,
@@ -645,6 +649,35 @@ def path_world_poses_scalar(spec: SceneSpec) -> list[tuple[FrameId, Pose]]:
     pose_at = SCALAR_PATHS[spec.shape](spec, rng)
     stamps, _ = frame_grid_scalar(spec.n_keyframes, spec.rels_per_segment)
     return [(FrameId(t, i), pose_at(t)) for i, t in enumerate(stamps)]
+
+
+def with_generator_states(monkeypatch, call):
+    """``call()``'s result and the final ``bit_generator.state`` of each
+    generator that ``np.random.default_rng`` made during it."""
+    made, default_rng = [], np.random.default_rng
+
+    def recording(*args, **kwargs):
+        made.append(default_rng(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", recording)
+    try:
+        result = call()
+    finally:
+        monkeypatch.setattr(np.random, "default_rng", default_rng)
+    return result, [g.bit_generator.state for g in made]
+
+
+def project(camera: Camera, world_to_cam: Pose, point) -> Optional[tuple[np.ndarray, float]]:
+    """Pinhole projection of one world point; None when behind the camera.
+    The point is applied as a one-row stack, the ``Rotation.apply`` form
+    that scenes are projected with."""
+    p = world_to_cam.apply(np.asarray(point, dtype=float).reshape(1, 3))[0]
+    depth = float(p[2])
+    if depth <= MIN_DEPTH:
+        return None
+    pixel = np.array([camera.fx * p[0] / depth + camera.cx, camera.fy * p[1] / depth + camera.cy])
+    return pixel, depth
 
 
 def _smooth_field(rng: np.random.Generator, amplitude: float, t_total: float):

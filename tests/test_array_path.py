@@ -3,7 +3,7 @@ readers and writers against their one-line forms, random TUM text, whole
 ``correct`` and ``evaluate`` runs at the benchmark's sizes against a
 ``Pose``-by-``Pose`` recomputation, the synthetic generators against their
 per-frame forms, and a count of the ``Pose`` objects a CLI run and the
-generators build."""
+generators and the scene build."""
 
 import bisect
 import csv
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posecorrect import fixtures
+from posecorrect import fixtures, synth
 from posecorrect import io as trajio
 from posecorrect.cli import main
 from posecorrect.evaluate import METHODS, MethodConfig
@@ -44,6 +44,7 @@ from reference_kernels import (
     rotation_from_matrix_scalar,
     rotation_matrix_scalar,
     segment_rels,
+    with_generator_states,
 )
 
 
@@ -504,23 +505,6 @@ def assert_same_bits_as_pairs(table, pairs):
         assert got.tobytes() == expected.tobytes()
 
 
-def with_generator_states(monkeypatch, call):
-    """``call()``'s result and the final ``bit_generator.state`` of each
-    generator that ``np.random.default_rng`` made during it."""
-    made, default_rng = [], np.random.default_rng
-
-    def recording(*args, **kwargs):
-        made.append(default_rng(*args, **kwargs))
-        return made[-1]
-
-    monkeypatch.setattr(np.random, "default_rng", recording)
-    try:
-        result = call()
-    finally:
-        monkeypatch.setattr(np.random, "default_rng", default_rng)
-    return result, [g.bit_generator.state for g in made]
-
-
 @pytest.mark.parametrize("seed", range(5))
 @pytest.mark.parametrize("shape", sorted(PATHS))
 def test_path_equals_its_per_frame_form(monkeypatch, shape, seed):
@@ -575,11 +559,15 @@ def test_generators_build_no_pose_per_frame(monkeypatch, pose_counter):
         pose_counter["n"] += 1
         rotation_init(self, *args, **kwargs)
 
+    sim = synth.SimilarityTransform.random(np.random.default_rng(1), scale=1.5)
     monkeypatch.setattr(Rotation, "__init__", counted_init)
-    spec = SceneSpec(shape="mav", n_keyframes=50, rels_per_segment=9, seed=1)
+    spec = SceneSpec(shape="mav", n_keyframes=50, rels_per_segment=9, seed=1, pixel_noise=0.5)
     gt = path_world_poses(spec)
     fixtures.displaced_estimate(gt, keyframe_positions(spec), seed=1)
     fixtures.noisy_fixture(1)
+    scene = synth.generate_scene(spec)
+    synth.perturb_keyframes_update(scene, 0.01, 0.01, np.random.default_rng(1))
+    synth.reprojection_rms(scene, gt, synth.apply_similarity_update(scene, sim).landmarks)
     assert pose_counter["n"] == 0
     # The counter sees the per-frame forms.
     path_world_poses_scalar(spec)
