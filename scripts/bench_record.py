@@ -71,9 +71,9 @@ Four parts, each run on both checkouts with the same inputs:
   300 and 1,000 keyframes), one fresh subprocess per size and side, each
   timing one call after a probe median as above: its wall time, the time
   at the probe's reference speed, and the process's peak RSS
-  (``ru_maxrss``, the import included).  Generating the scene is most of
-  the command; the sizes stop at 9,991 frames because the parent's
-  per-object generator grows faster than the frame count.
+  (``ru_maxrss``, the import included).  The sizes stop at 9,991 frames
+  because the per-object generator of earlier checkouts grows faster than
+  the frame count.
 
 Every timed call of the size, writer and reader ladders writes into an
 output directory removed before the call's probe, outside the timed

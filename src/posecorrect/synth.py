@@ -156,7 +156,7 @@ class SceneSpec:
                 raise GenerationError(f"{name} must be >= {low} and < {high}, got {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Observations:
     """Observations as rows, ordered by frame, then landmark: the index of
     the observing frame ``frame_indices`` (M,), ``landmark_ids`` (M,),

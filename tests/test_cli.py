@@ -749,10 +749,10 @@ class TestInputValidation:
          ("--n-keyframes", "9" * 400, "n_keyframes"),
          ("--rels-per-segment", "9" * 400, "rels_per_segment"),
          ("--n-landmarks", "9" * 400, "n_landmarks"),
-         # In range, but numpy refuses the arrays before allocating them.
-         ("--n-keyframes", "1" + "0" * 13, "--n-keyframes"),
-         ("--rels-per-segment", "1" + "0" * 13, "--rels-per-segment"),
-         ("--n-landmarks", "1" + "0" * 13, "--n-landmarks"),
+         # In range, but petabytes of array: numpy refuses them before allocating.
+         ("--n-keyframes", "1" + "0" * 15, "--n-keyframes"),
+         ("--rels-per-segment", "1" + "0" * 15, "--rels-per-segment"),
+         ("--n-landmarks", "1" + "0" * 15, "--n-landmarks"),
          # Finite, but the estimate's rotation offsets overflow to an infinite angle.
          ("--drift", "1e160", "--drift")],
     )
