@@ -4,81 +4,81 @@
     python3 scripts/bench_record.py --parent ../parent --change . \\
         --label array_trajectory
 
-Four parts, each run on both checkouts with the same inputs:
+Two parts, each run on both checkouts with the same inputs:
 
-* **Benchmark pairs.**  ``perfbench/run.py`` of each checkout, unmodified
-  and at its own default run length, on every workload for ten seeds from
-  900 upwards, away from the small seeds a change is developed on, one
-  parent and one change run per seed, alternating which side runs first.
-  Each metric is summarized by its median and quartiles per side and by
-  the number of pairs the change won.
-* **Size ladder.**  ``posecorrect correct --methods proposed``,
-  ``posecorrect evaluate --methods proposed`` and ``posecorrect evaluate
-  --methods all`` in process on seeded ``mav`` trajectories of 991, 9,991
-  and 99,991 frames (9 relative frames per segment), as microseconds per
-  frame, median and quartiles of 15, 9 and 5 timed calls after one
-  warm-up call.  The estimate is ``fixtures.displaced_estimate`` of the
-  path; ``correct`` moves its keyframes onto the path.  Before each timed
-  call the process times ``probe()`` of ``perfbench/speed.py`` 15 times,
-  and each call is reported both as wall time and at the probe's
-  reference speed: wall time times ``REFERENCE_PROBE_S`` over the median
-  probe time.  The wall figures move with the load of a shared machine;
-  the second divide out the slowdown the probe saw just before the call.
-* **Call ladder.**  ``evaluate.correct_trajectory`` (proposed) called in
-  process on seeded ``mav`` paths of 11, 91 and 991 frames (2, 10 and 100
-  keyframes) whose keyframes move from ``fixtures.displaced_estimate``
-  onto the path, with the updates passed as a list of ``KeyframeUpdate``,
-  as a SLAM back-end would: milliseconds per call, median and quartiles
-  of 15 timed batches of calls, each batch after a probe median as above.
-  It measures the fixed cost of one call, which the CLI ladder hides
-  under parsing and writing.  The batches call one trajectory again and
-  again with the same updates, as a back-end that moves the same window
-  does (``repeated``, the gated figure); beside each batch, as many
-  freshly built copies of the trajectory are called once each
-  (``first_call``), which pays for what a trajectory keeps between calls.
-  The 11-frame entry states ROADMAP item 3's fixed-cost target: a call
-  at least 2x below 1.36 ms at the probe's reference speed.  One more
-  call per size runs under a tracer
-  that counts the numpy calls made from ``posecorrect`` code: numpy
-  functions and array methods (``np.fromiter`` and ``tolist`` among
-  them, once per ``math`` function mapped over rows; the ``math`` calls
-  themselves are not numpy calls), ufuncs called by name
-  (``np.add(...)``), and array operator instructions (binary, comparison
-  and unary operators executed in ``posecorrect`` frames; this also
-  counts the few operators on Python scalars there).
-* **Writer and reader ladders.**  ``io.write_tum`` and ``io.read_tum``
-  called in process on the size ladder's estimates (991, 9,991 and 99,991
-  lines), as milliseconds per call at the probe's reference speed beside
-  wall time, median and quartiles of 15, 9 and 5 timed calls after one
-  warm-up call, each after a probe median as above.  They measure the
-  text formatting that the CLI ladder's ``correct`` pays once per run and
-  the parsing it pays three times.  The same for
-  ``evaluate.write_frame_errors_csv`` on seven files, one per method, of
-  the errors that one ``evaluate.SnapProtocol`` of the estimate and its
-  path returns per method: the writer, and the input, that the CLI
-  ladder's ``evaluate-all`` pays once per run.  They cover the relative
-  frames only (891, 8,991 and 89,991 rows; ``lines`` still counts every
-  frame), where records before this one scored every frame.  The same
-  again for
-  ``evaluate.write_diagnostics_csv`` on the segment table of the proposed
-  correction of each estimate (100, 1,000 and 10,000 rows), which the CLI
-  ladder's ``correct`` writes once per run.
-* **Synth ladder.**  ``synth.path_world_poses`` of each ladder path and
-  ``fixtures.displaced_estimate`` of it (991, 9,991 and 99,991 frames),
-  timed the same way: the input build that perfbench's ``setup_s`` pays.
-* **Simulate ladder.**  ``posecorrect simulate --shape mav
-  --rels-per-segment 9`` in process at 991, 2,991 and 9,991 frames (100,
-  300 and 1,000 keyframes), one fresh subprocess per size and side, each
-  timing one call after a probe median as above: its wall time, the time
-  at the probe's reference speed, and the process's peak RSS
-  (``ru_maxrss``, the import included).  The sizes stop at 9,991 frames
-  because the per-object generator of earlier checkouts grows faster than
-  the frame count.
+* **Benchmark pairs** (``workloads``).  ``perfbench/run.py`` of each
+  checkout, unmodified and at its own default run length, on every
+  workload for ten seeds from 900 upwards, away from the small seeds a
+  change is developed on, one parent and one change run per seed,
+  alternating which side runs first.  Each metric is summarized by its
+  median and quartiles per side and by the number of pairs the change won.
+* **Ladders** (``ladders``).  One named case, timed in process at a ladder
+  of sizes, one fresh subprocess per case, size and side, alternating
+  which side runs first from one size to the next.  The subprocess builds
+  the case on a seeded ``mav`` path of ``10 * keyframes - 9`` frames (9
+  relative frames per segment), calls it once as a warm-up (``simulate``
+  excepted: it is timed cold, once per process), then times
+  ``repetitions`` batches of ``calls_per_batch`` calls.  Before each batch
+  it removes and recreates its output directory, builds what the batch
+  calls, and times ``probe()`` of ``perfbench/speed.py`` 15 times, all
+  outside the timed region: a file that is truncated and rewritten right
+  after its last write pays the disk's flush, which would then be timed
+  instead of the code.  At exit it reads its peak RSS (``ru_maxrss``,
+  the import of the package included).
 
-Every timed call of the size, writer and reader ladders writes into an
-output directory removed before the call's probe, outside the timed
-region: a file that is truncated and rewritten right after its last write
-pays the disk's flush, which would then be timed instead of the code.
+  Every entry, keyed by its frame count, holds ``frames``, ``keyframes``,
+  ``repetitions``, ``calls_per_batch`` and the side ``order``; per side
+  the median and quartiles of the time per call, as ``wall`` and
+  ``at_reference_speed`` (wall time times ``REFERENCE_PROBE_S`` over the
+  batch's probe median: the wall figures move with the load of a shared
+  machine, the second divide out the slowdown the probe saw just before
+  the batch), in ms per call, the raw batch times ``runs_s`` (seconds per
+  call), the ``probe_median_s`` and ``peak_rss_mb``; and the change over
+  parent ratio of the two medians and of the peak RSS.
+
+  The cases, on 100, 1,000 and 10,000 keyframes (991, 9,991 and 99,991
+  frames) with 15, 9 and 5 batches of one call unless said otherwise:
+
+  - ``correct``, ``evaluate`` and ``evaluate-all``: ``posecorrect correct
+    --methods proposed``, ``posecorrect evaluate --methods proposed`` and
+    ``posecorrect evaluate --methods all``.  The estimate is
+    ``fixtures.displaced_estimate`` of the path; ``correct`` moves its
+    keyframes onto the path.  The input files are written once, by the
+    change checkout.
+  - ``write_tum`` and ``read_tum`` of the estimate: the text that
+    ``correct`` formats once per run and parses three times.
+  - ``write_frame_errors_csv`` of the seven files, one per method, of the
+    errors that one ``evaluate.SnapProtocol`` of the estimate and its path
+    returns (the relative frames only), as ``evaluate-all`` writes them.
+  - ``write_diagnostics_csv`` of the segment table of the proposed
+    correction of the estimate, which ``correct`` writes once per run.
+  - ``synth``: ``synth.path_world_poses`` and ``fixtures.displaced_estimate``
+    of the path, the input build that perfbench's ``setup_s`` pays.
+  - ``simulate``: ``posecorrect simulate --shape mav --rels-per-segment 9``
+    on 100, 300 and 1,000 keyframes, one cold call per process.  The sizes
+    stop at 9,991 frames because the per-object generator of earlier
+    checkouts grows faster than the frame count.
+  - ``repeated`` and ``first_call``: ``evaluate.correct_trajectory``
+    (proposed) on 2, 10 and 100 keyframes (11, 91 and 991 frames), whose
+    keyframes move from ``fixtures.displaced_estimate`` onto the path,
+    with the updates passed as a list of ``KeyframeUpdate``, as a SLAM
+    back-end would; 15 batches of 40, 40 and 10 calls.  It measures the
+    fixed cost of one call, which the CLI cases hide under parsing and
+    writing.  ``repeated`` calls one trajectory again and again with the
+    same updates, as a back-end that moves the same window does (the gated
+    figure); ``first_call`` calls as many freshly built copies of it once
+    each, which pays for what a trajectory keeps between calls.  The
+    11-frame ``repeated`` entry states ROADMAP item 3's fixed-cost target
+    (``fixed_cost_target``): a call at least 2x below 1.36 ms at the
+    probe's reference speed.  After its batches, ``repeated`` makes one
+    more call under a tracer that counts the numpy calls made from
+    ``posecorrect`` code (``numpy_calls``): numpy functions and array
+    methods (``np.fromiter`` and ``tolist`` among them, once per ``math``
+    function mapped over rows; the ``math`` calls themselves are not numpy
+    calls), ufuncs called by name (``np.add(...)``), and array operator
+    instructions (binary, comparison and unary operators executed in
+    ``posecorrect`` frames; this also counts the few operators on Python
+    scalars there).
 
 The record states the machine, Python, numpy and both commits.  Only the
 numbers it holds are claims; the script compares nothing itself.
@@ -99,8 +99,20 @@ from pathlib import Path
 WORKLOADS = ("correct-forward", "evaluate-all", "online-window")
 SEED0 = 900
 PAIRS = 10
-LADDER_REPS = {100: 15, 1000: 9, 10000: 5}  # timed calls per keyframe count
 ROOT = Path(__file__).resolve().parent.parent
+# Size tables: keyframes -> (timed batches, calls per batch).
+LADDER = {100: (15, 1), 1000: (9, 1), 10000: (5, 1)}
+SIMULATE = {100: (1, 1), 300: (1, 1), 1000: (1, 1)}
+CALLS = {2: (15, 40), 10: (15, 40), 100: (15, 10)}
+CASES = {
+    **dict.fromkeys(("correct", "evaluate", "evaluate-all", "write_tum", "read_tum",
+                     "write_frame_errors_csv", "write_diagnostics_csv", "synth"), LADDER),
+    "simulate": SIMULATE,
+    "repeated": CALLS,
+    "first_call": CALLS,
+}
+FIXED_COST_MS = 1.36  # an 11-frame call at the re-anchor of ROADMAP item 3
+FIXED_COST_TARGET = 2.0  # the fold below it that the item asks for
 
 LADDER_INPUTS = """
 import sys
@@ -124,18 +136,31 @@ for n_keyframes in map(int, sys.argv[2:]):
     (d / "kf_index.txt").write_text("".join(f"{i}\\n" for i in gt.indices[positions].tolist()))
 """
 
-# Prefix of the timing scripts; each takes the perfbench directory last.
-PROBE = """
-import shutil, statistics, sys, time
-sys.path.insert(0, sys.argv[-1])
+# One case at one size: argv is the case, keyframes, batches, calls per
+# batch, the input directory of that size, the output directory and the
+# perfbench directory.  Prints one JSON result.
+CASE_TIMING = """
+import dis, json, resource, shutil, statistics, sys, time
+from functools import partial
+from pathlib import Path
+
+case, n_keyframes, reps, calls = sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), int(sys.argv[4])
+d, out = Path(sys.argv[5]), Path(sys.argv[6])
+sys.path.insert(0, sys.argv[7])
+import numpy as np
 from speed import REFERENCE_PROBE_S, probe
+import posecorrect
+from posecorrect import evaluate, fixtures
+from posecorrect import io as trajio
+from posecorrect.cli import main
+from posecorrect.synth import SceneSpec, keyframe_positions, path_world_poses
+from posecorrect.trajectory import KeyframeUpdate, Trajectory, from_world_poses, snap_to_gt
 
-PROBES = 15  # probe calls timed before each timed command
-
-
-def clear(out):
-    # Untimed, before each timed call, so that none rewrites a file the last one wrote.
-    shutil.rmtree(out, ignore_errors=True)
+PROBES = 15  # probe calls timed before each timed batch
+PACKAGE = posecorrect.__path__[0]
+OPERATORS = {dis.opmap[name] for name in (
+    "BINARY_OP", "COMPARE_OP", "UNARY_NEGATIVE", "UNARY_INVERT", "UNARY_POSITIVE"
+)}
 
 
 def probe_median():
@@ -145,73 +170,6 @@ def probe_median():
         probe()
         times.append(time.perf_counter() - start)
     return statistics.median(times)
-"""
-
-LADDER_TIMING = PROBE + """
-import json
-from pathlib import Path
-from posecorrect.cli import main
-
-d, reps, out = Path(sys.argv[1]), int(sys.argv[2]), sys.argv[3]
-
-common = ["--traj", str(d / "est.tum"), "--kf-index", str(d / "kf_index.txt"), "--out", out]
-commands = {
-    "correct": ["correct", *common, "--methods", "proposed", "--kf-old", str(d / "kf_old.tum"),
-                "--kf-new", str(d / "kf_new.tum")],
-    "evaluate": ["evaluate", *common, "--methods", "proposed", "--gt", str(d / "gt.tum")],
-    "evaluate-all": ["evaluate", *common, "--methods", "all", "--gt", str(d / "gt.tum")],
-}
-runs = {}
-for name, argv in commands.items():
-    assert main(argv) == 0
-    runs[name] = {"wall_s": [], "probe_s": []}
-    for _ in range(reps):
-        clear(out)
-        runs[name]["probe_s"].append(probe_median())
-        start = time.perf_counter()
-        assert main(argv) == 0
-        runs[name]["wall_s"].append(time.perf_counter() - start)
-print(json.dumps({"reference_probe_s": REFERENCE_PROBE_S, "runs": runs}))
-"""
-
-
-SIMULATE_KEYFRAMES = (100, 300, 1000)
-
-SIMULATE_TIMING = PROBE + """
-import json, resource
-from posecorrect.cli import main
-
-n_keyframes, out = sys.argv[1], sys.argv[2]
-probe_s = probe_median()
-start = time.perf_counter()
-assert main(["simulate", "--shape", "mav", "--n-keyframes", n_keyframes,
-             "--rels-per-segment", "9", "--out", out]) == 0
-wall_s = time.perf_counter() - start
-maxrss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-print(json.dumps({"reference_probe_s": REFERENCE_PROBE_S, "wall_s": wall_s, "probe_s": probe_s,
-                  "maxrss_kb": maxrss_kb}))
-"""
-
-
-CALL_KEYFRAMES = {2: 40, 10: 40, 100: 10}  # keyframe count: calls per timed batch
-CALL_BATCHES = 15
-FIXED_COST_MS = 1.36  # an 11-frame call at the re-anchor of ROADMAP item 3
-FIXED_COST_TARGET = 2.0  # the fold below it that the item asks for
-
-CALL_TIMING = PROBE + """
-import dis, json
-import numpy as np
-import posecorrect
-from posecorrect import evaluate, fixtures
-from posecorrect.synth import SceneSpec, keyframe_positions, path_world_poses
-from posecorrect.trajectory import KeyframeUpdate, Trajectory, from_world_poses
-
-sizes, batches = json.loads(sys.argv[1]), int(sys.argv[2])
-
-PACKAGE = posecorrect.__path__[0]
-OPERATORS = {dis.opmap[name] for name in (
-    "BINARY_OP", "COMPARE_OP", "UNARY_NEGATIVE", "UNARY_INVERT", "UNARY_POSITIVE"
-)}
 
 
 class CountedUfunc:
@@ -273,110 +231,91 @@ def count_numpy_calls(call):
     return counts
 
 
-runs = {}
-for n_keyframes, calls in sizes.items():
-    spec = SceneSpec(shape="mav", n_keyframes=int(n_keyframes), rels_per_segment=9, seed=0)
+def snapped():
+    # The estimate's trajectory, its keyframes snapped onto the path.
+    gt = trajio.read_tum(d / "gt.tum")
+    traj = from_world_poses(trajio.read_tum(d / "est.tum"),
+                            [int(i) for i in (d / "kf_index.txt").read_text().split()])
+    return traj, gt
+
+
+spec = SceneSpec(shape="mav", n_keyframes=n_keyframes, rels_per_segment=9, seed=0)
+common = ["--traj", str(d / "est.tum"), "--kf-index", str(d / "kf_index.txt"), "--out", str(out)]
+commands = {
+    "correct": ["correct", *common, "--methods", "proposed", "--kf-old", str(d / "kf_old.tum"),
+                "--kf-new", str(d / "kf_new.tum")],
+    "evaluate": ["evaluate", *common, "--methods", "proposed", "--gt", str(d / "gt.tum")],
+    "evaluate-all": ["evaluate", *common, "--methods", "all", "--gt", str(d / "gt.tum")],
+    "simulate": ["simulate", "--shape", "mav", "--n-keyframes", str(n_keyframes),
+                 "--rels-per-segment", "9", "--out", str(out)],
+}
+out.mkdir(parents=True, exist_ok=True)
+batch = None  # what one batch calls, built before it; `calls` times `call` by default
+if case in commands:
+    def call():
+        assert main(commands[case]) == 0
+elif case in ("repeated", "first_call"):
     gt = path_world_poses(spec)
     positions = keyframe_positions(spec)
     traj = from_world_poses(fixtures.displaced_estimate(gt, positions, seed=0), positions)
     updates = [KeyframeUpdate(i, kf.world_pose, gt[p][1])
                for i, (kf, p) in enumerate(zip(traj.keyframes, positions))]
     cfg = evaluate.MethodConfig("proposed")
-    call = lambda: evaluate.correct_trajectory(traj, updates, cfg)
-    call()
-    entry = {"frames": len(gt), "calls_per_batch": calls, "wall_s": [], "probe_s": [],
-             "first_wall_s": [], "first_probe_s": []}
-    for _ in range(batches):
-        entry["probe_s"].append(probe_median())
-        start = time.perf_counter()
-        for _ in range(calls):
-            call()
-        entry["wall_s"].append((time.perf_counter() - start) / calls)
-        copies = [Trajectory(traj.kf, traj.rel, traj.parents) for _ in range(calls)]
-        entry["first_probe_s"].append(probe_median())
-        start = time.perf_counter()
-        for copy in copies:
-            evaluate.correct_trajectory(copy, updates, cfg)
-        entry["first_wall_s"].append((time.perf_counter() - start) / calls)
-        del copies
-    entry["numpy_calls"] = count_numpy_calls(call)
-    runs[n_keyframes] = entry
-print(json.dumps({"reference_probe_s": REFERENCE_PROBE_S, "runs": runs}))
-"""
-
-
-TEXT_TIMING = PROBE + """
-import json
-from pathlib import Path
-from posecorrect import io as trajio
-
-d, reps, out, name = Path(sys.argv[1]), int(sys.argv[2]), Path(sys.argv[3]), sys.argv[4]
-frames = trajio.read_tum(d / "est.tum")
-out.mkdir(parents=True, exist_ok=True)
-
-
-def snapped():
-    # The estimate's trajectory, its keyframes snapped onto the path.
-    from posecorrect.trajectory import from_world_poses, snap_to_gt
-
-    gt = trajio.read_tum(d / "gt.tum")
-    traj = from_world_poses(frames, [int(i) for i in (d / "kf_index.txt").read_text().split()])
-    return traj, snap_to_gt(traj, gt), gt
-
-
-def frame_errors_files():
+    call = partial(evaluate.correct_trajectory, traj, updates, cfg)
+    if case == "first_call":
+        batch = lambda: [partial(evaluate.correct_trajectory,
+                                 Trajectory(traj.kf, traj.rel, traj.parents), updates, cfg)
+                         for _ in range(calls)]
+elif case == "write_tum":
+    est = trajio.read_tum(d / "est.tum")
+    call = lambda: trajio.write_tum(out / "written.tum", est)
+elif case == "read_tum":
+    call = lambda: trajio.read_tum(d / "est.tum")
+elif case == "write_frame_errors_csv":
     # Every method's errors over the relative frames, from one protocol, as
     # evaluate --methods all hands them to its writer.
-    from posecorrect import evaluate
-
-    traj, _, gt = snapped()
-    protocol = evaluate.SnapProtocol(traj, gt)
-    return [(out / f"frame_errors_{m}.csv", protocol.run(evaluate.MethodConfig(m))[1])
-            for m in evaluate.METHODS]
-
-
-if name == "write_frame_errors_csv":
-    from posecorrect.evaluate import write_frame_errors_csv
-
-    files = frame_errors_files()
-if name == "write_diagnostics_csv":
+    protocol = evaluate.SnapProtocol(*snapped())
+    files = [(out / f"frame_errors_{m}.csv", protocol.run(evaluate.MethodConfig(m))[1])
+             for m in evaluate.METHODS]
+    call = lambda: evaluate.write_frame_errors_csv(files)
+elif case == "write_diagnostics_csv":
     # The segment table of a proposed correction, as correct writes it.
-    from posecorrect import evaluate
-
-    traj, updates, _ = snapped()
-    diagnostics = evaluate.correct_trajectory(traj, updates, evaluate.MethodConfig("proposed"))[1]
-if name == "synth":
-    # The generators that wrote this estimate, on a path of its length.
-    from posecorrect import fixtures
-    from posecorrect.synth import SceneSpec, keyframe_positions, path_world_poses
-
-    spec = SceneSpec(shape="mav", n_keyframes=(len(frames) + 9) // 10, rels_per_segment=9, seed=0)
-call = {
-    "write_tum": lambda: trajio.write_tum(out / "written.tum", frames),
-    "read_tum": lambda: trajio.read_tum(d / "est.tum"),
-    "write_frame_errors_csv": lambda: write_frame_errors_csv(files),
-    "write_diagnostics_csv": lambda: evaluate.write_diagnostics_csv(out / "diagnostics.csv",
-                                                                    diagnostics),
-    "synth": lambda: fixtures.displaced_estimate(
-        path_world_poses(spec), keyframe_positions(spec), seed=0
-    ),
-}[name]
-call()
-run = {"lines": len(frames), "wall_s": [], "probe_s": []}
+    traj, gt = snapped()
+    diagnostics = evaluate.correct_trajectory(traj, snap_to_gt(traj, gt),
+                                              evaluate.MethodConfig("proposed"))[1]
+    call = lambda: evaluate.write_diagnostics_csv(out / "diagnostics.csv", diagnostics)
+elif case == "synth":
+    call = lambda: fixtures.displaced_estimate(path_world_poses(spec), keyframe_positions(spec), seed=0)
+if case != "simulate":
+    call()  # warm-up
+run = {"reference_probe_s": REFERENCE_PROBE_S, "wall_s": [], "probe_s": []}
 for _ in range(reps):
-    clear(out)
+    shutil.rmtree(out, ignore_errors=True)
     out.mkdir(parents=True)
+    callables = batch() if batch else [call] * calls
     run["probe_s"].append(probe_median())
     start = time.perf_counter()
-    call()
-    run["wall_s"].append(time.perf_counter() - start)
-print(json.dumps({"reference_probe_s": REFERENCE_PROBE_S, "run": run}))
+    for c in callables:
+        c()
+    run["wall_s"].append((time.perf_counter() - start) / calls)
+    del callables
+run["maxrss_kb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+if case == "repeated":
+    run["numpy_calls"] = count_numpy_calls(call)
+print(json.dumps(run))
 """
 
 
 def quartiles(values) -> dict:
+    if len(values) < 2:  # statistics.quantiles needs two points
+        return dict.fromkeys(("median", "q1", "q3"), values[0])
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
+
+
+def alternate(k: int) -> tuple[str, str]:
+    """The order of the two sides at step ``k``: parent first on even steps."""
+    return ("parent", "change") if k % 2 == 0 else ("change", "parent")
 
 
 def cpu_model():
@@ -441,8 +380,7 @@ def benchmark_pairs(sides: dict, workdir: Path) -> dict:
     for workload in WORKLOADS:
         runs = {"parent": [], "change": []}
         for k, seed in enumerate(seeds):
-            order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-            for name in order:
+            for name in alternate(k):
                 runs[name].append(
                     run_perfbench(sides[name], workload, seed, workdir / name)
                 )
@@ -474,160 +412,53 @@ def benchmark_pairs(sides: dict, workdir: Path) -> dict:
     return record
 
 
-def ladder_inputs(sides: dict, workdir: Path) -> Path:
-    """The ladder's input files, written once by the change checkout."""
+def ladder_inputs(side: Path, workdir: Path, keyframes) -> Path:
+    """The input files of the CLI and text cases at each of ``keyframes``,
+    written by the checkout ``side``."""
     inputs = workdir / "ladder"
-    env = dict(os.environ, PYTHONPATH=str(sides["change"] / "src"))
-    subprocess.run([sys.executable, "-c", LADDER_INPUTS, str(inputs), *map(str, LADDER_REPS)],
+    env = dict(os.environ, PYTHONPATH=str(side / "src"))
+    subprocess.run([sys.executable, "-c", LADDER_INPUTS, str(inputs), *map(str, keyframes)],
                    env=env, check=True)
     return inputs
 
 
-def ladder(sides: dict, inputs: Path, workdir: Path) -> dict:
+def ladder(case: str, sizes: dict, sides: dict, inputs: Path, workdir: Path) -> dict:
+    """``case`` at each size of ``sizes`` (keyframes -> (batches, calls per
+    batch)), one subprocess per size and side, as record entries keyed by
+    frame count."""
     record = {}
-    for k, (n_keyframes, reps) in enumerate(LADDER_REPS.items()):
-        frames = 10 * n_keyframes - 9
-        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-        entry = {"frames": frames, "keyframes": n_keyframes, "repetitions": reps}
-        for name in order:
-            env = dict(os.environ, PYTHONPATH=str(sides[name] / "src"))
+    for k, (n_keyframes, (reps, calls)) in enumerate(sizes.items()):
+        entry = {"frames": 10 * n_keyframes - 9, "keyframes": n_keyframes, "repetitions": reps,
+                 "calls_per_batch": calls, "order": list(alternate(k))}
+        for name in entry["order"]:
             proc = subprocess.run(
-                [sys.executable, "-c", LADDER_TIMING, str(inputs / str(n_keyframes)),
-                 str(reps), str(workdir / f"ladder-out-{name}"), str(ROOT / "perfbench")],
-                env=env, capture_output=True, text=True, check=True,
+                [sys.executable, "-c", CASE_TIMING, case, str(n_keyframes), str(reps), str(calls),
+                 str(inputs / str(n_keyframes)), str(workdir / f"{case}-out-{name}"),
+                 str(ROOT / "perfbench")],
+                env=dict(os.environ, PYTHONPATH=str(sides[name] / "src")),
+                capture_output=True, text=True, check=True,
             )
-            timing = json.loads(proc.stdout.splitlines()[-1])
-            reference = timing["reference_probe_s"]
-            entry[name] = {}
-            for command, runs in timing["runs"].items():
-                wall = [1e6 * t / frames for t in runs["wall_s"]]
-                normalised = [w * reference / p for w, p in zip(wall, runs["probe_s"])]
-                entry[name][command] = {
-                    "wall": {**quartiles(wall), "unit": "us/frame"},
-                    "at_reference_speed": {**quartiles(normalised), "unit": "us/frame"},
-                    "runs_s": runs["wall_s"],
-                    "probe_median_s": runs["probe_s"],
-                }
-            print(f"ladder {frames} {name}: " + " / ".join(
-                f"{c} {v['at_reference_speed']['median']:.1f}" for c, v in entry[name].items()
-            ) + " us/frame at reference speed", file=sys.stderr)
-        record[str(frames)] = entry
-    return record
-
-
-def text_ladder(sides: dict, inputs: Path, workdir: Path, call: str) -> dict:
-    """``<call>`` (``write_tum``, ``read_tum``, ``write_frame_errors_csv``,
-    ``write_diagnostics_csv`` or ``synth``) on each ladder estimate;
-    ``lines`` counts its frames."""
-    record = {}
-    for k, (n_keyframes, reps) in enumerate(LADDER_REPS.items()):
-        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-        entry = {"repetitions": reps}
-        for name in order:
-            env = dict(os.environ, PYTHONPATH=str(sides[name] / "src"))
-            proc = subprocess.run(
-                [sys.executable, "-c", TEXT_TIMING, str(inputs / str(n_keyframes)), str(reps),
-                 str(workdir / f"{call}-out-{name}"), call, str(ROOT / "perfbench")],
-                env=env, capture_output=True, text=True, check=True,
-            )
-            timing = json.loads(proc.stdout.splitlines()[-1])
-            run, reference = timing["run"], timing["reference_probe_s"]
+            run = json.loads(proc.stdout.splitlines()[-1])
             wall = [1e3 * t for t in run["wall_s"]]
-            normalised = [w * reference / p for w, p in zip(wall, run["probe_s"])]
-            entry["lines"] = run["lines"]
+            normalised = [w * run["reference_probe_s"] / p for w, p in zip(wall, run["probe_s"])]
             entry[name] = {
                 "wall": {**quartiles(wall), "unit": "ms/call"},
                 "at_reference_speed": {**quartiles(normalised), "unit": "ms/call"},
                 "runs_s": run["wall_s"],
                 "probe_median_s": run["probe_s"],
-            }
-        entry["change_over_parent_at_reference_speed"] = (
-            entry["change"]["at_reference_speed"]["median"]
-            / entry["parent"]["at_reference_speed"]["median"]
-        )
-        print(f"{call} ladder {entry['lines']}: " + " / ".join(
-            f"{name} {entry[name]['at_reference_speed']['median']:.2f} ms" for name in order
-        ) + " at reference speed", file=sys.stderr)
-        record[str(entry["lines"])] = entry
-    return record
-
-
-def simulate_ladder(sides: dict, workdir: Path) -> dict:
-    record = {}
-    for k, n_keyframes in enumerate(SIMULATE_KEYFRAMES):
-        frames = 10 * n_keyframes - 9
-        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-        entry = {"frames": frames, "keyframes": n_keyframes, "order": list(order)}
-        for name in order:
-            env = dict(os.environ, PYTHONPATH=str(sides[name] / "src"))
-            proc = subprocess.run(
-                [sys.executable, "-c", SIMULATE_TIMING, str(n_keyframes),
-                 str(workdir / f"simulate-out-{name}-{n_keyframes}"), str(ROOT / "perfbench")],
-                env=env, capture_output=True, text=True, check=True,
-            )
-            run = json.loads(proc.stdout.splitlines()[-1])
-            entry[name] = {
-                "wall_s": run["wall_s"],
-                "at_reference_speed_s": run["wall_s"] * run["reference_probe_s"] / run["probe_s"],
-                "probe_median_s": run["probe_s"],
                 "peak_rss_mb": run["maxrss_kb"] / 1024.0,
             }
-        for key in ("wall_s", "at_reference_speed_s", "peak_rss_mb"):
-            entry[f"{key}_change_over_parent"] = entry["change"][key] / entry["parent"][key]
-        print(f"simulate ladder {frames}: " + " / ".join(
-            f"{name} {entry[name]['wall_s']:.2f} s, {entry[name]['peak_rss_mb']:.0f} MB"
-            for name in order
-        ), file=sys.stderr)
-        record[str(frames)] = entry
-    return record
-
-
-def call_ladder(sides: dict) -> dict:
-    record = {}
-    per_side = {}
-    for name in ("parent", "change"):
-        env = dict(os.environ, PYTHONPATH=str(sides[name] / "src"))
-        proc = subprocess.run(
-            [sys.executable, "-c", CALL_TIMING, json.dumps(CALL_KEYFRAMES), str(CALL_BATCHES),
-             str(ROOT / "perfbench")],
-            env=env, capture_output=True, text=True, check=True,
-        )
-        per_side[name] = json.loads(proc.stdout.splitlines()[-1])
-    for n_keyframes in map(str, CALL_KEYFRAMES):
-        entry = None
-        for name, timing in per_side.items():
-            run = timing["runs"][n_keyframes]
-            reference = timing["reference_probe_s"]
-            if entry is None:
-                entry = {"frames": run["frames"], "keyframes": int(n_keyframes),
-                         "calls_per_batch": run["calls_per_batch"], "batches": CALL_BATCHES}
-            entry[name] = {"numpy_calls": run["numpy_calls"]}
-            for kind, prefix in (("repeated", ""), ("first_call", "first_")):
-                wall = [1e3 * t for t in run[prefix + "wall_s"]]
-                normalised = [w * reference / p for w, p in zip(wall, run[prefix + "probe_s"])]
-                entry[name][kind] = {
-                    "wall": {**quartiles(wall), "unit": "ms/call"},
-                    "at_reference_speed": {**quartiles(normalised), "unit": "ms/call"},
-                    "runs_s": run[prefix + "wall_s"],
-                    "probe_median_s": run[prefix + "probe_s"],
-                }
-        for kind in ("repeated", "first_call"):
-            entry[f"{kind}_change_over_parent_at_reference_speed"] = (
-                entry["change"][kind]["at_reference_speed"]["median"]
-                / entry["parent"][kind]["at_reference_speed"]["median"]
-            )
-        if entry["frames"] == 11:
-            entry["fixed_cost_target"] = {
-                "reference_ms": FIXED_COST_MS,
-                "target_fold_below": FIXED_COST_TARGET,
-                **{f"{name}_repeated_fold_below": FIXED_COST_MS
-                   / entry[name]["repeated"]["at_reference_speed"]["median"] for name in per_side},
-            }
-        print(f"call ladder {entry['frames']}: " + " / ".join(
-            f"{name} {entry[name]['repeated']['at_reference_speed']['median']:.3f} ms repeated, "
-            f"{entry[name]['first_call']['at_reference_speed']['median']:.3f} ms first call, "
-            f"{entry[name]['numpy_calls']['total']} numpy calls" for name in per_side
-        ), file=sys.stderr)
+            if "numpy_calls" in run:
+                entry[name]["numpy_calls"] = run["numpy_calls"]
+        medians = {side: {"wall": entry[side]["wall"]["median"],
+                          "at_reference_speed": entry[side]["at_reference_speed"]["median"],
+                          "peak_rss_mb": entry[side]["peak_rss_mb"]} for side in sides}
+        entry["change_over_parent"] = {key: medians["change"][key] / medians["parent"][key]
+                                       for key in medians["change"]}
+        print(f"{case} {entry['frames']}: " + " / ".join(
+            f"{name} {medians[name]['at_reference_speed']:.3f} ms, {medians[name]['peak_rss_mb']:.0f} MB"
+            for name in entry["order"]
+        ) + " (at reference speed)", file=sys.stderr)
         record[str(entry["frames"])] = entry
     return record
 
@@ -659,17 +490,16 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench-record-") as tmp:
         workdir = Path(tmp)
         record["workloads"] = benchmark_pairs(sides, workdir)
-        inputs = ladder_inputs(sides, workdir)
-        record["ladder"] = ladder(sides, inputs, workdir)
-        record["writer_ladder"] = text_ladder(sides, inputs, workdir, "write_tum")
-        record["reader_ladder"] = text_ladder(sides, inputs, workdir, "read_tum")
-        record["frame_errors_ladder"] = text_ladder(
-            sides, inputs, workdir, "write_frame_errors_csv"
-        )
-        record["diagnostics_ladder"] = text_ladder(sides, inputs, workdir, "write_diagnostics_csv")
-        record["synth_ladder"] = text_ladder(sides, inputs, workdir, "synth")
-        record["simulate_ladder"] = simulate_ladder(sides, workdir)
-    record["call_ladder"] = call_ladder(sides)
+        inputs = ladder_inputs(sides["change"], workdir, LADDER)
+        record["ladders"] = {case: ladder(case, sizes, sides, inputs, workdir)
+                             for case, sizes in CASES.items()}
+    entry = record["ladders"]["repeated"][str(10 * min(CALLS) - 9)]
+    entry["fixed_cost_target"] = {
+        "reference_ms": FIXED_COST_MS,
+        "target_fold_below": FIXED_COST_TARGET,
+        **{f"{name}_repeated_fold_below": FIXED_COST_MS / entry[name]["at_reference_speed"]["median"]
+           for name in sides},
+    }
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {path}", file=sys.stderr)

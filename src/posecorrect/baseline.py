@@ -35,11 +35,12 @@ import numpy as np
 
 from . import liegeom
 from .correction import KeyframePairs
-from .liegeom import Rotation, mat_vec
+from .liegeom import mat_vec
 from .trajectory import SegmentBatch
 
 SINGULARITY_EPS = 1e-12
 QUAT_RENORM_TOL = 1e-6
+IDENTITY_QUAT = np.array([1.0, 0.0, 0.0, 0.0])
 
 
 class TransSpace(Enum):
@@ -97,7 +98,7 @@ def _rotation_rows(rvec: np.ndarray, rs: RotSpace) -> tuple[np.ndarray, np.ndarr
     zero = norm < SINGULARITY_EPS
     with np.errstate(divide="ignore", invalid="ignore"):
         q = liegeom.quat_normalize(rvec)
-    q[zero] = Rotation.identity().quat
+    q[zero] = IDENTITY_QUAT
     return q, zero | (np.abs(norm - 1.0) > QUAT_RENORM_TOL)
 
 

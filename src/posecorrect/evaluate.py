@@ -273,8 +273,8 @@ class SnapProtocol:
     geometry.
     """
 
-    def __init__(self, traj: Trajectory, gt, tol: float = DEFAULT_ASSOC_TOL):
-        self.traj, self.gt, self.tol = traj, FrameTable.of(gt), tol
+    def __init__(self, traj: Trajectory, gt: FrameTable, tol: float = DEFAULT_ASSOC_TOL):
+        self.traj, self.gt, self.tol = traj, gt, tol
         self.updates = updates = snap_to_gt(traj, self.gt, tol)
         batch = traj.full_segments()
         # Closing over self would make a cycle that outlives `del protocol`.

@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .liegeom import Pose, Rotation, euler_zyx_to_rows, pose_mul, quat_mul, so3_exp_rows
+from .liegeom import euler_zyx_to_rows, pose_mul, quat_mul, so3_exp_rows
 from .synth import (
     KEYFRAME_DT,
     MapUpdate,
@@ -38,7 +38,7 @@ from .synth import (
     frame_grid,
     generate_scene,
 )
-from .trajectory import FrameId, FrameTable, Trajectory, from_world_poses
+from .trajectory import FrameTable, Trajectory, from_world_poses
 
 JITTER_ROT = 0.0014   # rad per axis: so(3) jitter of a relative frame
 JITTER_TRANS = 0.002  # m per axis: translation jitter of a relative frame
@@ -47,7 +47,7 @@ JITTER_TRANS = 0.002  # m per axis: translation jitter of a relative frame
 # -- singularity-contrast fixture ----------------------------------------------
 
 
-def singular_fixture() -> tuple[Trajectory, list[tuple[FrameId, Pose]]]:
+def singular_fixture() -> tuple[Trajectory, FrameTable]:
     """Forward-dominant estimate with a 1 cm lateral keyframe update.
 
     The estimated path runs along z at 1.2 m/s with sub-millimeter lateral
@@ -82,15 +82,12 @@ def singular_fixture() -> tuple[Trajectory, list[tuple[FrameId, Pose]]]:
             7.5e-4 * (1.0 - math.cos(2.0 * math.pi * t / KEYFRAME_DT)),
         ])
 
-    est_frames = [
-        (FrameId(t, i), Pose(Rotation.identity(), est_position(t)))
-        for i, t in enumerate(stamps.tolist())
-    ]
-    gt_frames = [
-        (fid, Pose(pose.rotation, pose.translation + gt_offset(fid.stamp)))
-        for fid, pose in est_frames
-    ]
-    return from_world_poses(est_frames, kf_positions), gt_frames
+    est_t = [est_position(t) for t in stamps.tolist()]
+    gt_t = [pos + gt_offset(t) for pos, t in zip(est_t, stamps.tolist())]
+    q = np.tile([1.0, 0.0, 0.0, 0.0], (len(stamps), 1))
+    indices = np.arange(len(stamps))
+    est = FrameTable(stamps, indices, q, np.array(est_t))
+    return from_world_poses(est, kf_positions), FrameTable(stamps, indices, q, np.array(gt_t))
 
 
 # -- drifted noisy fixture -------------------------------------------------------
@@ -161,12 +158,13 @@ def noisy_fixture(seed: int) -> tuple[Trajectory, FrameTable]:
     return from_world_poses(FrameTable(t, indices, est_q, est_t), kf_positions), gt
 
 
-def displaced_estimate(frames, kf_positions, seed: int, magnitude: float = 1.0) -> FrameTable:
-    """Displace ground-truth frames (a :class:`FrameTable` or ``(FrameId,
-    Pose)`` pairs) into a plausible estimate: smooth SE(3) offset fields
-    (about a centimeter laterally at magnitude 1) plus per-frame jitter on
-    the frames that ``kf_positions`` (positions in ``frames``) leaves out."""
-    frames = FrameTable.of(frames)
+def displaced_estimate(
+    frames: FrameTable, kf_positions, seed: int, magnitude: float = 1.0
+) -> FrameTable:
+    """Displace ground-truth frames into a plausible estimate: smooth SE(3)
+    offset fields (about a centimeter laterally at magnitude 1) plus
+    per-frame jitter on the frames that ``kf_positions`` (positions in
+    ``frames``) leaves out."""
     rng = np.random.default_rng(seed + 77)
     t = frames.stamps
     t_total = t[-1] - t[0]
@@ -184,9 +182,7 @@ SIMILARITY_SHAPES = ("forward", "mav", "line")
 SIMILARITY_SCALES = (0.5, 1.0, 2.0)
 
 
-def similarity_case(
-    case: int,
-) -> tuple[Scene, MapUpdate, list[tuple[FrameId, Pose]]]:
+def similarity_case(case: int) -> tuple[Scene, MapUpdate, FrameTable]:
     """Scene, similarity map update and the transformed GT world poses.
 
     ``case`` cycles through the shape and scale libraries with its own
@@ -200,5 +196,5 @@ def similarity_case(
     scene = generate_scene(spec)
     sim = SimilarityTransform.random(np.random.default_rng(2000 + case), scale=scale)
     update = apply_similarity_update(scene, sim)
-    target = [(fid, sim.apply_pose(pose)) for fid, pose in scene.gt_world_poses()]
-    return scene, update, target
+    gt = scene.gt_world_poses()
+    return scene, update, FrameTable(gt.stamps, gt.indices, *sim.apply_rows(gt.q, gt.t))

@@ -6,8 +6,9 @@ w, x, y, z on read.  KITTI lines are the 12 row-major entries of the 3x4
 ``[R | t]`` matrix; the frame index is the line position and timestamps
 are synthesized from a fixed frame rate.
 
-The readers return one :class:`~posecorrect.trajectory.FrameTable`; the
-writers take a table or ``(FrameId, Pose)`` pairs.  Both readers first try
+The readers return one :class:`~posecorrect.trajectory.FrameTable` and
+the writers take one; :func:`write_tum` also takes ``(FrameId, Pose)``
+pairs, which perfbench writes its update files from.  Both readers first try
 ``np.loadtxt``, whose C tokenizer converts each field with the same
 correctly rounded routine as ``float``, on files that pass a strict gate:
 leading ``#`` lines, then only digits, ``.eE+-`` and whitespace, with the
@@ -258,16 +259,15 @@ def read_kitti(path, frame_rate: float = 10.0) -> FrameTable:
     return FrameTable(index / frame_rate, index, q, rows[:, 3::4])
 
 
-def write_kitti(path, poses) -> None:
-    frames = FrameTable.of(poses)
+def write_kitti(path, frames: FrameTable) -> None:
     rows = np.concatenate((quat_matrix(frames.q), frames.t[:, :, None]), axis=2)
     with open(path, "wb") as fh:
         write_columns([(fh, list(rows.reshape(-1, 12).T))], [" "] * 11 + ["\n"])
 
 
-def read_keyframe_index(path, frames) -> list[int]:
+def read_keyframe_index(path, frames: FrameTable) -> list[int]:
     """Resolve a keyframe-index file against the frames of a
-    :class:`FrameTable` (or ``(FrameId, Pose)`` pairs), as positions.
+    :class:`FrameTable`, as positions.
 
     Each line is either an integer frame index or a finite timestamp; all
     timestamps are associated in one call within the default tolerance.
@@ -276,7 +276,6 @@ def read_keyframe_index(path, frames) -> list[int]:
     and entries that resolve to a frame an earlier line already selected,
     raise with the file and line number.
     """
-    frames = FrameTable.of(frames)
     lines: list[int] = []
     ints, int_slots, stamps, stamp_slots = [], [], [], []  # values, and their entries
     bad = None  # the first line that is neither, which ends the file's valid part

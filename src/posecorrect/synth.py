@@ -126,6 +126,11 @@ class SimilarityTransform:
             self.apply_points(world_pose.translation),
         )
 
+    def apply_rows(self, q: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`apply_pose` of every pose row ``(q, t)``, on the arrays."""
+        rotation = np.broadcast_to(self.rotation.quat, q.shape)
+        return quat_mul(rotation, q), self.scale * quat_rotate(rotation, t) + self.translation
+
 
 @dataclass(frozen=True)
 class MapUpdate:
@@ -391,9 +396,7 @@ def apply_similarity_update(scene: Scene, sim: SimilarityTransform) -> MapUpdate
     feature depths scale uniformly, so pixel measurements are preserved.
     Each keyframe moves as ``sim.apply_pose`` moves it."""
     kf = scene.trajectory.kf
-    rotation = np.broadcast_to(sim.rotation.quat, kf.q.shape)
-    new_t = sim.scale * quat_rotate(rotation, kf.t) + sim.translation
-    updates = KeyframeUpdates(kf.q, kf.t, quat_mul(rotation, kf.q), new_t)
+    updates = KeyframeUpdates(kf.q, kf.t, *sim.apply_rows(kf.q, kf.t))
     return MapUpdate(updates, sim.apply_points(scene.landmarks))
 
 

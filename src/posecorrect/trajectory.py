@@ -26,15 +26,16 @@ diagnostics rows that ``evaluate`` fills in on the first correction and
 every later one copies.  None of this is checked against the
 trajectory's arrays again, so those arrays are not to be changed in place.
 
-The tables are the one representation.  A few object forms remain as
-views for callers that build or read one pose at a time: iterating or
-indexing a :class:`FrameTable` yields ``(FrameId, Pose)`` pairs,
-:meth:`FrameTable.of` builds a table from them, ``traj.keyframes`` yields
-:class:`Keyframe` objects, and :meth:`KeyframeUpdates.of` and its rows
-convert :class:`KeyframeUpdate` objects.  They stay because perfbench and
-the call ladder of ``scripts/bench_record.py`` build their inputs with
-them.  A table has no ``==``; compare its arrays.  The correction path
-reads only the arrays.
+The tables are the one representation, and every function here takes a
+:class:`FrameTable`.  A few object forms remain as views for callers that
+build or read one pose at a time: iterating or indexing a
+:class:`FrameTable` yields ``(FrameId, Pose)`` pairs, :meth:`FrameTable.of`
+builds a table from them (``io.write_tum`` accepts pairs through it),
+``traj.keyframes`` yields :class:`Keyframe` objects, and
+:meth:`KeyframeUpdates.of` and its rows convert :class:`KeyframeUpdate`
+objects.  They stay because perfbench and the call ladder of
+``scripts/bench_record.py`` build their inputs with them.  A table has no
+``==``; compare its arrays.  The correction path reads only the arrays.
 """
 from __future__ import annotations
 
@@ -257,7 +258,7 @@ class Trajectory:
         outside = ~((lo <= rel.stamps) & (rel.stamps < hi))
         k = _first(missing | outside)
         if k is not None:
-            fid = rel.ids()[k]
+            (fid,) = rel.take([k]).ids()
             i = int(parents[k])
             if missing[k]:
                 raise AssociationError(f"relative frame {fid} references missing keyframe {i}")
@@ -314,14 +315,12 @@ class Trajectory:
         return tuple(Keyframe(fid, pose) for fid, pose in self.kf)
 
 
-def from_world_poses(frames, keyframe_positions: Sequence[int]) -> Trajectory:
-    """Build a trajectory from world poses (a :class:`FrameTable` or
-    ``(FrameId, Pose)`` pairs), rebasing non-keyframes onto the keyframe
-    that opens their segment.
+def from_world_poses(frames: FrameTable, keyframe_positions: Sequence[int]) -> Trajectory:
+    """Build a trajectory from world poses, rebasing non-keyframes onto the
+    keyframe that opens their segment.
 
     ``keyframe_positions`` are indices into ``frames``.
     """
-    frames = FrameTable.of(frames)
     # A mask, not np.unique: on numpy 2.4 its first call imports numpy.ma (1.5 MB).
     positions = np.asarray(keyframe_positions, dtype=np.int64).reshape(-1)
     if len(positions) == 0:
@@ -337,7 +336,7 @@ def from_world_poses(frames, keyframe_positions: Sequence[int]) -> Trajectory:
     k = _first(parents < 0)
     if k is not None:
         raise AssociationError(
-            f"frame {rel.ids()[k]} precedes the first keyframe; cannot anchor it"
+            f"frame {rel.take([k]).ids()[0]} precedes the first keyframe; cannot anchor it"
         )
     kf_inv_q, kf_inv_t = pose_inverse(kf.q, kf.t)
     q, t = pose_mul(kf_inv_q[parents], kf_inv_t[parents], rel.q, rel.t)
@@ -403,13 +402,13 @@ def rebase(traj: Trajectory, kf_q: np.ndarray, kf_t: np.ndarray) -> Trajectory:
 
 def associate(
     stamps: Sequence[float],
-    reference,
+    reference: FrameTable,
     tol: float = DEFAULT_ASSOC_TOL,
     *,
     allow_missing: bool = False,
 ) -> np.ndarray:
-    """Position in ``reference`` (a :class:`FrameTable` or ``(FrameId,
-    Pose)`` pairs) of the nearest-timestamp match of every query stamp.
+    """Position in ``reference`` of the nearest-timestamp match of every
+    query stamp.
 
     ``reference`` need not be sorted: it is stable-sorted by stamp here and
     all queries are resolved by one ``np.searchsorted`` pass.  For a query
@@ -423,7 +422,7 @@ def associate(
     stamp, with ``query`` set to its position in ``stamps``; with
     ``allow_missing`` its position is -1 instead.
     """
-    ref_stamps = FrameTable.of(reference).stamps
+    ref_stamps = reference.stamps
     order = np.argsort(ref_stamps, kind="stable")
     sorted_stamps = ref_stamps[order]
     queries = np.asarray(stamps, dtype=float).reshape(-1)
@@ -448,11 +447,10 @@ def associate(
     return np.where(missing, -1, picks)
 
 
-def snap_to_gt(traj: Trajectory, gt, tol: float = DEFAULT_ASSOC_TOL) -> KeyframeUpdates:
+def snap_to_gt(traj: Trajectory, gt: FrameTable, tol: float = DEFAULT_ASSOC_TOL) -> KeyframeUpdates:
     """One update per keyframe: old = estimated world pose, new = the
-    associated ground-truth pose (``gt`` a :class:`FrameTable` or pairs).
-    Missing associations raise, never drop silently."""
-    gt = FrameTable.of(gt)
+    associated ground-truth pose.  Missing associations raise, never drop
+    silently."""
     rows = associate(traj.kf.stamps, gt, tol)
     return KeyframeUpdates(traj.kf.q, traj.kf.t, gt.q[rows], gt.t[rows])
 

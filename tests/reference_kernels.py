@@ -747,7 +747,7 @@ def noisy_fixture_scalar(seed: int):
         if i not in kf_set:
             est = est * _jitter(rng)
         est_frames.append((FrameId(t, i), est))
-    return from_world_poses(est_frames, kf_positions), gt_frames
+    return from_world_poses(FrameTable.of(est_frames), kf_positions), FrameTable.of(gt_frames)
 
 
 def displaced_estimate_scalar(

@@ -47,6 +47,7 @@ from posecorrect.synth import (
 )
 from posecorrect.trajectory import (
     FrameId,
+    FrameTable,
     KeyframeUpdate,
     identity_updates,
     snap_to_gt,
@@ -249,7 +250,7 @@ def test_criterion_6_so3_safety_everywhere():
     # Pure-rotation (zero-baseline) scene, updated by an extra rotation.
     rot_scene = generate_scene(SceneSpec(shape="rotonly", n_keyframes=5, seed=44))
     spin = SimilarityTransform(so3_exp((0.0, 0.3, 0.0)), np.zeros(3), 1.0)
-    rot_target = [(fid, spin.apply_pose(p)) for fid, p in rot_scene.gt_world_poses()]
+    rot_target = FrameTable.of([(fid, spin.apply_pose(p)) for fid, p in rot_scene.gt_world_poses()])
     cases.append((rot_scene.trajectory, snap_to_gt(rot_scene.trajectory, rot_target)))
     # Zero-baseline segment whose relative frames do move.
     rng = np.random.default_rng(45)

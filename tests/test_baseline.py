@@ -270,7 +270,7 @@ def degenerate_trajectory():
     for j in (5, 6, 7):
         gimbal = Pose(euler_zyx_to((0.1 * j, 0.5 * math.pi, -0.2)), rng.normal(size=3))
         frames[j] = (frames[j][0], kf * gimbal)
-    traj = from_world_poses(frames, [0, 3, 4, 7, 10])
+    traj = from_world_poses(FrameTable.of(frames), [0, 3, 4, 7, 10])
     assert np.diff(traj.offsets).tolist() == [2, 0, 2, 2, 1]
     return traj
 

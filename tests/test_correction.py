@@ -22,6 +22,7 @@ from posecorrect.synth import (
 )
 from posecorrect.trajectory import (
     FrameId,
+    FrameTable,
     KeyframeUpdate,
     KeyframeUpdates,
     Trajectory,
@@ -240,7 +241,7 @@ class TestCorrectSegment:
         sim = SimilarityTransform.random(np.random.default_rng(22), scale=2.0)
         target = [(fid, sim.apply_pose(p)) for fid, p in scene.gt_world_poses()]
         traj = scene.trajectory
-        updates = snap_to_gt(traj, target)
+        updates = snap_to_gt(traj, FrameTable.of(target))
         target_map = dict(target)
         batch = traj.full_segments()
         for k in range(len(batch.index)):
@@ -260,7 +261,7 @@ class TestCorrectSegment:
         sim = SimilarityTransform(Rotation.identity(), np.zeros(3), 2.0)
         target = [(fid, sim.apply_pose(p)) for fid, p in scene.gt_world_poses()]
         traj = scene.trajectory
-        updates = snap_to_gt(traj, target)
+        updates = snap_to_gt(traj, FrameTable.of(target))
         batch = traj.full_segments()
         out, _ = correct_segment_scalar(batch, 0, updates, scale_squared=True)
         base = updates[0].new_pose
@@ -404,7 +405,7 @@ class TestBatchedKernel:
             for j in range(10)
         ]
         frames[3] = (frames[3][0], Pose(Rotation.random(rng), frames[0][1].translation))
-        traj = from_world_poses(frames, [0, 3, 4, 7])
+        traj = from_world_poses(FrameTable.of(frames), [0, 3, 4, 7])
         assert np.diff(traj.offsets).tolist() == [2, 0, 2, 2]
         updates = perturbed_updates(traj, seed=34)
         batch = traj.full_segments()
@@ -424,7 +425,7 @@ class TestBatchedKernel:
         positions = keyframe_positions(spec)
         rot = Rotation.random(np.random.default_rng(36))
         frames[positions[2]] = (frames[positions[2]][0], Pose(rot, frames[positions[1]][1].translation))
-        traj = from_world_poses(frames, positions + [positions[3] + 1])
+        traj = from_world_poses(FrameTable.of(frames), positions + [positions[3] + 1])
         updates = perturbed_updates(traj, seed=37)
         updates[6] = KeyframeUpdate(6, updates[6].old_pose, updates[5].new_pose)
         batch, table = traj.full_segments(), KeyframeUpdates.of(updates)
@@ -467,7 +468,7 @@ class TestSharedPairs:
         rot = Rotation.random(np.random.default_rng(45))
         moved = Pose(rot, frames[positions[1]][1].translation)
         frames[positions[2]] = (frames[positions[2]][0], moved)
-        traj = from_world_poses(frames, positions)
+        traj = from_world_poses(FrameTable.of(frames), positions)
         updates = perturbed_updates(traj, seed=46)
         updates[6] = KeyframeUpdate(6, updates[6].old_pose, updates[5].new_pose)
         table = KeyframeUpdates.of(updates)

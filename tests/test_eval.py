@@ -174,7 +174,7 @@ class TestDriver:
             (FrameId(0.2 * j, j), Pose(Rotation.random(rng), rng.normal(size=3)))
             for j in range(6)
         ]
-        traj = from_world_poses(frames, [0, 3])
+        traj = from_world_poses(FrameTable.of(frames), [0, 3])
         terminal = traj.rel.take(slice(traj.offsets[-2], None))
         assert len(terminal) == 2 and traj.parents[-1] == len(traj.kf) - 1
         updates = [
@@ -255,7 +255,7 @@ class TestDriver:
             (FrameId(0.2 * j, j), Pose(Rotation.random(rng), rng.normal(size=3)))
             for j in range(9)
         ]
-        traj = from_world_poses(frames, [0, 3, 6])
+        traj = from_world_poses(FrameTable.of(frames), [0, 3, 6])
         updates = [
             KeyframeUpdate(i, kf.world_pose, Pose(Rotation.random(rng), rng.normal(size=3)))
             for i, kf in enumerate(traj.keyframes)

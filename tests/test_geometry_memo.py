@@ -21,6 +21,7 @@ from posecorrect.evaluate import METHODS, MethodConfig, correct_trajectory
 from posecorrect.liegeom import Pose, so3_exp
 from posecorrect.synth import SceneSpec, SimilarityTransform, keyframe_positions, path_world_poses
 from posecorrect.trajectory import (
+    FrameTable,
     KeyframeUpdate,
     KeyframeUpdates,
     Trajectory,
@@ -48,7 +49,7 @@ def estimate(seed: int, n_keyframes: int = 6, origin: bool = False,
     est = list(fixtures.displaced_estimate(frames, positions, seed=seed))
     if origin:
         est[0] = (est[0][0], Pose.identity())
-    return from_world_poses(est, positions[:-1] if trailing else positions)
+    return from_world_poses(FrameTable.of(est), positions[:-1] if trailing else positions)
 
 
 def fresh(traj: Trajectory) -> Trajectory:

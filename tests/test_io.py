@@ -142,7 +142,7 @@ class TestKitti:
     def test_kitti_to_tum_and_back(self, tmp_path):
         poses = random_poses(1, n=200)
         kitti_path = tmp_path / "a.kitti"
-        write_kitti(kitti_path, poses)
+        write_kitti(kitti_path, FrameTable.of(poses))
         via_kitti = read_kitti(kitti_path, frame_rate=20.0)
         tum_path = tmp_path / "b.tum"
         write_tum(tum_path, via_kitti)
@@ -241,33 +241,33 @@ class TestWriterPins:
 
 class TestKeyframeIndex:
     def test_integer_indices(self, tmp_path):
-        frames = random_poses(2, n=10)
+        frames = FrameTable.of(random_poses(2, n=10))
         path = tmp_path / "kf.txt"
         path.write_text("# keyframes\n0\n4\n9\n")
         assert read_keyframe_index(path, frames) == [0, 4, 9]
 
     def test_timestamps(self, tmp_path):
-        frames = random_poses(3, n=10)
+        frames = FrameTable.of(random_poses(3, n=10))
         path = tmp_path / "kf.txt"
         path.write_text(f"{frames[0][0].stamp}\n{frames[5][0].stamp}\n")
         assert read_keyframe_index(path, frames) == [0, 5]
 
     def test_unknown_index_rejected(self, tmp_path):
-        frames = random_poses(4, n=5)
+        frames = FrameTable.of(random_poses(4, n=5))
         path = tmp_path / "kf.txt"
         path.write_text("17\n")
         with pytest.raises(TrajectoryParseError, match="17"):
             read_keyframe_index(path, frames)
 
     def test_unmatched_timestamp_rejected(self, tmp_path):
-        frames = random_poses(5, n=5)
+        frames = FrameTable.of(random_poses(5, n=5))
         path = tmp_path / "kf.txt"
         path.write_text("99.5\n")
         with pytest.raises(TrajectoryParseError):
             read_keyframe_index(path, frames)
 
     def test_garbage_rejected_with_line(self, tmp_path):
-        frames = random_poses(6, n=5)
+        frames = FrameTable.of(random_poses(6, n=5))
         path = tmp_path / "kf.txt"
         path.write_text("0\nbanana\n")
         with pytest.raises(TrajectoryParseError) as err:
@@ -275,7 +275,7 @@ class TestKeyframeIndex:
         assert err.value.line == 2
 
     def test_unmatched_timestamp_names_its_line(self, tmp_path):
-        frames = random_poses(7, n=5)
+        frames = FrameTable.of(random_poses(7, n=5))
         path = tmp_path / "kf.txt"
         path.write_text(f"0\n{frames[2][0].stamp}\n99.5\n")
         with pytest.raises(TrajectoryParseError, match="99.5") as err:
@@ -284,7 +284,7 @@ class TestKeyframeIndex:
 
     @pytest.mark.parametrize("text", ["nan", "inf"])
     def test_non_finite_timestamp_rejected(self, tmp_path, text):
-        frames = random_poses(8, n=5)
+        frames = FrameTable.of(random_poses(8, n=5))
         path = tmp_path / "kf.txt"
         path.write_text(f"0\n{text}\n")
         with pytest.raises(TrajectoryParseError) as err:
@@ -292,7 +292,7 @@ class TestKeyframeIndex:
         assert err.value.line == 2
 
     def test_repeated_frame_rejected_with_both_lines(self, tmp_path):
-        frames = random_poses(9, n=10)
+        frames = FrameTable.of(random_poses(9, n=10))
         path = tmp_path / "kf.txt"
         # Line 4 names by timestamp the frame line 2 selected by index.
         path.write_text(f"# keyframes\n4\n0\n{frames[4][0].stamp}\n")

@@ -110,7 +110,7 @@ class TestOrder:
         # Frame 1 shares its stamp with keyframe 2 and joins the segment
         # that keyframe opens, yet comes first in frame order.
         frames = [(FrameId(s, i), Pose.identity()) for i, s in enumerate([0.0, 0.5, 0.5, 0.75])]
-        traj = from_world_poses(frames, [0, 2])
+        traj = from_world_poses(FrameTable.of(frames), [0, 2])
         assert traj.parents.tolist() == [1, 1]
         assert [fid.index for fid, _ in world_poses(traj)] == [0, 1, 2, 3]
 
@@ -155,7 +155,7 @@ class TestFromWorldPoses:
             frames.append(
                 (FrameId(i * 0.25, i), Pose(Rotation.random(rng), rng.normal(size=3)))
             )
-        traj = from_world_poses(frames, [0, 4, 8])
+        traj = from_world_poses(FrameTable.of(frames), [0, 4, 8])
         rebuilt = dict(world_poses(traj))
         for fid, pose in frames:
             got = rebuilt[fid]
@@ -172,7 +172,7 @@ class TestFromWorldPoses:
             (FrameId(s, i), Pose(Rotation.random(rng), rng.normal(size=3)))
             for i, s in enumerate(stamps)
         ]
-        traj = from_world_poses(frames, [5, 0, 2, 5, 7])
+        traj = from_world_poses(FrameTable.of(frames), [5, 0, 2, 5, 7])
         parents = traj.parents.tolist()
         assert list(zip(traj.rel.indices.tolist(), parents)) == [(1, 0), (3, 1), (4, 1), (6, 2), (8, 3)]
         world = dict(frames)
@@ -184,15 +184,15 @@ class TestFromWorldPoses:
     def test_frame_before_first_keyframe_rejected(self):
         frames = [(FrameId(0.0, 0), Pose.identity()), (FrameId(1.0, 1), Pose.identity())]
         with pytest.raises(AssociationError, match="precedes"):
-            from_world_poses(frames, [1])
+            from_world_poses(FrameTable.of(frames), [1])
 
     def test_empty_keyframe_selection_rejected(self):
         with pytest.raises(AssociationError):
-            from_world_poses([(FrameId(0.0, 0), Pose.identity())], [])
+            from_world_poses(table([0.0], [0]), [])
 
     def test_out_of_range_position_rejected(self):
         with pytest.raises(AssociationError, match="out of range"):
-            from_world_poses([(FrameId(0.0, 0), Pose.identity())], [4])
+            from_world_poses(table([0.0], [0]), [4])
 
 
 class TestRebase:
@@ -202,7 +202,7 @@ class TestRebase:
             (FrameId(i * 0.25, i), Pose(Rotation.random(rng), rng.normal(size=3)))
             for i in range(10)
         ]
-        traj = from_world_poses(frames, [0, 4, 8])  # frame 9 is terminal
+        traj = from_world_poses(FrameTable.of(frames), [0, 4, 8])  # frame 9 is terminal
         poses = [Pose(Rotation.random(rng), rng.normal(size=3)) for _ in traj.keyframes]
         q, t = pose_arrays(poses)
         rebased = rebase(traj, q, t)
@@ -225,7 +225,7 @@ class TestRebase:
             (FrameId(i * 0.25, i), Pose(Rotation.random(rng), rng.normal(size=3)))
             for i in range(12)
         ]
-        traj = from_world_poses(frames, [0, 4, 5, 9])  # an empty segment, a terminal one
+        traj = from_world_poses(FrameTable.of(frames), [0, 4, 5, 9])  # an empty segment, a terminal one
         poses = [Pose(Rotation.random(rng), rng.normal(size=3)) for _ in traj.keyframes]
         world = dict(world_poses(traj))
         rebased = dict(rebase(traj, *pose_arrays(poses)).rel)
@@ -250,11 +250,11 @@ class TestSnapToGt:
             (FrameId(i * 0.5, i), Pose(Rotation.random(rng), rng.normal(size=3)))
             for i in range(7)
         ]
-        return from_world_poses(frames, [0, 3, 6]), frames
+        return from_world_poses(FrameTable.of(frames), [0, 3, 6]), frames
 
     def test_estimate_equals_gt_gives_identity_updates(self):
         traj, frames = self._traj(np.random.default_rng(0))
-        updates = snap_to_gt(traj, frames)
+        updates = snap_to_gt(traj, FrameTable.of(frames))
         assert len(updates) == 3
         for upd in updates:
             assert rotation_angle_deg_scalar(upd.old_pose.rotation, upd.new_pose.rotation) == 0.0
@@ -264,7 +264,7 @@ class TestSnapToGt:
         traj, frames = self._traj(np.random.default_rng(1))
         g = Pose(so3_exp((0.1, -0.2, 0.3)), (1.0, 2.0, -3.0))
         gt = [(fid, g * pose) for fid, pose in frames]
-        for upd in snap_to_gt(traj, gt):
+        for upd in snap_to_gt(traj, FrameTable.of(gt)):
             expected = g * upd.old_pose
             assert rotation_angle_deg_scalar(upd.new_pose.rotation, expected.rotation) < 1e-9
             np.testing.assert_allclose(upd.new_pose.translation, expected.translation, atol=1e-9)
@@ -278,7 +278,7 @@ class TestSnapToGt:
             nudge = Pose(so3_exp(rng.normal(0, 0.01, 3)), rng.normal(0, 0.05, 3))
             nudges[fid] = nudge
             gt.append((fid, nudge * pose))
-        for i, upd in enumerate(snap_to_gt(traj, gt)):
+        for i, upd in enumerate(snap_to_gt(traj, FrameTable.of(gt))):
             fid = traj.keyframes[i].id
             recovered = upd.new_pose * upd.old_pose.inverse()
             assert rotation_angle_deg_scalar(recovered.rotation, nudges[fid].rotation) < 1e-9
@@ -290,15 +290,15 @@ class TestSnapToGt:
         traj, frames = self._traj(np.random.default_rng(3))
         gt = [(fid, pose) for fid, pose in frames if fid.stamp != 1.5]
         with pytest.raises(AssociationError, match="1.5"):
-            snap_to_gt(traj, gt)
+            snap_to_gt(traj, FrameTable.of(gt))
 
     def test_association_tolerance_window(self):
         traj, frames = self._traj(np.random.default_rng(4))
         gt = [(FrameId(fid.stamp + 0.004, fid.index), pose) for fid, pose in frames]
-        snap_to_gt(traj, gt)  # inside the 10 ms default window
+        snap_to_gt(traj, FrameTable.of(gt))  # inside the 10 ms default window
         gt_far = [(FrameId(fid.stamp + 0.02, fid.index), pose) for fid, pose in frames]
         with pytest.raises(AssociationError):
-            snap_to_gt(traj, gt_far)
+            snap_to_gt(traj, FrameTable.of(gt_far))
 
     def test_identity_updates_reconstruct_input(self):
         traj, frames = self._traj(np.random.default_rng(6))
@@ -356,33 +356,33 @@ class TestAssociate:
     def test_matches_scalar_oracle(self, case):
         queries, reference, tol = case
         want = [scalar_associate(q, reference, tol) for q in queries]
-        got = associate(queries, reference, tol, allow_missing=True)
+        got = associate(queries, FrameTable.of(reference), tol, allow_missing=True)
         assert [reference[k][0] if k >= 0 else None for k in got.tolist()] == [
             m and m[0] for m in want
         ]
         first_miss = next((k for k, m in enumerate(want) if m is None), None)
         if first_miss is None:
-            np.testing.assert_array_equal(associate(queries, reference, tol), got)
+            np.testing.assert_array_equal(associate(queries, FrameTable.of(reference), tol), got)
         else:
             with pytest.raises(AssociationError) as err:
-                associate(queries, reference, tol)
+                associate(queries, FrameTable.of(reference), tol)
             assert err.value.query == first_miss
             assert f"{queries[first_miss]:.6f}" in str(err.value)
 
     def test_tie_goes_to_the_earlier_stamp(self):
-        reference = [(FrameId(1.0, 1), Pose.identity()), (FrameId(0.0, 0), Pose.identity())]
+        reference = table([1.0, 0.0], [1, 0])
         assert associate([0.5], reference, tol=0.5).tolist() == [1]
 
     def test_duplicate_stamps_pick_last_below_and_first_at_or_above(self):
-        reference = [(FrameId(t, i), Pose.identity()) for i, t in enumerate([0.0, 0.0, 1.0, 1.0])]
+        reference = table([0.0, 0.0, 1.0, 1.0], [0, 1, 2, 3])
         assert associate([0.25, 1.0], reference, tol=0.5).tolist() == [1, 2]
 
     def test_distance_equal_to_tol_is_accepted(self):
-        reference = [(FrameId(1.0, 0), Pose.identity())]
+        reference = table([1.0], [0])
         assert associate([1.25, 0.75], reference, tol=0.25).tolist() == [0, 0]
         assert associate([1.5], reference, tol=0.25, allow_missing=True).tolist() == [-1]
 
     def test_empty_reference_misses_every_query(self):
-        assert associate([0.0, 1.0], [], allow_missing=True).tolist() == [-1, -1]
+        assert associate([0.0, 1.0], table([], []), allow_missing=True).tolist() == [-1, -1]
         with pytest.raises(AssociationError, match="0.000000"):
-            associate([0.0], [])
+            associate([0.0], table([], []))
