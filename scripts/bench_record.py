@@ -158,9 +158,11 @@ from posecorrect.trajectory import KeyframeUpdate, Trajectory, from_world_poses,
 
 PROBES = 15  # probe calls timed before each timed batch
 PACKAGE = posecorrect.__path__[0]
-OPERATORS = {dis.opmap[name] for name in (
-    "BINARY_OP", "COMPARE_OP", "UNARY_NEGATIVE", "UNARY_INVERT", "UNARY_POSITIVE"
-)}
+# Binary, comparison and unary operators (not UNARY_NOT); Python 3.10 has
+# an opcode per binary operator, 3.11 one BINARY_OP.
+OPERATORS = {code for name, code in dis.opmap.items()
+             if name.startswith(("BINARY_", "INPLACE_", "COMPARE_OP", "UNARY_"))
+             and name not in ("BINARY_SUBSCR", "BINARY_SLICE", "UNARY_NOT")}
 
 
 def probe_median():
