@@ -16,9 +16,10 @@ Two parts, each run on both checkouts with the same inputs:
   of sizes, one fresh subprocess per case, size and side, alternating
   which side runs first from one size to the next.  The subprocess builds
   the case on a seeded ``mav`` path of ``10 * keyframes - 9`` frames (9
-  relative frames per segment), calls it once as a warm-up (``simulate``
-  excepted: it is timed cold, once per process), then times
-  ``repetitions`` batches of ``calls_per_batch`` calls.  Before each batch
+  relative frames per segment), calls it once as a warm-up, then times
+  ``repetitions`` batches of ``calls_per_batch`` calls.  A cold case
+  (``simulate``) makes no warm-up and times one call per process, in
+  ``repetitions`` fresh processes per size and side.  Before each batch
   it removes and recreates its output directory, builds what the batch
   calls, and times ``probe()`` of ``perfbench/speed.py`` 15 times, all
   outside the timed region: a file that is truncated and rewritten right
@@ -27,14 +28,16 @@ Two parts, each run on both checkouts with the same inputs:
   the import of the package included).
 
   Every entry, keyed by its frame count, holds ``frames``, ``keyframes``,
-  ``repetitions``, ``calls_per_batch`` and the side ``order``; per side
+  ``repetitions``, ``calls_per_batch``, the ``processes`` per side and the
+  sides in the ``order`` their processes ran; per side
   the median and quartiles of the time per call, as ``wall`` and
   ``at_reference_speed`` (wall time times ``REFERENCE_PROBE_S`` over the
   batch's probe median: the wall figures move with the load of a shared
   machine, the second divide out the slowdown the probe saw just before
   the batch), in ms per call, the raw batch times ``runs_s`` (seconds per
-  call), the ``probe_median_s`` and ``peak_rss_mb``; and the change over
-  parent ratio of the two medians and of the peak RSS.
+  call), the ``probe_median_s`` and ``peak_rss_mb`` (the median over the
+  side's processes); and the change over parent ratio of the two medians
+  and of the peak RSS.
 
   The cases, on 100, 1,000 and 10,000 keyframes (991, 9,991 and 99,991
   frames) with 15, 9 and 5 batches of one call unless said otherwise:
@@ -55,7 +58,11 @@ Two parts, each run on both checkouts with the same inputs:
   - ``synth``: ``synth.path_world_poses`` and ``fixtures.displaced_estimate``
     of the path, the input build that perfbench's ``setup_s`` pays.
   - ``simulate``: ``posecorrect simulate --shape mav --rels-per-segment 9``
-    on 100, 300 and 1,000 keyframes, one cold call per process.  The sizes
+    on 100, 300 and 1,000 keyframes, cold: one call in each of 5 fresh
+    processes per size and side, the sides alternating from one process
+    to the next and which side starts alternating from one size to the
+    next.  A single cold call per side could not tell two checkouts of
+    the same generator apart (it once read 1.92x at 2,991 frames).  The sizes
     stop at 9,991 frames because the per-object generator of earlier
     checkouts grows faster than the frame count.
   - ``repeated`` and ``first_call``: ``evaluate.correct_trajectory``
@@ -102,7 +109,7 @@ PAIRS = 10
 ROOT = Path(__file__).resolve().parent.parent
 # Size tables: keyframes -> (timed batches, calls per batch).
 LADDER = {100: (15, 1), 1000: (9, 1), 10000: (5, 1)}
-SIMULATE = {100: (1, 1), 300: (1, 1), 1000: (1, 1)}
+SIMULATE = {100: (5, 1), 300: (5, 1), 1000: (5, 1)}  # (processes, 1): timed cold
 CALLS = {2: (15, 40), 10: (15, 40), 100: (15, 10)}
 CASES = {
     **dict.fromkeys(("correct", "evaluate", "evaluate-all", "write_tum", "read_tum",
@@ -111,6 +118,7 @@ CASES = {
     "repeated": CALLS,
     "first_call": CALLS,
 }
+COLD = {"simulate"}  # cases timed once per fresh process, with no warm-up
 FIXED_COST_MS = 1.36  # an 11-frame call at the re-anchor of ROADMAP item 3
 FIXED_COST_TARGET = 2.0  # the fold below it that the item asks for
 
@@ -288,7 +296,7 @@ elif case == "write_diagnostics_csv":
     call = lambda: evaluate.write_diagnostics_csv(out / "diagnostics.csv", diagnostics)
 elif case == "synth":
     call = lambda: fixtures.displaced_estimate(path_world_poses(spec), keyframe_positions(spec), seed=0)
-if case != "simulate":
+if case != "simulate":  # simulate is timed cold
     call()  # warm-up
 run = {"reference_probe_s": REFERENCE_PROBE_S, "wall_s": [], "probe_s": []}
 for _ in range(reps):
@@ -424,34 +432,48 @@ def ladder_inputs(side: Path, workdir: Path, keyframes) -> Path:
     return inputs
 
 
+def run_case(case: str, n_keyframes: int, reps: int, calls: int, inputs: Path, out: Path,
+             side: Path) -> dict:
+    """One subprocess of ``CASE_TIMING`` on the checkout ``side``."""
+    proc = subprocess.run(
+        [sys.executable, "-c", CASE_TIMING, case, str(n_keyframes), str(reps), str(calls),
+         str(inputs / str(n_keyframes)), str(out), str(ROOT / "perfbench")],
+        env=dict(os.environ, PYTHONPATH=str(side / "src")),
+        capture_output=True, text=True, check=True,
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 def ladder(case: str, sizes: dict, sides: dict, inputs: Path, workdir: Path) -> dict:
     """``case`` at each size of ``sizes`` (keyframes -> (batches, calls per
-    batch)), one subprocess per size and side, as record entries keyed by
-    frame count."""
+    batch)), one subprocess per size and side (a cold case: one per batch,
+    the sides alternating), as record entries keyed by frame count."""
     record = {}
     for k, (n_keyframes, (reps, calls)) in enumerate(sizes.items()):
+        processes = reps if case in COLD else 1
         entry = {"frames": 10 * n_keyframes - 9, "keyframes": n_keyframes, "repetitions": reps,
-                 "calls_per_batch": calls, "order": list(alternate(k))}
-        for name in entry["order"]:
-            proc = subprocess.run(
-                [sys.executable, "-c", CASE_TIMING, case, str(n_keyframes), str(reps), str(calls),
-                 str(inputs / str(n_keyframes)), str(workdir / f"{case}-out-{name}"),
-                 str(ROOT / "perfbench")],
-                env=dict(os.environ, PYTHONPATH=str(sides[name] / "src")),
-                capture_output=True, text=True, check=True,
-            )
-            run = json.loads(proc.stdout.splitlines()[-1])
+                 "calls_per_batch": calls, "processes": processes, "order": []}
+        runs = {name: [] for name in sides}
+        for i in range(processes):
+            for name in alternate(k + i):
+                entry["order"].append(name)
+                runs[name].append(run_case(case, n_keyframes, reps // processes, calls, inputs,
+                                           workdir / f"{case}-out-{name}", sides[name]))
+        for name, side_runs in runs.items():
+            run = {key: [t for r in side_runs for t in r[key]]
+                   for key in ("wall_s", "probe_s")}
+            reference = side_runs[0]["reference_probe_s"]
             wall = [1e3 * t for t in run["wall_s"]]
-            normalised = [w * run["reference_probe_s"] / p for w, p in zip(wall, run["probe_s"])]
+            normalised = [w * reference / p for w, p in zip(wall, run["probe_s"])]
             entry[name] = {
                 "wall": {**quartiles(wall), "unit": "ms/call"},
                 "at_reference_speed": {**quartiles(normalised), "unit": "ms/call"},
                 "runs_s": run["wall_s"],
                 "probe_median_s": run["probe_s"],
-                "peak_rss_mb": run["maxrss_kb"] / 1024.0,
+                "peak_rss_mb": statistics.median(r["maxrss_kb"] for r in side_runs) / 1024.0,
             }
-            if "numpy_calls" in run:
-                entry[name]["numpy_calls"] = run["numpy_calls"]
+            if "numpy_calls" in side_runs[0]:
+                entry[name]["numpy_calls"] = side_runs[0]["numpy_calls"]
         medians = {side: {"wall": entry[side]["wall"]["median"],
                           "at_reference_speed": entry[side]["at_reference_speed"]["median"],
                           "peak_rss_mb": entry[side]["peak_rss_mb"]} for side in sides}
@@ -459,7 +481,7 @@ def ladder(case: str, sizes: dict, sides: dict, inputs: Path, workdir: Path) -> 
                                        for key in medians["change"]}
         print(f"{case} {entry['frames']}: " + " / ".join(
             f"{name} {medians[name]['at_reference_speed']:.3f} ms, {medians[name]['peak_rss_mb']:.0f} MB"
-            for name in entry["order"]
+            for name in alternate(k)
         ) + " (at reference speed)", file=sys.stderr)
         record[str(entry["frames"])] = entry
     return record

@@ -1,5 +1,6 @@
 """scripts/bench_record.py's ladders: every case at its smallest size, run
-through the one host function with this checkout as both sides."""
+through the one host function with this checkout as both sides, and a
+cold case in one fresh process per call."""
 from __future__ import annotations
 
 import importlib.util
@@ -36,7 +37,7 @@ def test_case_at_its_smallest_size(case, inputs, tmp_path):
     entry = record[str(frames)]
     assert entry["frames"] == frames and entry["keyframes"] == n_keyframes
     assert (entry["repetitions"], entry["calls_per_batch"]) == (reps, calls)
-    assert entry["order"] == ["parent", "change"]
+    assert entry["processes"] == 1 and entry["order"] == ["parent", "change"]
     for side in SIDES:
         run = entry[side]
         assert len(run["runs_s"]) == len(run["probe_median_s"]) == reps
@@ -53,6 +54,33 @@ def test_case_at_its_smallest_size(case, inputs, tmp_path):
     ratios = entry["change_over_parent"]
     assert set(ratios) == {*SUMMARIES, "peak_rss_mb"}
     assert all(math.isfinite(r) and r > 0 for r in ratios.values())
+
+
+def test_cold_case_runs_each_call_in_a_fresh_process(inputs, tmp_path, monkeypatch):
+    # Two processes per side, one cold call each, the sides alternating.
+    batches = []
+    run_case = bench_record.run_case
+
+    def counted(case, n_keyframes, reps, *args):
+        batches.append(reps)
+        return run_case(case, n_keyframes, reps, *args)
+
+    monkeypatch.setattr(bench_record, "run_case", counted)
+    assert "simulate" in bench_record.COLD
+    assert {reps for reps, _ in bench_record.SIMULATE.values()} == {5}
+    n_keyframes = min(bench_record.SIMULATE)
+    record = bench_record.ladder("simulate", {n_keyframes: (2, 1)}, SIDES, inputs, tmp_path)
+    entry = record[str(10 * n_keyframes - 9)]
+    assert batches == [1, 1, 1, 1]
+    assert entry["processes"] == 2 and entry["repetitions"] == 2
+    assert entry["order"] == ["parent", "change", "change", "parent"]
+    for side in SIDES:
+        run = entry[side]
+        assert len(run["runs_s"]) == len(run["probe_median_s"]) == 2
+        assert all(t > 0 for t in run["runs_s"])
+        for key in SUMMARIES:
+            assert 0 < run[key]["q1"] <= run[key]["median"] <= run[key]["q3"]
+        assert run["peak_rss_mb"] > 0
 
 
 def test_quartiles_of_one_run():

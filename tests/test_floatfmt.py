@@ -7,6 +7,7 @@ tables, special values, block boundaries, files that share columns)."""
 import csv
 import io
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -107,24 +108,81 @@ class TestAgainstRepr:
         assert_reprs(values)
 
 
+# Doubles that reach each branch of the digit search, found with a scalar
+# Python-integer port of it, with their negatives below.
+EDGE_SETS = {
+    # Powers of two: the lower neighbour is nearer than the upper one.  The
+    # larger divisor; the round-up of the value moved into the interval; the
+    # tie of 2^-25 (binary exponent -77) rounded to even; 2^-1022.
+    "shorter interval": [4.450147717014403e-308, 7.120236347223045e-307, 2.9802322387695312e-08,
+                         2.2250738585072014e-308, 1.0, 0.5],
+    "larger divisor, trailing zeros removed": [96.24, 197.0622, 422.8051, 6.953355807835e-310,
+                                               0.1, 1e23, 123456.0],
+    "open upper end, stepped below": [3.1696823741604228e+16, 3.9470644456524696e+16,
+                                      2.5232708966019388e+16],
+    "r == delta, larger divisor by parity": [697.36318, 614.613, 536.71481, 762.9178],
+    "r == delta, smaller divisor by parity": [9.795833203218311e-80, 2.0985713558432692e+16,
+                                              1.4470185273923591e-90, 3.1398211168932052e+16],
+    "smaller divisor, kept": [1.7969859529054829e+164, 7.0219218056484876e+221,
+                              6.479384618699686e-299],
+    "smaller divisor, parity decrement": [1.9789427131590748e+27, 5.3067012820641204e+42,
+                                          7.016121153123374e+278],
+    "exact halfway, to even": [1974875250386464.2, 656691390506002.2, 180965856265192.62,
+                               146891601783756.62],
+}
+
+
+class TestEdgeSets:
+    @pytest.mark.parametrize("name", list(EDGE_SETS))
+    def test_edge_set(self, name):
+        assert_reprs(EDGE_SETS[name] + [-v for v in EDGE_SETS[name]])
+
+
+def python_product(u, cache, at):
+    """The oracle of :func:`floatfmt._mul`: the high and low words of the
+    upper 128 bits of ``u * c`` in Python integers."""
+    c = sum(cache[limb, at].astype(object) << (32 * limb) for limb in range(4))
+    product = [int(a) * int(b) for a, b in zip(u, c)]
+    return [p >> 128 for p in product], [(p >> 64) & (2**64 - 1) for p in product]
+
+
 class TestExactMultiply:
     def test_constants_fit_the_limb_multiply(self):
         table = floatfmt._exponent_table()
-        assert table["shift"].min() >= 22 and table["shift"].max() <= 29
-        assert (table["limbs"] < 2**32).all() and (table["limbs"][3] <= 2**29).all()
+        limbs = table["limbs"]
+        assert (limbs < 2**32).all() and (limbs[3] >= 2**31).all()  # 2^127 <= c < 2^128
+        assert table["beta"].min() == 6 and table["beta"].max() == 9  # (2 fc + 1) 2^beta < 2^63
+        assert table["delta"].min() >= 100 and table["delta"].max() < 1000
+        # Each entry is 10^k scaled into [2^127, 2^128) and rounded up, for
+        # k = 2 - floor(log10 2^e), and e10 is 2 - k.
+        cache = sum(limbs[limb].astype(object) << (32 * limb) for limb in range(4))
+        for biased in range(2047):
+            e = max(biased, 1) - 1075
+            k = 2 - (len(str(2**e)) - 1 if e >= 0 else -len(str(2**-e)))
+            log2 = (10**k).bit_length() - 1 if k >= 0 else -(10**-k).bit_length()
+            scaled = Fraction(10) ** k * Fraction(2) ** (127 - log2)
+            assert table["e10"][biased] == 2 - k
+            assert cache[biased] - 1 < scaled <= cache[biased]
 
-    def test_mul_shift_equals_python_integers(self):
+    def test_mul_equals_python_integers(self):
         table = floatfmt._exponent_table()
         rng = np.random.default_rng(3)
-        biased = rng.integers(0, 2047, 20_000)
-        m = rng.integers(0, 2**55, 20_000, dtype=np.uint64)
-        m[:4] = [0, 1, 2**55 - 1, 2**53]
-        got = floatfmt._mul_shift(m, table["limbs"][:, biased], table["shift"][biased])
-        limbs = table["limbs"][:, biased].astype(object)
-        mul = limbs[0] + (limbs[1] << 32) + (limbs[2] << 64) + (limbs[3] << 96)
-        want = [(int(a) * int(b)) >> (96 + int(s))
-                for a, b, s in zip(m, mul, table["shift"][biased])]
-        assert got.tolist() == want
+        at = rng.integers(0, 2047, 20_000)
+        u = rng.integers(0, 2**64 - 1, 20_000, dtype=np.uint64, endpoint=True)
+        cache = sum(table["limbs"][limb].astype(object) << (32 * limb) for limb in range(4))
+        extremes = [0, 1, 2**57 - 1, 2**63 - 1, 2**64 - 1]
+        # The largest and smallest powers, by value and by k (biased 0 and 2046).
+        ends = [int(np.argmax(cache)), int(np.argmin(cache)), 0, 2046]
+        u[:20] = extremes * 4
+        at[:20] = np.repeat(ends, 5)
+        high, low = floatfmt._mul(u, table["limbs"], at)
+        assert (high.tolist(), low.tolist()) == python_product(u, table["limbs"], at)
+        # Any 128-bit multiplier, all ones included.
+        limbs = rng.integers(0, 2**32, (4, 1000), dtype=np.uint64)
+        limbs[:, 0] = 2**32 - 1
+        at = np.arange(1000)
+        high, low = floatfmt._mul(u[:1000], limbs, at)
+        assert (high.tolist(), low.tolist()) == python_product(u[:1000], limbs, at)
 
 
 class TestTable:
