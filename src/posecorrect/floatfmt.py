@@ -24,7 +24,7 @@ All integer arithmetic is ``uint64`` with ``uint64`` constants: a
 ``uint64`` array combined with an ``int64`` one, or (on numpy 1.x) a
 ``uint64`` scalar combined with a Python ``int``, becomes float64.  The
 digit search divides only by a scalar, with ``//``, and takes each
-remainder as ``x - q * d``: on numpy 2.4 (2-vCPU AMD EPYC) ``//`` of a
+remainder as ``x - q * d``: on numpy 2.4 (2-vCPU Xeon VM) ``//`` of a
 ``uint64`` array by a ``uint64`` scalar took 0.67 ns per element, while
 ``%`` by the same scalar, or ``//`` by an array, took 3.7 ns.
 """
