@@ -68,24 +68,15 @@ Two parts, each run on both checkouts with the same inputs:
   - ``repeated`` and ``first_call``: ``evaluate.correct_trajectory``
     (proposed) on 2, 10 and 100 keyframes (11, 91 and 991 frames), whose
     keyframes move from ``fixtures.displaced_estimate`` onto the path,
-    with the updates passed as a list of ``KeyframeUpdate``, as a SLAM
-    back-end would; 15 batches of 40, 40 and 10 calls.  It measures the
-    fixed cost of one call, which the CLI cases hide under parsing and
-    writing.  ``repeated`` calls one trajectory again and again with the
-    same updates, as a back-end that moves the same window does (the gated
-    figure); ``first_call`` calls as many freshly built copies of it once
-    each, which pays for what a trajectory keeps between calls.  The
-    11-frame ``repeated`` entry states ROADMAP item 3's fixed-cost target
-    (``fixed_cost_target``): a call at least 2x below 1.36 ms at the
-    probe's reference speed.  After its batches, ``repeated`` makes one
-    more call under a tracer that counts the numpy calls made from
-    ``posecorrect`` code (``numpy_calls``): numpy functions and array
-    methods (``np.fromiter`` and ``tolist`` among them, once per ``math``
-    function mapped over rows; the ``math`` calls themselves are not numpy
-    calls), ufuncs called by name (``np.add(...)``), and array operator
-    instructions (binary, comparison and unary operators executed in
-    ``posecorrect`` frames; this also counts the few operators on Python
-    scalars there).
+    with the updates passed as a ``KeyframeUpdates`` table: the
+    trajectory's keyframe rows as the old poses and the path's keyframe
+    rows as the new ones, as a SLAM back-end that keeps its poses in arrays
+    would; 15 batches of 40, 40 and 10 calls.  It measures the fixed cost
+    of one call, which the CLI cases hide under parsing and writing.
+    ``repeated`` calls one trajectory again and again with the same
+    updates, as a back-end that moves the same window does;
+    ``first_call`` calls as many freshly built copies of it once each,
+    which pays for what a trajectory keeps between calls.
 
 The record states the machine, Python, numpy and both commits.  Only the
 numbers it holds are claims; the script compares nothing itself.
@@ -119,8 +110,6 @@ CASES = {
     "first_call": CALLS,
 }
 COLD = {"simulate"}  # cases timed once per fresh process, with no warm-up
-FIXED_COST_MS = 1.36  # an 11-frame call at the re-anchor of ROADMAP item 3
-FIXED_COST_TARGET = 2.0  # the fold below it that the item asks for
 
 LADDER_INPUTS = """
 import sys
@@ -148,29 +137,21 @@ for n_keyframes in map(int, sys.argv[2:]):
 # batch, the input directory of that size, the output directory and the
 # perfbench directory.  Prints one JSON result.
 CASE_TIMING = """
-import dis, json, resource, shutil, statistics, sys, time
+import json, resource, shutil, statistics, sys, time
 from functools import partial
 from pathlib import Path
 
 case, n_keyframes, reps, calls = sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), int(sys.argv[4])
 d, out = Path(sys.argv[5]), Path(sys.argv[6])
 sys.path.insert(0, sys.argv[7])
-import numpy as np
 from speed import REFERENCE_PROBE_S, probe
-import posecorrect
 from posecorrect import evaluate, fixtures
 from posecorrect import io as trajio
 from posecorrect.cli import main
 from posecorrect.synth import SceneSpec, keyframe_positions, path_world_poses
-from posecorrect.trajectory import KeyframeUpdate, Trajectory, from_world_poses, snap_to_gt
+from posecorrect.trajectory import KeyframeUpdates, Trajectory, from_world_poses, snap_to_gt
 
 PROBES = 15  # probe calls timed before each timed batch
-PACKAGE = posecorrect.__path__[0]
-# Binary, comparison and unary operators (not UNARY_NOT); Python 3.10 has
-# an opcode per binary operator, 3.11 one BINARY_OP.
-OPERATORS = {code for name, code in dis.opmap.items()
-             if name.startswith(("BINARY_", "INPLACE_", "COMPARE_OP", "UNARY_"))
-             and name not in ("BINARY_SUBSCR", "BINARY_SLICE", "UNARY_NOT")}
 
 
 def probe_median():
@@ -180,65 +161,6 @@ def probe_median():
         probe()
         times.append(time.perf_counter() - start)
     return statistics.median(times)
-
-
-class CountedUfunc:
-    def __init__(self, ufunc, counts):
-        self.ufunc, self.counts = ufunc, counts
-
-    def __call__(self, *args, **kwargs):
-        self.counts["ufunc_calls"] += 1
-        return self.ufunc(*args, **kwargs)
-
-    def __getattr__(self, name):  # reduce, reduceat, ...
-        self.counts["ufunc_calls"] += 1
-        return getattr(self.ufunc, name)
-
-
-def count_numpy_calls(call):
-    counts = {"functions_and_methods": 0, "ufunc_calls": 0, "operators": 0}
-    in_package = lambda frame: frame is not None and frame.f_code.co_filename.startswith(PACKAGE)
-    patched = []
-    for module in [np, *(m for name, m in sys.modules.items() if name.startswith("posecorrect."))]:
-        for name, value in list(vars(module).items()):
-            if isinstance(value, np.ufunc):
-                patched.append((module, name, value))
-                setattr(module, name, CountedUfunc(value, counts))
-
-    def profiler(frame, event, arg):
-        if event == "c_call" and in_package(frame):
-            module = getattr(arg, "__module__", None) or ""
-            if module.startswith("numpy") or isinstance(getattr(arg, "__self__", None), np.ndarray):
-                counts["functions_and_methods"] += 1
-        elif event == "call" and in_package(frame.f_back) and "/numpy/" in frame.f_code.co_filename:
-            # Skip the dispatcher of a numpy function and the Python body
-            # of an array method: the call itself is counted once.
-            name, path = frame.f_code.co_name, frame.f_code.co_filename
-            if not (name.endswith("_dispatcher") or path.endswith("_methods.py")):
-                counts["functions_and_methods"] += 1
-
-    def local_tracer(frame, event, arg):
-        if event == "opcode" and frame.f_code.co_code[frame.f_lasti] in OPERATORS:
-            counts["operators"] += 1
-        return local_tracer
-
-    def tracer(frame, event, arg):
-        if event == "call" and in_package(frame):
-            frame.f_trace_opcodes = True
-            return local_tracer
-        return None
-
-    sys.setprofile(profiler)
-    sys.settrace(tracer)
-    try:
-        call()
-    finally:
-        sys.settrace(None)
-        sys.setprofile(None)
-        for module, name, value in patched:
-            setattr(module, name, value)
-    counts["total"] = sum(counts.values())
-    return counts
 
 
 def snapped():
@@ -268,8 +190,7 @@ elif case in ("repeated", "first_call"):
     gt = path_world_poses(spec)
     positions = keyframe_positions(spec)
     traj = from_world_poses(fixtures.displaced_estimate(gt, positions, seed=0), positions)
-    updates = [KeyframeUpdate(i, kf.world_pose, gt[p][1])
-               for i, (kf, p) in enumerate(zip(traj.keyframes, positions))]
+    updates = KeyframeUpdates(traj.kf.q, traj.kf.t, gt.q[positions], gt.t[positions])
     cfg = evaluate.MethodConfig("proposed")
     call = partial(evaluate.correct_trajectory, traj, updates, cfg)
     if case == "first_call":
@@ -310,8 +231,6 @@ for _ in range(reps):
     run["wall_s"].append((time.perf_counter() - start) / calls)
     del callables
 run["maxrss_kb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-if case == "repeated":
-    run["numpy_calls"] = count_numpy_calls(call)
 print(json.dumps(run))
 """
 
@@ -472,8 +391,6 @@ def ladder(case: str, sizes: dict, sides: dict, inputs: Path, workdir: Path) -> 
                 "probe_median_s": run["probe_s"],
                 "peak_rss_mb": statistics.median(r["maxrss_kb"] for r in side_runs) / 1024.0,
             }
-            if "numpy_calls" in side_runs[0]:
-                entry[name]["numpy_calls"] = side_runs[0]["numpy_calls"]
         medians = {side: {"wall": entry[side]["wall"]["median"],
                           "at_reference_speed": entry[side]["at_reference_speed"]["median"],
                           "peak_rss_mb": entry[side]["peak_rss_mb"]} for side in sides}
@@ -517,13 +434,6 @@ def main(argv=None) -> int:
         inputs = ladder_inputs(sides["change"], workdir, LADDER)
         record["ladders"] = {case: ladder(case, sizes, sides, inputs, workdir)
                              for case, sizes in CASES.items()}
-    entry = record["ladders"]["repeated"][str(10 * min(CALLS) - 9)]
-    entry["fixed_cost_target"] = {
-        "reference_ms": FIXED_COST_MS,
-        "target_fold_below": FIXED_COST_TARGET,
-        **{f"{name}_repeated_fold_below": FIXED_COST_MS / entry[name]["at_reference_speed"]["median"]
-           for name in sides},
-    }
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {path}", file=sys.stderr)

@@ -8,23 +8,15 @@ alongside the classical element-wise vector-space interpolation baselines
 oracle, and an evaluation/timing harness.
 
 Trajectories are tables (:class:`FrameTable`, :class:`Trajectory`,
-:class:`KeyframeUpdates`); the names below that are objects (``Pose``,
-``Rotation``, ``FrameId``, ``Keyframe``, ``KeyframeUpdate``) build and
-read those tables one pose at a time.
+:class:`KeyframeUpdates`), and the names below are those tables and the
+functions on them.  The per-pose objects (``Pose``, ``Rotation``,
+``so3_exp``, ``FrameId``, ``Keyframe``, ``KeyframeUpdate``) are not
+exported: they stay in ``liegeom`` and ``trajectory`` only because the
+perfbench workloads build their inputs with them, one pose at a time.
 """
 
-from .liegeom import (
-    Pose,
-    Rotation,
-    euler_zyx_to,
-    slerp,
-    so3_exp,
-)
 from .trajectory import (
-    FrameId,
     FrameTable,
-    Keyframe,
-    KeyframeUpdate,
     KeyframeUpdates,
     Trajectory,
     from_world_poses,
@@ -35,15 +27,7 @@ from .trajectory import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Pose",
-    "Rotation",
-    "euler_zyx_to",
-    "slerp",
-    "so3_exp",
-    "FrameId",
     "FrameTable",
-    "Keyframe",
-    "KeyframeUpdate",
     "KeyframeUpdates",
     "Trajectory",
     "from_world_poses",

@@ -110,6 +110,13 @@ class KeyframePairs(NamedTuple):
     degenerate: np.ndarray
 
 
+def _pairs(a: np.ndarray, kf_q: np.ndarray, kf_t: np.ndarray):
+    """Pose ``a + 1`` relative to pose ``a`` among ``kf_q``/``kf_t``, row by row, and its length."""
+    b = a + 1
+    q, t = pose_mul(*pose_inverse(kf_q[a], kf_t[a]), kf_q[b], kf_t[b])
+    return q, t, vec_norm(t)
+
+
 def keyframe_pairs(batch: SegmentBatch, updates: KeyframeUpdates) -> KeyframePairs:
     """The :class:`KeyframePairs` of every segment of ``batch`` at once,
     bitwise equal to the per-segment setup of the scalar reference without
@@ -117,26 +124,17 @@ def keyframe_pairs(batch: SegmentBatch, updates: KeyframeUpdates) -> KeyframePai
 
     The old half comes from the batch's memo while the old poses stay
     byte-equal; on a miss the old and new pairs are one stacked chain."""
-    a = batch.index
     key = (updates.old_q.tobytes(), updates.old_t.tobytes())
-    hit = batch.memo is not None and batch.memo[0] == key
-    if hit:
-        kf_q, kf_t = updates.new_q, updates.new_t
+    if batch.memo is not None and batch.memo[0] == key:
+        q, t, norm = _pairs(batch.index, updates.new_q, updates.new_t)
     else:
-        kf_q = np.concatenate((updates.old_q, updates.new_q))
-        kf_t = np.concatenate((updates.old_t, updates.new_t))
-        a = np.concatenate((a, a + len(updates)))
-    # Pose b = a + 1 relative to pose a, row by row.
-    b = a + 1
-    q, t = pose_mul(*pose_inverse(kf_q[a], kf_t[a]), kf_q[b], kf_t[b])
-    norm = vec_norm(t)
-    if hit:
-        old = batch.memo[1]
-    else:
-        n = len(batch.index)
-        old = OldGeometry(q[:n], t[:n], norm[:n])
-        batch.memo = key, old
+        a, n = batch.index, len(batch.index)
+        q, t, norm = _pairs(np.concatenate((a, a + len(updates))),
+                            np.concatenate((updates.old_q, updates.new_q)),
+                            np.concatenate((updates.old_t, updates.new_t)))
+        batch.memo = key, OldGeometry(q[:n], t[:n], norm[:n])
         q, t, norm = q[n:], t[n:], norm[n:]
+    old = batch.memo[1]
     degenerate = (old.norm < DEGENERATE_BASELINE) | (norm < DEGENERATE_BASELINE)
     with np.errstate(divide="ignore", invalid="ignore"):
         s = norm / old.norm

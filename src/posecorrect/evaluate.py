@@ -100,21 +100,21 @@ class TrajectoryDiagnostics:
 # SegmentBatch, and return the poses of their relative frames relative to
 # each updated opening keyframe as (N, 4) quaternion and (N, 3) translation
 # arrays, plus the diagnostics columns it computes, by name, one value per
-# segment.  ``updates`` is the trajectory's KeyframeUpdates table and
-# ``pairs()`` returns its KeyframePairs; a kernel calls it at most once.
+# segment.  ``pairs()`` returns the KeyframePairs of the trajectory's
+# update; a kernel calls it at most once.
 # Kernels are looked up through their modules at call time, so a patched
 # module attribute takes effect.
 
 
-def _unchanged(batch: SegmentBatch, updates, pairs, cfg: MethodConfig):
+def _unchanged(batch: SegmentBatch, pairs, cfg: MethodConfig):
     return batch.rels.q, batch.rels.t, {}
 
 
-def _proposed(batch: SegmentBatch, updates, pairs, cfg: MethodConfig):
+def _proposed(batch: SegmentBatch, pairs, cfg: MethodConfig):
     return correction.correct_segment(batch, pairs(), cfg.scale_squared)
 
 
-def _interpolated(batch: SegmentBatch, updates, pairs, cfg: MethodConfig):
+def _interpolated(batch: SegmentBatch, pairs, cfg: MethodConfig):
     ts, rs = cfg.spaces()
     return baseline.interp_correct_segment(batch, pairs(), ts, rs, raw_division=cfg.raw_division)
 
@@ -142,16 +142,16 @@ METHODS = {
 
 
 def _correct(
-    traj: Trajectory, updates: KeyframeUpdates, pairs, cfg: MethodConfig
+    traj: Trajectory, pairs, cfg: MethodConfig
 ) -> tuple[np.ndarray, np.ndarray, TrajectoryDiagnostics]:
-    """Run ``cfg``'s kernel on every full segment of ``traj`` for
-    ``updates``, whose pairs ``pairs()`` returns.  Returns every relative
+    """Run ``cfg``'s kernel on every full segment of ``traj`` for the
+    update whose pairs ``pairs()`` returns.  Returns every relative
     frame's pose relative to its updated parent keyframe, in segment
     order, and the diagnostics.  No method has an interpolation target
     without a closing keyframe, so the terminal segment's relative poses
     pass through; with none, the kernel's arrays are returned as they are."""
     method = METHODS[cfg.name]
-    q, t, columns = method.kernel(traj.full_segments(), updates, pairs, cfg)
+    q, t, columns = method.kernel(traj.full_segments(), pairs, cfg)
     if traj.diagnostics_template is None:
         # Only the last segment, which no keyframe closes, is terminal.
         template = np.full(len(traj.kf), SEGMENT_DEFAULTS)
@@ -193,7 +193,7 @@ def correct_trajectory(
             f"need one update per keyframe ({len(traj.kf)}), got {len(updates)}"
         )
     q, t, diagnostics = _correct(
-        traj, updates, lambda: correction.keyframe_pairs(traj.full_segments(), updates), cfg
+        traj, lambda: correction.keyframe_pairs(traj.full_segments(), updates), cfg
     )
     return compose_world_poses(traj, updates.new_q, updates.new_t, q, t), diagnostics
 
@@ -301,7 +301,7 @@ class SnapProtocol:
             diagnostics.warn_not_finite(cfg.name)
             return replace(report, method=cfg.name), errors
         traj, updates = self.traj, self.updates
-        rel_q, rel_t, diagnostics = _correct(traj, updates, self.pairs, cfg)
+        rel_q, rel_t, diagnostics = _correct(traj, self.pairs, cfg)
         q, t = relative_world_poses(traj, updates.new_q, updates.new_t, rel_q, rel_t)
         if self.gt_rows is None:
             rows = associate(traj.rel.stamps, self.gt, self.tol)

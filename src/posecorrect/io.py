@@ -18,10 +18,10 @@ by :func:`data_lines`, the one line reader of every text input, and each
 line is converted by ``float`` (:func:`_parse_rows`), which names the
 first bad line.  Comment lines may hold any bytes; a data line that is not
 UTF-8 fails at its own line.  The value checks run on the whole array:
-finite values and unit quaternions for TUM, finite values, the drift and
-reflection checks, SVD projection and matrix-to-quaternion conversion of
-every rotation for KITTI.  So a file costs a few array passes rather than
-a ``Pose`` per line.  Under ``POSECORRECT_LOG=DEBUG`` each read logs which
+finite values and translation lengths for both, unit quaternions for TUM,
+the drift and reflection checks, SVD projection and matrix-to-quaternion
+conversion of every rotation for KITTI.  So a file costs a few array
+passes rather than a ``Pose`` per line.  Under ``POSECORRECT_LOG=DEBUG`` each read logs which
 path it took and, on a fallback, which check sent it there.
 Each writer is one :func:`~posecorrect.floatfmt.write_columns` call, whose
 floats are byte-equal to ``repr``, so write-then-read is exact.  The
@@ -69,6 +69,8 @@ def data_lines(path) -> Iterator[tuple[int, str]]:
 
 
 NON_FINITE = "non-finite field (nan or inf)"
+# A finite translation whose length is not: the correction's distances would be inf.
+TRANSLATION_OVERFLOW = "translation too large: its length overflows a double"
 
 
 def _convert_fields(fields: list[str], path, line: int, count: int, layout: str = "") -> list[float]:
@@ -172,16 +174,19 @@ def _read_rows(path, count: int, layout: str, check):
 
 def _tum_check(rows):
     """The (N, 4) wxyz quaternions of a TUM table, and ``(k, message)`` of
-    its first non-finite row or non-unit quaternion (``None`` when there is
-    none)."""
+    its first non-finite row, non-unit quaternion or translation whose
+    length overflows (``None`` when there is none)."""
     wxyz = rows[:, [7, 4, 5, 6]]
     finite = np.isfinite(rows).all(axis=1)
     with np.errstate(invalid="ignore", over="ignore"):
         norm = vec_norm(wxyz)
-    bad = ~finite | (np.abs(norm - 1.0) > QUAT_NORM_TOL)
+        overflow = ~np.isfinite(vec_norm(rows[:, 1:4]))
+    off_unit = np.abs(norm - 1.0) > QUAT_NORM_TOL
+    bad = ~finite | off_unit | overflow
     if bad.any():
         k = int(np.argmax(bad))
-        return wxyz, (k, NON_FINITE if not finite[k] else _quat_norm_error(norm[k]))
+        return wxyz, (k, NON_FINITE if not finite[k] else
+                      _quat_norm_error(norm[k]) if off_unit[k] else TRANSLATION_OVERFLOW)
     return wxyz, None
 
 
@@ -226,18 +231,20 @@ def _kitti_check(rows):
     A rotation block is rejected when ``m^T m`` departs from the identity
     by more than :data:`ROTATION_DRIFT_TOL` or when it is a reflection,
     kept as is when within 1e-12 of the identity, and projected onto SO(3)
-    by SVD otherwise.  The rows are checked in file order, so a drift or
-    reflection error before the first non-finite row wins and no row after
-    the first error is projected.  ``_orthonormalize`` in
-    ``tests/reference_kernels.py`` is the one-row form, which the tests
-    compare this against."""
+    by SVD otherwise; a row whose translation length overflows is rejected.
+    The rows are checked in file order, so a drift, reflection or overflow
+    error before the first non-finite row wins and no row after the first
+    error is projected.  The tests compare this against its one-row forms,
+    ``_orthonormalize`` and ``check_translation`` of ``reference_kernels``."""
     finite = np.isfinite(rows).all(axis=1)
     n = len(rows) if finite.all() else int(np.argmin(finite))
     m = rows[:n].reshape(-1, 3, 4)[:, :, :3]
     with np.errstate(over="ignore", invalid="ignore"):  # huge entries: drift inf or nan
         drift = np.abs(m.transpose(0, 2, 1) @ m - np.eye(3)).max(axis=(1, 2))
         over = ~(drift <= ROTATION_DRIFT_TOL)
-        bad = over | (np.linalg.det(m) < 0.0)
+        reflected = np.linalg.det(m) < 0.0
+        overflow = ~np.isfinite(vec_norm(rows[:n, 3::4]))
+    bad = over | reflected | overflow
     stop = int(np.argmax(bad)) if bad.any() else n
     r = m[:stop].copy()
     fix = np.flatnonzero(~(drift[:stop] <= 1e-12))
@@ -245,7 +252,8 @@ def _kitti_check(rows):
         u, _, vt = np.linalg.svd(r[fix])
         r[fix] = u @ vt
     if stop < n:
-        return None, (stop, _drift_error(drift[stop]) if over[stop] else REFLECTION)
+        return None, (stop, _drift_error(drift[stop]) if over[stop] else
+                      REFLECTION if reflected[stop] else TRANSLATION_OVERFLOW)
     if n < len(rows):
         return None, (n, NON_FINITE)
     return quat_from_matrix(r), None

@@ -20,10 +20,11 @@ Conventions used consistently across the package:
 
 All types are immutable values and all functions are pure.
 
-Each rotation formula is written once.  ``Rotation`` and ``Pose``
-arithmetic, ``so3_exp``, ``euler_zyx_to`` and ``slerp`` are the scalar
-forms that build inputs one pose at a time; everything else exists only
-on arrays, in the array forms at the end.
+Each rotation formula is written once; the package runs the array forms
+at the end.  The scalar forms kept here (``Rotation`` and ``Pose`` with
+their products, ``Rotation.apply`` and ``so3_exp``) are the ones the
+perfbench workloads build their inputs with; the other scalar oracles of
+the array forms are in ``tests/reference_kernels.py``.
 """
 from __future__ import annotations
 
@@ -74,10 +75,6 @@ class Rotation:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def identity(cls) -> "Rotation":
-        return cls((1.0, 0.0, 0.0, 0.0))
-
-    @classmethod
     def random(cls, rng: np.random.Generator) -> "Rotation":
         """Uniformly distributed rotation (normalized Gaussian quaternion)."""
         return cls(rng.normal(size=4))
@@ -110,10 +107,6 @@ class Rotation:
             aw * bz + ax * by - ay * bx + az * bw,
         ))
 
-    def inverse(self) -> "Rotation":
-        w, x, y, z = self._q
-        return Rotation((w, -x, -y, -z))
-
     def apply(self, v) -> np.ndarray:
         """Rotate one 3-vector or an (N, 3) stack of vectors."""
         v = np.asarray(v, dtype=float)
@@ -132,10 +125,6 @@ class Rotation:
         uv = np.cross(u, v)
         return v + 2.0 * (w * uv + np.cross(u, uv))
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        w, x, y, z = self._q
-        return f"Rotation(w={w:.9g}, x={x:.9g}, y={y:.9g}, z={z:.9g})"
-
 
 class Pose:
     """Rigid transform ``T_AB = (R_AB, t_AB)``; maps {B} points into {A}."""
@@ -146,26 +135,11 @@ class Pose:
         object.__setattr__(self, "rotation", rotation)
         object.__setattr__(self, "translation", _vec3(translation))
 
-    @classmethod
-    def identity(cls) -> "Pose":
-        return cls(Rotation.identity(), (0.0, 0.0, 0.0))
-
     def __mul__(self, other: "Pose") -> "Pose":
         return Pose(
             self.rotation * other.rotation,
             self.rotation.apply(other.translation) + self.translation,
         )
-
-    def inverse(self) -> "Pose":
-        rinv = self.rotation.inverse()
-        return Pose(rinv, -rinv.apply(self.translation))
-
-    def apply(self, p) -> np.ndarray:
-        return self.rotation.apply(p) + self.translation
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        t = self.translation
-        return f"Pose({self.rotation!r}, t=({t[0]:.9g}, {t[1]:.9g}, {t[2]:.9g}))"
 
 
 # -- so(3) exp --------------------------------------------------------------
@@ -184,63 +158,15 @@ def so3_exp(rotvec) -> Rotation:
     return Rotation((qw, k * w[0], k * w[1], k * w[2]))
 
 
-# -- Euler (intrinsic Z-Y-X) -------------------------------------------------
-
-
-def euler_zyx_to(angles) -> Rotation:
-    """Rotation from intrinsic Z-Y-X angles ``(yaw, pitch, roll)``."""
-    yaw, pitch, roll = np.asarray(angles, dtype=float).reshape(3)
-    cy, sy = math.cos(0.5 * yaw), math.sin(0.5 * yaw)
-    cp, sp = math.cos(0.5 * pitch), math.sin(0.5 * pitch)
-    cr, sr = math.cos(0.5 * roll), math.sin(0.5 * roll)
-    # Rz(yaw) * Ry(pitch) * Rx(roll) as quaternions.
-    return Rotation((
-        cy * cp * cr + sy * sp * sr,
-        cy * cp * sr - sy * sp * cr,
-        cy * sp * cr + sy * cp * sr,
-        sy * cp * cr - cy * sp * sr,
-    ))
-
-
-# -- interpolation ----------------------------------------------------------
-
-
-def slerp(q0: Rotation, q1: Rotation, a: float) -> Rotation:
-    """Geodesic interpolation from ``q0`` (a=0) to ``q1`` (a=1).
-
-    Uses shortest-arc sign correction and falls back to normalized lerp
-    when the quaternion dot exceeds 0.9995.  The endpoints are returned
-    exactly; a non-finite quaternion raises ``ValueError``.
-    """
-    if not 0.0 <= a <= 1.0:
-        raise ValueError(f"interpolation factor must be in [0, 1], got {a}")
-    if a == 0.0:
-        return q0
-    if a == 1.0:
-        return q1
-    qa = q0.quat
-    qb = q1.quat
-    dot = float(qa @ qb)
-    if not math.isfinite(dot):
-        raise ValueError("slerp of a non-finite quaternion")
-    if dot < 0.0:
-        qb = -qb
-        dot = -dot
-    if dot > _NLERP_DOT:
-        return Rotation(qa + a * (qb - qa))
-    theta = math.acos(min(1.0, dot))
-    s = math.sin(theta)
-    return Rotation((math.sin((1.0 - a) * theta) / s) * qa + (math.sin(a * theta) / s) * qb)
-
-
 # -- array forms ------------------------------------------------------------
 #
 # The rotation formulas, on (N, 4) quaternion and (N, 3) vector arrays.
-# ``so3_exp``, ``euler_zyx_to`` and the ``Rotation``/``Pose`` arithmetic
-# keep scalar bodies, which input builders call once per pose (a one-row
-# array call costs several times as much); the twins here repeat their IEEE
-# operations in order, bit for bit.  ``slerp`` keeps its body: only its
-# start at the identity has a row form.  Tests pin each to a scalar oracle.
+# ``so3_exp`` and the ``Rotation``/``Pose`` arithmetic keep scalar bodies,
+# which input builders call once per pose (a one-row array call costs
+# several times as much); the twins here repeat their IEEE operations in
+# order, bit for bit, as they do those of the scalar oracles in
+# ``tests/reference_kernels.py`` (``slerp``, of which only the start at
+# the identity has a row form, ``euler_zyx_to`` and the one-pose inverses).
 # numpy does + - * /, sqrt, sin and cos, writing multi-column results
 # through ufunc ``out=`` into one array; the bitwise tests pin ``np.sin``
 # and ``np.cos`` to ``math``, slerp's sines included.  ``acos``, ``asin``,
@@ -293,7 +219,7 @@ _CONJUGATE = np.array((1.0, -1.0, -1.0, -1.0))
 
 
 def quat_inverse(q: np.ndarray) -> np.ndarray:
-    """Array twin of ``Rotation.inverse``."""
+    """Array twin of the scalar inverse ``Rotation((w, -x, -y, -z))``."""
     return quat_normalize(q * _CONJUGATE)
 
 
@@ -318,8 +244,8 @@ def pose_mul(qa: np.ndarray, ta: np.ndarray, qb: np.ndarray, tb: np.ndarray):
 
 
 def pose_inverse(q: np.ndarray, t: np.ndarray):
-    """Array twin of ``Pose.inverse``, returned as ``(quaternions,
-    translations)``."""
+    """Array twin of the scalar inverse ``Pose(r, -r.apply(t))`` with ``r``
+    the inverse rotation, returned as ``(quaternions, translations)``."""
     q_inv = quat_inverse(q)
     return q_inv, -quat_rotate(q_inv, t)
 
@@ -410,8 +336,8 @@ def so3_left_jacobian_inv_rows(omega: np.ndarray) -> np.ndarray:
 
 
 def euler_zyx_to_rows(angles: np.ndarray) -> np.ndarray:
-    """Array twin of :func:`euler_zyx_to` on (N, 3) ``(yaw, pitch, roll)``
-    rows."""
+    """Canonical quaternions of (N, 3) intrinsic Z-Y-X ``(yaw, pitch,
+    roll)`` rows: ``Rz(yaw) * Ry(pitch) * Rx(roll)`` as quaternions."""
     _require_trig_domain(angles)
     cy, cp, cr = np.cos(0.5 * angles).T
     sy, sp, sr = np.sin(0.5 * angles).T
@@ -477,7 +403,9 @@ _IDENTITY_QUAT = np.array((1.0, 0.0, 0.0, 0.0))
 
 
 def slerp_from_identity(q: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Array twin of ``slerp(Rotation.identity(), Rotation(q[i]), a[i])``.
+    """Geodesic interpolation from the identity (``a[i] = 0``) to row
+    ``q[i]`` (``a[i] = 1``), normalized lerp above a dot of 0.9995: the
+    scalar ``slerp`` of ``tests/reference_kernels.py`` from the identity.
 
     Rows of ``q`` are canonical (``w >= 0``), so the dot with the identity
     is ``w`` and the shortest-arc flip never applies.  ``a == 0`` yields

@@ -27,14 +27,13 @@ every later one copies.  None of this is checked against the
 trajectory's arrays again, so those arrays are not to be changed in place.
 
 The tables are the one representation, and every function here takes a
-:class:`FrameTable`.  A few object forms remain as views for callers that
-build or read one pose at a time: iterating or indexing a
-:class:`FrameTable` yields ``(FrameId, Pose)`` pairs, :meth:`FrameTable.of`
-builds a table from them (``io.write_tum`` accepts pairs through it),
-``traj.keyframes`` yields :class:`Keyframe` objects, and
-:meth:`KeyframeUpdates.of` and its rows convert :class:`KeyframeUpdate`
-objects.  They stay because perfbench and the call ladder of
-``scripts/bench_record.py`` build their inputs with them.  A table has no
+:class:`FrameTable`.  The object forms that remain are the ones the
+perfbench workloads build their inputs with, one pose at a time:
+iterating or indexing a :class:`FrameTable` yields ``(FrameId, Pose)``
+pairs, :meth:`FrameTable.of` builds a table from them (as ``io.write_tum``
+does), ``traj.keyframes`` yields :class:`Keyframe` objects, and
+:meth:`KeyframeUpdates.of` builds a table from :class:`KeyframeUpdate`
+objects (as ``evaluate.correct_trajectory`` does).  A table has no
 ``==``; compare its arrays.  The correction path reads only the arrays.
 """
 from __future__ import annotations
@@ -137,15 +136,11 @@ class FrameTable:
             self._pairs = list(zip(self.ids(), poses_from_arrays(self.q, self.t)))
         return iter(self._pairs)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"FrameTable({len(self)} frames)"
-
 
 class KeyframeUpdates:
     """The old and new world pose of every keyframe, row ``i`` for
     keyframe ``i``: quaternions ``old_q``/``new_q`` (K, 4) and translations
-    ``old_t``/``new_t`` (K, 3), as float arrays.  Indexing or iterating
-    yields :class:`KeyframeUpdate` objects, built on demand."""
+    ``old_t``/``new_t`` (K, 3), as float arrays."""
 
     __slots__ = ("old_q", "old_t", "new_q", "new_t")
 
@@ -169,15 +164,6 @@ class KeyframeUpdates:
 
     def __len__(self) -> int:
         return len(self.old_q)
-
-    def __getitem__(self, i: int) -> KeyframeUpdate:
-        old, new = poses_from_arrays(
-            np.stack((self.old_q[i], self.new_q[i])), np.stack((self.old_t[i], self.new_t[i]))
-        )
-        return KeyframeUpdate(range(len(self))[i], old, new)
-
-    def __iter__(self) -> Iterator[KeyframeUpdate]:
-        return (self[i] for i in range(len(self)))
 
 
 class SegmentBatch:
@@ -454,7 +440,3 @@ def snap_to_gt(traj: Trajectory, gt: FrameTable, tol: float = DEFAULT_ASSOC_TOL)
     rows = associate(traj.kf.stamps, gt, tol)
     return KeyframeUpdates(traj.kf.q, traj.kf.t, gt.q[rows], gt.t[rows])
 
-
-def identity_updates(traj: Trajectory) -> KeyframeUpdates:
-    """Updates with new == old for every keyframe (no back-end change)."""
-    return KeyframeUpdates(traj.kf.q, traj.kf.t, traj.kf.q, traj.kf.t)

@@ -5,14 +5,15 @@ command runs them.  The equations are in the docstrings of
 :func:`reference_correct` picks the reference of a method by name.  Each
 takes a full segment as row ``k`` of a ``SegmentBatch`` (its keyframe
 stamps and its rows of ``rels``, :func:`segment_rels`) and the keyframe
-updates as rows (``updates[i]`` the ``KeyframeUpdate`` of keyframe
-``i``, from a ``KeyframeUpdates`` table or a list).
+updates as a list of ``KeyframeUpdate``, item ``i`` for keyframe ``i``;
+:func:`update_rows` reads a ``KeyframeUpdates`` table as that list, and
+:func:`identity_updates` is the update that moves no keyframe.
 :func:`segment_trajectory` builds a trajectory of one full segment from
-poses, :func:`_orthonormalize` is the one-row form of
-``io._kitti_check``, :func:`parse_tum_fields` and :func:`parse_floats`
-the one-line forms of ``io.read_tum``'s and ``io.read_kitti``'s
-conversion and checks, :func:`format_tum_line` the one-line form of
-``io.write_tum``, :func:`bench_segment` the fixture of acceptance
+poses, :func:`_orthonormalize` and :func:`check_translation` are the
+one-row forms of ``io._kitti_check``, :func:`parse_tum_fields` and
+:func:`parse_floats` the one-line forms of ``io.read_tum``'s and
+``io.read_kitti``'s conversion and checks, :func:`format_tum_line` the
+one-line form of ``io.write_tum``, :func:`bench_segment` the fixture of acceptance
 criterion 8, and :func:`frame_errors` the reference of the evaluation
 protocol's scoring.
 
@@ -27,8 +28,11 @@ them bit for bit, draws included (:func:`with_generator_states`).
 
 So are ``liegeom``'s array forms, against the scalar formulas of the next
 section (:func:`so3_log_scalar` and the rest), which call no array form:
-from ``liegeom`` this module takes only the value types, the scalar forms
-that keep their own bodies and the private constants.
+from ``liegeom`` this module takes only ``Pose``, ``Rotation`` and
+``so3_exp``, which perfbench builds its inputs with, and the private
+constants.  The scalar forms that only the tests call live here, their
+bodies unchanged: :func:`slerp`, :func:`euler_zyx_to` and the one-pose
+identities, inverses and :func:`pose_apply`.
 """
 from __future__ import annotations
 
@@ -46,14 +50,15 @@ from posecorrect.io import (
     QUAT_NORM_TOL,
     REFLECTION,
     ROTATION_DRIFT_TOL,
+    TRANSLATION_OVERFLOW,
     TrajectoryParseError,
     _convert_fields,
     _drift_error,
     _quat_norm_error,
 )
 from posecorrect.fixtures import JITTER_ROT, JITTER_TRANS
-from posecorrect.liegeom import _GIMBAL_COS, _SMALL_ANGLE, _SMALL_V_ANGLE
-from posecorrect.liegeom import Pose, Rotation, euler_zyx_to, slerp, so3_exp
+from posecorrect.liegeom import _GIMBAL_COS, _NLERP_DOT, _SMALL_ANGLE, _SMALL_V_ANGLE
+from posecorrect.liegeom import Pose, Rotation, so3_exp
 from posecorrect.synth import (
     KEYFRAME_DT,
     MIN_DEPTH,
@@ -68,6 +73,7 @@ from posecorrect.trajectory import (
     FrameId,
     FrameTable,
     KeyframeUpdate,
+    KeyframeUpdates,
     SegmentBatch,
     Trajectory,
     associate,
@@ -76,6 +82,71 @@ from posecorrect.trajectory import (
 
 
 # -- liegeom's scalar formulas, documented at their array forms ------------------
+
+
+def identity_rotation() -> Rotation:
+    return Rotation((1.0, 0.0, 0.0, 0.0))
+
+
+def inverse_rotation(r: Rotation) -> Rotation:
+    w, x, y, z = r.quat
+    return Rotation((w, -x, -y, -z))
+
+
+def identity_pose() -> Pose:
+    return Pose(identity_rotation(), (0.0, 0.0, 0.0))
+
+
+def inverse_pose(p: Pose) -> Pose:
+    rinv = inverse_rotation(p.rotation)
+    return Pose(rinv, -rinv.apply(p.translation))
+
+
+def pose_apply(p: Pose, points) -> np.ndarray:
+    return p.rotation.apply(points) + p.translation
+
+
+def euler_zyx_to(angles) -> Rotation:
+    """Rotation from intrinsic Z-Y-X angles ``(yaw, pitch, roll)``."""
+    yaw, pitch, roll = np.asarray(angles, dtype=float).reshape(3)
+    cy, sy = math.cos(0.5 * yaw), math.sin(0.5 * yaw)
+    cp, sp = math.cos(0.5 * pitch), math.sin(0.5 * pitch)
+    cr, sr = math.cos(0.5 * roll), math.sin(0.5 * roll)
+    # Rz(yaw) * Ry(pitch) * Rx(roll) as quaternions.
+    return Rotation((
+        cy * cp * cr + sy * sp * sr,
+        cy * cp * sr - sy * sp * cr,
+        cy * sp * cr + sy * cp * sr,
+        sy * cp * cr - cy * sp * sr,
+    ))
+
+
+def slerp(q0: Rotation, q1: Rotation, a: float) -> Rotation:
+    """Geodesic interpolation from ``q0`` (a=0) to ``q1`` (a=1).
+
+    Uses shortest-arc sign correction and falls back to normalized lerp
+    when the quaternion dot exceeds 0.9995.  The endpoints are returned
+    exactly; a non-finite quaternion raises ``ValueError``.
+    """
+    if not 0.0 <= a <= 1.0:
+        raise ValueError(f"interpolation factor must be in [0, 1], got {a}")
+    if a == 0.0:
+        return q0
+    if a == 1.0:
+        return q1
+    qa = q0.quat
+    qb = q1.quat
+    dot = float(qa @ qb)
+    if not math.isfinite(dot):
+        raise ValueError("slerp of a non-finite quaternion")
+    if dot < 0.0:
+        qb = -qb
+        dot = -dot
+    if dot > _NLERP_DOT:
+        return Rotation(qa + a * (qb - qa))
+    theta = math.acos(min(1.0, dot))
+    s = math.sin(theta)
+    return Rotation((math.sin((1.0 - a) * theta) / s) * qa + (math.sin(a * theta) / s) * qb)
 
 
 def _skew(v: np.ndarray) -> np.ndarray:
@@ -222,6 +293,26 @@ def records_of(columns: dict, index) -> list[SegmentRecord]:
     ]
 
 
+def update_row(updates: KeyframeUpdates, i: int) -> KeyframeUpdate:
+    """The ``KeyframeUpdate`` of keyframe ``i``: row ``i`` of ``updates``,
+    its quaternions kept bit for bit."""
+    q = np.stack((updates.old_q[i], updates.new_q[i]))
+    q.setflags(write=False)
+    old, new = (Pose(Rotation._from_canonical(r), t)
+                for r, t in zip(q, (updates.old_t[i], updates.new_t[i])))
+    return KeyframeUpdate(range(len(updates))[i], old, new)
+
+
+def update_rows(updates: KeyframeUpdates) -> list[KeyframeUpdate]:
+    """Every :func:`update_row` of ``updates``, in keyframe order."""
+    return [update_row(updates, i) for i in range(len(updates))]
+
+
+def identity_updates(traj: Trajectory) -> KeyframeUpdates:
+    """Updates with new == old for every keyframe (no back-end change)."""
+    return KeyframeUpdates(traj.kf.q, traj.kf.t, traj.kf.q, traj.kf.t)
+
+
 def segment_rels(batch: SegmentBatch, k: int) -> FrameTable:
     """The relative frames of full segment ``k`` of ``batch``: its rows of
     ``rels``."""
@@ -279,7 +370,7 @@ def fusion_gap(
     """
     rot_a, trans_a = sol_a
     rot_b, trans_b = sol_b
-    rot_a_inv = rot_a.inverse()
+    rot_a_inv = inverse_rotation(rot_a)
     drot = rot_a_inv * (t_ab_new.rotation * rot_b)
     delta = t_ab_new.translation + t_ab_new.rotation.apply(trans_b) - trans_a
     return drot, rot_a_inv.apply(delta)
@@ -312,7 +403,7 @@ def fuse(
     toward the gap ``(drot, dtrans)`` by ``alpha``."""
     rot_a, trans_a = sol_a
     drot, dtrans = gap
-    rot = rot_a * slerp(Rotation.identity(), drot, alpha)
+    rot = rot_a * slerp(identity_rotation(), drot, alpha)
     trans = trans_a + alpha * rot.apply(dtrans)
     return Pose(rot, trans)
 
@@ -323,10 +414,10 @@ def _segment_setup(
     """Per-segment quantities of the correction: the inverse of the old pose
     of the closing keyframe relative to the opening one, the new such pose,
     ``s`` and the degenerate-baseline flag."""
-    t_ab_old = upd_a.old_pose.inverse() * upd_b.old_pose
-    t_ab_new = upd_a.new_pose.inverse() * upd_b.new_pose
+    t_ab_old = inverse_pose(upd_a.old_pose) * upd_b.old_pose
+    t_ab_new = inverse_pose(upd_a.new_pose) * upd_b.new_pose
     s, degenerate = scale_factor(t_ab_old.translation, t_ab_new.translation, scale_squared)
-    return t_ab_old.inverse(), t_ab_new, s, degenerate
+    return inverse_pose(t_ab_old), t_ab_new, s, degenerate
 
 
 def correct_segment_scalar(
@@ -341,7 +432,8 @@ def correct_segment_scalar(
     tested against bit for bit.
     """
     i = int(batch.index[k])
-    t_ab_old_inv, t_ab_new, s, degenerate = _segment_setup(updates[i], updates[i + 1], scale_squared)
+    t_ab_old_inv, t_ab_new, s, degenerate = _segment_setup(
+        updates[i], updates[i + 1], scale_squared)
 
     corrected = []
     alphas = []
@@ -402,7 +494,7 @@ def _rotation_from_vec(
             # Exact cancellation of every component; nothing recoverable.
             if diagnostics is not None:
                 diagnostics.quat_renorm_hits += 1
-            return Rotation.identity()
+            return identity_rotation()
         if diagnostics is not None and abs(norm - 1.0) > QUAT_RENORM_TOL:
             diagnostics.quat_renorm_hits += 1
         return Rotation(rvec)
@@ -456,8 +548,8 @@ def interp_correct_segment_scalar(
     i = int(batch.index[k])
     upd_a, upd_b = updates[i], updates[i + 1]
     diag = SegmentRecord(i)
-    t_ab_old = upd_a.old_pose.inverse() * upd_b.old_pose
-    t_ab_new = upd_a.new_pose.inverse() * upd_b.new_pose
+    t_ab_old = inverse_pose(upd_a.old_pose) * upd_b.old_pose
+    t_ab_new = inverse_pose(upd_a.new_pose) * upd_b.new_pose
     tv_old, rv_old, om_old = vectorize(t_ab_old, ts, rs, diag)
     tv_new, rv_new, om_new = vectorize(t_ab_new, ts, rs, diag)
     dt = tv_new - tv_old
@@ -522,12 +614,22 @@ def parse_floats(fields: list[str], path, line: int, count: int, layout: str = "
     return vals
 
 
+def check_translation(t, path, line: int) -> None:
+    """Raise as the readers do when the length of the finite translation
+    ``t`` overflows."""
+    with np.errstate(over="ignore"):
+        length = float(np.linalg.norm(t))
+    if not math.isfinite(length):
+        raise TrajectoryParseError(path, line, TRANSLATION_OVERFLOW)
+
+
 def parse_tum_fields(fields: list[str], path, line: int) -> tuple[float, Pose]:
     """One TUM line's stamp and pose: the one-line form of ``io.read_tum``."""
     stamp, tx, ty, tz, qx, qy, qz, qw = parse_floats(fields, path, line, 8, " (stamp t q)")
     norm = float(np.linalg.norm([qw, qx, qy, qz]))
     if abs(norm - 1.0) > QUAT_NORM_TOL:
         raise TrajectoryParseError(path, line, _quat_norm_error(norm))
+    check_translation((tx, ty, tz), path, line)
     return stamp, Pose(Rotation((qw, qx, qy, qz)), (tx, ty, tz))
 
 
@@ -613,7 +715,7 @@ def _path_line(spec: SceneSpec, rng: np.random.Generator) -> Callable[[float], P
     speed = 1.0
 
     def pose_at(t: float) -> Pose:
-        return Pose(Rotation.identity(), (0.0, 0.0, speed * t))
+        return Pose(identity_rotation(), (0.0, 0.0, speed * t))
 
     return pose_at
 
@@ -672,7 +774,7 @@ def project(camera: Camera, world_to_cam: Pose, point) -> Optional[tuple[np.ndar
     """Pinhole projection of one world point; None when behind the camera.
     The point is applied as a one-row stack, the ``Rotation.apply`` form
     that scenes are projected with."""
-    p = world_to_cam.apply(np.asarray(point, dtype=float).reshape(1, 3))[0]
+    p = pose_apply(world_to_cam, np.asarray(point, dtype=float).reshape(1, 3))[0]
     depth = float(p[2])
     if depth <= MIN_DEPTH:
         return None

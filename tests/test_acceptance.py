@@ -32,7 +32,6 @@ from posecorrect.liegeom import (
     quat_matrix,
     quat_normalize,
     rotation_angles_deg,
-    slerp,
     so3_exp,
     so3_exp_rows,
     so3_left_jacobian_inv_rows,
@@ -49,7 +48,6 @@ from posecorrect.trajectory import (
     FrameId,
     FrameTable,
     KeyframeUpdate,
-    identity_updates,
     snap_to_gt,
     world_poses,
 )
@@ -59,10 +57,14 @@ from reference_kernels import (
     correct_segment_scalar,
     fuse,
     fusion_gap,
+    identity_updates,
+    inverse_pose,
     rotation_angle_deg_scalar,
     scale_factor,
     segment_rels,
     segment_trajectory,
+    slerp,
+    update_row,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -138,8 +140,8 @@ def test_criterion_3_boundary_consistency():
     upd_a = KeyframeUpdate(0, kf_a_pose, Pose(Rotation.random(rng), rng.normal(size=3)))
     upd_b = KeyframeUpdate(1, kf_b_pose, Pose(Rotation.random(rng), rng.normal(size=3)))
     out, diag = correct_segment_scalar(batch, 0, [upd_a, upd_b])
-    t_ab_old = upd_a.old_pose.inverse() * upd_b.old_pose
-    t_ab_new = upd_a.new_pose.inverse() * upd_b.new_pose
+    t_ab_old = inverse_pose(upd_a.old_pose) * upd_b.old_pose
+    t_ab_new = inverse_pose(upd_a.new_pose) * upd_b.new_pose
     s, _ = scale_factor(t_ab_old.translation, t_ab_new.translation)
     rot, trans = condition_from_kf(rel, s)
     alpha0_ok = (
@@ -155,16 +157,16 @@ def test_criterion_3_boundary_consistency():
         scene, update, target = fixtures.similarity_case(case)
         traj = scene.trajectory
         updates = snap_to_gt(traj, target)
-        upd_a, upd_b = updates[0], updates[1]
-        t_ab_old = upd_a.old_pose.inverse() * upd_b.old_pose
-        t_ab_new = upd_a.new_pose.inverse() * upd_b.new_pose
+        upd_a, upd_b = update_row(updates, 0), update_row(updates, 1)
+        t_ab_old = inverse_pose(upd_a.old_pose) * upd_b.old_pose
+        t_ab_new = inverse_pose(upd_a.new_pose) * upd_b.new_pose
         s, _ = scale_factor(t_ab_old.translation, t_ab_new.translation)
         for _, rel_pose in segment_rels(traj.full_segments(), 0):
             sol_a = condition_from_kf(rel_pose, s)
-            rot_b, trans_b = sol_b = condition_from_kf(t_ab_old.inverse() * rel_pose, s)
+            rot_b, trans_b = sol_b = condition_from_kf(inverse_pose(t_ab_old) * rel_pose, s)
             gap = fusion_gap(sol_a, sol_b, t_ab_new)
             fused = fuse(sol_a, gap, 1.0)
-            implied = t_ab_new.inverse() * fused
+            implied = inverse_pose(t_ab_new) * fused
             worst = max(worst, rotation_angle_deg_scalar(implied.rotation, rot_b))
             worst = max(worst, float(np.linalg.norm(implied.translation - trans_b)))
     _criterion(

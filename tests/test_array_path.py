@@ -31,10 +31,12 @@ from posecorrect.trajectory import (
 from reference_kernels import (
     SCALAR_PATHS,
     _orthonormalize,
+    check_translation,
     displaced_estimate_scalar,
     format_tum_line,
     frame_errors,
     frame_grid_scalar,
+    inverse_pose,
     noisy_fixture_scalar,
     parse_floats,
     parse_tum_fields,
@@ -81,6 +83,7 @@ def object_read_kitti(path, frame_rate=10.0):
     for index, (lineno, text) in enumerate(trajio.data_lines(path)):
         vals = np.array(parse_floats(text.split(), path, lineno, 12)).reshape(3, 4)
         rot = _orthonormalize(vals[:, :3], path, lineno)
+        check_translation(vals[:, 3], path, lineno)
         out.append((FrameId(index / frame_rate, index), Pose(rotation_from_matrix_scalar(rot), vals[:, 3])))
     return out
 
@@ -207,7 +210,7 @@ def tum_line(draw):
     fields = [repr(stamp)] + [repr(draw(COORD)) for _ in range(3)]
     fields += [repr(v) for v in draw(QUAT)]
     fault = draw(st.sampled_from(["none"] * 12 + [
-        "short", "long", "word", "nan", "inf", "norm", "comment", "blank", "spelling",
+        "short", "long", "word", "nan", "inf", "norm", "comment", "blank", "spelling", "huge",
     ]))
     k = draw(st.integers(0, 7))
     if fault == "short":
@@ -226,6 +229,8 @@ def tum_line(draw):
         return "   "
     elif fault == "spelling":
         fields[k] = draw(st.sampled_from(["+1", "1e0", "1_0", "1.", ".5", "-0"]))
+    elif fault == "huge":  # a translation length on either side of overflow
+        fields[1 + k % 3] = draw(st.sampled_from(["1.3e154", "-1.5e154", "1e308"]))
     sep = draw(st.sampled_from([" ", "\t", "  "]))
     return sep.join(fields)
 
@@ -327,7 +332,7 @@ def object_trajectory(frames, positions):
         if k in positions:
             continue
         parents.append(bisect.bisect_right(stamps, fid.stamp) - 1)
-        rels.append((fid, keyframes[parents[-1]][1].inverse() * world))
+        rels.append((fid, inverse_pose(keyframes[parents[-1]][1]) * world))
     return Trajectory(FrameTable.of(keyframes), FrameTable.of(rels), parents)
 
 
@@ -374,7 +379,7 @@ class TestRunsEqualObjectPath:
         old_read, new_read = object_read_tum(tmp_path / "old.tum"), object_read_tum(tmp_path / "new.tum")
         traj = object_trajectory(read, positions)
         parents = traj.parents.tolist()
-        rels = [(fid, old_read[p][1].inverse() * (traj.kf[p][1] * rel))
+        rels = [(fid, inverse_pose(old_read[p][1]) * (traj.kf[p][1] * rel))
                 for (fid, rel), p in zip(traj.rel, parents)]
         kf = FrameTable.of((fid, pose) for fid, (_, pose) in zip(traj.kf.ids(), old_read))
         traj = Trajectory(kf, FrameTable.of(rels), parents)

@@ -11,7 +11,7 @@ import pytest
 from posecorrect import fixtures
 from posecorrect.baseline import RotSpace, TransSpace, interp_correct_segment
 from posecorrect.correction import keyframe_pairs
-from posecorrect.liegeom import Pose, Rotation, euler_zyx_to, quat_matrix, so3_exp
+from posecorrect.liegeom import Pose, Rotation, quat_matrix, so3_exp
 from posecorrect.trajectory import (
     FrameId,
     FrameTable,
@@ -24,11 +24,16 @@ from posecorrect.trajectory import (
 from reference_kernels import (
     SegmentRecord,
     devectorize,
+    euler_zyx_to,
+    identity_pose,
+    identity_rotation,
     interp_correct_segment_scalar,
+    inverse_pose,
     records_of,
     rotation_angle_deg_scalar,
     segment_rels,
     segment_trajectory,
+    update_rows,
     vectorize,
 )
 
@@ -44,7 +49,7 @@ def one_segment(kf_a_pose, kf_b_pose, rels):
 class TestVectorize:
     @pytest.mark.parametrize("ts,rs", ALL_SPACES)
     def test_identity_pose_gives_zero_vectors(self, ts, rs):
-        tvec, rvec, _ = vectorize(Pose.identity(), ts, rs)
+        tvec, rvec, _ = vectorize(identity_pose(), ts, rs)
         np.testing.assert_array_equal(tvec, np.zeros(3))
         if rs is RotSpace.QUAT:
             np.testing.assert_array_equal(rvec, [1.0, 0.0, 0.0, 0.0])
@@ -52,7 +57,7 @@ class TestVectorize:
             np.testing.assert_array_equal(rvec, np.zeros(3))
 
     def test_pure_translation_se3v_equals_translation(self):
-        p = Pose(Rotation.identity(), (1.0, -2.0, 3.0))
+        p = Pose(identity_rotation(), (1.0, -2.0, 3.0))
         tvec, _, _ = vectorize(p, TransSpace.SE3_V, RotSpace.SO3)
         np.testing.assert_allclose(tvec, [1.0, -2.0, 3.0], atol=1e-15)
 
@@ -107,8 +112,8 @@ class TestInterpCorrectSegment:
         # the input vectors; only the final devectorization rounds.
         batch, (upd_a, upd_b), rels = self._identity_update_case(ts, rs)
         diag = SegmentRecord(0)
-        t_ab_old = upd_a.old_pose.inverse() * upd_b.old_pose
-        t_ab_new = upd_a.new_pose.inverse() * upd_b.new_pose
+        t_ab_old = inverse_pose(upd_a.old_pose) * upd_b.old_pose
+        t_ab_new = inverse_pose(upd_a.new_pose) * upd_b.new_pose
         tv_old, rv_old, _ = vectorize(t_ab_old, ts, rs, diag)
         tv_new, rv_new, _ = vectorize(t_ab_new, ts, rs, diag)
         np.testing.assert_array_equal(tv_new - tv_old, np.zeros_like(tv_old))
@@ -121,11 +126,11 @@ class TestInterpCorrectSegment:
     def test_single_axis_doubling_in_xyz(self):
         # KF_b's new translation doubles along x only; a rel at the x
         # midpoint doubles its x while y and z are untouched.
-        kf_a = Pose.identity()
-        kf_b = Pose(Rotation.identity(), (2.0, 0.4, -0.6))
-        rel = Pose(Rotation.identity(), (1.0, 0.25, 0.3))
+        kf_a = identity_pose()
+        kf_b = Pose(identity_rotation(), (2.0, 0.4, -0.6))
+        rel = Pose(identity_rotation(), (1.0, 0.25, 0.3))
         upd_a = KeyframeUpdate(0, kf_a, kf_a)
-        upd_b = KeyframeUpdate(1, kf_b, Pose(Rotation.identity(), (4.0, 0.4, -0.6)))
+        upd_b = KeyframeUpdate(1, kf_b, Pose(identity_rotation(), (4.0, 0.4, -0.6)))
         out, _ = interp_correct_segment_scalar(
             one_segment(kf_a, kf_b, [rel]), 0, [upd_a, upd_b], TransSpace.XYZ, RotSpace.QUAT
         )
@@ -135,11 +140,11 @@ class TestInterpCorrectSegment:
         # 1-D translation-only trajectory under a pure scale update: XYZ
         # interpolation reproduces the scaled positions exactly.
         scale = 1.7
-        kf_a = Pose.identity()
-        kf_b = Pose(Rotation.identity(), (0.0, 0.0, 2.0))
-        rels = [Pose(Rotation.identity(), (0.0, 0.0, z)) for z in (0.5, 1.0, 1.5)]
+        kf_a = identity_pose()
+        kf_b = Pose(identity_rotation(), (0.0, 0.0, 2.0))
+        rels = [Pose(identity_rotation(), (0.0, 0.0, z)) for z in (0.5, 1.0, 1.5)]
         upd_a = KeyframeUpdate(0, kf_a, kf_a)
-        upd_b = KeyframeUpdate(1, kf_b, Pose(Rotation.identity(), (0.0, 0.0, 2.0 * scale)))
+        upd_b = KeyframeUpdate(1, kf_b, Pose(identity_rotation(), (0.0, 0.0, 2.0 * scale)))
         out, _ = interp_correct_segment_scalar(
             one_segment(kf_a, kf_b, rels), 0, [upd_a, upd_b], TransSpace.XYZ, RotSpace.QUAT
         )
@@ -151,11 +156,11 @@ class TestInterpCorrectSegment:
     def _singular_case(self):
         # The x component of the old inter-keyframe translation is exactly
         # zero while the update moves KF_b 1 cm along x.
-        kf_a = Pose.identity()
-        kf_b = Pose(Rotation.identity(), (0.0, 0.0, 1.0))
-        rel = Pose(Rotation.identity(), (0.2, 0.0, 0.5))
+        kf_a = identity_pose()
+        kf_b = Pose(identity_rotation(), (0.0, 0.0, 1.0))
+        rel = Pose(identity_rotation(), (0.2, 0.0, 0.5))
         upd_a = KeyframeUpdate(0, kf_a, kf_a)
-        upd_b = KeyframeUpdate(1, kf_b, Pose(Rotation.identity(), (0.01, 0.0, 1.0)))
+        upd_b = KeyframeUpdate(1, kf_b, Pose(identity_rotation(), (0.01, 0.0, 1.0)))
         return one_segment(kf_a, kf_b, [rel]), [upd_a, upd_b]
 
     def test_singular_component_guarded_by_default(self):
@@ -207,7 +212,7 @@ class TestInterpCorrectSegment:
         # Large inconsistent rotation updates drive the element-wise
         # quaternion off the unit sphere by more than 1e-6.
         rng = np.random.default_rng(5)
-        kf_a = Pose.identity()
+        kf_a = identity_pose()
         kf_b = Pose(so3_exp((0.0, 0.0, 0.4)), (0.0, 0.0, 1.0))
         rel = Pose(so3_exp((0.0, 0.0, 0.2)), (0.0, 0.0, 0.5))
         upd_a = KeyframeUpdate(0, kf_a, Pose(so3_exp((0.5, 0.0, 0.0)), (0.0, 0.0, 0.0)))
@@ -237,14 +242,14 @@ def assert_batch_equals_scalar(batch, updates, ts, rs, raw_division=False):
     """``interp_correct_segment`` on the full segments of ``batch`` against
     ``interp_correct_segment_scalar`` per segment: every pose and every
     record field."""
-    q, t, columns = interp_correct_segment(
-        batch, keyframe_pairs(batch, KeyframeUpdates.of(updates)), ts, rs, raw_division=raw_division
-    )
+    table = KeyframeUpdates.of(updates)
+    rows = update_rows(table)
+    q, t, columns = interp_correct_segment(batch, keyframe_pairs(batch, table), ts, rs, raw_division=raw_division)
     records = records_of(columns, batch.index)
     assert len(records) == len(batch.index)
     j = 0
     for k, record in enumerate(records):
-        poses, want = interp_correct_segment_scalar(batch, k, updates, ts, rs, raw_division)
+        poses, want = interp_correct_segment_scalar(batch, k, rows, ts, rs, raw_division)
         assert repr(dataclasses.astuple(record)) == repr(dataclasses.astuple(want))
         assert len(poses) == len(segment_rels(batch, k))
         for pose in poses:
@@ -320,10 +325,10 @@ class TestBatchedBaseline:
         # The old inter-keyframe rotation is the identity and the new one a
         # half-turn, so an identity relative rotation cancels to exactly
         # zero in every component.
-        kf_b = Pose(Rotation.identity(), (0.0, 0.0, 1.0))
-        batch = one_segment(Pose.identity(), kf_b, [Pose(Rotation.identity(), (0.0, 0.0, 0.5))])
+        kf_b = Pose(identity_rotation(), (0.0, 0.0, 1.0))
+        batch = one_segment(identity_pose(), kf_b, [Pose(identity_rotation(), (0.0, 0.0, 0.5))])
         turned = Pose(Rotation((0.0, 1.0, 0.0, 0.0)), (0.0, 0.0, 1.0))
-        updates = [KeyframeUpdate(0, Pose.identity(), Pose.identity()), KeyframeUpdate(1, kf_b, turned)]
+        updates = [KeyframeUpdate(0, identity_pose(), identity_pose()), KeyframeUpdate(1, kf_b, turned)]
         (record,) = assert_batch_equals_scalar(batch, updates, TransSpace.XYZ, RotSpace.QUAT)
         assert record.quat_renorm_hits == 1
         q, _, _ = interp_correct_segment(
@@ -333,7 +338,7 @@ class TestBatchedBaseline:
 
     def test_empty_batch(self):
         # One keyframe: the trajectory has no full segment.
-        traj = Trajectory(FrameTable.of([(FrameId(0.0, 0), Pose.identity())]), FrameTable.of([]), [])
+        traj = Trajectory(FrameTable.of([(FrameId(0.0, 0), identity_pose())]), FrameTable.of([]), [])
         batch = traj.full_segments()
         q, t, columns = interp_correct_segment(
             batch, keyframe_pairs(batch, KeyframeUpdates.of([])), TransSpace.SE3_V, RotSpace.SO3

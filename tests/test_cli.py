@@ -2,6 +2,7 @@
 precedence and determinism."""
 
 import csv
+import hashlib
 import inspect
 import io
 import json
@@ -21,8 +22,9 @@ from posecorrect import fixtures, floatfmt
 from posecorrect import io as trajio
 from posecorrect.cli import main
 from posecorrect.liegeom import pose_arrays
-from posecorrect.trajectory import world_poses
-from reference_kernels import columns_of, reference_correct, rotation_angle_deg_scalar
+from posecorrect.synth import SceneSpec, keyframe_positions, path_world_poses
+from posecorrect.trajectory import from_world_poses, snap_to_gt, world_poses
+from reference_kernels import columns_of, reference_correct, rotation_angle_deg_scalar, update_rows
 
 DATA = Path(__file__).parent / "data"
 README = Path(__file__).parent.parent / "README.md"
@@ -103,17 +105,20 @@ def csv_writer_of_repr(errors) -> bytes:
     return text.getvalue().encode("utf-8")
 
 
-def scalar_kernel(batch, updates, pairs, cfg):
-    """A ``METHODS`` kernel that corrects one segment at a time through
-    ``reference_correct``, the scalar reference of each method."""
-    results = [reference_correct(batch, k, updates, cfg) for k in range(len(batch.index))]
-    q, t = pose_arrays(pose for poses, _ in results for pose in poses)
-    return q, t, columns_of([record for _, record in results])
-
-
-def scalar_oracle_methods():
+def scalar_oracle_methods(scene_dir):
     """``evaluate.METHODS`` with every batched kernel but no-correction's
-    pass-through replaced by :func:`scalar_kernel`."""
+    pass-through replaced by a kernel that corrects one segment at a time
+    through ``reference_correct``, the scalar reference of each method, on
+    the keyframes of ``scene_dir``'s estimate snapped to its ground truth."""
+    frames = trajio.read_tum(scene_dir / "est.tum")
+    traj = from_world_poses(frames, trajio.read_keyframe_index(scene_dir / "kf_index.txt", frames))
+    updates = update_rows(snap_to_gt(traj, trajio.read_tum(scene_dir / "gt.tum")))
+
+    def scalar_kernel(batch, pairs, cfg):
+        results = [reference_correct(batch, k, updates, cfg) for k in range(len(batch.index))]
+        q, t = pose_arrays(pose for poses, _ in results for pose in poses)
+        return q, t, columns_of([record for _, record in results])
+
     return {
         name: method if method.kernel is ev._unchanged else method._replace(kernel=scalar_kernel)
         for name, method in ev.METHODS.items()
@@ -284,7 +289,7 @@ class TestEvaluate:
         scene_dir = sim_dir if scene == "sim" else singular_dir
         batched, scalar = tmp_path / "batched", tmp_path / "scalar"
         assert main(evaluate_args(scene_dir, batched, *extra)) == 0
-        oracles = scalar_oracle_methods()
+        oracles = scalar_oracle_methods(scene_dir)
         assert sum(m.kernel is not ev.METHODS[n].kernel for n, m in oracles.items()) == 6
         monkeypatch.setattr(ev, "METHODS", oracles)
         assert main(evaluate_args(scene_dir, scalar, *extra)) == 0
@@ -403,9 +408,9 @@ class TestEvaluate:
         calls = []
 
         def counted(kernel):
-            def run(batch, updates, pairs, cfg):
+            def run(batch, pairs, cfg):
                 calls.append(cfg.name)
-                return kernel(batch, updates, pairs, cfg)
+                return kernel(batch, pairs, cfg)
             return run
 
         wrapped = {kernel: counted(kernel) for kernel in {m.kernel for m in ev.METHODS.values()}}
@@ -825,6 +830,54 @@ def reflected_kitti(path, rotation: str, comment: bool) -> int:
     return 10 if comment else 5
 
 
+def overflow_ladder(d: Path, fmt: str, tx: str, comment: bool) -> int:
+    """The 91-frame ``mav`` inputs of ``scripts/bench_record.py``'s ladder in
+    ``d``, with the estimate as ``est.tum`` or ``est.kitti`` (and the ground
+    truth in the same format) whose fourth data line has the translation x
+    field ``tx``; with ``comment`` a comment line follows the first data
+    line, so that only the line reader takes the estimate.  Returns the line
+    of the edited frame."""
+    spec = SceneSpec(shape="mav", n_keyframes=10, rels_per_segment=9, seed=0)
+    gt = path_world_poses(spec)
+    positions = keyframe_positions(spec)
+    est = fixtures.displaced_estimate(gt, positions, seed=0)
+    write = trajio.write_tum if fmt == "tum" else trajio.write_kitti
+    write(d / f"est.{fmt}", est)
+    write(d / f"gt.{fmt}", gt)
+    trajio.write_tum(d / "kf_old.tum", est.take(positions))
+    trajio.write_tum(d / "kf_new.tum", gt.take(positions))
+    (d / "kf_index.txt").write_text("".join(f"{i}\n" for i in gt.indices[positions].tolist()))
+    lines = (d / f"est.{fmt}").read_text().splitlines()
+    header = int(fmt == "tum")
+    fields = lines[header + 3].split()
+    fields[1 if fmt == "tum" else 3] = tx
+    lines[header + 3] = " ".join(fields)
+    if comment:
+        lines.insert(header + 1, "# a comment between data lines")
+    (d / f"est.{fmt}").write_text("\n".join(lines) + "\n")
+    return header + 4 + comment
+
+
+def output_digest(out: Path) -> str:
+    """sha256 of the names and bytes of the files in ``out`` but
+    ``config.json``, which echoes the paths."""
+    digest = hashlib.sha256()
+    for path in sorted(out.iterdir()):
+        if path.name != "config.json":
+            digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
+# The outputs of each command on the ladder input with tx = 1e150, as the
+# readers before the overflow check wrote them; either reader gives them.
+OVERFLOW_DIGESTS = {
+    ("tum", "correct"): "30ec7179192ca9112f6e415346720bc164528be7004c04dfdf21c216e61ee849",
+    ("tum", "evaluate"): "150c3266b967f28ce8a00a89ffd6ad8ed99f6623eb3516b91232cf84152eb44c",
+    ("kitti", "correct"): "2e32d7504721d73010666d47ca8dab5977b5e96a73953453f1a9031bfe7badec",
+    ("kitti", "evaluate"): "0ebb8d724aa9e3c4a3b9e0f3ec05688b9792be6b66fdb263beb2bff23ff21fa9",
+}
+
+
 class TestExitCodes:
     """No input file makes ``correct`` or ``evaluate`` exit other than 0 or
     2, and a parse error names the file and its line."""
@@ -851,6 +904,35 @@ class TestExitCodes:
             exc = reported[0]
             assert exc.path in {str(DATA / file) for file in inputs.values()} and exc.line >= 1
             assert f"{exc.path}:{exc.line}: " in err
+
+    @pytest.mark.parametrize("comment", [False, True], ids=["loadtxt", "line reader"])
+    @pytest.mark.parametrize("command", ["correct", "evaluate"])
+    @pytest.mark.parametrize("fmt", ["tum", "kitti"])
+    @pytest.mark.parametrize("tx", ["1e150", "1e160"])
+    def test_translation_whose_length_overflows_exit_two_naming_line(
+        self, tmp_path, capsys, tx, fmt, command, comment
+    ):
+        # Past about 1.3e154 the squared length of a translation overflows,
+        # and with it the distances of the proposed correction's blend
+        # factor.  Below that the outputs stay as they were.
+        line = overflow_ladder(tmp_path, fmt, tx, comment)
+        est = tmp_path / f"est.{fmt}"
+        assert (trajio._fast_rows(est, 8 if fmt == "tum" else 12)[0] is None) == comment
+        argv = [command, "--traj", str(est), "--kf-index", str(tmp_path / "kf_index.txt"),
+                "--out", str(tmp_path / "out")]
+        if command == "correct":
+            argv += ["--kf-old", str(tmp_path / "kf_old.tum"), "--kf-new", str(tmp_path / "kf_new.tum")]
+        else:
+            argv += ["--gt", str(tmp_path / f"gt.{fmt}"), "--methods", "all"]
+        code = main(argv)
+        err = capsys.readouterr().err
+        if tx == "1e150":
+            assert code == 0, err
+            assert output_digest(tmp_path / "out") == OVERFLOW_DIGESTS[fmt, command]
+        else:
+            assert code == 2
+            assert err == (f"posecorrect: error: {est}:{line}: "
+                           f"{trajio.TRANSLATION_OVERFLOW}\n")
 
     @pytest.mark.parametrize("comment", [False, True], ids=["loadtxt", "line reader"])
     @pytest.mark.parametrize("rotation", ["1 0 0 0 1 0 0 0 -1", "0 1 0 1 0 0 0 0 1.000001"],

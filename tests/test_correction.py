@@ -27,7 +27,6 @@ from posecorrect.trajectory import (
     KeyframeUpdates,
     Trajectory,
     from_world_poses,
-    identity_updates,
     snap_to_gt,
 )
 from reference_kernels import (
@@ -38,12 +37,17 @@ from reference_kernels import (
     correct_segment_scalar,
     fuse,
     fusion_gap,
+    identity_pose,
+    identity_rotation,
+    identity_updates,
+    inverse_pose,
     records_of,
     rotation_angle_deg_scalar,
     scale_factor,
     segment_rels,
     segment_trajectory,
     timestamp_fraction,
+    update_rows,
 )
 
 
@@ -103,8 +107,8 @@ class TestConditionSolution:
         frame = Pose(Rotation.random(rng), rng.normal(size=3))
         sim = SimilarityTransform(Rotation.random(rng), rng.normal(size=3), 1.7)
 
-        rel_a = kf_a.inverse() * frame
-        rel_b = kf_b.inverse() * frame
+        rel_a = inverse_pose(kf_a) * frame
+        rel_b = inverse_pose(kf_b) * frame
         s = 1.7
         sol_a = condition_from_kf(rel_a, s)
         sol_b = condition_from_kf(rel_b, s)
@@ -125,10 +129,10 @@ class TestFusionGap:
         rng = np.random.default_rng(4)
         kf_a, kf_b, frame = self._consistent_geometry(rng)
         s = 1.0
-        sol_a = condition_from_kf(kf_a.inverse() * frame, s)
-        sol_b = condition_from_kf(kf_b.inverse() * frame, s)
-        drot, dtrans = fusion_gap(sol_a, sol_b, kf_a.inverse() * kf_b)
-        assert rotation_angle_deg_scalar(drot, Rotation.identity()) < 1e-9
+        sol_a = condition_from_kf(inverse_pose(kf_a) * frame, s)
+        sol_b = condition_from_kf(inverse_pose(kf_b) * frame, s)
+        drot, dtrans = fusion_gap(sol_a, sol_b, inverse_pose(kf_a) * kf_b)
+        assert rotation_angle_deg_scalar(drot, identity_rotation()) < 1e-9
         assert np.linalg.norm(dtrans) < 1e-12
 
     def test_similarity_update_zero_gap(self):
@@ -138,11 +142,11 @@ class TestFusionGap:
             scale = rng.uniform(0.5, 2.0)
             sim = SimilarityTransform(Rotation.random(rng), rng.normal(size=3), scale)
             s = scale
-            sol_a = condition_from_kf(kf_a.inverse() * frame, s)
-            sol_b = condition_from_kf(kf_b.inverse() * frame, s)
-            t_ab_new = sim.apply_pose(kf_a).inverse() * sim.apply_pose(kf_b)
+            sol_a = condition_from_kf(inverse_pose(kf_a) * frame, s)
+            sol_b = condition_from_kf(inverse_pose(kf_b) * frame, s)
+            t_ab_new = inverse_pose(sim.apply_pose(kf_a)) * sim.apply_pose(kf_b)
             drot, dtrans = fusion_gap(sol_a, sol_b, t_ab_new)
-            assert rotation_angle_deg_scalar(drot, Rotation.identity()) < 1e-9
+            assert rotation_angle_deg_scalar(drot, identity_rotation()) < 1e-9
             assert np.linalg.norm(dtrans) < 1e-9
 
     def test_inconsistent_update_closes_far_constraint_at_alpha_one(self):
@@ -151,18 +155,18 @@ class TestFusionGap:
         # pose, satisfies KF_b's condition (direct substitution).
         rng = np.random.default_rng(6)
         kf_a, kf_b, frame = self._consistent_geometry(rng)
-        rel_a = kf_a.inverse() * frame
-        rel_b = kf_b.inverse() * frame
+        rel_a = inverse_pose(kf_a) * frame
+        rel_b = inverse_pose(kf_b) * frame
         s = 1.0
         sol_a = condition_from_kf(rel_a, s)
         rot_b, trans_b = sol_b = condition_from_kf(rel_b, s)
         kf_b_new = Pose(kf_b.rotation, kf_b.translation + np.array([0.01, 0.0, 0.0]))
-        drot, dtrans = gap = fusion_gap(sol_a, sol_b, kf_a.inverse() * kf_b_new)
+        drot, dtrans = gap = fusion_gap(sol_a, sol_b, inverse_pose(kf_a) * kf_b_new)
         assert np.linalg.norm(dtrans) > 1e-4
 
         fused = fuse(sol_a, gap, 1.0)
         world = kf_a * fused
-        implied_rel_b = kf_b_new.inverse() * world
+        implied_rel_b = inverse_pose(kf_b_new) * world
         assert rotation_angle_deg_scalar(implied_rel_b.rotation, rot_b) < 1e-9
         np.testing.assert_allclose(implied_rel_b.translation, trans_b, atol=1e-9)
 
@@ -179,28 +183,28 @@ def recorded_alpha(traj):
 
 class TestInterpFactor:
     def test_frame_at_opening_keyframe_gives_zero(self):
-        kf_a = Pose.identity()
-        kf_b = Pose(Rotation.identity(), (0.0, 0.0, 1.0))
-        traj = segment_trajectory(kf_a, kf_b, [Pose.identity()])
+        kf_a = identity_pose()
+        kf_b = Pose(identity_rotation(), (0.0, 0.0, 1.0))
+        traj = segment_trajectory(kf_a, kf_b, [identity_pose()])
         assert recorded_alpha(traj) == 0.0
 
     def test_equidistant_frame_gives_half(self):
-        kf_a = Pose.identity()
-        kf_b = Pose(Rotation.identity(), (0.0, 0.0, 1.0))
-        traj = segment_trajectory(kf_a, kf_b, [Pose(Rotation.identity(), (0.0, 0.0, 0.5))])
+        kf_a = identity_pose()
+        kf_b = Pose(identity_rotation(), (0.0, 0.0, 1.0))
+        traj = segment_trajectory(kf_a, kf_b, [Pose(identity_rotation(), (0.0, 0.0, 0.5))])
         assert abs(recorded_alpha(traj) - 0.5) < 1e-12
 
     def test_uniform_speed_line_matches_arc_length_fraction(self):
-        kf_a = Pose.identity()
-        kf_b = Pose(Rotation.identity(), (0.0, 0.0, 2.0))
+        kf_a = identity_pose()
+        kf_b = Pose(identity_rotation(), (0.0, 0.0, 2.0))
         fracs = [0.1, 0.25, 0.4, 0.65, 0.9]
         for f in fracs:
-            traj = segment_trajectory(kf_a, kf_b, [Pose(Rotation.identity(), (0.0, 0.0, 2.0 * f))])
+            traj = segment_trajectory(kf_a, kf_b, [Pose(identity_rotation(), (0.0, 0.0, 2.0 * f))])
             assert abs(recorded_alpha(traj) - f) < 1e-12
 
     def test_coincident_geometry_falls_back_to_timestamps(self):
-        kf_a = Pose.identity()
-        traj = segment_trajectory(kf_a, kf_a, [Pose.identity()], stamps=[0.25])
+        kf_a = identity_pose()
+        traj = segment_trajectory(kf_a, kf_a, [identity_pose()], stamps=[0.25])
         assert recorded_alpha(traj) == timestamp_fraction(traj.full_segments(), 0, 0.25)
         assert abs(recorded_alpha(traj) - 0.25) < 1e-12
 
@@ -213,7 +217,8 @@ class TestCorrectSegment:
             kf_b = Pose(Rotation.random(rng), kf_a.translation + rng.normal(size=3))
             rels = [Pose(Rotation.random(rng), rng.uniform(-1, 1, 3)) for _ in range(4)]
             traj = segment_trajectory(kf_a, kf_b, rels)
-            out, diag = correct_segment_scalar(traj.full_segments(), 0, identity_updates(traj))
+            updates = update_rows(identity_updates(traj))
+            out, diag = correct_segment_scalar(traj.full_segments(), 0, updates)
             for got, rel in zip(out, rels):
                 assert rotation_angle_deg_scalar(got.rotation, rel.rotation) < 1e-10
                 np.testing.assert_allclose(got.translation, rel.translation, atol=1e-12)
@@ -228,8 +233,8 @@ class TestCorrectSegment:
         upd_a = KeyframeUpdate(0, kf_a, Pose(Rotation.random(rng), rng.normal(size=3)))
         upd_b = KeyframeUpdate(1, kf_b, Pose(Rotation.random(rng), rng.normal(size=3)))
         out, diag = correct_segment_scalar(batch, 0, [upd_a, upd_b])
-        t_ab_old = upd_a.old_pose.inverse() * upd_b.old_pose
-        t_ab_new = upd_a.new_pose.inverse() * upd_b.new_pose
+        t_ab_old = inverse_pose(upd_a.old_pose) * upd_b.old_pose
+        t_ab_new = inverse_pose(upd_a.new_pose) * upd_b.new_pose
         s, _ = scale_factor(t_ab_old.translation, t_ab_new.translation)
         rot, trans = condition_from_kf(rel, s)
         assert diag.alpha_min == 0.0
@@ -241,7 +246,7 @@ class TestCorrectSegment:
         sim = SimilarityTransform.random(np.random.default_rng(22), scale=2.0)
         target = [(fid, sim.apply_pose(p)) for fid, p in scene.gt_world_poses()]
         traj = scene.trajectory
-        updates = snap_to_gt(traj, FrameTable.of(target))
+        updates = update_rows(snap_to_gt(traj, FrameTable.of(target)))
         target_map = dict(target)
         batch = traj.full_segments()
         for k in range(len(batch.index)):
@@ -258,10 +263,10 @@ class TestCorrectSegment:
         # switch; on a scale-2 similarity with off-axis relative frames it
         # is visibly wrong (on a pure 1-D line the gap blend would hide it).
         scene = generate_scene(SceneSpec(shape="mav", n_keyframes=4, seed=23))
-        sim = SimilarityTransform(Rotation.identity(), np.zeros(3), 2.0)
+        sim = SimilarityTransform(identity_rotation(), np.zeros(3), 2.0)
         target = [(fid, sim.apply_pose(p)) for fid, p in scene.gt_world_poses()]
         traj = scene.trajectory
-        updates = snap_to_gt(traj, FrameTable.of(target))
+        updates = update_rows(snap_to_gt(traj, FrameTable.of(target)))
         batch = traj.full_segments()
         out, _ = correct_segment_scalar(batch, 0, updates, scale_squared=True)
         base = updates[0].new_pose
@@ -322,17 +327,19 @@ def assert_batch_equals_scalar(traj, updates):
     per segment composed with ``Pose.__mul__``; the terminal segment's
     frames ride along with its opening keyframe."""
     batch = Trajectory(traj.kf, traj.rel, traj.parents).full_segments()
-    q, t, columns = correct_segment(batch, keyframe_pairs(batch, KeyframeUpdates.of(updates)))
+    table = KeyframeUpdates.of(updates)
+    rows = update_rows(table)
+    q, t, columns = correct_segment(batch, keyframe_pairs(batch, table))
     records = records_of(columns, batch.index)
     world, diagnostics = correct_trajectory(traj, updates, MethodConfig("proposed"))
     world = dict(world)
-    rows = [SegmentRecord(*row) for row in diagnostics.segments.tolist()]
-    assert list(map(record_bits, rows[:-1])) == list(map(record_bits, records))
+    segments = [SegmentRecord(*row) for row in diagnostics.segments.tolist()]
+    assert list(map(record_bits, segments[:-1])) == list(map(record_bits, records))
     j = 0
     for k, record in enumerate(records):
-        poses, want = correct_segment_scalar(batch, k, updates)
+        poses, want = correct_segment_scalar(batch, k, rows)
         assert record_bits(record) == record_bits(want)
-        base = updates[k].new_pose
+        base = rows[k].new_pose
         for (fid, _), pose in zip(segment_rels(batch, k), poses):
             assert same_bits(q[j], pose.rotation.quat) and same_bits(t[j], pose.translation)
             expected = base * pose
@@ -341,9 +348,9 @@ def assert_batch_equals_scalar(traj, updates):
             j += 1
     assert j == len(q) == len(t)
     last = len(traj.kf) - 1
-    assert rows[-1].terminal is True and rows[-1].segment == last
+    assert segments[-1].terminal is True and segments[-1].segment == last
     for fid, rel in traj.rel.take(slice(traj.offsets[-2], None)):
-        expected = updates[last].new_pose * rel
+        expected = rows[last].new_pose * rel
         assert same_bits(world[fid].rotation.quat, expected.rotation.quat)
         assert same_bits(world[fid].translation, expected.translation)
 
@@ -385,11 +392,11 @@ class TestBatchedKernel:
         batch = traj.full_segments()
         for k in range(len(batch.index)):
             upd_a, upd_b = updates[k], updates[k + 1]
-            t_ab_old = upd_a.old_pose.inverse() * upd_b.old_pose
-            t_ab_new = upd_a.new_pose.inverse() * upd_b.new_pose
+            t_ab_old = inverse_pose(upd_a.old_pose) * upd_b.old_pose
+            t_ab_new = inverse_pose(upd_a.new_pose) * upd_b.new_pose
             s, _ = scale_factor(t_ab_old.translation, t_ab_new.translation)
             for _, rel in segment_rels(batch, k):
-                sol_b = condition_from_kf(t_ab_old.inverse() * rel, s)
+                sol_b = condition_from_kf(inverse_pose(t_ab_old) * rel, s)
                 drot, _ = fusion_gap(condition_from_kf(rel, s), sol_b, t_ab_new)
                 slerped += drot.quat[0] <= 0.9995
         assert slerped > 100
@@ -430,8 +437,8 @@ class TestBatchedKernel:
         updates[6] = KeyframeUpdate(6, updates[6].old_pose, updates[5].new_pose)
         batch, table = traj.full_segments(), KeyframeUpdates.of(updates)
         assert batch.counts[3] == 0
-        # A memo miss computes the old and new pairs as one stacked chain,
-        # a hit the new ones alone; the kernel squares s itself.
+        # A memo miss computes the old pairs into the memo and a hit reads
+        # them back; both compute the new ones.  The kernel squares s itself.
         miss = keyframe_pairs(batch, table)
         hit = keyframe_pairs(batch, table)
         assert hit.old is miss.old
@@ -441,7 +448,7 @@ class TestBatchedKernel:
         for k in range(len(batch.index)):
             upd_a, upd_b = updates[k], updates[k + 1]
             old_inv, new, s, degenerate = _segment_setup(upd_a, upd_b, scale_squared)
-            old = upd_a.old_pose.inverse() * upd_b.old_pose
+            old = inverse_pose(upd_a.old_pose) * upd_b.old_pose
             for pairs in (miss, hit):
                 for got, want in (
                     (pairs.old.q[k], old.rotation.quat), (pairs.old.t[k], old.translation),

@@ -33,7 +33,6 @@ from posecorrect.trajectory import (
     FrameTable,
     KeyframeUpdate,
     from_world_poses,
-    identity_updates,
     snap_to_gt,
     world_poses,
 )
@@ -42,10 +41,12 @@ from reference_kernels import (
     bench_segment,
     correct_segment_scalar,
     frame_errors,
+    identity_updates,
     reference_correct,
     rotation_angle_deg_scalar,
     rotation_matrix_scalar,
     segment_rels,
+    update_rows,
 )
 
 
@@ -206,8 +207,7 @@ class TestDriver:
         non_finite_methods = 0
         for name in (name for name in METHODS if name != "euler"):
             cfg = MethodConfig(name, raw_division=True)
-            q, t, _ = METHODS[name].kernel(batch, updates, lambda: keyframe_pairs(batch, updates),
-                                           cfg)
+            q, t, _ = METHODS[name].kernel(batch, lambda: keyframe_pairs(batch, updates), cfg)
             rows = int(np.count_nonzero(~np.isfinite(np.hstack((q, t))).all(axis=1)))
             _, diagnostics = correct_trajectory(traj, updates, cfg)
             assert diagnostics.not_finite == (rows, len(batch.rels)), name
@@ -235,15 +235,16 @@ class TestDriver:
         # no-correction), to the last bit.
         traj, gt = fixtures.noisy_fixture(1)
         updates = snap_to_gt(traj, gt)
+        rows = update_rows(updates)
         for name in METHODS:
             cfg = MethodConfig(name)
             world, _ = correct_trajectory(traj, updates, cfg)
             got = dict(world)
             batch = traj.full_segments()
             for k in range(len(batch.index)):
-                poses, _ = reference_correct(batch, k, updates, cfg)
+                poses, _ = reference_correct(batch, k, rows, cfg)
                 for (fid, _), pose in zip(segment_rels(batch, k), poses, strict=True):
-                    want = updates[k].new_pose * pose
+                    want = rows[k].new_pose * pose
                     assert got[fid].rotation.quat.tobytes() == want.rotation.quat.tobytes()
                     assert got[fid].translation.tobytes() == want.translation.tobytes()
 

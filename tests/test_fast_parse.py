@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from posecorrect import io as trajio
 from posecorrect.liegeom import quat_from_matrix, quat_matrix, quat_normalize
-from reference_kernels import _orthonormalize, rotation_from_matrix_scalar
+from reference_kernels import _orthonormalize, check_translation, rotation_from_matrix_scalar
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -256,14 +256,15 @@ class TestDebugLog:
 
 def row_kitti_check(rows):
     """The KITTI value checks one row at a time, as ``read_kitti`` did them:
-    ``_orthonormalize`` and ``rotation_from_matrix_scalar`` on each finite row up to
-    the first non-finite one."""
+    ``_orthonormalize``, ``check_translation`` and ``rotation_from_matrix_scalar``
+    on each finite row up to the first non-finite one."""
     finite = np.isfinite(rows).all(axis=1)
     n = len(rows) if finite.all() else int(np.argmin(finite))
     q = np.empty((n, 4))
     for k, vals in enumerate(rows[:n].reshape(-1, 3, 4)):
         try:
             q[k] = rotation_from_matrix_scalar(_orthonormalize(vals[:, :3], "p", k)).quat
+            check_translation(vals[:, 3], "p", k)
         except trajio.TrajectoryParseError as exc:
             return None, (k, str(exc).split(": ", 1)[1])
     if n < len(rows):
@@ -321,8 +322,8 @@ class TestKittiTwins:
             0, trajio._drift_error(float(drift)))
 
     @settings(max_examples=150, deadline=None)
-    @given(st.lists(st.sampled_from(["ok", "small", "reflect", "over", "nan"]), min_size=1,
-                    max_size=12), st.integers(0, 2**32 - 1))
+    @given(st.lists(st.sampled_from(["ok", "small", "reflect", "over", "nan", "huge"]),
+                    min_size=1, max_size=12), st.integers(0, 2**32 - 1))
     def test_kitti_check_errors_equal_row_form(self, kinds, seed):
         rng = np.random.default_rng(seed)
         m = quat_matrix(quat_normalize(rng.normal(size=(len(kinds), 4))))
@@ -337,6 +338,8 @@ class TestKittiTwins:
                 m[k] *= 1.01
             elif kind == "nan":
                 t[k, 1] = math.nan
+            elif kind == "huge":
+                t[k, 2] = 1e160
         rows = kitti_rows(m, t)
         got, want = trajio._kitti_check(rows), row_kitti_check(rows)
         assert got[1] == want[1]

@@ -29,6 +29,7 @@ from posecorrect.trajectory import (
     rebase,
     world_poses,
 )
+from reference_kernels import identity_pose
 
 CONFIGS = [MethodConfig(name) for name in METHODS] + [
     MethodConfig("proposed", scale_squared=True),
@@ -48,7 +49,7 @@ def estimate(seed: int, n_keyframes: int = 6, origin: bool = False,
     positions = keyframe_positions(spec)
     est = list(fixtures.displaced_estimate(frames, positions, seed=seed))
     if origin:
-        est[0] = (est[0][0], Pose.identity())
+        est[0] = (est[0][0], identity_pose())
     return from_world_poses(FrameTable.of(est), positions[:-1] if trailing else positions)
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posecorrect.io import (
+    QUAT_NORM_TOL,
     TrajectoryParseError,
     _parse_rows,
     read_keyframe_index,
@@ -19,7 +20,7 @@ from posecorrect.io import (
 )
 from posecorrect.liegeom import Pose, Rotation, quat_matrix, quat_normalize
 from posecorrect.trajectory import FrameId, FrameTable
-from reference_kernels import format_tum_line, rotation_angle_deg_scalar
+from reference_kernels import format_tum_line, identity_rotation, rotation_angle_deg_scalar
 
 DATA = Path(__file__).parent / "data"
 
@@ -39,7 +40,7 @@ class TestTum:
         [(fid, pose)] = read_tum(path)
         assert fid.stamp == 0.0
         np.testing.assert_array_equal(pose.translation, np.zeros(3))
-        assert rotation_angle_deg_scalar(pose.rotation, Rotation.identity()) == 0.0
+        assert rotation_angle_deg_scalar(pose.rotation, identity_rotation()) == 0.0
 
     def test_fixture_file_parses_with_comments(self):
         poses = read_tum(DATA / "valid.tum")
@@ -74,6 +75,29 @@ class TestTum:
         with pytest.raises(TrajectoryParseError, match="norm"):
             read_tum(DATA / "bad_quat.tum")
 
+    # For a norm in [0.5, 2], norm - 1 is exact and a multiple of 2**-53,
+    # which the double 1e-3 is not: no norm sits exactly at the tolerance.
+    # These are the nearest norms on either side of it, above and below 1.
+    @pytest.mark.parametrize("qw,accepted", [
+        ("1.001", True), ("1.0010000000000001", False),
+        ("0.9990000000000001", True), ("0.999", False),
+    ])
+    def test_quaternion_norm_tolerance_boundary(self, tmp_path, qw, accepted):
+        norm = float(qw)
+        assert abs(norm - 1.0) != QUAT_NORM_TOL
+        assert (abs(norm - 1.0) <= QUAT_NORM_TOL) == accepted
+        # The neighbouring double across the tolerance falls on the other side.
+        neighbour = math.nextafter(norm, (2.0 if norm > 1.0 else 0.0) if accepted else 1.0)
+        assert (abs(neighbour - 1.0) <= QUAT_NORM_TOL) != accepted
+        path = tmp_path / "q.tum"
+        path.write_text(f"0.0 0 0 0 0 0 0 1\n0.1 0 0 0 0 0 0 {qw}\n")
+        if accepted:
+            assert read_tum(path).q[1].tolist() == [1.0, 0.0, 0.0, 0.0]
+        else:
+            with pytest.raises(TrajectoryParseError, match="quaternion norm") as err:
+                read_tum(path)
+            assert err.value.line == 2
+
     def test_nonmonotone_sorted_with_warning(self, tmp_path, caplog):
         path = tmp_path / "shuffled.tum"
         path.write_text(
@@ -106,7 +130,7 @@ class TestTum:
 class TestKitti:
     def test_identity_row(self, tmp_path):
         poses = read_kitti(DATA / "valid.kitti")
-        assert rotation_angle_deg_scalar(poses[0][1].rotation, Rotation.identity()) == 0.0
+        assert rotation_angle_deg_scalar(poses[0][1].rotation, identity_rotation()) == 0.0
         np.testing.assert_array_equal(poses[0][1].translation, np.zeros(3))
 
     def test_translation_row(self):

@@ -9,10 +9,10 @@ from hypothesis import given, settings, strategies as st
 from scipy.spatial.transform import Rotation as ScipyRotation
 
 from posecorrect.liegeom import (
+    _GIMBAL_COS,
     Pose,
     Rotation,
     _math_rows,
-    euler_zyx_to,
     euler_zyx_from_rows,
     euler_zyx_to_rows,
     mat_vec,
@@ -27,7 +27,6 @@ from posecorrect.liegeom import (
     quat_normalize,
     quat_rotate,
     rotation_angles_deg,
-    slerp,
     slerp_from_identity,
     so3_exp,
     so3_exp_rows,
@@ -37,7 +36,8 @@ from posecorrect.liegeom import (
     vec_norm,
 )
 from reference_kernels import (
-    euler_zyx_from_scalar, gimbal_proximity_scalar, rotation_angle_deg_scalar, rotation_matrix_scalar,
+    euler_zyx_from_scalar, euler_zyx_to, gimbal_proximity_scalar, identity_rotation, inverse_pose,
+    inverse_rotation, pose_apply, rotation_angle_deg_scalar, rotation_matrix_scalar, slerp,
     so3_left_jacobian_inv_scalar, so3_left_jacobian_scalar, so3_log_scalar,
 )
 
@@ -79,7 +79,7 @@ def so3_checks(r: Rotation, tol: float = 1e-9):
 
 class TestRotationBasics:
     def test_identity(self):
-        r = Rotation.identity()
+        r = identity_rotation()
         assert np.allclose(rotation_matrix_scalar(r), np.eye(3))
         np.testing.assert_array_equal(r.quat, [1.0, 0.0, 0.0, 0.0])
 
@@ -116,24 +116,24 @@ class TestRotationBasics:
     @given(rotations(), rotations())
     def test_composition_stays_on_so3(self, a, b):
         so3_checks(a * b)
-        so3_checks(a.inverse())
+        so3_checks(inverse_rotation(a))
 
     def test_inverse_composes_to_identity(self):
         for seed in range(20):
             r = random_rotation(seed)
-            assert rotation_angle_deg_scalar(r * r.inverse(), Rotation.identity()) < 1e-9
+            assert rotation_angle_deg_scalar(r * inverse_rotation(r), identity_rotation()) < 1e-9
 
 
 class TestSo3ExpLog:
     def test_log_identity_is_zero(self):
-        np.testing.assert_array_equal(so3_log_rows(Rotation.identity().quat[None]), np.zeros((1, 3)))
+        np.testing.assert_array_equal(so3_log_rows(identity_rotation().quat[None]), np.zeros((1, 3)))
 
     def test_log_quarter_turn_about_z(self):
         q = quat_from_matrix(np.array([[[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]]))
         np.testing.assert_allclose(so3_log_rows(q), [[0.0, 0.0, math.pi / 2]], atol=1e-12)
 
     def test_exp_zero_is_identity(self):
-        assert rotation_angle_deg_scalar(so3_exp((0.0, 0.0, 0.0)), Rotation.identity()) == 0.0
+        assert rotation_angle_deg_scalar(so3_exp((0.0, 0.0, 0.0)), identity_rotation()) == 0.0
 
     def test_exp_half_turn_about_x(self):
         np.testing.assert_allclose(
@@ -182,8 +182,8 @@ class TestPose:
     @settings(max_examples=100)
     @given(poses())
     def test_inverse_composes_to_identity(self, p):
-        ident = p * p.inverse()
-        assert rotation_angle_deg_scalar(ident.rotation, Rotation.identity()) < 1e-9
+        ident = p * inverse_pose(p)
+        assert rotation_angle_deg_scalar(ident.rotation, identity_rotation()) < 1e-9
         np.testing.assert_allclose(ident.translation, np.zeros(3), atol=1e-9)
 
     def test_apply_matches_matrix(self):
@@ -191,12 +191,12 @@ class TestPose:
         p = Pose(Rotation.random(rng), rng.normal(size=3))
         v = rng.normal(size=3)
         expected = rotation_matrix_scalar(p.rotation) @ v + p.translation
-        np.testing.assert_allclose(p.apply(v), expected, atol=1e-12)
+        np.testing.assert_allclose(pose_apply(p, v), expected, atol=1e-12)
 
 
 class TestEuler:
     def test_identity(self):
-        angles, gimbal = euler_zyx_from_rows(Rotation.identity().quat[None])
+        angles, gimbal = euler_zyx_from_rows(identity_rotation().quat[None])
         np.testing.assert_array_equal(angles, np.zeros((1, 3)))
         assert gimbal.tolist() == [False]
 
@@ -214,6 +214,16 @@ class TestEuler:
     def test_matches_scipy_convention(self):
         q = random_quats(0, 50)
         np.testing.assert_allclose(euler_zyx_from_rows(q)[0], as_scipy(q).as_euler("ZYX"), atol=1e-10)
+
+    def test_gimbal_cosine_boundary(self):
+        # hypot(m21, m22) is exactly 1e-6 on the first row, which is not a
+        # gimbal hit; one ulp less of w makes it one.
+        q = np.array([[5e-7, 0.5, 0.5, 5e-7], [math.nextafter(5e-7, 0.0), 0.5, 0.5, 5e-7]])
+        m = quat_matrix(q)
+        assert [math.hypot(mk[2, 1], mk[2, 2]) for mk in m] == [_GIMBAL_COS, 9.999999999999997e-07]
+        _, gimbal = euler_zyx_from_rows(q)
+        assert gimbal.tolist() == [False, True]
+        assert [gimbal_proximity_scalar(Rotation._from_canonical(row)) for row in q] == [False, True]
 
     def test_gimbal_flagged_and_result_still_returned(self):
         q = euler_zyx_to_rows(np.array([[0.3, math.pi / 2, 0.0], [0.3, 0.4, 0.5]]))
@@ -237,7 +247,7 @@ class TestSlerp:
 
     def test_geodesic_midpoint_single_axis(self):
         q1 = so3_exp((0.0, 0.0, math.pi / 2))
-        mid = slerp(Rotation.identity(), q1, 0.5)
+        mid = slerp(identity_rotation(), q1, 0.5)
         expected = so3_exp((0.0, 0.0, math.pi / 4))
         assert rotation_angle_deg_scalar(mid, expected) < 1e-12
 
@@ -261,7 +271,7 @@ class TestSlerp:
         assert rotation_angle_deg_scalar(lhs, rhs) < 1e-9
 
     def test_nearly_parallel_falls_back_to_nlerp(self):
-        q0 = Rotation.identity()
+        q0 = identity_rotation()
         q1 = so3_exp((1e-5, 0.0, 0.0))
         mid = slerp(q0, q1, 0.5)
         so3_checks(mid)
@@ -274,9 +284,9 @@ class TestSlerp:
     @pytest.mark.parametrize("wxyz", [(math.nan, 0.0, 0.0, 0.0), (1.0, math.inf, 0.0, 0.0)])
     def test_non_finite_quaternion_rejected(self, wxyz):
         with pytest.raises(ValueError, match="non-finite"):
-            slerp(Rotation.identity(), Rotation(wxyz), 0.5)
+            slerp(identity_rotation(), Rotation(wxyz), 0.5)
         with pytest.raises(ValueError, match="non-finite"):
-            slerp(Rotation(wxyz), Rotation.identity(), 0.5)
+            slerp(Rotation(wxyz), identity_rotation(), 0.5)
 
 
 def _trace_angle_deg(r1: Rotation, r2: Rotation) -> float:
@@ -291,7 +301,7 @@ class TestRotationAngle:
         assert rotation_angles_deg(q, q).tolist() == [0.0] * 20
 
     def test_quarter_turn_is_90(self):
-        q = np.array([Rotation.identity().quat, so3_exp((0, 0, math.pi / 2)).quat])
+        q = np.array([identity_rotation().quat, so3_exp((0, 0, math.pi / 2)).quat])
         assert abs(rotation_angles_deg(q[:1], q[1:])[0] - 90.0) < 1e-12
 
     @settings(max_examples=150)
@@ -369,7 +379,7 @@ class TestArrayForms:
         for row, ra, rb in zip(quat_mul(qa, qb), a, b):
             assert same_bits(row, (ra * rb).quat)
         for row, ra in zip(quat_inverse(qa), a):
-            assert same_bits(row, ra.inverse().quat)
+            assert same_bits(row, inverse_rotation(ra).quat)
 
     @settings(max_examples=200)
     @given(batches, st.integers(min_value=0, max_value=2**31 - 1))
@@ -396,7 +406,7 @@ class TestArrayForms:
         alphas = np.array([a for _, a in pairs])
         got = slerp_from_identity(np.array([r.quat for r in rots]), alphas)
         for row, r, a in zip(got, rots, alphas.tolist()):
-            assert same_bits(row, slerp(Rotation.identity(), r, a).quat)
+            assert same_bits(row, slerp(identity_rotation(), r, a).quat)
 
     def test_slerp_branches_reached(self):
         # The cases the property test draws cover both interior branches.
@@ -405,15 +415,15 @@ class TestArrayForms:
         assert near[0] > 0.9995 > far[0]
         got = slerp_from_identity(np.array([near, far]), np.array([0.5, 0.5]))
         for row, q in zip(got, (near, far)):
-            assert same_bits(row, slerp(Rotation.identity(), Rotation(q), 0.5).quat)
+            assert same_bits(row, slerp(identity_rotation(), Rotation(q), 0.5).quat)
 
     @pytest.mark.parametrize("wxyz", [(math.nan, 0.0, 0.0, 0.0), (1.0, math.inf, 0.0, 0.0)])
     def test_non_finite_quaternion_rejected(self, wxyz):
-        q = np.array([Rotation.identity().quat, Rotation(wxyz).quat])
+        q = np.array([identity_rotation().quat, Rotation(wxyz).quat])
         with pytest.raises(ValueError, match="non-finite"):
             slerp_from_identity(q, np.array([0.5, 0.5]))
         with pytest.raises(ValueError, match="non-finite"):
-            slerp(Rotation.identity(), Rotation(wxyz), 0.5)
+            slerp(identity_rotation(), Rotation(wxyz), 0.5)
         # At the endpoints no dot product is taken, in either form.
         ends = slerp_from_identity(q, np.array([0.0, 1.0]))
         assert same_bits(ends[1], Rotation(wxyz).quat)
@@ -429,7 +439,7 @@ class TestArrayForms:
         # in both forms, naming the first such factor.
         rng = np.random.default_rng(17)
         rots = [Rotation.random(rng) for _ in range(6)]
-        rots += [Rotation.identity(), so3_exp((0.01, 0.0, 0.0)), Rotation((0.0, -1.0, 0.0, 0.0))]
+        rots += [identity_rotation(), so3_exp((0.01, 0.0, 0.0)), Rotation((0.0, -1.0, 0.0, 0.0))]
         q = np.array([r.quat for r in rots])
         alphas = rng.uniform(0.05, 0.95, len(rots))
         if layout == "ends":
@@ -440,11 +450,11 @@ class TestArrayForms:
                 with pytest.raises(ValueError, match=f"interpolation factor .* got {bad}$"):
                     slerp_from_identity(q, alphas)
                 with pytest.raises(ValueError, match=f"interpolation factor .* got {bad}$"):
-                    slerp(Rotation.identity(), rots[3], bad)
+                    slerp(identity_rotation(), rots[3], bad)
             return
         got = slerp_from_identity(q, alphas)
         for row, r, a in zip(got, rots, alphas.tolist()):
-            assert same_bits(row, slerp(Rotation.identity(), r, a).quat)
+            assert same_bits(row, slerp(identity_rotation(), r, a).quat)
 
 
 def cascade_normalize(q: np.ndarray) -> np.ndarray:
@@ -551,8 +561,8 @@ tangent_batches = st.lists(tangents(), min_size=1, max_size=6)
 
 class TestLieArrayForms:
     """The exp/log, Jacobian, Euler and metric array forms against their
-    scalar forms, bit for bit: ``so3_exp`` and ``euler_zyx_to`` of the
-    package, and the oracles of ``reference_kernels`` for the rest."""
+    scalar forms, bit for bit: ``so3_exp`` of the package, and the oracles
+    of ``reference_kernels`` for the rest."""
 
     @settings(max_examples=200)
     @given(batches)
@@ -610,8 +620,8 @@ class TestLieArrayForms:
         poses = [Pose(r, rng.uniform(-10.0, 10.0, 3)) for r in a]
         q, t = pose_inverse(*pose_arrays(poses))
         for got_q, got_t, pose in zip(q, t, poses):
-            assert same_bits(got_q, pose.inverse().rotation.quat)
-            assert same_bits(got_t, pose.inverse().translation)
+            assert same_bits(got_q, inverse_pose(pose).rotation.quat)
+            assert same_bits(got_t, inverse_pose(pose).translation)
         angles = rotation_angles_deg(np.array([r.quat for r in a]), np.array([r.quat for r in b]))
         for got, ra, rb in zip(angles.tolist(), a, b):
             assert got == rotation_angle_deg_scalar(ra, rb)

@@ -1,10 +1,11 @@
 """Static checks of the package source: every imported name is used, and
 no module imports the test-side reference kernels or anything else from
 ``tests``.  The scalar oracles in ``tests/reference_kernels.py`` take from
-``liegeom`` only the value types, the scalar forms that keep their own
-bodies and the private constants, never an array form they are pinned
-against.  Every public name of the package, and every ``posecorrect``
-import of the perfbench harness and the scripts, resolves."""
+``liegeom`` only the value types ``Pose`` and ``Rotation``, ``so3_exp``
+and the private constants, never an array form they are pinned against.
+Every public name of the package, and every ``posecorrect`` import of the
+perfbench harness and the scripts, resolves, and no per-pose object is
+public."""
 
 import ast
 import importlib
@@ -19,7 +20,7 @@ PACKAGE = ROOT / "src" / "posecorrect"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 REFERENCE_KERNELS = Path(__file__).resolve().parent / "reference_kernels.py"
 # What the oracles may import from liegeom, beside its private constants.
-ORACLE_LIEGEOM = {"Pose", "Rotation", "so3_exp", "euler_zyx_to", "slerp"}
+ORACLE_LIEGEOM = {"Pose", "Rotation", "so3_exp"}
 CALLERS = sorted([*(ROOT / "perfbench").glob("*.py"), *(ROOT / "scripts").glob("*.py")])
 
 
@@ -102,13 +103,20 @@ def test_forbidden_liegeom_uses_finds_each_form(source):
 
 
 def test_forbidden_liegeom_uses_allows_the_scalar_forms():
-    source = "from posecorrect.liegeom import _GIMBAL_COS, Pose, Rotation, euler_zyx_to, slerp, so3_exp"
+    source = "from posecorrect.liegeom import _GIMBAL_COS, Pose, Rotation, so3_exp"
     assert not list(forbidden_liegeom_uses(ast.parse(source)))
 
 
 def test_every_public_name_resolves():
     missing = [name for name in posecorrect.__all__ if not hasattr(posecorrect, name)]
     assert not missing, "posecorrect.__all__ names what it does not define: " + ", ".join(missing)
+
+
+def test_no_per_pose_object_is_public():
+    per_pose = {"Pose", "Rotation", "so3_exp", "euler_zyx_to", "slerp", "FrameId", "Keyframe",
+                "KeyframeUpdate"}
+    assert not per_pose & set(posecorrect.__all__)
+    assert not [name for name in per_pose if hasattr(posecorrect, name)]
 
 
 def code_trees(path):

@@ -37,7 +37,7 @@ from posecorrect.synth import (
     unproject,
 )
 from posecorrect.trajectory import FrameTable
-from reference_kernels import project, scale_factor, with_generator_states
+from reference_kernels import identity_rotation, inverse_pose, project, scale_factor, with_generator_states
 
 CAM = Camera(fx=500.0, fy=500.0, cx=320.0, cy=240.0)
 
@@ -136,7 +136,7 @@ class TestGeneration:
 class TestSimilarityUpdate:
     def test_identity_changes_nothing(self):
         scene = generate_scene(SceneSpec(shape="mav", seed=7))
-        update = apply_similarity_update(scene, SimilarityTransform(Rotation.identity(), np.zeros(3)))
+        update = apply_similarity_update(scene, SimilarityTransform(identity_rotation(), np.zeros(3)))
         upd = update.keyframe_updates
         np.testing.assert_array_equal(upd.old_t, upd.new_t)
         assert (rotation_angles_deg(upd.old_q, upd.new_q) == 0.0).all()
@@ -144,7 +144,7 @@ class TestSimilarityUpdate:
 
     def test_scale_two_doubles_distances_and_scale_factor(self):
         scene = generate_scene(SceneSpec(shape="forward", seed=8))
-        sim = SimilarityTransform(Rotation.identity(), np.zeros(3), 2.0)
+        sim = SimilarityTransform(identity_rotation(), np.zeros(3), 2.0)
         upd = apply_similarity_update(scene, sim).keyframe_updates
         d_old = np.linalg.norm(np.diff(upd.old_t, axis=0), axis=1)
         d_new = np.linalg.norm(np.diff(upd.new_t, axis=0), axis=1)
@@ -187,7 +187,7 @@ class TestSimilarityUpdate:
 
     def test_nonpositive_scale_rejected(self):
         with pytest.raises(ValueError):
-            SimilarityTransform(Rotation.identity(), np.zeros(3), 0.0)
+            SimilarityTransform(identity_rotation(), np.zeros(3), 0.0)
 
 
 class TestReprojection:
@@ -280,7 +280,7 @@ class TestSceneSerialization:
 
     @pytest.mark.parametrize("name", SCENES)
     def test_observations_equal_per_frame_projection(self, name):
-        # Each path frame's Pose.inverse() projects every landmark through
+        # Each path frame's inverse pose projects every landmark through
         # the scalar project.  A zero-noise scene observes exactly the pairs
         # in front and inside the image, at those pixels; a noisy one a subset.
         spec = SCENES[name][0]
@@ -288,7 +288,7 @@ class TestSceneSerialization:
         cam = scene.camera
         visible = {}
         for fid, pose in path_world_poses(spec):
-            world_to_cam = pose.inverse()
+            world_to_cam = inverse_pose(pose)
             for lm, point in enumerate(scene.landmarks):
                 out = project(cam, world_to_cam, point)
                 if out is not None and 0 <= out[0][0] < cam.width and 0 <= out[0][1] < cam.height:

@@ -17,19 +17,25 @@ from posecorrect.trajectory import (
     Trajectory,
     associate,
     from_world_poses,
-    identity_updates,
     rebase,
     snap_to_gt,
     world_poses,
 )
-from reference_kernels import rotation_angle_deg_scalar
+from reference_kernels import (
+    identity_pose,
+    identity_rotation,
+    identity_updates,
+    inverse_pose,
+    rotation_angle_deg_scalar,
+    update_rows,
+)
 
 
 def table(stamps, indices, poses=None) -> FrameTable:
     """Frames at ``stamps`` with frame ``indices``, at the identity unless
     ``poses`` are given."""
     if poses is None:
-        poses = [Pose.identity()] * len(stamps)
+        poses = [identity_pose()] * len(stamps)
     return FrameTable(stamps, indices, *pose_arrays(poses))
 
 
@@ -109,7 +115,7 @@ class TestOrder:
     def test_world_poses_order_ties_by_index(self):
         # Frame 1 shares its stamp with keyframe 2 and joins the segment
         # that keyframe opens, yet comes first in frame order.
-        frames = [(FrameId(s, i), Pose.identity()) for i, s in enumerate([0.0, 0.5, 0.5, 0.75])]
+        frames = [(FrameId(s, i), identity_pose()) for i, s in enumerate([0.0, 0.5, 0.5, 0.75])]
         traj = from_world_poses(FrameTable.of(frames), [0, 2])
         assert traj.parents.tolist() == [1, 1]
         assert [fid.index for fid, _ in world_poses(traj)] == [0, 1, 2, 3]
@@ -126,7 +132,7 @@ class TestWorldPoses:
         np.testing.assert_array_equal(got.translation, world.translation)
 
     def test_translation_composition(self):
-        moved = Pose(Rotation.identity(), (1.0, 0.0, 0.0))
+        moved = Pose(identity_rotation(), (1.0, 0.0, 0.0))
         traj = Trajectory(table([0.0], [0]), table([0.5], [1], [moved]), [0])
         out = dict(world_poses(traj))
         np.testing.assert_array_equal(out[FrameId(0.5, 1)].translation, [1.0, 0.0, 0.0])
@@ -177,12 +183,12 @@ class TestFromWorldPoses:
         assert list(zip(traj.rel.indices.tolist(), parents)) == [(1, 0), (3, 1), (4, 1), (6, 2), (8, 3)]
         world = dict(frames)
         for (fid, rel), parent in zip(traj.rel, parents):
-            want = traj.kf[parent][1].inverse() * world[fid]
+            want = inverse_pose(traj.kf[parent][1]) * world[fid]
             assert rel.rotation.quat.tobytes() == want.rotation.quat.tobytes()
             assert rel.translation.tobytes() == want.translation.tobytes()
 
     def test_frame_before_first_keyframe_rejected(self):
-        frames = [(FrameId(0.0, 0), Pose.identity()), (FrameId(1.0, 1), Pose.identity())]
+        frames = [(FrameId(0.0, 0), identity_pose()), (FrameId(1.0, 1), identity_pose())]
         with pytest.raises(AssociationError, match="precedes"):
             from_world_poses(FrameTable.of(frames), [1])
 
@@ -233,13 +239,13 @@ class TestRebase:
             want = traj.kf[parent][1] * rel
             assert world[fid].rotation.quat.tobytes() == want.rotation.quat.tobytes()
             assert world[fid].translation.tobytes() == want.translation.tobytes()
-            want = poses[parent].inverse() * want
+            want = inverse_pose(poses[parent]) * want
             assert rebased[fid].rotation.quat.tobytes() == want.rotation.quat.tobytes()
             assert rebased[fid].translation.tobytes() == want.translation.tobytes()
 
     def test_pose_count_mismatch_rejected(self):
         traj = Trajectory(table([0.0, 1.0], [0, 2]), table([0.5], [1]), [0])
-        for poses in ([Pose.identity()], [Pose.identity()] * 3):
+        for poses in ([identity_pose()], [identity_pose()] * 3):
             with pytest.raises(ValueError):
                 rebase(traj, *pose_arrays(poses))
 
@@ -256,7 +262,7 @@ class TestSnapToGt:
         traj, frames = self._traj(np.random.default_rng(0))
         updates = snap_to_gt(traj, FrameTable.of(frames))
         assert len(updates) == 3
-        for upd in updates:
+        for upd in update_rows(updates):
             assert rotation_angle_deg_scalar(upd.old_pose.rotation, upd.new_pose.rotation) == 0.0
             np.testing.assert_array_equal(upd.old_pose.translation, upd.new_pose.translation)
 
@@ -264,7 +270,7 @@ class TestSnapToGt:
         traj, frames = self._traj(np.random.default_rng(1))
         g = Pose(so3_exp((0.1, -0.2, 0.3)), (1.0, 2.0, -3.0))
         gt = [(fid, g * pose) for fid, pose in frames]
-        for upd in snap_to_gt(traj, FrameTable.of(gt)):
+        for upd in update_rows(snap_to_gt(traj, FrameTable.of(gt))):
             expected = g * upd.old_pose
             assert rotation_angle_deg_scalar(upd.new_pose.rotation, expected.rotation) < 1e-9
             np.testing.assert_allclose(upd.new_pose.translation, expected.translation, atol=1e-9)
@@ -278,9 +284,9 @@ class TestSnapToGt:
             nudge = Pose(so3_exp(rng.normal(0, 0.01, 3)), rng.normal(0, 0.05, 3))
             nudges[fid] = nudge
             gt.append((fid, nudge * pose))
-        for i, upd in enumerate(snap_to_gt(traj, FrameTable.of(gt))):
+        for i, upd in enumerate(update_rows(snap_to_gt(traj, FrameTable.of(gt)))):
             fid = traj.keyframes[i].id
-            recovered = upd.new_pose * upd.old_pose.inverse()
+            recovered = upd.new_pose * inverse_pose(upd.old_pose)
             assert rotation_angle_deg_scalar(recovered.rotation, nudges[fid].rotation) < 1e-9
             np.testing.assert_allclose(
                 recovered.translation, nudges[fid].translation, atol=1e-9
@@ -304,7 +310,7 @@ class TestSnapToGt:
         traj, frames = self._traj(np.random.default_rng(6))
         updates = identity_updates(traj)
         assert all(
-            upd.old_pose is upd.new_pose or True for upd in updates
+            upd.old_pose is upd.new_pose or True for upd in update_rows(updates)
         )
         rebuilt = dict(world_poses(traj))
         for fid, pose in frames:
@@ -338,7 +344,7 @@ GRID = st.integers(min_value=0, max_value=40).map(lambda k: k / 8)
 @st.composite
 def association_cases(draw):
     ref_stamps = draw(st.lists(GRID, min_size=0, max_size=25))
-    reference = [(FrameId(t, i), Pose.identity()) for i, t in enumerate(ref_stamps)]
+    reference = [(FrameId(t, i), identity_pose()) for i, t in enumerate(ref_stamps)]
     reference = draw(st.permutations(reference))  # unsorted input
     tol = draw(st.sampled_from([0.0, 1 / 16, 1 / 8, 3 / 16, 1.0]))
     probes = [-1.0, 6.0]  # before the first and after the last stamp
